@@ -1,4 +1,5 @@
-"""Scan-optimizer benchmark: stats pruning + partial-aggregate pushdown.
+"""Scan-optimizer benchmark: stats pruning, partial-aggregate pushdown,
+and the case-report joins against giant SQL.
 
 Two measurements on the benign workload (``BENCH_SCAN_OPT_SESSIONS``
 sessions; 3400 ≈ 100k raw events) sealed into
@@ -23,8 +24,20 @@ tail sealed into its own segment:
   at full workload scale (asserted there, recorded everywhere); rows
   and matched events must be identical (asserted always).
 
-Tables land in ``benchmarks/results/scan_optimizer_pruning.txt`` and
-``scan_optimizer_pushdown.txt``.
+A third measurement puts RQ4's direction in the result tables: the
+TBQL synthesized from the 18 case reports (``%contains%`` filters that
+no statistic can prune), with the attack traces replayed inside the
+benign history —
+
+* *case-report joins* — all 18 queries through the default segmented,
+  scheduled path (first pass on freshly sealed segments, i.e. every
+  filter table built, then repeated passes that reuse the per-segment
+  memo) vs one giant SQL statement each on the monolithic store.  Rows
+  must be identical (asserted always); the ratios are recorded, not
+  asserted — which side wins is the finding.
+
+Tables land in ``benchmarks/results/scan_optimizer_pruning.txt``,
+``scan_optimizer_pushdown.txt`` and ``scan_optimizer_case_joins.txt``.
 """
 
 from __future__ import annotations
@@ -40,9 +53,13 @@ import pytest
 from repro.audit import AuditCollector, CollectorConfig
 from repro.audit.entities import Operation
 from repro.audit.workload import generate_benign_noise
+from repro.benchmark import ALL_CASES, CaseBuilder
 from repro.benchmark.evaluation import format_table
+from repro.hunting import ThreatRaptor
 from repro.storage import DualStore
 from repro.tbql.executor import TBQLExecutor
+from repro.tbql.parser import parse_tbql
+from repro.tbql.semantics import resolve_query
 
 from .conftest import write_result_table
 
@@ -108,22 +125,31 @@ def _attack_tail(after: float) -> list:
     return collector.events()
 
 
-@pytest.fixture(scope="module")
-def stores():
+def _store_pair(batches):
     """Monolithic + segmented stores fed identically (same seals)."""
-    events = generate_benign_noise(BENCH_SCAN_OPT_SESSIONS, seed=31)
-    events.sort(key=attrgetter("start_time", "event_id"))
-    batches = []
-    step = len(events) // BENCH_SCAN_OPT_SEGMENTS + 1
-    for index in range(0, len(events), step):
-        batches.append(events[index:index + step])
-    batches.append(_attack_tail(events[-1].start_time))
     mono = DualStore(retain_events=False)
     seg = DualStore(retain_events=False, layout="segmented")
     for batch in batches:
         for store in (mono, seg):
             store.append_events(batch)
             store.flush_appends()
+    return mono, seg
+
+
+def _equal_batches(events, count):
+    events.sort(key=attrgetter("start_time", "event_id"))
+    step = len(events) // count + 1
+    return [events[index:index + step]
+            for index in range(0, len(events), step)]
+
+
+@pytest.fixture(scope="module")
+def stores():
+    batches = _equal_batches(
+        generate_benign_noise(BENCH_SCAN_OPT_SESSIONS, seed=31),
+        BENCH_SCAN_OPT_SEGMENTS)
+    batches.append(_attack_tail(batches[-1][-1].start_time))
+    mono, seg = _store_pair(batches)
     yield mono, seg
     mono.close()
     seg.close()
@@ -182,8 +208,6 @@ def test_aggregate_pushdown_speedup_and_bytes(stores):
                                     build_pattern_spec,
                                     scan_segment_aggregate,
                                     scan_segment_columnar)
-    from repro.tbql.parser import parse_tbql
-    from repro.tbql.semantics import resolve_query
 
     mono, seg = stores
     mono_exec = TBQLExecutor(mono)
@@ -245,3 +269,65 @@ def test_aggregate_pushdown_speedup_and_bytes(stores):
         assert speedup >= MIN_PUSHDOWN_SPEEDUP, (
             f"aggregate pushdown speedup {speedup:.2f}x below the "
             f"{MIN_PUSHDOWN_SPEEDUP}x acceptance bar")
+
+
+def _giant_sql_rows(executor, resolved):
+    """The single-statement answer in the executor's row shape (giant
+    SQL names columns ``entity_attribute`` and leaves ``distinct`` to
+    the caller)."""
+    rows = [{(key if key == "count" else key.replace("_", ".", 1)): value
+             for key, value in row.items()}
+            for row in executor.execute_giant_sql(resolved)]
+    if resolved.distinct:
+        rows = list({repr(row): row for row in rows}.values())
+    return rows
+
+
+def test_case_report_joins_vs_giant_sql():
+    """RQ4 on the hunts the paper is about: scheduled TBQL on the
+    default segmented path vs one giant SQL statement per query."""
+    events = generate_benign_noise(BENCH_SCAN_OPT_SESSIONS, seed=31)
+    first, last = events[0].start_time, events[-1].end_time
+    for index, case in enumerate(ALL_CASES):
+        offset = first + (last - first) * (index + 0.5) / len(ALL_CASES)
+        events += CaseBuilder(start_time=offset).build(
+            case, benign_sessions=0).events
+    batches = _equal_batches(events, BENCH_SCAN_OPT_SEGMENTS)
+    mono, seg = _store_pair(batches)
+    raptor = ThreatRaptor()
+    queries = [resolve_query(parse_tbql(raptor.synthesize(
+        raptor.extract(case.description)).text)) for case in ALL_CASES]
+    patterns = sum(len(query.patterns) for query in queries)
+    mono_exec = TBQLExecutor(mono)
+    seg_exec = TBQLExecutor(seg)
+    try:
+        start = time.perf_counter()
+        answers = [seg_exec.execute(query).rows for query in queries]
+        first_pass = time.perf_counter() - start
+        expected = [_giant_sql_rows(mono_exec, query) for query in queries]
+        assert answers == expected
+        assert sum(map(len, expected)) > 0
+        repeated = _best_of(ROUNDS, lambda: [seg_exec.execute(query)
+                                             for query in queries])
+        giant = _best_of(ROUNDS, lambda: [
+            mono_exec.execute_giant_sql(query) for query in queries])
+    finally:
+        seg_exec.close()
+        mono.close()
+        seg.close()
+
+    rows = [
+        {"path": "giant SQL, monolithic store", "seconds": giant,
+         "vs giant SQL": 1.0},
+        {"path": "segmented default path, first pass (tables built)",
+         "seconds": first_pass, "vs giant SQL": first_pass / giant},
+        {"path": "segmented default path, repeated (memo reused)",
+         "seconds": repeated, "vs giant SQL": repeated / giant},
+    ]
+    table = format_table(rows, floatfmt="{:.6f}")
+    header = (f"Case-report joins (%contains%), {len(queries)} queries / "
+              f"{patterns} patterns ({BENCH_SCAN_OPT_SESSIONS} sessions, "
+              f"{len(batches)} segments; repeated and giant SQL best of "
+              f"{ROUNDS}, first pass once):")
+    print("\n" + header + "\n" + table)
+    write_result_table("scan_optimizer_case_joins", header + "\n" + table)

@@ -36,10 +36,11 @@ import mmap
 import sqlite3
 import struct
 import sys
+import threading
 from array import array
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from pathlib import Path
-from typing import Any, Iterable, Optional, Sequence
+from typing import Any, Callable, Iterable, Optional, Sequence
 
 from ..errors import StorageError
 from .relational.schema import ENTITY_COLUMNS, EVENT_COLUMNS
@@ -60,6 +61,10 @@ ENTITY_STRING_COLUMNS = ("type", "name", "path", "exename", "user", "grp",
 ENTITY_INT_COLUMNS = ("pid", "srcport", "dstport")
 #: Event string columns (NOT NULL in the schema, still code 0 == NULL).
 EVENT_STRING_COLUMNS = ("operation", "category", "host")
+#: Bytes of memoised filter masks kept per open segment (least
+#: recently used goes first); a mask is one byte per entity or event
+#: row, so the bound holds however many entities a segment carries.
+FILTER_MEMO_BYTES = 2 << 20
 
 _ENTITY_INDEX = {name: index for index, name in enumerate(ENTITY_COLUMNS)}
 
@@ -336,8 +341,10 @@ class ColumnarSegment:
     Columns are materialized lazily as zero-copy :class:`memoryview`
     casts over the mapping (:meth:`column`) or numpy views
     (:meth:`np_column`); the string table is decoded eagerly at open
-    (codes are dense and small).  Instances are immutable and safe to
-    share across reader threads.
+    (codes are dense and small).  The payload is immutable and
+    instances are safe to share across reader threads; what readers
+    derive from it (the ASCII-lowered string blob, memoised filter
+    masks) is built lazily, in memory only, and dies with the instance.
     """
 
     def __init__(self, path: str | Path) -> None:
@@ -402,6 +409,9 @@ class ColumnarSegment:
         #: older writers simply lack the key and scan linearly.
         self.sorted_strings = header.get("string_order") == "ascii_ci"
         self._sort_keys: Optional[list[str]] = None
+        self._lowered_blob: Optional[bytes] = None
+        self._filter_memo: dict[str, bytes] = {}
+        self._filter_memo_lock = threading.Lock()
         ids = self.column("entity.id")
         #: Entity ids are 1..N in builder-written payloads, letting
         #: ``entity_index`` subtract instead of hashing.
@@ -466,6 +476,62 @@ class ColumnarSegment:
         hi = len(keys) if successor is None else bisect_left(keys, successor)
         # +1 re-biases list positions (NULL stripped) back to codes.
         return lo + 1, hi + 1
+
+    def codes_containing(self, needle: str) -> list[int]:
+        """Codes of the strings that contain ``needle``
+        ASCII-case-insensitively (SQLite's ``LIKE`` folding), ascending.
+
+        One C-level substring search over the ASCII-lowered UTF-8 blob
+        of the whole string table per matching string, instead of one
+        match per dictionary entry.  ``bytes.lower`` folds A-Z only and
+        leaves multi-byte sequences alone, and UTF-8 is
+        self-synchronising, so a byte hit is a character hit; a hit
+        that runs past its string's end straddles two neighbours and
+        is skipped.
+        """
+        blob = self._lowered_blob
+        if blob is None:
+            blob = self._lowered_blob = bytes(
+                self.column("strings.blob")).lower()
+        # String ``code`` occupies blob bytes
+        # ``[offsets[code - 1], offsets[code])``.
+        offsets = self.column("strings.offsets")
+        target = needle.encode("utf-8").lower()
+        if not target:
+            return list(range(1, len(offsets)))
+        codes: list[int] = []
+        position = blob.find(target)
+        while position >= 0:
+            code = bisect_right(offsets, position)
+            end = offsets[code]
+            if position + len(target) <= end:
+                codes.append(code)
+            # Later hits inside this string add nothing, and any that
+            # start there after a straddling hit straddle too.
+            position = blob.find(target, end)
+        return codes
+
+    def filter_mask(self, key: str,
+                    build: Callable[[], bytes]) -> tuple[bytes, bool]:
+        """Memoised pass mask of one filter: ``(mask, was_hit)``.
+
+        The payload never changes, so a mask built once holds for the
+        life of this reader.  ``build`` runs outside the lock: threads
+        racing on one key each build the same mask and one is kept.
+        """
+        memo = self._filter_memo
+        with self._filter_memo_lock:
+            mask = memo.pop(key, None)
+            if mask is not None:
+                memo[key] = mask            # most recently used last
+                return mask, True
+        mask = build()
+        with self._filter_memo_lock:
+            memo[key] = mask
+            excess = sum(map(len, memo.values())) - FILTER_MEMO_BYTES
+            while excess > 0 and len(memo) > 1:
+                excess -= len(memo.pop(next(iter(memo))))
+        return mask, False
 
     def entity_index(self, entity_id: int) -> int:
         """Row index of an entity id (dense fast path, else a map)."""

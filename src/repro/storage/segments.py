@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import Any, Mapping, Optional
 
@@ -209,7 +210,7 @@ class SegmentInfo:
     def graph_path(self) -> str:
         return str(Path(self.directory) / SEGMENT_GRAPH)
 
-    @property
+    @cached_property
     def columnar_path(self) -> str:
         return str(Path(self.directory) / SEGMENT_COLUMNAR)
 
@@ -217,9 +218,18 @@ class SegmentInfo:
     def manifest_path(self) -> str:
         return str(Path(self.directory) / SEGMENT_MANIFEST)
 
-    def has_columnar(self) -> bool:
-        """Whether the optional ``events.col`` payload exists on disk."""
+    @cached_property
+    def _columnar_present(self) -> bool:
         return Path(self.columnar_path).is_file()
+
+    def has_columnar(self) -> bool:
+        """Whether the optional ``events.col`` payload exists on disk.
+
+        Sealed segment files never change, so the answer is resolved
+        once per manifest object (the first scan after a seal or an
+        open) instead of one ``stat`` per segment, pattern and query.
+        """
+        return self._columnar_present
 
     def overlaps_window(self, window: Optional[tuple[Optional[float],
                                                      Optional[float]]]

@@ -26,9 +26,13 @@ import os
 import re
 import threading
 from dataclasses import dataclass
-from typing import Any, Callable, Optional, Sequence
+from functools import lru_cache, reduce
+from itertools import compress, repeat
+from operator import ge, gt, le, lt
+from typing import Any, Callable, Iterable, Iterator, Optional, Sequence
 
 from ..errors import StorageError, TBQLSemanticError
+from ..obs.metrics import get_registry
 from ..storage.columnar import ColumnarSegment, NULL_INT
 from ..storage.relational.schema import (ENTITY_ATTRIBUTE_COLUMNS,
                                          EVENT_ATTRIBUTE_COLUMNS)
@@ -49,7 +53,6 @@ from array import array
 _NUMERIC_COLUMNS = frozenset({"pid", "srcport", "dstport", "start_time",
                               "end_time", "duration", "data_amount",
                               "failure_code"})
-_EVENT_STRING_COLUMNS = frozenset({"operation", "category", "host"})
 
 #: Packed scan result: (row_count, ids, opcodes, op_strings, starts,
 #: ends, amounts, subject_ids, object_ids).  All byte strings are
@@ -182,29 +185,26 @@ def _sql_compare(cell: Any, value: Any, numeric: bool) -> Optional[int]:
     return (cell > value) - (cell < value)
 
 
-_LIKE_CACHE: dict[str, re.Pattern[str]] = {}
-
-
-def _like_regex(value: str) -> re.Pattern[str]:
-    """Regex equivalent of ``LIKE like_escape(value) ESCAPE '\\'``."""
-    regex = _LIKE_CACHE.get(value)
-    if regex is None:
-        pattern = like_escape(value)
-        parts: list[str] = []
-        index = 0
-        while index < len(pattern):
-            char = pattern[index]
+@lru_cache(maxsize=1024)
+def _like_pattern(value: str) -> tuple[re.Pattern[str], tuple[str, ...]]:
+    """``LIKE like_escape(value) ESCAPE '\\'`` as a regex, plus the
+    literal runs between its ``%`` wildcards (escapes resolved)."""
+    pattern = like_escape(value)
+    runs = [""]
+    index = 0
+    while index < len(pattern):
+        char = pattern[index]
+        if char == "%":
+            runs.append("")
+        else:
             if char == "\\" and index + 1 < len(pattern):
-                parts.append(re.escape(pattern[index + 1]))
-                index += 2
-                continue
-            parts.append(".*" if char == "%" else re.escape(char))
-            index += 1
-        regex = re.compile("".join(parts),
-                           re.IGNORECASE | re.ASCII | re.DOTALL)
-        if len(_LIKE_CACHE) < 1024:
-            _LIKE_CACHE[value] = regex
-    return regex
+                index += 1
+                char = pattern[index]
+            runs[-1] += char
+        index += 1
+    regex = re.compile(".*".join(map(re.escape, runs)),
+                       re.IGNORECASE | re.ASCII | re.DOTALL)
+    return regex, tuple(runs)
 
 
 def _eval_comparison(cell: Any, operator: str, value: Any,
@@ -213,7 +213,7 @@ def _eval_comparison(cell: Any, operator: str, value: Any,
         if cell is None:
             return None
         text = cell if isinstance(cell, str) else _sql_text(cell)
-        matched = _like_regex(value).fullmatch(text) is not None
+        matched = _like_pattern(value)[0].fullmatch(text) is not None
         return matched if operator == "=" else not matched
     order = _sql_compare(cell, value, numeric)
     if order is None:
@@ -252,151 +252,211 @@ def _dict_enabled() -> bool:
     return os.environ.get("REPRO_COLSCAN_DICT", "").strip() != "0"
 
 
-def _string_code_column(segment: ColumnarSegment, attribute: str
-                        ) -> Optional[tuple[Any, bool]]:
-    """``(code column view, is_event_column)`` for interned-string
-    attributes; ``None`` when the attribute is numeric or unknown
-    (unknown falls through to :func:`_accessor`, which raises)."""
-    name = attribute.split(".")[-1]
-    if name in EVENT_ATTRIBUTE_COLUMNS:
-        column = EVENT_ATTRIBUTE_COLUMNS[name]
-        if column in _EVENT_STRING_COLUMNS:
-            return segment.column(f"event.{column}"), True
-        return None
-    if name in ENTITY_ATTRIBUTE_COLUMNS:
-        column = ENTITY_ATTRIBUTE_COLUMNS[name]
-        if column not in _NUMERIC_COLUMNS:
-            return segment.column(f"entity.{column}"), False
-    return None
-
-
-def _comparison_code_table(segment: ColumnarSegment, operator: str,
-                           value: Any) -> list[Optional[bool]]:
-    """Per-code truth table for a string comparison leaf.
-
-    One evaluation per *distinct* string instead of per row.  A
-    case-insensitive prefix ``LIKE`` (``name["abc%"]``) against a
-    sorted-table payload degenerates to a binary-searched code range —
-    no regex runs at all.  Index 0 (NULL) is always ``None``, matching
-    SQLite's three-valued comparisons.
-    """
-    if operator in ("=", "!=") and isinstance(value, str) and \
-            value.endswith("%") and "%" not in value[:-1]:
-        code_range = segment.prefix_code_range(value[:-1])
-        if code_range is not None:
-            low, high = code_range
-            keep = operator == "="
-            return [None] + [(low <= code < high) == keep
-                             for code in range(1, len(segment.strings))]
-    return [_eval_comparison(text, operator, value, False)
-            for text in segment.strings]
-
-
-def _entity_getter(segment: ColumnarSegment,
-                   column: str) -> Callable[[int], Any]:
-    values = segment.column(f"entity.{column}")
-    if column in _NUMERIC_COLUMNS:
-        def get_int(index: int) -> Any:
-            value = values[index]
-            return None if value == NULL_INT else value
-        return get_int
-    strings = segment.strings
-
-    def get_str(index: int) -> Any:
-        return strings[values[index]]
-    return get_str
-
-
-def _event_getter(segment: ColumnarSegment,
-                  column: str) -> Callable[[int], Any]:
-    values = segment.column(f"event.{column}")
-    if column in _EVENT_STRING_COLUMNS:
-        strings = segment.strings
-
-        def get_str(index: int) -> Any:
-            return strings[values[index]]
-        return get_str
-
-    def get_num(index: int) -> Any:
-        return values[index]
-    return get_num
-
-
-def _accessor(segment: ColumnarSegment, attribute: str
-              ) -> tuple[Callable[[int], Any], bool, bool]:
+def _resolve(attribute: str) -> tuple[str, bool, bool]:
     """Resolve an attribute exactly as ``render_filter`` does.
 
-    Returns ``(getter, numeric_affinity, is_event_column)``; event
-    attributes shadow entity attributes, matching the SQL renderer.
+    Returns ``(column section, numeric_affinity, is_event_column)``;
+    event attributes shadow entity attributes, matching the SQL
+    renderer.  Columns without numeric affinity hold interned-string
+    codes.
     """
     name = attribute.split(".")[-1]
-    if name in EVENT_ATTRIBUTE_COLUMNS:
-        column = EVENT_ATTRIBUTE_COLUMNS[name]
-        return (_event_getter(segment, column),
-                column in _NUMERIC_COLUMNS, True)
-    if name in ENTITY_ATTRIBUTE_COLUMNS:
-        column = ENTITY_ATTRIBUTE_COLUMNS[name]
-        return (_entity_getter(segment, column),
-                column in _NUMERIC_COLUMNS, False)
+    for domain, columns in (("event", EVENT_ATTRIBUTE_COLUMNS),
+                            ("entity", ENTITY_ATTRIBUTE_COLUMNS)):
+        if name in columns:
+            column = columns[name]
+            return (f"{domain}.{column}", column in _NUMERIC_COLUMNS,
+                    domain == "event")
     raise TBQLSemanticError(f"attribute {attribute!r} has no relational "
                             "column")
 
 
+def _getter(segment: ColumnarSegment, section: str,
+            numeric: bool) -> Callable[[int], Any]:
+    """Reader of one column's cells by row index, as SQL values."""
+    values = segment.column(section)
+    if not numeric:
+        strings = segment.strings
+        return lambda index: strings[values[index]]
+    if section.startswith("event."):
+        return values.__getitem__       # NOT NULL in the schema
+
+    def get_int(index: int) -> Any:
+        value = values[index]
+        return None if value == NULL_INT else value
+    return get_int
+
+
+#: Tri-valued truth as one byte in thermometer code, so that Kleene
+#: ``AND`` / ``OR`` are the bitwise operations and ``NOT`` is a
+#: byte translation.
+_FALSE, _NULL, _TRUE = 0b00, 0b01, 0b11
+_TRI = {False: _FALSE, None: _NULL, True: _TRUE}
+_KLEENE_NOT = bytes.maketrans(b"\0\1\3", b"\3\1\0")
+_ONLY_TRUE = bytes.maketrans(b"\0\1\3", b"\0\0\1")
+_ORDERINGS = {"<": lt, "<=": le, ">": gt, ">=": ge}
+
+
+def _text_literal(value: Any) -> str:
+    """A comparison literal as TEXT affinity converts it."""
+    return value if isinstance(value, str) else _sql_text(value)
+
+
+def _true_codes(segment: ColumnarSegment, operator: str,
+                value: Any) -> Iterable[Optional[int]]:
+    """Codes of the dictionary strings for which ``string <operator>
+    value`` is TRUE under TEXT affinity (``operator`` is never ``!=``;
+    a ``None`` entry is a literal the segment does not hold).
+
+    No Python-level call per dictionary string: ``LIKE`` is a code
+    range (lone trailing ``%``) or a substring search for its longest
+    literal run with the regex run on the candidates only, equality a
+    hash lookup, an ordering one C comparison mapped over the table.
+    """
+    strings = segment.strings
+    if operator == "=" and isinstance(value, str) and "%" in value:
+        regex, runs = _like_pattern(value)
+        if len(runs) == 2 and not runs[1]:
+            code_range = segment.prefix_code_range(runs[0])
+            if code_range is not None:
+                return range(*code_range)
+        return [code for code in segment.codes_containing(max(runs, key=len))
+                if regex.fullmatch(strings[code])]
+    text = _text_literal(value)
+    if operator == "=":
+        return (segment.code_of(text),)
+    if operator not in _ORDERINGS:
+        raise TBQLSemanticError(
+            f"unsupported comparison operator: {operator!r}")
+    return compress(range(1, len(strings)),
+                    map(_ORDERINGS[operator], strings[1:], repeat(text)))
+
+
+def _code_table(segment: ColumnarSegment,
+                filt: AttributeComparison | MembershipFilter) -> bytes:
+    """Tri-valued truth table of a string leaf, indexed by dictionary
+    code.  Index 0 (NULL) is always NULL, matching SQLite's
+    three-valued comparisons."""
+    if isinstance(filt, MembershipFilter):
+        negated = filt.negated
+        codes: Iterable[Optional[int]] = [
+            segment.code_of(_text_literal(value)) for value in filt.values]
+    else:
+        negated = filt.operator == "!="
+        codes = _true_codes(segment, "=" if negated else filt.operator,
+                            filt.value)
+    table = bytearray(len(segment.strings))
+    for code in codes:
+        if code is not None:
+            table[code] = _TRUE
+    if negated:
+        table = table.translate(_KLEENE_NOT)
+    table[0] = _NULL
+    return bytes(table)
+
+
+def _bitwise(fold: Callable[[int, int], int],
+             vectors: Sequence[bytes]) -> bytes:
+    """Bytewise AND / OR of equal-length byte strings, as one
+    big-integer operation instead of a Python-level pass per byte."""
+    return reduce(fold, (int.from_bytes(vector, "little")
+                         for vector in vectors)
+                  ).to_bytes(len(vectors[0]), "little")
+
+
+def _tri_vector(segment: ColumnarSegment, filt: AttributeFilter,
+                np: Any) -> bytes:
+    """Tri-valued verdict of ``filt`` for every entity row (or every
+    event row), one byte each.
+
+    Leaves gather their code table through the attribute's code
+    column; ``&&`` / ``||`` / ``!`` are Kleene logic over whole
+    vectors.  The caller guarantees one domain (:func:`_domains`).
+    """
+    if isinstance(filt, NegatedFilter):
+        return _tri_vector(segment, filt.operand, np).translate(_KLEENE_NOT)
+    if isinstance(filt, BooleanFilter):
+        return _bitwise(
+            int.__and__ if filt.operator == "&&" else int.__or__,
+            [_tri_vector(segment, operand, np) for operand in filt.operands])
+    section, numeric, _on_event = _resolve(filt.attribute)
+    if numeric or not _dict_enabled():
+        # Entity pid or port, or the reference path for strings: one
+        # closure verdict per entity row.
+        predicate = _compile_filter(filt, segment)
+        return bytes(_TRI[predicate(index, 0)]
+                     for index in range(segment.entity_count))
+    table = _code_table(segment, filt)
+    if np is not None:
+        return np.frombuffer(table, np.uint8)[
+            segment.np_column(section, np)].tobytes()
+    return bytes([table[code] for code in segment.column(section)])
+
+
+def _domains(filt: AttributeFilter) -> set[str]:
+    """Row domains of the filter's leaves: ``entity`` (any entity
+    attribute), ``event`` (an interned-string event column) or ``row``
+    (numeric event attributes and anything only the per-row closure
+    can judge or reject)."""
+    if isinstance(filt, (AttributeComparison, MembershipFilter)):
+        _section, numeric, on_event = _resolve(filt.attribute)
+        if not on_event:
+            return {"entity"}
+        return {"row" if numeric else "event"}
+    if isinstance(filt, NegatedFilter):
+        return _domains(filt.operand)
+    if isinstance(filt, BooleanFilter):
+        return set().union(*map(_domains, filt.operands))
+    return {"row"}
+
+
+def _filter_mask(segment: ColumnarSegment, filt: AttributeFilter,
+                 np: Any) -> Optional[tuple[bytes, bool, Optional[bool]]]:
+    """``(pass mask, is_event_domain, was_memo_hit)`` of one filter, or
+    ``None`` when it needs the per-row closure.
+
+    One 0/1 byte per entity row (or event row): whether the filter is
+    TRUE there — WHERE keeps TRUE only, so NULL folds to 0.  Memoised
+    on the immutable segment; both evaluators read the same bytes.
+    """
+    domains = _domains(filt)
+    if len(domains) != 1 or "row" in domains:
+        return None
+
+    def build() -> bytes:
+        return _tri_vector(segment, filt, np).translate(_ONLY_TRUE)
+    if not _dict_enabled():
+        # The reference keeps its shape: no memo (hit ``None``), one
+        # closure call per entity row, or per event row as a residual.
+        return None if "event" in domains else (build(), False, None)
+    # repr, not the filter itself: 1, 1.0 and True are equal as keys
+    # but compare differently under TEXT affinity.
+    mask, hit = segment.filter_mask(repr(filt), build)
+    return mask, "event" in domains, hit
+
+
 def _compile_filter(filt: AttributeFilter,
                     segment: ColumnarSegment) -> _Predicate:
-    """Compile a filter into a tri-valued closure (Kleene logic)."""
-    if isinstance(filt, (AttributeComparison, MembershipFilter)) and \
-            _dict_enabled():
-        coded = _string_code_column(segment, filt.attribute)
-        if coded is not None:
-            codes, on_event = coded
-            if isinstance(filt, AttributeComparison):
-                table = _comparison_code_table(segment, filt.operator,
-                                               filt.value)
-            else:
-                table = [_eval_membership(text, filt.values, filt.negated,
-                                          False)
-                         for text in segment.strings]
-            if on_event:
-                def code_event(entity_index: int,
-                               event_index: int) -> Optional[bool]:
-                    return table[codes[event_index]]
-                return code_event
+    """Compile a filter into a tri-valued per-row closure (Kleene
+    logic, one string comparison per call): the reference the truth
+    tables are tested against, and the only judge of numeric event
+    attributes."""
+    if isinstance(filt, (AttributeComparison, MembershipFilter)):
+        section, numeric, on_event = _resolve(filt.attribute)
+        get = _getter(segment, section, numeric)
+        if isinstance(filt, AttributeComparison):
+            operator, value = filt.operator, filt.value
 
-            def code_entity(entity_index: int,
-                            event_index: int) -> Optional[bool]:
-                return table[codes[entity_index]]
-            return code_entity
-    if isinstance(filt, AttributeComparison):
-        get, numeric, on_event = _accessor(segment, filt.attribute)
-        operator, value = filt.operator, filt.value
+            def judge(cell: Any) -> Optional[bool]:
+                return _eval_comparison(cell, operator, value, numeric)
+        else:
+            values, negated = filt.values, filt.negated
+
+            def judge(cell: Any) -> Optional[bool]:
+                return _eval_membership(cell, values, negated, numeric)
         if on_event:
-            def cmp_event(entity_index: int,
-                          event_index: int) -> Optional[bool]:
-                return _eval_comparison(get(event_index), operator, value,
-                                        numeric)
-            return cmp_event
-
-        def cmp_entity(entity_index: int,
-                       event_index: int) -> Optional[bool]:
-            return _eval_comparison(get(entity_index), operator, value,
-                                    numeric)
-        return cmp_entity
-    if isinstance(filt, MembershipFilter):
-        get, numeric, on_event = _accessor(segment, filt.attribute)
-        values, negated = filt.values, filt.negated
-        if on_event:
-            def in_event(entity_index: int,
-                         event_index: int) -> Optional[bool]:
-                return _eval_membership(get(event_index), values, negated,
-                                        numeric)
-            return in_event
-
-        def in_entity(entity_index: int,
-                      event_index: int) -> Optional[bool]:
-            return _eval_membership(get(entity_index), values, negated,
-                                    numeric)
-        return in_entity
+            return lambda entity_index, event_index: judge(get(event_index))
+        return lambda entity_index, event_index: judge(get(entity_index))
     if isinstance(filt, NegatedFilter):
         inner = _compile_filter(filt.operand, segment)
 
@@ -407,64 +467,83 @@ def _compile_filter(filt: AttributeFilter,
     if isinstance(filt, BooleanFilter):
         operands = [_compile_filter(operand, segment)
                     for operand in filt.operands]
-        if filt.operator == "&&":
-            def conjoin(entity_index: int,
-                        event_index: int) -> Optional[bool]:
-                unknown = False
-                for operand in operands:
-                    value = operand(entity_index, event_index)
-                    if value is False:
-                        return False
-                    if value is None:
-                        unknown = True
-                return None if unknown else True
-            return conjoin
+        decisive = filt.operator == "||"    # the verdict that settles it
 
-        def disjoin(entity_index: int, event_index: int) -> Optional[bool]:
+        def combine(entity_index: int, event_index: int) -> Optional[bool]:
             unknown = False
             for operand in operands:
                 value = operand(entity_index, event_index)
-                if value is True:
-                    return True
+                if value is decisive:
+                    return decisive
                 if value is None:
                     unknown = True
-            return None if unknown else False
-        return disjoin
+            return None if unknown else not decisive
+        return combine
     if isinstance(filt, BareValueFilter):
         raise TBQLSemanticError("bare value filters must be expanded before "
                                 "compilation")
     raise TBQLSemanticError(f"unknown attribute filter: {filt!r}")
 
 
-def _uses_event_columns(filt: Optional[AttributeFilter]) -> bool:
-    if filt is None:
-        return False
-    if isinstance(filt, (AttributeComparison, MembershipFilter)):
-        return filt.attribute.split(".")[-1] in EVENT_ATTRIBUTE_COLUMNS
-    if isinstance(filt, NegatedFilter):
-        return _uses_event_columns(filt.operand)
-    if isinstance(filt, BooleanFilter):
-        return any(_uses_event_columns(operand)
-                   for operand in filt.operands)
-    return False
+def _conjuncts(filt: Optional[AttributeFilter]
+               ) -> Iterator[AttributeFilter]:
+    """Top-level ``&&`` operands: WHERE keeps a conjunction exactly
+    when it keeps every operand, so each compiles (and is memoised) on
+    its own, in its own row domain."""
+    if isinstance(filt, BooleanFilter) and filt.operator == "&&":
+        for operand in filt.operands:
+            yield from _conjuncts(operand)
+    elif filt is not None:
+        yield filt
 
 
-def _filter_forms(segment: ColumnarSegment,
-                  filt: Optional[AttributeFilter]
-                  ) -> tuple[Optional[list[bool]], Optional[_Predicate]]:
-    """``(per_entity_pass, residual)`` — at most one is non-``None``.
+#: Per thread: its latest scan's ``(memo hits, masks built)``, for spans.
+_tally = threading.local()
 
-    Entity-only filters collapse to a per-entity "evaluates to TRUE"
-    table computed once (WHERE keeps TRUE only, so NULL folds to
-    False); filters touching event columns stay per-row closures.
+
+def last_filter_table_counts() -> tuple[int, int]:
+    """``(memo hits, masks built)`` of this thread's latest scan."""
+    return getattr(_tally, "last", (0, 0))
+
+
+def _compile_filters(segment: ColumnarSegment, spec: PatternSpec, np: Any
+                     ) -> tuple[dict[Optional[bool], list[bytes]],
+                                list[tuple[_Predicate, bool]]]:
+    """The spec's filters as ``(masks, residuals)``.
+
+    ``masks`` groups the pass masks by what they index: subject entity
+    rows (``True``), object entity rows (``False`` — pattern filters
+    resolve entity attributes against the object, as the SQL renderer
+    does) or event rows (``None``).  Residual closures are paired with
+    whether they judge the subject.
     """
-    if filt is None:
-        return None, None
-    predicate = _compile_filter(filt, segment)
-    if _uses_event_columns(filt):
-        return None, predicate
-    return [predicate(index, 0) is True
-            for index in range(segment.entity_count)], None
+    masks: dict[Optional[bool], list[bytes]] = {True: [], False: [],
+                                                None: []}
+    residuals: list[tuple[_Predicate, bool]] = []
+    hits = built = 0
+    for filt, on_subject in ((spec.subject_filter, True),
+                             (spec.object_filter, False),
+                             (spec.pattern_filter, False)):
+        for conjunct in _conjuncts(filt):
+            compiled = _filter_mask(segment, conjunct, np)
+            if compiled is None:
+                residuals.append((_compile_filter(conjunct, segment),
+                                  on_subject))
+                continue
+            mask, on_event, was_hit = compiled
+            masks[None if on_event else on_subject].append(mask)
+            hits += was_hit is True
+            built += was_hit is False
+    _tally.last = hits, built
+    if hits or built:
+        counter = get_registry().counter(
+            "repro_tbql_filter_table_total",
+            "Per-segment filter masks this process reused from the "
+            "segment's memo ('hit') or built from the dictionary ('miss').",
+            labels=("result",))
+        counter.labels("hit").inc(hits)
+        counter.labels("miss").inc(built)
+    return masks, residuals
 
 
 # ---------------------------------------------------------------------------
@@ -472,44 +551,39 @@ def _filter_forms(segment: ColumnarSegment,
 # ---------------------------------------------------------------------------
 
 
-def _operation_codes(segment: ColumnarSegment,
-                     spec: PatternSpec) -> Optional[frozenset[int]]:
-    """Interned codes of the allowed operations (``None`` = any).
-
-    Raises nothing on unknown operations — an operation absent from the
-    segment's string table simply cannot match (empty set short-cuts to
-    an empty result upstream).
-    """
-    if spec.operations is None:
+def _spec_codes(segment: ColumnarSegment, spec: PatternSpec
+                ) -> Optional[tuple[int, int, Optional[frozenset[int]]]]:
+    """Interned ``(subject type, object type, allowed operations)``
+    codes (operations ``None`` = any), or ``None`` when the segment
+    holds no event, entity type or operation the spec could match —
+    a string absent from the segment's table simply cannot match."""
+    subject_code = segment.code_of(spec.subject_type)
+    object_code = segment.code_of(spec.object_type)
+    if not segment.event_count or subject_code is None or \
+            object_code is None:
         return None
-    codes = {segment.code_of(operation) for operation in spec.operations}
-    codes.discard(None)
-    return frozenset(code for code in codes if code is not None)
+    if spec.operations is None:
+        return subject_code, object_code, None
+    operation_codes = frozenset(
+        code for code in map(segment.code_of, spec.operations)
+        if code is not None)
+    if not operation_codes:
+        return None
+    return subject_code, object_code, operation_codes
 
 
 def _select_python(segment: ColumnarSegment,
                    spec: PatternSpec) -> list[int]:
     """Pure-python row selection (the portable reference path)."""
-    count = segment.event_count
-    if count == 0:
+    codes = _spec_codes(segment, spec)
+    if codes is None:
         return []
-    subject_code = segment.code_of(spec.subject_type)
-    object_code = segment.code_of(spec.object_type)
-    if subject_code is None or object_code is None:
-        return []
-    operation_codes = _operation_codes(segment, spec)
-    if operation_codes is not None and not operation_codes:
-        return []
+    subject_code, object_code, operation_codes = codes
     type_codes = segment.column("entity.type")
-    subject_type_ok = [code == subject_code for code in type_codes]
-    object_type_ok = (subject_type_ok if object_code == subject_code
-                      else [code == object_code for code in type_codes])
-    subject_pass, subject_residual = _filter_forms(segment,
-                                                   spec.subject_filter)
-    object_pass, object_residual = _filter_forms(segment,
-                                                 spec.object_filter)
-    pattern_pass, pattern_residual = _filter_forms(segment,
-                                                   spec.pattern_filter)
+    masks, residuals = _compile_filters(segment, spec, None)
+    subject_ok, object_ok, event_ok = (
+        _bitwise(int.__and__, masks[side]) if masks[side] else None
+        for side in (True, False, None))
     ids = segment.column("event.id")
     subjects = segment.column("event.subject_id")
     objects = segment.column("event.object_id")
@@ -526,7 +600,7 @@ def _select_python(segment: ColumnarSegment,
                   if spec.object_candidates is not None else None)
     index_of = segment.entity_index
     selected: list[int] = []
-    for row in range(count):
+    for row in range(segment.event_count):
         if min_id is not None and ids[row] < min_id:
             continue
         if operation_codes is not None and \
@@ -544,26 +618,19 @@ def _select_python(segment: ColumnarSegment,
             continue
         subject_index = index_of(subject_id)
         object_index = index_of(object_id)
-        if not subject_type_ok[subject_index] or \
-                not object_type_ok[object_index]:
+        if type_codes[subject_index] != subject_code or \
+                type_codes[object_index] != object_code:
             continue
-        if subject_pass is not None:
-            if not subject_pass[subject_index]:
-                continue
-        elif subject_residual is not None and \
-                subject_residual(subject_index, row) is not True:
+        if subject_ok is not None and not subject_ok[subject_index]:
             continue
-        if object_pass is not None:
-            if not object_pass[object_index]:
-                continue
-        elif object_residual is not None and \
-                object_residual(object_index, row) is not True:
+        if object_ok is not None and not object_ok[object_index]:
             continue
-        if pattern_pass is not None:
-            if not pattern_pass[object_index]:
-                continue
-        elif pattern_residual is not None and \
-                pattern_residual(object_index, row) is not True:
+        if event_ok is not None and not event_ok[row]:
+            continue
+        if residuals and any(
+                residual(subject_index if on_subject else object_index,
+                         row) is not True
+                for residual, on_subject in residuals):
             continue
         selected.append(row)
     return selected
@@ -584,18 +651,11 @@ def _entity_indices_np(segment: ColumnarSegment, ids: Any, np: Any) -> Any:
 def _select_numpy(segment: ColumnarSegment, spec: PatternSpec,
                   np: Any) -> Any:
     """Vectorized row selection; same semantics as `_select_python`."""
-    empty = np.empty(0, dtype=np.int64)
-    count = segment.event_count
-    if count == 0:
-        return empty
-    subject_code = segment.code_of(spec.subject_type)
-    object_code = segment.code_of(spec.object_type)
-    if subject_code is None or object_code is None:
-        return empty
-    operation_codes = _operation_codes(segment, spec)
-    if operation_codes is not None and not operation_codes:
-        return empty
-    mask = np.ones(count, dtype=bool)
+    codes = _spec_codes(segment, spec)
+    if codes is None:
+        return np.empty(0, dtype=np.int64)
+    subject_code, object_code, operation_codes = codes
+    mask = np.ones(segment.event_count, dtype=bool)
     if spec.min_event_id is not None:
         mask &= segment.np_column("event.id", np) >= spec.min_event_id
     if spec.window is not None:
@@ -623,34 +683,32 @@ def _select_numpy(segment: ColumnarSegment, spec: PatternSpec,
     subject_rows = _entity_indices_np(segment, subjects, np)
     object_rows = _entity_indices_np(segment, objects, np)
     type_codes = segment.np_column("entity.type", np)
-    subject_pass, subject_residual = _filter_forms(segment,
-                                                   spec.subject_filter)
-    object_pass, object_residual = _filter_forms(segment,
-                                                 spec.object_filter)
-    pattern_pass, pattern_residual = _filter_forms(segment,
-                                                   spec.pattern_filter)
-    subject_ok = type_codes == subject_code
-    if subject_pass is not None:
-        subject_ok = subject_ok & np.asarray(subject_pass, dtype=bool)
-    mask &= subject_ok[subject_rows]
-    object_ok = type_codes == object_code
-    if object_pass is not None:
-        object_ok = object_ok & np.asarray(object_pass, dtype=bool)
-    if pattern_pass is not None:
-        object_ok = object_ok & np.asarray(pattern_pass, dtype=bool)
-    mask &= object_ok[object_rows]
-    for residual, entity_rows in ((subject_residual, subject_rows),
-                                  (object_residual, object_rows),
-                                  (pattern_residual, object_rows)):
-        if residual is None:
-            continue
+    masks, residuals = _compile_filters(segment, spec, np)
+    for on_subject, type_code, entity_rows in (
+            (True, subject_code, subject_rows),
+            (False, object_code, object_rows)):
+        entity_ok = type_codes == type_code
+        for passing in masks[on_subject]:
+            entity_ok = entity_ok & np.frombuffer(passing, dtype=bool)
+        mask &= entity_ok[entity_rows]
+    for passing in masks[None]:
+        mask &= np.frombuffer(passing, dtype=bool)
+    for residual, on_subject in residuals:
         survivors = np.nonzero(mask)[0]
         if survivors.size == 0:
             break
+        entity_rows = subject_rows if on_subject else object_rows
         rejected = [residual(int(entity_rows[row]), int(row)) is not True
                     for row in survivors]
         mask[survivors[np.asarray(rejected, dtype=bool)]] = False
     return np.nonzero(mask)[0]
+
+
+def _select(segment: ColumnarSegment, spec: PatternSpec, np: Any) -> Any:
+    """The matching event rows, ascending (vectorized when ``np``)."""
+    _tally.last = 0, 0      # a scan that compiles no filter reports none
+    return (_select_numpy(segment, spec, np) if np is not None
+            else _select_python(segment, spec))
 
 
 def _pack_python(segment: ColumnarSegment,
@@ -717,9 +775,10 @@ def scan_columnar(segment: ColumnarSegment,
                   spec: PatternSpec) -> PackedRows:
     """Evaluate one pattern against a mapped segment; packed result."""
     np = _numpy_module()
+    selected = _select(segment, spec, np)
     if np is not None:
-        return _pack_numpy(segment, _select_numpy(segment, spec, np), np)
-    return _pack_python(segment, _select_python(segment, spec))
+        return _pack_numpy(segment, selected, np)
+    return _pack_python(segment, selected)
 
 
 def unpack_rows(packed: PackedRows) -> list[dict[str, Any]]:
@@ -762,20 +821,22 @@ _SEGMENT_CACHE_LOCK = threading.Lock()
 
 
 def _segment_for(path: str) -> ColumnarSegment:
-    """Shared mmap readers per payload path (process-wide, bounded).
+    """Shared mmap readers per payload path (process-wide, bounded,
+    least recently used evicted first).
 
     Unlike the SQLite connection cache this is not thread-local —
-    :class:`ColumnarSegment` is immutable after open.  Evicted entries
-    are released by GC once in-flight scans drop them; closing them
-    eagerly could yank the mapping from under a concurrent reader.
+    :class:`ColumnarSegment` is safe to share.  Evicted entries (and
+    the filter masks memoised on them) are released by GC once
+    in-flight scans drop them; closing them eagerly could yank the
+    mapping from under a concurrent reader.
     """
     with _SEGMENT_CACHE_LOCK:
-        segment = _SEGMENT_CACHE.get(path)
+        segment = _SEGMENT_CACHE.pop(path, None)
         if segment is None:
             if len(_SEGMENT_CACHE) >= _SEGMENT_CACHE_LIMIT:
-                _SEGMENT_CACHE.clear()
+                del _SEGMENT_CACHE[next(iter(_SEGMENT_CACHE))]
             segment = ColumnarSegment(path)
-            _SEGMENT_CACHE[path] = segment
+        _SEGMENT_CACHE[path] = segment      # most recently used last
     return segment
 
 
@@ -826,9 +887,7 @@ def aggregate_columnar(segment: ColumnarSegment, spec: PatternSpec,
     hydrates them by entity id through its batched cache, the same way
     the ordinary path hydrates matched events.
     """
-    np = _numpy_module()
-    selected = (_select_numpy(segment, spec, np) if np is not None
-                else _select_python(segment, spec))
+    selected = _select(segment, spec, _numpy_module())
     ids = segment.column("event.id")
     starts = segment.column("event.start_time")
     ends = segment.column("event.end_time")
@@ -837,7 +896,8 @@ def aggregate_columnar(segment: ColumnarSegment, spec: PatternSpec,
     objects = segment.column("event.object_id")
     strings = segment.strings
     index_of = segment.entity_index
-    getters = [(on_subject, _entity_getter(segment, column))
+    getters = [(on_subject, _getter(segment, f"entity.{column}",
+                                    column in _NUMERIC_COLUMNS))
                for on_subject, column in group_columns]
     out_ids = array("q")
     out_starts = array("d")

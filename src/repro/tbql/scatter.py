@@ -47,14 +47,16 @@ import multiprocessing
 import sqlite3
 import threading
 import time
+from functools import lru_cache
 from pathlib import Path
 from typing import Any, Optional, Sequence, Union
 
 from ..errors import StorageError
 from ..obs.metrics import get_registry
 from ..obs.trace import current_span
-from .colscan import (AggregateTask, ColumnarTask, scan_segment_aggregate,
-                      scan_segment_columnar, unpack_rows)
+from .colscan import (AggregateTask, ColumnarTask, last_filter_table_counts,
+                      scan_segment_aggregate, scan_segment_columnar,
+                      unpack_rows)
 
 logger = logging.getLogger(__name__)
 
@@ -125,13 +127,25 @@ def run_scan_task(task: ScanTask) -> Any:
     return scan_segment(task)
 
 
-def run_scan_task_traced(task: ScanTask) -> tuple[Any, dict[str, Any]]:
+@lru_cache(maxsize=4096)
+def _segment_name(path: str) -> str:
+    """The segment a payload file belongs to: ``events.col`` and
+    ``relational.sqlite`` sit inside the segment directory, whose name
+    is the segment's identity.  Cached, because a traced query asks
+    once per segment and pattern and ``pathlib`` takes longer to answer
+    than the rest of the span's bookkeeping."""
+    return Path(path).parent.name
+
+
+def run_scan_task_traced(task: ScanTask
+                         ) -> tuple[Any, float, dict[str, Any]]:
     """Worker entry that also times the scan for span attachment.
 
     Worker processes cannot share the parent's trace context, so the
-    span travels as a plain metadata dict piggybacked on the payload;
-    the gather side grafts it into the live trace tree.  Row results
-    are byte-identical to :func:`run_scan_task`.
+    span travels as plain data piggybacked on the payload — ``(result,
+    duration_ms, attributes)`` — and the gather side grafts it into
+    the live trace tree.  Row results are byte-identical to
+    :func:`run_scan_task`.
     """
     start = time.perf_counter()
     result = run_scan_task(task)
@@ -142,12 +156,12 @@ def run_scan_task_traced(task: ScanTask) -> tuple[Any, dict[str, Any]]:
         path, strategy, rows = task.path, "aggregate", result[0]
     else:
         path, strategy, rows = task[0], "sqlite", len(result)
-    # The task path points at the payload file inside the segment
-    # directory (events.col / relational.sqlite); the directory is the
-    # segment's identity.
-    meta = {"segment": Path(path).parent.name, "strategy": strategy,
-            "rows": rows, "duration_ms": duration_ms}
-    return result, meta
+    attributes = {"segment": _segment_name(path), "strategy": strategy,
+                  "rows": rows}
+    if strategy != "sqlite":
+        (attributes["filter_tables_hit"],
+         attributes["filter_tables_built"]) = last_filter_table_counts()
+    return result, duration_ms, attributes
 
 
 class SegmentScanner:
@@ -266,19 +280,19 @@ class SegmentScanner:
         return [run_scan_task(task) for task in tasks]
 
     @staticmethod
-    def _payloads_traced(results: Sequence[tuple[Any, dict[str, Any]]],
-                         span: Any) -> list[Any]:
+    def _payloads_traced(
+            results: Sequence[tuple[Any, float, dict[str, Any]]],
+            span: Any) -> list[Any]:
         payloads = []
-        for payload, meta in results:
-            span.attach("segment_scan", meta["duration_ms"],
-                        {key: meta[key]
-                         for key in ("segment", "strategy", "rows")})
+        for payload, duration_ms, attributes in results:
+            span.attach("segment_scan", duration_ms, attributes)
             payloads.append(payload)
         return payloads
 
     @staticmethod
-    def _gather_traced(results: Sequence[tuple[Any, dict[str, Any]]],
-                       span: Any) -> list[dict[str, Any]]:
+    def _gather_traced(
+            results: Sequence[tuple[Any, float, dict[str, Any]]],
+            span: Any) -> list[dict[str, Any]]:
         return SegmentScanner._gather(
             SegmentScanner._payloads_traced(results, span))
 

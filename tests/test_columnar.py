@@ -11,6 +11,8 @@ validation surfaced through the executor and the CLI.
 from __future__ import annotations
 
 import sqlite3
+import sys
+import threading
 from operator import attrgetter
 from pathlib import Path
 
@@ -22,12 +24,15 @@ from repro.storage import DualStore
 from repro.storage.columnar import (NULL_INT, ColumnarSegment,
                                     EventColumns, write_columnar,
                                     write_columnar_from_sqlite)
+from repro.storage.relational.schema import all_ddl
 from repro.storage.relational.sqlgen import comparison, in_list
+from repro.tbql import colscan
 from repro.tbql.ast import (AttributeComparison, BooleanFilter,
                             MembershipFilter, NegatedFilter)
 from repro.tbql.colscan import (PatternSpec, _eval_comparison,
                                 _eval_membership, scan_columnar,
                                 unpack_rows)
+from repro.tbql.compiler_sql import render_filter
 from repro.tbql.executor import TBQLExecutor
 from repro.tbql.scatter import SegmentScanner
 
@@ -329,6 +334,289 @@ def test_pure_python_corpus_equivalence(monkeypatch):
         reference.close()
         mono.close()
         seg.close()
+
+
+# ---------------------------------------------------------------------------
+# truth tables over the string dictionary, against live SQLite
+# ---------------------------------------------------------------------------
+
+#: Object names the table algebra must judge as SQLite does.  The table
+#: is stored sorted, so "zzab" and "zzcd" are neighbours in the blob
+#: ("…zzabzzcd…"): a hit for "abzz" there belongs to neither string.
+_TABLE_NAMES = [None, "", "abc", "ABC", "a_b", "aXb", "a%b", "10", "10.0",
+                "/tmp/50%.tar", "/tmp/upload.tar", "/TMP/Upload.TAR.bz2",
+                "back\\slash", "line\nbreak", "ÉCOLE", "école",
+                "zzab", "zzcd", None]
+_TABLE_USERS = ["root", None, "alice"]
+_TABLE_HOSTS = ["h0", "H1", "other"]
+
+
+def _name(operator, value):
+    return AttributeComparison("name", operator, value)
+
+
+_NULLABLE = AttributeComparison("user", "=", "root")
+
+#: ``(subject_filter, object_filter, pattern_filter)`` triples.
+_TABLE_FILTERS = [(None, filt, None) for filt in (
+    _name("=", "%tmp%"), _name("=", "/tmp/%"), _name("=", "%.tar"),
+    _name("=", "%t%p%d%"), _name("=", "/tmp/%.tar"), _name("=", "%"),
+    _name("=", "%%"), _name("=", "%a_b%"), _name("=", "a_b%"),
+    _name("=", "%50\\%%"), _name("=", "a\\%b"), _name("=", "%k\\\\s%"),
+    _name("=", "%école%"), _name("=", "%ÉCOLE"), _name("=", "%cole%"),
+    _name("=", "%abzz%"), _name("=", "%zza%"), _name("=", "%e\nb%"),
+    _name("!=", "%tmp%"), _name("!=", "abc"), _name("=", "ABC"),
+    _name("=", 10), _name("=", 10.0), _name("=", True),
+    _name("<", "b"), _name(">=", "a_b"), _name("<=", "%"),
+    MembershipFilter("name", ("abc", "a%b", 10), False),
+    MembershipFilter("name", ("abc", "never-stored"), True),
+    NegatedFilter(_name("=", "%tmp%")),
+    BooleanFilter("||", (_name("=", "%tmp%"), _NULLABLE)),
+    BooleanFilter("&&", (_name("!=", "%tmp%"), _NULLABLE)),
+    NegatedFilter(BooleanFilter("&&", (_name("=", "%a%"), _NULLABLE))),
+    NegatedFilter(BooleanFilter("||", (
+        _NULLABLE, NegatedFilter(_name("<", "b")),
+        MembershipFilter("user", ("alice",), True)))),
+    BooleanFilter("||", (AttributeComparison("pid", ">", 2),
+                         _name("=", "%école%"))),
+)] + [
+    (_NULLABLE, _name("=", "%a%"), None),
+    (None, None, AttributeComparison("host", "=", "h%")),
+    (None, None, MembershipFilter("host", ("h0", "other"), True)),
+    (None, _name("!=", "%a%"),
+     BooleanFilter("&&", (AttributeComparison("host", "!=", "other"),
+                          AttributeComparison("data_amount", ">=", 3),
+                          _name("=", "%t%")))),
+    (None, None, BooleanFilter("||", (
+        AttributeComparison("host", "=", "H1"), _name("=", "%école%")))),
+]
+
+
+@pytest.fixture(scope="module")
+def table_payload(tmp_path_factory):
+    """``(payload path, SQLite connection)`` over the same rows: event
+    ``i`` is proc ``1 + i % 3`` touching file ``i``, named
+    ``_TABLE_NAMES[i]``."""
+    entities = [_entity(index + 1, "proc", exename="/bin/sh", user=user)
+                for index, user in enumerate(_TABLE_USERS)]
+    events = EventColumns()
+    rows = []
+    for index, name in enumerate(_TABLE_NAMES):
+        file_id = len(_TABLE_USERS) + index + 1
+        entities.append(_entity(file_id, "file", name=name, pid=index,
+                                user=_TABLE_USERS[index % 3]))
+        rows.append((index + 1, 1 + index % 3, file_id, "read", "file",
+                     float(index), index + 0.5, 0.5, index, 0,
+                     _TABLE_HOSTS[index % 3]))
+        events.append(*rows[-1])
+    path = tmp_path_factory.mktemp("tables") / "events.col"
+    write_columnar(path, events, entities)
+    connection = sqlite3.connect(":memory:", check_same_thread=False)
+    for ddl in all_ddl():
+        connection.execute(ddl)
+    connection.executemany(
+        "INSERT INTO entities VALUES (" + ", ".join("?" * 14) + ")",
+        entities)
+    connection.executemany(
+        "INSERT INTO events VALUES (" + ", ".join("?" * 11) + ")", rows)
+    yield path, connection
+    connection.close()
+
+
+def _table_spec(filters):
+    subject_filter, object_filter, pattern_filter = filters
+    return PatternSpec(subject_type="proc", object_type="file",
+                       operations=None, subject_filter=subject_filter,
+                       object_filter=object_filter,
+                       pattern_filter=pattern_filter, window=None,
+                       subject_candidates=None, object_candidates=None)
+
+
+def _sqlite_selection(connection, filters):
+    """Event ids SQLite keeps for the clauses the SQL compiler renders."""
+    params: list = []
+    clauses = [render_filter(filt, alias, "e", params)
+               for filt, alias in zip(filters, ("s", "o", "o"))
+               if filt is not None]
+    sql = ("SELECT e.id FROM events e JOIN entities s ON s.id = "
+           "e.subject_id JOIN entities o ON o.id = e.object_id WHERE "
+           + " AND ".join(["s.type = 'proc'", "o.type = 'file'"] + clauses)
+           + " ORDER BY e.id")
+    return [row[0] for row in connection.execute(sql, params)]
+
+
+def _selection(segment, filters):
+    return [row["event_id"] for row in
+            unpack_rows(scan_columnar(segment, _table_spec(filters)))]
+
+
+@pytest.mark.parametrize("use_numpy", [
+    pytest.param(True, marks=pytest.mark.skipif(
+        _numpy is None, reason="numpy not installed")), False],
+    ids=["numpy", "python"])
+@pytest.mark.parametrize("filters", _TABLE_FILTERS, ids=repr)
+def test_filter_tables_match_sqlite(table_payload, monkeypatch, filters,
+                                    use_numpy):
+    path, connection = table_payload
+    monkeypatch.delenv("REPRO_COLSCAN_DICT", raising=False)
+    if use_numpy:
+        monkeypatch.delenv("REPRO_COLUMNAR_NUMPY", raising=False)
+    else:
+        monkeypatch.setenv("REPRO_COLUMNAR_NUMPY", "0")
+    expected = _sqlite_selection(connection, filters)
+    segment = ColumnarSegment(path)
+    try:
+        cold = _selection(segment, filters)
+        assert cold == expected
+        before = len(segment._filter_memo)
+        assert _selection(segment, filters) == cold      # memo hit
+        assert len(segment._filter_memo) == before
+        # The per-row closures are the tables' reference and never
+        # touch the memo.
+        monkeypatch.setenv("REPRO_COLSCAN_DICT", "0")
+        segment._filter_memo.clear()
+        assert _selection(segment, filters) == expected
+        assert not segment._filter_memo
+    finally:
+        segment.close()
+
+
+def test_substring_search_skips_straddles_and_folds_ascii_only(
+        table_payload):
+    """The corpus really holds the corner cases it claims to."""
+    path, connection = table_payload
+    segment = ColumnarSegment(path)
+    try:
+        assert segment.sorted_strings
+        code = segment.code_of("zzab")
+        assert segment.strings[code + 1] == "zzcd"
+        assert segment.codes_containing("abzz") == []
+        assert segment.codes_containing("ZZ") == [code, code + 1]
+        assert segment.codes_containing("éCOLE") == \
+            [segment.code_of("école")]
+        assert segment.codes_containing("") == \
+            list(range(1, len(segment.strings)))
+    finally:
+        segment.close()
+    assert _sqlite_selection(connection, (None, _name("=", "%cole%"),
+                                          None)) == [15, 16]
+
+
+def test_memo_keeps_equal_but_differently_typed_literals_apart(
+        table_payload):
+    path, _connection = table_payload
+    segment = ColumnarSegment(path)
+    try:
+        # 10 == 10.0 == True-ish as dict keys, but TEXT affinity renders
+        # them "10", "10.0" and "1".
+        assert _selection(segment, (None, _name("=", 10), None)) == [8]
+        assert _selection(segment, (None, _name("=", 10.0), None)) == [9]
+        assert len(segment._filter_memo) == 2
+    finally:
+        segment.close()
+
+
+def test_memo_is_bounded_and_evicts_least_recently_used(table_payload,
+                                                        monkeypatch):
+    import repro.storage.columnar as columnar_module
+
+    monkeypatch.setattr(columnar_module, "FILTER_MEMO_BYTES", 2)
+    path, _connection = table_payload
+    segment = ColumnarSegment(path)
+    try:
+        builds = []
+
+        def mask(key):
+            return segment.filter_mask(
+                key, lambda: builds.append(key) or key.encode())
+        assert mask("a") == (b"a", False)
+        assert mask("b") == (b"b", False)
+        assert mask("a") == (b"a", True)
+        assert mask("c") == (b"c", False)         # evicts "b"
+        assert list(segment._filter_memo) == ["a", "c"]
+        assert mask("b") == (b"b", False)
+        assert builds == ["a", "b", "c", "b"]
+        # The bound counts bytes; a mask over it is still kept, alone.
+        assert mask("wider") == (b"wider", False)
+        assert list(segment._filter_memo) == ["wider"]
+        assert mask("wider") == (b"wider", True)
+    finally:
+        segment.close()
+
+
+def test_concurrent_compiles_of_one_filter_agree(table_payload,
+                                                 monkeypatch):
+    """Eight threads (more than cores) compile the same filters on one
+    shared segment; every selection equals the serial one and the memo
+    ends with one mask per filter."""
+    monkeypatch.delenv("REPRO_COLSCAN_DICT", raising=False)
+    path, connection = table_payload
+    chosen = _TABLE_FILTERS[:12]
+    expected = [_sqlite_selection(connection, filters)
+                for filters in chosen]
+    segment = ColumnarSegment(path)
+    barrier = threading.Barrier(8)
+    outcomes: list = []
+
+    def worker():
+        barrier.wait(timeout=30)
+        try:
+            outcomes.append([_selection(segment, filters)
+                             for filters in chosen])
+        except BaseException as exc:   # surfaced by the assert below
+            outcomes.append(exc)
+            raise
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=worker) for _ in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+        assert not any(thread.is_alive() for thread in threads)
+        assert outcomes == [expected] * 8
+        assert len(segment._filter_memo) == len(chosen)
+    finally:
+        sys.setswitchinterval(interval)
+        segment.close()
+
+
+def test_segment_cache_evicts_least_recently_used(tmp_path, monkeypatch):
+    paths = []
+    for index in range(3):
+        directory = tmp_path / f"seg-{index}"
+        directory.mkdir()
+        paths.append(str(_sample_payload(directory)))
+    monkeypatch.setattr(colscan, "_SEGMENT_CACHE", {})
+    monkeypatch.setattr(colscan, "_SEGMENT_CACHE_LIMIT", 2)
+    first = colscan._segment_for(paths[0])
+    second = colscan._segment_for(paths[1])
+    assert colscan._segment_for(paths[0]) is first     # refreshes paths[0]
+    third = colscan._segment_for(paths[2])             # evicts paths[1]
+    try:
+        assert list(colscan._SEGMENT_CACHE) == [paths[0], paths[2]]
+        assert colscan._segment_for(paths[0]) is first
+        assert colscan._segment_for(paths[1]) is not second
+    finally:
+        for segment in (first, second, third,
+                        *colscan._SEGMENT_CACHE.values()):
+            segment.close()
+
+
+def test_like_pattern_cache_keeps_caching_past_its_bound():
+    colscan._like_pattern.cache_clear()
+    for index in range(colscan._like_pattern.cache_info().maxsize + 8):
+        colscan._like_pattern(f"%needle-{index}%")
+    before = colscan._like_pattern.cache_info()
+    assert before.currsize == before.maxsize
+    regex, runs = colscan._like_pattern("%fresh_one\\%%")
+    assert colscan._like_pattern("%fresh_one\\%%")[0] is regex
+    assert colscan._like_pattern.cache_info().hits == before.hits + 1
+    assert runs == ("", "fresh_one%", "")
+    assert regex.fullmatch("a FRESH_ONE% b")
+    assert not regex.fullmatch("a freshXone% b")
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ pre-stats v3 and v2 snapshots, and the observability surfaces
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from operator import attrgetter
 
@@ -242,7 +243,7 @@ class TestConservativePruning:
             object_filter=None, pattern_filter=None, window=None,
             subject_candidates=None, object_candidates=None)
         assert segment_may_match(None, impossible)
-        stripped = [info.__class__(**{**info.__dict__, "stats": None})
+        stripped = [dataclasses.replace(info, stats=None)
                     for info in sealed]
         survivors, pruned = prune_by_stats(stripped, impossible)
         assert pruned == 0 and len(survivors) == len(sealed)
@@ -496,6 +497,97 @@ class TestObservability:
         counts = [value for name, labels, value in fraction["samples"]
                   if name.endswith("_count")]
         assert counts and counts[0] >= 2
+
+    FILTERED = 'proc p["%/bin/tar%"] read file f["%/etc/%"] return p, f'
+
+    @staticmethod
+    def _tables(root):
+        """``(built, hit, scans)`` summed over the segment_scan spans."""
+        spans = [child for scan in root.as_dict()["children"]
+                 if scan["name"] == "scan"
+                 for scatter in scan["children"]
+                 for child in scatter["children"]
+                 if child["name"] == "segment_scan"]
+        assert spans
+        return (sum(s["attributes"]["filter_tables_built"] for s in spans),
+                sum(s["attributes"]["filter_tables_hit"] for s in spans),
+                len(spans))
+
+    @pytest.mark.parametrize("workers", [1, 4])
+    def test_filter_table_counts_reach_metrics_and_spans(
+            self, store_pair, tmp_path, workers):
+        from repro.obs import trace
+
+        _mono, seg = store_pair
+        snapshot = tmp_path / "memo"      # fresh paths: every memo cold
+        seg.save(snapshot)
+        tables = self._tables
+
+        previous = set_registry(MetricsRegistry())
+        try:
+            with DualStore.open(snapshot) as store:
+                executor = TBQLExecutor(store, workers=workers)
+                try:
+                    with trace.start_trace("query") as cold:
+                        first = executor.execute(self.FILTERED)
+                    with trace.start_trace("query") as warm:
+                        second = executor.execute(self.FILTERED)
+                finally:
+                    executor.close()
+            text = get_registry().render()
+        finally:
+            set_registry(previous)
+        assert second.rows == first.rows
+        assert second.matched_events == first.matched_events
+        built, hit, scans = tables(cold)
+        # Two filters per scanned segment, none seen before.
+        assert (built, hit) == (2 * scans, 0)
+        if workers == 1:
+            assert tables(warm) == (0, 2 * scans, scans)
+            counter = parse_prometheus_text(text)[
+                "repro_tbql_filter_table_total"]
+            assert counter["type"] == "counter"
+            assert {labels["result"]: value for _name, labels, value
+                    in counter["samples"]} == \
+                {"hit": 2 * scans, "miss": 2 * scans}
+        else:
+            # Pool workers each hold their own readers: a segment's
+            # second scan may land on a worker that has not seen it.
+            built, hit, _scans = tables(warm)
+            assert built + hit == 2 * scans
+
+    def test_scan_that_compiles_no_filter_reports_no_tables(
+            self, store_pair, monkeypatch):
+        """A segment that never saw the operation answers before any
+        filter compiles; its span must not repeat the counts of the
+        scan this thread ran before."""
+        from repro.obs import trace
+
+        _mono, seg = store_pair
+        # Statistics would prune these segments; scan them anyway.
+        monkeypatch.setenv("REPRO_TBQL_STATS_PRUNING", "0")
+        absent = 'proc p delete file f["%/etc/%"] return p, f'
+        executor = TBQLExecutor(seg)
+        with trace.start_trace("query") as filtered:
+            executor.execute(self.FILTERED)
+        built, hit, _scans = self._tables(filtered)
+        assert built + hit > 0
+        for _ in range(2):
+            with trace.start_trace("query") as root:
+                assert executor.execute(absent).rows == []
+            assert self._tables(root)[:2] == (0, 0)
+
+    def test_dictionary_switch_bypasses_tables_and_memo(
+            self, store_pair, monkeypatch):
+        _mono, seg = store_pair
+        monkeypatch.setenv("REPRO_COLSCAN_DICT", "0")
+        previous = set_registry(MetricsRegistry())
+        try:
+            TBQLExecutor(seg).execute(self.FILTERED)
+            text = get_registry().render()
+        finally:
+            set_registry(previous)
+        assert "repro_tbql_filter_table_total" not in text
 
     def test_service_stats_expose_pruning_totals(self, store_pair,
                                                  tmp_path):
