@@ -165,9 +165,10 @@ def cmd_ingest(args: argparse.Namespace) -> int:
         if store.last_reduction is not None:
             ratio = store.last_reduction.reduction_ratio
             print(f"  reduction ratio:    {ratio:.2f}x")
-        for stage in ("reduce", "build", "relational", "graph"):
-            millis = stats.seconds.get(stage, 0.0) * 1000.0
-            print(f"  {stage + ' seconds:':<19} {millis:.2f}ms")
+        # Every stage the load timed: reduce, build, relational, graph,
+        # and the seal_* steps whenever a segment was sealed.
+        for stage, elapsed in stats.seconds.items():
+            print(f"  {stage + ' seconds:':<19} {elapsed * 1000.0:.2f}ms")
         print(f"  total:              {stats.total_seconds * 1000.0:.2f}ms")
     store.close()
     return 0 if stats.events else 1
@@ -221,20 +222,21 @@ def cmd_segments(args: argparse.Namespace) -> int:
                   "relational database + one graph)")
             return 0
         header = (f"{'name':<12} {'events':>8} {'event ids':>17} "
-                  f"{'entities':>8} {'start range':>23} "
-                  f"{'end range':>23} {'rel KiB':>9} {'col KiB':>9} "
-                  f"{'graph KiB':>9}")
+                  f"{'new ents':>8} {'ent rows':>8} {'start range':>23} "
+                  f"{'end range':>23} {'rel KiB':>9} {'col KiB':>9}")
         print(header)
         print("-" * len(header))
         for entry in stats["segments"]:
             payload = entry.get("payload_bytes", {})
             sizes = " ".join(
                 f"{payload.get(kind, 0) / 1024.0:>9.1f}"
-                for kind in ("relational", "columnar", "graph"))
+                for kind in ("relational", "columnar"))
+            entity_rows = entry.get("entity_rows")
             print(f"{entry['name']:<12} {entry['event_count']:>8} "
                   f"{entry['first_event_id']:>8}-"
                   f"{entry['last_event_id']:<8} "
                   f"{entry['new_entity_count']:>8} "
+                  f"{'-' if entity_rows is None else entity_rows:>8} "
                   f"{entry['min_start_time']:>11.2f}-"
                   f"{entry['max_start_time']:<11.2f} "
                   f"{entry['min_end_time']:>11.2f}-"

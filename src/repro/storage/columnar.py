@@ -21,12 +21,12 @@ section table ``name -> [offset, nbytes, typecode]`` whose offsets are
 relative to the start of the 8-aligned data area, so readers never
 depend on the header's own size.
 
-The fast writer is fed by :class:`EventColumns` — the column-major
-output of the fused ingestion pass — so sealing a segment slices
-arrays that already exist instead of re-reading exported rows.
-:func:`write_columnar_from_sqlite` is the fallback writer for payloads
-whose rows exist only in SQLite form (compaction merges, rowwise
-loads).
+The entity block holds exactly the entity rows the segment's events
+reference, so a payload's size follows the segment, not the store's
+history.  :func:`write_columnar_from_sqlite` writes a segment's payload
+from its exported SQLite file; a seal hands it the event rows it
+already holds as :class:`EventColumns` — the column-major output of the
+fused ingestion pass — so only the entity rows are read back.
 """
 
 from __future__ import annotations
@@ -219,10 +219,10 @@ def write_columnar(path: str | Path, events: EventColumns,
                    entity_rows: Sequence[tuple]) -> int:
     """Write an ``events.col`` payload; returns the bytes written.
 
-    ``entity_rows`` are ``ENTITY_COLUMNS``-ordered tuples; they are
-    sorted by id before packing (readers binary-search non-dense id
-    ranges).  A superset of the entities the events reference is fine —
-    events drive the scan, unreferenced entity rows never match.
+    ``entity_rows`` are ``ENTITY_COLUMNS``-ordered tuples, sorted by id
+    before packing: every entity the events reference, and no other
+    (readers resolve each event's entity rows once per open payload,
+    :meth:`ColumnarSegment.entity_rows`, and fail on a missing one).
     """
     rows = sorted(entity_rows, key=lambda row: row[0])
     values: set = set()
@@ -303,13 +303,15 @@ def write_columnar(path: str | Path, events: EventColumns,
 
 
 def write_columnar_from_sqlite(sqlite_path: str | Path,
-                               col_path: str | Path) -> int:
+                               col_path: str | Path,
+                               events: Optional[EventColumns] = None) -> int:
     """Build an ``events.col`` payload from a segment's SQLite file.
 
-    The fallback writer for rows that exist only in SQLite form —
-    compaction merges and rowwise loads, where no column buffer covers
-    the segment's id range.  Reads the exported file just written, so
-    it is always available wherever the fast path is not.
+    The file holds the segment's event rows and exactly the entity rows
+    they reference.  ``events`` are those event rows when the caller
+    already holds them column-wise (a seal of buffered appends), which
+    saves reading them back; compaction merges and rowwise loads leave
+    it out.  Either way the payload is the same, byte for byte.
     """
     uri = Path(sqlite_path).resolve().as_uri() + "?mode=ro"
     try:
@@ -318,15 +320,15 @@ def write_columnar_from_sqlite(sqlite_path: str | Path,
         raise StorageError(f"cannot open segment {sqlite_path} "
                            f"read-only: {exc}") from exc
     try:
-        connection.row_factory = sqlite3.Row
-        events = EventColumns()
-        event_sql = ("SELECT " + ", ".join(EVENT_COLUMNS) +
-                     " FROM events ORDER BY id")
-        for row in connection.execute(event_sql):
-            events.append(*tuple(row))
-        entity_rows = [tuple(row[name] for name in ENTITY_COLUMNS)
-                       for row in connection.execute(
-                           "SELECT * FROM entities ORDER BY id")]
+        if events is None:
+            events = EventColumns()
+            for row in connection.execute(
+                    "SELECT " + ", ".join(EVENT_COLUMNS) +
+                    " FROM events ORDER BY id"):
+                events.append(*row)
+        entity_rows = connection.execute(
+            "SELECT " + ", ".join(ENTITY_COLUMNS) +
+            " FROM entities ORDER BY id").fetchall()
     except sqlite3.Error as exc:
         raise StorageError(f"cannot read segment rows from "
                            f"{sqlite_path}: {exc}") from exc
@@ -344,7 +346,8 @@ class ColumnarSegment:
     (codes are dense and small).  The payload is immutable and
     instances are safe to share across reader threads; what readers
     derive from it (the ASCII-lowered string blob, memoised filter
-    masks) is built lazily, in memory only, and dies with the instance.
+    masks, each event's entity rows) is built lazily, in memory only,
+    and dies with the instance.
     """
 
     def __init__(self, path: str | Path) -> None:
@@ -412,12 +415,7 @@ class ColumnarSegment:
         self._lowered_blob: Optional[bytes] = None
         self._filter_memo: dict[str, bytes] = {}
         self._filter_memo_lock = threading.Lock()
-        ids = self.column("entity.id")
-        #: Entity ids are 1..N in builder-written payloads, letting
-        #: ``entity_index`` subtract instead of hashing.
-        self.dense_entities = self.entity_count == 0 or (
-            ids[0] == 1 and ids[-1] == self.entity_count)
-        self._entity_map: Optional[dict[int, int]] = None
+        self._entity_rows: Optional[tuple[array, array]] = None
 
     def _section(self, name: str) -> tuple[int, int, str]:
         try:
@@ -533,21 +531,30 @@ class ColumnarSegment:
                 excess -= len(memo.pop(next(iter(memo))))
         return mask, False
 
-    def entity_index(self, entity_id: int) -> int:
-        """Row index of an entity id (dense fast path, else a map)."""
-        if self.dense_entities:
-            return entity_id - 1
-        mapping = self._entity_map
-        if mapping is None:
-            ids = self.column("entity.id")
-            mapping = self._entity_map = {
-                ids[index]: index for index in range(len(ids))}
-        try:
-            return mapping[entity_id]
-        except KeyError as exc:
-            raise StorageError(
-                f"columnar payload {self.path} has no entity row for "
-                f"id {entity_id}") from exc
+    def entity_rows(self) -> tuple[array, array]:
+        """Entity-block row of each event's subject and of its object:
+        two ``array('q')`` aligned with the event rows.
+
+        Resolved once per reader, so no scan looks an id up again,
+        whether the block holds ids ``1..N`` (payloads sealed before
+        blocks held referenced rows only) or any ascending subset.
+        Threads racing on the first call each build the same arrays.
+        """
+        rows = self._entity_rows
+        if rows is None:
+            row_of = {entity_id: row for row, entity_id
+                      in enumerate(self.column("entity.id"))}
+            try:
+                rows = self._entity_rows = (
+                    array("q", map(row_of.__getitem__,
+                                   self.column("event.subject_id"))),
+                    array("q", map(row_of.__getitem__,
+                                   self.column("event.object_id"))))
+            except KeyError as exc:
+                raise StorageError(
+                    f"columnar payload {self.path} has no entity row for "
+                    f"id {exc.args[0]}") from exc
+        return rows
 
     def close(self) -> None:
         """Release the mapping (idempotent; GC-safe for live views)."""

@@ -32,14 +32,13 @@ from ..audit.entities import SystemEvent
 from ..audit.reduction import DEFAULT_MERGE_THRESHOLD, ReductionStats, \
     reduce_events
 from ..errors import StorageError
-from ..obs.metrics import get_registry
-from .columnar import EventColumns, write_columnar, write_columnar_from_sqlite
+from ..obs.metrics import MetricFamily, get_registry
+from .columnar import EventColumns, write_columnar_from_sqlite
 from .graph import GraphStore
 from .graph.graphdb import PropertyGraph
 from .relational import RelationalStore
 from .relational.database import entity_row
-from .relational.schema import ENTITY_COLUMNS
-from .segments import (SEGMENT_COLUMNAR, SEGMENT_GRAPH, SEGMENT_MANIFEST,
+from .segments import (SEGMENT_COLUMNAR, SEGMENT_MANIFEST,
                        SEGMENT_RELATIONAL, SegmentInfo, SegmentView,
                        collect_segment_stats, merge_infos, plan_compaction)
 
@@ -52,6 +51,10 @@ LOAD_STRATEGIES = ("batched", "rowwise")
 #: time-bounded segments the TBQL executor can prune and scan in
 #: parallel (see :mod:`repro.storage.segments`).
 STORE_LAYOUTS = ("monolithic", "segmented")
+
+#: Steps of a segment seal, as ``IngestStats.seconds`` keys and ``stage``
+#: labels of ``repro_ingest_stage_seconds``.
+SEAL_STAGES = ("seal_export", "seal_columnar", "seal_stats")
 
 #: Default compaction threshold: sealed segments smaller than this are
 #: merged with their neighbours by :meth:`DualStore.compact`.
@@ -79,6 +82,15 @@ SNAPSHOT_GRAPH = "graph.bin"
 SNAPSHOT_SEGMENTS_DIR = "segments"
 
 
+def _stage_histogram() -> MetricFamily:
+    """The per-stage histogram loads, appends and seals all record into."""
+    return get_registry().histogram(
+        "repro_ingest_stage_seconds",
+        "Per-stage ingest durations (reduce, build, relational, graph; "
+        "seal_export, seal_columnar, seal_stats when a segment seals), "
+        "in seconds.", labels=("stage",))
+
+
 def _file_size(path: str | Path) -> int:
     """On-disk size in bytes, 0 when the file is absent."""
     try:
@@ -104,7 +116,9 @@ class IngestStats(int):
     entities: int
     #: ``executemany`` batches issued by the relational backend.
     relational_batches: int
-    #: Seconds per stage: ``reduce``, ``build``, ``relational``, ``graph``.
+    #: Seconds per stage: ``reduce``, ``build``, ``relational``, ``graph``;
+    #: :meth:`DualStore.flush_appends` adds ``seal_export``,
+    #: ``seal_columnar`` and ``seal_stats`` when it seals a segment.
     seconds: dict[str, float]
     #: Load strategy used ("batched" or "rowwise").
     strategy: str
@@ -133,10 +147,7 @@ class IngestStats(int):
             "repro_ingest_events_total",
             "Events stored across full loads and streaming appends.",
         ).inc(self.events)
-        stage_hist = registry.histogram(
-            "repro_ingest_stage_seconds",
-            "Per-stage ingest durations (reduce, build, relational, "
-            "graph), in seconds.", labels=("stage",))
+        stage_hist = _stage_histogram()
         for stage, elapsed in self.seconds.items():
             stage_hist.labels(stage).observe(elapsed)
         return self
@@ -621,7 +632,7 @@ class DualStore:
         """
         stats = self._flush_stream()
         if seal_segment and self._segmented and not self.read_only:
-            self._seal_active()
+            self._seal_active(stats.seconds)
         return stats
 
     def _flush_stream(self) -> IngestStats:
@@ -656,7 +667,8 @@ class DualStore:
         self._flush_stream()
         return self._seal_active()
 
-    def _seal_active(self) -> SegmentInfo | None:
+    def _seal_active(self, seconds: dict[str, float] | None = None
+                     ) -> SegmentInfo | None:
         if self._active_events == 0:
             return None
         assert self._segment_home is not None
@@ -684,46 +696,49 @@ class DualStore:
         covered = (columns is not None and len(columns) == info.event_count
                    and columns.first_id == info.first_event_id)
         info = self._write_segment_files(
-            info, event_columns=columns if covered else None)
+            info, event_columns=columns if covered else None,
+            seconds=seconds)
         self._segments.append(info)
         self._reset_active_tracking(first_event_id=last_event + 1,
                                     first_entity_id=last_entity + 1)
         return info
 
     def _write_segment_files(self, info: SegmentInfo,
-                             event_columns: EventColumns | None = None
+                             event_columns: EventColumns | None = None,
+                             seconds: dict[str, float] | None = None
                              ) -> SegmentInfo:
+        """Write ``relational.sqlite``, ``events.col`` and the manifest.
+
+        Work is proportional to the segment: the export copies its event
+        rows and the entity rows they reference, and the payload packs
+        those same rows.  ``event_columns`` are the event rows when the
+        active segment buffered them column-wise; compaction merges and
+        rowwise loads read them back from the export.  ``seconds``
+        receives the time of each step, which the stage histogram
+        records either way.
+        """
+        clock = time.perf_counter
+        marks = [clock()]
         self.relational.export_segment(Path(info.sqlite_path),
                                        info.first_event_id,
                                        info.last_event_id)
-        self.graph.graph.save_slice(
-            Path(info.graph_path), info.first_event_id,
-            info.last_event_id,
-            info.first_new_entity_id if info.new_entity_count else 0,
-            info.last_new_entity_id if info.new_entity_count else -1)
-        if event_columns is not None:
-            # Fast path: the active segment's rows are already buffered
-            # column-wise, so packing the payload is an O(columns) slice;
-            # the entity side is one ordered scan of the (small, dense)
-            # entity table, a superset of the referenced rows.
-            write_columnar(Path(info.columnar_path), event_columns,
-                           self._all_entity_rows())
-        else:
-            # Fallback (compaction merges, rowwise loads): rebuild the
-            # payload from the segment's just-exported SQLite file.
-            write_columnar_from_sqlite(info.sqlite_path, info.columnar_path)
+        marks.append(clock())
+        write_columnar_from_sqlite(info.sqlite_path, info.columnar_path,
+                                   event_columns)
+        marks.append(clock())
         # Stats ride along in the manifest; a None result (unreadable
         # payload) just leaves the segment permanently unpruned.
         stats = collect_segment_stats(info.columnar_path)
         if stats is not None:
             info = dataclasses.replace(info, stats=stats)
         info.write_manifest()
+        marks.append(clock())
+        histogram = _stage_histogram()
+        for stage, begin, end in zip(SEAL_STAGES, marks, marks[1:]):
+            histogram.labels(stage).observe(end - begin)
+            if seconds is not None:
+                seconds[stage] = seconds.get(stage, 0.0) + end - begin
         return info
-
-    def _all_entity_rows(self) -> list[tuple]:
-        rows = self.relational.execute("SELECT * FROM entities ORDER BY id")
-        return [tuple(row[column] for column in ENTITY_COLUMNS)
-                for row in rows]
 
     def compact(self, min_events: int = DEFAULT_COMPACT_MIN_EVENTS) -> dict:
         """Merge adjacent undersized segments into bigger ones.
@@ -780,9 +795,11 @@ class DualStore:
         """Layout + per-segment summary (``GET /stats``, ``repro
         segments``).
 
-        Each segment entry carries a ``payload_bytes`` breakdown of its
-        on-disk files (``relational`` / ``graph`` / ``columnar``; 0 for
-        a missing optional columnar payload).
+        Each segment entry carries ``entity_rows`` — the entities its
+        events reference, as held in the payload's entity block
+        (``None`` without a payload) — and a ``payload_bytes`` breakdown
+        of its on-disk files (``relational`` / ``columnar``; 0 for a
+        missing optional columnar payload).
         """
         stats: dict = {"layout": self.layout,
                        "sealed_segments": len(self._segments),
@@ -793,9 +810,9 @@ class DualStore:
         entries = []
         for info in self._segments:
             entry = info.as_manifest_entry()
+            entry["entity_rows"] = info.entity_row_count
             entry["payload_bytes"] = {
                 "relational": _file_size(info.sqlite_path),
-                "graph": _file_size(info.graph_path),
                 "columnar": _file_size(info.columnar_path),
             }
             entries.append(entry)
@@ -1063,8 +1080,7 @@ class DualStore:
         for info in self._segments:
             target = segments_dir / info.name
             target.mkdir(parents=True, exist_ok=True)
-            files = [(info.sqlite_path, SEGMENT_RELATIONAL),
-                     (info.graph_path, SEGMENT_GRAPH)]
+            files = [(info.sqlite_path, SEGMENT_RELATIONAL)]
             if info.has_columnar():
                 # Optional: segments restored from v2 snapshots have no
                 # columnar payload; re-saving them keeps them that way.

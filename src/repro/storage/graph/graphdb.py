@@ -364,56 +364,6 @@ class PropertyGraph:
         os.replace(temporary, target)
         return len(out)
 
-    def save_slice(self, path: str | Path, first_edge_id: int,
-                   last_edge_id: int, first_node_id: int = 0,
-                   last_node_id: int = -1) -> int:
-        """Snapshot a self-contained edge-id slice of the graph.
-
-        Writes the same versioned container as :meth:`save`, holding the
-        edges with ids in ``[first_edge_id, last_edge_id]`` plus every
-        node those edges touch (so the payload always loads standalone),
-        plus any extra nodes in ``[first_node_id, last_node_id]`` — the
-        segment seal path passes the segment's newly interned entity
-        range there.  The id counters are preserved from the live graph
-        so a slice restored last keeps the id-space continuation intact.
-        Returns the written size in bytes.
-        """
-        edges = []
-        node_ids: set[int] = set(
-            node_id for node_id in range(first_node_id, last_node_id + 1)
-            if node_id in self._nodes)
-        edge_map = self._edges
-        for edge_id in range(first_edge_id, last_edge_id + 1):
-            edge = edge_map.get(edge_id)
-            if edge is None:
-                continue
-            _validate_properties(edge.properties, f"edge {edge.edge_id}")
-            edges.append((edge.edge_id, edge.source, edge.target,
-                          edge.label, edge.properties))
-            node_ids.add(edge.source)
-            node_ids.add(edge.target)
-        nodes = []
-        for node_id in sorted(node_ids):
-            node = self._nodes[node_id]
-            _validate_properties(node.properties, f"node {node.node_id}")
-            nodes.append((node.node_id, node.label, node.properties))
-        payload = json.dumps({
-            "next_node_id": self._next_node_id,
-            "next_edge_id": self._next_edge_id,
-            "nodes": nodes,
-            "edges": edges,
-        }, ensure_ascii=False, separators=(",", ":")).encode("utf-8")
-        out = bytearray()
-        out += GRAPH_SNAPSHOT_MAGIC
-        out += _U16.pack(GRAPH_SNAPSHOT_VERSION)
-        out += _U64.pack(len(payload))
-        out += payload
-        target = Path(path)
-        temporary = target.with_name(target.name + ".tmp")
-        temporary.write_bytes(out)
-        os.replace(temporary, target)
-        return len(out)
-
     @classmethod
     def load(cls, path: str | Path) -> "PropertyGraph":
         """Rebuild a graph from a binary snapshot written by :meth:`save`.

@@ -6,13 +6,10 @@ A *segment* is a sealed, immutable slice of the stored event history:
   entity rows those events reference, a standalone queryable database
   (worker processes of the scatter-gather executor open it read-only);
 * ``events.col`` — the struct-packed columnar payload of the same
-  event rows (:mod:`repro.storage.columnar`), memory-mapped by workers
-  under ``scan_strategy="columnar"``; optional for backwards
+  event and entity rows (:mod:`repro.storage.columnar`), memory-mapped
+  by workers under ``scan_strategy="columnar"``; optional for backwards
   compatibility with format-v2 snapshots, whose segments never wrote
   one (such segments scan through SQLite regardless of strategy);
-* ``graph.bin`` — the matching provenance-graph slice (the segment's
-  edges, their endpoint nodes, and the entities first interned in the
-  segment), in the versioned container of :meth:`PropertyGraph.save`;
 * ``segment.json`` — the per-segment manifest: event-id range, newly
   interned entity-id range, and the ``[min, max]`` start/end time bounds
   the query planner prunes against.
@@ -21,6 +18,8 @@ Segments partition the event-id space contiguously (segment *k+1* starts
 at segment *k*'s ``last_event_id + 1``); everything past the last sealed
 segment is the *active* write segment, which lives only in the combined
 store until :meth:`DualStore.flush_appends` or a snapshot save seals it.
+Segment directories of snapshots saved by earlier builds also hold a
+``graph.bin`` slice of the provenance graph; nothing reads it.
 
 Pruning contract: the SQL compiler renders a resolved TBQL time window
 as ``start_time >= earliest AND end_time <= latest``, so a segment can
@@ -31,6 +30,7 @@ see :meth:`SegmentInfo.overlaps_window`.
 from __future__ import annotations
 
 import json
+from array import array
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
@@ -42,7 +42,6 @@ from .columnar import ColumnarSegment
 #: File names inside a segment directory.
 SEGMENT_MANIFEST = "segment.json"
 SEGMENT_RELATIONAL = "relational.sqlite"
-SEGMENT_GRAPH = "graph.bin"
 SEGMENT_COLUMNAR = "events.col"
 
 #: Manifest fields serialized for each segment (order is cosmetic).
@@ -162,15 +161,15 @@ def collect_segment_stats(columnar_path: str | Path
         types = segment.column("entity.type")
         strings = segment.strings
 
-        def _side_types(column: str) -> tuple[str, ...]:
-            codes = {types[segment.entity_index(entity_id)]
-                     for entity_id in set(segment.column(column))}
+        def _side_types(rows: array) -> tuple[str, ...]:
+            codes = {types[row] for row in set(rows)}
             codes.discard(0)
             return tuple(sorted(strings[code] for code in codes))
 
+        subject_rows, object_rows = segment.entity_rows()
         return SegmentStats(numeric=numeric, distinct=distinct,
-                            subject_types=_side_types("event.subject_id"),
-                            object_types=_side_types("event.object_id"))
+                            subject_types=_side_types(subject_rows),
+                            object_types=_side_types(object_rows))
     except (StorageError, ValueError, TypeError):
         return None
     finally:
@@ -206,10 +205,6 @@ class SegmentInfo:
     def sqlite_path(self) -> str:
         return str(Path(self.directory) / SEGMENT_RELATIONAL)
 
-    @property
-    def graph_path(self) -> str:
-        return str(Path(self.directory) / SEGMENT_GRAPH)
-
     @cached_property
     def columnar_path(self) -> str:
         return str(Path(self.directory) / SEGMENT_COLUMNAR)
@@ -221,6 +216,22 @@ class SegmentInfo:
     @cached_property
     def _columnar_present(self) -> bool:
         return Path(self.columnar_path).is_file()
+
+    @cached_property
+    def entity_row_count(self) -> Optional[int]:
+        """Rows in the payload's entity block — the entities this
+        segment's events reference; ``None`` without a readable
+        ``events.col``.  Resolved once, like :meth:`has_columnar`."""
+        if not self.has_columnar():
+            return None
+        try:
+            segment = ColumnarSegment(self.columnar_path)
+        except StorageError:
+            return None
+        try:
+            return segment.entity_count
+        finally:
+            segment.close()
 
     def has_columnar(self) -> bool:
         """Whether the optional ``events.col`` payload exists on disk.
@@ -276,16 +287,16 @@ class SegmentInfo:
             + "\n", encoding="utf-8")
 
     def verify_files(self) -> None:
-        """Raise :class:`StorageError` when a segment file is missing.
+        """Raise :class:`StorageError` when ``relational.sqlite`` is
+        missing.
 
         ``events.col`` is deliberately not checked: it is absent from
         segments restored out of format-v2 snapshots, which must keep
         opening (they fall back to SQLite scans per segment).
         """
-        for path in (self.sqlite_path, self.graph_path):
-            if not Path(path).is_file():
-                raise StorageError(
-                    f"segment {self.name} is missing {path}")
+        if not Path(self.sqlite_path).is_file():
+            raise StorageError(
+                f"segment {self.name} is missing {self.sqlite_path}")
 
 
 @dataclass(frozen=True)
@@ -385,6 +396,6 @@ def plan_compaction(segments: list[SegmentInfo],
 __all__ = ["SegmentInfo", "SegmentStats", "SegmentView",
            "collect_segment_stats", "prune_segments", "merge_infos",
            "plan_compaction", "SEGMENT_MANIFEST", "SEGMENT_RELATIONAL",
-           "SEGMENT_GRAPH", "SEGMENT_COLUMNAR", "SEGMENT_STATS_VERSION",
+           "SEGMENT_COLUMNAR", "SEGMENT_STATS_VERSION",
            "STATS_NUMERIC_COLUMNS", "STATS_DISTINCT_COLUMNS",
            "STATS_DISTINCT_CAP"]

@@ -31,7 +31,7 @@ from itertools import compress, repeat
 from operator import ge, gt, le, lt
 from typing import Any, Callable, Iterable, Iterator, Optional, Sequence
 
-from ..errors import StorageError, TBQLSemanticError
+from ..errors import TBQLSemanticError
 from ..obs.metrics import get_registry
 from ..storage.columnar import ColumnarSegment, NULL_INT
 from ..storage.relational.schema import (ENTITY_ATTRIBUTE_COLUMNS,
@@ -598,7 +598,7 @@ def _select_python(segment: ColumnarSegment,
                    if spec.subject_candidates is not None else None)
     object_set = (frozenset(spec.object_candidates)
                   if spec.object_candidates is not None else None)
-    index_of = segment.entity_index
+    subject_rows, object_rows = segment.entity_rows()
     selected: list[int] = []
     for row in range(segment.event_count):
         if min_id is not None and ids[row] < min_id:
@@ -610,14 +610,12 @@ def _select_python(segment: ColumnarSegment,
             continue
         if latest is not None and ends[row] > latest:
             continue
-        subject_id = subjects[row]
-        object_id = objects[row]
-        if subject_set is not None and subject_id not in subject_set:
+        if subject_set is not None and subjects[row] not in subject_set:
             continue
-        if object_set is not None and object_id not in object_set:
+        if object_set is not None and objects[row] not in object_set:
             continue
-        subject_index = index_of(subject_id)
-        object_index = index_of(object_id)
+        subject_index = subject_rows[row]
+        object_index = object_rows[row]
         if type_codes[subject_index] != subject_code or \
                 type_codes[object_index] != object_code:
             continue
@@ -634,18 +632,6 @@ def _select_python(segment: ColumnarSegment,
             continue
         selected.append(row)
     return selected
-
-
-def _entity_indices_np(segment: ColumnarSegment, ids: Any, np: Any) -> Any:
-    if segment.dense_entities:
-        return ids - 1
-    entity_ids = segment.np_column("entity.id", np)
-    indices = np.searchsorted(entity_ids, ids)
-    indices = np.minimum(indices, max(len(entity_ids) - 1, 0))
-    if not np.all(entity_ids[indices] == ids):
-        raise StorageError(f"columnar payload {segment.path} has events "
-                           "referencing missing entity rows")
-    return indices
 
 
 def _select_numpy(segment: ColumnarSegment, spec: PatternSpec,
@@ -680,8 +666,8 @@ def _select_numpy(segment: ColumnarSegment, spec: PatternSpec,
     if spec.object_candidates is not None:
         mask &= np.isin(objects, np.array(spec.object_candidates,
                                           dtype=np.int64))
-    subject_rows = _entity_indices_np(segment, subjects, np)
-    object_rows = _entity_indices_np(segment, objects, np)
+    subject_rows, object_rows = (np.frombuffer(rows, dtype=np.int64)
+                                 for rows in segment.entity_rows())
     type_codes = segment.np_column("entity.type", np)
     masks, residuals = _compile_filters(segment, spec, np)
     for on_subject, type_code, entity_rows in (
@@ -895,7 +881,7 @@ def aggregate_columnar(segment: ColumnarSegment, spec: PatternSpec,
     subjects = segment.column("event.subject_id")
     objects = segment.column("event.object_id")
     strings = segment.strings
-    index_of = segment.entity_index
+    subject_rows, object_rows = segment.entity_rows()
     getters = [(on_subject, _getter(segment, f"entity.{column}",
                                     column in _NUMERIC_COLUMNS))
                for on_subject, column in group_columns]
@@ -930,10 +916,9 @@ def aggregate_columnar(segment: ColumnarSegment, spec: PatternSpec,
             cache_key = (subject_id, object_id)
             key = group_cache.get(cache_key)
             if key is None:
-                subject_index = index_of(subject_id)
-                object_index = index_of(object_id)
                 key = tuple(
-                    getter(subject_index if on_subject else object_index)
+                    getter((subject_rows if on_subject
+                            else object_rows)[row])
                     for on_subject, getter in getters)
                 group_cache[cache_key] = key
         else:

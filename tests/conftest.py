@@ -6,6 +6,9 @@ Figure-2 text) are session-scoped so the integration tests stay fast.
 
 from __future__ import annotations
 
+import tempfile
+from pathlib import Path
+
 import pytest
 
 from repro.audit import AuditCollector, CollectorConfig, generate_benign_noise
@@ -14,6 +17,7 @@ from repro.benchmark.case import CaseBuilder
 from repro.extraction import extract_threat_behaviors
 from repro.hunting import ThreatRaptor
 from repro.storage import DualStore
+from repro.storage.columnar import ColumnarSegment, write_columnar_from_sqlite
 
 #: The running example of the paper (Figure 2), reused by many tests.
 DATA_LEAK_TEXT = (
@@ -73,6 +77,35 @@ def stop_backend_server(server, thread) -> None:
     server.shutdown()
     server.server_close()
     thread.join(timeout=10)
+
+
+def assert_exact_entity_blocks(store: DualStore) -> list[int]:
+    """Every sealed segment's ``events.col`` holds exactly the entity
+    rows its events reference, resolves every event, and equals the
+    payload rebuilt from the segment's own SQLite file byte for byte.
+    Returns the entity-row count of each segment."""
+    counts = []
+    with tempfile.TemporaryDirectory() as scratch:
+        for info in store.segment_view().sealed:
+            segment = ColumnarSegment(info.columnar_path)
+            try:
+                subjects = list(segment.column("event.subject_id"))
+                objects = list(segment.column("event.object_id"))
+                ids = list(segment.column("entity.id"))
+                assert ids == sorted(set(subjects) | set(objects)), info.name
+                assert segment.entity_count == len(ids) == \
+                    info.entity_row_count
+                subject_rows, object_rows = segment.entity_rows()
+                assert [ids[row] for row in subject_rows] == subjects
+                assert [ids[row] for row in object_rows] == objects
+            finally:
+                segment.close()
+            rebuilt = Path(scratch) / f"{info.name}.col"
+            write_columnar_from_sqlite(info.sqlite_path, rebuilt)
+            assert rebuilt.read_bytes() == \
+                Path(info.columnar_path).read_bytes(), info.name
+            counts.append(len(ids))
+    return counts
 
 
 def record_data_leak_attack(collector: AuditCollector) -> None:

@@ -10,9 +10,11 @@ validation surfaced through the executor and the CLI.
 
 from __future__ import annotations
 
+import shutil
 import sqlite3
 import sys
 import threading
+from array import array
 from operator import attrgetter
 from pathlib import Path
 
@@ -22,8 +24,7 @@ from repro.audit import AuditCollector, CollectorConfig
 from repro.errors import StorageError
 from repro.storage import DualStore
 from repro.storage.columnar import (NULL_INT, ColumnarSegment,
-                                    EventColumns, write_columnar,
-                                    write_columnar_from_sqlite)
+                                    EventColumns, write_columnar)
 from repro.storage.relational.schema import all_ddl
 from repro.storage.relational.sqlgen import comparison, in_list
 from repro.tbql import colscan
@@ -121,15 +122,15 @@ def test_roundtrip_preserves_columns(tmp_path):
             [None, "/etc/pass_wd", "/tmp/50%.tar", None]
         pids = segment.column("entity.pid")
         assert list(pids) == [101, NULL_INT, NULL_INT, NULL_INT]
-        assert segment.dense_entities
-        assert segment.entity_index(3) == 2
+        assert segment.entity_rows() == (array("q", [0, 0, 3]),
+                                         array("q", [1, 2, 1]))
         assert segment.code_of("read") is not None
         assert segment.code_of("never-stored") is None
     finally:
         segment.close()
 
 
-def test_sparse_entity_ids_resolve_via_map(tmp_path):
+def test_sparse_entity_ids_resolve_once(tmp_path):
     events = EventColumns()
     events.append(1, 10, 70, "read", "file", 1.0, 2.0, 1.0, 0, 0, "h")
     entities = [_entity(10, "proc"), _entity(70, "file")]
@@ -137,11 +138,40 @@ def test_sparse_entity_ids_resolve_via_map(tmp_path):
     write_columnar(path, events, entities)
     segment = ColumnarSegment(path)
     try:
-        assert not segment.dense_entities
-        assert segment.entity_index(10) == 0
-        assert segment.entity_index(70) == 1
-        with pytest.raises(StorageError):
-            segment.entity_index(99)
+        rows = segment.entity_rows()
+        assert rows == (array("q", [0]), array("q", [1]))
+        assert segment.entity_rows() is rows
+    finally:
+        segment.close()
+
+
+@pytest.mark.parametrize("use_numpy", [
+    pytest.param(True, marks=pytest.mark.skipif(
+        _numpy is None, reason="numpy not installed")), False])
+def test_missing_entity_row_raises_storage_error(tmp_path, monkeypatch,
+                                                 use_numpy):
+    """An event whose entity row is absent fails the scan with the typed
+    error, under both evaluators, and names the id."""
+    if use_numpy:
+        monkeypatch.delenv("REPRO_COLUMNAR_NUMPY", raising=False)
+    else:
+        monkeypatch.setenv("REPRO_COLUMNAR_NUMPY", "0")
+    events = EventColumns()
+    events.append(1, 10, 70, "read", "file", 1.0, 2.0, 1.0, 0, 0, "h")
+    events.append(2, 10, 99, "read", "file", 3.0, 4.0, 1.0, 0, 0, "h")
+    path = tmp_path / "dangling.col"
+    write_columnar(path, events, [_entity(10, "proc"), _entity(70, "file")])
+    spec = PatternSpec(subject_type="proc", object_type="file",
+                       operations=None, subject_filter=None,
+                       object_filter=None, pattern_filter=None,
+                       window=None, subject_candidates=None,
+                       object_candidates=None)
+    segment = ColumnarSegment(path)
+    try:
+        with pytest.raises(StorageError, match="no entity row for id 99"):
+            scan_columnar(segment, spec)
+        with pytest.raises(StorageError, match="no entity row for id 99"):
+            colscan.aggregate_columnar(segment, spec, ())
     finally:
         segment.close()
 
@@ -160,38 +190,6 @@ def test_reader_rejects_future_version(tmp_path):
     path.write_bytes(data.replace(b'"version": 1', b'"version": 9'))
     with pytest.raises(StorageError, match="version 9"):
         ColumnarSegment(path)
-
-
-def test_sqlite_fallback_writer_matches_fast_path(tmp_path):
-    """Sealed segments produce identical payloads from either writer."""
-    _mono, seg = _segmented_pair(batches=2)
-    try:
-        view = seg.segment_view()
-        assert view.sealed
-        info = view.sealed[0]
-        fast = Path(info.columnar_path).read_bytes()
-        rebuilt_path = tmp_path / "rebuilt.col"
-        write_columnar_from_sqlite(info.sqlite_path, rebuilt_path)
-        rebuilt = ColumnarSegment(rebuilt_path)
-        fast_segment = ColumnarSegment(info.columnar_path)
-        try:
-            assert rebuilt.event_count == fast_segment.event_count
-            for name in ("event.id", "event.subject_id",
-                         "event.object_id", "event.start_time",
-                         "event.end_time", "event.data_amount"):
-                assert list(rebuilt.column(name)) == \
-                    list(fast_segment.column(name))
-            assert [rebuilt.strings[c]
-                    for c in rebuilt.column("event.operation")] == \
-                [fast_segment.strings[c]
-                 for c in fast_segment.column("event.operation")]
-        finally:
-            rebuilt.close()
-            fast_segment.close()
-        assert len(fast) > 0
-    finally:
-        _mono.close()
-        seg.close()
 
 
 # ---------------------------------------------------------------------------
@@ -544,12 +542,18 @@ def test_memo_is_bounded_and_evicts_least_recently_used(table_payload,
         segment.close()
 
 
+@pytest.mark.parametrize("use_numpy", [
+    pytest.param("1", marks=pytest.mark.skipif(
+        _numpy is None, reason="numpy not installed")), "0"],
+    ids=["numpy", "python"])
 def test_concurrent_compiles_of_one_filter_agree(table_payload,
-                                                 monkeypatch):
-    """Eight threads (more than cores) compile the same filters on one
-    shared segment; every selection equals the serial one and the memo
-    ends with one mask per filter."""
+                                                 monkeypatch, use_numpy):
+    """Eight threads (more than cores) make the first scans of one
+    shared segment at once, compiling the same filters; every selection
+    equals the serial one, the memo ends with one mask per filter and
+    the entity-row index they raced to build is one cached pair."""
     monkeypatch.delenv("REPRO_COLSCAN_DICT", raising=False)
+    monkeypatch.setenv("REPRO_COLUMNAR_NUMPY", use_numpy)
     path, connection = table_payload
     chosen = _TABLE_FILTERS[:12]
     expected = [_sqlite_selection(connection, filters)
@@ -578,6 +582,11 @@ def test_concurrent_compiles_of_one_filter_agree(table_payload,
         assert not any(thread.is_alive() for thread in threads)
         assert outcomes == [expected] * 8
         assert len(segment._filter_memo) == len(chosen)
+        rows = segment.entity_rows()
+        assert segment.entity_rows() is rows
+        ids = segment.column("entity.id")
+        assert [ids[row] for row in rows[0]] == \
+            list(segment.column("event.subject_id"))
     finally:
         sys.setswitchinterval(interval)
         segment.close()
@@ -680,7 +689,65 @@ def test_v3_snapshot_reopens_with_columnar(tmp_path):
             payload = entry["payload_bytes"]
             assert payload["relational"] > 0
             assert payload["columnar"] > 0
-            assert payload["graph"] > 0
+            assert set(payload) == {"relational", "columnar"}
+            assert 0 < entry["entity_rows"] <= \
+                reopened.relational.count_entities()
+
+
+#: A segmented snapshot of ``_segmented_pair()``'s corpus saved by the
+#: commit before entity blocks held referenced rows only: every
+#: ``events.col`` carries the whole entity table as of its seal (ids
+#: ``1..N``) and every segment directory a ``graph.bin``.
+_PR13_SNAPSHOT = Path(__file__).parent / "fixtures" / "snapshot_v3_pr13"
+
+
+@pytest.mark.skipif(sys.byteorder != "little",
+                    reason="the fixture's payloads are little-endian")
+@pytest.mark.parametrize("read_only", [True, False])
+def test_snapshot_with_dense_blocks_and_graph_slices_still_answers(
+        tmp_path, read_only):
+    snap = tmp_path / "snap"
+    shutil.copytree(_PR13_SNAPSHOT, snap)
+    mono, seg = _segmented_pair()
+    reference = TBQLExecutor(mono)
+    fresh = TBQLExecutor(seg)
+    try:
+        with DualStore.open(snap, read_only=read_only) as old:
+            sealed = old.segment_view().sealed
+            assert len(sealed) == 3
+            last = ColumnarSegment(sealed[-1].columnar_path)
+            try:
+                ids = list(last.column("entity.id"))
+                assert ids == list(range(1, len(ids) + 1))
+                assert len(ids) > len(set(last.column("event.subject_id"))
+                                      | set(last.column("event.object_id")))
+            finally:
+                last.close()
+            assert all((snap / "segments" / info.name /
+                        "graph.bin").is_file() for info in sealed)
+            executor = TBQLExecutor(old)
+            try:
+                for text in EQUIVALENCE_CORPUS:
+                    expected = reference.execute(text)
+                    got = executor.execute(text)
+                    assert got.rows == expected.rows, text
+                    assert got.matched_events == expected.matched_events
+                    assert fresh.execute(text).rows == expected.rows, text
+            finally:
+                executor.close()
+            if not read_only:
+                # Saved again, the segments keep their payloads and
+                # lose the file nothing reads.
+                old.save(tmp_path / "resaved")
+                assert not list((tmp_path / "resaved").rglob(
+                    "segments/*/graph.bin"))
+                assert len(list((tmp_path / "resaved").rglob(
+                    "events.col"))) == 3
+    finally:
+        reference.close()
+        fresh.close()
+        mono.close()
+        seg.close()
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,7 @@ from repro.audit import AuditCollector, CollectorConfig, \
 from repro.storage import DualStore
 from repro.tbql.executor import TBQLExecutor
 
-from .conftest import record_data_leak_attack
+from .conftest import assert_exact_entity_blocks, record_data_leak_attack
 from .test_tbql_join_equivalence import EQUIVALENCE_CORPUS
 
 #: Worker counts the property holds for (serial + process pool).
@@ -88,6 +88,9 @@ def _assert_corpus_identical(mono, seg, corpus) -> None:
 def test_random_boundaries_answer_corpus_identically(boundaries):
     mono, seg = _build_pair(boundaries)
     try:
+        # Wherever the cuts fall, a segment's payload holds the entity
+        # rows it references and is what its SQLite file rebuilds to.
+        assert_exact_entity_blocks(seg)
         # Shared entities, temporal/attribute relations, DISTINCT, and a
         # no-match query — the corpus slice that exercises every join
         # shape; the fixed-boundary test below runs the full corpus.

@@ -20,13 +20,16 @@ import pytest
 
 from repro.audit.workload import generate_benign_noise
 from repro.errors import StorageError
+from repro.obs.metrics import get_registry
 from repro.storage import DualStore
 from repro.storage.dualstore import (SNAPSHOT_FORMAT_VERSION,
                                      SNAPSHOT_MANIFEST,
                                      SNAPSHOT_SEGMENTS_DIR)
-from repro.storage.graph.graphdb import PropertyGraph
+from repro.storage.columnar import ColumnarSegment
 from repro.storage.segments import SegmentInfo, plan_compaction
 from repro.tbql.executor import TBQLExecutor
+
+from .conftest import assert_exact_entity_blocks
 
 QUERY = 'proc p read file f return distinct p'
 
@@ -97,8 +100,21 @@ class TestSealing:
             assert bounds == (info.min_start_time, info.max_start_time,
                               info.min_end_time, info.max_end_time)
             connection.close()
-            graph = PropertyGraph.load(info.graph_path)
-            assert graph.num_edges() == info.event_count
+            # A segment is these three files and nothing else.
+            assert {entry.name for entry in
+                    Path(info.directory).iterdir()} == \
+                {"relational.sqlite", "events.col", "segment.json"}
+
+    def test_entity_blocks_hold_referenced_rows_only(self, store_pair):
+        _mono, seg = store_pair
+        counts = assert_exact_entity_blocks(seg)
+        stats = seg.segment_stats()
+        assert [entry["entity_rows"] for entry in stats["segments"]] == \
+            counts
+        # Later segments reference a subset of the growing entity
+        # table; none carries the table itself.
+        total = seg.relational.count_entities()
+        assert all(0 < count < total for count in counts)
 
     def test_monolithic_store_has_no_view(self, store_pair):
         mono, _seg = store_pair
@@ -114,9 +130,33 @@ class TestSealing:
 
     def test_empty_flush_seals_nothing(self):
         with DualStore(layout="segmented") as store:
-            store.flush_appends()
+            assert store.flush_appends().seconds == {}
             assert store.segment_view() is None
             assert store.seal_active_segment() is None
+
+    def test_flush_reports_seal_stages(self):
+        """A flush that seals times the seal's steps next to its own;
+        appends and unsealed flushes report theirs unchanged."""
+        own = {"reduce", "build", "relational", "graph"}
+        seal = {"seal_export", "seal_columnar", "seal_stats"}
+        events = _events(sessions=4, seed=5)
+        with DualStore(layout="segmented") as store:
+            assert set(store.append_events(events).seconds) == own
+            stats = store.flush_appends()
+            assert set(stats.seconds) == own | seal
+            assert all(stats.seconds[stage] > 0.0 for stage in seal)
+            assert stats.total_seconds == \
+                pytest.approx(sum(stats.seconds.values()))
+            store.append_events(_events(sessions=2, seed=6))
+            assert set(store.flush_appends(seal_segment=False).seconds) \
+                == own
+        with DualStore() as mono:
+            mono.append_events(events)
+            assert set(mono.flush_appends().seconds) == own
+        scrape = get_registry().render()
+        for stage in seal:
+            assert ('repro_ingest_stage_seconds_count{stage="%s"}' % stage
+                    ) in scrape
 
     def test_reload_drops_old_segments(self, store_pair):
         _mono, seg = store_pair
@@ -299,6 +339,54 @@ class TestCompaction:
         assert got.rows == expected.rows
         assert got.matched_events == expected.matched_events
         executor.close()
+        assert assert_exact_entity_blocks(seg) == \
+            [seg.relational.count_entities()]
+
+    @pytest.mark.parametrize("use_numpy", ["1", "0"])
+    def test_compacted_and_sealed_payloads_resolve_ids_once(
+            self, monkeypatch, use_numpy):
+        """A compacted store and its uncompacted twin scan through the
+        same cached per-segment entity-row index: each payload resolves
+        its events' entity ids once, however many scans follow."""
+        monkeypatch.setenv("REPRO_COLUMNAR_NUMPY", use_numpy)
+        resolved: dict[str, list] = {}
+        cached = ColumnarSegment.entity_rows
+
+        def spy(segment):
+            rows = cached(segment)
+            resolved.setdefault(segment.path, []).append(rows)
+            return rows
+
+        monkeypatch.setattr(ColumnarSegment, "entity_rows", spy)
+        events = _events()
+        _mono, sealed = _build_pair(events)
+        _mono2, compacted = _build_pair(events)
+        compacted.compact(min_events=100)
+        assert 1 < len(compacted.segment_view().sealed) < \
+            len(sealed.segment_view().sealed)
+        texts = (QUERY, 'proc p["%bash%"] write file f return p, f',
+                 'proc p read file f return p, count() group by p')
+        try:
+            answers = []
+            for store in (sealed, compacted):
+                paths = [info.columnar_path
+                         for info in store.segment_view().sealed]
+                for path in paths:
+                    resolved.pop(path, None)     # the seals' own reads
+                executor = TBQLExecutor(store)
+                try:
+                    answers.append([executor.execute(text).rows
+                                    for text in texts * 2])
+                finally:
+                    executor.close()
+                for path in paths:
+                    calls = resolved[path]
+                    assert len(calls) >= len(texts) * 2
+                    assert all(rows is calls[0] for rows in calls)
+            assert answers[0] == answers[1]
+        finally:
+            for store in (_mono, sealed, _mono2, compacted):
+                store.close()
 
 
 class TestSnapshotV2:
@@ -342,6 +430,7 @@ class TestSnapshotV2:
             # snapshot directory (which stays immutable).
             new_home = Path(view.sealed[-1].directory)
             assert not new_home.is_relative_to(snapshot.resolve())
+            assert_exact_entity_blocks(writable)
         assert not (snapshot / SNAPSHOT_SEGMENTS_DIR /
                     view.sealed[-1].name).exists()
 
@@ -444,6 +533,7 @@ class TestCLI:
         out = capsys.readouterr().out
         assert "layout: segmented" in out
         assert "seg-000001" in out
+        assert "ent rows" in out and "graph KiB" not in out
         out2 = tmp_path / "snap2"
         assert main(["compact", "--snapshot", str(snap), "--out",
                      str(out2), "--min-events", "100000"]) == 0
