@@ -67,14 +67,13 @@ def _seed_unique_key(entity):
 
 
 def _seed_event_attributes(event):
-    """The seed's ``SystemEvent.attributes``: a fresh dict per call."""
+    """The seed's ``SystemEvent.attributes``: a fresh dict per call (with
+    today's keys — the loader-equivalence tests compare edge properties)."""
     return {
         "operation": event.operation.value,
         "start_time": event.start_time,
         "end_time": event.end_time,
         "duration": event.duration,
-        "subject_id": event.subject.entity_id,
-        "object_id": event.obj.entity_id,
         "data_amount": event.data_amount,
         "failure_code": event.failure_code,
         "host": event.host,

@@ -277,8 +277,6 @@ class SystemEvent:
                 "start_time": self.start_time,
                 "end_time": self.end_time,
                 "duration": self.duration,
-                "subject_id": self.subject.entity_id,
-                "object_id": self.obj.entity_id,
                 "data_amount": self.data_amount,
                 "failure_code": self.failure_code,
                 "host": self.host,

@@ -138,10 +138,11 @@ def cmd_hunt(args: argparse.Namespace) -> int:
 
 
 def cmd_ingest(args: argparse.Namespace) -> int:
-    from .audit.parser import parse_audit_log
+    from .audit.parser import AuditLogParser
     from .storage import DualStore
 
-    events = parse_audit_log(_read_text(args.log))
+    parser = AuditLogParser()
+    events = parser.parse_text(_read_text(args.log))
     if not events:
         # An empty (or whitespace-only / all-malformed) log is a valid,
         # boring input, not an error: report it plainly — without the
@@ -165,6 +166,12 @@ def cmd_ingest(args: argparse.Namespace) -> int:
         if store.last_reduction is not None:
             ratio = store.last_reduction.reduction_ratio
             print(f"  reduction ratio:    {ratio:.2f}x")
+        parsed = parser.last_report
+        print(f"  parse seconds:      {parsed.seconds * 1000.0:.2f}ms "
+              f"({parsed.total_lines / max(parsed.seconds, 1e-9):.0f} "
+              f"lines/s)")
+        print(f"  malformed lines:    {parsed.malformed_lines}")
+        print(f"  entities created:   {parsed.entities_created}")
         # Every stage the load timed: reduce, build, relational, graph,
         # and the seal_* steps whenever a segment was sealed.
         for stage, elapsed in stats.seconds.items():
@@ -588,7 +595,7 @@ def build_parser() -> argparse.ArgumentParser:
     ingest.add_argument("--log", required=True,
                         help="path to an auditd-style log file")
     ingest.add_argument("--stats", action="store_true",
-                        help="print the per-stage load breakdown (reduce, "
+                        help="print the per-stage breakdown (parse, reduce, "
                              "build, relational, graph)")
     ingest.add_argument("--strategy", choices=["batched", "rowwise"],
                         default="batched",

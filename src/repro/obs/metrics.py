@@ -313,6 +313,15 @@ def get_registry() -> MetricsRegistry:
     return _default_registry
 
 
+def ingest_stage_histogram() -> MetricFamily:
+    """The per-stage histogram parses, loads, appends and seals record into."""
+    return get_registry().histogram(
+        "repro_ingest_stage_seconds",
+        "Per-stage ingest durations (parse; reduce, build, relational, "
+        "graph; seal_export, seal_columnar, seal_stats when a segment "
+        "seals), in seconds.", labels=("stage",))
+
+
 def set_registry(registry: MetricsRegistry) -> MetricsRegistry:
     """Swap the default registry; returns the previous one (tests)."""
     global _default_registry

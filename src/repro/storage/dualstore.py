@@ -18,7 +18,6 @@ equivalence tests compare against.
 from __future__ import annotations
 
 import dataclasses
-import gc
 import json
 import shutil
 import tempfile
@@ -32,7 +31,8 @@ from ..audit.entities import SystemEvent
 from ..audit.reduction import DEFAULT_MERGE_THRESHOLD, ReductionStats, \
     reduce_events
 from ..errors import StorageError
-from ..obs.metrics import MetricFamily, get_registry
+from ..gcpause import gc_paused
+from ..obs.metrics import get_registry, ingest_stage_histogram
 from .columnar import EventColumns, write_columnar_from_sqlite
 from .graph import GraphStore
 from .graph.graphdb import PropertyGraph
@@ -80,15 +80,6 @@ SNAPSHOT_RELATIONAL = "relational.sqlite"
 SNAPSHOT_GRAPH = "graph.bin"
 #: Subdirectory of a v2 snapshot holding one directory per segment.
 SNAPSHOT_SEGMENTS_DIR = "segments"
-
-
-def _stage_histogram() -> MetricFamily:
-    """The per-stage histogram loads, appends and seals all record into."""
-    return get_registry().histogram(
-        "repro_ingest_stage_seconds",
-        "Per-stage ingest durations (reduce, build, relational, graph; "
-        "seal_export, seal_columnar, seal_stats when a segment seals), "
-        "in seconds.", labels=("stage",))
 
 
 def _file_size(path: str | Path) -> int:
@@ -147,7 +138,7 @@ class IngestStats(int):
             "repro_ingest_events_total",
             "Events stored across full loads and streaming appends.",
         ).inc(self.events)
-        stage_hist = _stage_histogram()
+        stage_hist = ingest_stage_histogram()
         for stage, elapsed in self.seconds.items():
             stage_hist.labels(stage).observe(elapsed)
         return self
@@ -572,6 +563,7 @@ class DualStore:
     # ------------------------------------------------------------------
     # incremental append path (live streaming ingestion)
     # ------------------------------------------------------------------
+    @gc_paused()
     def append_events(self, events: Iterable[SystemEvent]) -> IngestStats:
         """Append a batch of events to both backends without a rebuild.
 
@@ -635,6 +627,7 @@ class DualStore:
             self._seal_active(stats.seconds)
         return stats
 
+    @gc_paused()
     def _flush_stream(self) -> IngestStats:
         stream = self._stream
         if stream is None:
@@ -703,6 +696,7 @@ class DualStore:
                                     first_entity_id=last_entity + 1)
         return info
 
+    @gc_paused()
     def _write_segment_files(self, info: SegmentInfo,
                              event_columns: EventColumns | None = None,
                              seconds: dict[str, float] | None = None
@@ -733,7 +727,7 @@ class DualStore:
             info = dataclasses.replace(info, stats=stats)
         info.write_manifest()
         marks.append(clock())
-        histogram = _stage_histogram()
+        histogram = ingest_stage_histogram()
         for stage, begin, end in zip(SEAL_STAGES, marks, marks[1:]):
             histogram.labels(stage).observe(end - begin)
             if seconds is not None:
@@ -884,6 +878,7 @@ class DualStore:
     # ------------------------------------------------------------------
     # batched fast path: fused streaming reduction + single build pass
     # ------------------------------------------------------------------
+    @gc_paused()
     def _load_batched(self, events: Iterable[SystemEvent]) -> IngestStats:
         """Sort, run the fused build pass, then bulk-load both backends.
 
@@ -903,37 +898,27 @@ class DualStore:
             event_list.sort(key=attrgetter("start_time", "event_id"))
         reduce_seconds = time.perf_counter() - reduce_start
 
-        # The load allocates hundreds of thousands of long-lived tuples and
-        # dictionaries; pausing the cyclic collector avoids repeated full
-        # generation scans mid-load (nothing built here contains cycles).
-        gc_was_enabled = gc.isenabled()
-        if gc_was_enabled:
-            gc.disable()
-        try:
-            build_start = time.perf_counter()
-            batches = _BuildBatches(self.merge_threshold)
-            if do_reduce:
-                batches.consume_reducing(event_list)
-                batches.flush_runs()
-                self.last_reduction = batches.reduction_stats
-            else:
-                batches.consume(event_list)
-            build_seconds = time.perf_counter() - build_start
+        build_start = time.perf_counter()
+        batches = _BuildBatches(self.merge_threshold)
+        if do_reduce:
+            batches.consume_reducing(event_list)
+            batches.flush_runs()
+            self.last_reduction = batches.reduction_stats
+        else:
+            batches.consume(event_list)
+        build_seconds = time.perf_counter() - build_start
 
-            relational_start = time.perf_counter()
-            statements = self.relational.reload_rows(
-                batches.entity_rows, batches.event_columns.row_tuples())
-            self.relational.adopt_entity_ids(
-                batches.entity_ids, batches.next_event_id,
-                next_entity_id=batches.next_entity_id)
-            relational_seconds = time.perf_counter() - relational_start
+        relational_start = time.perf_counter()
+        statements = self.relational.reload_rows(
+            batches.entity_rows, batches.event_columns.row_tuples())
+        self.relational.adopt_entity_ids(
+            batches.entity_ids, batches.next_event_id,
+            next_entity_id=batches.next_entity_id)
+        relational_seconds = time.perf_counter() - relational_start
 
-            graph_start = time.perf_counter()
-            self.graph.load_prepared(batches.nodes, batches.edges)
-            graph_seconds = time.perf_counter() - graph_start
-        finally:
-            if gc_was_enabled:
-                gc.enable()
+        graph_start = time.perf_counter()
+        self.graph.load_prepared(batches.nodes, batches.edges)
+        graph_seconds = time.perf_counter() - graph_start
 
         self._track_active_rows(batches.event_columns)
         self._events = batches.reduced if self.retain_events else []
@@ -1097,6 +1082,7 @@ class DualStore:
         return entries
 
     @classmethod
+    @gc_paused()
     def open(cls, path: str | Path, read_only: bool = True,
              relational_path: str | Path | None = None) -> "DualStore":
         """Open a snapshot directory as a dual store.

@@ -209,7 +209,14 @@ class RelationalStore:
                     f"cannot create segment database {target}: "
                     f"{exc}") from exc
             try:
-                for statement in all_ddl_for("segment"):
+                # A bulk build of a file nothing references: unlinked
+                # above, registered in a manifest only after the seal
+                # returns, read-only from then on.  A crash leaves an
+                # unregistered file, so no journal or fsync is needed.
+                cursor.execute("PRAGMA segment.journal_mode=OFF")
+                cursor.execute("PRAGMA segment.synchronous=OFF")
+                ddl = all_ddl_for("segment")
+                for statement in ddl[:-len(INDEX_DDL)]:
                     cursor.execute(statement)
                 cursor.execute(
                     "INSERT INTO segment.events "
@@ -222,6 +229,10 @@ class RelationalStore:
                     "UNION "
                     "SELECT object_id FROM events WHERE id BETWEEN ? AND ?)",
                     bounds + bounds)
+                # Indexes last: one sorted build each instead of a b-tree
+                # insert per row.
+                for statement in ddl[-len(INDEX_DDL):]:
+                    cursor.execute(statement)
                 exported = cursor.execute(
                     "SELECT COUNT(*) FROM segment.events").fetchone()[0]
                 self._connection.commit()

@@ -170,3 +170,10 @@ class TestIngestCLI:
         assert "ingested" in captured.out
         assert "relational batches" in captured.out
         assert "reduce seconds" in captured.out
+        lines = captured.out.splitlines()
+        parse_line = next(index for index, line in enumerate(lines)
+                          if "parse seconds" in line)
+        assert "lines/s" in lines[parse_line]
+        assert "malformed lines:    0" in lines[parse_line + 1]
+        assert "entities created" in lines[parse_line + 2]
+        assert "reduce seconds" in lines[parse_line + 3]
