@@ -15,14 +15,9 @@ the history sealed into ``BENCH_PARTITIONED_SEGMENTS`` segments:
   segments at 1/2/4 worker processes.  Wall-clock gains need physical
   cores (recorded always, asserted never — CI machines vary); the
   rows must be identical at every worker count (asserted always).
-* *columnar scan* — the raw per-segment scan of the unwindowed hunt's
-  pattern via the memory-mapped ``events.col`` payload vs the same
-  scan through each segment's SQLite file.  The acceptance bar is a
-  **>= 2x** speedup at full workload scale (asserted there, recorded
-  everywhere); the gathered rows must be identical (asserted always).
 
-Tables land in ``benchmarks/results/partitioned_pruning.txt``,
-``partitioned_scatter.txt``, and ``partitioned_columnar.txt``.
+Tables land in ``benchmarks/results/partitioned_pruning.txt`` and
+``partitioned_scatter.txt``.
 """
 
 from __future__ import annotations
@@ -52,9 +47,6 @@ ROUNDS = 5
 #: The full-scale acceptance bar: a windowed hunt on the segmented
 #: store at least this much faster than on the monolithic store.
 MIN_PRUNING_SPEEDUP = 2.0
-#: The full-scale acceptance bar for the columnar segment scan vs the
-#: per-segment SQLite scan of the same pattern.
-MIN_COLUMNAR_SPEEDUP = 2.0
 #: Workload size at which the bar is asserted (smoke runs only record).
 FULL_SCALE_SESSIONS = 2000
 
@@ -165,64 +157,3 @@ def test_partitioned_scatter_gather(stores):
               f"{os.cpu_count()} cpu(s), best of {ROUNDS}):")
     print("\n" + header + "\n" + table)
     write_result_table("partitioned_scatter", header + "\n" + table)
-
-
-def test_partitioned_columnar_speedup(stores):
-    """Raw segment scan: memory-mapped columnar vs per-segment SQLite."""
-    from repro.tbql.colscan import (ColumnarTask, build_pattern_spec,
-                                    scan_segment_columnar, unpack_rows)
-    from repro.tbql.compiler_sql import compile_pattern_sql
-    from repro.tbql.parser import parse_tbql
-    from repro.tbql.scatter import scan_segment
-    from repro.tbql.semantics import resolve_query
-
-    _mono, seg = stores
-    sealed = seg.segment_view().sealed
-    resolved = resolve_query(parse_tbql(BROAD_QUERY))
-    pattern = resolved.patterns[0]
-    compiled = compile_pattern_sql(pattern, resolved)
-    spec = build_pattern_spec(pattern, resolved)
-    sql_tasks = [(info.sqlite_path, compiled.sql, tuple(compiled.params))
-                 for info in sealed]
-    col_tasks = [ColumnarTask(info.columnar_path, spec)
-                 for info in sealed]
-
-    def sqlite_rows():
-        rows = []
-        for task in sql_tasks:
-            rows.extend(scan_segment(task))
-        return rows
-
-    def columnar_rows():
-        rows = []
-        for task in col_tasks:
-            rows.extend(unpack_rows(scan_segment_columnar(task)))
-        return rows
-
-    def order(row):
-        return (row["start_time"], row["event_id"])
-
-    expected = sorted(sqlite_rows(), key=order)
-    assert sorted(columnar_rows(), key=order) == expected
-
-    sqlite_seconds = _best_of(ROUNDS, sqlite_rows)
-    columnar_seconds = _best_of(ROUNDS, columnar_rows)
-    speedup = sqlite_seconds / columnar_seconds
-    rows = [
-        {"scan": "sqlite (per-segment SQL)", "seconds": sqlite_seconds,
-         "rows": len(expected), "speedup": 1.0},
-        {"scan": "columnar (mmap events.col)",
-         "seconds": columnar_seconds, "rows": len(expected),
-         "speedup": speedup},
-    ]
-    table = format_table(rows, floatfmt="{:.6f}")
-    header = (f"Per-segment pattern scan, columnar vs sqlite "
-              f"({BENCH_PARTITIONED_SESSIONS} sessions, "
-              f"{len(sealed)} segments, best of {ROUNDS}):")
-    print("\n" + header + "\n" + table)
-    write_result_table("partitioned_columnar", header + "\n" + table)
-
-    if BENCH_PARTITIONED_SESSIONS >= FULL_SCALE_SESSIONS:
-        assert speedup >= MIN_COLUMNAR_SPEEDUP, (
-            f"columnar scan speedup {speedup:.2f}x below the "
-            f"{MIN_COLUMNAR_SPEEDUP}x acceptance bar")

@@ -27,11 +27,6 @@ machine-speed normalizer:
   fed monolithic store (the acceptance bar at full scale is a 2x
   speedup, i.e. a ratio <= 0.5; the gate holds the smoke-scale ratio
   near its committed baseline);
-* *columnar* — the per-segment pattern scan over the memory-mapped
-  ``events.col`` payload vs the same scan through each segment's
-  SQLite file.  The columnar side is pinned to the pure-python
-  evaluator (``REPRO_COLUMNAR_NUMPY=0``) so the committed ratio is
-  comparable between machines with and without numpy (CI has none);
 * *service_load* — the asyncio HTTP front end vs the legacy threaded
   server answering the same 32-client keep-alive query load over the
   same store (the acceptance bar at full fan-in is 2x the threaded
@@ -218,70 +213,6 @@ def measure_partitioned() -> dict:
     finally:
         mono.close()
         segmented.close()
-    return {
-        "optimized_seconds": optimized,
-        "reference_seconds": reference,
-        "ratio": optimized / reference,
-    }
-
-
-def measure_columnar() -> dict:
-    """Columnar segment scan vs the per-segment SQLite reference scan."""
-    from operator import attrgetter
-
-    from repro.tbql.colscan import (ColumnarTask, build_pattern_spec,
-                                    scan_segment_columnar, unpack_rows)
-    from repro.tbql.compiler_sql import compile_pattern_sql
-    from repro.tbql.parser import parse_tbql
-    from repro.tbql.scatter import scan_segment
-    from repro.tbql.semantics import resolve_query
-
-    events = generate_benign_noise(SESSIONS, seed=29)
-    events.sort(key=attrgetter("start_time", "event_id"))
-    segments = 8
-    step = len(events) // segments + 1
-    store = DualStore(retain_events=False, layout="segmented")
-    try:
-        for index in range(0, len(events), step):
-            store.append_events(events[index:index + step])
-            store.flush_appends()
-        sealed = store.segment_view().sealed
-        resolved = resolve_query(parse_tbql(
-            'proc p read file f return distinct p'))
-        pattern = resolved.patterns[0]
-        compiled = compile_pattern_sql(pattern, resolved)
-        spec = build_pattern_spec(pattern, resolved)
-        sql_tasks = [(info.sqlite_path, compiled.sql,
-                      tuple(compiled.params)) for info in sealed]
-        col_tasks = [ColumnarTask(info.columnar_path, spec)
-                     for info in sealed]
-
-        def run_columnar() -> None:
-            # One smoke-scale sweep is ~1ms; time a batch so the
-            # measured interval dwarfs the clock jitter.
-            for _ in range(10):
-                for task in col_tasks:
-                    unpack_rows(scan_segment_columnar(task))
-
-        def run_sqlite() -> None:
-            for _ in range(10):
-                for task in sql_tasks:
-                    scan_segment(task)
-
-        # Pin the portable evaluator: the committed ratio must mean the
-        # same thing on machines with and without numpy (CI has none).
-        previous = os.environ.get("REPRO_COLUMNAR_NUMPY")
-        os.environ["REPRO_COLUMNAR_NUMPY"] = "0"
-        try:
-            optimized = _best_of(ROUNDS, run_columnar) * INJECTED_SLOWDOWN
-        finally:
-            if previous is None:
-                del os.environ["REPRO_COLUMNAR_NUMPY"]
-            else:
-                os.environ["REPRO_COLUMNAR_NUMPY"] = previous
-        reference = _best_of(ROUNDS, run_sqlite)
-    finally:
-        store.close()
     return {
         "optimized_seconds": optimized,
         "reference_seconds": reference,
@@ -527,7 +458,6 @@ MEASUREMENTS = {
     "fuzzy": measure_fuzzy,
     "streaming": measure_streaming,
     "partitioned": measure_partitioned,
-    "columnar": measure_columnar,
     "stats_pruning": measure_stats_pruning,
     "agg_pushdown": measure_agg_pushdown,
     "service_load": measure_service_load,

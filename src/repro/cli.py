@@ -48,11 +48,11 @@ def _read_text(path: str) -> str:
     return Path(path).read_text(encoding="utf-8")
 
 
-def _load_raptor(log_path: str, no_reduction: bool, workers: int = 1,
-                 scan_strategy: str = "columnar") -> ThreatRaptor:
+def _load_raptor(log_path: str, no_reduction: bool,
+                 workers: int = 1) -> ThreatRaptor:
     from .storage import DualStore
     raptor = ThreatRaptor(store=DualStore(reduce=not no_reduction),
-                          workers=workers, scan_strategy=scan_strategy)
+                          workers=workers)
     count = raptor.ingest_log_text(_read_text(log_path))
     print(f"[repro] ingested {count} events from {log_path}",
           file=sys.stderr)
@@ -85,8 +85,6 @@ def _print_plan(result) -> None:
             if step.segments_pruned_by_stats is not None:
                 segment_text += (f"({step.segments_pruned_by_stats} "
                                  "by stats) ")
-            if step.scan_strategy is not None:
-                segment_text += f"scan={step.scan_strategy} "
             if step.aggregate_pushdown:
                 segment_text += "agg-pushdown "
             if step.pool_fallback:
@@ -230,14 +228,11 @@ def cmd_segments(args: argparse.Namespace) -> int:
             return 0
         header = (f"{'name':<12} {'events':>8} {'event ids':>17} "
                   f"{'new ents':>8} {'ent rows':>8} {'start range':>23} "
-                  f"{'end range':>23} {'rel KiB':>9} {'col KiB':>9}")
+                  f"{'end range':>23} {'col KiB':>9}")
         print(header)
         print("-" * len(header))
         for entry in stats["segments"]:
-            payload = entry.get("payload_bytes", {})
-            sizes = " ".join(
-                f"{payload.get(kind, 0) / 1024.0:>9.1f}"
-                for kind in ("relational", "columnar"))
+            col_kib = entry["payload_bytes"]["columnar"] / 1024.0
             entity_rows = entry.get("entity_rows")
             print(f"{entry['name']:<12} {entry['event_count']:>8} "
                   f"{entry['first_event_id']:>8}-"
@@ -247,7 +242,7 @@ def cmd_segments(args: argparse.Namespace) -> int:
                   f"{entry['min_start_time']:>11.2f}-"
                   f"{entry['max_start_time']:<11.2f} "
                   f"{entry['min_end_time']:>11.2f}-"
-                  f"{entry['max_end_time']:<11.2f} {sizes}")
+                  f"{entry['max_end_time']:<11.2f} {col_kib:>9.1f}")
             if args.verbose:
                 _print_segment_stats(entry.get("stats"))
     return 0
@@ -363,7 +358,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
                    plan_cache_size=args.plan_cache,
                    result_cache_size=args.result_cache,
                    engine=engine, workers=args.workers,
-                   scan_strategy=args.scan_strategy,
                    backend=args.server_backend,
                    exec_threads=args.exec_threads or None,
                    queue_limit=args.queue_limit,
@@ -509,16 +503,14 @@ def _print_diagnostic(error: object, indent: str = "  ") -> None:
 
 def cmd_query(args: argparse.Namespace) -> int:
     if args.snapshot:
-        raptor = ThreatRaptor.open_snapshot(
-            args.snapshot, workers=args.workers,
-            scan_strategy=args.scan_strategy)
+        raptor = ThreatRaptor.open_snapshot(args.snapshot,
+                                            workers=args.workers)
         print(f"[repro] opened snapshot {args.snapshot} "
               f"({raptor.store.relational.count_events()} events)",
               file=sys.stderr)
     else:
         raptor = _load_raptor(args.log, args.no_reduction,
-                              workers=args.workers,
-                              scan_strategy=args.scan_strategy)
+                              workers=args.workers)
     tbql = args.tbql if args.tbql else _read_text(args.query_file)
     from .errors import TBQLError
     from .obs.trace import start_trace
@@ -687,13 +679,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--workers", type=int, default=1,
                        help="worker processes for parallel segment scans "
                             "over a segmented store (default: 1 = serial)")
-    serve.add_argument("--scan-strategy",
-                       choices=["columnar", "sqlite"], default="columnar",
-                       help="segment scan path: 'columnar' reads the "
-                            "memory-mapped events.col payload (default; "
-                            "falls back to SQLite per segment when the "
-                            "payload is absent), 'sqlite' always runs the "
-                            "compiled pattern SQL")
     serve.add_argument("--server-backend",
                        choices=["asyncio", "threaded"], default="asyncio",
                        help="HTTP front end: asyncio event loop with "
@@ -803,13 +788,6 @@ def build_parser() -> argparse.ArgumentParser:
     query.add_argument("--workers", type=int, default=1,
                        help="worker processes for parallel segment scans "
                             "(default: 1 = serial)")
-    query.add_argument("--scan-strategy",
-                       choices=["columnar", "sqlite"], default="columnar",
-                       help="segment scan path: 'columnar' reads the "
-                            "memory-mapped events.col payload (default; "
-                            "falls back to SQLite per segment when the "
-                            "payload is absent), 'sqlite' always runs the "
-                            "compiled pattern SQL")
     query.add_argument("--no-reduction", action="store_true",
                        help="disable data reduction at ingestion time")
     query.add_argument("--explain", action="store_true",

@@ -54,9 +54,6 @@ class ThreatRaptor:
     #: Worker processes for scatter-gather scans over a segmented
     #: store's sealed segments (1 = serial; see ``repro query --workers``).
     workers: int = 1
-    #: Segment scan strategy — "columnar" (memory-mapped events.col,
-    #: the default) or "sqlite" (see ``repro query --scan-strategy``).
-    scan_strategy: str = "columnar"
 
     @classmethod
     def open_snapshot(cls, path: str | Path, **kwargs) -> "ThreatRaptor":
@@ -136,14 +133,12 @@ class ThreatRaptor:
             self.__dict__.get("_cached_executor")
         if executor is None or executor.store is not self.store or \
                 executor.use_scheduler != self.use_scheduler or \
-                executor.workers != self.workers or \
-                executor.scan_strategy != self.scan_strategy:
+                executor.workers != self.workers:
             if executor is not None:
                 executor.close()
             executor = TBQLExecutor(self.store,
                                     use_scheduler=self.use_scheduler,
-                                    workers=self.workers,
-                                    scan_strategy=self.scan_strategy)
+                                    workers=self.workers)
             self.__dict__["_cached_executor"] = executor
         return executor
 

@@ -318,8 +318,8 @@ def ingest_stage_histogram() -> MetricFamily:
     return get_registry().histogram(
         "repro_ingest_stage_seconds",
         "Per-stage ingest durations (parse; reduce, build, relational, "
-        "graph; seal_export, seal_columnar, seal_stats when a segment "
-        "seals), in seconds.", labels=("stage",))
+        "graph; seal_columnar, seal_stats when a segment seals), in "
+        "seconds.", labels=("stage",))
 
 
 def set_registry(registry: MetricsRegistry) -> MetricsRegistry:

@@ -142,9 +142,6 @@ class QueryService:
         workers: worker processes for scatter-gather pattern scans over
             a segmented store's sealed segments (``repro serve
             --workers``); 1 scans serially.
-        scan_strategy: how scatter workers read sealed segments —
-            ``"columnar"`` (default) or ``"sqlite"`` (``repro serve
-            --scan-strategy``).
         slow_query_ms: when set, any query slower than this threshold
             logs a structured JSON record to stderr with the embedded
             span-tree profile (``repro serve --slow-query-ms``).
@@ -155,7 +152,6 @@ class QueryService:
                  result_cache_size: int = DEFAULT_RESULT_CACHE_SIZE,
                  engine: "Optional[DetectionEngine]" = None,
                  workers: int = 1,
-                 scan_strategy: str = "columnar",
                  slow_query_ms: float | None = None) -> None:
         self.store = store
         self.slow_query_ms = slow_query_ms
@@ -163,8 +159,7 @@ class QueryService:
         #: by /healthz ("embedded" when no server owns the service).
         self.server_backend: Optional[str] = None
         self.executor = TBQLExecutor(store, use_scheduler=use_scheduler,
-                                     workers=workers,
-                                     scan_strategy=scan_strategy)
+                                     workers=workers)
         self.plan_cache = LRUCache(plan_cache_size)
         self.result_cache = LRUCache(result_cache_size)
         self.engine = engine
@@ -371,7 +366,6 @@ class QueryService:
         }
         if segment_stats is not None:
             segment_stats["workers"] = self.executor.workers
-            segment_stats["scan_strategy"] = self.executor.scan_strategy
             segment_stats["pool_fallback"] = self.executor.pool_fallback
             segment_stats["pruning"] = self.executor.pruning_totals
             payload["segments"] = segment_stats
@@ -775,7 +769,7 @@ def serve(store: DualStore, host: str = "127.0.0.1", port: int = 8787,
           plan_cache_size: int = DEFAULT_PLAN_CACHE_SIZE,
           result_cache_size: int = DEFAULT_RESULT_CACHE_SIZE,
           engine: "Optional[DetectionEngine]" = None,
-          workers: int = 1, scan_strategy: str = "columnar",
+          workers: int = 1,
           backend: str = "asyncio", exec_threads: int | None = None,
           queue_limit: int | None = None,
           max_body_bytes: int = DEFAULT_MAX_BODY_BYTES,
@@ -798,7 +792,6 @@ def serve(store: DualStore, host: str = "127.0.0.1", port: int = 8787,
                            plan_cache_size=plan_cache_size,
                            result_cache_size=result_cache_size,
                            engine=engine, workers=workers,
-                           scan_strategy=scan_strategy,
                            slow_query_ms=slow_query_ms)
     if backend == "threaded":
         return ThreatHuntingServer((host, port), service, verbose=verbose,

@@ -1,14 +1,13 @@
 """Struct-packed columnar segment payloads (``events.col``).
 
-Segment format v3 stores, alongside each sealed segment's
-``relational.sqlite``, a column-major copy of the segment's event rows:
-one contiguous machine-typed array per column (int64 ids and numeric
-fields, float64 timestamps, uint32 interned-string codes), the entity
-rows those events join against, and a shared interned string table.
-The file is read back via :mod:`mmap`, so scatter-gather workers share
-the OS page cache instead of each materializing Python row tuples from
-SQLite, and every column is exposed zero-copy through
-:class:`memoryview` casts (or :mod:`numpy` views when numpy is
+A sealed segment's data is one file, a column-major copy of the
+segment's event rows: one contiguous machine-typed array per column
+(int64 ids and numeric fields, float64 timestamps, uint32
+interned-string codes), the entity rows those events join against, and
+a shared interned string table.  The file is read back via :mod:`mmap`,
+so scatter-gather workers share the OS page cache instead of each
+materializing Python row tuples, and every column is exposed zero-copy
+through :class:`memoryview` casts (or :mod:`numpy` views when numpy is
 importable).
 
 Layout::
@@ -23,17 +22,16 @@ depend on the header's own size.
 
 The entity block holds exactly the entity rows the segment's events
 reference, so a payload's size follows the segment, not the store's
-history.  :func:`write_columnar_from_sqlite` writes a segment's payload
-from its exported SQLite file; a seal hands it the event rows it
-already holds as :class:`EventColumns` — the column-major output of the
-fused ingestion pass — so only the entity rows are read back.
+history.  :func:`write_columnar` is the only writer: a seal hands it the
+event rows it already holds as :class:`EventColumns` — the column-major
+output of the fused ingestion pass — and every other caller the same
+rows read back from the combined store (:meth:`EventColumns.from_rows`).
 """
 
 from __future__ import annotations
 
 import json
 import mmap
-import sqlite3
 import struct
 import sys
 import threading
@@ -43,7 +41,7 @@ from pathlib import Path
 from typing import Any, Callable, Iterable, Optional, Sequence
 
 from ..errors import StorageError
-from .relational.schema import ENTITY_COLUMNS, EVENT_COLUMNS
+from .relational.schema import ENTITY_COLUMNS
 
 #: File magic of an ``events.col`` payload.
 COLUMNAR_MAGIC = b"RPRCOL01"
@@ -146,6 +144,15 @@ class EventColumns:
         self.data_amounts.append(data_amount)
         self.failure_codes.append(failure_code)
         self.hosts.append(host)
+
+    @classmethod
+    def from_rows(cls, rows: Sequence[tuple]) -> "EventColumns":
+        """Columns of ``EVENT_COLUMNS``-ordered rows (what
+        :meth:`row_tuples` gives back)."""
+        columns = cls()
+        for name, values in zip(cls.__slots__, zip(*rows)):
+            getattr(columns, name).extend(values)
+        return columns
 
     def extend(self, other: "EventColumns") -> None:
         """Column-wise concatenation (C-speed ``list.extend`` per column)."""
@@ -300,41 +307,6 @@ def write_columnar(path: str | Path, events: EventColumns,
             handle.write(payload)
             handle.write(b"\0" * (_align8(len(payload)) - len(payload)))
     return target.stat().st_size
-
-
-def write_columnar_from_sqlite(sqlite_path: str | Path,
-                               col_path: str | Path,
-                               events: Optional[EventColumns] = None) -> int:
-    """Build an ``events.col`` payload from a segment's SQLite file.
-
-    The file holds the segment's event rows and exactly the entity rows
-    they reference.  ``events`` are those event rows when the caller
-    already holds them column-wise (a seal of buffered appends), which
-    saves reading them back; compaction merges and rowwise loads leave
-    it out.  Either way the payload is the same, byte for byte.
-    """
-    uri = Path(sqlite_path).resolve().as_uri() + "?mode=ro"
-    try:
-        connection = sqlite3.connect(uri, uri=True)
-    except sqlite3.Error as exc:
-        raise StorageError(f"cannot open segment {sqlite_path} "
-                           f"read-only: {exc}") from exc
-    try:
-        if events is None:
-            events = EventColumns()
-            for row in connection.execute(
-                    "SELECT " + ", ".join(EVENT_COLUMNS) +
-                    " FROM events ORDER BY id"):
-                events.append(*row)
-        entity_rows = connection.execute(
-            "SELECT " + ", ".join(ENTITY_COLUMNS) +
-            " FROM entities ORDER BY id").fetchall()
-    except sqlite3.Error as exc:
-        raise StorageError(f"cannot read segment rows from "
-                           f"{sqlite_path}: {exc}") from exc
-    finally:
-        connection.close()
-    return write_columnar(col_path, events, entity_rows)
 
 
 class ColumnarSegment:
@@ -569,4 +541,4 @@ class ColumnarSegment:
 __all__ = ["COLUMNAR_FORMAT_VERSION", "COLUMNAR_MAGIC", "NULL_INT",
            "ENTITY_STRING_COLUMNS", "ENTITY_INT_COLUMNS",
            "EVENT_STRING_COLUMNS", "EventColumns", "ColumnarSegment",
-           "ascii_lower", "write_columnar", "write_columnar_from_sqlite"]
+           "ascii_lower", "write_columnar"]

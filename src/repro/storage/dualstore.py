@@ -33,13 +33,12 @@ from ..audit.reduction import DEFAULT_MERGE_THRESHOLD, ReductionStats, \
 from ..errors import StorageError
 from ..gcpause import gc_paused
 from ..obs.metrics import get_registry, ingest_stage_histogram
-from .columnar import EventColumns, write_columnar_from_sqlite
+from .columnar import EventColumns, write_columnar
 from .graph import GraphStore
 from .graph.graphdb import PropertyGraph
 from .relational import RelationalStore
 from .relational.database import entity_row
-from .segments import (SEGMENT_COLUMNAR, SEGMENT_MANIFEST,
-                       SEGMENT_RELATIONAL, SegmentInfo, SegmentView,
+from .segments import (SEGMENT_FILES, SegmentInfo, SegmentView,
                        collect_segment_stats, merge_infos, plan_compaction)
 
 #: Valid ``strategy`` arguments for :meth:`DualStore.load_events`.
@@ -54,7 +53,7 @@ STORE_LAYOUTS = ("monolithic", "segmented")
 
 #: Steps of a segment seal, as ``IngestStats.seconds`` keys and ``stage``
 #: labels of ``repro_ingest_stage_seconds``.
-SEAL_STAGES = ("seal_export", "seal_columnar", "seal_stats")
+SEAL_STAGES = ("seal_columnar", "seal_stats")
 
 #: Default compaction threshold: sealed segments smaller than this are
 #: merged with their neighbours by :meth:`DualStore.compact`.
@@ -67,18 +66,19 @@ DEFAULT_COMPACT_MIN_EVENTS = 5000
 #: v2 — adds ``layout`` and the multi-segment manifest (``segments``
 #: entries + a ``segments/<name>/`` directory per sealed segment);
 #: v3 — each sealed segment additionally carries a struct-packed
-#: columnar payload (``events.col``, :mod:`repro.storage.columnar`)
-#: that scatter-gather workers memory-map under
-#: ``scan_strategy="columnar"``.
-#: v1 snapshots remain readable (they open as monolithic stores), and
-#: v2 snapshots open with their columnar payloads simply absent — such
-#: segments scan through SQLite regardless of the requested strategy.
-SNAPSHOT_FORMAT_VERSION = 3
+#: columnar payload (``events.col``, :mod:`repro.storage.columnar`);
+#: v4 — that payload and ``segment.json`` are all a segment directory
+#: holds (no per-segment ``relational.sqlite``).
+#: Older snapshots remain readable: v1 opens as a monolithic store, a
+#: segment without a payload (v2) has one built from the combined store
+#: when the snapshot opens, and files a segment no longer owns are
+#: ignored.
+SNAPSHOT_FORMAT_VERSION = 4
 #: File names inside a snapshot directory.
 SNAPSHOT_MANIFEST = "manifest.json"
 SNAPSHOT_RELATIONAL = "relational.sqlite"
 SNAPSHOT_GRAPH = "graph.bin"
-#: Subdirectory of a v2 snapshot holding one directory per segment.
+#: Subdirectory of a snapshot holding one directory per segment.
 SNAPSHOT_SEGMENTS_DIR = "segments"
 
 
@@ -108,8 +108,8 @@ class IngestStats(int):
     #: ``executemany`` batches issued by the relational backend.
     relational_batches: int
     #: Seconds per stage: ``reduce``, ``build``, ``relational``, ``graph``;
-    #: :meth:`DualStore.flush_appends` adds ``seal_export``,
-    #: ``seal_columnar`` and ``seal_stats`` when it seals a segment.
+    #: :meth:`DualStore.flush_appends` adds ``seal_columnar`` and
+    #: ``seal_stats`` when it seals a segment.
     seconds: dict[str, float]
     #: Load strategy used ("batched" or "rowwise").
     strategy: str
@@ -439,20 +439,28 @@ class DualStore:
         self._segmented = segmented
         self._segments: list[SegmentInfo] = []
         #: Monotonic per-store counter so segment names (and therefore
-        #: file paths) are never reused, even across reloads — read-only
-        #: scanner connections may still be cached on an old path.
+        #: file paths) are never reused, even across reloads — scanners
+        #: may still hold a mapping of an old path.
         self._segment_seq = 1
         self._owns_segment_home = False
         self._segment_home: Path | None = None
         if segmented:
             if segment_dir is None:
-                self._segment_home = Path(
-                    tempfile.mkdtemp(prefix="repro-segments-"))
-                self._owns_segment_home = True
+                self._own_segment_home()
             else:
                 self._segment_home = Path(segment_dir)
                 self._segment_home.mkdir(parents=True, exist_ok=True)
         self._reset_active_tracking(first_event_id=1, first_entity_id=1)
+
+    def _own_segment_home(self) -> Path:
+        """The private temporary segment home (removed on :meth:`close`),
+        created on first use."""
+        if not self._owns_segment_home:
+            self._segment_home = Path(
+                tempfile.mkdtemp(prefix="repro-segments-"))
+            self._owns_segment_home = True
+        assert self._segment_home is not None
+        return self._segment_home
 
     def _reset_active_tracking(self, first_event_id: int,
                                first_entity_id: int) -> None:
@@ -467,7 +475,7 @@ class DualStore:
         #: — the seal-time fast path packs these lists straight into the
         #: ``events.col`` payload.  ``None`` when the rows didn't flow
         #: through the columnar builder (rowwise loads); sealing then
-        #: falls back to re-reading the exported SQLite file.
+        #: reads them back from the relational store.
         self._active_columns: EventColumns | None = (
             EventColumns() if self._segmented else None)
 
@@ -696,29 +704,36 @@ class DualStore:
                                     first_entity_id=last_entity + 1)
         return info
 
+    def _write_payload(self, info: SegmentInfo,
+                       event_columns: EventColumns | None = None) -> None:
+        """Write ``events.col``: the segment's event rows and the entity
+        rows they reference.
+
+        ``event_columns`` are the event rows when the active segment
+        buffered them column-wise; compaction merges, rowwise loads and
+        snapshots whose segments lack a payload read them back from the
+        relational store.  The payload is the same, byte for byte.
+        """
+        event_rows, entity_rows = self.relational.segment_rows(
+            info.first_event_id, info.last_event_id,
+            with_events=event_columns is None)
+        if event_columns is None:
+            event_columns = EventColumns.from_rows(event_rows)
+        write_columnar(info.columnar_path, event_columns, entity_rows)
+
     @gc_paused()
     def _write_segment_files(self, info: SegmentInfo,
                              event_columns: EventColumns | None = None,
                              seconds: dict[str, float] | None = None
                              ) -> SegmentInfo:
-        """Write ``relational.sqlite``, ``events.col`` and the manifest.
+        """Write ``events.col`` and the manifest.
 
-        Work is proportional to the segment: the export copies its event
-        rows and the entity rows they reference, and the payload packs
-        those same rows.  ``event_columns`` are the event rows when the
-        active segment buffered them column-wise; compaction merges and
-        rowwise loads read them back from the export.  ``seconds``
-        receives the time of each step, which the stage histogram
-        records either way.
+        Work is proportional to the segment.  ``seconds`` receives the
+        time of each step, which the stage histogram records either way.
         """
         clock = time.perf_counter
         marks = [clock()]
-        self.relational.export_segment(Path(info.sqlite_path),
-                                       info.first_event_id,
-                                       info.last_event_id)
-        marks.append(clock())
-        write_columnar_from_sqlite(info.sqlite_path, info.columnar_path,
-                                   event_columns)
+        self._write_payload(info, event_columns)
         marks.append(clock())
         # Stats ride along in the manifest; a None result (unreadable
         # payload) just leaves the segment permanently unpruned.
@@ -739,7 +754,7 @@ class DualStore:
 
         Streaming seals produce many small segments; each one costs a
         scatter task (and a file handle) per pattern scan.  Compaction
-        re-exports every run of adjacent segments smaller than
+        rewrites every run of adjacent segments smaller than
         ``min_events`` as one merged segment — the event-id space stays
         contiguous, stored data is untouched, and the replaced segment
         files are deleted when this store owns them.  Returns a report:
@@ -792,8 +807,7 @@ class DualStore:
         Each segment entry carries ``entity_rows`` — the entities its
         events reference, as held in the payload's entity block
         (``None`` without a payload) — and a ``payload_bytes`` breakdown
-        of its on-disk files (``relational`` / ``columnar``; 0 for a
-        missing optional columnar payload).
+        of its on-disk files by kind (:data:`SEGMENT_FILES`).
         """
         stats: dict = {"layout": self.layout,
                        "sealed_segments": len(self._segments),
@@ -806,9 +820,7 @@ class DualStore:
             entry = info.as_manifest_entry()
             entry["entity_rows"] = info.entity_row_count
             entry["payload_bytes"] = {
-                "relational": _file_size(info.sqlite_path),
-                "columnar": _file_size(info.columnar_path),
-            }
+                kind: _file_size(path) for kind, path in info.files.items()}
             entries.append(entry)
         stats["segments"] = entries
         return stats
@@ -957,7 +969,7 @@ class DualStore:
             ((event.start_time, event.end_time) for event in event_list),
             len(event_list))
         # Rowwise rows never flow through the columnar builder; sealing
-        # this data must fall back to the SQLite-derived payload writer.
+        # this data reads them back from the relational store.
         self._active_columns = None
         self._events = event_list if self.retain_events else []
         entities = self.relational.count_entities()
@@ -1022,9 +1034,9 @@ class DualStore:
         (:meth:`flush_appends`), so events buffered in open merge runs are
         part of the snapshot; on a segmented store that seal also closes
         the active write segment, and every sealed segment is copied into
-        ``segments/<name>/`` with its entry recorded in the manifest (the
-        v2 multi-segment format).  Monolithic stores write the same
-        manifest without a ``segments`` list.
+        ``segments/<name>/`` with its entry recorded in the manifest.
+        Monolithic stores write the same manifest without a ``segments``
+        list.
         """
         if not self.read_only:
             self.flush_appends()
@@ -1061,25 +1073,16 @@ class DualStore:
             # directories the new manifest no longer references.
             if stale.is_dir() and stale.name not in keep:
                 shutil.rmtree(stale, ignore_errors=True)
-        entries = []
         for info in self._segments:
             target = segments_dir / info.name
             target.mkdir(parents=True, exist_ok=True)
-            files = [(info.sqlite_path, SEGMENT_RELATIONAL)]
-            if info.has_columnar():
-                # Optional: segments restored from v2 snapshots have no
-                # columnar payload; re-saving them keeps them that way.
-                files.append((info.columnar_path, SEGMENT_COLUMNAR))
-            for source, filename in files:
-                destination = target / filename
-                if Path(source).resolve() != destination.resolve():
-                    shutil.copyfile(source, destination)
-            entry = info.as_manifest_entry()
-            (target / SEGMENT_MANIFEST).write_text(
-                json.dumps(entry, indent=2, sort_keys=True) + "\n",
-                encoding="utf-8")
-            entries.append(entry)
-        return entries
+            self._place_segment(info, target)
+            for stray in target.iterdir():
+                # Nor files a segment no longer owns (an earlier build's
+                # relational.sqlite / graph.bin, on an in-place resave).
+                if stray.name not in SEGMENT_FILES.values():
+                    stray.unlink()
+        return [info.as_manifest_entry() for info in self._segments]
 
     @classmethod
     @gc_paused()
@@ -1172,14 +1175,16 @@ class DualStore:
 
     def _restore_segments(self, directory: Path, manifest: dict,
                           read_only: bool) -> None:
-        """Attach a v2 snapshot's segments to this freshly opened store.
+        """Attach a snapshot's segments to this freshly opened store.
 
         v1 manifests (no ``segments``, no ``layout``) leave the store
         monolithic — the backward-compatible path.  Read-only opens
         reference the snapshot's segment files in place; writable reopens
         copy them into a private temporary home first, so a later
         checkpoint swap (which replaces the snapshot directory) can never
-        delete files a live store still scans.
+        delete files a live store still scans.  A segment that arrives
+        without a payload (format v2) gets one built in that private
+        home in either mode; the snapshot directory is never written.
         """
         entries = manifest.get("segments") or []
         segmented = bool(entries) or \
@@ -1189,13 +1194,8 @@ class DualStore:
         if not segmented:
             return
         self._segmented = True
-        snapshot_segments = directory / SNAPSHOT_SEGMENTS_DIR
-        if read_only:
-            self._segment_home = snapshot_segments
-        else:
-            self._segment_home = Path(
-                tempfile.mkdtemp(prefix="repro-segments-"))
-            self._owns_segment_home = True
+        if not read_only:
+            self._own_segment_home()
         infos: list[SegmentInfo] = []
         for entry in entries:
             name = entry.get("name")
@@ -1203,14 +1203,12 @@ class DualStore:
                 raise StorageError(
                     f"snapshot {directory} has a segment entry without a "
                     f"name")
-            source = snapshot_segments / name
-            info = SegmentInfo.from_manifest_entry(entry, source)
-            info.verify_files()
-            if not read_only:
-                assert self._segment_home is not None
-                target = self._segment_home / name
-                shutil.copytree(source, target)
-                info = SegmentInfo.from_manifest_entry(entry, target)
+            info = SegmentInfo.from_manifest_entry(
+                entry, directory / SNAPSHOT_SEGMENTS_DIR / name)
+            if not read_only or not Path(info.columnar_path).is_file():
+                target = self._own_segment_home() / name
+                target.mkdir()
+                info = self._place_segment(info, target)
             infos.append(info)
             try:
                 sequence = int(name.rsplit("-", 1)[-1])
@@ -1230,6 +1228,20 @@ class DualStore:
              if info.new_entity_count] or [1])
         self._reset_active_tracking(first_event_id=next_event_id,
                                     first_entity_id=next_entity_id)
+
+    def _place_segment(self, info: SegmentInfo,
+                       directory: Path) -> SegmentInfo:
+        """Put ``info``'s files into ``directory``: the payload copied,
+        or built from the combined store when there is none to copy,
+        and the manifest written."""
+        placed = dataclasses.replace(info, directory=str(directory))
+        source = Path(info.columnar_path)
+        if not source.is_file():
+            self._write_payload(placed)
+        elif source.resolve() != Path(placed.columnar_path).resolve():
+            shutil.copyfile(source, placed.columnar_path)
+        placed.write_manifest()
+        return placed
 
     def statistics(self) -> dict:
         """Return entity/event counts per backend plus reduction stats."""

@@ -21,7 +21,7 @@ from ...audit.entities import (EntityType, FileEntity, NetworkEntity,
                                ProcessEntity, SystemEntity, SystemEvent)
 from ...errors import StorageError
 from .schema import (ENTITY_COLUMNS, EVENT_COLUMNS, INDEX_DDL, INDEX_NAMES,
-                     all_ddl, all_ddl_for)
+                     all_ddl)
 from .sqlgen import in_list
 
 
@@ -183,72 +183,28 @@ class RelationalStore:
         finally:
             target.close()
 
-    def export_segment(self, path: str | Path, first_event_id: int,
-                       last_event_id: int) -> int:
-        """Materialize an event-id slice into a standalone database file.
+    def segment_rows(self, first_event_id: int, last_event_id: int,
+                     with_events: bool = True
+                     ) -> tuple[list[tuple], list[tuple]]:
+        """The rows a segment payload holds: ``(event rows, entity rows)``.
 
-        Writes the full schema plus the event rows with ids in
-        ``[first_event_id, last_event_id]`` and exactly the entity rows
-        those events reference (a segment's joins never leave the file)
-        into a fresh SQLite database at ``path``, via ``ATTACH`` on the
-        primary connection — one SQL-level copy, no Python row shuttling.
-        The source tables are untouched; returns the exported event count.
+        Event rows (:data:`EVENT_COLUMNS` order, ascending id) are those
+        with ids in ``[first_event_id, last_event_id]`` — left empty with
+        ``with_events=False``, for a caller that already holds them —
+        and entity rows (:data:`ENTITY_COLUMNS` order, ascending id) are
+        exactly the ones those events reference, by primary key.
         """
-        target = Path(path)
-        if target.exists():
-            target.unlink()
         bounds = (first_event_id, last_event_id)
-        with self._lock:
-            self._connection.commit()
-            cursor = self._connection.cursor()
-            try:
-                cursor.execute("ATTACH DATABASE ? AS segment",
-                               (str(target),))
-            except sqlite3.Error as exc:
-                raise StorageError(
-                    f"cannot create segment database {target}: "
-                    f"{exc}") from exc
-            try:
-                # A bulk build of a file nothing references: unlinked
-                # above, registered in a manifest only after the seal
-                # returns, read-only from then on.  A crash leaves an
-                # unregistered file, so no journal or fsync is needed.
-                cursor.execute("PRAGMA segment.journal_mode=OFF")
-                cursor.execute("PRAGMA segment.synchronous=OFF")
-                ddl = all_ddl_for("segment")
-                for statement in ddl[:-len(INDEX_DDL)]:
-                    cursor.execute(statement)
-                cursor.execute(
-                    "INSERT INTO segment.events "
-                    "SELECT * FROM events WHERE id BETWEEN ? AND ?",
-                    bounds)
-                cursor.execute(
-                    "INSERT INTO segment.entities "
-                    "SELECT * FROM entities WHERE id IN ("
-                    "SELECT subject_id FROM events WHERE id BETWEEN ? AND ? "
-                    "UNION "
-                    "SELECT object_id FROM events WHERE id BETWEEN ? AND ?)",
-                    bounds + bounds)
-                # Indexes last: one sorted build each instead of a b-tree
-                # insert per row.
-                for statement in ddl[-len(INDEX_DDL):]:
-                    cursor.execute(statement)
-                exported = cursor.execute(
-                    "SELECT COUNT(*) FROM segment.events").fetchone()[0]
-                self._connection.commit()
-            except sqlite3.Error as exc:
-                raise StorageError(
-                    f"segment export to {target} failed: {exc}") from exc
-            finally:
-                # A failed statement above leaves an open transaction in
-                # which DETACH would itself fail ("database segment is
-                # locked") — masking the real error and leaving the
-                # schema attached, which would break every later export
-                # on this connection.  Rolling back first is a no-op on
-                # the committed success path.
-                self._connection.rollback()
-                cursor.execute("DETACH DATABASE segment")
-        return int(exported)
+        events = self._fetch(
+            f"SELECT {', '.join(EVENT_COLUMNS)} FROM events "
+            "WHERE id BETWEEN ? AND ? ORDER BY id", bounds) \
+            if with_events else []
+        entities = self._fetch(
+            f"SELECT {', '.join(ENTITY_COLUMNS)} FROM entities WHERE id IN ("
+            "SELECT subject_id FROM events WHERE id BETWEEN ? AND ? UNION "
+            "SELECT object_id FROM events WHERE id BETWEEN ? AND ?) "
+            "ORDER BY id", bounds + bounds)
+        return list(map(tuple, events)), list(map(tuple, entities))
 
     def close(self) -> None:
         """Close the primary and every per-thread reader connection."""
@@ -590,17 +546,18 @@ class RelationalStore:
         Raises:
             StorageError: when the SQL statement is invalid.
         """
+        return [dict(row) for row in self._fetch(sql, params)]
+
+    def _fetch(self, sql: str, params: Sequence[Any]) -> list[sqlite3.Row]:
         connection = self._reader_connection()
         try:
             if connection is None:
                 with self._lock:
-                    rows = self._connection.execute(
+                    return self._connection.execute(
                         sql, tuple(params)).fetchall()
-            else:
-                rows = connection.execute(sql, tuple(params)).fetchall()
+            return connection.execute(sql, tuple(params)).fetchall()
         except sqlite3.Error as exc:
             raise StorageError(f"SQL execution failed: {exc}\n{sql}") from exc
-        return [dict(row) for row in rows]
 
     def explain(self, sql: str, params: Sequence[Any] = ()) -> list[str]:
         """Return the engine's query plan lines (useful for diagnostics)."""

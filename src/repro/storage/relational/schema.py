@@ -116,22 +116,6 @@ def all_ddl() -> list[str]:
     return [ENTITY_TABLE_DDL, EVENT_TABLE_DDL, *INDEX_DDL]
 
 
-def all_ddl_for(schema: str | None = None) -> list[str]:
-    """DDL statements targeting an ATTACHed database schema.
-
-    SQLite qualifies the *created object's* name with the schema (the
-    ``ON events`` table reference of an index resolves inside that same
-    schema), so prefixing the name after ``IF NOT EXISTS`` retargets
-    every statement.  With ``schema=None`` this is :func:`all_ddl`.
-    Used by the segment export path, which materializes a time-bounded
-    slice of the store into a separate database file.
-    """
-    if not schema:
-        return all_ddl()
-    return [ddl.replace("IF NOT EXISTS ", f"IF NOT EXISTS {schema}.", 1)
-            for ddl in all_ddl()]
-
-
 __all__ = [
     "ENTITY_TABLE_DDL",
     "EVENT_TABLE_DDL",
@@ -142,5 +126,4 @@ __all__ = [
     "ENTITY_ATTRIBUTE_COLUMNS",
     "EVENT_ATTRIBUTE_COLUMNS",
     "all_ddl",
-    "all_ddl_for",
 ]

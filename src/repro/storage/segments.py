@@ -1,15 +1,12 @@
 """Time-partitioned segment bookkeeping for the dual store.
 
-A *segment* is a sealed, immutable slice of the stored event history:
+A *segment* is a sealed, immutable slice of the stored event history —
+two files (:data:`SEGMENT_FILES`):
 
-* ``relational.sqlite`` — the segment's event rows plus exactly the
-  entity rows those events reference, a standalone queryable database
-  (worker processes of the scatter-gather executor open it read-only);
-* ``events.col`` — the struct-packed columnar payload of the same
-  event and entity rows (:mod:`repro.storage.columnar`), memory-mapped
-  by workers under ``scan_strategy="columnar"``; optional for backwards
-  compatibility with format-v2 snapshots, whose segments never wrote
-  one (such segments scan through SQLite regardless of strategy);
+* ``events.col`` — the struct-packed columnar payload
+  (:mod:`repro.storage.columnar`): the segment's event rows plus exactly
+  the entity rows those events reference, memory-mapped by the
+  scatter-gather executor and its worker processes;
 * ``segment.json`` — the per-segment manifest: event-id range, newly
   interned entity-id range, and the ``[min, max]`` start/end time bounds
   the query planner prunes against.
@@ -41,8 +38,10 @@ from .columnar import ColumnarSegment
 
 #: File names inside a segment directory.
 SEGMENT_MANIFEST = "segment.json"
-SEGMENT_RELATIONAL = "relational.sqlite"
 SEGMENT_COLUMNAR = "events.col"
+#: Every file a sealed segment owns, by kind; anything else found in a
+#: segment directory is a leftover of an earlier build.
+SEGMENT_FILES = {"columnar": SEGMENT_COLUMNAR, "manifest": SEGMENT_MANIFEST}
 
 #: Manifest fields serialized for each segment (order is cosmetic).
 #: ``stats`` is deliberately NOT part of this tuple: it is an optional,
@@ -201,10 +200,6 @@ class SegmentInfo:
     #: segments are always scanned, never pruned by stats).
     stats: Optional[SegmentStats] = None
 
-    @property
-    def sqlite_path(self) -> str:
-        return str(Path(self.directory) / SEGMENT_RELATIONAL)
-
     @cached_property
     def columnar_path(self) -> str:
         return str(Path(self.directory) / SEGMENT_COLUMNAR)
@@ -213,17 +208,18 @@ class SegmentInfo:
     def manifest_path(self) -> str:
         return str(Path(self.directory) / SEGMENT_MANIFEST)
 
-    @cached_property
-    def _columnar_present(self) -> bool:
-        return Path(self.columnar_path).is_file()
+    @property
+    def files(self) -> dict[str, str]:
+        """Path of every file this segment owns, by kind."""
+        return {kind: str(Path(self.directory) / filename)
+                for kind, filename in SEGMENT_FILES.items()}
 
     @cached_property
     def entity_row_count(self) -> Optional[int]:
         """Rows in the payload's entity block — the entities this
         segment's events reference; ``None`` without a readable
-        ``events.col``.  Resolved once, like :meth:`has_columnar`."""
-        if not self.has_columnar():
-            return None
+        ``events.col``.  Sealed segment files never change, so the
+        answer is resolved once per manifest object."""
         try:
             segment = ColumnarSegment(self.columnar_path)
         except StorageError:
@@ -232,15 +228,6 @@ class SegmentInfo:
             return segment.entity_count
         finally:
             segment.close()
-
-    def has_columnar(self) -> bool:
-        """Whether the optional ``events.col`` payload exists on disk.
-
-        Sealed segment files never change, so the answer is resolved
-        once per manifest object (the first scan after a seal or an
-        open) instead of one ``stat`` per segment, pattern and query.
-        """
-        return self._columnar_present
 
     def overlaps_window(self, window: Optional[tuple[Optional[float],
                                                      Optional[float]]]
@@ -285,18 +272,6 @@ class SegmentInfo:
         Path(self.manifest_path).write_text(
             json.dumps(self.as_manifest_entry(), indent=2, sort_keys=True)
             + "\n", encoding="utf-8")
-
-    def verify_files(self) -> None:
-        """Raise :class:`StorageError` when ``relational.sqlite`` is
-        missing.
-
-        ``events.col`` is deliberately not checked: it is absent from
-        segments restored out of format-v2 snapshots, which must keep
-        opening (they fall back to SQLite scans per segment).
-        """
-        if not Path(self.sqlite_path).is_file():
-            raise StorageError(
-                f"segment {self.name} is missing {self.sqlite_path}")
 
 
 @dataclass(frozen=True)
@@ -395,7 +370,7 @@ def plan_compaction(segments: list[SegmentInfo],
 
 __all__ = ["SegmentInfo", "SegmentStats", "SegmentView",
            "collect_segment_stats", "prune_segments", "merge_infos",
-           "plan_compaction", "SEGMENT_MANIFEST", "SEGMENT_RELATIONAL",
-           "SEGMENT_COLUMNAR", "SEGMENT_STATS_VERSION",
+           "plan_compaction", "SEGMENT_MANIFEST", "SEGMENT_COLUMNAR",
+           "SEGMENT_FILES", "SEGMENT_STATS_VERSION",
            "STATS_NUMERIC_COLUMNS", "STATS_DISTINCT_COLUMNS",
            "STATS_DISTINCT_CAP"]

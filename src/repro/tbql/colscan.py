@@ -1,9 +1,9 @@
 """Columnar pattern scans: predicate evaluation over ``events.col``.
 
-The scatter-gather workers' alternative to per-segment SQLite queries
-(:mod:`repro.tbql.scatter`): pattern constraints are compiled once into
-a picklable :class:`PatternSpec`, shipped to the workers, and evaluated
-directly against a segment's memory-mapped column arrays
+How the scatter-gather workers (:mod:`repro.tbql.scatter`) scan a
+sealed segment: pattern constraints are compiled once into a picklable
+:class:`PatternSpec`, shipped to the workers, and evaluated directly
+against a segment's memory-mapped column arrays
 (:class:`repro.storage.columnar.ColumnarSegment`).  Matches come back
 as one packed tuple of machine-typed byte strings per task — a handful
 of ``array`` buffers instead of thousands of pickled row tuples — and
@@ -11,13 +11,13 @@ are re-inflated into row dicts by :func:`unpack_rows` on the gather
 side.
 
 Equivalence contract: the evaluator reproduces the exact semantics of
-the SQL the sqlite strategy runs (``compile_pattern_sql``) under
-SQLite's comparison rules — three-valued logic with only-TRUE-kept
-WHERE semantics, storage-class ordering (numbers sort before text),
-numeric/text affinity conversions, and the ``LIKE`` mapping of TBQL
-``%`` wildcards (ASCII case-insensitive, ``_`` escaped).  The
-equivalence corpus pins this byte-for-byte against both the monolithic
-and per-segment SQLite paths.
+the SQL a monolithic store and the active tail run
+(``compile_pattern_sql``) under SQLite's comparison rules —
+three-valued logic with only-TRUE-kept WHERE semantics, storage-class
+ordering (numbers sort before text), numeric/text affinity conversions,
+and the ``LIKE`` mapping of TBQL ``%`` wildcards (ASCII
+case-insensitive, ``_`` escaped).  The equivalence corpus pins this
+byte-for-byte against the monolithic store.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ from .semantics import ResolvedPattern, ResolvedQuery, effective_window
 
 try:  # pragma: no cover - exercised via REPRO_COLUMNAR_NUMPY toggle
     import numpy as _numpy
-except ImportError:  # pragma: no cover - numpy-less environments (CI)
+except ImportError:  # pragma: no cover - numpy-less environments
     _numpy = None  # type: ignore[assignment]
 
 from array import array
@@ -810,8 +810,8 @@ def _segment_for(path: str) -> ColumnarSegment:
     """Shared mmap readers per payload path (process-wide, bounded,
     least recently used evicted first).
 
-    Unlike the SQLite connection cache this is not thread-local —
-    :class:`ColumnarSegment` is safe to share.  Evicted entries (and
+    Not thread-local — :class:`ColumnarSegment` is safe to share.
+    Evicted entries (and
     the filter masks memoised on them) are released by GC once
     in-flight scans drop them; closing them eagerly could yank the
     mapping from under a concurrent reader.

@@ -72,15 +72,6 @@ from .semantics import (ResolvedPattern, ResolvedQuery, effective_window,
 #: builds.
 MAX_CANDIDATE_PUSHDOWN = 450
 
-#: Valid ``scan_strategy`` arguments: how scatter-gather workers read a
-#: sealed segment.  ``"columnar"`` (default) evaluates the pattern
-#: directly against the segment's memory-mapped ``events.col`` columns
-#: and falls back to SQLite per segment when that payload is absent
-#: (format-v2 snapshots); ``"sqlite"`` always runs the compiled pattern
-#: SQL against the segment's database file.  Results are identical by
-#: construction — the equivalence corpus pins both paths.
-SCAN_STRATEGIES = ("columnar", "sqlite")
-
 #: Valid ``negation_strategy`` arguments: how the anti-join tests a
 #: complete positive assignment against an ``and not`` pattern's match
 #: list.  ``"hash"`` (default) probes a set of shared-entity key tuples;
@@ -130,12 +121,8 @@ class PlanStep(str):
     segments_scanned: Optional[int]
     segments_pruned: Optional[int]
     #: Sealed segments skipped via seal-time statistics (zone maps and
-    #: distinct sets) after time pruning; ``None`` on the monolithic
-    #: path or when no columnar spec exists (sqlite strategy).
+    #: distinct sets) after time pruning; ``None`` on the monolithic path.
     segments_pruned_by_stats: Optional[int]
-    #: Segment scan strategy used ("columnar"/"sqlite"); ``None`` on the
-    #: monolithic path, which runs one combined-store query.
-    scan_strategy: Optional[str]
     #: True when the step ran as a partial-aggregate pushdown: workers
     #: returned per-segment group counts instead of packed row arrays.
     aggregate_pushdown: bool
@@ -160,7 +147,6 @@ class PlanStep(str):
                  segments_scanned: Optional[int] = None,
                  segments_pruned: Optional[int] = None,
                  segments_pruned_by_stats: Optional[int] = None,
-                 scan_strategy: Optional[str] = None,
                  aggregate_pushdown: bool = False,
                  pool_fallback: Optional[bool] = None,
                  negated: bool = False,
@@ -180,7 +166,6 @@ class PlanStep(str):
         self.segments_scanned = segments_scanned
         self.segments_pruned = segments_pruned
         self.segments_pruned_by_stats = segments_pruned_by_stats
-        self.scan_strategy = scan_strategy
         self.aggregate_pushdown = aggregate_pushdown
         self.pool_fallback = pool_fallback
         self.seconds = seconds or {}
@@ -201,7 +186,6 @@ class PlanStep(str):
             "segments_scanned": self.segments_scanned,
             "segments_pruned": self.segments_pruned,
             "segments_pruned_by_stats": self.segments_pruned_by_stats,
-            "scan_strategy": self.scan_strategy,
             "aggregate_pushdown": self.aggregate_pushdown,
             "pool_fallback": self.pool_fallback,
             "negated": self.negated,
@@ -292,12 +276,6 @@ class TBQLExecutor:
             segmented store's sealed segments; ``1`` (default) scans
             serially in-process.  Must be a positive integer.
             Irrelevant on monolithic stores.
-        scan_strategy: how scatter workers read sealed segments — one of
-            :data:`SCAN_STRATEGIES`.  ``"columnar"`` (default) evaluates
-            patterns against each segment's memory-mapped ``events.col``
-            payload, falling back to SQLite for segments without one
-            (format-v2 snapshots); ``"sqlite"`` always runs the compiled
-            pattern SQL.  Irrelevant on monolithic stores.
         negation_strategy: how ``and not`` absence patterns are
             anti-joined — one of :data:`NEGATION_STRATEGIES`.  ``"hash"``
             (default) probes an index of shared-entity key tuples;
@@ -312,15 +290,10 @@ class TBQLExecutor:
 
     def __init__(self, store: DualStore, use_scheduler: bool = True,
                  join_strategy: str = "hash", workers: int = 1,
-                 scan_strategy: str = "columnar",
                  negation_strategy: str = "hash",
                  aggregation_strategy: str = "hash") -> None:
         if join_strategy not in ("hash", "backtracking"):
             raise ValueError(f"unknown join strategy: {join_strategy!r}")
-        if scan_strategy not in SCAN_STRATEGIES:
-            raise ValueError(
-                f"unknown scan strategy: {scan_strategy!r} "
-                f"(expected one of {', '.join(SCAN_STRATEGIES)})")
         if negation_strategy not in NEGATION_STRATEGIES:
             raise ValueError(
                 f"unknown negation strategy: {negation_strategy!r} "
@@ -337,7 +310,6 @@ class TBQLExecutor:
         self.use_scheduler = use_scheduler
         self.join_strategy = join_strategy
         self.workers = workers
-        self.scan_strategy = scan_strategy
         self.negation_strategy = negation_strategy
         self.aggregation_strategy = aggregation_strategy
         self._scanner = SegmentScanner(self.workers)
@@ -579,8 +551,6 @@ class TBQLExecutor:
             segments_scanned=segments_scanned,
             segments_pruned=segments_pruned,
             segments_pruned_by_stats=stats_pruned,
-            scan_strategy=(self.scan_strategy
-                           if segments_scanned is not None else None),
             pool_fallback=(self._scanner.pool_fallback
                            if segments_scanned is not None else None),
             negated=negated,
@@ -596,7 +566,7 @@ class TBQLExecutor:
                       subject_ids: Optional[list[int]],
                       object_ids: Optional[list[int]],
                       view: SegmentView
-                      ) -> tuple[list[dict], int, int, Optional[int]]:
+                      ) -> tuple[list[dict], int, int, int]:
         """Scatter one pattern scan across the store's segments.
 
         The planner prunes sealed segments whose time bounds cannot
@@ -609,32 +579,17 @@ class TBQLExecutor:
         store with an id floor, and everything merges back into the
         single ``(start_time, event_id)`` order a monolithic scan would
         have produced.  Returns ``(rows, scanned, time_pruned,
-        stats_pruned)``; ``stats_pruned`` is ``None`` under the sqlite
-        strategy, the stats-blind reference path.
+        stats_pruned)``.
         """
-        compiled = compile_pattern_sql(pattern, resolved,
-                                       subject_candidates=subject_ids,
-                                       object_candidates=object_ids)
         window = effective_window(pattern, resolved)
         targets = prune_segments(view.sealed, window)
         time_pruned = len(view.sealed) - len(targets)
-        spec = (build_pattern_spec(pattern, resolved,
-                                   subject_candidates=subject_ids,
-                                   object_candidates=object_ids)
-                if self.scan_strategy == "columnar" else None)
-        stats_pruned: Optional[int] = None
-        if spec is not None:
-            targets, stats_pruned = prune_by_stats(targets, spec)
-        tasks: list[ScanTask] = []
-        for segment in targets:
-            # Per-segment fallback: format-v2 snapshots restored into a
-            # v3 store have no events.col, so those segments scan
-            # through SQLite regardless of strategy.
-            if spec is not None and segment.has_columnar():
-                tasks.append(ColumnarTask(segment.columnar_path, spec))
-            else:
-                tasks.append((segment.sqlite_path, compiled.sql,
-                              tuple(compiled.params)))
+        spec = build_pattern_spec(pattern, resolved,
+                                  subject_candidates=subject_ids,
+                                  object_candidates=object_ids)
+        targets, stats_pruned = prune_by_stats(targets, spec)
+        tasks: list[ScanTask] = [ColumnarTask(segment.columnar_path, spec)
+                                 for segment in targets]
         with start_span("scatter", segments=len(targets),
                         pruned=len(view.sealed) - len(targets)) as span:
             rows = self._scanner.scan(tasks)
@@ -648,7 +603,7 @@ class TBQLExecutor:
             rows.sort(key=lambda row: (row["start_time"],
                                        row["event_id"]))
             span.set_attribute("rows", len(rows))
-        self._record_pruning(len(targets), time_pruned, stats_pruned or 0)
+        self._record_pruning(len(targets), time_pruned, stats_pruned)
         return rows, len(targets), time_pruned, stats_pruned
 
     def _execute_sql_pattern(self, pattern: ResolvedPattern,
@@ -756,8 +711,7 @@ class TBQLExecutor:
             return None
         if os.environ.get("REPRO_TBQL_AGG_PUSHDOWN", "").strip() == "0":
             return None
-        if (self.scan_strategy != "columnar"
-                or self.join_strategy != "hash"
+        if (self.join_strategy != "hash"
                 or self.aggregation_strategy != "hash"):
             return None  # the reference strategies stay pushdown-free
         if len(resolved.patterns) != 1:
@@ -792,10 +746,6 @@ class TBQLExecutor:
         targets = prune_segments(view.sealed, window)
         time_pruned = len(view.sealed) - len(targets)
         survivors, stats_pruned = prune_by_stats(targets, spec)
-        if any(not segment.has_columnar() for segment in survivors):
-            # Format-v2 segments have no events.col; fall back to the
-            # ordinary path (before recording pruning — it re-prunes).
-            return None
         hydration_queries = 0
         scan_start = time.perf_counter()
         records: list[tuple] = []
@@ -868,7 +818,6 @@ class TBQLExecutor:
             segments_scanned=len(survivors),
             segments_pruned=time_pruned,
             segments_pruned_by_stats=stats_pruned,
-            scan_strategy=self.scan_strategy,
             aggregate_pushdown=True,
             pool_fallback=self._scanner.pool_fallback,
             seconds=seconds)
@@ -1300,5 +1249,4 @@ class TBQLExecutor:
 
 
 __all__ = ["PatternMatch", "PlanStep", "QueryResult", "TBQLExecutor",
-           "MAX_CANDIDATE_PUSHDOWN", "SCAN_STRATEGIES",
-           "NEGATION_STRATEGIES"]
+           "MAX_CANDIDATE_PUSHDOWN", "NEGATION_STRATEGIES"]

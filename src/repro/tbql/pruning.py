@@ -143,17 +143,14 @@ def segment_may_match(stats: Optional[SegmentStats],
     return True
 
 
-def prune_by_stats(segments: list[SegmentInfo],
-                   spec: Optional[PatternSpec]
+def prune_by_stats(segments: list[SegmentInfo], spec: PatternSpec
                    ) -> tuple[list[SegmentInfo], int]:
     """Partition time-surviving segments by the stats verdict.
 
-    Returns ``(survivors, pruned_count)``.  With pruning disabled, no
-    spec (sqlite strategy keeps one, but candidates arrive later — the
-    caller passes the spec it scans with), or stats-less segments, this
-    degrades to "scan everything".
+    Returns ``(survivors, pruned_count)``.  With pruning disabled or
+    stats-less segments, this degrades to "scan everything".
     """
-    if spec is None or not stats_pruning_enabled():
+    if not stats_pruning_enabled():
         return list(segments), 0
     survivors = [segment for segment in segments
                  if segment_may_match(segment.stats, spec)]

@@ -6,19 +6,18 @@ retrieval then becomes a scatter-gather stage: one scan task per
 surviving segment, with the per-segment rows merged (and re-sorted)
 before the global hash join.
 
-Two task shapes flow through the same scanner:
+Two task shapes flow through the same scanner, both evaluated against
+the segment's memory-mapped ``events.col`` columns — workers share the
+payload's read-only pages through the OS page cache instead of
+materializing and pickling per-row tuples:
 
-* :data:`SqlScanTask` — ``(segment sqlite path, sql, params)``; the
-  worker runs the compiled pattern SQL against its segment's SQLite
-  file and returns pickled row dicts (``scan_strategy="sqlite"``).
 * :class:`~repro.tbql.colscan.ColumnarTask` — a
-  :class:`~repro.tbql.colscan.PatternSpec` evaluated directly against
-  the segment's memory-mapped ``events.col`` columns
-  (``scan_strategy="columnar"``); the worker returns one packed tuple
-  of machine-typed byte strings, which the gather side re-inflates via
-  :func:`~repro.tbql.colscan.unpack_rows`.  Workers share the payload's
-  read-only pages through the OS page cache instead of materializing
-  and pickling per-row tuples.
+  :class:`~repro.tbql.colscan.PatternSpec`; the worker returns one packed
+  tuple of machine-typed byte strings, which the gather side re-inflates
+  via :func:`~repro.tbql.colscan.unpack_rows`.
+* :class:`~repro.tbql.colscan.AggregateTask` — the same row selection
+  counted per group key (:meth:`SegmentScanner.scan_results` only — its
+  payload is per-segment group counts, not mergeable rows).
 
 :class:`SegmentScanner` owns the execution strategy:
 
@@ -34,24 +33,21 @@ Two task shapes flow through the same scanner:
   :attr:`SegmentScanner.pool_fallback` (visible in ``GET /stats`` and
   ``repro query --explain``).
 
-Worker-side read-only SQLite connections are cached per (process,
-thread, path); columnar segment mappings are cached process-wide.
-Segment paths are never reused by the store (the segment name counter
-is monotonic), so a cached handle can never see stale data.
+Columnar segment mappings are cached process-wide.  Segment paths are
+never reused by the store (the segment name counter is monotonic), so a
+cached mapping can never see stale data.
 """
 
 from __future__ import annotations
 
 import logging
 import multiprocessing
-import sqlite3
 import threading
 import time
 from functools import lru_cache
 from pathlib import Path
 from typing import Any, Optional, Sequence, Union
 
-from ..errors import StorageError
 from ..obs.metrics import get_registry
 from ..obs.trace import current_span
 from .colscan import (AggregateTask, ColumnarTask, last_filter_table_counts,
@@ -64,74 +60,22 @@ logger = logging.getLogger(__name__)
 # scanner after the first would otherwise repeat it on every query.
 _pool_warning_emitted = False
 
-#: One SQLite scatter task: ``(segment sqlite path, sql, params)``.
-SqlScanTask = tuple[str, str, tuple]
-
-#: Any scatter task the scanner accepts.  :class:`AggregateTask` flows
-#: through :meth:`SegmentScanner.scan_results` only — its payload is
-#: per-segment group counts, not mergeable rows.
-ScanTask = Union[SqlScanTask, ColumnarTask, AggregateTask]
-
-#: Cached read-only connections are dropped once the cache grows past
-#: this many distinct segment files (compaction replaces paths, so a
-#: long-lived worker would otherwise accumulate dead handles).
-_CONNECTION_CACHE_LIMIT = 128
-
-_local = threading.local()
-
-
-def _connection_for(path: str) -> sqlite3.Connection:
-    cache = getattr(_local, "connections", None)
-    if cache is None:
-        cache = _local.connections = {}
-    connection = cache.get(path)
-    if connection is None:
-        if len(cache) >= _CONNECTION_CACHE_LIMIT:
-            for stale in cache.values():
-                stale.close()
-            cache.clear()
-        uri = Path(path).resolve().as_uri() + "?mode=ro"
-        try:
-            connection = sqlite3.connect(uri, uri=True)
-        except sqlite3.Error as exc:
-            raise StorageError(
-                f"cannot open segment {path} read-only: {exc}") from exc
-        connection.row_factory = sqlite3.Row
-        cache[path] = connection
-    return connection
-
-
-def scan_segment(task: SqlScanTask) -> list[dict[str, Any]]:
-    """Run one compiled pattern query against one segment file.
-
-    Module-level (and dependency-light) so it pickles into pool workers
-    under any multiprocessing start method.  Returns plain row dicts —
-    the shape :meth:`RelationalStore.execute` produces — so gathered
-    rows are indistinguishable from a combined-store scan.
-    """
-    path, sql, params = task
-    try:
-        rows = _connection_for(path).execute(sql, tuple(params)).fetchall()
-    except sqlite3.Error as exc:
-        raise StorageError(
-            f"segment scan failed on {path}: {exc}\n{sql}") from exc
-    return [dict(row) for row in rows]
+#: Any scatter task the scanner accepts.
+ScanTask = Union[ColumnarTask, AggregateTask]
 
 
 def run_scan_task(task: ScanTask) -> Any:
     """Worker entry point dispatching on the task shape."""
     if isinstance(task, ColumnarTask):
         return scan_segment_columnar(task)
-    if isinstance(task, AggregateTask):
-        return scan_segment_aggregate(task)
-    return scan_segment(task)
+    return scan_segment_aggregate(task)
 
 
 @lru_cache(maxsize=4096)
 def _segment_name(path: str) -> str:
-    """The segment a payload file belongs to: ``events.col`` and
-    ``relational.sqlite`` sit inside the segment directory, whose name
-    is the segment's identity.  Cached, because a traced query asks
+    """The segment a payload file belongs to: ``events.col`` sits
+    inside the segment directory, whose name is the segment's
+    identity.  Cached, because a traced query asks
     once per segment and pattern and ``pathlib`` takes longer to answer
     than the rest of the span's bookkeeping."""
     return Path(path).parent.name
@@ -150,17 +94,11 @@ def run_scan_task_traced(task: ScanTask
     start = time.perf_counter()
     result = run_scan_task(task)
     duration_ms = (time.perf_counter() - start) * 1000.0
-    if isinstance(task, ColumnarTask):
-        path, strategy, rows = task.path, "columnar", result[0]
-    elif isinstance(task, AggregateTask):
-        path, strategy, rows = task.path, "aggregate", result[0]
-    else:
-        path, strategy, rows = task[0], "sqlite", len(result)
-    attributes = {"segment": _segment_name(path), "strategy": strategy,
-                  "rows": rows}
-    if strategy != "sqlite":
-        (attributes["filter_tables_hit"],
-         attributes["filter_tables_built"]) = last_filter_table_counts()
+    strategy = "columnar" if isinstance(task, ColumnarTask) else "aggregate"
+    hit, built = last_filter_table_counts()
+    attributes = {"segment": _segment_name(task.path), "strategy": strategy,
+                  "rows": result[0], "filter_tables_hit": hit,
+                  "filter_tables_built": built}
     return result, duration_ms, attributes
 
 
@@ -226,10 +164,7 @@ class SegmentScanner:
     def _gather(results: Sequence[Any]) -> list[dict[str, Any]]:
         rows: list[dict[str, Any]] = []
         for result in results:
-            if isinstance(result, list):
-                rows.extend(result)
-            else:
-                rows.extend(unpack_rows(result))
+            rows.extend(unpack_rows(result))
         return rows
 
     def scan(self, tasks: Sequence[ScanTask]) -> list[dict[str, Any]]:
@@ -312,5 +247,5 @@ class SegmentScanner:
             pass
 
 
-__all__ = ["ScanTask", "SqlScanTask", "SegmentScanner", "scan_segment",
-           "run_scan_task", "run_scan_task_traced"]
+__all__ = ["ScanTask", "SegmentScanner", "run_scan_task",
+           "run_scan_task_traced"]

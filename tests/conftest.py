@@ -6,6 +6,7 @@ Figure-2 text) are session-scoped so the integration tests stay fast.
 
 from __future__ import annotations
 
+import dataclasses
 import tempfile
 from pathlib import Path
 
@@ -17,7 +18,7 @@ from repro.benchmark.case import CaseBuilder
 from repro.extraction import extract_threat_behaviors
 from repro.hunting import ThreatRaptor
 from repro.storage import DualStore
-from repro.storage.columnar import ColumnarSegment, write_columnar_from_sqlite
+from repro.storage.columnar import ColumnarSegment
 
 #: The running example of the paper (Figure 2), reused by many tests.
 DATA_LEAK_TEXT = (
@@ -81,9 +82,10 @@ def stop_backend_server(server, thread) -> None:
 
 def assert_exact_entity_blocks(store: DualStore) -> list[int]:
     """Every sealed segment's ``events.col`` holds exactly the entity
-    rows its events reference, resolves every event, and equals the
-    payload rebuilt from the segment's own SQLite file byte for byte.
-    Returns the entity-row count of each segment."""
+    rows its events reference, resolves every event, and — whichever
+    route wrote it (buffered columns, compaction, rowwise load) — equals
+    the payload of the same id range read back from the combined store,
+    byte for byte.  Returns the entity-row count of each segment."""
     counts = []
     with tempfile.TemporaryDirectory() as scratch:
         for info in store.segment_view().sealed:
@@ -100,12 +102,21 @@ def assert_exact_entity_blocks(store: DualStore) -> list[int]:
                 assert [ids[row] for row in object_rows] == objects
             finally:
                 segment.close()
-            rebuilt = Path(scratch) / f"{info.name}.col"
-            write_columnar_from_sqlite(info.sqlite_path, rebuilt)
-            assert rebuilt.read_bytes() == \
+            rebuilt = dataclasses.replace(info, directory=tempfile.mkdtemp(
+                dir=scratch))
+            store._write_payload(rebuilt)
+            assert Path(rebuilt.columnar_path).read_bytes() == \
                 Path(info.columnar_path).read_bytes(), info.name
             counts.append(len(ids))
     return counts
+
+
+def snapshot_files(directory: Path) -> dict[str, bytes]:
+    """Every file under a snapshot directory but the ``-shm`` / ``-wal``
+    side files SQLite itself leaves beside a WAL database it reads."""
+    return {str(path.relative_to(directory)): path.read_bytes()
+            for path in sorted(directory.rglob("*")) if path.is_file()
+            and not path.name.endswith(("-shm", "-wal"))}
 
 
 def record_data_leak_attack(collector: AuditCollector) -> None:

@@ -1,15 +1,17 @@
-"""Tests for the v3 columnar segment payload and its scan path.
+"""Tests for the columnar segment payload and its scan path.
 
 Covers the ``events.col`` container format, the SQLite comparison
 semantics the columnar evaluator reproduces (differentially, against a
-live SQLite connection), numpy/pure-python selection parity, backward
-compatibility with format-v2 snapshots (no columnar payload), the
-scatter pool-failure fallback, and the worker/strategy argument
-validation surfaced through the executor and the CLI.
+live SQLite connection), numpy/pure-python selection parity, snapshots
+written by older builds (v1 monolithic, v2 without payloads, v3 with
+files a segment no longer owns), the scatter pool-failure fallback, and
+the worker argument validation.
 """
 
 from __future__ import annotations
 
+import json
+import os
 import shutil
 import sqlite3
 import sys
@@ -23,6 +25,7 @@ import pytest
 from repro.audit import AuditCollector, CollectorConfig
 from repro.errors import StorageError
 from repro.storage import DualStore
+from repro.storage.dualstore import SNAPSHOT_FORMAT_VERSION
 from repro.storage.columnar import (NULL_INT, ColumnarSegment,
                                     EventColumns, write_columnar)
 from repro.storage.relational.schema import all_ddl
@@ -37,7 +40,7 @@ from repro.tbql.compiler_sql import render_filter
 from repro.tbql.executor import TBQLExecutor
 from repro.tbql.scatter import SegmentScanner
 
-from .conftest import record_data_leak_attack
+from .conftest import record_data_leak_attack, snapshot_files
 from .test_tbql_join_equivalence import EQUIVALENCE_CORPUS
 
 try:
@@ -316,11 +319,12 @@ def test_numpy_matches_python_selection(tmp_path, monkeypatch, spec):
 
 
 def test_pure_python_corpus_equivalence(monkeypatch):
-    """The portable path (CI has no numpy) answers the corpus correctly."""
+    """The portable path (every CI leg but ``tests-numpy``) answers the
+    corpus correctly."""
     monkeypatch.setenv("REPRO_COLUMNAR_NUMPY", "0")
     mono, seg = _segmented_pair()
     reference = TBQLExecutor(mono)
-    executor = TBQLExecutor(seg, scan_strategy="columnar")
+    executor = TBQLExecutor(seg)
     try:
         for text in EQUIVALENCE_CORPUS[:6]:
             expected = reference.execute(text)
@@ -629,50 +633,118 @@ def test_like_pattern_cache_keeps_caching_past_its_bound():
 
 
 # ---------------------------------------------------------------------------
-# backward compatibility: v2 snapshots have no events.col
+# snapshots written by older builds
 # ---------------------------------------------------------------------------
 
+#: A segmented snapshot of ``_segmented_pair()``'s corpus saved by the
+#: commit before entity blocks held referenced rows only: every
+#: ``events.col`` carries the whole entity table as of its seal (ids
+#: ``1..N``) and every segment directory also holds a ``graph.bin`` and
+#: a ``relational.sqlite`` — the files a segment no longer owns.
+_PR13_SNAPSHOT = Path(__file__).parent / "fixtures" / "snapshot_v3_pr13"
 
-def test_v2_snapshot_without_columnar_still_answers(tmp_path):
+
+def _edit_manifest(path, edit) -> None:
+    manifest = json.loads(path.read_text(encoding="utf-8"))
+    edit(manifest)
+    path.write_text(json.dumps(manifest), encoding="utf-8")
+
+
+def _older_snapshot(kind, snap) -> None:
+    """Write a snapshot of ``_segmented_pair()``'s corpus as ``kind``."""
+    if kind == "v3_pr13":
+        shutil.copytree(_PR13_SNAPSHOT, snap)
+        return
     mono, seg = _segmented_pair()
-    snap = tmp_path / "snap"
     try:
-        seg.save(snap)
-        expected = [TBQLExecutor(mono).execute(text).rows
-                    for text in EQUIVALENCE_CORPUS[:4]]
+        (mono if kind == "v1" else seg).save(snap)
     finally:
         mono.close()
         seg.close()
-    # Rewrite the snapshot as a format-v2 one: no columnar payloads.
-    for payload in snap.glob("segments/*/events.col"):
-        payload.unlink()
-    manifest_path = snap / "manifest.json"
-    manifest = manifest_path.read_text(encoding="utf-8")
-    assert '"format_version": 3' in manifest
-    manifest_path.write_text(
-        manifest.replace('"format_version": 3', '"format_version": 2'),
-        encoding="utf-8")
-    with DualStore.open(snap) as reopened:
-        view = reopened.segment_view()
-        assert view.sealed and not any(info.has_columnar()
-                                       for info in view.sealed)
-        executor = TBQLExecutor(reopened, scan_strategy="columnar")
-        try:
-            for text, rows in zip(EQUIVALENCE_CORPUS[:4], expected):
-                result = executor.execute(text)
-                assert result.rows == rows, text
-                # The scatter path ran (columnar requested, SQLite
-                # fallback per segment) and reported its strategy.
-                sql_steps = [step for step in result.plan
-                             if step.segments_scanned is not None]
-                assert sql_steps
-                assert all(step.scan_strategy == "columnar"
-                           for step in sql_steps)
-        finally:
-            executor.close()
+    if kind == "v1":
+        def downgrade(manifest):
+            manifest["format_version"] = 1
+            del manifest["layout"]
+    else:
+        # Format v2: no columnar payloads and no seal-time statistics.
+        for payload in snap.glob("segments/*/events.col"):
+            payload.unlink()
+
+        def downgrade(manifest):
+            manifest["format_version"] = 2
+            for entry in manifest["segments"]:
+                del entry["stats"]
+        for segment_manifest in snap.glob("segments/*/segment.json"):
+            _edit_manifest(segment_manifest, lambda entry: entry.pop("stats"))
+    _edit_manifest(snap / "manifest.json", downgrade)
 
 
-def test_v3_snapshot_reopens_with_columnar(tmp_path):
+@pytest.mark.skipif(sys.byteorder != "little",
+                    reason="the fixture's payloads are little-endian")
+@pytest.mark.parametrize("read_only", [True, False])
+@pytest.mark.parametrize("kind", ["v1", "v2", "v3_pr13"])
+def test_snapshots_of_older_builds_answer_the_corpus(tmp_path, kind,
+                                                     read_only):
+    snap = tmp_path / "snap"
+    _older_snapshot(kind, snap)
+    before = snapshot_files(snap)
+    mono, seg = _segmented_pair()
+    reference = TBQLExecutor(mono)
+    try:
+        with DualStore.open(snap, read_only=read_only) as old:
+            assert (old.segment_view() is None) == (kind == "v1")
+            for workers in (1, 4):
+                executor = TBQLExecutor(old, workers=workers)
+                try:
+                    for text in EQUIVALENCE_CORPUS:
+                        expected = reference.execute(text)
+                        got = executor.execute(text)
+                        assert got.rows == expected.rows, text
+                        assert got.matched_events == \
+                            expected.matched_events, text
+                finally:
+                    executor.close()
+        assert snapshot_files(snap) == before      # opening never writes to it
+    finally:
+        reference.close()
+        mono.close()
+        seg.close()
+
+
+def test_v2_snapshot_gets_its_payloads_built_at_open(tmp_path):
+    snap = tmp_path / "snap"
+    _older_snapshot("v2", snap)
+    assert not list(snap.rglob("events.col"))
+    _mono, seg = _segmented_pair()
+    try:
+        with DualStore.open(snap) as reopened:
+            sealed = reopened.segment_view().sealed
+            assert len(sealed) == 3
+            for info, fresh in zip(sealed, seg.segment_view().sealed):
+                # Built outside the snapshot, the bytes a seal writes.
+                assert not Path(info.columnar_path).is_relative_to(snap)
+                assert Path(info.columnar_path).read_bytes() == \
+                    Path(fresh.columnar_path).read_bytes()
+                # No statistics were invented: such segments never prune.
+                assert info.stats is None
+            home = Path(sealed[0].directory).parent
+            executor = TBQLExecutor(reopened)
+            try:
+                result = executor.execute(
+                    'proc p["%no-such-binary%"] read file f return p')
+                assert result.rows == []
+                assert result.plan[0].segments_scanned == 3
+                assert result.plan[0].segments_pruned_by_stats == 0
+            finally:
+                executor.close()
+        assert not home.exists()            # the private home is removed
+        assert not list(snap.rglob("events.col"))
+    finally:
+        _mono.close()
+        seg.close()
+
+
+def test_saved_snapshot_reopens_with_its_payloads(tmp_path):
     _mono, seg = _segmented_pair()
     snap = tmp_path / "snap"
     try:
@@ -683,69 +755,82 @@ def test_v3_snapshot_reopens_with_columnar(tmp_path):
     with DualStore.open(snap) as reopened:
         view = reopened.segment_view()
         assert view.sealed
-        assert all(info.has_columnar() for info in view.sealed)
         stats = reopened.segment_stats()
-        for entry in stats["segments"]:
+        for info, entry in zip(view.sealed, stats["segments"]):
+            assert Path(info.directory).is_relative_to(snap)
             payload = entry["payload_bytes"]
-            assert payload["relational"] > 0
-            assert payload["columnar"] > 0
-            assert set(payload) == {"relational", "columnar"}
+            assert set(payload) == {"columnar", "manifest"}
+            assert payload["columnar"] > 0 and payload["manifest"] > 0
             assert 0 < entry["entity_rows"] <= \
                 reopened.relational.count_entities()
 
 
-#: A segmented snapshot of ``_segmented_pair()``'s corpus saved by the
-#: commit before entity blocks held referenced rows only: every
-#: ``events.col`` carries the whole entity table as of its seal (ids
-#: ``1..N``) and every segment directory a ``graph.bin``.
-_PR13_SNAPSHOT = Path(__file__).parent / "fixtures" / "snapshot_v3_pr13"
+@pytest.mark.skipif(sys.byteorder != "little",
+                    reason="the fixture's payloads are little-endian")
+def test_pr13_snapshot_keeps_dense_blocks_until_resaved(tmp_path):
+    snap = tmp_path / "snap"
+    shutil.copytree(_PR13_SNAPSHOT, snap)
+    with DualStore.open(snap, read_only=False) as old:
+        sealed = old.segment_view().sealed
+        assert len(sealed) == 3
+        last = ColumnarSegment(sealed[-1].columnar_path)
+        try:
+            ids = list(last.column("entity.id"))
+            assert ids == list(range(1, len(ids) + 1))
+            assert len(ids) > len(set(last.column("event.subject_id"))
+                                  | set(last.column("event.object_id")))
+        finally:
+            last.close()
+        # The writable copy took the files a segment owns and no other.
+        for info in sealed:
+            assert sorted(os.listdir(info.directory)) == \
+                ["events.col", "segment.json"]
+            assert sorted(os.listdir(snap / "segments" / info.name)) == \
+                ["events.col", "graph.bin", "relational.sqlite",
+                 "segment.json"]
+        # Saved again, the segments keep their payloads.
+        old.save(tmp_path / "resaved")
+        assert sorted(path.name for path in (tmp_path / "resaved").rglob(
+            "segments/*/*")) == ["events.col"] * 3 + ["segment.json"] * 3
 
 
 @pytest.mark.skipif(sys.byteorder != "little",
                     reason="the fixture's payloads are little-endian")
-@pytest.mark.parametrize("read_only", [True, False])
-def test_snapshot_with_dense_blocks_and_graph_slices_still_answers(
-        tmp_path, read_only):
+@pytest.mark.parametrize("min_events", ["1", "100000"])
+def test_in_place_compact_drops_files_segments_no_longer_own(
+        tmp_path, capsys, min_events):
+    """``repro compact --snapshot D`` with no ``--out`` is the one-shot
+    upgrade: whether a segment directory survives the merge plan
+    (``--min-events 1`` merges nothing) or is new, it ends as exactly
+    ``events.col`` + ``segment.json``, and the answers do not change."""
+    from repro.cli import main
+
     snap = tmp_path / "snap"
     shutil.copytree(_PR13_SNAPSHOT, snap)
+    assert main(["compact", "--snapshot", str(snap),
+                 "--min-events", min_events]) == 0
+    capsys.readouterr()
+    manifest = json.loads((snap / "manifest.json").read_text("utf-8"))
+    assert manifest["format_version"] == SNAPSHOT_FORMAT_VERSION == 4
+    names = sorted(os.listdir(snap / "segments"))
+    assert names == [entry["name"] for entry in manifest["segments"]]
+    assert len(names) == (3 if min_events == "1" else 1)
+    for name in names:
+        assert sorted(os.listdir(snap / "segments" / name)) == \
+            ["events.col", "segment.json"]
     mono, seg = _segmented_pair()
     reference = TBQLExecutor(mono)
-    fresh = TBQLExecutor(seg)
     try:
-        with DualStore.open(snap, read_only=read_only) as old:
-            sealed = old.segment_view().sealed
-            assert len(sealed) == 3
-            last = ColumnarSegment(sealed[-1].columnar_path)
-            try:
-                ids = list(last.column("entity.id"))
-                assert ids == list(range(1, len(ids) + 1))
-                assert len(ids) > len(set(last.column("event.subject_id"))
-                                      | set(last.column("event.object_id")))
-            finally:
-                last.close()
-            assert all((snap / "segments" / info.name /
-                        "graph.bin").is_file() for info in sealed)
-            executor = TBQLExecutor(old)
+        with DualStore.open(snap) as upgraded:
+            executor = TBQLExecutor(upgraded)
             try:
                 for text in EQUIVALENCE_CORPUS:
-                    expected = reference.execute(text)
-                    got = executor.execute(text)
-                    assert got.rows == expected.rows, text
-                    assert got.matched_events == expected.matched_events
-                    assert fresh.execute(text).rows == expected.rows, text
+                    assert executor.execute(text).rows == \
+                        reference.execute(text).rows, text
             finally:
                 executor.close()
-            if not read_only:
-                # Saved again, the segments keep their payloads and
-                # lose the file nothing reads.
-                old.save(tmp_path / "resaved")
-                assert not list((tmp_path / "resaved").rglob(
-                    "segments/*/graph.bin"))
-                assert len(list((tmp_path / "resaved").rglob(
-                    "events.col"))) == 3
     finally:
         reference.close()
-        fresh.close()
         mono.close()
         seg.close()
 
@@ -792,21 +877,3 @@ def test_invalid_worker_counts_are_rejected(workers):
     with DualStore() as store:
         with pytest.raises(ValueError, match="positive integer"):
             TBQLExecutor(store, workers=workers)
-
-
-def test_invalid_scan_strategy_is_rejected():
-    with DualStore() as store:
-        with pytest.raises(ValueError, match="unknown scan strategy"):
-            TBQLExecutor(store, scan_strategy="rowwise")
-
-
-def test_cli_rejects_unknown_scan_strategy(tmp_path, capsys):
-    from repro.cli import main
-
-    log = tmp_path / "audit.log"
-    log.write_text("", encoding="utf-8")
-    with pytest.raises(SystemExit) as excinfo:
-        main(["query", "--log", str(log), "--tbql",
-              "proc p read file f return p", "--scan-strategy", "bogus"])
-    assert excinfo.value.code == 2
-    assert "--scan-strategy" in capsys.readouterr().err

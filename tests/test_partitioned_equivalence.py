@@ -6,13 +6,15 @@ identically to a monolithic store fed through the same boundaries (the
 flush points are shared because sealing closes open merge runs — same
 data in, same stored events, only the layout differs).  Checked at
 ``workers=1`` (serial in-process scans) and ``workers=4`` (the
-multiprocessing scatter-gather pool), for both segment scan strategies
-(``columnar`` memory-mapped reads and ``sqlite`` per-segment SQL).
+multiprocessing scatter-gather pool).  Wherever the cuts fall, the three
+routes to a payload — a seal of buffered columns, a seal of rows read
+back from the store, a compaction merge — write the same bytes.
 """
 
 from __future__ import annotations
 
 from operator import attrgetter
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -28,9 +30,6 @@ from .test_tbql_join_equivalence import EQUIVALENCE_CORPUS
 
 #: Worker counts the property holds for (serial + process pool).
 WORKER_COUNTS = (1, 4)
-
-#: Segment scan strategies the property holds for.
-SCAN_STRATEGIES = ("columnar", "sqlite")
 
 
 def _corpus_events():
@@ -62,10 +61,8 @@ def _build_pair(boundaries: list[int]):
 
 def _assert_corpus_identical(mono, seg, corpus) -> None:
     reference = TBQLExecutor(mono)
-    executors = [TBQLExecutor(seg, workers=workers,
-                              scan_strategy=strategy)
-                 for workers in WORKER_COUNTS
-                 for strategy in SCAN_STRATEGIES]
+    executors = [TBQLExecutor(seg, workers=workers)
+                 for workers in WORKER_COUNTS]
     try:
         for text in corpus:
             expected = reference.execute(text)
@@ -89,15 +86,34 @@ def test_random_boundaries_answer_corpus_identically(boundaries):
     mono, seg = _build_pair(boundaries)
     try:
         # Wherever the cuts fall, a segment's payload holds the entity
-        # rows it references and is what its SQLite file rebuilds to.
+        # rows it references and is what the combined store rebuilds to.
         assert_exact_entity_blocks(seg)
         # Shared entities, temporal/attribute relations, DISTINCT, and a
         # no-match query — the corpus slice that exercises every join
         # shape; the fixed-boundary test below runs the full corpus.
         _assert_corpus_identical(mono, seg, EQUIVALENCE_CORPUS[:6])
+        # Merging every segment reads the whole id range back from the
+        # store; one seal of the same flushes packs buffered columns.
+        seg.compact(min_events=10 ** 9)
+        [merged] = seg.segment_view().sealed
+        assert Path(merged.columnar_path).read_bytes() == \
+            _sealed_once(boundaries)
+        assert_exact_entity_blocks(seg)
     finally:
         mono.close()
         seg.close()
+
+
+def _sealed_once(boundaries: list[int]) -> bytes:
+    """The payload of one segment over the whole history, stored through
+    the same flush points as :func:`_build_pair`."""
+    cuts = sorted(set(boundaries))
+    with DualStore(layout="segmented") as store:
+        for start, end in zip([0] + cuts, cuts + [len(EVENTS)]):
+            store.append_events(EVENTS[start:end])
+            store.flush_appends(seal_segment=False)
+        info = store.seal_active_segment()
+        return Path(info.columnar_path).read_bytes()
 
 
 @pytest.mark.parametrize("batches", [1, 3, 7])

@@ -35,7 +35,7 @@ from repro.tbql.pruning import prune_by_stats, segment_may_match
 from repro.tbql.semantics import resolve_query
 from repro.tbql.parser import parse_tbql
 
-from .conftest import record_data_leak_attack
+from .conftest import record_data_leak_attack, snapshot_files
 from .promtext import parse_prometheus_text
 from .test_tbql_join_equivalence import EQUIVALENCE_CORPUS
 
@@ -344,9 +344,6 @@ class TestAggregatePushdown:
                     'return p.exename, count()')
         result = TBQLExecutor(seg).execute(sequence)
         assert not any(step.aggregate_pushdown for step in result.plan)
-        sqlite_exec = TBQLExecutor(seg, scan_strategy="sqlite")
-        result = sqlite_exec.execute(self.AGG)
-        assert not any(step.aggregate_pushdown for step in result.plan)
         scan_agg = TBQLExecutor(seg, aggregation_strategy="scan")
         result = scan_agg.execute(self.AGG)
         assert not any(step.aggregate_pushdown for step in result.plan)
@@ -373,24 +370,14 @@ class TestOptimizerEquivalence:
                 monkeypatch.setenv("REPRO_TBQL_STATS_PRUNING", "0")
                 monkeypatch.setenv("REPRO_COLSCAN_DICT", "0")
                 monkeypatch.setenv("REPRO_TBQL_AGG_PUSHDOWN", "0")
-            for strategy in ("columnar", "sqlite"):
-                executor = TBQLExecutor(seg, scan_strategy=strategy)
-                for text, want in zip(OPTIMIZER_CORPUS, expected):
-                    got = executor.execute(text)
-                    assert got.rows == want.rows, (disabled, strategy, text)
-                    assert got.matched_events == want.matched_events, \
-                        (disabled, strategy, text)
+            executor = TBQLExecutor(seg)
+            for text, want in zip(OPTIMIZER_CORPUS, expected):
+                got = executor.execute(text)
+                assert got.rows == want.rows, (disabled, text)
+                assert got.matched_events == want.matched_events, \
+                    (disabled, text)
 
-    def test_sqlite_strategy_reports_no_stats_pruning(self, store_pair):
-        _mono, seg = store_pair
-        executor = TBQLExecutor(seg, scan_strategy="sqlite")
-        result = executor.execute('proc p connect ip i return p')
-        step = result.plan[0]
-        assert step.segments_scanned is not None
-        assert step.segments_pruned_by_stats is None
-
-    def test_columnar_strategy_prunes_selective_patterns(self,
-                                                         store_pair):
+    def test_selective_patterns_are_pruned_by_stats(self, store_pair):
         mono, seg = store_pair
         executor = TBQLExecutor(seg)
         text = 'proc p["%/bin/tar%"] read file f["/etc/passwd"] return p'
@@ -405,7 +392,7 @@ class TestOptimizerEquivalence:
 
 
 # ---------------------------------------------------------------------------
-# backward compatibility: pre-stats v3 and v2 snapshots
+# backward compatibility: pre-stats snapshots, with and without payloads
 # ---------------------------------------------------------------------------
 
 
@@ -454,6 +441,8 @@ class TestBackwardCompatibility:
                                              self._expected(mono))
 
     def test_v2_snapshot_opens_and_answers(self, store_pair, tmp_path):
+        """No payloads either: they are built when the snapshot opens,
+        outside it, and still without statistics to prune by."""
         mono, seg = store_pair
         snapshot = tmp_path / "v2"
         seg.save(snapshot)
@@ -462,12 +451,14 @@ class TestBackwardCompatibility:
             payload.unlink()
         manifest_path = snapshot / "manifest.json"
         manifest = manifest_path.read_text(encoding="utf-8")
-        assert '"format_version": 3' in manifest
+        assert '"format_version": 4' in manifest
         manifest_path.write_text(
-            manifest.replace('"format_version": 3',
+            manifest.replace('"format_version": 4',
                              '"format_version": 2'), encoding="utf-8")
+        before = snapshot_files(snapshot)
         self._assert_identical_without_stats(snapshot,
                                              self._expected(mono))
+        assert snapshot_files(snapshot) == before
 
 
 # ---------------------------------------------------------------------------

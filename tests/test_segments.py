@@ -12,7 +12,6 @@ backward-compatible v1 opens), the service surface (``--workers``,
 from __future__ import annotations
 
 import json
-import sqlite3
 from operator import attrgetter
 from pathlib import Path
 
@@ -81,29 +80,25 @@ class TestSealing:
     def test_segment_files_are_standalone(self, store_pair):
         _mono, seg = store_pair
         for info in seg.segment_view().sealed:
-            connection = sqlite3.connect(info.sqlite_path)
-            low, high, count = connection.execute(
-                "SELECT MIN(id), MAX(id), COUNT(*) FROM events").fetchone()
-            assert (low, high) == (info.first_event_id,
-                                   info.last_event_id)
-            assert count == info.event_count
-            # Every referenced entity row ships with the segment.
-            dangling = connection.execute(
-                "SELECT COUNT(*) FROM events e WHERE NOT EXISTS "
-                "(SELECT 1 FROM entities s WHERE s.id = e.subject_id) "
-                "OR NOT EXISTS (SELECT 1 FROM entities o "
-                "WHERE o.id = e.object_id)").fetchone()[0]
-            assert dangling == 0
-            bounds = connection.execute(
-                "SELECT MIN(start_time), MAX(start_time), MIN(end_time), "
-                "MAX(end_time) FROM events").fetchone()
-            assert bounds == (info.min_start_time, info.max_start_time,
-                              info.min_end_time, info.max_end_time)
-            connection.close()
-            # A segment is these three files and nothing else.
+            payload = ColumnarSegment(info.columnar_path)
+            try:
+                ids = list(payload.column("event.id"))
+                assert ids == list(range(info.first_event_id,
+                                         info.last_event_id + 1))
+                assert payload.event_count == info.event_count
+                starts = payload.column("event.start_time")
+                ends = payload.column("event.end_time")
+                assert (min(starts), max(starts), min(ends), max(ends)) == \
+                    (info.min_start_time, info.max_start_time,
+                     info.min_end_time, info.max_end_time)
+            finally:
+                payload.close()
+            # A segment is these two files and nothing else.
             assert {entry.name for entry in
                     Path(info.directory).iterdir()} == \
-                {"relational.sqlite", "events.col", "segment.json"}
+                {"events.col", "segment.json"}
+            assert json.loads(Path(info.manifest_path).read_text(
+                encoding="utf-8")) == info.as_manifest_entry()
 
     def test_entity_blocks_hold_referenced_rows_only(self, store_pair):
         _mono, seg = store_pair
@@ -138,7 +133,7 @@ class TestSealing:
         """A flush that seals times the seal's steps next to its own;
         appends and unsealed flushes report theirs unchanged."""
         own = {"reduce", "build", "relational", "graph"}
-        seal = {"seal_export", "seal_columnar", "seal_stats"}
+        seal = {"seal_columnar", "seal_stats"}
         events = _events(sessions=4, seed=5)
         with DualStore(layout="segmented") as store:
             assert set(store.append_events(events).seconds) == own
@@ -172,31 +167,6 @@ class TestSealing:
         assert view.sealed[0].name not in {info.name for info in old}
         for info in old:
             assert not Path(info.directory).exists()
-
-
-class TestExportRobustness:
-    def test_failed_export_detaches_and_reports(self, store_pair,
-                                                monkeypatch, tmp_path):
-        """A mid-export SQL failure must surface as StorageError and
-        must not leave the 'segment' schema attached (which would break
-        every later export on the connection)."""
-        _mono, seg = store_pair
-        import repro.storage.relational.database as database_module
-        original = database_module.all_ddl_for
-
-        def broken_ddl(schema=None):
-            return original(schema) + ["INSERT INTO missing VALUES (1)"]
-
-        monkeypatch.setattr(database_module, "all_ddl_for", broken_ddl)
-        with pytest.raises(StorageError):
-            seg.relational.export_segment(tmp_path / "broken.sqlite", 1, 5)
-        monkeypatch.setattr(database_module, "all_ddl_for", original)
-        # The connection must be fully recovered: same export now works.
-        seg.relational.export_segment(tmp_path / "ok.sqlite", 1, 5)
-        connection = sqlite3.connect(tmp_path / "ok.sqlite")
-        assert connection.execute(
-            "SELECT COUNT(*) FROM events").fetchone()[0] == 5
-        connection.close()
 
 
 class TestSealPolicy:
@@ -398,7 +368,7 @@ class TestSnapshotV2:
         assert manifest["layout"] == "segmented"
         assert len(manifest["segments"]) == 5
         assert (snapshot / SNAPSHOT_SEGMENTS_DIR / "seg-000001" /
-                "relational.sqlite").is_file()
+                "events.col").is_file()
         expected = TBQLExecutor(mono).execute(QUERY)
         with DualStore.open(snapshot) as reopened:
             assert reopened.layout == "segmented"

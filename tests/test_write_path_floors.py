@@ -7,14 +7,16 @@
   process built earlier.
 * Every section that pauses the cyclic collector puts it back, also when
   it raises.
-* A segment export is a bulk build without journal or fsync whose file is
-  complete, indexed and read-only-openable, and a failure half-way
-  leaves the store able to seal again.
+* A sealed segment is one payload and a manifest: no seal, save, reopen
+  or query opens a database other than the combined store's, a failed
+  seal leaves the store able to seal again, and an older build refuses
+  the snapshot by its format version.
 """
 
 from __future__ import annotations
 
 import gc
+import os
 import sqlite3
 from operator import attrgetter
 from pathlib import Path
@@ -28,8 +30,8 @@ from repro.audit import AuditCollector, CollectorConfig, \
 from repro.audit.logfmt import format_log, parse_record
 from repro.audit.parser import AuditLogParser, parse_audit_log
 from repro.errors import AuditError, StorageError
-from repro.storage import DualStore
-from repro.storage.relational import database, schema
+from repro.storage import DualStore, dualstore
+from repro.tbql.executor import TBQLExecutor
 
 from .conftest import record_data_leak_attack
 
@@ -143,13 +145,13 @@ class TestCollectorIsRestored:
             AuditLogParser(strict=True).parse_lines([LINES[0], "garbage"])
         assert gc.isenabled()
 
-    def test_after_a_failing_export(self, monkeypatch):
+    def test_after_a_failing_seal(self, monkeypatch):
         def refuse(*_args, **_kwargs):
             raise StorageError("disk full")
 
         with DualStore(layout="segmented") as store:
             store.append_events(parse_audit_log(LOG_TEXT))
-            monkeypatch.setattr(store.relational, "export_segment", refuse)
+            monkeypatch.setattr(store.relational, "segment_rows", refuse)
             with pytest.raises(StorageError):
                 store.flush_appends()
             assert gc.isenabled()
@@ -173,61 +175,88 @@ class TestCollectorIsRestored:
 
 
 # ---------------------------------------------------------------------------
-# the export
+# a sealed segment is one payload
 # ---------------------------------------------------------------------------
 
-class TestSegmentExport:
-    def test_export_is_complete_indexed_and_opens_read_only(self):
-        with DualStore(layout="segmented") as store:
-            store.append_events(parse_audit_log(LOG_TEXT))
-            store.flush_appends()
-            [info] = store.segment_view().sealed
-            directory = Path(info.directory)
-            assert sorted(path.name for path in directory.iterdir()) == \
-                ["events.col", "relational.sqlite", "segment.json"]
-            connection = sqlite3.connect(
-                f"file:{info.sqlite_path}?mode=ro", uri=True)
+#: One query of each class: rows, ``then``, ``group by``, ``and not``.
+QUERY_CLASSES = (
+    'proc p read file f return distinct p',
+    'proc p read file f then proc p write file g return distinct p',
+    'proc p read file f return p, count() group by p',
+    'proc p read file f and not proc p connect ip i return distinct p',
+)
+
+
+class TestOnePayloadPerSegment:
+    def test_only_the_combined_store_is_ever_connected_to(
+            self, monkeypatch, tmp_path):
+        connected: list[str] = []
+        real = sqlite3.connect
+
+        def spy(database, *args, **kwargs):
+            connected.append(str(database))
+            return real(database, *args, **kwargs)
+
+        monkeypatch.setattr(sqlite3, "connect", spy)
+        events = parse_audit_log(LOG_TEXT)
+        step = len(events) // 4 + 1
+        snap = tmp_path / "snap"
+        with _segmented(events, range(step, len(events), step)) as store:
+            sealed = store.segment_view().sealed
+            assert len(sealed) == 4
+            for info in sealed:
+                assert sorted(os.listdir(info.directory)) == \
+                    ["events.col", "segment.json"]
+            manifest = store.save(snap)
+        assert manifest["format_version"] == 4
+        for info in sealed:
+            assert sorted(os.listdir(snap / "segments" / info.name)) == \
+                ["events.col", "segment.json"]
+        with DualStore.open(snap) as reopened, DualStore() as mono:
+            mono.load_events(events)
+            executor = TBQLExecutor(reopened)
             try:
-                assert connection.execute(
-                    "PRAGMA integrity_check").fetchall() == [("ok",)]
-                indexes = {row[0] for row in connection.execute(
-                    "SELECT name FROM sqlite_master WHERE type = 'index'")}
-                assert indexes >= set(schema.INDEX_NAMES)
-                assert connection.execute(
-                    "SELECT COUNT(*) FROM events").fetchone()[0] == \
-                    info.event_count == store.relational.count_events()
-                plan = connection.execute(
-                    "EXPLAIN QUERY PLAN SELECT * FROM events "
-                    "WHERE subject_id = 1").fetchall()
-                assert "idx_events_subject" in str(plan)
+                for text in QUERY_CLASSES:
+                    result = executor.execute(text)
+                    assert result.plan[0].segments_scanned is not None
+                    assert result.rows == \
+                        TBQLExecutor(mono).execute(text).rows, text
             finally:
-                connection.close()
+                executor.close()
+        combined = str(snap / "relational.sqlite")
+        assert set(connected) == {
+            ":memory:", combined,
+            (snap / "relational.sqlite").resolve().as_uri() + "?mode=ro"}
 
-    def test_a_failure_half_way_leaves_a_store_that_seals_again(
+    def test_an_older_build_refuses_the_snapshot(self, monkeypatch,
+                                                 tmp_path):
+        with DualStore(layout="segmented") as store:
+            store.append_events(parse_audit_log(LOG_TEXT))
+            store.save(tmp_path / "snap")
+        monkeypatch.setattr(dualstore, "SNAPSHOT_FORMAT_VERSION", 3)
+        with pytest.raises(StorageError,
+                           match="unsupported snapshot format version 4"):
+            DualStore.open(tmp_path / "snap")
+
+    def test_a_failed_seal_leaves_a_store_that_seals_again(
             self, monkeypatch):
-        real = database.all_ddl_for
+        real = dualstore.write_columnar
 
-        def broken(schema_name=None):
-            return real(schema_name) + [
-                "CREATE INDEX segment.idx_broken ON no_such_table(x)"]
+        def broken(path, *args):
+            real(path, *args)
+            raise StorageError(f"disk full writing {path}")
 
         with DualStore(layout="segmented") as store:
             store.append_events(parse_audit_log(LOG_TEXT))
-            monkeypatch.setattr(database, "all_ddl_for", broken)
-            with pytest.raises(StorageError, match="export"):
-                store.flush_appends()          # fails after the inserts
+            monkeypatch.setattr(dualstore, "write_columnar", broken)
+            with pytest.raises(StorageError, match="disk full"):
+                store.flush_appends()
             assert store.segment_view() is None
             assert store.segment_stats()["sealed_segments"] == 0
-            monkeypatch.setattr(database, "all_ddl_for", real)
+            monkeypatch.setattr(dualstore, "write_columnar", real)
             sealed = store.seal_active_segment()
             assert sealed is not None
             assert sealed.event_count == store.relational.count_events()
             [info] = store.segment_view().sealed
-            assert Path(info.manifest_path).is_file()
-            connection = sqlite3.connect(
-                f"file:{info.sqlite_path}?mode=ro", uri=True)
-            try:
-                assert connection.execute(
-                    "PRAGMA integrity_check").fetchall() == [("ok",)]
-            finally:
-                connection.close()
+            assert sorted(os.listdir(info.directory)) == \
+                ["events.col", "segment.json"]
