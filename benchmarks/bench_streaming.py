@@ -12,7 +12,13 @@ sessions; 3400 ≈ 100k raw events, overridable for CI smoke runs):
 * *rule-eval latency per flush* — a :class:`DetectionEngine` with a mix of
   standing rules (selective single-pattern, multi-pattern join,
   time-dependent ``last N`` window) ingesting the same stream batch by
-  batch; reports mean/max per-flush evaluation latency.
+  batch; reports mean/max per-flush evaluation latency and how many
+  evaluations the delta gate let through to a full query.  Two mixes of
+  the same three shapes: *busy* rules that the benign workload matches
+  on nearly every flush (each pays one full query per flush, by
+  design — recorded), and *quiet* rules that name binaries it never
+  runs, the usual state of a detection (asserted at full scale: rule
+  evaluation costs less than the append it follows).
 
 Tables land in ``benchmarks/results/streaming_ingest.txt`` and
 ``streaming_rules.txt``.
@@ -58,6 +64,22 @@ STANDING_RULES = [
      'return distinct p, f'),
     ("recent-daemon-net",
      'last 5 min proc p["%/usr/sbin/cron%"] connect ip i as e1 '
+     'return distinct i.dstip'),
+]
+
+
+#: The same three shapes over binaries the benign workload never runs:
+#: what a deployed detection looks like on almost every flush.
+QUIET_RULES = [
+    ("implant-syslog-writer",
+     'proc p["%/opt/implant/wiper%"] write file f["%/var/log/syslog%"] '
+     'as e1 return distinct p'),
+    ("implant-fetch-then-cache",
+     'proc p["%/opt/implant/stage%"] receive ip i as e1 '
+     'proc p write file f as e2 with e1 before e2 '
+     'return distinct p, f'),
+    ("implant-recent-net",
+     'last 5 min proc p["%/opt/implant/beacon%"] connect ip i as e1 '
      'return distinct i.dstip'),
 ]
 
@@ -134,11 +156,10 @@ def test_streaming_append_throughput(workload_events):
             f"load (bar: {MAX_APPEND_SLOWDOWN}x)")
 
 
-def test_streaming_rule_eval_latency(workload_events):
-    batches = _chunks(workload_events, BENCH_STREAMING_BATCHES)
+def _rule_eval_rows(mix, rules, batches):
     engine = DetectionEngine(
         DualStore(), policy=FlushPolicy(max_events=1, max_seconds=0))
-    for rule_id, text in STANDING_RULES:
+    for rule_id, text in rules:
         engine.add_rule(text, rule_id=rule_id)
 
     eval_seconds = []
@@ -164,6 +185,12 @@ def test_streaming_rule_eval_latency(workload_events):
         {"metric": "rules", "value": len(engine.rules), "unit": ""},
         {"metric": "alerts fired",
          "value": engine.alerts.counters()["fired"], "unit": ""},
+        {"metric": "rule evaluations",
+         "value": sum(rule.evaluations for rule in engine.rules),
+         "unit": ""},
+        {"metric": "of them full queries",
+         "value": sum(rule.full_evaluations for rule in engine.rules),
+         "unit": ""},
         {"metric": "rule-eval mean", "value": mean_eval * 1000.0,
          "unit": "ms/flush"},
         {"metric": "rule-eval max",
@@ -171,10 +198,29 @@ def test_streaming_rule_eval_latency(workload_events):
         {"metric": "append mean", "value": mean_append * 1000.0,
          "unit": "ms/flush"},
     ]
+    engine.store.close()
+    for row in rows:
+        row["mix"] = mix
+    return rows, mean_eval, mean_append
+
+
+def test_streaming_rule_eval_latency(workload_events):
+    batches = _chunks(workload_events, BENCH_STREAMING_BATCHES)
+    busy, _, _ = _rule_eval_rows("busy", STANDING_RULES, batches)
+    quiet, quiet_eval, quiet_append = _rule_eval_rows(
+        "quiet", QUIET_RULES, batches)
     table = (f"Standing-rule evaluation latency "
              f"({BENCH_STREAMING_SESSIONS} sessions, "
-             f"{len(STANDING_RULES)} rules)\n" +
-             format_table(rows, ["metric", "value", "unit"]))
+             f"{len(STANDING_RULES)} rules per mix)\n" +
+             format_table(busy + quiet,
+                          ["mix", "metric", "value", "unit"]))
     print("\n" + table)
     write_result_table("streaming_rules", table)
-    engine.store.close()
+    if BENCH_STREAMING_SESSIONS >= 3400:
+        # Full-scale bar (ROADMAP item 4): a flush whose delta completes
+        # no match evaluates its rules for less than it took to append.
+        # The busy mix fires every rule on nearly every flush and pays
+        # one full query per rule and flush by design; it only records.
+        assert quiet_eval < quiet_append, (
+            f"quiet rules cost {quiet_eval * 1e3:.1f} ms per flush, "
+            f"the append {quiet_append * 1e3:.1f} ms")

@@ -722,8 +722,8 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--slow-query-ms", type=float, default=None,
                        help="log a structured JSON slow-query record "
                             "(with the embedded span-tree profile) to "
-                            "stderr for any query slower than this many "
-                            "milliseconds")
+                            "stderr for any query (or, with --live, "
+                            "ingest) slower than this many milliseconds")
     serve.add_argument("--verbose", action="store_true",
                        help="log every HTTP request to stderr")
     serve.set_defaults(func=cmd_serve)

@@ -142,9 +142,9 @@ class QueryService:
         workers: worker processes for scatter-gather pattern scans over
             a segmented store's sealed segments (``repro serve
             --workers``); 1 scans serially.
-        slow_query_ms: when set, any query slower than this threshold
-            logs a structured JSON record to stderr with the embedded
-            span-tree profile (``repro serve --slow-query-ms``).
+        slow_query_ms: when set, any query or ingest slower than this
+            threshold logs a structured JSON record to stderr with the
+            embedded span-tree profile (``repro serve --slow-query-ms``).
     """
 
     def __init__(self, store: DualStore, use_scheduler: bool = True,
@@ -273,16 +273,17 @@ class QueryService:
             tree = root.as_dict()
             if profile:
                 response["profile"] = tree
-            self._maybe_log_slow_query(text, elapsed, tree)
+            self._maybe_log_slow("slow_query", {"query": text}, elapsed,
+                                 tree)
         return response
 
-    def _maybe_log_slow_query(self, text: str, elapsed: float,
-                              tree: dict) -> None:
-        """Emit a structured JSON slow-query record to stderr."""
+    def _maybe_log_slow(self, event: str, what: dict, elapsed: float,
+                        tree: dict) -> None:
+        """Emit a structured JSON slow-request record to stderr."""
         threshold = self.slow_query_ms
         if threshold is None or elapsed * 1000.0 < threshold:
             return
-        record = {"event": "slow_query", "query": text,
+        record = {"event": event, **what,
                   "elapsed_ms": round(elapsed * 1000.0, 3),
                   "threshold_ms": threshold, "profile": tree}
         sys.stderr.write(json.dumps(record) + "\n")
@@ -427,7 +428,16 @@ class QueryService:
         """
         engine = self._require_engine()
         self._bump("ingests")
-        report, parse_report = engine.ingest_log_text(log_text, seal=seal)
+        start = time.perf_counter()
+        with (start_trace("ingest") if self.slow_query_ms is not None
+              else nullcontext(None)) as root:
+            report, parse_report = engine.ingest_log_text(log_text,
+                                                          seal=seal)
+        if root is not None:
+            self._maybe_log_slow(
+                "slow_ingest", {"lines": parse_report.total_lines,
+                                "stored": report.stored},
+                time.perf_counter() - start, root.as_dict())
         payload = report.as_dict()
         payload["lines"] = parse_report.total_lines
         payload["malformed"] = parse_report.malformed_lines

@@ -18,11 +18,24 @@ time/size :class:`~repro.streaming.batcher.FlushPolicy`, and each flush:
    exactly-once per matching delta: a match whose events were all stored at
    or below the mark has either fired before or predates the rule.
 
-Rule evaluation deliberately executes against the *full* store and then
-keys firing on the delta: a multi-pattern rule may join a new event against
-history (the "tar read passwd weeks ago, curl exfiltrates now" case), which
-pure delta-only evaluation would miss.  The re-execution cost is bounded by
-the same scheduler/pushdown machinery interactive queries use.
+A rule costs what the delta can complete, not what the history holds.  A
+multi-pattern rule may join a new event against history (the "tar read
+passwd weeks ago, curl exfiltrates now" case), so scanning only the delta
+would miss matches; but a rule can only fire if some complete match holds
+an event above its mark ``H``, and any such match binds at least one
+pattern to a delta event.  The *delta gate*
+(:meth:`~repro.tbql.executor.TBQLExecutor.matches_since`) asks exactly
+that, semi-naively: per pattern, scan ``e.id > H`` (a primary-key range)
+and, only if that is non-empty, look the other patterns up in the history
+from the pushed-down entity ids and join.  On "no" the mark advances and
+the rule is done; on "yes" — and for a rule's first evaluation (``H == 0``,
+the retro-hunt) or a path pattern, which takes no id floor — the rule runs
+as the full query it always was, and the alert is built from that result.
+The gate therefore decides only *whether* the full query runs: it is the
+same predicate the full result is filtered by, so it cannot lose an alert,
+and an over-approximating "yes" costs time, never correctness
+(``tests/test_streaming_delta_equivalence.py`` replays streams through
+this engine and the always-re-evaluate one kept in ``tests/reference/``).
 
 Periodic checkpointing persists the store snapshot plus the stream state
 (log offset, watermark, rule high-water marks) so a restarted service
@@ -44,8 +57,10 @@ from ..audit.entities import SystemEvent
 from ..audit.parser import AuditLogParser, ParseReport
 from ..errors import ReproError, StorageError, StreamingError
 from ..obs.metrics import get_registry
+from ..obs.trace import start_span
 from ..storage.dualstore import DualStore
-from ..tbql.executor import TBQLExecutor
+from ..tbql.executor import QueryResult, TBQLExecutor
+from ..tbql.semantics import ResolvedQuery
 from .alerts import DEFAULT_ALERT_CAPACITY, Alert, AlertStore
 from .batcher import FlushPolicy, StreamBatcher
 from .locks import ReadWriteLock
@@ -251,7 +266,8 @@ class DetectionEngine:
         stored = 0
         flush_start = time.perf_counter()
         if events or seal:
-            with self.lock.write_lock():
+            with start_span("append", events=len(events)), \
+                    self.lock.write_lock():
                 if events:
                     stored += int(self.store.append_events(events))
                     self._flushes_since_seal += 1
@@ -279,7 +295,9 @@ class DetectionEngine:
             report.batch_seq = self.batch_seq
             report.stored = stored
             eval_start = time.perf_counter()
-            report.alerts = self._evaluate_rules()
+            with start_span("rule_eval", rules=len(self.rules)) as span:
+                report.alerts = self._evaluate_rules()
+                span.set_attribute("alerts", len(report.alerts))
             report.eval_seconds = time.perf_counter() - eval_start
             self.eval_seconds_total += report.eval_seconds
             get_registry().histogram(
@@ -319,10 +337,20 @@ class DetectionEngine:
             "repro_rule_alerts_total",
             "Alerts fired by standing rules, per rule.",
             labels=("rule",))
+        full_counter = registry.counter(
+            "repro_rule_full_evaluations_total",
+            "Standing-rule evaluations the delta gate let through to a "
+            "full query over the history, per rule.", labels=("rule",))
         with self.lock.read_lock():
             for rule in rules:
+                high_water = rule.high_water_event_id
+                result: Optional[QueryResult] = None
                 try:
-                    result = self.executor.execute(rule.resolve(watermark))
+                    resolved = rule.resolve(watermark)
+                    if high_water == 0 or self._delta_gate(
+                            rule, resolved, high_water + 1):
+                        with start_span("full_eval", rule=rule.rule_id):
+                            result = self.executor.execute(resolved)
                 except ReproError as exc:
                     rule.last_error = str(exc)
                     self.rule_errors += 1
@@ -331,7 +359,11 @@ class DetectionEngine:
                 rule.last_error = None
                 rule.evaluations += 1
                 eval_counter.labels(rule.rule_id).inc()
-                high_water = rule.high_water_event_id
+                rule.high_water_event_id = max_event_id
+                if result is None:
+                    continue    # no complete match can hold a new event
+                rule.full_evaluations += 1
+                full_counter.labels(rule.rule_id).inc()
                 # A standing rule fires only on *complete* matches: an
                 # event satisfying one pattern of a multi-pattern rule is
                 # not a detection until the join closes, so firing keys on
@@ -341,7 +373,6 @@ class DetectionEngine:
                     event_id for event in result.joined_events
                     for event_id in event["event_ids"]
                     if event_id > high_water})
-                rule.high_water_event_id = max_event_id
                 if not new_ids:
                     continue
                 alert = self.alerts.fire(
@@ -356,6 +387,17 @@ class DetectionEngine:
                     alert_counter.labels(rule.rule_id).inc()
                     fired.append(alert)
         return fired
+
+    def _delta_gate(self, rule: StandingRule, resolved: ResolvedQuery,
+                    min_event_id: int) -> bool:
+        """True when a complete match may hold an event of the delta."""
+        with start_span("delta_gate", rule=rule.rule_id) as span:
+            matched, delta_rows = self.executor.matches_since(
+                resolved, min_event_id)
+            span.set_attribute("delta_rows", delta_rows)
+            span.set_attribute("outcome",
+                               "match" if matched else "no_match")
+        return matched
 
     # ------------------------------------------------------------------
     # checkpointing
@@ -456,7 +498,8 @@ class DetectionEngine:
         counts — tolerant parsing must not mean silent data loss.
         """
         parser = AuditLogParser()
-        events = list(parser.iter_events(log_text.splitlines()))
+        with start_span("parse"):
+            events = list(parser.iter_events(log_text.splitlines()))
         return self.process_batch(events, seal=seal), parser.last_report
 
     # ------------------------------------------------------------------

@@ -48,6 +48,8 @@ class StandingRule:
     #: Highest stored event id this rule has been evaluated over.
     high_water_event_id: int = 0
     evaluations: int = 0
+    #: Evaluations the delta gate let through to a full query.
+    full_evaluations: int = 0
     alerts_fired: int = 0
     last_error: Optional[str] = None
 
@@ -67,6 +69,7 @@ class StandingRule:
             "created_at": self.created_at,
             "high_water_event_id": self.high_water_event_id,
             "evaluations": self.evaluations,
+            "full_evaluations": self.full_evaluations,
             "alerts_fired": self.alerts_fired,
             "last_error": self.last_error,
         }

@@ -77,8 +77,14 @@ def render_filter(filt: Optional[AttributeFilter], entity_alias: str,
 
 def _pattern_clauses(pattern: ResolvedPattern, query: ResolvedQuery,
                      event_alias: str, subject_alias: str, object_alias: str,
-                     params: list[Any]) -> list[str]:
-    """Shared WHERE clauses for one pattern (used by both code paths)."""
+                     params: list[Any],
+                     operation_drives: bool = True) -> list[str]:
+    """Shared WHERE clauses for one pattern (used by both code paths).
+
+    ``operation_drives=False`` renders the operation test on
+    ``+e.operation``: the same predicate, but one SQLite's planner may
+    not answer from ``idx_events_operation``.
+    """
     clauses = [
         f"{subject_alias}.type = ?",
         f"{object_alias}.type = ?",
@@ -86,7 +92,8 @@ def _pattern_clauses(pattern: ResolvedPattern, query: ResolvedQuery,
     params.extend([_ENTITY_TYPE_VALUE[pattern.subject.entity_type],
                    _ENTITY_TYPE_VALUE[pattern.obj.entity_type]])
     if pattern.operations is not None:
-        clauses.append(in_list(f"{event_alias}.operation",
+        hint = "" if operation_drives else "+"
+        clauses.append(in_list(f"{hint}{event_alias}.operation",
                                sorted(pattern.operations), False, params))
     subject_clause = render_filter(pattern.subject.attr_filter, subject_alias,
                                    event_alias, params)
@@ -123,10 +130,18 @@ def compile_pattern_sql(pattern: ResolvedPattern, query: ResolvedQuery,
     patterns.  ``min_event_id`` restricts the scan to events at or above
     that id — how the scatter-gather executor scans only the *active*
     (not yet sealed) tail of a segmented store, whose earlier events the
-    per-segment scans already covered.
+    per-segment scans already covered, and how the standing-rule delta
+    gate scans only what a flush stored.
+
+    A pushed id list is at most a few hundred entities, so the statement
+    should start from them (``idx_events_subject`` / ``idx_events_object``)
+    and cost O(candidates); left alone, SQLite starts from
+    ``idx_events_operation`` and walks every ``read`` of the history.
     """
     params: list[Any] = []
-    clauses = _pattern_clauses(pattern, query, "e", "s", "o", params)
+    pushed = subject_candidates is not None or object_candidates is not None
+    clauses = _pattern_clauses(pattern, query, "e", "s", "o", params,
+                               operation_drives=not pushed)
     if subject_candidates is not None:
         clauses.append(in_list("s.id", list(subject_candidates), False,
                                params))

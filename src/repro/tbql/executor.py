@@ -367,11 +367,7 @@ class TBQLExecutor:
                 now: Optional[float] = None) -> QueryResult:
         """Execute TBQL text (or an already resolved query)."""
         start = time.perf_counter()
-        version = getattr(self.store, "data_version", None)
-        if version != self._data_version:
-            with self._cache_lock:
-                self._entity_cache.clear()
-                self._data_version = version
+        self._sync_entity_cache()
         if isinstance(query, str):
             with start_span("parse"):
                 resolved = self._resolve(query, now)
@@ -399,25 +395,8 @@ class TBQLExecutor:
             self._update_candidates(step.pattern, matches, candidate_keys,
                                     candidate_ids)
             plan.append(plan_step)
-        # Absence patterns scan after every positive step so they receive
-        # the accumulated candidate pushdown (sound: the anti-join only
-        # ever consults matches whose shared-entity keys coincide with a
-        # positive binding).  They never update the candidate sets.
-        negated_matches: dict[str, list[PatternMatch]] = {}
-        for pattern in resolved.patterns:
-            if not pattern.negated:
-                continue
-            step = ScheduledStep(pattern=pattern,
-                                 score=pruning_score(pattern),
-                                 bound_entities=frozenset(candidate_keys))
-            with start_span("scan", pattern=pattern.pattern_id,
-                            negated=True) as span:
-                matches, plan_step = self._execute_step(
-                    step, resolved, candidate_keys, candidate_ids,
-                    negated=True)
-                span.set_attribute("rows", plan_step.rows_out)
-            negated_matches[pattern.pattern_id] = matches
-            plan.append(plan_step)
+        negated_matches = self._scan_negated(resolved, candidate_keys,
+                                             candidate_ids, plan)
         join_start = time.perf_counter()
         with start_span("join") as span:
             rows, joined_events = self._join(resolved, matches_by_pattern,
@@ -447,6 +426,89 @@ class TBQLExecutor:
             elapsed_seconds=time.perf_counter() - start,
             join_seconds=join_seconds)
         return result
+
+    def _sync_entity_cache(self) -> None:
+        """Drop hydrated entities when the store's data was replaced."""
+        version = getattr(self.store, "data_version", None)
+        if version != self._data_version:
+            with self._cache_lock:
+                self._entity_cache.clear()
+                self._data_version = version
+
+    def _scan_negated(self, resolved: ResolvedQuery,
+                      candidate_keys: dict[str, set[str]],
+                      candidate_ids: dict[str, set[int]],
+                      plan: list[PlanStep],
+                      since_event_id: Optional[int] = None
+                      ) -> dict[str, list[PatternMatch]]:
+        """Scan the ``and not`` patterns; appends their steps to ``plan``.
+
+        Absence patterns scan after every positive step so they receive
+        the accumulated candidate pushdown (sound: the anti-join only
+        ever consults matches whose shared-entity keys coincide with a
+        positive binding).  They never update the candidate sets.
+        """
+        negated_matches: dict[str, list[PatternMatch]] = {}
+        for pattern in resolved.patterns:
+            if not pattern.negated:
+                continue
+            step = ScheduledStep(pattern=pattern,
+                                 score=pruning_score(pattern),
+                                 bound_entities=frozenset(candidate_keys))
+            with start_span("scan", pattern=pattern.pattern_id,
+                            negated=True) as span:
+                matches, plan_step = self._execute_step(
+                    step, resolved, candidate_keys, candidate_ids,
+                    negated=True, since_event_id=since_event_id)
+                span.set_attribute("rows", plan_step.rows_out)
+            negated_matches[pattern.pattern_id] = matches
+            plan.append(plan_step)
+        return negated_matches
+
+    def matches_since(self, resolved: ResolvedQuery, min_event_id: int
+                      ) -> tuple[bool, dict[str, int]]:
+        """Can a complete match hold an event with id >= ``min_event_id``?
+
+        The standing-rule delta gate, by semi-naive evaluation: such a
+        match binds some positive pattern to a delta event, so each
+        positive pattern in turn is scanned over the delta only, and
+        only when that is non-empty do the other steps run from it in
+        the scheduler's order (candidate pushdown as in :meth:`execute`,
+        absence patterns last) into the ordinary join; the first
+        non-empty join answers yes.  Every scan runs on the combined
+        store — the history side of a term is an index lookup from the
+        pushed-down ids, never a scatter over sealed segments.  Exact,
+        except that a positive path pattern (no id floor in Cypher) is a
+        conservative yes.  Also returns the delta rows per pattern.
+        """
+        self._sync_entity_cache()
+        positives = [pattern for pattern in resolved.patterns
+                     if not pattern.negated]
+        delta_rows: dict[str, int] = {}
+        if any(pattern.is_path for pattern in positives):
+            return True, delta_rows
+        for pinned in positives:
+            matches_by_pattern: dict[str, list[PatternMatch]] = {}
+            candidate_keys: dict[str, set[str]] = {}
+            candidate_ids: dict[str, set[int]] = {}
+            for step in schedule(resolved, first=pinned):
+                on_delta = step.pattern is pinned
+                matches, _ = self._execute_step(
+                    step, resolved, candidate_keys, candidate_ids,
+                    since_event_id=min_event_id if on_delta else 0)
+                if on_delta:
+                    delta_rows[pinned.pattern_id] = len(matches)
+                if not matches:
+                    break    # an empty leg: this term's join is empty
+                matches_by_pattern[step.pattern.pattern_id] = matches
+                self._update_candidates(step.pattern, matches,
+                                        candidate_keys, candidate_ids)
+            else:
+                negated = self._scan_negated(resolved, candidate_keys,
+                                             candidate_ids, [], 0)
+                if self._join(resolved, matches_by_pattern, negated)[1]:
+                    return True, delta_rows
+        return False, delta_rows
 
     def execute_giant_sql(self, query: str | ResolvedQuery,
                           now: Optional[float] = None) -> list[dict]:
@@ -491,7 +553,8 @@ class TBQLExecutor:
     def _execute_step(self, step: ScheduledStep, resolved: ResolvedQuery,
                       candidate_keys: dict[str, set[str]],
                       candidate_ids: dict[str, set[int]],
-                      negated: bool = False
+                      negated: bool = False,
+                      since_event_id: Optional[int] = None
                       ) -> tuple[list[PatternMatch], PlanStep]:
         pattern = step.pattern
         seconds: dict[str, float] = {}
@@ -523,7 +586,8 @@ class TBQLExecutor:
         else:
             matches, hydration_queries, segments_scanned, \
                 segments_pruned, stats_pruned = self._execute_sql_pattern(
-                    pattern, resolved, subject_ids, object_ids)
+                    pattern, resolved, subject_ids, object_ids,
+                    since_event_id)
         seconds["execute"] = time.perf_counter() - start
         rows_in = len(matches)
         # Enforce candidate restrictions produced by earlier patterns: the
@@ -609,15 +673,20 @@ class TBQLExecutor:
     def _execute_sql_pattern(self, pattern: ResolvedPattern,
                              resolved: ResolvedQuery,
                              subject_ids: Optional[list[int]] = None,
-                             object_ids: Optional[list[int]] = None
+                             object_ids: Optional[list[int]] = None,
+                             since_event_id: Optional[int] = None
                              ) -> tuple[list[PatternMatch], int,
                                         Optional[int], Optional[int],
                                         Optional[int]]:
-        view = self._segment_view()
+        # ``since_event_id`` (the delta gate): events from that id up (0 =
+        # all), read from the combined store whatever the layout.
+        view = self._segment_view() if since_event_id is None else None
         if view is None:
             compiled = compile_pattern_sql(pattern, resolved,
                                            subject_candidates=subject_ids,
-                                           object_candidates=object_ids)
+                                           object_candidates=object_ids,
+                                           min_event_id=since_event_id
+                                           or None)
             rows = self.store.execute_sql(compiled.sql, compiled.params)
             scanned: Optional[int] = None
             pruned: Optional[int] = None

@@ -16,6 +16,7 @@ Cypher for path patterns).  The scheduler decides the execution order:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 from .semantics import ResolvedPattern, ResolvedQuery
 
@@ -56,13 +57,16 @@ def pruning_score(pattern: ResolvedPattern) -> float:
     return score
 
 
-def schedule(query: ResolvedQuery) -> list[ScheduledStep]:
+def schedule(query: ResolvedQuery,
+             first: Optional[ResolvedPattern] = None) -> list[ScheduledStep]:
     """Return the ordered execution plan for ``query``.
 
     Only positive patterns are scheduled: ``and not`` absence patterns
     never bind candidates or join, so the executor scans them *after*
     every positive step (receiving the accumulated candidate pushdown)
-    and applies them as an anti-join.
+    and applies them as an anti-join.  ``first`` pins the leading step
+    (the standing-rule delta gate starts from the pattern it restricted
+    to the delta); the rest follows by score and connectivity as usual.
     """
     remaining = [pattern for pattern in query.patterns
                  if not pattern.negated]
@@ -73,6 +77,8 @@ def schedule(query: ResolvedQuery) -> list[ScheduledStep]:
                      if {pattern.subject.entity_id,
                          pattern.obj.entity_id} & bound]
         pool = connected if connected else remaining
+        if first is not None and not executed:
+            pool = [first]
         best = max(pool, key=lambda pattern: (pruning_score(pattern),
                                               -pattern.index))
         executed.append(ScheduledStep(pattern=best,

@@ -154,6 +154,83 @@ class TestSlowQueryLog:
         assert capsys.readouterr().err == ""
 
 
+class TestSlowIngestLog:
+    RULE = ('proc p["%/bin/tar%"] read file f["%/etc/passwd%"] as e1 '
+            'proc q["%/usr/bin/curl%"] connect ip i as e2 '
+            'with e1 before e2 return p, q')
+
+    @staticmethod
+    def _live(slow_query_ms):
+        from repro.streaming import DetectionEngine
+        store = DualStore()
+        engine = DetectionEngine(store)
+        engine.add_rule(TestSlowIngestLog.RULE, rule_id="exfil")
+        return QueryService(store, engine=engine,
+                            slow_query_ms=slow_query_ms), store
+
+    def test_flush_logs_a_span_tree_per_stage_and_rule(self, capsys):
+        from repro.audit import AuditCollector, CollectorConfig
+        collector = AuditCollector(CollectorConfig(seed=5))
+        tar = collector.spawn_process("/bin/tar")
+        collector.read_file(tar, "/etc/passwd")
+        first = collector.to_log()
+        collector.clear()
+        collector.advance(10.0)
+        curl = collector.spawn_process("/usr/bin/curl")
+        collector.connect_ip(curl, "192.168.29.128")
+        second = collector.to_log()
+        service, store = self._live(0.0)
+        try:
+            service.ingest(first)       # the retro-hunt: no gate yet
+            service.ingest(second)      # completes the match
+            service.ingest(first.replace("/etc/passwd", "/etc/motd"))
+            records = [json.loads(line) for line
+                       in capsys.readouterr().err.strip().splitlines()]
+            assert [record["event"] for record in records] == \
+                ["slow_ingest"] * 3
+            assert records[1]["stored"] >= 1 and records[1]["lines"] >= 1
+
+            def rule_spans(record):
+                tree = record["profile"]
+                assert tree["name"] == "ingest"
+                stages = {child["name"]: child
+                          for child in tree["children"]}
+                assert set(stages) == {"parse", "append", "rule_eval"}
+                return [(span["name"], span["attributes"])
+                        for span in stages["rule_eval"]["children"]]
+
+            assert [name for name, _ in rule_spans(records[0])] == \
+                ["full_eval"]
+            (gate, attrs), (full, _) = rule_spans(records[1])
+            assert (gate, full) == ("delta_gate", "full_eval")
+            assert attrs["rule"] == "exfil" and attrs["outcome"] == "match"
+            assert attrs["delta_rows"] == {"e1": 0, "e2": 1}
+            [(gate, attrs)] = rule_spans(records[2])
+            assert gate == "delta_gate" and attrs["outcome"] == "no_match"
+            # The counter beside the unchanged one, and the rule view.
+            [view] = service.rules()["rules"]
+            assert (view["evaluations"], view["full_evaluations"]) == (3, 2)
+            from repro.obs.metrics import get_registry
+            scrape = parse_prometheus_text(get_registry().render())
+            for family, count in (
+                    ("repro_rule_evaluations_total", 3.0),
+                    ("repro_rule_full_evaluations_total", 2.0)):
+                assert scrape[family]["samples"] == \
+                    [(family, {"rule": "exfil"}, count)]
+        finally:
+            service.close()
+            store.close()
+
+    def test_untraced_ingest_stays_quiet(self, capsys):
+        service, store = self._live(None)
+        try:
+            service.ingest("")
+            assert capsys.readouterr().err == ""
+        finally:
+            service.close()
+            store.close()
+
+
 class TestEndpointCanonicalisation:
     def test_known_paths_pass_through(self):
         assert canonical_endpoint("/query") == "/query"

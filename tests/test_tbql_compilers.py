@@ -15,6 +15,10 @@ def resolve(text):
     return resolve_query(parse_tbql(text))
 
 
+def _sql(compiled):
+    return compiled.sql, compiled.params
+
+
 class TestPatternSQL:
     def test_basic_pattern_compiles_to_join(self):
         resolved = resolve('proc p["%/bin/tar%"] read file f["%/etc/p%"] '
@@ -41,6 +45,49 @@ class TestPatternSQL:
         compiled = compile_pattern_sql(resolved.patterns[0], resolved,
                                        subject_candidates=[1, 2, 3])
         assert "s.id IN (?, ?, ?)" in compiled.sql
+
+    @pytest.mark.parametrize("side", ["subject", "object", "both"])
+    def test_pushed_id_list_drives_the_statement(self, data_leak_store,
+                                                 side):
+        # A pushed id list is a handful of entities: the events table is
+        # reached from them (or by primary key), never by walking every
+        # event of the operation; the rows are what the unhinted
+        # statement returns.
+        resolved = resolve("proc p read || write file f return p, f")
+        pattern = resolved.patterns[0]
+        every = data_leak_store.execute_sql(
+            *_sql(compile_pattern_sql(pattern, resolved)))
+        pushed = {
+            "subject_candidates": sorted({row["subject_id"]
+                                          for row in every})[:5],
+            "object_candidates": sorted({row["object_id"]
+                                         for row in every})[:5]}
+        if side != "both":
+            del pushed["object_candidates" if side == "subject"
+                       else "subject_candidates"]
+        compiled = compile_pattern_sql(pattern, resolved, **pushed)
+        assert "+e.operation IN (?, ?)" in compiled.sql
+        plan = [row["detail"] for row in data_leak_store.execute_sql(
+            "EXPLAIN QUERY PLAN " + compiled.sql, compiled.params)]
+        [events] = [line for line in plan if " e " in line + " "]
+        assert "idx_events_operation" not in events
+        assert any(index in events for index in (
+            "idx_events_subject", "idx_events_object", "PRIMARY KEY"))
+        got = data_leak_store.execute_sql(*_sql(compiled))
+        assert got == [row for row in every if
+                       row["subject_id"] in pushed.get(
+                           "subject_candidates", [row["subject_id"]]) and
+                       row["object_id"] in pushed.get(
+                           "object_candidates", [row["object_id"]])]
+        assert got
+
+    def test_unpushed_statement_keeps_the_operation_index(self):
+        resolved = resolve("proc p read file f return p")
+        for floor in (None, 7):
+            compiled = compile_pattern_sql(resolved.patterns[0], resolved,
+                                           min_event_id=floor)
+            assert " e.operation IN (?)" in compiled.sql
+            assert "+e.operation" not in compiled.sql
 
     def test_window_filter(self):
         resolved = resolve('proc p read file f as e1 from "100" to "200" '
