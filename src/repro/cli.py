@@ -36,6 +36,7 @@ Usage::
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 from pathlib import Path
 
@@ -502,24 +503,23 @@ def _print_diagnostic(error: object, indent: str = "  ") -> None:
 
 
 def cmd_query(args: argparse.Namespace) -> int:
-    if args.snapshot:
-        raptor = ThreatRaptor.open_snapshot(args.snapshot,
-                                            workers=args.workers)
-        print(f"[repro] opened snapshot {args.snapshot} "
-              f"({raptor.store.relational.count_events()} events)",
-              file=sys.stderr)
-    else:
-        raptor = _load_raptor(args.log, args.no_reduction,
-                              workers=args.workers)
-    tbql = args.tbql if args.tbql else _read_text(args.query_file)
     from .errors import TBQLError
     from .obs.trace import start_trace
+
+    # A profiled query is a cold start: its trace covers the open too.
     try:
-        if args.profile:
-            with start_trace("query") as trace_root:
-                result = raptor.execute_tbql(tbql)
-        else:
-            trace_root = None
+        with (start_trace("query") if args.profile
+              else contextlib.nullcontext()) as trace_root:
+            if args.snapshot:
+                raptor = ThreatRaptor.open_snapshot(args.snapshot,
+                                                    workers=args.workers)
+                print(f"[repro] opened snapshot {args.snapshot} "
+                      f"({raptor.store.relational.count_events()} events)",
+                      file=sys.stderr)
+            else:
+                raptor = _load_raptor(args.log, args.no_reduction,
+                                      workers=args.workers)
+            tbql = args.tbql if args.tbql else _read_text(args.query_file)
             result = raptor.execute_tbql(tbql)
     except TBQLError as exc:
         print(f"invalid TBQL: {exc}", file=sys.stderr)

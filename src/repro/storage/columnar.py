@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import json
 import mmap
+import os
 import struct
 import sys
 import threading
@@ -42,6 +43,11 @@ from typing import Any, Callable, Iterable, Optional, Sequence
 
 from ..errors import StorageError
 from .relational.schema import ENTITY_COLUMNS
+
+try:  # pragma: no cover - exercised via REPRO_COLUMNAR_NUMPY toggle
+    import numpy as _numpy
+except ImportError:  # pragma: no cover - numpy-less environments
+    _numpy = None  # type: ignore[assignment]
 
 #: File magic of an ``events.col`` payload.
 COLUMNAR_MAGIC = b"RPRCOL01"
@@ -70,6 +76,13 @@ _TYPECODE_SIZE = {"q": 8, "d": 8, "I": 4, "Q": 8}
 
 _ASCII_LOWER = str.maketrans("ABCDEFGHIJKLMNOPQRSTUVWXYZ",
                              "abcdefghijklmnopqrstuvwxyz")
+
+
+def numpy_module() -> Any:
+    """numpy, unless absent or disabled via ``REPRO_COLUMNAR_NUMPY=0``."""
+    if os.environ.get("REPRO_COLUMNAR_NUMPY", "").strip() == "0":
+        return None
+    return _numpy
 
 
 def ascii_lower(text: str) -> str:
@@ -314,8 +327,8 @@ class ColumnarSegment:
 
     Columns are materialized lazily as zero-copy :class:`memoryview`
     casts over the mapping (:meth:`column`) or numpy views
-    (:meth:`np_column`); the string table is decoded eagerly at open
-    (codes are dense and small).  The payload is immutable and
+    (:meth:`np_column`); the string table is decoded at open, in one
+    pass when it is all ASCII.  The payload is immutable and
     instances are safe to share across reader threads; what readers
     derive from it (the ASCII-lowered string blob, memoised filter
     masks, each event's entity rows) is built lazily, in memory only,
@@ -370,15 +383,16 @@ class ColumnarSegment:
         self._data_start = _align8(12 + header_len)
         self._views: dict[Any, Any] = {}
         offsets = self.column("strings.offsets")
-        raw = self.column("strings.blob")
+        raw = bytes(self.column("strings.blob"))
         strings: list[Optional[str]] = [None]
-        for index in range(len(offsets) - 1):
-            strings.append(bytes(raw[offsets[index]:offsets[index + 1]]
-                                 ).decode("utf-8"))
+        pieces = map(slice, offsets, offsets[1:])
+        if raw.isascii():       # a byte per character: one decode, sliced
+            strings.extend(map(raw.decode("ascii").__getitem__, pieces))
+        else:
+            strings.extend(raw[piece].decode("utf-8") for piece in pieces)
         #: Interned strings by code; index 0 is the NULL sentinel.
         self.strings = strings
-        self._codes = {text: code for code, text in enumerate(strings)
-                       if code}
+        self._codes = dict(zip(strings[1:], range(1, len(strings))))
         #: True when codes follow ``(ascii_lower, raw)`` string order,
         #: enabling binary-searched prefix code ranges.  Payloads from
         #: older writers simply lack the key and scan linearly.
@@ -509,23 +523,42 @@ class ColumnarSegment:
 
         Resolved once per reader, so no scan looks an id up again,
         whether the block holds ids ``1..N`` (payloads sealed before
-        blocks held referenced rows only) or any ascending subset.
+        blocks held referenced rows only) or any ascending subset, by
+        ``searchsorted`` under :func:`numpy_module`, else by a dict.
         Threads racing on the first call each build the same arrays.
         """
         rows = self._entity_rows
-        if rows is None:
-            row_of = {entity_id: row for row, entity_id
-                      in enumerate(self.column("entity.id"))}
-            try:
-                rows = self._entity_rows = (
-                    array("q", map(row_of.__getitem__,
-                                   self.column("event.subject_id"))),
-                    array("q", map(row_of.__getitem__,
-                                   self.column("event.object_id"))))
-            except KeyError as exc:
-                raise StorageError(
-                    f"columnar payload {self.path} has no entity row for "
-                    f"id {exc.args[0]}") from exc
+        if rows is not None:
+            return rows
+        sides = ("event.subject_id", "event.object_id")
+        np = numpy_module()
+        try:
+            if np is None:
+                row_of = {entity_id: row for row, entity_id
+                          in enumerate(self.column("entity.id"))}
+                subject_rows, object_rows = (
+                    array("q", map(row_of.__getitem__, self.column(name)))
+                    for name in sides)
+            else:
+                # The block is sorted by id: one binary search per side,
+                # then a check that every position holds the id sought.
+                ids = self.np_column("entity.id", np)
+                resolved: list[array] = []
+                for name in sides:
+                    wanted = self.np_column(name, np)
+                    found = np.searchsorted(ids, wanted)
+                    exact = found < ids.size
+                    exact[exact] = ids[found[exact]] == wanted[exact]
+                    if not exact.all():
+                        raise KeyError(int(wanted[~exact][0]))
+                    resolved.append(array("q", found.astype(
+                        np.int64, copy=False).tobytes()))
+                subject_rows, object_rows = resolved
+        except KeyError as exc:
+            raise StorageError(
+                f"columnar payload {self.path} has no entity row for "
+                f"id {exc.args[0]}") from exc
+        rows = self._entity_rows = (subject_rows, object_rows)
         return rows
 
     def close(self) -> None:
@@ -541,4 +574,4 @@ class ColumnarSegment:
 __all__ = ["COLUMNAR_FORMAT_VERSION", "COLUMNAR_MAGIC", "NULL_INT",
            "ENTITY_STRING_COLUMNS", "ENTITY_INT_COLUMNS",
            "EVENT_STRING_COLUMNS", "EventColumns", "ColumnarSegment",
-           "ascii_lower", "write_columnar"]
+           "ascii_lower", "numpy_module", "write_columnar"]

@@ -33,9 +33,9 @@ from ..audit.reduction import DEFAULT_MERGE_THRESHOLD, ReductionStats, \
 from ..errors import StorageError
 from ..gcpause import gc_paused
 from ..obs.metrics import get_registry, ingest_stage_histogram
+from ..obs.trace import start_span
 from .columnar import EventColumns, write_columnar
 from .graph import GraphStore
-from .graph.graphdb import PropertyGraph
 from .relational import RelationalStore
 from .relational.database import entity_row
 from .segments import (SEGMENT_FILES, SegmentInfo, SegmentView,
@@ -1086,6 +1086,7 @@ class DualStore:
 
     @classmethod
     @gc_paused()
+    @start_span("snapshot_open")
     def open(cls, path: str | Path, read_only: bool = True,
              relational_path: str | Path | None = None) -> "DualStore":
         """Open a snapshot directory as a dual store.
@@ -1102,45 +1103,62 @@ class DualStore:
         streaming subsystem.  The snapshot directory itself is never
         mutated by a writable reopen.
 
-        In both modes the graph backend rebuilds from the binary snapshot,
-        the stored counts are checked against the manifest, and
-        ``data_version`` resumes from the value recorded at save time (1
-        for snapshots written before the field existed).  Note
-        :meth:`events` is empty because raw events are not part of the
-        snapshot (both query backends are).
+        In both modes the relational counts are checked against the
+        manifest and ``data_version`` resumes from the value recorded at
+        save time (1 for snapshots written before the field existed).
+        Of ``graph.bin`` only the container header is read here; the
+        graph is parsed and counted against the manifest on its first
+        use (:meth:`GraphStore.defer_load`).  Note :meth:`events` is
+        empty because raw events are not part of the snapshot.
 
         Raises:
             StorageError: when the directory is not a snapshot, was written
-                by a newer format version, or its contents do not match the
-                manifest.
+                by a newer format version, or its contents or graph header
+                do not match the manifest.
         """
         directory = Path(path)
-        manifest_path = directory / SNAPSHOT_MANIFEST
-        if not manifest_path.is_file():
-            raise StorageError(f"not a dual-store snapshot (no "
-                               f"{SNAPSHOT_MANIFEST}): {directory}")
-        try:
-            manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
-            raise StorageError(
-                f"corrupt snapshot manifest: {manifest_path}") from exc
-        version = manifest.get("format_version")
-        if not isinstance(version, int) or version < 1 or \
-                version > SNAPSHOT_FORMAT_VERSION:
-            raise StorageError(
-                f"unsupported snapshot format version {version!r} "
-                f"(this build reads <= {SNAPSHOT_FORMAT_VERSION})")
+        with start_span("manifest"):
+            manifest_path = directory / SNAPSHOT_MANIFEST
+            if not manifest_path.is_file():
+                raise StorageError(f"not a dual-store snapshot (no "
+                                   f"{SNAPSHOT_MANIFEST}): {directory}")
+            try:
+                manifest = json.loads(manifest_path.read_text("utf-8"))
+            except json.JSONDecodeError as exc:
+                raise StorageError(
+                    f"corrupt snapshot manifest: {manifest_path}") from exc
+            version = manifest.get("format_version")
+            if not isinstance(version, int) or version < 1 or \
+                    version > SNAPSHOT_FORMAT_VERSION:
+                raise StorageError(
+                    f"unsupported snapshot format version {version!r} "
+                    f"(this build reads <= {SNAPSHOT_FORMAT_VERSION})")
+
+        def check_counts(**actual: int) -> None:
+            for recorded, count in actual.items():
+                expected = manifest.get(recorded)
+                if expected is not None and expected != count:
+                    raise StorageError(
+                        f"snapshot {directory} is corrupt: {recorded} is "
+                        f"{count}, manifest says {expected}")
+
         store = cls.__new__(cls)
-        if read_only:
-            store.relational = RelationalStore(
-                directory / SNAPSHOT_RELATIONAL, read_only=True)
-        else:
-            store.relational = RelationalStore.from_snapshot(
-                directory / SNAPSHOT_RELATIONAL, relational_path)
+        with start_span("relational"):
+            if read_only:
+                store.relational = RelationalStore(
+                    directory / SNAPSHOT_RELATIONAL, read_only=True)
+            else:
+                store.relational = RelationalStore.from_snapshot(
+                    directory / SNAPSHOT_RELATIONAL, relational_path)
         try:
+            check_counts(
+                relational_entities=store.relational.count_entities(),
+                relational_events=store.relational.count_events())
             store.graph = GraphStore()
-            store.graph.graph = PropertyGraph.load(
-                directory / SNAPSHOT_GRAPH)
+            store.graph.defer_load(
+                directory / SNAPSHOT_GRAPH,
+                lambda graph: check_counts(graph_nodes=graph.num_nodes(),
+                                           graph_edges=graph.num_edges()))
             store.reduce = bool(manifest.get("reduce", True))
             store.merge_threshold = float(
                 manifest.get("merge_threshold", DEFAULT_MERGE_THRESHOLD))
@@ -1154,21 +1172,11 @@ class DualStore:
             data_version = manifest.get("data_version")
             store.data_version = data_version \
                 if isinstance(data_version, int) and data_version > 0 else 1
-            for recorded, actual in (
-                    ("relational_entities",
-                     store.relational.count_entities()),
-                    ("relational_events", store.relational.count_events()),
-                    ("graph_nodes", store.graph.num_nodes()),
-                    ("graph_edges", store.graph.num_edges())):
-                expected = manifest.get(recorded)
-                if expected is not None and expected != actual:
-                    raise StorageError(
-                        f"snapshot {directory} is corrupt: {recorded} is "
-                        f"{actual}, manifest says {expected}")
-            store._restore_segments(directory, manifest, read_only)
+            with start_span("segments"):
+                store._restore_segments(directory, manifest, read_only)
         except BaseException:
             # Don't leak the already-opened relational connection when the
-            # graph half of the snapshot fails to restore.
+            # rest of the snapshot fails to restore.
             store.relational.close()
             raise
         return store

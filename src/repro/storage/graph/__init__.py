@@ -1,5 +1,11 @@
 """Graph storage backend (property graph + mini-Cypher, Neo4j stand-in)."""
 
+import threading
+from pathlib import Path
+from typing import Callable, Optional
+
+from ...gcpause import gc_paused
+from ...obs.trace import start_span
 from .cypher_ast import (BooleanExpr, Comparison, CypherQuery, Literal,
                          NodePattern, NotExpr, PathPattern, PropertyRef,
                          RelationshipPattern, ReturnItem)
@@ -10,10 +16,51 @@ from .graphdb import (GraphEdge, GraphNode, PropertyGraph, graph_from_events,
 
 
 class GraphStore:
-    """Neo4j-style store: a property graph plus a Cypher query interface."""
+    """Neo4j-style store: a property graph plus a Cypher query interface;
+    :attr:`graph` loads on first access after :meth:`defer_load`."""
 
     def __init__(self) -> None:
-        self.graph = PropertyGraph()
+        self._graph: Optional[PropertyGraph] = PropertyGraph()
+        self._pending: Optional[tuple[Path, int,
+                                      Callable[[PropertyGraph], None]]] = None
+        self._lock = threading.Lock()
+
+    @property
+    def graph(self) -> PropertyGraph:
+        graph = self._graph
+        return graph if graph is not None else self._load_pending()
+
+    @graph.setter
+    def graph(self, graph: PropertyGraph) -> None:
+        with self._lock:                # replaces a pending load
+            self._graph, self._pending = graph, None
+
+    def defer_load(self, path: str | Path,
+                   verify: Callable[[PropertyGraph], None]) -> None:
+        """Make :attr:`graph` the snapshot at ``path``, parsed on first use.
+
+        The container header is checked now.  ``verify`` sees the loaded
+        graph before it is kept; a load or ``verify`` that raises keeps
+        nothing, so every later access raises again.
+        """
+        payload = PropertyGraph.check_snapshot(path)
+        with self._lock:
+            self._graph, self._pending = None, (Path(path), payload, verify)
+
+    def _load_pending(self) -> PropertyGraph:
+        with self._lock:
+            graph = self._graph
+            if graph is None:       # not loaded while this thread waited
+                assert self._pending is not None
+                path, payload, verify = self._pending
+                with start_span("graph_load", bytes=payload) as span, \
+                        gc_paused():
+                    graph = PropertyGraph.load(path)
+                    span.set_attribute("nodes", graph.num_nodes())
+                    span.set_attribute("edges", graph.num_edges())
+                verify(graph)
+                self._graph, self._pending = graph, None
+            return graph
 
     def load_events(self, events, itemwise: bool = False) -> int:
         """Load a system event stream into the property graph.

@@ -38,6 +38,8 @@ GRAPH_SNAPSHOT_VERSION = 1
 
 _U16 = struct.Struct("<H")
 _U64 = struct.Struct("<Q")
+#: Magic, version and payload length: what precedes the payload.
+_HEADER_SIZE = len(GRAPH_SNAPSHOT_MAGIC) + _U16.size + _U64.size
 
 #: Scalar types a snapshotted property value may have.  The payload encoder
 #: is type-preserving exactly for this closed set (``bool`` included via
@@ -364,6 +366,38 @@ class PropertyGraph:
         os.replace(temporary, target)
         return len(out)
 
+    @staticmethod
+    def check_snapshot(path: str | Path) -> int:
+        """Validate a snapshot's container header against the file size
+        without reading the payload; returns the payload size.
+
+        Raises the :class:`StorageError` :meth:`load` would for a
+        missing, foreign, newer-version or truncated file.
+        """
+        try:
+            with open(path, "rb") as handle:
+                header = handle.read(_HEADER_SIZE)
+                found = os.fstat(handle.fileno()).st_size - _HEADER_SIZE
+        except OSError as exc:
+            raise StorageError(
+                f"cannot read graph snapshot {path}: {exc}") from exc
+        magic_size = len(GRAPH_SNAPSHOT_MAGIC)
+        if header[:magic_size] != GRAPH_SNAPSHOT_MAGIC:
+            raise StorageError(f"not a property-graph snapshot: {path}")
+        if len(header) < _HEADER_SIZE:
+            raise StorageError(f"truncated graph snapshot: {path}")
+        (version,) = _U16.unpack_from(header, magic_size)
+        if version < 1 or version > GRAPH_SNAPSHOT_VERSION:
+            raise StorageError(
+                f"unsupported graph snapshot version {version} "
+                f"(this build reads <= {GRAPH_SNAPSHOT_VERSION})")
+        (payload_size,) = _U64.unpack_from(header, magic_size + _U16.size)
+        if found < payload_size:
+            raise StorageError(
+                f"truncated graph snapshot: expected {payload_size} payload "
+                f"bytes, found {found}")
+        return payload_size
+
     @classmethod
     def load(cls, path: str | Path) -> "PropertyGraph":
         """Rebuild a graph from a binary snapshot written by :meth:`save`.
@@ -373,35 +407,22 @@ class PropertyGraph:
                 graph snapshot, was written by a newer format version, or
                 is truncated/corrupt.
         """
+        payload_size = cls.check_snapshot(path)
         try:
-            data = Path(path).read_bytes()
+            with open(path, "rb") as handle:
+                handle.seek(_HEADER_SIZE)
+                document = json.loads(handle.read(payload_size))
+            node_rows = document.pop("nodes")
+            edge_rows = document.pop("edges")
+            next_node_id = int(document["next_node_id"])
+            next_edge_id = int(document["next_edge_id"])
+            # Popped in order as built, so no parsed row outlives its use.
+            node_rows.reverse()
+            edge_rows.reverse()
         except OSError as exc:
             raise StorageError(
                 f"cannot read graph snapshot {path}: {exc}") from exc
-        magic_size = len(GRAPH_SNAPSHOT_MAGIC)
-        if data[:magic_size] != GRAPH_SNAPSHOT_MAGIC:
-            raise StorageError(f"not a property-graph snapshot: {path}")
-        header_size = magic_size + _U16.size + _U64.size
-        if len(data) < header_size:
-            raise StorageError(f"truncated graph snapshot: {path}")
-        (version,) = _U16.unpack_from(data, magic_size)
-        if version < 1 or version > GRAPH_SNAPSHOT_VERSION:
-            raise StorageError(
-                f"unsupported graph snapshot version {version} "
-                f"(this build reads <= {GRAPH_SNAPSHOT_VERSION})")
-        (payload_size,) = _U64.unpack_from(data, magic_size + _U16.size)
-        payload = data[header_size:header_size + payload_size]
-        if len(payload) != payload_size:
-            raise StorageError(
-                f"truncated graph snapshot: expected {payload_size} payload "
-                f"bytes, found {len(payload)}")
-        try:
-            document = json.loads(payload)
-            node_rows = document["nodes"]
-            edge_rows = document["edges"]
-            next_node_id = int(document["next_node_id"])
-            next_edge_id = int(document["next_edge_id"])
-        except (ValueError, KeyError, TypeError,
+        except (ValueError, KeyError, TypeError, AttributeError,
                 UnicodeDecodeError) as exc:
             raise StorageError(
                 f"corrupt graph snapshot payload: {exc}") from exc
@@ -412,7 +433,8 @@ class PropertyGraph:
         label_index = graph._node_label_index
         node_property_index = graph._node_property_index
         indexed_node_keys = INDEXED_NODE_PROPERTIES
-        for node_id, label, properties in node_rows:
+        while node_rows:
+            node_id, label, properties = node_rows.pop()
             if node_id in node_map:
                 raise StorageError(
                     f"corrupt graph snapshot: duplicate node id {node_id}")
@@ -433,7 +455,8 @@ class PropertyGraph:
         edge_map = graph._edges
         edge_property_index = graph._edge_property_index
         indexed_edge_keys = INDEXED_EDGE_PROPERTIES
-        for edge_id, source, target, label, properties in edge_rows:
+        while edge_rows:
+            edge_id, source, target, label, properties = edge_rows.pop()
             if edge_id in edge_map:
                 raise StorageError(
                     f"corrupt graph snapshot: duplicate edge id {edge_id}")

@@ -33,7 +33,7 @@ from typing import Any, Callable, Iterable, Iterator, Optional, Sequence
 
 from ..errors import TBQLSemanticError
 from ..obs.metrics import get_registry
-from ..storage.columnar import ColumnarSegment, NULL_INT
+from ..storage.columnar import NULL_INT, ColumnarSegment, numpy_module
 from ..storage.relational.schema import (ENTITY_ATTRIBUTE_COLUMNS,
                                          EVENT_ATTRIBUTE_COLUMNS)
 from ..storage.relational.sqlgen import like_escape
@@ -41,11 +41,6 @@ from .ast import (AttributeComparison, AttributeFilter, BareValueFilter,
                   BooleanFilter, MembershipFilter, NegatedFilter)
 from .compiler_sql import _ENTITY_TYPE_VALUE
 from .semantics import ResolvedPattern, ResolvedQuery, effective_window
-
-try:  # pragma: no cover - exercised via REPRO_COLUMNAR_NUMPY toggle
-    import numpy as _numpy
-except ImportError:  # pragma: no cover - numpy-less environments
-    _numpy = None  # type: ignore[assignment]
 
 from array import array
 
@@ -63,13 +58,6 @@ PackedRows = tuple[int, bytes, bytes, tuple[str, ...], bytes, bytes,
 
 #: Tri-valued predicate over (entity row index, event row index).
 _Predicate = Callable[[int, int], Optional[bool]]
-
-
-def _numpy_module() -> Any:
-    """numpy, unless absent or disabled via ``REPRO_COLUMNAR_NUMPY=0``."""
-    if os.environ.get("REPRO_COLUMNAR_NUMPY", "").strip() == "0":
-        return None
-    return _numpy
 
 
 # ---------------------------------------------------------------------------
@@ -760,7 +748,7 @@ def _pack_numpy(segment: ColumnarSegment, selected: Any,
 def scan_columnar(segment: ColumnarSegment,
                   spec: PatternSpec) -> PackedRows:
     """Evaluate one pattern against a mapped segment; packed result."""
-    np = _numpy_module()
+    np = numpy_module()
     selected = _select(segment, spec, np)
     if np is not None:
         return _pack_numpy(segment, selected, np)
@@ -873,7 +861,7 @@ def aggregate_columnar(segment: ColumnarSegment, spec: PatternSpec,
     hydrates them by entity id through its batched cache, the same way
     the ordinary path hydrates matched events.
     """
-    selected = _select(segment, spec, _numpy_module())
+    selected = _select(segment, spec, numpy_module())
     ids = segment.column("event.id")
     starts = segment.column("event.start_time")
     ends = segment.column("event.end_time")

@@ -179,6 +179,92 @@ def test_missing_entity_row_raises_storage_error(tmp_path, monkeypatch,
         segment.close()
 
 
+def _named_payload(tmp_path, names):
+    """A payload with one event per name, object ``i`` named ``names[i]``
+    (the subject is one NULL-heavy proc)."""
+    events = EventColumns()
+    entities = [_entity(1, "proc")]
+    for index, name in enumerate(names):
+        events.append(index + 1, 1, index + 2, "read", "file", 1.0, 2.0,
+                      1.0, 0, 0, "h")
+        entities.append(_entity(index + 2, "file", name=name))
+    path = tmp_path / "named.col"
+    write_columnar(path, events, entities if names else [])
+    return path
+
+
+@pytest.mark.parametrize("names", [
+    ["/etc/passwd", "/tmp/upload.tar", "ABC", "a_b"],
+    ["école", "ÉCOLE", "/tmp/✓", "naïve", "plain"],
+    ["", "x", "", "yy"],
+    [None] * 6 + ["only"],
+    [],
+], ids=["ascii", "non_ascii", "empty_strings", "null_heavy", "no_events"])
+def test_one_pass_string_decode_matches_per_string_decode(tmp_path, names):
+    segment = ColumnarSegment(_named_payload(tmp_path, names))
+    try:
+        offsets = segment.column("strings.offsets")
+        blob = segment.column("strings.blob")
+        expected = [None] + [
+            bytes(blob[offsets[index]:offsets[index + 1]]).decode("utf-8")
+            for index in range(len(offsets) - 1)]
+        assert segment.strings == expected
+        assert segment._codes == {text: code for code, text
+                                  in enumerate(expected) if code}
+        assert [segment.strings[code] for code
+                in segment.column("entity.name")] == \
+            ([None] + names if names else [])
+    finally:
+        segment.close()
+
+
+@pytest.mark.skipif(_numpy is None, reason="numpy not installed")
+def test_entity_rows_agree_under_both_evaluators(tmp_path, monkeypatch):
+    events = EventColumns()
+    for index, (subject, obj) in enumerate([(10, 70), (10, 40), (3, 70),
+                                            (40, 3), (90, 90)]):
+        events.append(index + 1, subject, obj, "read", "file", 1.0, 2.0,
+                      1.0, 0, 0, "h")
+    path = tmp_path / "sparse.col"
+    write_columnar(path, events, [_entity(entity_id, "proc") for entity_id
+                                  in (3, 10, 40, 70, 90)])
+    rows = {}
+    for setting in ("1", "0"):
+        monkeypatch.setenv("REPRO_COLUMNAR_NUMPY", setting)
+        segment = ColumnarSegment(path)
+        try:
+            rows[setting] = segment.entity_rows()
+        finally:
+            segment.close()
+    assert rows["1"] == rows["0"] == (array("q", [1, 1, 0, 2, 4]),
+                                      array("q", [3, 2, 3, 0, 4]))
+
+
+@pytest.mark.parametrize("use_numpy", [
+    pytest.param("1", marks=pytest.mark.skipif(
+        _numpy is None, reason="numpy not installed")), "0"],
+    ids=["numpy", "python"])
+@pytest.mark.parametrize("missing", [5, 50, 99])
+def test_entity_rows_name_the_missing_id(tmp_path, monkeypatch, use_numpy,
+                                         missing):
+    """Below, between and above the ids the block holds, on the object
+    side after a complete subject side."""
+    monkeypatch.setenv("REPRO_COLUMNAR_NUMPY", use_numpy)
+    events = EventColumns()
+    events.append(1, 10, 70, "read", "file", 1.0, 2.0, 1.0, 0, 0, "h")
+    events.append(2, 10, missing, "read", "file", 3.0, 4.0, 1.0, 0, 0, "h")
+    path = tmp_path / "dangling.col"
+    write_columnar(path, events, [_entity(10, "proc"), _entity(70, "file")])
+    segment = ColumnarSegment(path)
+    try:
+        for _attempt in range(2):
+            with pytest.raises(StorageError,
+                               match=f"no entity row for id {missing}$"):
+                segment.entity_rows()
+    finally:
+        segment.close()
+
+
 def test_reader_rejects_bad_magic(tmp_path):
     path = tmp_path / "bad.col"
     path.write_bytes(b"NOTMAGIC" + b"\0" * 64)

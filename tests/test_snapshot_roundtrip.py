@@ -129,15 +129,32 @@ class TestSnapshotValidation:
         with pytest.raises(StorageError, match="unsupported snapshot"):
             DualStore.open(copy)
 
-    def test_open_rejects_count_mismatch(self, snapshot_dir, tmp_path):
-        copy = tmp_path / "tampered"
-        shutil.copytree(snapshot_dir, copy)
-        manifest_path = copy / SNAPSHOT_MANIFEST
-        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-        manifest["graph_edges"] += 1
-        manifest_path.write_text(json.dumps(manifest), encoding="utf-8")
-        with pytest.raises(StorageError, match="corrupt"):
-            DualStore.open(copy)
+    def test_open_rejects_count_mismatch(self, snapshot_dir, tmp_path,
+                                         data_leak_store):
+        """A relational count that disagrees fails the open; a graph
+        count is checked when the graph loads, on first use — the open
+        and every relational answer succeed, each graph use raises."""
+        for key in ("relational_events", "graph_edges"):
+            copy = tmp_path / f"tampered-{key}"
+            shutil.copytree(snapshot_dir, copy)
+            manifest_path = copy / SNAPSHOT_MANIFEST
+            manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+            manifest[key] += 1
+            manifest_path.write_text(json.dumps(manifest), encoding="utf-8")
+            if key == "relational_events":
+                with pytest.raises(StorageError, match="corrupt"):
+                    DualStore.open(copy)
+                continue
+            with DualStore.open(copy) as store:
+                text = EQUIVALENCE_CORPUS[0]
+                assert TBQLExecutor(store).execute(text).rows == \
+                    TBQLExecutor(data_leak_store).execute(text).rows
+                for _attempt in range(2):
+                    with pytest.raises(StorageError,
+                                       match="corrupt: graph_edges"):
+                        store.graph.graph
+                with pytest.raises(StorageError, match="corrupt"):
+                    store.statistics()
 
     def test_open_missing_graph_file_maps_to_storage_error(self,
                                                            snapshot_dir,
@@ -146,6 +163,24 @@ class TestSnapshotValidation:
         shutil.copytree(snapshot_dir, copy)
         (copy / SNAPSHOT_GRAPH).unlink()
         with pytest.raises(StorageError, match="cannot read"):
+            DualStore.open(copy)
+
+    @pytest.mark.parametrize("damage,message", [
+        (lambda data: b"NOTAGRAPH" + data[9:], "not a property-graph"),
+        (lambda data: data[:8] + (GRAPH_SNAPSHOT_VERSION + 1).to_bytes(
+            2, "little") + data[10:], "unsupported graph snapshot"),
+        (lambda data: data[:-7], "truncated"),
+        (lambda data: data[:12], "truncated"),
+    ], ids=["magic", "version", "payload", "header"])
+    def test_open_checks_the_graph_header(self, snapshot_dir, tmp_path,
+                                          damage, message):
+        """The graph payload loads lazily, but a damaged container header
+        still fails the open itself."""
+        copy = tmp_path / "damaged"
+        shutil.copytree(snapshot_dir, copy)
+        graph_path = copy / SNAPSHOT_GRAPH
+        graph_path.write_bytes(damage(graph_path.read_bytes()))
+        with pytest.raises(StorageError, match=message):
             DualStore.open(copy)
 
     def test_graph_load_rejects_bad_magic(self, tmp_path):
