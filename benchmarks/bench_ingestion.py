@@ -7,8 +7,9 @@ smoke runs) for three loaders:
 * ``batched``  — the fast path: fused streaming-reduction/build pass,
   multi-row relational inserts under a deferred index rebuild, bulk graph
   insertion;
-* ``rowwise``  — the retained in-tree reference (row-at-a-time entity
-  inserts, item-wise graph construction) used by the equivalence tests;
+* ``rowwise``  — the pre-batching loader (row-at-a-time entity inserts,
+  item-wise graph construction) the equivalence tests compare against,
+  kept in ``tests/reference/ingest_rowwise.py``;
 * ``seed``     — a frozen copy of the seed revision's loader, including its
   ``dataclasses.replace``-per-merge reduction, kept here so the speedup is
   measured against the implementation this PR replaced.
@@ -34,6 +35,7 @@ from repro.benchmark.evaluation import format_table
 from repro.storage import DualStore
 from repro.storage.graph.graphdb import PropertyGraph
 from repro.storage.relational.schema import ENTITY_COLUMNS, EVENT_COLUMNS
+from tests.reference.ingest_rowwise import RowwiseDualStore
 
 from .conftest import write_result_table
 
@@ -208,12 +210,15 @@ def seed_load_events(store: DualStore, events) -> int:
     return len(event_list)
 
 
+def _load_events(store: DualStore, events) -> int:
+    return int(store.load_events(events))
+
+
+#: Loader name -> (store class, load function).
 _LOADERS = {
-    "batched": lambda store, events: int(
-        store.load_events(events, strategy="batched")),
-    "rowwise": lambda store, events: int(
-        store.load_events(events, strategy="rowwise")),
-    "seed": seed_load_events,
+    "batched": (DualStore, _load_events),
+    "rowwise": (RowwiseDualStore, _load_events),
+    "seed": (DualStore, seed_load_events),
 }
 
 
@@ -224,9 +229,10 @@ _LOADERS = {
 
 @pytest.mark.parametrize("loader", ["batched", "rowwise"])
 def test_ingestion_load(benchmark, workload_events, loader):
-    store = DualStore()
+    store_class, load = _LOADERS[loader]
+    store = store_class()
     count = benchmark.pedantic(
-        lambda: _LOADERS[loader](store, workload_events),
+        lambda: load(store, workload_events),
         iterations=1, rounds=ROUNDS, warmup_rounds=1)
     assert count > 0
     store.close()
@@ -256,14 +262,14 @@ def test_ingestion_speedup_table():
     counts: dict[str, int] = {}
     tables: dict[str, tuple] = {}
     events_in = 0
-    for name, loader in _LOADERS.items():
-        store = DualStore()
+    for name, (store_class, load) in _LOADERS.items():
+        store = store_class()
         samples = []
         for _ in range(ROUNDS):
             events = _fresh_workload()
             events_in = len(events)
             start = time.perf_counter()
-            counts[name] = loader(store, events)
+            counts[name] = load(store, events)
             samples.append(time.perf_counter() - start)
         timings[name] = min(samples)
         tables[name] = (

@@ -8,15 +8,17 @@ tail sealed into its own segment:
 
 * *stats pruning* — a selective hunt for the rare operation (with a
   prefix-``LIKE`` artifact filter the dictionary path binary-searches)
-  with the optimizer on vs the same hunt with
-  ``REPRO_TBQL_STATS_PRUNING=0`` and ``REPRO_COLSCAN_DICT=0``.  The
+  with the optimizer on vs the same hunt under ``tests/reference``'s
+  ``optimizers_disabled()`` (no statistics pruning, per-row string
+  predicates).  The
   rare operation occurs in exactly one segment, so seal-time distinct
   sets prove every benign segment empty and the scan touches one
   segment instead of all of them.  The acceptance bar is a **>= 2x**
   speedup at full workload scale (asserted there, recorded
   everywhere); rows must be identical (asserted always).
 * *aggregate pushdown* — a group-by hunt over the dominant operation
-  with partial-aggregate pushdown on vs ``REPRO_TBQL_AGG_PUSHDOWN=0``.
+  with partial-aggregate pushdown vs ``tests/reference``'s
+  ``RowPathExecutor``.
   Workers return per-segment ``(group key, count)`` partials plus
   compact packed match records instead of full row payloads; the
   pickled worker-result bytes must be **measurably smaller** (asserted
@@ -45,7 +47,6 @@ from __future__ import annotations
 import os
 import pickle
 import time
-from contextlib import contextmanager
 from operator import attrgetter
 
 import pytest
@@ -60,6 +61,8 @@ from repro.storage import DualStore
 from repro.tbql.executor import TBQLExecutor
 from repro.tbql.parser import parse_tbql
 from repro.tbql.semantics import resolve_query
+from tests.reference.executor_seed import RowPathExecutor
+from tests.reference.scan_unoptimized import optimizers_disabled
 
 from .conftest import write_result_table
 
@@ -84,26 +87,6 @@ FULL_SCALE_SESSIONS = 2000
 SELECTIVE_QUERY = 'proc p delete file f["/home/%"] return p, f'
 #: The group-by hunt over the dominant benign operation.
 GROUP_QUERY = 'proc p read file f return p, count() group by p top 10'
-
-#: Environment switches that disable the optimizer stack.
-OPTIMIZER_SWITCHES = ("REPRO_TBQL_STATS_PRUNING", "REPRO_COLSCAN_DICT",
-                      "REPRO_TBQL_AGG_PUSHDOWN")
-
-
-@contextmanager
-def _optimizers_disabled(*names):
-    previous = {name: os.environ.get(name) for name in names}
-    for name in names:
-        os.environ[name] = "0"
-    try:
-        yield
-    finally:
-        for name, value in previous.items():
-            if value is None:
-                del os.environ[name]
-            else:
-                os.environ[name] = value
-
 
 def _best_of(rounds, run):
     best = float("inf")
@@ -173,7 +156,7 @@ def test_stats_pruning_speedup(stores):
 
     optimized = _best_of(ROUNDS,
                          lambda: seg_exec.execute(SELECTIVE_QUERY))
-    with _optimizers_disabled(*OPTIMIZER_SWITCHES):
+    with optimizers_disabled():
         unoptimized_result = seg_exec.execute(SELECTIVE_QUERY)
         assert unoptimized_result.rows == expected.rows
         assert unoptimized_result.plan[0].segments_pruned_by_stats == 0
@@ -220,15 +203,14 @@ def test_aggregate_pushdown_speedup_and_bytes(stores):
     assert optimized_result.matched_events == expected.matched_events
 
     optimized = _best_of(ROUNDS, lambda: seg_exec.execute(GROUP_QUERY))
-    with _optimizers_disabled("REPRO_TBQL_AGG_PUSHDOWN"):
-        unoptimized_result = seg_exec.execute(GROUP_QUERY)
-        assert not unoptimized_result.plan[0].aggregate_pushdown
-        assert unoptimized_result.rows == expected.rows
-        assert unoptimized_result.matched_events == \
-            expected.matched_events
-        reference = _best_of(ROUNDS,
-                             lambda: seg_exec.execute(GROUP_QUERY))
+    row_path = RowPathExecutor(seg)
+    unoptimized_result = row_path.execute(GROUP_QUERY)
+    assert not unoptimized_result.plan[0].aggregate_pushdown
+    assert unoptimized_result.rows == expected.rows
+    assert unoptimized_result.matched_events == expected.matched_events
+    reference = _best_of(ROUNDS, lambda: row_path.execute(GROUP_QUERY))
     seg_exec.close()
+    row_path.close()
     speedup = reference / optimized
 
     # Worker-result payload: the pushdown ships per-segment partials

@@ -15,6 +15,7 @@ from repro.benchmark import format_table
 from repro.benchmark.evaluation import build_case_store, run_query_execution
 from repro.benchmark import get_case
 from repro.tbql.executor import TBQLExecutor
+from tests.reference.executor_seed import BacktrackingJoinExecutor
 
 from .conftest import BENCH_CASE_IDS, write_result_table
 
@@ -74,13 +75,13 @@ def test_table8_join_scaling_hash_vs_backtracking(benchmark):
     """The hash join must not blow up on unselective 3-pattern queries.
 
     Runs the same multi-pattern query through the pipelined hash join and
-    the seed's backtracking join (kept as the reference strategy) and writes
+    the seed's backtracking join (kept in ``tests/reference``) and writes
     the per-strategy join timings; the structured plan also proves each SQL
     pattern hydrated its entities with at most one batched query (no N+1).
     """
     store, _ = build_case_store(get_case("data_leak"), benign_sessions=300)
-    hash_executor = TBQLExecutor(store, join_strategy="hash")
-    backtracking_executor = TBQLExecutor(store, join_strategy="backtracking")
+    hash_executor = TBQLExecutor(store)
+    backtracking_executor = BacktrackingJoinExecutor(store)
 
     hash_result = benchmark.pedantic(
         lambda: hash_executor.execute(_JOIN_SCALING_QUERY),

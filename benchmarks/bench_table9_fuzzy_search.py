@@ -7,9 +7,9 @@ stops at the first acceptable alignment.
 The module also regenerates a strategy-comparison table on a large synthetic
 store (``BENCH_FUZZY_SESSIONS`` benign sessions, ~100k events by default):
 the indexed fast path (bigram-prefiltered candidates, banded Levenshtein,
-cached flow closure, branch-and-bound enumeration) against the retained
-brute-force reference, asserting identical alignments and a ≥5x speedup at
-scale.
+cached flow closure, branch-and-bound enumeration) against the seed's
+brute-force search kept in ``tests/reference``, asserting identical
+alignments and a ≥5x speedup at scale.
 """
 
 import os
@@ -22,6 +22,7 @@ from repro.benchmark.evaluation import build_case_store, run_fuzzy_comparison
 from repro.benchmark.queries import build_case_queries
 from repro.tbql.fuzzy import FuzzySearcher
 from repro.tbql.poirot import PoirotSearcher
+from tests.reference.fuzzy_bruteforce import BruteForceFuzzySearcher
 
 from .conftest import BENCH_CASE_IDS, write_result_table
 
@@ -80,8 +81,8 @@ def test_table9_strategy_speedup(benchmark):
                                      benign_sessions=BENCH_FUZZY_SESSIONS)
     queries = build_case_queries(case)
     searchers = {
-        "indexed": FuzzySearcher(store, strategy="indexed"),
-        "bruteforce": FuzzySearcher(store, strategy="bruteforce"),
+        "indexed": FuzzySearcher(store),
+        "bruteforce": BruteForceFuzzySearcher(store),
     }
 
     def run(strategy):

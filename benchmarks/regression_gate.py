@@ -6,18 +6,17 @@ Usage::
     PYTHONPATH=src python benchmarks/regression_gate.py --write-baseline
 
 Absolute timings do not transfer between machines, so the gate compares
-*normalized* metrics: each optimized path is timed against its retained
-in-tree reference implementation on the same machine and workload, and the
+*normalized* metrics: each optimized path is timed against a reference
+implementation on the same machine and workload, and the
 gate fails when the optimized/reference time ratio regresses by more than
 ``BENCH_GATE_TOLERANCE`` (default 30%) versus the ratio committed in
 ``benchmarks/results/baseline_small.json``.  The reference path acts as the
 machine-speed normalizer:
 
-* *ingest*    — ``DualStore.load_events(strategy="batched")`` (the PR 2
-  fast path) vs ``strategy="rowwise"`` (the retained pre-batching
-  reference);
-* *fuzzy*     — ``FuzzySearcher(strategy="indexed")`` vs
-  ``strategy="bruteforce"`` on the data-leak case store;
+* *ingest*    — ``DualStore.load_events`` (the batched fast path) vs the
+  pre-batching loader kept in ``tests/reference/ingest_rowwise.py``;
+* *fuzzy*     — ``FuzzySearcher`` vs the seed's brute-force search kept in
+  ``tests/reference/fuzzy_bruteforce.py``, on the data-leak case store;
 * *streaming* — the incremental append path (``DualStore.append_events``
   in batches + seal) vs the one-shot batched cold load of the same
   events (the acceptance bar for live ingestion is 2x of the cold load;
@@ -32,27 +31,20 @@ machine-speed normalizer:
   same store (the acceptance bar at full fan-in is 2x the threaded
   qps, i.e. a ratio well below 1; the gate holds the smoke-scale
   ratio near its committed baseline);
-* *stats_pruning* — a rare-operation hunt (with a prefix-``LIKE``
-  artifact filter) on a segmented store with seal-time statistics and
-  dictionary predicates enabled vs the identical hunt with
-  ``REPRO_TBQL_STATS_PRUNING=0`` and ``REPRO_COLSCAN_DICT=0`` (the
-  retained scan-everything reference; the acceptance bar at full scale
-  is a 2x speedup, i.e. a ratio <= 0.5; the gate holds the smoke-scale
-  ratio near its committed baseline);
 * *agg_pushdown* — a single-pattern ``group by`` hunt with
   partial-aggregate pushdown (workers return per-segment group-count
-  partials) vs the identical hunt with ``REPRO_TBQL_AGG_PUSHDOWN=0``
-  (the retained row-scatter + post-join aggregation reference; the
+  partials) vs the identical hunt on ``tests/reference``'s
+  ``RowPathExecutor`` (row scatter + post-join aggregation; the
   acceptance bar at full scale is a 1.5x speedup);
 * *obs_overhead* — the same query loop executed under a live trace
   (spans recorded at every pipeline stage) vs with tracing disabled
   (``repro.obs.trace.set_enabled(False)``, the ``REPRO_OBS=0``
   production escape hatch).
 
-*stats_pruning* and *obs_overhead* are measured and printed but never
-fail the gate (``RECORD_ONLY``): both ratios moved because an unrelated
-change made their *reference* leg cheaper, not because anything a user
-runs got slower (ROADMAP open item 1).
+*obs_overhead* is measured and printed but never fails the gate
+(``RECORD_ONLY``): its ratio moved because an unrelated change made the
+traced query cheaper, not because anything a user runs got slower
+(ROADMAP open item 1).
 
 Absolute seconds are recorded in the baseline for information only.
 ``--only NAME`` restricts a ``--check`` run to one metric (used by CI
@@ -75,8 +67,10 @@ import time
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
-if str(REPO_ROOT / "src") not in sys.path:
-    sys.path.insert(0, str(REPO_ROOT / "src"))
+# The package, and the reference implementations under tests/reference.
+for entry in (str(REPO_ROOT / "src"), str(REPO_ROOT)):
+    if entry not in sys.path:
+        sys.path.insert(0, entry)
 
 from repro.audit.workload import generate_benign_noise    # noqa: E402
 from repro.benchmark import get_case                      # noqa: E402
@@ -84,6 +78,9 @@ from repro.benchmark.evaluation import build_case_store   # noqa: E402
 from repro.benchmark.queries import build_case_queries    # noqa: E402
 from repro.storage import DualStore                       # noqa: E402
 from repro.tbql.fuzzy import FuzzySearcher                # noqa: E402
+from tests.reference.fuzzy_bruteforce import \
+    BruteForceFuzzySearcher                               # noqa: E402
+from tests.reference.ingest_rowwise import RowwiseDualStore  # noqa: E402
 
 BASELINE_PATH = Path(__file__).parent / "results" / "baseline_small.json"
 
@@ -112,14 +109,14 @@ def measure_ingest() -> dict:
     """Batched fast-path load vs the rowwise reference load."""
     events = generate_benign_noise(SESSIONS, seed=29)
 
-    def load(strategy: str) -> float:
+    def load(store_class) -> float:
         def run() -> None:
-            with DualStore() as store:
-                store.load_events(events, strategy=strategy)
+            with store_class() as store:
+                store.load_events(events)
         return _best_of(ROUNDS, run)
 
-    optimized = load("batched") * INJECTED_SLOWDOWN
-    reference = load("rowwise")
+    optimized = load(DualStore) * INJECTED_SLOWDOWN
+    reference = load(RowwiseDualStore)
     return {
         "optimized_seconds": optimized,
         "reference_seconds": reference,
@@ -133,12 +130,12 @@ def measure_fuzzy() -> dict:
     store, _truth = build_case_store(case, benign_sessions=SESSIONS)
     queries = build_case_queries(case)
     try:
-        def search(strategy: str) -> float:
-            return _best_of(ROUNDS, lambda: FuzzySearcher(
-                store, strategy=strategy).search(queries.tbql))
+        def search(searcher_class) -> float:
+            return _best_of(ROUNDS, lambda: searcher_class(
+                store).search(queries.tbql))
 
-        optimized = search("indexed") * INJECTED_SLOWDOWN
-        reference = search("bruteforce")
+        optimized = search(FuzzySearcher) * INJECTED_SLOWDOWN
+        reference = search(BruteForceFuzzySearcher)
     finally:
         store.close()
     return {
@@ -251,66 +248,26 @@ def _segmented_with_rare_ops() -> DualStore:
     return store
 
 
-def _timed_with_disabled(run, switches: tuple[str, ...]) -> float:
-    """Best-of-N timing of ``run`` with the given optimizers off."""
-    previous = {name: os.environ.get(name) for name in switches}
-    for name in switches:
-        os.environ[name] = "0"
-    try:
-        return _best_of(ROUNDS, run)
-    finally:
-        for name, value in previous.items():
-            if value is None:
-                del os.environ[name]
-            else:
-                os.environ[name] = value
-
-
-def measure_stats_pruning() -> dict:
-    """Stats-pruned rare-operation hunt vs the scan-everything reference."""
-    from repro.tbql.executor import TBQLExecutor
-
-    store = _segmented_with_rare_ops()
-    text = 'proc p delete file f["/home/%"] return p, f'
-    try:
-        executor = TBQLExecutor(store)
-
-        def run_many() -> None:
-            # One smoke-scale execution is sub-millisecond; time a batch
-            # so the measured interval dwarfs the clock jitter.
-            for _ in range(10):
-                executor.execute(text)
-
-        optimized = _best_of(ROUNDS, run_many) * INJECTED_SLOWDOWN
-        reference = _timed_with_disabled(
-            run_many, ("REPRO_TBQL_STATS_PRUNING", "REPRO_COLSCAN_DICT"))
-        executor.close()
-    finally:
-        store.close()
-    return {
-        "optimized_seconds": optimized,
-        "reference_seconds": reference,
-        "ratio": optimized / reference,
-    }
-
-
 def measure_agg_pushdown() -> dict:
     """Partial-aggregate pushdown vs the row-scatter aggregation path."""
     from repro.tbql.executor import TBQLExecutor
+    from tests.reference.executor_seed import RowPathExecutor
 
     store = _segmented_with_rare_ops()
     text = 'proc p read file f return p, count() group by p top 10'
     try:
         executor = TBQLExecutor(store)
+        row_path = RowPathExecutor(store)
 
-        def run_many() -> None:
+        def run_many(chosen) -> None:
             for _ in range(10):
-                executor.execute(text)
+                chosen.execute(text)
 
-        optimized = _best_of(ROUNDS, run_many) * INJECTED_SLOWDOWN
-        reference = _timed_with_disabled(
-            run_many, ("REPRO_TBQL_AGG_PUSHDOWN",))
+        optimized = _best_of(ROUNDS, lambda: run_many(executor)) * \
+            INJECTED_SLOWDOWN
+        reference = _best_of(ROUNDS, lambda: run_many(row_path))
         executor.close()
+        row_path.close()
     finally:
         store.close()
     return {
@@ -458,20 +415,17 @@ MEASUREMENTS = {
     "fuzzy": measure_fuzzy,
     "streaming": measure_streaming,
     "partitioned": measure_partitioned,
-    "stats_pruning": measure_stats_pruning,
     "agg_pushdown": measure_agg_pushdown,
     "service_load": measure_service_load,
     "obs_overhead": measure_obs_overhead,
 }
 
-#: Measured and printed, never failing.  Each ratio divides by a leg that
-#: later PRs made faster — PR 14 shrank the entity block the
-#: ``REPRO_COLSCAN_DICT=0`` reference walks (stats_pruning 0.27 -> 0.6-0.8
-#: with the optimized leg unchanged), PR 13 cut the traced query from 2.0
-#: to 0.55 ms so a fixed ~40 us span tree reads as 7-9% of it — so they
-#: trip with no regression behind them.  ROADMAP open item 1 replaces them
-#: with absolute, oracle-checked ``benchmarks.e2e compare`` verdicts.
-RECORD_ONLY = frozenset({"stats_pruning", "obs_overhead"})
+#: Measured and printed, never failing.  The filter tables cut the traced
+#: query from 2.0 to 0.55 ms, so a fixed ~40 us span tree reads as 7-9%
+#: of it and the ratio trips with no regression behind it.  ROADMAP open item 1
+#: replaces it with absolute, oracle-checked ``benchmarks.e2e compare``
+#: verdicts.
+RECORD_ONLY = frozenset({"obs_overhead"})
 
 
 def collect(only: str | None = None) -> dict:

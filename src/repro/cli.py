@@ -151,13 +151,12 @@ def cmd_ingest(args: argparse.Namespace) -> int:
               f"audit records)")
         return 0
     store = DualStore(reduce=not args.no_reduction)
-    stats = store.load_events(events, strategy=args.strategy)
+    stats = store.load_events(events)
     print(f"ingested {stats.events} events "
           f"({stats.input_events} before reduction, "
           f"{stats.entities} entities)")
     if args.stats:
         print("\n=== ingestion statistics ===")
-        print(f"  strategy:           {stats.strategy}")
         print(f"  input events:       {stats.input_events}")
         print(f"  stored events:      {stats.events}")
         print(f"  unique entities:    {stats.entities}")
@@ -204,8 +203,7 @@ def cmd_snapshot(args: argparse.Namespace) -> int:
             segment_count = len(manifest.get("segments", []))
             print(f"sealed {segment_count} segment(s)", file=sys.stderr)
         else:
-            stored = int(store.load_events(events,
-                                           strategy=args.strategy))
+            stored = int(store.load_events(events))
             manifest = store.save(args.out)
     print(f"snapshot written to {args.out}: "
           f"{manifest['relational_events']} events, "
@@ -589,10 +587,6 @@ def build_parser() -> argparse.ArgumentParser:
     ingest.add_argument("--stats", action="store_true",
                         help="print the per-stage breakdown (parse, reduce, "
                              "build, relational, graph)")
-    ingest.add_argument("--strategy", choices=["batched", "rowwise"],
-                        default="batched",
-                        help="load path: batched fast path (default) or the "
-                             "row-at-a-time reference")
     ingest.add_argument("--no-reduction", action="store_true",
                         help="disable data reduction at ingestion time")
     ingest.set_defaults(func=cmd_ingest)
@@ -607,9 +601,6 @@ def build_parser() -> argparse.ArgumentParser:
                                "missing); holds the relational SQLite "
                                "database, the binary graph snapshot, and a "
                                "JSON manifest")
-    snapshot.add_argument("--strategy", choices=["batched", "rowwise"],
-                          default="batched",
-                          help="ingestion load path (see 'ingest')")
     snapshot.add_argument("--layout", choices=["monolithic", "segmented"],
                           default="monolithic",
                           help="store layout: 'segmented' seals the "

@@ -10,9 +10,8 @@ Loading runs a *single pass* over the (streamed, reduced) events: entity
 deduplication happens once, producing the relational row batches and the
 graph node/edge batches together, which are then bulk-inserted into each
 backend.  The pre-batching loader (batch reduction, row-at-a-time entity
-inserts, item-wise graph construction) is retained as
-``strategy="rowwise"`` — the reference the ingestion benchmark and the
-equivalence tests compare against.
+inserts, item-wise graph construction) the equivalence tests and the
+ingestion benchmark compare against lives in ``tests/reference/``.
 """
 
 from __future__ import annotations
@@ -28,8 +27,7 @@ from pathlib import Path
 from typing import Iterable, Optional
 
 from ..audit.entities import SystemEvent
-from ..audit.reduction import DEFAULT_MERGE_THRESHOLD, ReductionStats, \
-    reduce_events
+from ..audit.reduction import DEFAULT_MERGE_THRESHOLD, ReductionStats
 from ..errors import StorageError
 from ..gcpause import gc_paused
 from ..obs.metrics import get_registry, ingest_stage_histogram
@@ -40,9 +38,6 @@ from .relational import RelationalStore
 from .relational.database import entity_row
 from .segments import (SEGMENT_FILES, SegmentInfo, SegmentView,
                        collect_segment_stats, merge_infos, plan_compaction)
-
-#: Valid ``strategy`` arguments for :meth:`DualStore.load_events`.
-LOAD_STRATEGIES = ("batched", "rowwise")
 
 #: Valid ``layout`` arguments for :class:`DualStore`: ``"monolithic"``
 #: keeps the whole history in one relational database + one graph;
@@ -111,7 +106,8 @@ class IngestStats(int):
     #: :meth:`DualStore.flush_appends` adds ``seal_columnar`` and
     #: ``seal_stats`` when it seals a segment.
     seconds: dict[str, float]
-    #: Load strategy used ("batched" or "rowwise").
+    #: Load path: ``"batched"`` (:meth:`DualStore.load_events`) or
+    #: ``"append"`` (:meth:`DualStore.append_events`).
     strategy: str
 
     def __new__(cls, events: int, *, input_events: int, entities: int,
@@ -171,7 +167,8 @@ class _BuildBatches:
     """The fused build pass of the batched loader.
 
     One scan over the (sorted) input events interleaves three jobs the
-    rowwise reference performs as separate passes:
+    pre-batching reference loader (``tests/reference/ingest_rowwise.py``)
+    performs as separate passes:
 
     * *streaming reduction* — merge-run state is accumulated per
       ``(subject, object, operation)`` key and evicted as soon as a run
@@ -188,7 +185,7 @@ class _BuildBatches:
       tuples via :meth:`EventColumns.row_tuples`.
 
     Entity and event ids are assigned in first-appearance order from 1,
-    matching both the rowwise loader's assignment and the node ids
+    matching both the reference loader's assignment and the node ids
     ``add_nodes_bulk`` hands out on a fresh graph.
 
     The pass also powers *incremental* loading: the merge-run state and the
@@ -473,9 +470,9 @@ class DualStore:
         self._active_max_end: Optional[float] = None
         #: Column-major buffer of the active segment's stored event rows
         #: — the seal-time fast path packs these lists straight into the
-        #: ``events.col`` payload.  ``None`` when the rows didn't flow
-        #: through the columnar builder (rowwise loads); sealing then
-        #: reads them back from the relational store.
+        #: ``events.col`` payload.  When it does not cover the active
+        #: segment (no buffer on a monolithic store), sealing reads the
+        #: rows back from the relational store.
         self._active_columns: EventColumns | None = (
             EventColumns() if self._segmented else None)
 
@@ -529,8 +526,7 @@ class DualStore:
         except (OSError, ValueError):  # pragma: no cover - best effort
             pass
 
-    def load_events(self, events: Iterable[SystemEvent],
-                    strategy: str = "batched") -> IngestStats:
+    def load_events(self, events: Iterable[SystemEvent]) -> IngestStats:
         """Load events into both backends; returns ingestion statistics.
 
         The return value is an :class:`IngestStats` — an ``int`` holding the
@@ -545,25 +541,17 @@ class DualStore:
         past the rebuilt graph's, and pushed-down id allowlists would
         silently select the wrong nodes.
 
-        Args:
-            events: the system events to store.
-            strategy: ``"batched"`` (default) streams the reduction and
-                bulk-loads both backends from one build pass;
-                ``"rowwise"`` is the retained pre-batching reference path.
+        The reduction streams, and both backends bulk-load from one build
+        pass (:meth:`_load_batched`).
         """
-        if strategy not in LOAD_STRATEGIES:
-            raise ValueError(f"unknown load strategy: {strategy!r} "
-                             f"(expected one of {LOAD_STRATEGIES})")
         if self.read_only:
             raise StorageError(
                 "store is read-only (opened from a snapshot); ingest into "
                 "a writable DualStore and save() a new snapshot instead")
-        loader = self._load_batched if strategy == "batched" else \
-            self._load_rowwise
         self._stream = None     # a reload invalidates append continuation
         if self._segmented:
             self._drop_segments()
-        stats = loader(events).observe()
+        stats = self._load_batched(events).observe()
         self.last_ingest = stats
         self.data_version += 1
         return stats
@@ -710,9 +698,9 @@ class DualStore:
         rows they reference.
 
         ``event_columns`` are the event rows when the active segment
-        buffered them column-wise; compaction merges, rowwise loads and
-        snapshots whose segments lack a payload read them back from the
-        relational store.  The payload is the same, byte for byte.
+        buffered them column-wise; compaction merges and snapshots whose
+        segments lack a payload read them back from the relational
+        store.  The payload is the same, byte for byte.
         """
         event_rows, entity_rows = self.relational.segment_rows(
             info.first_event_id, info.last_event_id,
@@ -942,46 +930,6 @@ class DualStore:
                      "relational": relational_seconds,
                      "graph": graph_seconds},
             strategy="batched")
-
-    # ------------------------------------------------------------------
-    # rowwise reference path (the pre-batching loader)
-    # ------------------------------------------------------------------
-    def _load_rowwise(self, events: Iterable[SystemEvent]) -> IngestStats:
-        reduce_start = time.perf_counter()
-        event_list = list(events)
-        input_count = len(event_list)
-        if self.reduce:
-            event_list, stats = reduce_events(event_list,
-                                              self.merge_threshold)
-            self.last_reduction = stats
-        reduce_seconds = time.perf_counter() - reduce_start
-
-        relational_start = time.perf_counter()
-        self.relational.clear()
-        self.relational.load_events_rowwise(event_list)
-        relational_seconds = time.perf_counter() - relational_start
-
-        graph_start = time.perf_counter()
-        self.graph.load_events(event_list, itemwise=True)
-        graph_seconds = time.perf_counter() - graph_start
-
-        self._track_active_bounds(
-            ((event.start_time, event.end_time) for event in event_list),
-            len(event_list))
-        # Rowwise rows never flow through the columnar builder; sealing
-        # this data reads them back from the relational store.
-        self._active_columns = None
-        self._events = event_list if self.retain_events else []
-        entities = self.relational.count_entities()
-        # One INSERT per entity plus one executemany for the events.
-        statements = entities + (1 if event_list else 0)
-        return IngestStats(
-            len(event_list), input_events=input_count, entities=entities,
-            relational_batches=statements,
-            seconds={"reduce": reduce_seconds, "build": 0.0,
-                     "relational": relational_seconds,
-                     "graph": graph_seconds},
-            strategy="rowwise")
 
     def events(self) -> list[SystemEvent]:
         """Return the (reduced) events currently stored.
@@ -1279,7 +1227,7 @@ class DualStore:
         self.close()
 
 
-__all__ = ["DualStore", "IngestStats", "LOAD_STRATEGIES", "STORE_LAYOUTS",
+__all__ = ["DualStore", "IngestStats", "STORE_LAYOUTS",
            "DEFAULT_COMPACT_MIN_EVENTS", "SNAPSHOT_FORMAT_VERSION",
            "SNAPSHOT_MANIFEST", "SNAPSHOT_RELATIONAL", "SNAPSHOT_GRAPH",
            "SNAPSHOT_SEGMENTS_DIR"]

@@ -11,8 +11,7 @@ from .cypher_ast import (BooleanExpr, Comparison, CypherQuery, Literal,
                          RelationshipPattern, ReturnItem)
 from .cypher_eval import CypherEvaluator, evaluate_where
 from .cypher_parser import CypherParser, parse_cypher, tokenize
-from .graphdb import (GraphEdge, GraphNode, PropertyGraph, graph_from_events,
-                      graph_from_events_itemwise)
+from .graphdb import GraphEdge, GraphNode, PropertyGraph, graph_from_events
 
 
 class GraphStore:
@@ -62,15 +61,9 @@ class GraphStore:
                 self._graph, self._pending = graph, None
             return graph
 
-    def load_events(self, events, itemwise: bool = False) -> int:
-        """Load a system event stream into the property graph.
-
-        ``itemwise=True`` uses the retained one-call-per-item reference
-        construction instead of the bulk insert path.
-        """
-        builder = graph_from_events_itemwise if itemwise else \
-            graph_from_events
-        self.graph = builder(events)
+    def load_events(self, events) -> int:
+        """Load a system event stream into the property graph."""
+        self.graph = graph_from_events(events)
         return self.graph.num_edges()
 
     def load_prepared(self, nodes, edges) -> int:
@@ -135,6 +128,5 @@ __all__ = [
     "GraphNode",
     "PropertyGraph",
     "graph_from_events",
-    "graph_from_events_itemwise",
     "GraphStore",
 ]

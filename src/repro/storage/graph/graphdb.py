@@ -490,8 +490,7 @@ def graph_from_events(events: Iterable[SystemEvent]) -> PropertyGraph:
     Nodes are deduplicated by the entity unique keys of Section III-A; each
     event becomes one edge labeled ``EVENT`` carrying the event attributes.
     The stream is flattened into node/edge batches first and inserted through
-    the bulk paths; :func:`graph_from_events_itemwise` keeps the one-call-per
-    item reference construction.
+    the bulk paths.
     """
     nodes: list[tuple[str, dict]] = []
     edges: list[tuple[int, int, str, dict]] = []
@@ -515,36 +514,11 @@ def graph_from_events(events: Iterable[SystemEvent]) -> PropertyGraph:
     return graph
 
 
-def graph_from_events_itemwise(events: Iterable[SystemEvent]
-                               ) -> PropertyGraph:
-    """Reference graph construction: one add_node/add_edge call per item.
-
-    Retained as the baseline for the ingestion benchmark and the
-    bulk-vs-itemwise equivalence tests.
-    """
-    graph = PropertyGraph()
-    node_ids: dict[tuple, int] = {}
-    for event in events:
-        endpoints = []
-        for entity in (event.subject, event.obj):
-            key = entity.unique_key
-            node_id = node_ids.get(key)
-            if node_id is None:
-                node_id = graph.add_node(entity.entity_type.value,
-                                         entity.attributes())
-                node_ids[key] = node_id
-            endpoints.append(node_id)
-        graph.add_edge(endpoints[0], endpoints[1], "EVENT",
-                       event.attributes())
-    return graph
-
-
 __all__ = [
     "GraphNode",
     "GraphEdge",
     "PropertyGraph",
     "graph_from_events",
-    "graph_from_events_itemwise",
     "INDEXED_NODE_PROPERTIES",
     "INDEXED_EDGE_PROPERTIES",
     "GRAPH_SNAPSHOT_MAGIC",

@@ -239,24 +239,6 @@ class RelationalStore:
     # ------------------------------------------------------------------
     # loading
     # ------------------------------------------------------------------
-    def entity_id_for(self, entity: SystemEntity) -> int:
-        """Return the stored id for ``entity``, registering it if new."""
-        self._assert_writable()
-        key = entity.unique_key
-        existing = self._entity_ids.get(key)
-        if existing is not None:
-            return existing
-        entity_id = self._next_entity_id
-        self._next_entity_id += 1
-        self._entity_ids[key] = entity_id
-        placeholders = ", ".join("?" for _ in ENTITY_COLUMNS)
-        with self._lock:
-            self._connection.execute(
-                f"INSERT INTO entities ({', '.join(ENTITY_COLUMNS)}) "
-                f"VALUES ({placeholders})",
-                entity_row(entity_id, entity))
-        return entity_id
-
     #: Rows per ``executemany`` call on the bulk-load path.  Bounds the
     #: per-call row buffer without giving up the amortized statement reuse.
     INSERT_CHUNK_SIZE = 10_000
@@ -267,8 +249,7 @@ class RelationalStore:
         New entity rows are collected and inserted with chunked
         ``executemany`` alongside the event rows (one statement per
         :attr:`INSERT_CHUNK_SIZE` rows) instead of one ``INSERT`` per new
-        entity; see :meth:`load_events_rowwise` for the retained row-at-a-time
-        reference path.
+        entity.
         """
         self._assert_writable()
         entity_ids = self._entity_ids
@@ -493,8 +474,8 @@ class RelationalStore:
 
         Used by the dual store's loaders, which dedup entities once for
         both backends and hand the resulting mapping over so later
-        incremental :meth:`load_events` / :meth:`entity_id_for` calls keep
-        allocating ids after the adopted ones.  Callers that already track
+        incremental :meth:`load_events` calls keep allocating ids after
+        the adopted ones.  Callers that already track
         the next free entity id pass it via ``next_entity_id`` — the
         streaming append path adopts once per flush, and rescanning the
         whole (ever-growing) mapping there would be O(total entities) per
@@ -505,33 +486,6 @@ class RelationalStore:
         self._next_entity_id = next_entity_id if next_entity_id is not None \
             else max(entity_ids.values(), default=0) + 1
         self._next_event_id = next_event_id
-
-    def load_events_rowwise(self, events: Iterable[SystemEvent]) -> int:
-        """Row-at-a-time reference loader (the pre-batching seed path).
-
-        Kept as the baseline the ingestion benchmark compares against: one
-        ``INSERT`` statement per new entity via :meth:`entity_id_for`, one
-        ``executemany`` for the event rows.
-        """
-        self._assert_writable()
-        rows = []
-        for event in events:
-            subject_id = self.entity_id_for(event.subject)
-            object_id = self.entity_id_for(event.obj)
-            event_id = self._next_event_id
-            self._next_event_id += 1
-            rows.append((event_id, subject_id, object_id,
-                         event.operation.value, event.category.value,
-                         event.start_time, event.end_time, event.duration,
-                         event.data_amount, event.failure_code, event.host))
-        with self._lock:
-            if rows:
-                placeholders = ", ".join("?" for _ in EVENT_COLUMNS)
-                self._connection.executemany(
-                    f"INSERT INTO events ({', '.join(EVENT_COLUMNS)}) "
-                    f"VALUES ({placeholders})", rows)
-            self._connection.commit()
-        return len(rows)
 
     # ------------------------------------------------------------------
     # querying

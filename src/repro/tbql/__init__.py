@@ -5,7 +5,7 @@ graphs, compilation to SQL / Cypher data queries, pruning-score scheduling,
 the exact execution engine, and the fuzzy (Poirot-extended) search mode.
 """
 
-from .aggregate import AGGREGATION_STRATEGIES, apply_aggregation
+from .aggregate import apply_aggregation
 from .ast import (AttributeComparison, AttributeRelation, BareValueFilter,
                   BooleanFilter, EntityDecl, EventPattern, MembershipFilter,
                   OperationAtom, OperationPath, ReturnClause, ReturnItem,
@@ -15,8 +15,7 @@ from .compiler_sql import compile_giant_sql, compile_pattern_sql
 from .conciseness import (ConcisenessMetrics, compare_conciseness,
                           measure_conciseness)
 from .diagnostics import ParseDiagnostic, make_diagnostic
-from .executor import (NEGATION_STRATEGIES, PatternMatch, QueryResult,
-                       TBQLExecutor)
+from .executor import PatternMatch, QueryResult, TBQLExecutor
 from .formatter import format_pattern, format_query
 from .fuzzy import (Alignment, FuzzySearcher, FuzzySearchResult,
                     levenshtein_distance, string_similarity)
@@ -30,7 +29,6 @@ from .synthesis import (SynthesisPlan, SynthesizedQuery, TBQLSynthesizer,
                         synthesize_tbql)
 
 __all__ = [
-    "AGGREGATION_STRATEGIES",
     "apply_aggregation",
     "AttributeComparison",
     "AttributeRelation",
@@ -54,7 +52,6 @@ __all__ = [
     "ConcisenessMetrics",
     "compare_conciseness",
     "measure_conciseness",
-    "NEGATION_STRATEGIES",
     "ParseDiagnostic",
     "make_diagnostic",
     "PatternMatch",

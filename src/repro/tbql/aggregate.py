@@ -8,15 +8,9 @@ therefore re-combined here exactly once, which is what keeps aggregated
 results byte-identical across storage layouts, worker counts, and scan
 strategies — the partitioned equivalence corpus pins this.
 
-Two accumulation strategies are kept behind a flag, mirroring the join's
-hash/backtracking pair:
-
-* ``"hash"`` (default): one dict keyed by the group tuple, O(rows);
-* ``"scan"``: the naive reference — a linear list lookup per row,
-  O(rows x groups), retained for the differential equivalence corpus.
-
-Both accumulate in row order (first-seen group order), so even sort-key
-ties between distinct groups order identically under either strategy.
+Accumulation is one dict keyed by the group tuple, O(rows), in row order
+(first-seen group order).  The naive linear-lookup accumulator it is
+tested against lives in ``tests/reference/``.
 """
 
 from __future__ import annotations
@@ -24,9 +18,6 @@ from __future__ import annotations
 from typing import Any, Optional
 
 from .semantics import ResolvedAggregation
-
-#: Valid ``aggregation_strategy`` arguments.
-AGGREGATION_STRATEGIES = ("hash", "scan")
 
 #: Name of the aggregate output column.
 COUNT_COLUMN = "count"
@@ -44,35 +35,9 @@ def _order_key(key: tuple) -> tuple:
                  for value in key)
 
 
-def _count_hash(rows: list[dict[str, Any]],
-                group_by: list[tuple[str, str]]) -> dict[tuple, int]:
-    counts: dict[tuple, int] = {}
-    for row in rows:
-        key = _group_key(row, group_by)
-        counts[key] = counts.get(key, 0) + 1
-    return counts
-
-
-def _count_scan(rows: list[dict[str, Any]],
-                group_by: list[tuple[str, str]]) -> dict[tuple, int]:
-    """Naive reference accumulator: linear lookup, no hashing."""
-    keys: list[tuple] = []
-    counts: list[int] = []
-    for row in rows:
-        key = _group_key(row, group_by)
-        for index, existing in enumerate(keys):
-            if existing == key:
-                counts[index] += 1
-                break
-        else:
-            keys.append(key)
-            counts.append(1)
-    return dict(zip(keys, counts))
-
-
 def apply_aggregation(rows: list[dict[str, Any]],
-                      aggregation: Optional[ResolvedAggregation],
-                      strategy: str = "hash") -> list[dict[str, Any]]:
+                      aggregation: Optional[ResolvedAggregation]
+                      ) -> list[dict[str, Any]]:
     """Collapse joined rows into one row per group.
 
     Output rows follow the declared return-item order (``count()`` where
@@ -81,13 +46,11 @@ def apply_aggregation(rows: list[dict[str, Any]],
     """
     if aggregation is None:
         return rows
-    if strategy not in AGGREGATION_STRATEGIES:
-        raise ValueError(
-            f"unknown aggregation strategy: {strategy!r} "
-            f"(expected one of {', '.join(AGGREGATION_STRATEGIES)})")
-    accumulate = _count_hash if strategy == "hash" else _count_scan
-    return rows_from_counts(accumulate(rows, aggregation.group_by),
-                            aggregation)
+    counts: dict[tuple, int] = {}
+    for row in rows:
+        key = _group_key(row, aggregation.group_by)
+        counts[key] = counts.get(key, 0) + 1
+    return rows_from_counts(counts, aggregation)
 
 
 def rows_from_counts(counted: dict[tuple, int],
@@ -95,7 +58,7 @@ def rows_from_counts(counted: dict[tuple, int],
                      ) -> list[dict[str, Any]]:
     """Render merged group counts as output rows.
 
-    Shared by the post-join accumulators above and the partial-aggregate
+    Shared by the post-join accumulator above and the partial-aggregate
     pushdown path (which merges per-segment ``group key -> count``
     partials before calling this).  The sort key ``(-count,
     _order_key(key))`` is a *total* order over primitive group keys —
@@ -121,5 +84,4 @@ def rows_from_counts(counted: dict[tuple, int],
     return out_rows
 
 
-__all__ = ["AGGREGATION_STRATEGIES", "COUNT_COLUMN", "apply_aggregation",
-           "rows_from_counts"]
+__all__ = ["COUNT_COLUMN", "apply_aggregation", "rows_from_counts"]

@@ -22,7 +22,6 @@ byte-for-byte against the monolithic store.
 
 from __future__ import annotations
 
-import os
 import re
 import threading
 from dataclasses import dataclass
@@ -234,12 +233,6 @@ def _eval_membership(cell: Any, values: tuple, negated: bool,
 # ---------------------------------------------------------------------------
 
 
-def _dict_enabled() -> bool:
-    """Dictionary-accelerated string predicates (``REPRO_COLSCAN_DICT=0``
-    falls back to per-row string evaluation, the reference path)."""
-    return os.environ.get("REPRO_COLSCAN_DICT", "").strip() != "0"
-
-
 def _resolve(attribute: str) -> tuple[str, bool, bool]:
     """Resolve an attribute exactly as ``render_filter`` does.
 
@@ -368,9 +361,8 @@ def _tri_vector(segment: ColumnarSegment, filt: AttributeFilter,
             int.__and__ if filt.operator == "&&" else int.__or__,
             [_tri_vector(segment, operand, np) for operand in filt.operands])
     section, numeric, _on_event = _resolve(filt.attribute)
-    if numeric or not _dict_enabled():
-        # Entity pid or port, or the reference path for strings: one
-        # closure verdict per entity row.
+    if numeric:
+        # Entity pid or port: one closure verdict per entity row.
         predicate = _compile_filter(filt, segment)
         return bytes(_TRI[predicate(index, 0)]
                      for index in range(segment.entity_count))
@@ -413,10 +405,6 @@ def _filter_mask(segment: ColumnarSegment, filt: AttributeFilter,
 
     def build() -> bytes:
         return _tri_vector(segment, filt, np).translate(_ONLY_TRUE)
-    if not _dict_enabled():
-        # The reference keeps its shape: no memo (hit ``None``), one
-        # closure call per entity row, or per event row as a residual.
-        return None if "event" in domains else (build(), False, None)
     # repr, not the filter itself: 1, 1.0 and True are equal as keys
     # but compare differently under TEXT affinity.
     mask, hit = segment.filter_mask(repr(filt), build)
@@ -426,9 +414,9 @@ def _filter_mask(segment: ColumnarSegment, filt: AttributeFilter,
 def _compile_filter(filt: AttributeFilter,
                     segment: ColumnarSegment) -> _Predicate:
     """Compile a filter into a tri-valued per-row closure (Kleene
-    logic, one string comparison per call): the reference the truth
-    tables are tested against, and the only judge of numeric event
-    attributes."""
+    logic, one string comparison per call): the only judge of numeric
+    event attributes and of filters that mix row domains, and the
+    oracle the truth tables are tested against."""
     if isinstance(filt, (AttributeComparison, MembershipFilter)):
         section, numeric, on_event = _resolve(filt.attribute)
         get = _getter(segment, section, numeric)

@@ -230,18 +230,16 @@ def compile_giant_cypher(query: ResolvedQuery) -> str:
 
 
 def _temporal_cypher(relation: TemporalRelation) -> str:
-    from .parser import TIME_UNIT_SECONDS
-    # "then" (resolved sequence operator) orders like "before"; bounded
-    # gaps degrade identically in this dialect (see below).
+    """One temporal relation as a WHERE conjunct.
+
+    The mini-Cypher dialect has no arithmetic, so a ``[min-max]`` gap
+    bound (and the bound of ``then[N unit]``, which orders like
+    ``before``) degrades to the plain ordering or overlap constraint: a
+    superset of the bounded matches, which the executor's join narrows
+    down.
+    """
     if relation.kind in ("before", "then"):
-        clause = f"{relation.left}.end_time <= {relation.right}.start_time"
-        if relation.max_gap is not None:
-            scale = TIME_UNIT_SECONDS[relation.unit]
-            # The mini-Cypher dialect has no arithmetic, so bounded gaps fall
-            # back to the plain ordering constraint (a superset of matches
-            # that the executor's join narrows down).
-            _ = scale
-        return clause
+        return f"{relation.left}.end_time <= {relation.right}.start_time"
     if relation.kind == "after":
         return f"{relation.right}.end_time <= {relation.left}.start_time"
     return f"{relation.left}.start_time <= {relation.right}.end_time"

@@ -261,14 +261,16 @@ def _temporal_clauses(query: ResolvedQuery) -> list[str]:
 def _temporal_sql(relation: TemporalRelation, left_alias: str,
                   right_alias: str) -> str:
     from .parser import TIME_UNIT_SECONDS
+    scale = TIME_UNIT_SECONDS[relation.unit] if relation.unit else 1.0
     # "then" (resolved sequence operator) evaluates as a gap-bounded
-    # "before": strict ordering plus an optional bound on the gap.
+    # "before": strict ordering plus an optional [min-max] gap bound.
     if relation.kind in ("before", "then"):
         clause = f"{left_alias}.end_time <= {right_alias}.start_time"
+        gap = f"{right_alias}.start_time - {left_alias}.end_time"
+        if relation.min_gap:
+            clause += f" AND {gap} >= {relation.min_gap * scale}"
         if relation.max_gap is not None:
-            scale = TIME_UNIT_SECONDS[relation.unit]
-            clause += (f" AND {right_alias}.start_time - "
-                       f"{left_alias}.end_time <= {relation.max_gap * scale}")
+            clause += f" AND {gap} <= {relation.max_gap * scale}"
         return clause
     if relation.kind == "after":
         return _temporal_sql(TemporalRelation(left=relation.right,
@@ -278,11 +280,12 @@ def _temporal_sql(relation: TemporalRelation, left_alias: str,
                                               max_gap=relation.max_gap,
                                               unit=relation.unit),
                              right_alias, left_alias)
-    # within: events overlap within a bounded gap of each other
-    scale = TIME_UNIT_SECONDS[relation.unit] if relation.unit else 1.0
-    gap = (relation.max_gap or 0.0) * scale
-    return (f"ABS({left_alias}.start_time - {right_alias}.start_time) "
-            f"<= {gap}")
+    # within: the two starts lie a bounded [min-max] gap apart
+    gap = f"ABS({left_alias}.start_time - {right_alias}.start_time)"
+    clause = f"{gap} <= {(relation.max_gap or 0.0) * scale}"
+    if relation.min_gap:
+        clause += f" AND {gap} >= {relation.min_gap * scale}"
+    return clause
 
 
 def _attribute_relation_clauses(query: ResolvedQuery,

@@ -31,13 +31,13 @@ same reduced event stream in the same order); the key-based post-filter is
 kept as a correctness backstop, so pushdown can only ever narrow a pattern's
 match list, never widen it.
 
-The seed's backtracking join is retained as a reference implementation
-(``join_strategy="backtracking"``) for the equivalence test corpus.
+There is one join, one anti-join and one aggregation here.  The seed's
+backtracking join and the naive anti-join and aggregation they are tested
+against live outside the package, in ``tests/reference/``.
 """
 
 from __future__ import annotations
 
-import os
 import threading
 import time
 from dataclasses import dataclass, field
@@ -49,8 +49,7 @@ from ..obs.trace import start_span
 from ..storage.dualstore import DualStore
 from ..storage.relational.schema import ENTITY_ATTRIBUTE_COLUMNS
 from ..storage.segments import SegmentView, prune_segments
-from .aggregate import (AGGREGATION_STRATEGIES, apply_aggregation,
-                        rows_from_counts)
+from .aggregate import apply_aggregation, rows_from_counts
 from .ast import TemporalRelation
 from .colscan import (AggregateTask, ColumnarTask, build_pattern_spec,
                       unpack_aggregate)
@@ -71,13 +70,6 @@ from .semantics import (ResolvedPattern, ResolvedQuery, effective_window,
 #: own parameters) under the 999 bound-variable limit of older SQLite
 #: builds.
 MAX_CANDIDATE_PUSHDOWN = 450
-
-#: Valid ``negation_strategy`` arguments: how the anti-join tests a
-#: complete positive assignment against an ``and not`` pattern's match
-#: list.  ``"hash"`` (default) probes a set of shared-entity key tuples;
-#: ``"scan"`` is the naive reference — a linear scan of the match list
-#: per assignment — retained for the differential equivalence corpus.
-NEGATION_STRATEGIES = ("hash", "scan")
 
 
 @dataclass(frozen=True)
@@ -269,49 +261,21 @@ class TBQLExecutor:
         store: the dual relational/graph store to query.
         use_scheduler: order patterns by pruning score (Section III-F)
             instead of declaration order.
-        join_strategy: ``"hash"`` (default) for the pipelined hash join, or
-            ``"backtracking"`` for the seed's cross-product enumeration,
-            kept as the reference implementation for equivalence tests.
         workers: worker processes for the scatter-gather stage over a
             segmented store's sealed segments; ``1`` (default) scans
             serially in-process.  Must be a positive integer.
             Irrelevant on monolithic stores.
-        negation_strategy: how ``and not`` absence patterns are
-            anti-joined — one of :data:`NEGATION_STRATEGIES`.  ``"hash"``
-            (default) probes an index of shared-entity key tuples;
-            ``"scan"`` is the naive per-assignment linear scan kept as
-            the reference implementation for equivalence tests.
-        aggregation_strategy: how ``count()``/``group by`` accumulate —
-            one of
-            :data:`~repro.tbql.aggregate.AGGREGATION_STRATEGIES`.
-            ``"hash"`` (default) uses one dict keyed by the group tuple;
-            ``"scan"`` is the naive linear-lookup reference.
     """
 
     def __init__(self, store: DualStore, use_scheduler: bool = True,
-                 join_strategy: str = "hash", workers: int = 1,
-                 negation_strategy: str = "hash",
-                 aggregation_strategy: str = "hash") -> None:
-        if join_strategy not in ("hash", "backtracking"):
-            raise ValueError(f"unknown join strategy: {join_strategy!r}")
-        if negation_strategy not in NEGATION_STRATEGIES:
-            raise ValueError(
-                f"unknown negation strategy: {negation_strategy!r} "
-                f"(expected one of {', '.join(NEGATION_STRATEGIES)})")
-        if aggregation_strategy not in AGGREGATION_STRATEGIES:
-            raise ValueError(
-                f"unknown aggregation strategy: {aggregation_strategy!r} "
-                f"(expected one of {', '.join(AGGREGATION_STRATEGIES)})")
+                 workers: int = 1) -> None:
         workers = int(workers)
         if workers < 1:
             raise ValueError(
                 f"workers must be a positive integer, got {workers}")
         self.store = store
         self.use_scheduler = use_scheduler
-        self.join_strategy = join_strategy
         self.workers = workers
-        self.negation_strategy = negation_strategy
-        self.aggregation_strategy = aggregation_strategy
         self._scanner = SegmentScanner(self.workers)
         self._entity_cache: dict[int, dict] = {}
         self._cache_lock = threading.Lock()
@@ -404,9 +368,7 @@ class TBQLExecutor:
             span.set_attribute("rows", len(rows))
         if resolved.aggregation is not None:
             with start_span("aggregate") as span:
-                rows = apply_aggregation(
-                    rows, resolved.aggregation,
-                    strategy=self.aggregation_strategy)
+                rows = apply_aggregation(rows, resolved.aggregation)
                 span.set_attribute("rows", len(rows))
         join_seconds = time.perf_counter() - join_start
         # Matched events are counted per pattern (after candidate-constraint
@@ -776,14 +738,7 @@ class TBQLExecutor:
         work distribution.
         """
         aggregation = resolved.aggregation
-        if aggregation is None:
-            return None
-        if os.environ.get("REPRO_TBQL_AGG_PUSHDOWN", "").strip() == "0":
-            return None
-        if (self.join_strategy != "hash"
-                or self.aggregation_strategy != "hash"):
-            return None  # the reference strategies stay pushdown-free
-        if len(resolved.patterns) != 1:
+        if aggregation is None or len(resolved.patterns) != 1:
             return None
         pattern = resolved.patterns[0]
         if pattern.negated or pattern.is_path:
@@ -979,16 +934,6 @@ class TBQLExecutor:
     # ------------------------------------------------------------------
     # join
     # ------------------------------------------------------------------
-    def _join(self, resolved: ResolvedQuery,
-              matches_by_pattern: dict[str, list[PatternMatch]],
-              negated_matches: Optional[dict[str, list[PatternMatch]]] = None
-              ) -> tuple[list[dict], list[dict]]:
-        allows = self._build_negation_checker(resolved, negated_matches or {})
-        if self.join_strategy == "backtracking":
-            return self._join_backtracking(resolved, matches_by_pattern,
-                                           allows)
-        return self._join_hash(resolved, matches_by_pattern, allows)
-
     def _build_negation_checker(
             self, resolved: ResolvedQuery,
             negated_matches: dict[str, list[PatternMatch]]):
@@ -1019,36 +964,24 @@ class TBQLExecutor:
                 shared.append((True, pattern.subject.entity_id))
             if pattern.obj.entity_id in positive_entities:
                 shared.append((False, pattern.obj.entity_id))
-            if self.negation_strategy == "hash":
-                index = {tuple(match.subject_key if is_subject
-                               else match.object_key
-                               for is_subject, _ in shared)
-                         for match in matches}
-                specs.append(("hash", shared, index, bool(matches)))
-            else:
-                specs.append(("scan", shared, matches, bool(matches)))
+            index = {tuple(match.subject_key if is_subject
+                           else match.object_key
+                           for is_subject, _ in shared)
+                     for match in matches}
+            specs.append((shared, index, bool(matches)))
 
         if not specs:
             return None
 
         def allows(entity_binding: dict[str, str]) -> bool:
-            for kind, shared, data, has_matches in specs:
+            for shared, index, has_matches in specs:
                 if not shared:
                     if has_matches:
                         return False
                     continue
-                wanted = tuple(entity_binding[entity_id]
-                               for _, entity_id in shared)
-                if kind == "hash":
-                    if wanted in data:
-                        return False
-                else:
-                    for match in data:
-                        got = tuple(match.subject_key if is_subject
-                                    else match.object_key
-                                    for is_subject, _ in shared)
-                        if got == wanted:
-                            return False
+                if tuple(entity_binding[entity_id]
+                         for _, entity_id in shared) in index:
+                    return False
             return True
 
         return allows
@@ -1063,10 +996,10 @@ class TBQLExecutor:
         order.sort(key=lambda pid: len(matches_by_pattern[pid]))
         return order
 
-    def _join_hash(self, resolved: ResolvedQuery,
-                   matches_by_pattern: dict[str, list[PatternMatch]],
-                   negation_allows=None
-                   ) -> tuple[list[dict], list[dict]]:
+    def _join(self, resolved: ResolvedQuery,
+              matches_by_pattern: dict[str, list[PatternMatch]],
+              negated_matches: Optional[dict[str, list[PatternMatch]]] = None
+              ) -> tuple[list[dict], list[dict]]:
         """Pipelined multi-way hash join over the per-pattern match lists.
 
         Each join level indexes its pattern's matches by the subject/object
@@ -1075,10 +1008,13 @@ class TBQLExecutor:
         scanning the whole list.  ``with``-clause relations are applied
         incrementally at the earliest level where their evaluation is
         guaranteed to equal evaluation on the complete assignment, so doomed
-        partial joins are discarded as soon as possible.  Enumeration order
-        (and therefore row and matched-event order) is identical to the
-        reference backtracking join.
+        partial joins are discarded as soon as possible.  Complete
+        assignments then pass the ``and not`` anti-join.  Enumeration order
+        (and therefore row and matched-event order) is the seed
+        backtracking join's.
         """
+        negation_allows = self._build_negation_checker(resolved,
+                                                       negated_matches or {})
         rows: list[dict] = []
         seen_rows: set[tuple] = set()
         matched_events: list[dict] = []
@@ -1164,64 +1100,6 @@ class TBQLExecutor:
         extend(0, {}, {})
         return rows, matched_events
 
-    def _join_backtracking(self, resolved: ResolvedQuery,
-                           matches_by_pattern: dict[str, list[PatternMatch]],
-                           negation_allows=None
-                           ) -> tuple[list[dict], list[dict]]:
-        """The seed's cross-product backtracking join (reference only).
-
-        Worst-case ``O(∏|matches_i|)``: every level re-scans the pattern's
-        full match list against the partial binding.  Kept so equivalence
-        tests can assert the hash join produces bit-identical results.
-        """
-        pattern_order = self._join_order(resolved, matches_by_pattern)
-        rows: list[dict] = []
-        seen_rows: set[tuple] = set()
-        matched_events: list[dict] = []
-        seen_events: set[tuple] = set()
-
-        def backtrack(position: int, entity_binding: dict[str, str],
-                      assignment: dict[str, PatternMatch]) -> None:
-            if position == len(pattern_order):
-                if not self._relations_hold(resolved, assignment):
-                    return
-                if negation_allows is not None and \
-                        not negation_allows(entity_binding):
-                    return
-                self._emit(resolved, assignment, rows, seen_rows,
-                           matched_events, seen_events)
-                return
-            pattern_id = pattern_order[position]
-            pattern = resolved.pattern_by_id(pattern_id)
-            for match in matches_by_pattern[pattern_id]:
-                subject_prev = entity_binding.get(pattern.subject.entity_id)
-                object_prev = entity_binding.get(pattern.obj.entity_id)
-                if subject_prev is not None and \
-                        subject_prev != match.subject_key:
-                    continue
-                if object_prev is not None and \
-                        object_prev != match.object_key:
-                    continue
-                new_binding = dict(entity_binding)
-                new_binding[pattern.subject.entity_id] = match.subject_key
-                new_binding[pattern.obj.entity_id] = match.object_key
-                new_assignment = dict(assignment)
-                new_assignment[pattern_id] = match
-                backtrack(position + 1, new_binding, new_assignment)
-
-        backtrack(0, {}, {})
-        return rows, matched_events
-
-    def _relations_hold(self, resolved: ResolvedQuery,
-                        assignment: dict[str, PatternMatch]) -> bool:
-        for relation in resolved.temporal_relations:
-            if not self._temporal_holds(relation, assignment):
-                return False
-        for relation in resolved.attribute_relations:
-            if not self._attribute_holds(relation, resolved, assignment):
-                return False
-        return True
-
     @staticmethod
     def _temporal_holds(relation: TemporalRelation,
                         assignment: dict[str, PatternMatch]) -> bool:
@@ -1231,16 +1109,16 @@ class TBQLExecutor:
             return True
         scale = TIME_UNIT_SECONDS.get(relation.unit or "sec", 1.0)
         # "then" (the resolved sequence operator) shares the evaluation of
-        # a gap-bounded "before": strict ordering plus an optional bound
-        # on the gap between left's end and right's start.
+        # a gap-bounded "before": strict ordering plus an optional
+        # [min-max] bound on the gap between left's end and right's start.
         if relation.kind in ("before", "then"):
             if left.end_time > right.start_time:
                 return False
-            if relation.max_gap is not None and \
-                    right.start_time - left.end_time > relation.max_gap * \
-                    scale:
+            gap = right.start_time - left.end_time
+            if relation.min_gap and gap < relation.min_gap * scale:
                 return False
-            return True
+            return relation.max_gap is None or \
+                gap <= relation.max_gap * scale
         if relation.kind == "after":
             return TBQLExecutor._temporal_holds(
                 TemporalRelation(left=relation.right, kind="before",
@@ -1248,8 +1126,9 @@ class TBQLExecutor:
                                  min_gap=relation.min_gap,
                                  max_gap=relation.max_gap,
                                  unit=relation.unit), assignment)
-        gap = (relation.max_gap or 0.0) * scale
-        return abs(left.start_time - right.start_time) <= gap
+        gap = abs(left.start_time - right.start_time)
+        return (relation.min_gap or 0.0) * scale <= gap <= \
+            (relation.max_gap or 0.0) * scale
 
     def _attribute_holds(self, relation, resolved: ResolvedQuery,
                          assignment: dict[str, PatternMatch]) -> bool:
@@ -1318,4 +1197,4 @@ class TBQLExecutor:
 
 
 __all__ = ["PatternMatch", "PlanStep", "QueryResult", "TBQLExecutor",
-           "MAX_CANDIDATE_PUSHDOWN", "NEGATION_STRATEGIES"]
+           "MAX_CANDIDATE_PUSHDOWN"]

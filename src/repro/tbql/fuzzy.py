@@ -18,20 +18,16 @@ deviations:
 alignments exhaustively; :class:`PoirotSearcher` (the baseline, see
 :mod:`repro.tbql.poirot`) stops at the first acceptable alignment.
 
-Two search strategies are available (mirroring the executor's
-``join_strategy``):
-
-* ``"indexed"`` (default) — the fast path: node candidates come from a
-  character-bigram inverted index over the unique entity names (a lossless
-  prefilter, so no similarity above the threshold is missed), edit distances
-  use a banded early-exit Levenshtein, information flows come from a cached
-  bounded-hop flow-closure per source node, and alignment enumeration is
-  pruned with an admissible branch-and-bound upper bound on the remaining
-  score.
-* ``"bruteforce"`` — the seed reference: a full Levenshtein DP against every
-  store entity per query node and a fresh bounded BFS per query edge per
-  partial alignment.  Kept for the equivalence tests and as the benchmark
-  baseline; both strategies return identical alignments and scores.
+Node candidates come from a character-bigram inverted index over the
+unique entity names (a lossless prefilter, so no similarity above the
+threshold is missed), edit distances use a banded early-exit Levenshtein,
+information flows come from a cached bounded-hop flow closure per source
+node, and alignment enumeration is pruned with an admissible
+branch-and-bound upper bound on the remaining score.  The seed's brute-force
+search — a full Levenshtein DP against every store entity per query node
+and a fresh bounded BFS per query edge per partial alignment — lives in
+``tests/reference/`` as the oracle that pins identical alignments and
+scores.
 """
 
 from __future__ import annotations
@@ -53,9 +49,6 @@ NODE_SIMILARITY_THRESHOLD = 0.6
 ALIGNMENT_SCORE_THRESHOLD = 0.7
 #: Maximum flow length explored between two aligned nodes.
 MAX_FLOW_LENGTH = 4
-
-#: Valid ``strategy`` arguments for the fuzzy searchers.
-FUZZY_STRATEGIES = ("indexed", "bruteforce")
 
 #: Character n-gram size of the candidate prefilter index.
 _NGRAM = 2
@@ -389,10 +382,9 @@ class ProvenanceIndex:
                        ) -> list[tuple[int, float]]:
         """Return (node id, similarity) candidates above the threshold.
 
-        The fast path: unique names are prefiltered through the bigram
-        inverted index, then scored with the banded Levenshtein; the result
-        set (ids and similarity values) is identical to
-        :meth:`candidates_for_bruteforce`.
+        Unique names are prefiltered through the bigram inverted index,
+        then scored with the banded Levenshtein; the result set (ids and
+        similarity values) is identical to a full DP against every node.
         """
         if threshold is None:
             threshold = NODE_SIMILARITY_THRESHOLD
@@ -421,25 +413,6 @@ class ProvenanceIndex:
             for node_id in nodes_by_name[name]:
                 if query_type and node_types.get(node_id) != query_type:
                     continue
-                results.append((node_id, similarity))
-        results.sort(key=lambda item: (-item[1], item[0]))
-        return results
-
-    def candidates_for_bruteforce(self, query_node: QueryNode,
-                                  threshold: Optional[float] = None
-                                  ) -> list[tuple[int, float]]:
-        """Reference candidate scan: full Levenshtein DP per store entity."""
-        if threshold is None:
-            threshold = NODE_SIMILARITY_THRESHOLD
-        results: list[tuple[int, float]] = []
-        needle = query_node.search_string
-        for node_id, name in self.node_names.items():
-            if query_node.entity_type and \
-                    self.node_types.get(node_id) != query_node.entity_type:
-                continue
-            similarity = string_similarity(needle, name or "") if needle \
-                else 0.5
-            if similarity >= threshold:
                 results.append((node_id, similarity))
         results.sort(key=lambda item: (-item[1], item[0]))
         return results
@@ -491,8 +464,7 @@ class ProvenanceIndex:
         matches the requested operations, or 0 when no such flow exists
         within :data:`MAX_FLOW_LENGTH` hops.  Shorter flows mean fewer
         intermediate (potentially compromised) processes, mirroring Poirot's
-        ancestor-influence score.  Served from the cached flow closure; the
-        per-call BFS is retained as :meth:`flow_score_bruteforce`.
+        ancestor-influence score.  Served from the cached flow closure.
         """
         flows = self.flows_from(source).get(target)
         if not flows:
@@ -503,27 +475,6 @@ class ProvenanceIndex:
         else:
             hops = min(flows.values())
         return 1.0 / hops if hops else 0.0
-
-    def flow_score_bruteforce(self, source: int, target: int,
-                              operations: Optional[frozenset[str]]) -> float:
-        """Reference flow scoring: one bounded BFS per call."""
-        frontier = [(source, 0)]
-        visited = {source}
-        best = 0.0
-        while frontier:
-            node, depth = frontier.pop(0)
-            if depth >= MAX_FLOW_LENGTH:
-                continue
-            for neighbor, operation, _ in self.out_edges.get(node, ()):
-                hop = depth + 1
-                if neighbor == target and (
-                        operations is None or operation in operations or
-                        not operations):
-                    best = max(best, 1.0 / hop)
-                if neighbor not in visited:
-                    visited.add(neighbor)
-                    frontier.append((neighbor, hop))
-        return best
 
 
 # ---------------------------------------------------------------------------
@@ -565,42 +516,28 @@ class FuzzySearchResult:
 class GraphAligner:
     """Backtracking aligner shared by the fuzzy mode and the Poirot baseline.
 
-    With ``strategy="indexed"`` the aligner scores flows through the cached
-    closure, checks each query edge exactly once (when its second endpoint
-    is mapped), and prunes subtrees whose admissible score upper bound —
-    current flow total plus 1.0 for every unscored edge — cannot reach the
-    acceptance threshold.  ``strategy="bruteforce"`` reproduces the seed
-    behaviour (BFS per edge per partial alignment, no bounding); both yield
-    the same acceptable alignments in the same order.
+    The aligner scores flows through the index's cached closure, checks
+    each query edge exactly once (when its second endpoint is mapped), and
+    prunes subtrees whose admissible score upper bound — current flow total
+    plus 1.0 for every unscored edge — cannot reach the acceptance
+    threshold.  The seed's unbounded search yields the same acceptable
+    alignments in the same order.
     """
 
     def __init__(self, query_graph: QueryGraph, index: ProvenanceIndex,
                  score_threshold: float = ALIGNMENT_SCORE_THRESHOLD,
-                 max_expansions: int = 200_000,
-                 strategy: str = "indexed") -> None:
-        if strategy not in FUZZY_STRATEGIES:
-            raise ValueError(f"unknown fuzzy strategy: {strategy!r} "
-                             f"(expected one of {FUZZY_STRATEGIES})")
+                 max_expansions: int = 200_000) -> None:
         self.query_graph = query_graph
         self.index = index
         self.score_threshold = score_threshold
         self.max_expansions = max_expansions
-        self.strategy = strategy
-        if strategy == "indexed":
-            self._candidates = index.candidates_for
-            self._flow = index.flow_score
-            self._branch_and_bound = True
-        else:
-            self._candidates = index.candidates_for_bruteforce
-            self._flow = index.flow_score_bruteforce
-            self._branch_and_bound = False
         self._expansions = 0
         self._last_candidates: Optional[dict[str, list]] = None
 
     def alignments(self, stop_after_first: bool = False
                    ) -> Iterator[Alignment]:
         """Yield acceptable alignments (all of them, or just the first)."""
-        candidates = {node.entity_id: self._candidates(node)
+        candidates = {node.entity_id: self.index.candidates_for(node)
                       for node in self.query_graph.nodes}
         self._last_candidates = candidates
         # Align the most selective query node first.
@@ -623,7 +560,7 @@ class GraphAligner:
         if self._last_candidates is not None:
             return {entity_id: len(found)
                     for entity_id, found in self._last_candidates.items()}
-        return {node.entity_id: len(self._candidates(node))
+        return {node.entity_id: len(self.index.candidates_for(node))
                 for node in self.query_graph.nodes}
 
     def _extend(self, order: list[QueryNode], position: int,
@@ -643,6 +580,8 @@ class GraphAligner:
         used = set(mapping.values())
         num_edges = len(self.query_graph.edges)
         newly_ready = ready_edges[position]
+        scored = scored_edges + len(newly_ready)
+        flow_score = self.index.flow_score
         for candidate_id, _similarity in candidates[node.entity_id]:
             if candidate_id in used:
                 continue
@@ -651,26 +590,22 @@ class GraphAligner:
             consistent = True
             added = 0.0
             for edge in newly_ready:
-                score = self._flow(mapping[edge.source],
+                score = flow_score(mapping[edge.source],
                                    mapping[edge.target], edge.operations)
                 if score == 0.0:
                     consistent = False
                     break
                 added += score
-            if consistent and self._branch_and_bound:
-                # Admissible upper bound: every still-unscored edge can
-                # contribute at most a direct flow (1.0).  Subtrees that
-                # cannot reach the acceptance threshold are cut; the small
-                # epsilon keeps borderline float sums on the safe side.
-                scored = scored_edges + len(newly_ready)
-                bound = flow_total + added + (num_edges - scored)
-                if bound < self.score_threshold * num_edges - 1e-9:
-                    consistent = False
-            if consistent:
+            # Admissible upper bound: every still-unscored edge can
+            # contribute at most a direct flow (1.0).  Subtrees that cannot
+            # reach the acceptance threshold are cut; the small epsilon
+            # keeps borderline float sums on the safe side.
+            if consistent and flow_total + added + (num_edges - scored) >= \
+                    self.score_threshold * num_edges - 1e-9:
                 for alignment in self._extend(
                         order, position + 1, mapping, candidates,
-                        ready_edges, flow_total + added,
-                        scored_edges + len(newly_ready), stop_after_first):
+                        ready_edges, flow_total + added, scored,
+                        stop_after_first):
                     yield alignment
                     if stop_after_first:
                         del mapping[node.entity_id]
@@ -682,8 +617,9 @@ class GraphAligner:
             return None
         total = 0.0
         for edge in self.query_graph.edges:
-            total += self._flow(mapping[edge.source], mapping[edge.target],
-                                edge.operations)
+            total += self.index.flow_score(mapping[edge.source],
+                                           mapping[edge.target],
+                                           edge.operations)
         score = total / len(self.query_graph.edges)
         if score < self.score_threshold:
             return None
@@ -699,53 +635,37 @@ class FuzzySearcher:
     stop_after_first = False
 
     def __init__(self, store: DualStore,
-                 score_threshold: float = ALIGNMENT_SCORE_THRESHOLD,
-                 strategy: str = "indexed") -> None:
-        if strategy not in FUZZY_STRATEGIES:
-            raise ValueError(f"unknown fuzzy strategy: {strategy!r} "
-                             f"(expected one of {FUZZY_STRATEGIES})")
+                 score_threshold: float = ALIGNMENT_SCORE_THRESHOLD) -> None:
         self.store = store
         self.score_threshold = score_threshold
-        self.strategy = strategy
 
     def search(self, query: str | ResolvedQuery) -> FuzzySearchResult:
         """Run the fuzzy search for a TBQL query."""
         resolved = query if isinstance(query, ResolvedQuery) else \
             resolve_query(parse_tbql(query))
-        if self.strategy == "indexed":
-            # The provenance index builds straight from the in-memory
-            # property graph; there is no relational load phase.  When the
-            # backends have drifted apart (e.g. an incremental
-            # relational-only load), fall back to the relational rows so
-            # both strategies always search the same data.
-            load_start = time.perf_counter()
-            graph = self.store.graph.graph
-            in_sync = graph.num_edges() == self.store.relational.count_events()
-            rows = None if in_sync else self.store.relational.all_events()
-            loading = time.perf_counter() - load_start
-            prep_start = time.perf_counter()
-            if in_sync:
-                index = ProvenanceIndex.from_graph(graph)
-            else:
-                index = ProvenanceIndex()
-                for row in rows:
-                    index.add_event(row)
-            preprocessing = time.perf_counter() - prep_start
+        # The provenance index builds straight from the in-memory property
+        # graph; there is no relational load phase.  When the backends have
+        # drifted apart (e.g. an incremental relational-only load), fall
+        # back to the relational rows so the search always sees every
+        # stored event.
+        load_start = time.perf_counter()
+        graph = self.store.graph.graph
+        in_sync = graph.num_edges() == self.store.relational.count_events()
+        rows = None if in_sync else self.store.relational.all_events()
+        loading = time.perf_counter() - load_start
+        prep_start = time.perf_counter()
+        if in_sync:
+            index = ProvenanceIndex.from_graph(graph)
         else:
-            load_start = time.perf_counter()
-            rows = self.store.relational.all_events()
-            loading = time.perf_counter() - load_start
-            prep_start = time.perf_counter()
             index = ProvenanceIndex()
             for row in rows:
                 index.add_event(row)
-            preprocessing = time.perf_counter() - prep_start
+        preprocessing = time.perf_counter() - prep_start
 
         search_start = time.perf_counter()
         query_graph = QueryGraph.from_resolved(resolved)
         aligner = GraphAligner(query_graph, index,
-                               score_threshold=self.score_threshold,
-                               strategy=self.strategy)
+                               score_threshold=self.score_threshold)
         alignments = list(aligner.alignments(
             stop_after_first=self.stop_after_first))
         searching = time.perf_counter() - search_start
@@ -768,7 +688,6 @@ __all__ = [
     "FuzzySearchResult",
     "GraphAligner",
     "FuzzySearcher",
-    "FUZZY_STRATEGIES",
     "NODE_SIMILARITY_THRESHOLD",
     "ALIGNMENT_SCORE_THRESHOLD",
     "MAX_FLOW_LENGTH",

@@ -9,19 +9,13 @@ searching exhaustively for all aligned subgraphs.
 
 from __future__ import annotations
 
-from .fuzzy import ALIGNMENT_SCORE_THRESHOLD, FuzzySearcher
+from .fuzzy import FuzzySearcher
 
 
 class PoirotSearcher(FuzzySearcher):
     """Poirot-style alignment search: stop at the first acceptable one."""
 
     stop_after_first = True
-
-    def __init__(self, store, score_threshold: float =
-                 ALIGNMENT_SCORE_THRESHOLD,
-                 strategy: str = "indexed") -> None:
-        super().__init__(store, score_threshold=score_threshold,
-                         strategy=strategy)
 
 
 __all__ = ["PoirotSearcher"]

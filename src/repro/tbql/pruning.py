@@ -31,7 +31,6 @@ segment never contains a row the unpruned reference scan returns.
 
 from __future__ import annotations
 
-import os
 from typing import Any, Optional
 
 from ..storage.relational.schema import EVENT_ATTRIBUTE_COLUMNS
@@ -39,11 +38,6 @@ from ..storage.segments import SegmentInfo, SegmentStats
 from .ast import (AttributeComparison, AttributeFilter, BooleanFilter,
                   MembershipFilter)
 from .colscan import PatternSpec, _eval_comparison, _eval_membership
-
-
-def stats_pruning_enabled() -> bool:
-    """Stats pruning is on unless ``REPRO_TBQL_STATS_PRUNING=0``."""
-    return os.environ.get("REPRO_TBQL_STATS_PRUNING", "").strip() != "0"
 
 
 def _numeric_may_match(bounds: tuple[float, float], operator: str,
@@ -147,14 +141,12 @@ def prune_by_stats(segments: list[SegmentInfo], spec: PatternSpec
                    ) -> tuple[list[SegmentInfo], int]:
     """Partition time-surviving segments by the stats verdict.
 
-    Returns ``(survivors, pruned_count)``.  With pruning disabled or
-    stats-less segments, this degrades to "scan everything".
+    Returns ``(survivors, pruned_count)``.  Stats-less segments always
+    survive.
     """
-    if not stats_pruning_enabled():
-        return list(segments), 0
     survivors = [segment for segment in segments
                  if segment_may_match(segment.stats, spec)]
     return survivors, len(segments) - len(survivors)
 
 
-__all__ = ["stats_pruning_enabled", "segment_may_match", "prune_by_stats"]
+__all__ = ["segment_may_match", "prune_by_stats"]

@@ -407,6 +407,13 @@ def _split_relations(query: TBQLQuery, pattern_ids: set[str],
                 if side not in pattern_ids:
                     raise TBQLSemanticError(
                         f"with-clause references unknown pattern id {side!r}")
+            if relation.min_gap is not None and \
+                    relation.max_gap is not None and \
+                    relation.min_gap > relation.max_gap:
+                raise TBQLSemanticError(
+                    f"with-clause gap [{relation.min_gap:g}-"
+                    f"{relation.max_gap:g} {relation.unit}] has its minimum "
+                    f"above its maximum")
             temporal.append(relation)
         else:
             for side in (relation.left, relation.right):

@@ -83,9 +83,10 @@ def stop_backend_server(server, thread) -> None:
 def assert_exact_entity_blocks(store: DualStore) -> list[int]:
     """Every sealed segment's ``events.col`` holds exactly the entity
     rows its events reference, resolves every event, and — whichever
-    route wrote it (buffered columns, compaction, rowwise load) — equals
-    the payload of the same id range read back from the combined store,
-    byte for byte.  Returns the entity-row count of each segment."""
+    route wrote it (buffered columns, compaction, a snapshot segment
+    that arrived without one) — equals the payload of the same id range
+    read back from the combined store, byte for byte.  Returns the
+    entity-row count of each segment."""
     counts = []
     with tempfile.TemporaryDirectory() as scratch:
         for info in store.segment_view().sealed:

@@ -1,0 +1,169 @@
+"""The seed's brute-force fuzzy search, frozen as a differential oracle.
+
+The shipped search prefilters node candidates through a bigram index,
+scores them with a banded Levenshtein, reads information flows from a
+cached closure per source node and cuts alignment subtrees by
+branch-and-bound.  The seed did none of that: a full Levenshtein DP
+against every node per query node, one bounded BFS per query edge per
+partial alignment, no bounding, and the provenance index built from the
+relational rows.  Both must return identical alignments, scores and
+candidate counts; the Table IX benchmark times them against each other.
+
+The bodies below are the old code verbatim, with ``self`` renamed where
+a method became a function.  Test-only — nothing under ``src/`` imports
+this module.
+"""
+
+from __future__ import annotations
+
+import time
+from typing import Iterator, Optional
+
+from repro.tbql.fuzzy import (MAX_FLOW_LENGTH, NODE_SIMILARITY_THRESHOLD,
+                              Alignment, FuzzySearcher, FuzzySearchResult,
+                              GraphAligner, ProvenanceIndex, QueryEdge,
+                              QueryGraph, QueryNode, string_similarity)
+from repro.tbql.parser import parse_tbql
+from repro.tbql.semantics import ResolvedQuery, resolve_query
+
+
+def candidates_for_bruteforce(index: ProvenanceIndex, query_node: QueryNode,
+                              threshold: Optional[float] = None
+                              ) -> list[tuple[int, float]]:
+    """Reference candidate scan: full Levenshtein DP per store entity."""
+    if threshold is None:
+        threshold = NODE_SIMILARITY_THRESHOLD
+    results: list[tuple[int, float]] = []
+    needle = query_node.search_string
+    for node_id, name in index.node_names.items():
+        if query_node.entity_type and \
+                index.node_types.get(node_id) != query_node.entity_type:
+            continue
+        similarity = string_similarity(needle, name or "") if needle \
+            else 0.5
+        if similarity >= threshold:
+            results.append((node_id, similarity))
+    results.sort(key=lambda item: (-item[1], item[0]))
+    return results
+
+
+def flow_score_bruteforce(index: ProvenanceIndex, source: int, target: int,
+                          operations: Optional[frozenset[str]]) -> float:
+    """Reference flow scoring: one bounded BFS per call."""
+    frontier = [(source, 0)]
+    visited = {source}
+    best = 0.0
+    while frontier:
+        node, depth = frontier.pop(0)
+        if depth >= MAX_FLOW_LENGTH:
+            continue
+        for neighbor, operation, _ in index.out_edges.get(node, ()):
+            hop = depth + 1
+            if neighbor == target and (
+                    operations is None or operation in operations or
+                    not operations):
+                best = max(best, 1.0 / hop)
+            if neighbor not in visited:
+                visited.add(neighbor)
+                frontier.append((neighbor, hop))
+    return best
+
+
+class BruteForceIndex(ProvenanceIndex):
+    """A provenance index answering through the reference scans."""
+
+    def candidates_for(self, query_node: QueryNode,
+                       threshold: Optional[float] = None
+                       ) -> list[tuple[int, float]]:
+        return candidates_for_bruteforce(self, query_node, threshold)
+
+    def flow_score(self, source: int, target: int,
+                   operations: Optional[frozenset[str]]) -> float:
+        return flow_score_bruteforce(self, source, target, operations)
+
+
+class BruteForceAligner(GraphAligner):
+    """The aligner without branch-and-bound (use with a
+    :class:`BruteForceIndex`)."""
+
+    def _extend(self, order: list[QueryNode], position: int,
+                mapping: dict[str, int],
+                candidates: dict[str, list[tuple[int, float]]],
+                ready_edges: list[list[QueryEdge]],
+                flow_total: float, scored_edges: int,
+                stop_after_first: bool) -> Iterator[Alignment]:
+        if self._expansions > self.max_expansions:
+            return
+        if position == len(order):
+            alignment = self._score(mapping)
+            if alignment is not None:
+                yield alignment
+            return
+        node = order[position]
+        used = set(mapping.values())
+        newly_ready = ready_edges[position]
+        for candidate_id, _similarity in candidates[node.entity_id]:
+            if candidate_id in used:
+                continue
+            self._expansions += 1
+            mapping[node.entity_id] = candidate_id
+            consistent = True
+            added = 0.0
+            for edge in newly_ready:
+                score = self.index.flow_score(mapping[edge.source],
+                                              mapping[edge.target],
+                                              edge.operations)
+                if score == 0.0:
+                    consistent = False
+                    break
+                added += score
+            if consistent:
+                for alignment in self._extend(
+                        order, position + 1, mapping, candidates,
+                        ready_edges, flow_total + added,
+                        scored_edges + len(newly_ready), stop_after_first):
+                    yield alignment
+                    if stop_after_first:
+                        del mapping[node.entity_id]
+                        return
+            del mapping[node.entity_id]
+
+
+class BruteForceFuzzySearcher(FuzzySearcher):
+    """:class:`FuzzySearcher` over the seed's search."""
+
+    def search(self, query: str | ResolvedQuery) -> FuzzySearchResult:
+        resolved = query if isinstance(query, ResolvedQuery) else \
+            resolve_query(parse_tbql(query))
+        load_start = time.perf_counter()
+        rows = self.store.relational.all_events()
+        loading = time.perf_counter() - load_start
+        prep_start = time.perf_counter()
+        index = BruteForceIndex()
+        for row in rows:
+            index.add_event(row)
+        preprocessing = time.perf_counter() - prep_start
+
+        search_start = time.perf_counter()
+        query_graph = QueryGraph.from_resolved(resolved)
+        aligner = BruteForceAligner(query_graph, index,
+                                    score_threshold=self.score_threshold)
+        alignments = list(aligner.alignments(
+            stop_after_first=self.stop_after_first))
+        searching = time.perf_counter() - search_start
+        return FuzzySearchResult(alignments=alignments,
+                                 loading_seconds=loading,
+                                 preprocessing_seconds=preprocessing,
+                                 searching_seconds=searching,
+                                 candidate_counts=aligner.candidate_counts())
+
+
+class BruteForcePoirotSearcher(BruteForceFuzzySearcher):
+    """The Poirot baseline over the seed's search: first alignment only."""
+
+    stop_after_first = True
+
+
+__all__ = ["BruteForceAligner", "BruteForceFuzzySearcher",
+           "BruteForceIndex", "BruteForcePoirotSearcher",
+           "candidates_for_bruteforce", "flow_score_bruteforce"]

@@ -1,0 +1,141 @@
+"""The pre-batching ingest loader, frozen as a differential oracle.
+
+``DualStore.load_events`` once had a second load path: batch reduction,
+one ``INSERT`` per new entity plus one ``executemany`` for the events on
+the relational side, and one ``add_node`` / ``add_edge`` call per item on
+the graph side.  The batched loader must store exactly what it stored —
+same rows, same ids, same graph — and the ingestion benchmark times the
+two against each other.  The bodies below are the old code verbatim,
+with ``self`` renamed where a method became a function.  Test-only —
+nothing under ``src/`` imports this module.
+"""
+
+from __future__ import annotations
+
+import time
+from typing import Iterable
+
+from repro.audit.entities import SystemEntity, SystemEvent
+from repro.audit.reduction import reduce_events
+from repro.storage import DualStore, IngestStats
+from repro.storage.graph.graphdb import PropertyGraph
+from repro.storage.relational import RelationalStore
+from repro.storage.relational.database import entity_row
+from repro.storage.relational.schema import ENTITY_COLUMNS, EVENT_COLUMNS
+
+
+def entity_id_for(store: RelationalStore, entity: SystemEntity) -> int:
+    """Return the stored id for ``entity``, registering it if new."""
+    store._assert_writable()
+    key = entity.unique_key
+    existing = store._entity_ids.get(key)
+    if existing is not None:
+        return existing
+    entity_id = store._next_entity_id
+    store._next_entity_id += 1
+    store._entity_ids[key] = entity_id
+    placeholders = ", ".join("?" for _ in ENTITY_COLUMNS)
+    with store._lock:
+        store._connection.execute(
+            f"INSERT INTO entities ({', '.join(ENTITY_COLUMNS)}) "
+            f"VALUES ({placeholders})",
+            entity_row(entity_id, entity))
+    return entity_id
+
+
+def load_events_rowwise(store: RelationalStore,
+                        events: Iterable[SystemEvent]) -> int:
+    """Row-at-a-time reference loader (the pre-batching seed path).
+
+    One ``INSERT`` statement per new entity via :func:`entity_id_for`,
+    one ``executemany`` for the event rows.
+    """
+    store._assert_writable()
+    rows = []
+    for event in events:
+        subject_id = entity_id_for(store, event.subject)
+        object_id = entity_id_for(store, event.obj)
+        event_id = store._next_event_id
+        store._next_event_id += 1
+        rows.append((event_id, subject_id, object_id,
+                     event.operation.value, event.category.value,
+                     event.start_time, event.end_time, event.duration,
+                     event.data_amount, event.failure_code, event.host))
+    with store._lock:
+        if rows:
+            placeholders = ", ".join("?" for _ in EVENT_COLUMNS)
+            store._connection.executemany(
+                f"INSERT INTO events ({', '.join(EVENT_COLUMNS)}) "
+                f"VALUES ({placeholders})", rows)
+        store._connection.commit()
+    return len(rows)
+
+
+def graph_from_events_itemwise(events: Iterable[SystemEvent]
+                               ) -> PropertyGraph:
+    """Reference graph construction: one add_node/add_edge call per item."""
+    graph = PropertyGraph()
+    node_ids: dict[tuple, int] = {}
+    for event in events:
+        endpoints = []
+        for entity in (event.subject, event.obj):
+            key = entity.unique_key
+            node_id = node_ids.get(key)
+            if node_id is None:
+                node_id = graph.add_node(entity.entity_type.value,
+                                         entity.attributes())
+                node_ids[key] = node_id
+            endpoints.append(node_id)
+        graph.add_edge(endpoints[0], endpoints[1], "EVENT",
+                       event.attributes())
+    return graph
+
+
+class RowwiseDualStore(DualStore):
+    """A :class:`DualStore` whose ``load_events`` runs the old loader.
+
+    Everything around the loader — the read-only check, dropping sealed
+    segments, metrics, ``data_version`` — is the shipped
+    ``load_events``; only the method it delegates to is replaced.
+    """
+
+    def _load_batched(self, events: Iterable[SystemEvent]) -> IngestStats:
+        reduce_start = time.perf_counter()
+        event_list = list(events)
+        input_count = len(event_list)
+        if self.reduce:
+            event_list, stats = reduce_events(event_list,
+                                              self.merge_threshold)
+            self.last_reduction = stats
+        reduce_seconds = time.perf_counter() - reduce_start
+
+        relational_start = time.perf_counter()
+        self.relational.clear()
+        load_events_rowwise(self.relational, event_list)
+        relational_seconds = time.perf_counter() - relational_start
+
+        graph_start = time.perf_counter()
+        self.graph.graph = graph_from_events_itemwise(event_list)
+        graph_seconds = time.perf_counter() - graph_start
+
+        self._track_active_bounds(
+            ((event.start_time, event.end_time) for event in event_list),
+            len(event_list))
+        # Rowwise rows never flow through the columnar builder; sealing
+        # this data reads them back from the relational store.
+        self._active_columns = None
+        self._events = event_list if self.retain_events else []
+        entities = self.relational.count_entities()
+        # One INSERT per entity plus one executemany for the events.
+        statements = entities + (1 if event_list else 0)
+        return IngestStats(
+            len(event_list), input_events=input_count, entities=entities,
+            relational_batches=statements,
+            seconds={"reduce": reduce_seconds, "build": 0.0,
+                     "relational": relational_seconds,
+                     "graph": graph_seconds},
+            strategy="rowwise")
+
+
+__all__ = ["RowwiseDualStore", "entity_id_for",
+           "graph_from_events_itemwise", "load_events_rowwise"]

@@ -45,6 +45,18 @@ class TestHelpSurface:
         assert undocumented == [], \
             f"repro {name}: arguments without help text"
 
+    @pytest.mark.parametrize("name, options", [
+        ("ingest", {"--log", "--stats", "--no-reduction"}),
+        ("snapshot", {"--log", "--out", "--layout", "--segment-events",
+                      "--no-reduction"}),
+    ])
+    def test_load_commands_have_one_load_path(self, name, options):
+        """The batched loader is the only one; no ``--strategy``."""
+        present = {option for action in _subcommands()[name]._actions
+                   if not isinstance(action, argparse._HelpAction)
+                   for option in action.option_strings}
+        assert present == options
+
     def test_expected_subcommands_present(self):
         assert set(_subcommands()) == {
             "extract", "synthesize", "hunt", "query", "ingest",

@@ -41,6 +41,7 @@ from repro.tbql.executor import TBQLExecutor
 from repro.tbql.scatter import SegmentScanner
 
 from .conftest import record_data_leak_attack, snapshot_files
+from .reference.scan_unoptimized import dictionary_disabled
 from .test_tbql_join_equivalence import EQUIVALENCE_CORPUS
 
 try:
@@ -546,7 +547,6 @@ def _selection(segment, filters):
 def test_filter_tables_match_sqlite(table_payload, monkeypatch, filters,
                                     use_numpy):
     path, connection = table_payload
-    monkeypatch.delenv("REPRO_COLSCAN_DICT", raising=False)
     if use_numpy:
         monkeypatch.delenv("REPRO_COLUMNAR_NUMPY", raising=False)
     else:
@@ -561,9 +561,9 @@ def test_filter_tables_match_sqlite(table_payload, monkeypatch, filters,
         assert len(segment._filter_memo) == before
         # The per-row closures are the tables' reference and never
         # touch the memo.
-        monkeypatch.setenv("REPRO_COLSCAN_DICT", "0")
         segment._filter_memo.clear()
-        assert _selection(segment, filters) == expected
+        with dictionary_disabled():
+            assert _selection(segment, filters) == expected
         assert not segment._filter_memo
     finally:
         segment.close()
@@ -642,7 +642,6 @@ def test_concurrent_compiles_of_one_filter_agree(table_payload,
     shared segment at once, compiling the same filters; every selection
     equals the serial one, the memo ends with one mask per filter and
     the entity-row index they raced to build is one cached pair."""
-    monkeypatch.delenv("REPRO_COLSCAN_DICT", raising=False)
     monkeypatch.setenv("REPRO_COLUMNAR_NUMPY", use_numpy)
     path, connection = table_payload
     chosen = _TABLE_FILTERS[:12]

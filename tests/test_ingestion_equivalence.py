@@ -2,16 +2,19 @@
 
 The batched loader (streaming reduction, single build pass, chunked
 ``executemany``, bulk graph insertion) must populate both backends with data
-*identical* to the retained row-at-a-time reference loader — same relational
-rows, same graph nodes/edges/properties, same id assignment.
+*identical* to the row-at-a-time reference loader kept in
+``tests/reference/ingest_rowwise.py`` — same relational rows, same graph
+nodes/edges/properties, same id assignment.
 """
 
 import pytest
 
 from repro.audit import AuditCollector, generate_benign_noise
 from repro.storage import DualStore, IngestStats
-from repro.storage.graph.graphdb import (graph_from_events,
-                                         graph_from_events_itemwise)
+from repro.storage.graph.graphdb import graph_from_events
+
+from .reference.ingest_rowwise import (RowwiseDualStore,
+                                       graph_from_events_itemwise)
 
 
 @pytest.fixture(scope="module")
@@ -35,11 +38,9 @@ class TestLoadStrategyEquivalence:
     @pytest.mark.parametrize("reduce", [True, False])
     def test_identical_backends(self, noise_events, reduce):
         with DualStore(reduce=reduce) as batched, \
-                DualStore(reduce=reduce) as rowwise:
-            count_batched = batched.load_events(noise_events,
-                                                strategy="batched")
-            count_rowwise = rowwise.load_events(noise_events,
-                                                strategy="rowwise")
+                RowwiseDualStore(reduce=reduce) as rowwise:
+            count_batched = batched.load_events(noise_events)
+            count_rowwise = rowwise.load_events(noise_events)
             assert int(count_batched) == int(count_rowwise)
             for sql in ("SELECT * FROM entities ORDER BY id",
                         "SELECT * FROM events ORDER BY id"):
@@ -49,20 +50,15 @@ class TestLoadStrategyEquivalence:
                    [e.event_id for e in rowwise.events()]
 
     def test_reduction_stats_agree(self, noise_events):
-        with DualStore() as batched, DualStore() as rowwise:
-            batched.load_events(noise_events, strategy="batched")
-            rowwise.load_events(noise_events, strategy="rowwise")
+        with DualStore() as batched, RowwiseDualStore() as rowwise:
+            batched.load_events(noise_events)
+            rowwise.load_events(noise_events)
             assert batched.last_reduction.input_events == \
                 rowwise.last_reduction.input_events
             assert batched.last_reduction.output_events == \
                 rowwise.last_reduction.output_events
             assert batched.last_reduction.merged_events == \
                 rowwise.last_reduction.merged_events
-
-    def test_unknown_strategy_rejected(self, noise_events):
-        with DualStore() as store:
-            with pytest.raises(ValueError):
-                store.load_events(noise_events, strategy="sideways")
 
     def test_reload_keeps_ids_aligned(self, noise_events):
         # Candidate pushdown relies on relational id == graph node id, and
@@ -123,8 +119,8 @@ class TestIngestStats:
             assert as_dict["strategy"] == "batched"
 
     def test_rowwise_stats(self, noise_events):
-        with DualStore() as store:
-            stats = store.load_events(noise_events, strategy="rowwise")
+        with RowwiseDualStore() as store:
+            stats = store.load_events(noise_events)
             assert stats.strategy == "rowwise"
             assert stats.entities == store.relational.count_entities()
 

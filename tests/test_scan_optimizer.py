@@ -12,6 +12,7 @@ pre-stats v3 and v2 snapshots, and the observability surfaces
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import json
 from operator import attrgetter
@@ -37,6 +38,10 @@ from repro.tbql.parser import parse_tbql
 
 from .conftest import record_data_leak_attack, snapshot_files
 from .promtext import parse_prometheus_text
+from .reference.executor_seed import RowPathExecutor, ScanAggregationExecutor
+from .reference.scan_unoptimized import (dictionary_disabled,
+                                         optimizers_disabled,
+                                         stats_pruning_disabled)
 from .test_tbql_join_equivalence import EQUIVALENCE_CORPUS
 
 #: Queries exercising the optimizer paths: selective predicates that
@@ -220,7 +225,7 @@ class TestConservativePruning:
             finally:
                 segment.close()
 
-    def test_disabled_via_environment(self, store_pair, monkeypatch):
+    def test_unpruned_reference_scans_every_segment(self, store_pair):
         _mono, seg = store_pair
         sealed = seg.segment_view().sealed
         impossible = PatternSpec(
@@ -230,9 +235,15 @@ class TestConservativePruning:
             subject_candidates=None, object_candidates=None)
         survivors, pruned = prune_by_stats(list(sealed), impossible)
         assert pruned == len(sealed) and not survivors
-        monkeypatch.setenv("REPRO_TBQL_STATS_PRUNING", "0")
-        survivors, pruned = prune_by_stats(list(sealed), impossible)
-        assert pruned == 0 and len(survivors) == len(sealed)
+        text = 'proc p delete file f return p, f'
+        pruned_result = TBQLExecutor(seg).execute(text)
+        with stats_pruning_disabled():
+            unpruned = TBQLExecutor(seg).execute(text)
+        assert pruned_result.plan[0].segments_pruned_by_stats > 0
+        assert unpruned.plan[0].segments_pruned_by_stats == 0
+        assert unpruned.plan[0].segments_scanned == len(sealed)
+        assert unpruned.rows == pruned_result.rows
+        assert unpruned.matched_events == pruned_result.matched_events
 
     def test_stats_less_segments_always_survive(self, store_pair):
         _mono, seg = store_pair
@@ -285,19 +296,20 @@ class TestDictionaryPredicates:
         finally:
             segment.close()
 
-    def test_dictionary_toggle_preserves_results(self, store_pair,
-                                                 monkeypatch):
+    def test_dictionary_toggle_preserves_results(self, store_pair):
         mono, seg = store_pair
         reference = TBQLExecutor(mono)
         expected = [reference.execute(text) for text in EQUIVALENCE_CORPUS]
-        for dict_enabled in ("1", "0"):
-            monkeypatch.setenv("REPRO_COLSCAN_DICT", dict_enabled)
-            executor = TBQLExecutor(seg)
-            for text, want in zip(EQUIVALENCE_CORPUS, expected):
-                got = executor.execute(text)
-                assert got.rows == want.rows, (dict_enabled, text)
-                assert got.matched_events == want.matched_events, \
-                    (dict_enabled, text)
+        for dict_enabled in (True, False):
+            with contextlib.ExitStack() as stack:
+                if not dict_enabled:
+                    stack.enter_context(dictionary_disabled())
+                executor = TBQLExecutor(seg)
+                for text, want in zip(EQUIVALENCE_CORPUS, expected):
+                    got = executor.execute(text)
+                    assert got.rows == want.rows, (dict_enabled, text)
+                    assert got.matched_events == want.matched_events, \
+                        (dict_enabled, text)
 
 
 # ---------------------------------------------------------------------------
@@ -325,13 +337,11 @@ class TestAggregatePushdown:
             assert got.joined_events == want.joined_events
             assert got.per_pattern_matches == want.per_pattern_matches
 
-    def test_environment_gate_restores_ordinary_path(self, store_pair,
-                                                     monkeypatch):
+    def test_row_path_reference_matches_pushdown(self, store_pair):
         _mono, seg = store_pair
         pushed = TBQLExecutor(seg).execute(self.AGG)
         assert pushed.plan[0].aggregate_pushdown
-        monkeypatch.setenv("REPRO_TBQL_AGG_PUSHDOWN", "0")
-        plain = TBQLExecutor(seg).execute(self.AGG)
+        plain = RowPathExecutor(seg).execute(self.AGG)
         assert not plain.plan[0].aggregate_pushdown
         assert plain.rows == pushed.rows
         assert plain.matched_events == pushed.matched_events
@@ -344,7 +354,7 @@ class TestAggregatePushdown:
                     'return p.exename, count()')
         result = TBQLExecutor(seg).execute(sequence)
         assert not any(step.aggregate_pushdown for step in result.plan)
-        scan_agg = TBQLExecutor(seg, aggregation_strategy="scan")
+        scan_agg = ScanAggregationExecutor(seg)
         result = scan_agg.execute(self.AGG)
         assert not any(step.aggregate_pushdown for step in result.plan)
 
@@ -361,21 +371,21 @@ class TestAggregatePushdown:
 
 class TestOptimizerEquivalence:
     def test_corpus_identical_with_and_without_optimizations(
-            self, store_pair, monkeypatch):
+            self, store_pair):
         mono, seg = store_pair
         reference = TBQLExecutor(mono)
         expected = [reference.execute(text) for text in OPTIMIZER_CORPUS]
         for disabled in (False, True):
-            if disabled:
-                monkeypatch.setenv("REPRO_TBQL_STATS_PRUNING", "0")
-                monkeypatch.setenv("REPRO_COLSCAN_DICT", "0")
-                monkeypatch.setenv("REPRO_TBQL_AGG_PUSHDOWN", "0")
-            executor = TBQLExecutor(seg)
-            for text, want in zip(OPTIMIZER_CORPUS, expected):
-                got = executor.execute(text)
-                assert got.rows == want.rows, (disabled, text)
-                assert got.matched_events == want.matched_events, \
-                    (disabled, text)
+            with contextlib.ExitStack() as stack:
+                if disabled:
+                    stack.enter_context(optimizers_disabled())
+                executor = (RowPathExecutor if disabled
+                            else TBQLExecutor)(seg)
+                for text, want in zip(OPTIMIZER_CORPUS, expected):
+                    got = executor.execute(text)
+                    assert got.rows == want.rows, (disabled, text)
+                    assert got.matched_events == want.matched_events, \
+                        (disabled, text)
 
     def test_selective_patterns_are_pruned_by_stats(self, store_pair):
         mono, seg = store_pair
@@ -548,33 +558,32 @@ class TestObservability:
             assert built + hit == 2 * scans
 
     def test_scan_that_compiles_no_filter_reports_no_tables(
-            self, store_pair, monkeypatch):
+            self, store_pair):
         """A segment that never saw the operation answers before any
         filter compiles; its span must not repeat the counts of the
         scan this thread ran before."""
         from repro.obs import trace
 
         _mono, seg = store_pair
-        # Statistics would prune these segments; scan them anyway.
-        monkeypatch.setenv("REPRO_TBQL_STATS_PRUNING", "0")
         absent = 'proc p delete file f["%/etc/%"] return p, f'
         executor = TBQLExecutor(seg)
-        with trace.start_trace("query") as filtered:
-            executor.execute(self.FILTERED)
-        built, hit, _scans = self._tables(filtered)
-        assert built + hit > 0
-        for _ in range(2):
-            with trace.start_trace("query") as root:
-                assert executor.execute(absent).rows == []
-            assert self._tables(root)[:2] == (0, 0)
+        # Statistics would prune these segments; scan them anyway.
+        with stats_pruning_disabled():
+            with trace.start_trace("query") as filtered:
+                executor.execute(self.FILTERED)
+            built, hit, _scans = self._tables(filtered)
+            assert built + hit > 0
+            for _ in range(2):
+                with trace.start_trace("query") as root:
+                    assert executor.execute(absent).rows == []
+                assert self._tables(root)[:2] == (0, 0)
 
-    def test_dictionary_switch_bypasses_tables_and_memo(
-            self, store_pair, monkeypatch):
+    def test_per_row_reference_bypasses_tables_and_memo(self, store_pair):
         _mono, seg = store_pair
-        monkeypatch.setenv("REPRO_COLSCAN_DICT", "0")
         previous = set_registry(MetricsRegistry())
         try:
-            TBQLExecutor(seg).execute(self.FILTERED)
+            with dictionary_disabled():
+                TBQLExecutor(seg).execute(self.FILTERED)
             text = get_registry().render()
         finally:
             set_registry(previous)

@@ -9,6 +9,8 @@ from repro.storage.relational import RelationalStore
 from repro.storage.relational.sqlgen import (comparison, in_list,
                                              like_escape)
 
+from .reference.ingest_rowwise import entity_id_for
+
 
 @pytest.fixture()
 def small_store():
@@ -39,8 +41,8 @@ class TestLoading:
         collector = AuditCollector()
         tar = collector.spawn_process("/bin/tar")
         store = RelationalStore()
-        first = store.entity_id_for(tar)
-        second = store.entity_id_for(tar)
+        first = entity_id_for(store, tar)
+        second = entity_id_for(store, tar)
         assert first == second
         store.close()
 

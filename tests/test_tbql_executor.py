@@ -1,5 +1,11 @@
 """Tests for the scheduler and the exact execution engine."""
 
+import pytest
+
+from repro.audit.entities import (FileEntity, Operation, ProcessEntity,
+                                  SystemEvent)
+from repro.errors import TBQLSemanticError
+from repro.storage import DualStore
 from repro.tbql.executor import TBQLExecutor
 from repro.tbql.parser import parse_tbql
 from repro.tbql.scheduler import naive_schedule, pruning_score, schedule
@@ -212,3 +218,45 @@ class TestExecutor:
         rows = executor.execute_giant_cypher(text)
         assert len(rows) == 1
         assert rows[0]["i1_dstip"] == "192.168.29.128"
+
+
+class TestGapBounds:
+    """``with e1 before[min-max unit] e2`` bounds the gap on both sides."""
+
+    @pytest.fixture(scope="class")
+    def sixty_second_store(self):
+        tar = ProcessEntity(exename="/bin/tar", pid=7)
+        store = DualStore(reduce=False)
+        store.load_events([
+            SystemEvent(subject=tar, operation=Operation.READ,
+                        obj=FileEntity(path="/etc/passwd"),
+                        start_time=1000.0, end_time=1000.5),
+            SystemEvent(subject=tar, operation=Operation.WRITE,
+                        obj=FileEntity(path="/tmp/upload.tar"),
+                        start_time=1060.5, end_time=1061.0),
+        ])
+        yield store
+        store.close()
+
+    @pytest.mark.parametrize("relation, expected", [
+        ("e1 before[30-300 sec] e2", 1),
+        ("e1 before[120-300 sec] e2", 0),
+        ("e1 before[0-30 sec] e2", 0),
+        ("e2 after[2-5 min] e1", 0),
+        ("e2 after[1-2 min] e1", 1),        # both bounds are inclusive
+        ("e1 within[30-90 sec] e2", 1),
+        ("e1 within[61-90 sec] e2", 0),
+    ])
+    def test_executor_and_giant_sql_honour_both_bounds(
+            self, sixty_second_store, relation, expected):
+        text = ('proc p["%/bin/tar%"] read file f as e1 '
+                'proc p write file g as e2 '
+                f'with {relation} return p, f, g')
+        executor = TBQLExecutor(sixty_second_store)
+        assert len(executor.execute(text).rows) == expected
+        assert len(executor.execute_giant_sql(text)) == expected
+
+    def test_minimum_above_maximum_rejected(self):
+        with pytest.raises(TBQLSemanticError, match="minimum"):
+            resolve('proc p read file f as e1 proc p write file g as e2 '
+                    'with e1 before[10-5 min] e2 return p')

@@ -13,6 +13,11 @@ from repro.tbql.parser import parse_tbql
 from repro.tbql.poirot import PoirotSearcher
 from repro.tbql.semantics import resolve_query
 
+from .reference.fuzzy_bruteforce import (BruteForceFuzzySearcher,
+                                         BruteForcePoirotSearcher,
+                                         candidates_for_bruteforce,
+                                         flow_score_bruteforce)
+
 
 class TestLevenshtein:
     def test_known_distances(self):
@@ -132,8 +137,8 @@ class TestCandidatePrefilterEquivalence:
         query_node = QueryNode(entity_id="q", entity_type=query_type,
                                search_string=needle)
         fast = index.candidates_for(query_node, threshold=threshold)
-        slow = index.candidates_for_bruteforce(query_node,
-                                               threshold=threshold)
+        slow = candidates_for_bruteforce(index, query_node,
+                                         threshold=threshold)
         assert fast == slow
 
     def test_boundary_similarity_not_dropped(self):
@@ -144,7 +149,7 @@ class TestCandidatePrefilterEquivalence:
         query_node = QueryNode(entity_id="q", entity_type="proc",
                                search_string="abcde")
         fast = index.candidates_for(query_node, threshold=0.6)
-        slow = index.candidates_for_bruteforce(query_node, threshold=0.6)
+        slow = candidates_for_bruteforce(index, query_node, threshold=0.6)
         assert fast == slow == [(1, 0.6)]
 
     def test_containment_candidates_survive_prefilter(self):
@@ -156,7 +161,7 @@ class TestCandidatePrefilterEquivalence:
         query_node = QueryNode(entity_id="q", entity_type="file",
                                search_string="upload.tar")
         fast = index.candidates_for(query_node, threshold=0.6)
-        slow = index.candidates_for_bruteforce(query_node, threshold=0.6)
+        slow = candidates_for_bruteforce(index, query_node, threshold=0.6)
         assert fast == slow
         assert fast and fast[0][0] == 1 and fast[0][1] >= 0.9
 
@@ -166,8 +171,8 @@ class TestCandidatePrefilterEquivalence:
                                search_string="")
         for threshold in (0.4, 0.5, 0.6):
             assert index.candidates_for(query_node, threshold=threshold) == \
-                index.candidates_for_bruteforce(query_node,
-                                                threshold=threshold)
+                candidates_for_bruteforce(index, query_node,
+                                          threshold=threshold)
 
     def test_mutation_invalidates_name_index(self, data_leak_store):
         index = ProvenanceIndex()
@@ -179,7 +184,7 @@ class TestCandidatePrefilterEquivalence:
         first = index.candidates_for(query_node)
         index.add_event(rows[-1])
         assert index.candidates_for(query_node) == \
-            index.candidates_for_bruteforce(query_node)
+            candidates_for_bruteforce(index, query_node)
         assert first  # the pre-mutation query found something
 
 
@@ -205,8 +210,8 @@ class TestFlowClosureEquivalence:
             for target in range(1, 9):
                 for operations in operation_filters:
                     assert index.flow_score(source, target, operations) == \
-                        index.flow_score_bruteforce(source, target,
-                                                    operations), \
+                        flow_score_bruteforce(index, source, target,
+                                              operations), \
                         (source, target, operations)
 
     def test_closure_cache_invalidated_by_add_event(self, data_leak_store):
@@ -240,37 +245,24 @@ class TestStrategyEquivalence:
         return (sorted(alignment.mapping.items()), alignment.score)
 
     def test_fuzzy_strategies_agree(self, data_leak_store):
-        fast = FuzzySearcher(data_leak_store, strategy="indexed").search(
-            self.QUERY)
-        slow = FuzzySearcher(data_leak_store, strategy="bruteforce").search(
-            self.QUERY)
+        fast = FuzzySearcher(data_leak_store).search(self.QUERY)
+        slow = BruteForceFuzzySearcher(data_leak_store).search(self.QUERY)
         assert [self._alignment_key(a) for a in fast.alignments] == \
                [self._alignment_key(a) for a in slow.alignments]
         assert fast.candidate_counts == slow.candidate_counts
         assert fast.alignments  # the deviated IOCs still align
 
     def test_poirot_strategies_agree(self, data_leak_store):
-        fast = PoirotSearcher(data_leak_store, strategy="indexed").search(
-            self.QUERY)
-        slow = PoirotSearcher(data_leak_store, strategy="bruteforce").search(
-            self.QUERY)
+        fast = PoirotSearcher(data_leak_store).search(self.QUERY)
+        slow = BruteForcePoirotSearcher(data_leak_store).search(self.QUERY)
         assert [self._alignment_key(a) for a in fast.alignments] == \
                [self._alignment_key(a) for a in slow.alignments]
         assert len(fast.alignments) == 1
 
-    def test_unknown_strategy_rejected(self, data_leak_store):
-        with pytest.raises(ValueError):
-            FuzzySearcher(data_leak_store, strategy="psychic")
-        resolved = resolve_query(parse_tbql(self.QUERY))
-        index = ProvenanceIndex()
-        with pytest.raises(ValueError):
-            GraphAligner(QueryGraph.from_resolved(resolved), index,
-                         strategy="psychic")
-
     def test_indexed_sees_relational_only_loads(self):
         # After an incremental relational-only load the backends drift; the
-        # indexed strategy must fall back to the relational rows so both
-        # strategies still search the same data.
+        # indexed search must fall back to the relational rows so it still
+        # searches the same data as the reference.
         from repro.audit import AuditCollector
         from repro.storage import DualStore
 
@@ -285,8 +277,8 @@ class TestStrategyEquivalence:
             store.relational.load_events(late.events())
             query = ('proc p["%/usr/bin/curl%"] connect ip '
                      'i["%192.168.29.128%"] return p')
-            fast = FuzzySearcher(store, strategy="indexed").search(query)
-            slow = FuzzySearcher(store, strategy="bruteforce").search(query)
+            fast = FuzzySearcher(store).search(query)
+            slow = BruteForceFuzzySearcher(store).search(query)
             assert [self._alignment_key(a) for a in fast.alignments] == \
                    [self._alignment_key(a) for a in slow.alignments]
             assert fast.alignments  # the relational-only events were seen
@@ -294,10 +286,10 @@ class TestStrategyEquivalence:
     def test_branch_and_bound_prunes_like_threshold(self, data_leak_store):
         # With an impossible threshold the bounded search must agree with
         # the brute force: no alignments, regardless of pruning.
-        fast = FuzzySearcher(data_leak_store, score_threshold=1.01,
-                             strategy="indexed").search(self.QUERY)
-        slow = FuzzySearcher(data_leak_store, score_threshold=1.01,
-                             strategy="bruteforce").search(self.QUERY)
+        fast = FuzzySearcher(data_leak_store,
+                             score_threshold=1.01).search(self.QUERY)
+        slow = BruteForceFuzzySearcher(
+            data_leak_store, score_threshold=1.01).search(self.QUERY)
         assert fast.alignments == slow.alignments == []
 
 

@@ -2,10 +2,10 @@
 
 The hash join must produce bit-identical results (rows, matched events,
 DISTINCT semantics, ordering) to the seed's backtracking join, which is kept
-as the ``join_strategy="backtracking"`` reference implementation.  The corpus
-below covers multi-pattern queries with shared entities, ``with`` temporal
-and attribute clauses, DISTINCT, variable-length path patterns, disconnected
-patterns, and empty results.
+as the reference implementation in ``tests/reference/executor_seed.py``.
+The corpus below covers multi-pattern queries with shared entities,
+``with`` temporal and attribute clauses, DISTINCT, variable-length path
+patterns, disconnected patterns, and empty results.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from repro.tbql.parser import parse_tbql
 from repro.tbql.semantics import resolve_query
 
 from .conftest import DATA_LEAK_EDGES
+from .reference.executor_seed import BacktrackingJoinExecutor
 
 #: Multi-pattern TBQL corpus executed through both join strategies.
 EQUIVALENCE_CORPUS = [
@@ -85,14 +86,18 @@ EQUIVALENCE_CORPUS = [
     # aggregation with implicit grouping and a sequence
     'proc p read file f then proc p write file g '
     'return p.exename, count()',
+    # a [min-max] gap whose lower bound drops the writes closest to e2
+    'proc p read || write file f["%upload%"] as e1 '
+    'proc q["%/usr/bin/curl%"] connect ip i as e2 '
+    'with e1 before[1-300 sec] e2 return distinct p, f',
 ]
 
 
 def _execute_both(store, text, use_scheduler=True):
-    hash_result = TBQLExecutor(store, use_scheduler=use_scheduler,
-                               join_strategy="hash").execute(text)
-    reference = TBQLExecutor(store, use_scheduler=use_scheduler,
-                             join_strategy="backtracking").execute(text)
+    hash_result = TBQLExecutor(store,
+                               use_scheduler=use_scheduler).execute(text)
+    reference = BacktrackingJoinExecutor(
+        store, use_scheduler=use_scheduler).execute(text)
     return hash_result, reference
 
 
@@ -110,6 +115,18 @@ class TestJoinEquivalence:
         assert hash_result.rows == reference.rows
         assert hash_result.matched_events == reference.matched_events
 
+    def test_gap_lower_bound_matches_giant_sql(self, data_leak_store):
+        text = EQUIVALENCE_CORPUS[-1]
+        executor = TBQLExecutor(data_leak_store)
+        rows = executor.execute(text).rows
+        giant = [{key.replace("_", ".", 1): value
+                  for key, value in row.items()}
+                 for row in executor.execute_giant_sql(text)]
+        assert sorted(map(repr, rows)) == \
+            sorted(map(repr, {repr(row): row for row in giant}.values()))
+        unbounded = executor.execute(text.replace("[1-300 sec]", "")).rows
+        assert 0 < len(rows) < len(unbounded)
+
     def test_figure2_query_both_strategies(self, data_leak_store,
                                            data_leak_extraction):
         from repro.tbql.synthesis import synthesize_tbql
@@ -118,10 +135,6 @@ class TestJoinEquivalence:
         assert hash_result.rows == reference.rows
         assert hash_result.matched_events == reference.matched_events
         assert hash_result.matched_event_signatures == set(DATA_LEAK_EDGES)
-
-    def test_unknown_join_strategy_rejected(self, data_leak_store):
-        with pytest.raises(ValueError):
-            TBQLExecutor(data_leak_store, join_strategy="nested-loop")
 
 
 class TestStructuredPlan:

@@ -2,9 +2,8 @@
 
 Each operator family is checked end-to-end (parse -> resolve -> execute)
 and differentially: the optimized implementation against its naive
-reference behind the strategy flag (``negation_strategy`` /
-``aggregation_strategy``), and the executor against the single-statement
-SQL baseline where expressible.
+reference in ``tests/reference/executor_seed.py``, and the executor
+against the single-statement SQL baseline where expressible.
 """
 
 from __future__ import annotations
@@ -13,16 +12,20 @@ import pytest
 
 from repro.errors import TBQLSemanticError, TBQLSyntaxError
 from repro.storage import DualStore
-from repro.tbql.aggregate import AGGREGATION_STRATEGIES, apply_aggregation
+from repro.tbql.aggregate import apply_aggregation
 from repro.tbql.compiler_cypher import compile_giant_cypher
 from repro.tbql.diagnostics import ParseDiagnostic, make_diagnostic
-from repro.tbql.executor import NEGATION_STRATEGIES, TBQLExecutor
+from repro.tbql.executor import TBQLExecutor
 from repro.tbql.formatter import format_query
 from repro.tbql.lexer import tokenize
 from repro.tbql.parser import parse_tbql
 from repro.tbql.semantics import (ResolvedAggregation, resolve_query,
                                   query_is_time_dependent)
 
+from .reference.executor_seed import (BacktrackingJoinExecutor,
+                                      ScanAggregationExecutor,
+                                      ScanNegationExecutor,
+                                      apply_aggregation_scan)
 from .test_tbql_join_equivalence import EQUIVALENCE_CORPUS
 
 #: The corpus entries added for the v2 operators (kept at the tail).
@@ -320,16 +323,11 @@ class TestNegationExecution:
             'return distinct p').rows
         assert rows == [{"p.exename": "/bin/tar"}]
 
-    def test_unknown_negation_strategy_rejected(self, v2_store):
-        with pytest.raises(ValueError):
-            TBQLExecutor(v2_store, negation_strategy="bloom")
-
     @pytest.mark.parametrize("text", V2_CORPUS)
     def test_hash_matches_scan_reference(self, v2_store, text):
         results = []
-        for strategy in NEGATION_STRATEGIES:
-            executor = TBQLExecutor(v2_store, negation_strategy=strategy)
-            result = executor.execute(text)
+        for executor_class in (TBQLExecutor, ScanNegationExecutor):
+            result = executor_class(v2_store).execute(text)
             results.append((result.rows, result.matched_events))
         assert results[0] == results[1]
 
@@ -359,20 +357,11 @@ class TestAggregationExecution:
         assert len(rows) == 1
         assert rows[0]["count"] >= 1
 
-    def test_unknown_aggregation_strategy_rejected(self, v2_store):
-        with pytest.raises(ValueError):
-            TBQLExecutor(v2_store, aggregation_strategy="sorted")
-        with pytest.raises(ValueError):
-            apply_aggregation([], ResolvedAggregation(
-                group_by=[], output=[None], top_n=None), strategy="nope")
-
     @pytest.mark.parametrize("text", V2_CORPUS)
     def test_hash_matches_scan_reference(self, v2_store, text):
         results = []
-        for strategy in AGGREGATION_STRATEGIES:
-            executor = TBQLExecutor(v2_store,
-                                    aggregation_strategy=strategy)
-            results.append(executor.execute(text).rows)
+        for executor_class in (TBQLExecutor, ScanAggregationExecutor):
+            results.append(executor_class(v2_store).execute(text).rows)
         assert results[0] == results[1]
 
     def test_tie_order_is_first_seen_stable(self):
@@ -381,18 +370,16 @@ class TestAggregationExecution:
                                           top_n=None)
         rows = [{"p.pid": 2}, {"p.pid": 1}, {"p.pid": 2}, {"p.pid": 1}]
         expected = [{"p.pid": 1, "count": 2}, {"p.pid": 2, "count": 2}]
-        for strategy in AGGREGATION_STRATEGIES:
-            assert apply_aggregation(rows, aggregation, strategy) == \
-                expected
+        for aggregate in (apply_aggregation, apply_aggregation_scan):
+            assert aggregate(rows, aggregation) == expected
 
 
 class TestJoinStrategyEquivalenceV2:
     @pytest.mark.parametrize("text", V2_CORPUS)
     def test_hash_join_matches_backtracking(self, v2_store, text):
         results = []
-        for strategy in ("hash", "backtracking"):
-            result = TBQLExecutor(v2_store,
-                                  join_strategy=strategy).execute(text)
+        for executor_class in (TBQLExecutor, BacktrackingJoinExecutor):
+            result = executor_class(v2_store).execute(text)
             results.append((result.rows, result.matched_events))
         assert results[0] == results[1]
 
