@@ -9,7 +9,9 @@ store (``BENCH_FUZZY_SESSIONS`` benign sessions, ~100k events by default):
 the indexed fast path (bigram-prefiltered candidates, banded Levenshtein,
 cached flow closure, branch-and-bound enumeration) against the seed's
 brute-force search kept in ``tests/reference``, asserting identical
-alignments and a ≥5x speedup at scale.
+alignments and a ≥5x speedup at scale, both searches cold; an
+``indexed (warm)`` row times a second search that reuses the store's
+memoised index.
 """
 
 import os
@@ -20,7 +22,7 @@ import pytest
 from repro.benchmark import format_table, get_case
 from repro.benchmark.evaluation import build_case_store, run_fuzzy_comparison
 from repro.benchmark.queries import build_case_queries
-from repro.tbql.fuzzy import FuzzySearcher
+from repro.tbql.fuzzy import FuzzySearcher, _forget_index
 from repro.tbql.poirot import PoirotSearcher
 from tests.reference.fuzzy_bruteforce import BruteForceFuzzySearcher
 
@@ -90,16 +92,22 @@ def test_table9_strategy_speedup(benchmark):
         result = searchers[strategy].search(queries.tbql)
         return result, time.perf_counter() - start
 
+    # The speedup compares cold searches: the brute force builds its index
+    # on every search, so the indexed leg starts without the memoised one.
+    _forget_index(store)
     indexed, indexed_seconds = benchmark.pedantic(
         lambda: run("indexed"), iterations=1, rounds=1)
     bruteforce, bruteforce_seconds = run("bruteforce")
+    warm, warm_seconds = run("indexed")
 
     def alignment_key(alignment):
         return (sorted(alignment.mapping.items()), alignment.score)
 
-    assert sorted(map(alignment_key, indexed.alignments)) == \
-        sorted(map(alignment_key, bruteforce.alignments))
-    assert indexed.candidate_counts == bruteforce.candidate_counts
+    for result in (indexed, warm):
+        assert sorted(map(alignment_key, result.alignments)) == \
+            sorted(map(alignment_key, bruteforce.alignments))
+        assert result.candidate_counts == bruteforce.candidate_counts
+    assert not indexed.index_reused and warm.index_reused
 
     speedup = bruteforce_seconds / max(indexed_seconds, 1e-9)
     rows = [
@@ -110,7 +118,8 @@ def test_table9_strategy_speedup(benchmark):
          "speedup": seconds and bruteforce_seconds / seconds}
         for name, (r, seconds) in (("bruteforce",
                                     (bruteforce, bruteforce_seconds)),
-                                   ("indexed", (indexed, indexed_seconds)))
+                                   ("indexed", (indexed, indexed_seconds)),
+                                   ("indexed (warm)", (warm, warm_seconds)))
     ]
     table = format_table(rows, ["strategy", "loading", "preprocessing",
                                 "searching", "total_wall", "alignments",
@@ -133,5 +142,8 @@ def test_table9_exact_vs_fuzzy_cost(benchmark, bench_case_stores,
     queries = bench_case_queries["data_leak"]
     executor = TBQLExecutor(store)
     exact_result = benchmark(lambda: executor.execute(queries.tbql))
+    # The paper's comparison is against a fuzzy search that loads and
+    # preprocesses; earlier tests may have memoised this store's index.
+    _forget_index(store)
     fuzzy_result = FuzzySearcher(store).search(queries.tbql)
     assert exact_result.elapsed_seconds < fuzzy_result.total_seconds

@@ -27,7 +27,7 @@ from ..hunting.threatraptor import ThreatRaptor
 from ..storage.dualstore import DualStore
 from ..tbql.conciseness import measure_conciseness
 from ..tbql.executor import TBQLExecutor
-from ..tbql.fuzzy import FuzzySearcher
+from ..tbql.fuzzy import FuzzySearcher, _forget_index
 from ..tbql.poirot import PoirotSearcher
 from ..tbql.synthesis import TBQLSynthesizer
 from .case import AttackCase, CaseBuilder, step_signature
@@ -283,6 +283,7 @@ def run_fuzzy_comparison(case: AttackCase,
     store, ground_truth = build_case_store(case, benign_sessions)
     queries = queries or build_case_queries(case)
     fuzzy = FuzzySearcher(store).search(queries.tbql)
+    _forget_index(store)   # Poirot loads and preprocesses in the table too
     poirot = PoirotSearcher(store).search(queries.tbql)
     store.close()
     return {

@@ -21,18 +21,25 @@ alignments exhaustively; :class:`PoirotSearcher` (the baseline, see
 Node candidates come from a character-bigram inverted index over the
 unique entity names (a lossless prefilter, so no similarity above the
 threshold is missed), edit distances use a banded early-exit Levenshtein,
-information flows come from a cached bounded-hop flow closure per source
-node, and alignment enumeration is pruned with an admissible
-branch-and-bound upper bound on the remaining score.  The seed's brute-force
-search — a full Levenshtein DP against every store entity per query node
-and a fresh bounded BFS per query edge per partial alignment — lives in
-``tests/reference/`` as the oracle that pins identical alignments and
-scores.
+information flows come from a bounded-hop flow closure per source node
+(cached by the search's :class:`GraphAligner`), and alignment enumeration
+is pruned with an admissible branch-and-bound upper bound on the
+remaining score.  The seed's brute-force search — a full Levenshtein DP
+against every store entity per query node and a fresh bounded BFS per
+query edge per partial alignment — lives in ``tests/reference/`` as the
+oracle that pins identical alignments and scores.
+
+Only the searching depends on the query: the provenance index and its
+name index (built as preprocessing) are memoised per store and store
+version and shared read-only, so a search that reuses them reports zero
+loading and preprocessing (:attr:`FuzzySearchResult.index_reused`).
 """
 
 from __future__ import annotations
 
+import threading
 import time
+import weakref
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterator, Optional
@@ -317,12 +324,11 @@ class ProvenanceIndex:
     out_edges: dict[int, list[tuple[int, str, float]]] = field(
         default_factory=dict)
     num_edges: int = 0
-    # Lazily-built acceleration structures (dropped on mutation; excluded
-    # from equality so two value-identical indexes still compare equal).
+    # The name index (dropped on mutation; excluded from equality so two
+    # value-identical indexes still compare equal).  A search builds it
+    # before its first lookup, so a memoised index is only ever read.
     _name_index: Optional[_NameIndex] = field(default=None, repr=False,
                                               compare=False)
-    _flow_closure: dict = field(default_factory=dict, repr=False,
-                                compare=False)
 
     def add_event(self, row: dict) -> None:
         subject_id = row["subject_id"]
@@ -340,8 +346,11 @@ class ProvenanceIndex:
             (object_id, row.get("operation", ""), row.get("start_time", 0.0)))
         self.num_edges += 1
         self._name_index = None
-        if self._flow_closure:
-            self._flow_closure = {}
+
+    def build_name_index(self) -> "ProvenanceIndex":
+        """Build the bigram name index now instead of on first lookup."""
+        self._name_index = _NameIndex(self.node_names)
+        return self
 
     @classmethod
     def from_graph(cls, graph) -> "ProvenanceIndex":
@@ -400,9 +409,7 @@ class ProvenanceIndex:
                     results.append((node_id, 0.5))
             results.sort(key=lambda item: (-item[1], item[0]))
             return results
-        index = self._name_index
-        if index is None:
-            index = self._name_index = _NameIndex(self.node_names)
+        index = self._name_index or self.build_name_index()._name_index
         names = index.names
         nodes_by_name = index.nodes_by_name
         for name_index in index.candidate_names(needle, threshold):
@@ -427,18 +434,15 @@ class ProvenanceIndex:
         ``{final-hop operation: minimum hop count}`` — everything
         :meth:`flow_score` needs for *any* target and operation filter, so
         one BFS per source node replaces one BFS per query edge per partial
-        alignment.  Closures are cached until the index is mutated.
+        alignment.  Not cached here: the :class:`GraphAligner` keeps the
+        closures of one search, so a shared index holds no per-query state.
         """
-        max_length = MAX_FLOW_LENGTH
-        cached = self._flow_closure.get(source)
-        if cached is not None and cached[0] == max_length:
-            return cached[1]
         flows: dict[int, dict[str, int]] = {}
         out_edges = self.out_edges
         seen = {source}
         frontier = [source]
         depth = 0
-        while frontier and depth < max_length:
+        while frontier and depth < MAX_FLOW_LENGTH:
             hop = depth + 1
             next_frontier: list[int] = []
             for node in frontier:
@@ -453,7 +457,6 @@ class ProvenanceIndex:
                         next_frontier.append(neighbor)
             frontier = next_frontier
             depth = hop
-        self._flow_closure[source] = (max_length, flows)
         return flows
 
     def flow_score(self, source: int, target: int,
@@ -464,17 +467,22 @@ class ProvenanceIndex:
         matches the requested operations, or 0 when no such flow exists
         within :data:`MAX_FLOW_LENGTH` hops.  Shorter flows mean fewer
         intermediate (potentially compromised) processes, mirroring Poirot's
-        ancestor-influence score.  Served from the cached flow closure.
+        ancestor-influence score.
         """
-        flows = self.flows_from(source).get(target)
-        if not flows:
-            return 0.0
-        if operations:
-            hops = min((hop for operation, hop in flows.items()
-                        if operation in operations), default=0)
-        else:
-            hops = min(flows.values())
-        return 1.0 / hops if hops else 0.0
+        return _score_flows(self.flows_from(source).get(target), operations)
+
+
+def _score_flows(flows: Optional[dict[str, int]],
+                 operations: Optional[frozenset[str]]) -> float:
+    """:meth:`ProvenanceIndex.flow_score` from one closure entry."""
+    if not flows:
+        return 0.0
+    if operations:
+        hops = min((hop for operation, hop in flows.items()
+                    if operation in operations), default=0)
+    else:
+        hops = min(flows.values())
+    return 1.0 / hops if hops else 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -500,6 +508,9 @@ class FuzzySearchResult:
     preprocessing_seconds: float
     searching_seconds: float
     candidate_counts: dict[str, int] = field(default_factory=dict)
+    #: True when the search reused the store's memoised index (loading
+    #: and preprocessing are then zero).
+    index_reused: bool = False
 
     @property
     def total_seconds(self) -> float:
@@ -516,12 +527,13 @@ class FuzzySearchResult:
 class GraphAligner:
     """Backtracking aligner shared by the fuzzy mode and the Poirot baseline.
 
-    The aligner scores flows through the index's cached closure, checks
-    each query edge exactly once (when its second endpoint is mapped), and
-    prunes subtrees whose admissible score upper bound — current flow total
-    plus 1.0 for every unscored edge — cannot reach the acceptance
-    threshold.  The seed's unbounded search yields the same acceptable
-    alignments in the same order.
+    The aligner scores flows through one flow closure per source node,
+    cached for this search only (the index may be shared by concurrent
+    searches), checks each query edge exactly once (when its second
+    endpoint is mapped), and prunes subtrees whose admissible score upper
+    bound — current flow total plus 1.0 for every unscored edge — cannot
+    reach the acceptance threshold.  The seed's unbounded search yields
+    the same acceptable alignments in the same order.
     """
 
     def __init__(self, query_graph: QueryGraph, index: ProvenanceIndex,
@@ -533,6 +545,7 @@ class GraphAligner:
         self.max_expansions = max_expansions
         self._expansions = 0
         self._last_candidates: Optional[dict[str, list]] = None
+        self._flow_closure: dict[int, dict[int, dict[str, int]]] = {}
 
     def alignments(self, stop_after_first: bool = False
                    ) -> Iterator[Alignment]:
@@ -563,6 +576,14 @@ class GraphAligner:
         return {node.entity_id: len(self.index.candidates_for(node))
                 for node in self.query_graph.nodes}
 
+    def _flow_score(self, source: int, target: int,
+                    operations: Optional[frozenset[str]]) -> float:
+        """:meth:`ProvenanceIndex.flow_score` over this search's closures."""
+        flows = self._flow_closure.get(source)
+        if flows is None:
+            flows = self._flow_closure[source] = self.index.flows_from(source)
+        return _score_flows(flows.get(target), operations)
+
     def _extend(self, order: list[QueryNode], position: int,
                 mapping: dict[str, int],
                 candidates: dict[str, list[tuple[int, float]]],
@@ -581,7 +602,7 @@ class GraphAligner:
         num_edges = len(self.query_graph.edges)
         newly_ready = ready_edges[position]
         scored = scored_edges + len(newly_ready)
-        flow_score = self.index.flow_score
+        flow_score = self._flow_score
         for candidate_id, _similarity in candidates[node.entity_id]:
             if candidate_id in used:
                 continue
@@ -617,9 +638,8 @@ class GraphAligner:
             return None
         total = 0.0
         for edge in self.query_graph.edges:
-            total += self.index.flow_score(mapping[edge.source],
-                                           mapping[edge.target],
-                                           edge.operations)
+            total += self._flow_score(mapping[edge.source],
+                                      mapping[edge.target], edge.operations)
         score = total / len(self.query_graph.edges)
         if score < self.score_threshold:
             return None
@@ -627,6 +647,32 @@ class GraphAligner:
                  for entity_id, node_id in mapping.items()}
         return Alignment(mapping=dict(mapping), score=score,
                          node_names=names)
+
+
+#: ``store -> ((data_version, graph edges, relational events), index)``;
+#: weak, so it never keeps a dropped store alive.  Indexes are read-only.
+_INDEX_MEMO: "weakref.WeakKeyDictionary[DualStore, tuple]" = \
+    weakref.WeakKeyDictionary()
+_INDEX_MEMO_LOCK = threading.Lock()
+
+
+def _memoised_index(store: DualStore, graph, key: tuple
+                    ) -> tuple[ProvenanceIndex, bool]:
+    """``(index, reused)`` for ``key``; a miss builds under the lock, so
+    concurrent cold searches on one store build once."""
+    with _INDEX_MEMO_LOCK:
+        memo = _INDEX_MEMO.get(store)
+        if memo is not None and memo[0] == key:
+            return memo[1], True
+        index = ProvenanceIndex.from_graph(graph).build_name_index()
+        _INDEX_MEMO[store] = (key, index)
+        return index, False
+
+
+def _forget_index(store: DualStore) -> None:
+    """Drop ``store``'s memoised index, so its next search builds cold."""
+    with _INDEX_MEMO_LOCK:
+        _INDEX_MEMO.pop(store, None)
 
 
 class FuzzySearcher:
@@ -644,25 +690,34 @@ class FuzzySearcher:
         resolved = query if isinstance(query, ResolvedQuery) else \
             resolve_query(parse_tbql(query))
         # The provenance index builds straight from the in-memory property
-        # graph; there is no relational load phase.  When the backends have
-        # drifted apart (e.g. an incremental relational-only load), fall
-        # back to the relational rows so the search always sees every
-        # stored event.
+        # graph, once per store version.  When the backends have drifted
+        # apart (e.g. an incremental relational-only load, which bumps no
+        # version), fall back to the relational rows so the search always
+        # sees every stored event; that index is private to this search.
+        store = self.store
         load_start = time.perf_counter()
-        graph = self.store.graph.graph
-        in_sync = graph.num_edges() == self.store.relational.count_events()
-        rows = None if in_sync else self.store.relational.all_events()
+        graph = store.graph.graph
+        num_edges = graph.num_edges()
+        num_events = store.relational.count_events()
+        rows = None if num_edges == num_events else \
+            store.relational.all_events()
         loading = time.perf_counter() - load_start
         prep_start = time.perf_counter()
-        if in_sync:
-            index = ProvenanceIndex.from_graph(graph)
+        if rows is None:
+            index, reused = _memoised_index(
+                store, graph, (store.data_version, num_edges, num_events))
         else:
-            index = ProvenanceIndex()
+            index, reused = ProvenanceIndex(), False
             for row in rows:
                 index.add_event(row)
+            index.build_name_index()
         preprocessing = time.perf_counter() - prep_start
 
         search_start = time.perf_counter()
+        if reused:
+            # Nothing was loaded or built: the lookup counts as searching.
+            loading = preprocessing = 0.0
+            search_start = load_start
         query_graph = QueryGraph.from_resolved(resolved)
         aligner = GraphAligner(query_graph, index,
                                score_threshold=self.score_threshold)
@@ -673,7 +728,8 @@ class FuzzySearcher:
                                  loading_seconds=loading,
                                  preprocessing_seconds=preprocessing,
                                  searching_seconds=searching,
-                                 candidate_counts=aligner.candidate_counts())
+                                 candidate_counts=aligner.candidate_counts(),
+                                 index_reused=reused)
 
 
 __all__ = [

@@ -86,6 +86,11 @@ class BruteForceAligner(GraphAligner):
     """The aligner without branch-and-bound (use with a
     :class:`BruteForceIndex`)."""
 
+    def _flow_score(self, source: int, target: int,
+                    operations: Optional[frozenset[str]]) -> float:
+        # The seed scored every flow through the index, with no closure.
+        return self.index.flow_score(source, target, operations)
+
     def _extend(self, order: list[QueryNode], position: int,
                 mapping: dict[str, int],
                 candidates: dict[str, list[tuple[int, float]]],

@@ -7,8 +7,9 @@ from hypothesis import strategies as st
 from repro.tbql.conciseness import (compare_conciseness, measure_conciseness,
                                     strip_comments)
 from repro.tbql.fuzzy import (FuzzySearcher, GraphAligner, ProvenanceIndex,
-                              QueryGraph, QueryNode, levenshtein_distance,
-                              levenshtein_within, string_similarity)
+                              QueryGraph, QueryNode, _forget_index,
+                              levenshtein_distance, levenshtein_within,
+                              string_similarity)
 from repro.tbql.parser import parse_tbql
 from repro.tbql.poirot import PoirotSearcher
 from repro.tbql.semantics import resolve_query
@@ -244,17 +245,30 @@ class TestStrategyEquivalence:
     def _alignment_key(alignment):
         return (sorted(alignment.mapping.items()), alignment.score)
 
-    def test_fuzzy_strategies_agree(self, data_leak_store):
+    @staticmethod
+    def _set_memo(store, memo):
+        """Start from no memoised index, or from one another search built."""
+        _forget_index(store)
+        if memo == "warm":
+            FuzzySearcher(store).search('proc p read file f return p')
+
+    @pytest.mark.parametrize("memo", ["cold", "warm"])
+    def test_fuzzy_strategies_agree(self, data_leak_store, memo):
+        self._set_memo(data_leak_store, memo)
         fast = FuzzySearcher(data_leak_store).search(self.QUERY)
         slow = BruteForceFuzzySearcher(data_leak_store).search(self.QUERY)
+        assert fast.index_reused == (memo == "warm")
         assert [self._alignment_key(a) for a in fast.alignments] == \
                [self._alignment_key(a) for a in slow.alignments]
         assert fast.candidate_counts == slow.candidate_counts
         assert fast.alignments  # the deviated IOCs still align
 
-    def test_poirot_strategies_agree(self, data_leak_store):
+    @pytest.mark.parametrize("memo", ["cold", "warm"])
+    def test_poirot_strategies_agree(self, data_leak_store, memo):
+        self._set_memo(data_leak_store, memo)
         fast = PoirotSearcher(data_leak_store).search(self.QUERY)
         slow = BruteForcePoirotSearcher(data_leak_store).search(self.QUERY)
+        assert fast.index_reused == (memo == "warm")
         assert [self._alignment_key(a) for a in fast.alignments] == \
                [self._alignment_key(a) for a in slow.alignments]
         assert len(fast.alignments) == 1
