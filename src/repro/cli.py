@@ -83,9 +83,11 @@ def _print_plan(result) -> None:
         if step.segments_scanned is not None:
             segment_text = (f"segments {step.segments_scanned} scanned/"
                             f"{step.segments_pruned} pruned ")
-            if step.segments_pruned_by_stats is not None:
-                segment_text += (f"({step.segments_pruned_by_stats} "
-                                 "by stats) ")
+            for count, reason in (
+                    (step.segments_pruned_by_stats, "stats"),
+                    (step.segments_pruned_by_candidates, "candidates")):
+                if count is not None:
+                    segment_text += f"({count} by {reason}) "
             if step.aggregate_pushdown:
                 segment_text += "agg-pushdown "
             if step.pool_fallback:

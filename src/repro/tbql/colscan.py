@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import re
 import threading
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 from itertools import compress, repeat
@@ -55,8 +56,15 @@ _NUMERIC_COLUMNS = frozenset({"pid", "srcport", "dstport", "start_time",
 PackedRows = tuple[int, bytes, bytes, tuple[str, ...], bytes, bytes,
                    bytes, bytes, bytes]
 
+#: The packed result of a scan that selected no row.
+_NO_ROWS: PackedRows = (0, b"", b"", (), b"", b"", b"", b"", b"")
+
 #: Tri-valued predicate over (entity row index, event row index).
 _Predicate = Callable[[int, int], Optional[bool]]
+#: A spec's compiled filters: ``(masks, residuals)``, see
+#: :func:`_compile_filters`.
+_Compiled = tuple[dict[Optional[bool], list[bytes]],
+                  list[tuple[_Predicate, bool]]]
 
 
 # ---------------------------------------------------------------------------
@@ -482,9 +490,8 @@ def last_filter_table_counts() -> tuple[int, int]:
     return getattr(_tally, "last", (0, 0))
 
 
-def _compile_filters(segment: ColumnarSegment, spec: PatternSpec, np: Any
-                     ) -> tuple[dict[Optional[bool], list[bytes]],
-                                list[tuple[_Predicate, bool]]]:
+def _compile_filters(segment: ColumnarSegment, spec: PatternSpec,
+                     np: Any) -> _Compiled:
     """The spec's filters as ``(masks, residuals)``.
 
     ``masks`` groups the pass masks by what they index: subject entity
@@ -522,6 +529,50 @@ def _compile_filters(segment: ColumnarSegment, spec: PatternSpec, np: Any
     return masks, residuals
 
 
+def candidate_rows(segment: ColumnarSegment, candidates: Sequence[int],
+                   np: Any) -> list[int]:
+    """Entity-block rows of the ``candidates`` the block holds: one
+    ``searchsorted`` under numpy, else a ``bisect`` per id, on the id
+    column :func:`write_columnar` sorted.  An id the block lacks is
+    referenced by no event of the segment."""
+    if np is not None:
+        ids = segment.np_column("entity.id", np)
+        wanted = np.asarray(candidates, dtype=np.int64)
+        found = np.searchsorted(ids, wanted)
+        inside = found < ids.size
+        found, wanted = found[inside], wanted[inside]
+        return found[ids[found] == wanted].tolist()
+    ids = segment.column("entity.id")
+    found = [bisect_left(ids, entity_id) for entity_id in candidates]
+    return [row for row, entity_id in zip(found, candidates)
+            if row < len(ids) and ids[row] == entity_id]
+
+
+def _pass_masks(segment: ColumnarSegment, spec: PatternSpec,
+                np: Any) -> Optional[_Compiled]:
+    """:func:`_compile_filters` plus each pushed candidate list as one
+    more entity-row mask of its side, or ``None`` when a pushed list or
+    any conjunctive mask passes no row: no event can match then, and
+    the scan returns before any per-event work."""
+    pushed = []
+    for on_subject, candidates in ((True, spec.subject_candidates),
+                                   (False, spec.object_candidates)):
+        if candidates is not None:
+            rows = candidate_rows(segment, candidates, np)
+            if not rows:
+                return None
+            pushed.append((on_subject, rows))
+    masks, residuals = _compile_filters(segment, spec, np)
+    for on_subject, rows in pushed:
+        mask = bytearray(segment.entity_count)
+        for row in rows:
+            mask[row] = 1
+        masks[on_subject].append(bytes(mask))
+    if any(b"\1" not in mask for side in masks.values() for mask in side):
+        return None
+    return masks, residuals
+
+
 # ---------------------------------------------------------------------------
 # scanning
 # ---------------------------------------------------------------------------
@@ -552,17 +603,16 @@ def _select_python(segment: ColumnarSegment,
                    spec: PatternSpec) -> list[int]:
     """Pure-python row selection (the portable reference path)."""
     codes = _spec_codes(segment, spec)
-    if codes is None:
+    compiled = None if codes is None else _pass_masks(segment, spec, None)
+    if compiled is None:
         return []
     subject_code, object_code, operation_codes = codes
     type_codes = segment.column("entity.type")
-    masks, residuals = _compile_filters(segment, spec, None)
+    masks, residuals = compiled
     subject_ok, object_ok, event_ok = (
         _bitwise(int.__and__, masks[side]) if masks[side] else None
         for side in (True, False, None))
     ids = segment.column("event.id")
-    subjects = segment.column("event.subject_id")
-    objects = segment.column("event.object_id")
     operations = segment.column("event.operation")
     starts = segment.column("event.start_time")
     ends = segment.column("event.end_time")
@@ -570,10 +620,6 @@ def _select_python(segment: ColumnarSegment,
     if spec.window is not None:
         earliest, latest = spec.window
     min_id = spec.min_event_id
-    subject_set = (frozenset(spec.subject_candidates)
-                   if spec.subject_candidates is not None else None)
-    object_set = (frozenset(spec.object_candidates)
-                  if spec.object_candidates is not None else None)
     subject_rows, object_rows = segment.entity_rows()
     selected: list[int] = []
     for row in range(segment.event_count):
@@ -585,10 +631,6 @@ def _select_python(segment: ColumnarSegment,
         if earliest is not None and starts[row] < earliest:
             continue
         if latest is not None and ends[row] > latest:
-            continue
-        if subject_set is not None and subjects[row] not in subject_set:
-            continue
-        if object_set is not None and objects[row] not in object_set:
             continue
         subject_index = subject_rows[row]
         object_index = object_rows[row]
@@ -614,7 +656,8 @@ def _select_numpy(segment: ColumnarSegment, spec: PatternSpec,
                   np: Any) -> Any:
     """Vectorized row selection; same semantics as `_select_python`."""
     codes = _spec_codes(segment, spec)
-    if codes is None:
+    compiled = None if codes is None else _pass_masks(segment, spec, np)
+    if compiled is None:
         return np.empty(0, dtype=np.int64)
     subject_code, object_code, operation_codes = codes
     mask = np.ones(segment.event_count, dtype=bool)
@@ -634,18 +677,10 @@ def _select_numpy(segment: ColumnarSegment, spec: PatternSpec,
             mask &= np.isin(operations,
                             np.array(sorted(operation_codes),
                                      dtype=np.int64))
-    subjects = segment.np_column("event.subject_id", np)
-    objects = segment.np_column("event.object_id", np)
-    if spec.subject_candidates is not None:
-        mask &= np.isin(subjects, np.array(spec.subject_candidates,
-                                           dtype=np.int64))
-    if spec.object_candidates is not None:
-        mask &= np.isin(objects, np.array(spec.object_candidates,
-                                          dtype=np.int64))
     subject_rows, object_rows = (np.frombuffer(rows, dtype=np.int64)
                                  for rows in segment.entity_rows())
     type_codes = segment.np_column("entity.type", np)
-    masks, residuals = _compile_filters(segment, spec, np)
+    masks, residuals = compiled
     for on_subject, type_code, entity_rows in (
             (True, subject_code, subject_rows),
             (False, object_code, object_rows)):
@@ -738,6 +773,8 @@ def scan_columnar(segment: ColumnarSegment,
     """Evaluate one pattern against a mapped segment; packed result."""
     np = numpy_module()
     selected = _select(segment, spec, np)
+    if not len(selected):
+        return _NO_ROWS
     if np is not None:
         return _pack_numpy(segment, selected, np)
     return _pack_python(segment, selected)
@@ -944,6 +981,6 @@ def scan_segment_aggregate(task: AggregateTask) -> PackedAggregate:
 
 
 __all__ = ["PatternSpec", "ColumnarTask", "AggregateTask", "PackedRows",
-           "PackedAggregate", "build_pattern_spec", "scan_columnar",
-           "aggregate_columnar", "scan_segment_columnar",
+           "PackedAggregate", "build_pattern_spec", "candidate_rows",
+           "scan_columnar", "aggregate_columnar", "scan_segment_columnar",
            "scan_segment_aggregate", "unpack_rows", "unpack_aggregate"]

@@ -56,7 +56,7 @@ from .colscan import (AggregateTask, ColumnarTask, build_pattern_spec,
 from .compiler_cypher import compile_giant_cypher, compile_pattern_cypher
 from .compiler_sql import compile_giant_sql, compile_pattern_sql
 from .parser import TIME_UNIT_SECONDS, parse_tbql
-from .pruning import prune_by_stats
+from .pruning import prune_by_candidates, prune_by_stats
 from .scatter import ScanTask, SegmentScanner
 from .scheduler import (ScheduledStep, naive_schedule, pruning_score,
                         schedule)
@@ -115,6 +115,9 @@ class PlanStep(str):
     #: Sealed segments skipped via seal-time statistics (zone maps and
     #: distinct sets) after time pruning; ``None`` on the monolithic path.
     segments_pruned_by_stats: Optional[int]
+    #: Skipped after stats pruning: the entity block holds no pushed
+    #: candidate id of some side; ``None`` on the monolithic path.
+    segments_pruned_by_candidates: Optional[int]
     #: True when the step ran as a partial-aggregate pushdown: workers
     #: returned per-segment group counts instead of packed row arrays.
     aggregate_pushdown: bool
@@ -139,6 +142,7 @@ class PlanStep(str):
                  segments_scanned: Optional[int] = None,
                  segments_pruned: Optional[int] = None,
                  segments_pruned_by_stats: Optional[int] = None,
+                 segments_pruned_by_candidates: Optional[int] = None,
                  aggregate_pushdown: bool = False,
                  pool_fallback: Optional[bool] = None,
                  negated: bool = False,
@@ -158,31 +162,17 @@ class PlanStep(str):
         self.segments_scanned = segments_scanned
         self.segments_pruned = segments_pruned
         self.segments_pruned_by_stats = segments_pruned_by_stats
+        self.segments_pruned_by_candidates = segments_pruned_by_candidates
         self.aggregate_pushdown = aggregate_pushdown
         self.pool_fallback = pool_fallback
         self.seconds = seconds or {}
 
     def as_dict(self) -> dict[str, Any]:
-        """Plain-data view (for tables, JSON dumps, and assertions)."""
-        return {
-            "pattern_id": self.pattern_id,
-            "backend": self.backend,
-            "score": self.score,
-            "subject_candidates": self.subject_candidates,
-            "object_candidates": self.object_candidates,
-            "pushed_subject": self.pushed_subject,
-            "pushed_object": self.pushed_object,
-            "rows_in": self.rows_in,
-            "rows_out": self.rows_out,
-            "hydration_queries": self.hydration_queries,
-            "segments_scanned": self.segments_scanned,
-            "segments_pruned": self.segments_pruned,
-            "segments_pruned_by_stats": self.segments_pruned_by_stats,
-            "aggregate_pushdown": self.aggregate_pushdown,
-            "pool_fallback": self.pool_fallback,
-            "negated": self.negated,
-            "seconds": dict(self.seconds),
-        }
+        """Plain-data view (for tables, JSON dumps, and assertions): every
+        field, in declaration order."""
+        view = {name: getattr(self, name) for name in PlanStep.__annotations__}
+        view["seconds"] = dict(self.seconds)
+        return view
 
 
 @dataclass
@@ -283,7 +273,8 @@ class TBQLExecutor:
         self._pruning_lock = threading.Lock()
         self._pruning_counts = {"segments_scanned": 0,
                                 "segments_pruned_by_time": 0,
-                                "segments_pruned_by_stats": 0}
+                                "segments_pruned_by_stats": 0,
+                                "segments_pruned_by_candidates": 0}
 
     @property
     def pool_fallback(self) -> bool:
@@ -298,27 +289,31 @@ class TBQLExecutor:
             return dict(self._pruning_counts)
 
     def _record_pruning(self, scanned: int, time_pruned: int,
-                        stats_pruned: int) -> None:
+                        stats_pruned: int, candidates_pruned: int = 0
+                        ) -> None:
+        reasons = (("time", time_pruned), ("stats", stats_pruned),
+                   ("candidates", candidates_pruned))
         with self._pruning_lock:
             self._pruning_counts["segments_scanned"] += scanned
-            self._pruning_counts["segments_pruned_by_time"] += time_pruned
-            self._pruning_counts["segments_pruned_by_stats"] += stats_pruned
+            for reason, count in reasons:
+                self._pruning_counts[f"segments_pruned_by_{reason}"] += count
         registry = get_registry()
         pruned = registry.counter(
             "repro_tbql_segments_pruned_total",
             "Sealed segments skipped before scanning, by reason: "
-            "manifest time bounds ('time') or seal-time statistics "
-            "('stats').", labels=("reason",))
-        pruned.labels("time").inc(time_pruned)
-        pruned.labels("stats").inc(stats_pruned)
-        total = scanned + time_pruned + stats_pruned
-        if total:
+            "manifest time bounds ('time'), seal-time statistics "
+            "('stats') or no pushed candidate id in the segment's "
+            "entity block ('candidates').", labels=("reason",))
+        for reason, count in reasons:
+            pruned.labels(reason).inc(count)
+        skipped = time_pruned + stats_pruned + candidates_pruned
+        if scanned + skipped:
             registry.histogram(
                 "repro_tbql_segments_pruned_fraction",
                 "Fraction of sealed segments pruned (any reason) per "
                 "pattern scan.",
                 buckets=(0.1, 0.25, 0.5, 0.75, 0.9, 1.0),
-            ).observe((time_pruned + stats_pruned) / total)
+            ).observe(skipped / (scanned + skipped))
 
     def close(self) -> None:
         """Release the scatter-gather worker pool (idempotent)."""
@@ -537,19 +532,16 @@ class TBQLExecutor:
         dead = (subject_allowed == set() or object_allowed == set())
         start = time.perf_counter()
         hydration_queries = 0
-        segments_scanned: Optional[int] = None
-        segments_pruned: Optional[int] = None
-        stats_pruned: Optional[int] = None
+        segments: dict[str, Any] = {}
         if dead:
             matches: list[PatternMatch] = []
         elif pattern.is_path:
             matches = self._execute_cypher_pattern(pattern, resolved,
                                                    subject_ids, object_ids)
         else:
-            matches, hydration_queries, segments_scanned, \
-                segments_pruned, stats_pruned = self._execute_sql_pattern(
-                    pattern, resolved, subject_ids, object_ids,
-                    since_event_id)
+            matches, hydration_queries, segments = \
+                self._execute_sql_pattern(pattern, resolved, subject_ids,
+                                          object_ids, since_event_id)
         seconds["execute"] = time.perf_counter() - start
         rows_in = len(matches)
         # Enforce candidate restrictions produced by earlier patterns: the
@@ -574,11 +566,9 @@ class TBQLExecutor:
             pushed_object=object_ids is not None,
             rows_in=rows_in, rows_out=len(filtered),
             hydration_queries=hydration_queries,
-            segments_scanned=segments_scanned,
-            segments_pruned=segments_pruned,
-            segments_pruned_by_stats=stats_pruned,
+            **segments,
             pool_fallback=(self._scanner.pool_fallback
-                           if segments_scanned is not None else None),
+                           if segments else None),
             negated=negated,
             seconds=seconds)
         return filtered, plan_step
@@ -592,7 +582,7 @@ class TBQLExecutor:
                       subject_ids: Optional[list[int]],
                       object_ids: Optional[list[int]],
                       view: SegmentView
-                      ) -> tuple[list[dict], int, int, int]:
+                      ) -> tuple[list[dict], dict[str, Any]]:
         """Scatter one pattern scan across the store's segments.
 
         The planner prunes sealed segments whose time bounds cannot
@@ -600,12 +590,13 @@ class TBQLExecutor:
         renders, so pruning is sound), then consults seal-time segment
         statistics to drop segments no stored row could match (sound by
         the :mod:`~repro.tbql.pruning` contract; stats-less segments
-        always survive).  Survivors fan out through the scanner, the
-        active tail — events past the last seal — scans the combined
-        store with an id floor, and everything merges back into the
-        single ``(start_time, event_id)`` order a monolithic scan would
-        have produced.  Returns ``(rows, scanned, time_pruned,
-        stats_pruned)``.
+        always survive), then those whose entity block holds no pushed
+        candidate id of some side.  Survivors fan out through the
+        scanner, the active tail — events past the last seal — scans
+        the combined store with an id floor, and everything merges back
+        into the single ``(start_time, event_id)`` order a monolithic
+        scan would have produced.  Returns the rows and the
+        :class:`PlanStep` segment counts.
         """
         window = effective_window(pattern, resolved)
         targets = prune_segments(view.sealed, window)
@@ -614,6 +605,7 @@ class TBQLExecutor:
                                   subject_candidates=subject_ids,
                                   object_candidates=object_ids)
         targets, stats_pruned = prune_by_stats(targets, spec)
+        targets, candidates_pruned = prune_by_candidates(targets, spec)
         tasks: list[ScanTask] = [ColumnarTask(segment.columnar_path, spec)
                                  for segment in targets]
         with start_span("scatter", segments=len(targets),
@@ -629,8 +621,12 @@ class TBQLExecutor:
             rows.sort(key=lambda row: (row["start_time"],
                                        row["event_id"]))
             span.set_attribute("rows", len(rows))
-        self._record_pruning(len(targets), time_pruned, stats_pruned)
-        return rows, len(targets), time_pruned, stats_pruned
+        self._record_pruning(len(targets), time_pruned, stats_pruned,
+                             candidates_pruned)
+        return rows, {"segments_scanned": len(targets),
+                      "segments_pruned": time_pruned,
+                      "segments_pruned_by_stats": stats_pruned,
+                      "segments_pruned_by_candidates": candidates_pruned}
 
     def _execute_sql_pattern(self, pattern: ResolvedPattern,
                              resolved: ResolvedQuery,
@@ -638,11 +634,11 @@ class TBQLExecutor:
                              object_ids: Optional[list[int]] = None,
                              since_event_id: Optional[int] = None
                              ) -> tuple[list[PatternMatch], int,
-                                        Optional[int], Optional[int],
-                                        Optional[int]]:
+                                        dict[str, Any]]:
         # ``since_event_id`` (the delta gate): events from that id up (0 =
         # all), read from the combined store whatever the layout.
         view = self._segment_view() if since_event_id is None else None
+        segments: dict[str, Any] = {}
         if view is None:
             compiled = compile_pattern_sql(pattern, resolved,
                                            subject_candidates=subject_ids,
@@ -650,11 +646,8 @@ class TBQLExecutor:
                                            min_event_id=since_event_id
                                            or None)
             rows = self.store.execute_sql(compiled.sql, compiled.params)
-            scanned: Optional[int] = None
-            pruned: Optional[int] = None
-            stats_pruned: Optional[int] = None
         else:
-            rows, scanned, pruned, stats_pruned = self._scatter_rows(
+            rows, segments = self._scatter_rows(
                 pattern, resolved, subject_ids, object_ids, view)
         # Hydrate every subject/object entity of this pattern in one batched
         # query instead of one lookup per result row (the seed's N+1).
@@ -675,7 +668,7 @@ class TBQLExecutor:
                 end_time=row["end_time"],
                 event_ids=(row["event_id"],),
                 subject_id=row["subject_id"], object_id=row["object_id"]))
-        return matches, hydration_queries, scanned, pruned, stats_pruned
+        return matches, hydration_queries, segments
 
     def _execute_cypher_pattern(self, pattern: ResolvedPattern,
                                 resolved: ResolvedQuery,
@@ -842,6 +835,7 @@ class TBQLExecutor:
             segments_scanned=len(survivors),
             segments_pruned=time_pruned,
             segments_pruned_by_stats=stats_pruned,
+            segments_pruned_by_candidates=0,
             aggregate_pushdown=True,
             pool_fallback=self._scanner.pool_fallback,
             seconds=seconds)

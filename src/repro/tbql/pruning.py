@@ -33,11 +33,13 @@ from __future__ import annotations
 
 from typing import Any, Optional
 
+from ..storage.columnar import numpy_module
 from ..storage.relational.schema import EVENT_ATTRIBUTE_COLUMNS
 from ..storage.segments import SegmentInfo, SegmentStats
 from .ast import (AttributeComparison, AttributeFilter, BooleanFilter,
                   MembershipFilter)
-from .colscan import PatternSpec, _eval_comparison, _eval_membership
+from .colscan import (PatternSpec, _eval_comparison, _eval_membership,
+                      _segment_for, candidate_rows)
 
 
 def _numeric_may_match(bounds: tuple[float, float], operator: str,
@@ -149,4 +151,22 @@ def prune_by_stats(segments: list[SegmentInfo], spec: PatternSpec
     return survivors, len(segments) - len(survivors)
 
 
-__all__ = ["segment_may_match", "prune_by_stats"]
+def prune_by_candidates(segments: list[SegmentInfo], spec: PatternSpec
+                        ) -> tuple[list[SegmentInfo], int]:
+    """Keep the segments whose entity block holds a candidate id of
+    every pushed side; returns ``(survivors, pruned_count)``.
+
+    Sound: an event's entity ids are always in its segment's block
+    (``ColumnarSegment.entity_rows`` raises otherwise).  A block of ids
+    ``1..N`` (older payloads) is a superset and prunes less.
+    """
+    pushed = [ids for ids in (spec.subject_candidates,
+                              spec.object_candidates) if ids is not None]
+    np = numpy_module()
+    survivors = [segment for segment in segments if all(
+        candidate_rows(_segment_for(segment.columnar_path), ids, np)
+        for ids in pushed)]
+    return survivors, len(segments) - len(survivors)
+
+
+__all__ = ["segment_may_match", "prune_by_candidates", "prune_by_stats"]

@@ -1,10 +1,13 @@
-"""The scan path without statistics pruning or dictionary predicates.
+"""The scan path without segment pruning or dictionary predicates.
 
-Two optimizations of the segmented scan have a general path they are
+Three optimizations of the segmented scan have a general path they are
 tested and timed against:
 
 * statistics pruning — :func:`prune_nothing` is ``prune_by_stats`` with
   pruning off: every time-surviving segment is scanned;
+* candidate pruning — :func:`prune_nothing` again, in place of
+  ``prune_by_candidates``: a step with pushed candidate ids scans every
+  segment that survived statistics, and each scan finds the ids itself;
 * dictionary predicates — :func:`filter_mask_per_row` is
   ``colscan._filter_mask`` without the dictionary: no memo, an
   entity-row filter judged by its per-row closure once per entity row
@@ -14,9 +17,10 @@ tested and timed against:
 The bodies are the old disabled branches verbatim.  They are installed
 by patching the module attribute the shipped code calls, so the rest of
 the scan is the shipped one; :func:`stats_pruning_disabled`,
-:func:`dictionary_disabled` and :func:`optimizers_disabled` do that for
-the duration of a ``with`` block (a scatter pool forked inside the block
-inherits the patch; one forked before it does not).  Test-only —
+:func:`candidate_pruning_disabled`, :func:`dictionary_disabled` and
+:func:`optimizers_disabled` do that for the duration of a ``with`` block
+(a scatter pool forked inside the block inherits the patch; one forked
+before it does not).  Test-only —
 nothing under ``src/`` imports this module.
 """
 
@@ -34,7 +38,8 @@ from repro.tbql.colscan import PatternSpec
 
 def prune_nothing(segments: list[SegmentInfo], spec: PatternSpec
                   ) -> tuple[list[SegmentInfo], int]:
-    """``prune_by_stats`` with pruning disabled: scan everything."""
+    """``prune_by_stats`` (or ``prune_by_candidates``) with pruning
+    disabled: scan everything."""
     return list(segments), 0
 
 
@@ -84,6 +89,12 @@ def stats_pruning_disabled():
     return _patched(executor, "prune_by_stats", prune_nothing)
 
 
+def candidate_pruning_disabled():
+    """Scan every segment that survived statistics, whatever ids its
+    entity block holds."""
+    return _patched(executor, "prune_by_candidates", prune_nothing)
+
+
 def dictionary_disabled():
     """Judge every string filter per row, with no memoised mask."""
     return _patched(colscan, "_filter_mask", filter_mask_per_row)
@@ -91,10 +102,12 @@ def dictionary_disabled():
 
 @contextmanager
 def optimizers_disabled() -> Iterator[None]:
-    """Both of the above."""
-    with stats_pruning_disabled(), dictionary_disabled():
+    """All three of the above."""
+    with stats_pruning_disabled(), candidate_pruning_disabled(), \
+            dictionary_disabled():
         yield
 
 
-__all__ = ["dictionary_disabled", "filter_mask_per_row",
-           "optimizers_disabled", "prune_nothing", "stats_pruning_disabled"]
+__all__ = ["candidate_pruning_disabled", "dictionary_disabled",
+           "filter_mask_per_row", "optimizers_disabled", "prune_nothing",
+           "stats_pruning_disabled"]

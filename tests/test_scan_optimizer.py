@@ -492,7 +492,7 @@ class TestObservability:
         assert pruned["type"] == "counter"
         reasons = {labels["reason"]
                    for _name, labels, _value in pruned["samples"]}
-        assert reasons == {"time", "stats"}
+        assert reasons == {"time", "stats", "candidates"}
         fraction = families["repro_tbql_segments_pruned_fraction"]
         assert fraction["type"] == "histogram"
         counts = [value for name, labels, value in fraction["samples"]
@@ -603,7 +603,8 @@ class TestObservability:
             pruning = payload["segments"]["pruning"]
             assert set(pruning) == {"segments_scanned",
                                     "segments_pruned_by_time",
-                                    "segments_pruned_by_stats"}
+                                    "segments_pruned_by_stats",
+                                    "segments_pruned_by_candidates"}
             assert pruning["segments_scanned"] > 0
 
     def test_query_payload_carries_stats_pruning(self, store_pair,
@@ -616,6 +617,7 @@ class TestObservability:
         payload = result_payload(result)
         step = payload["plan"][0]
         assert "segments_pruned_by_stats" in step
+        assert "segments_pruned_by_candidates" in step
         assert "aggregate_pushdown" in step
 
     def test_resolved_aggregate_query_parses(self):
