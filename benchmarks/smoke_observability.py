@@ -12,8 +12,10 @@ Checks: ``GET /healthz`` answers with the pinned payload shape,
 ``GET /metrics`` serves a valid Prometheus 0.0.4 exposition (validated
 line by line with :mod:`tests.promtext`, the scraper-grade parser the
 unit tests use) that contains the request metrics for the traffic this
-script just sent, and ``POST /query`` with ``"profile": true`` returns
-a span tree rooted at ``query``.  Exits non-zero on the first
+script just sent, ``POST /query`` with ``"profile": true`` returns
+a span tree rooted at ``query``, and a profiled ``count()`` query has an
+``aggregate`` stage and answers with its rows and no
+``matched_events``.  Exits non-zero on the first
 violation — CI runs this once per backend.
 """
 
@@ -42,6 +44,14 @@ from tests.promtext import parse_prometheus_text           # noqa: E402
 BANNER = re.compile(r"serving on http://([\d.]+):(\d+)")
 
 QUERY = 'proc p read file f as e1 return distinct p'
+AGGREGATED = 'proc p read file f return p, count() group by p top 3'
+
+
+def _span_names(node: dict) -> set[str]:
+    names = {node["name"]}
+    for child in node.get("children", []):
+        names |= _span_names(child)
+    return names
 
 
 def _await_banner(process: subprocess.Popen) -> tuple[str, int]:
@@ -88,6 +98,13 @@ def check(base: str, backend: str) -> None:
     assert any(child["name"] == "parse"
                for child in tree["children"]), tree
 
+    # An aggregate's answer is its rows: an `aggregate` stage in the
+    # span tree, and no matched-event list in the body.
+    counted = _post(f"{base}/query", {"tbql": AGGREGATED, "profile": True})
+    assert "aggregate" in _span_names(counted["profile"]), counted["profile"]
+    assert counted["result"]["rows"], counted["result"]
+    assert "matched_events" not in counted["result"], list(counted["result"])
+
     body, content_type = _get(f"{base}/metrics")
     assert content_type.startswith("text/plain"), content_type
     assert "version=0.0.4" in content_type, content_type
@@ -95,7 +112,7 @@ def check(base: str, backend: str) -> None:
     hits = [value for _name, labels, value
             in families["repro_http_requests_total"]["samples"]
             if labels["path"] == "/query" and labels["status"] == "200"]
-    assert hits == [1.0], families["repro_http_requests_total"]
+    assert hits == [2.0], families["repro_http_requests_total"]
     assert "repro_http_request_seconds" in families
     assert "repro_build_info" in families
     print(f"  {len(families)} metric families validated, "

@@ -531,8 +531,14 @@ def cmd_query(args: argparse.Namespace) -> int:
     print(f"=== {len(result.rows)} result row(s) ===")
     for row in result.rows:
         print(" ", row)
-    print("\n=== matched events ===")
-    _print_events(result.matched_events)
+    if result.aggregated:
+        matched = sum(step.rows_out for step in result.plan
+                      if not step.negated)
+        print(f"\n=== {matched} matched events (not listed for count() "
+              "queries) ===")
+    else:
+        print("\n=== matched events ===")
+        _print_events(result.matched_events)
     if args.explain:
         _print_plan(result)
     if args.profile:

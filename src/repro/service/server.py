@@ -32,7 +32,8 @@ half-applied ingest batch.  Without an engine those endpoints answer
 ``409 Conflict``.
 
 Response payloads separate the deterministic query outcome (``result``:
-rows, matched events, per-step plan without timings) from the per-request
+rows, matched events unless the query aggregated, per-pattern match
+counts, per-step plan without timings) from the per-request
 volatile data (``timing``, ``cached``), so two executions of the same query
 — concurrent or serial, cached or not — produce byte-identical ``result``
 sections.
@@ -115,10 +116,15 @@ def observe_request(backend: str, method: str, path: str, status: int,
 
 
 def result_payload(result: QueryResult) -> dict:
-    """The deterministic, JSON-ready view of a query result."""
+    """The deterministic, JSON-ready view of a query result.
+
+    A ``count()`` answer is its rows: it lists no matched events (their
+    number is in ``per_pattern_matches``)."""
+    events = {} if result.aggregated else \
+        {"matched_events": result.matched_events}
     return {
         "rows": result.rows,
-        "matched_events": result.matched_events,
+        **events,
         "per_pattern_matches": result.per_pattern_matches,
         "plan": [{key: value for key, value in step.as_dict().items()
                   if key not in _VOLATILE_PLAN_FIELDS}

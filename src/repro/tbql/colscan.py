@@ -25,6 +25,7 @@ from __future__ import annotations
 import re
 import threading
 from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 from itertools import compress, repeat
@@ -768,16 +769,19 @@ def _pack_numpy(segment: ColumnarSegment, selected: Any,
             segment.np_column("event.object_id", np)[selected].tobytes())
 
 
-def scan_columnar(segment: ColumnarSegment,
-                  spec: PatternSpec) -> PackedRows:
-    """Evaluate one pattern against a mapped segment; packed result."""
-    np = numpy_module()
-    selected = _select(segment, spec, np)
+def _pack(segment: ColumnarSegment, selected: Any, np: Any) -> PackedRows:
     if not len(selected):
         return _NO_ROWS
     if np is not None:
         return _pack_numpy(segment, selected, np)
     return _pack_python(segment, selected)
+
+
+def scan_columnar(segment: ColumnarSegment,
+                  spec: PatternSpec) -> PackedRows:
+    """Evaluate one pattern against a mapped segment; packed result."""
+    np = numpy_module()
+    return _pack(segment, _select(segment, spec, np), np)
 
 
 def unpack_rows(packed: PackedRows) -> list[dict[str, Any]]:
@@ -848,14 +852,15 @@ def scan_segment_columnar(task: ColumnarTask) -> PackedRows:
 # partial-aggregate pushdown
 # ---------------------------------------------------------------------------
 
-#: Packed partial-aggregate result: (row_count, ids, starts, ends,
-#: opcodes, op_strings, subject_ids, object_ids, group_counts).  Event
-#: arrays carry exactly what the coordinator needs to rebuild
-#: ``matched_events``; entity ids are global, so display names resolve
-#: through the executor's batched entity cache (same source the row
-#: path hydrates from) instead of shipping per-segment string tables.
-#: ``group_counts`` maps group-key tuples to counts.
-PackedAggregate = tuple[int, bytes, bytes, bytes, bytes, tuple[str, ...],
+#: Packed partial-aggregate result: (row_count, ids, opcodes,
+#: op_strings, starts, ends, subject_ids, object_ids, group_counts) —
+#: a :data:`PackedRows` less ``data_amount`` (44 bytes a match instead
+#: of 52), plus ``group_counts`` mapping group-key tuples to counts.
+#: The records are what the coordinator needs to rebuild
+#: ``matched_events`` if they are ever read; entity ids are global, so
+#: display names resolve through the executor's batched entity cache
+#: instead of shipping per-segment string tables.
+PackedAggregate = tuple[int, bytes, bytes, tuple[str, ...], bytes, bytes,
                         bytes, bytes, dict]
 
 
@@ -873,105 +878,70 @@ class AggregateTask:
     group_columns: tuple[tuple[bool, str], ...]
 
 
+def _group_counts(segment: ColumnarSegment, selected: Any,
+                  group_columns: tuple[tuple[bool, str], ...],
+                  np: Any) -> dict[tuple, int]:
+    """Match counts per group key over one segment's selected rows.
+
+    Counts on the group columns' stored values — dictionary codes of
+    string columns, raw numbers of numeric ones — with one
+    ``np.unique`` under numpy, else one dict keyed by the value tuple;
+    each distinct key then resolves to its SQL values once.
+    """
+    if not len(selected):
+        return {}
+    if not group_columns:
+        return {(): len(selected)}
+    sides: Sequence[Any] = segment.entity_rows()
+    if np is not None:
+        sides = [np.frombuffer(rows, dtype=np.int64) for rows in sides]
+        columns = [segment.np_column(f"entity.{column}", np)[
+            sides[0 if on_subject else 1][selected]]
+            for on_subject, column in group_columns]
+        if len(columns) == 1:
+            keys, counts = np.unique(columns[0], return_counts=True)
+            keys = keys[:, None]
+        else:
+            keys, counts = np.unique(np.stack(columns, axis=1), axis=0,
+                                     return_counts=True)
+        raw: Iterable = zip(map(tuple, keys.tolist()), counts.tolist())
+    else:
+        gathers = [(segment.column(f"entity.{column}"),
+                    sides[0 if on_subject else 1])
+                   for on_subject, column in group_columns]
+        raw = Counter(tuple(values[rows[row]] for values, rows in gathers)
+                      for row in selected).items()
+    strings = segment.strings
+    numeric = [column in _NUMERIC_COLUMNS for _side, column in group_columns]
+    return {tuple((None if value == NULL_INT else value) if is_numeric
+                  else strings[value]
+                  for value, is_numeric in zip(key, numeric)): count
+            for key, count in raw}
+
+
 def aggregate_columnar(segment: ColumnarSegment, spec: PatternSpec,
                        group_columns: tuple[tuple[bool, str], ...]
                        ) -> PackedAggregate:
     """Scan one segment and fold matches into per-group count partials.
 
-    Row selection is byte-identical to :func:`scan_columnar` (same
-    ``_select_*`` evaluators); only the *shipped* shape changes — one
-    44-byte packed record per match (event id/times/opcode/entity ids)
-    plus one ``(group key, count)`` dict, instead of the row scatter's
-    52-byte packed rows.  Display names stay behind: the coordinator
-    hydrates them by entity id through its batched cache, the same way
-    the ordinary path hydrates matched events.
+    Row selection and the per-match records are :func:`scan_columnar`'s
+    (same ``_select_*`` evaluators and packers); the fold does one step
+    per distinct group key, not per match.  Display names stay behind:
+    the coordinator hydrates them by entity id through its batched
+    cache, the same way the ordinary path hydrates matched events.
     """
-    selected = _select(segment, spec, numpy_module())
-    ids = segment.column("event.id")
-    starts = segment.column("event.start_time")
-    ends = segment.column("event.end_time")
-    operations = segment.column("event.operation")
-    subjects = segment.column("event.subject_id")
-    objects = segment.column("event.object_id")
-    strings = segment.strings
-    subject_rows, object_rows = segment.entity_rows()
-    getters = [(on_subject, _getter(segment, f"entity.{column}",
-                                    column in _NUMERIC_COLUMNS))
-               for on_subject, column in group_columns]
-    out_ids = array("q")
-    out_starts = array("d")
-    out_ends = array("d")
-    out_ops = array("I")
-    out_subjects = array("q")
-    out_objects = array("q")
-    op_remap: dict[int, int] = {}
-    op_strings: list[str] = []
-    group_cache: dict[tuple[int, int], tuple] = {}
-    groups: dict[tuple, int] = {}
-    for row in selected:
-        row = int(row)
-        out_ids.append(ids[row])
-        out_starts.append(starts[row])
-        out_ends.append(ends[row])
-        code = operations[row]
-        op_slot = op_remap.get(code)
-        if op_slot is None:
-            op_slot = op_remap[code] = len(op_strings)
-            text = strings[code]
-            assert text is not None  # operation is NOT NULL
-            op_strings.append(text)
-        out_ops.append(op_slot)
-        subject_id = subjects[row]
-        object_id = objects[row]
-        out_subjects.append(subject_id)
-        out_objects.append(object_id)
-        if getters:
-            cache_key = (subject_id, object_id)
-            key = group_cache.get(cache_key)
-            if key is None:
-                key = tuple(
-                    getter((subject_rows if on_subject
-                            else object_rows)[row])
-                    for on_subject, getter in getters)
-                group_cache[cache_key] = key
-        else:
-            key = ()
-        groups[key] = groups.get(key, 0) + 1
-    return (len(out_ids), out_ids.tobytes(), out_starts.tobytes(),
-            out_ends.tobytes(), out_ops.tobytes(), tuple(op_strings),
-            out_subjects.tobytes(), out_objects.tobytes(), groups)
+    np = numpy_module()
+    selected = _select(segment, spec, np)
+    packed = _pack(segment, selected, np)
+    return packed[:6] + packed[7:] + (
+        _group_counts(segment, selected, group_columns, np),)
 
 
-def unpack_aggregate(packed: PackedAggregate
-                     ) -> tuple[list[tuple], dict]:
-    """Re-inflate one pushdown partial.
-
-    Returns ``(records, group_counts)`` where each record is
-    ``(event_id, start_time, end_time, operation, subject_id,
-    object_id)`` — the fields the coordinator needs to rebuild the
-    matched-event dicts in global ``(start_time, event_id)`` order,
-    with entity display names hydrated by id on the coordinator.
-    """
-    (count, id_bytes, start_bytes, end_bytes, op_bytes, op_strings,
-     subject_bytes, object_bytes, groups) = packed
-    if not count:
-        return [], groups
-    ids = array("q")
-    ids.frombytes(id_bytes)
-    starts = array("d")
-    starts.frombytes(start_bytes)
-    ends = array("d")
-    ends.frombytes(end_bytes)
-    operations = array("I")
-    operations.frombytes(op_bytes)
-    subjects = array("q")
-    subjects.frombytes(subject_bytes)
-    objects = array("q")
-    objects.frombytes(object_bytes)
-    records = [(ids[row], starts[row], ends[row],
-                op_strings[operations[row]], subjects[row], objects[row])
-               for row in range(count)]
-    return records, groups
+def unpack_aggregate(packed: PackedAggregate) -> list[dict[str, Any]]:
+    """The match records of one pushdown partial as :func:`unpack_rows`
+    row dicts; ``data_amount``, which is not shipped, reads 0."""
+    count = packed[0]
+    return unpack_rows(packed[:6] + (bytes(8 * count),) + packed[6:8])
 
 
 def scan_segment_aggregate(task: AggregateTask) -> PackedAggregate:

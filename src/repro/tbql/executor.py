@@ -41,7 +41,7 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Any, Optional
+from typing import Any, Callable, Optional
 
 from ..errors import ExecutionError
 from ..obs.metrics import get_registry
@@ -70,6 +70,9 @@ from .semantics import (ResolvedPattern, ResolvedQuery, effective_window,
 #: own parameters) under the 999 bound-variable limit of older SQLite
 #: builds.
 MAX_CANDIDATE_PUSHDOWN = 450
+
+#: Serialises the first read of deferred event lists (QueryResult.deferred).
+_DEFERRED_LOCK = threading.Lock()
 
 
 @dataclass(frozen=True)
@@ -193,6 +196,32 @@ class QueryResult:
     per_pattern_matches: dict[str, int] = field(default_factory=dict)
     elapsed_seconds: float = 0.0
     join_seconds: float = 0.0
+    #: True for a ``count()`` query: its answer is ``rows``, and the
+    #: service payload lists no events.
+    aggregated: bool = False
+
+    @classmethod
+    def deferred(cls, build_events: Callable[[], list[dict[str, Any]]],
+                 **fields: Any) -> "QueryResult":
+        """A result whose ``matched_events`` — and ``joined_events``, an
+        equal copy — ``build_events`` makes on first read."""
+        result = cls(**fields)
+        # Absent until read, so that reading them reaches __getattr__.
+        del result.matched_events, result.joined_events
+        result.__dict__["_build_events"] = build_events
+        return result
+
+    def __getattr__(self, name: str) -> Any:
+        build = self.__dict__.get("_build_events")
+        if build is None or name not in ("matched_events", "joined_events"):
+            raise AttributeError(name)
+        with _DEFERRED_LOCK:
+            if "_build_events" in self.__dict__:    # not built meanwhile
+                matched = build()
+                self.matched_events = matched
+                self.joined_events = [dict(event) for event in matched]
+                del self.__dict__["_build_events"]
+        return self.__dict__[name]
 
     @property
     def matched_event_signatures(self) -> set[tuple[str, str, str]]:
@@ -381,7 +410,8 @@ class TBQLExecutor:
             joined_events=joined_events, plan=plan,
             per_pattern_matches=per_pattern,
             elapsed_seconds=time.perf_counter() - start,
-            join_seconds=join_seconds)
+            join_seconds=join_seconds,
+            aggregated=resolved.aggregation is not None)
         return result
 
     def _sync_entity_cache(self) -> None:
@@ -713,10 +743,12 @@ class TBQLExecutor:
         segments: each scatter worker counts its segment's matches per
         group key and the coordinator merges the partial counts before
         rendering.  Workers then ship one ``(group key, count)`` pair per
-        group plus a compact 44-byte packed record per match (for the
-        matched events list) instead of the row scatter's 52-byte packed
-        rows — display names are hydrated coordinator-side by entity id,
-        through the same batched cache the ordinary path uses.
+        group plus a compact 44-byte packed record per match instead of
+        the row scatter's 52-byte packed rows.  The records stay packed
+        until ``matched_events`` / ``joined_events`` is first read
+        (:meth:`QueryResult.deferred`); only then are they unpacked,
+        sorted and given display names, hydrated by entity id through
+        the same batched cache the ordinary path uses.
 
         Byte-identical to the ordinary scan-join-aggregate path by
         construction: per-segment row selection is shared with the
@@ -765,39 +797,27 @@ class TBQLExecutor:
         survivors, stats_pruned = prune_by_stats(targets, spec)
         hydration_queries = 0
         scan_start = time.perf_counter()
-        records: list[tuple] = []
         counts: dict[tuple, int] = {}
+        tail: list[dict[str, Any]] = []
         with start_span("scatter", segments=len(survivors),
                         pruned=time_pruned + stats_pruned) as span:
             tasks: list[ScanTask] = [
                 AggregateTask(segment.columnar_path, spec,
                               tuple(group_columns))
                 for segment in survivors]
-            for packed in self._scanner.scan_results(tasks):
-                part_records, part_counts = unpack_aggregate(packed)
-                records.extend(part_records)
-                for key, count in part_counts.items():
+            partials = self._scanner.scan_results(tasks)
+            for partial in partials:
+                for key, count in partial[-1].items():
                     counts[key] = counts.get(key, 0) + count
             if view.active_events:
                 active = compile_pattern_sql(
                     pattern, resolved,
                     min_event_id=view.active_first_event_id)
-                rows = self.store.execute_sql(active.sql, active.params)
-                for row in rows:
-                    records.append((row["event_id"], row["start_time"],
-                                    row["end_time"], row["operation"],
-                                    row["subject_id"], row["object_id"]))
-            # Same global order a monolithic scan produces; matched and
-            # joined events render in this order on the ordinary path.
-            records.sort(key=lambda record: (record[1], record[0]))
-            # One batched hydration covers the active-tail group keys
-            # and every record's display names — workers ship entity
-            # ids, not per-segment string tables.
-            needed = {record[4] for record in records} | \
-                {record[5] for record in records}
-            hydration_queries = self._hydrate_entities(needed)
-            if view.active_events:
-                for row in rows:
+                tail = self.store.execute_sql(active.sql, active.params)
+                hydration_queries = self._hydrate_entities(
+                    {row["subject_id"] for row in tail} |
+                    {row["object_id"] for row in tail})
+                for row in tail:
                     subject_attrs = self._entity_attrs(row["subject_id"])
                     object_attrs = self._entity_attrs(row["object_id"])
                     key = tuple(
@@ -805,9 +825,8 @@ class TBQLExecutor:
                          ).get(attribute)
                         for on_subject, attribute in group_sides)
                     counts[key] = counts.get(key, 0) + 1
-            names = {entity_id: _display_name(
-                self._entity_attrs(entity_id)) for entity_id in needed}
-            span.set_attribute("rows", len(records))
+            matched = sum(partial[0] for partial in partials) + len(tail)
+            span.set_attribute("rows", matched)
         seconds = {"execute": time.perf_counter() - scan_start}
         self._record_pruning(len(survivors), time_pruned, stats_pruned)
         join_start = time.perf_counter()
@@ -815,22 +834,32 @@ class TBQLExecutor:
             out_rows = rows_from_counts(counts, aggregation)
             span.set_attribute("rows", len(out_rows))
         join_seconds = time.perf_counter() - join_start
-        matched_events = [{
-            "pattern_id": pattern.pattern_id,
-            "subject": names[record[4]],
-            "operation": record[3],
-            "object": names[record[5]],
-            "start_time": record[1],
-            "end_time": record[2],
-            "event_ids": [record[0]],
-        } for record in records]
-        # Every single-pattern match is a complete join assignment, so
-        # the joined list equals the matched list.
-        joined_events = [dict(event) for event in matched_events]
+
+        def matched_events() -> list[dict[str, Any]]:
+            # In the global order a monolithic scan produces, names
+            # hydrated by entity id (entity rows never change, so an
+            # append since the query does not matter).
+            rows = [row for partial in partials
+                    for row in unpack_aggregate(partial)] + tail
+            rows.sort(key=lambda row: (row["start_time"], row["event_id"]))
+            needed = {row["subject_id"] for row in rows} | \
+                {row["object_id"] for row in rows}
+            self._hydrate_entities(needed)
+            names = {entity_id: _display_name(self._entity_attrs(entity_id))
+                     for entity_id in needed}
+            return [{
+                "pattern_id": pattern.pattern_id,
+                "subject": names[row["subject_id"]],
+                "operation": row["operation"],
+                "object": names[row["object_id"]],
+                "start_time": row["start_time"],
+                "end_time": row["end_time"],
+                "event_ids": [row["event_id"]],
+            } for row in rows]
         plan_step = PlanStep(
             pattern.pattern_id, backend="sql",
             score=pruning_score(pattern),
-            rows_in=len(records), rows_out=len(records),
+            rows_in=matched, rows_out=matched,
             hydration_queries=hydration_queries,
             segments_scanned=len(survivors),
             segments_pruned=time_pruned,
@@ -839,12 +868,13 @@ class TBQLExecutor:
             aggregate_pushdown=True,
             pool_fallback=self._scanner.pool_fallback,
             seconds=seconds)
-        return QueryResult(
-            rows=out_rows, matched_events=matched_events,
-            joined_events=joined_events, plan=[plan_step],
-            per_pattern_matches={pattern.pattern_id: len(records)},
+        # Every single-pattern match is a complete join assignment, so
+        # the joined list equals the matched list.
+        return QueryResult.deferred(
+            matched_events, rows=out_rows, plan=[plan_step],
+            per_pattern_matches={pattern.pattern_id: matched},
             elapsed_seconds=time.perf_counter() - started,
-            join_seconds=join_seconds)
+            join_seconds=join_seconds, aggregated=True)
 
     def _hydrate_entities(self, entity_ids: set[int]) -> int:
         """Batch-load uncached entity rows; returns the query count.

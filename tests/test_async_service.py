@@ -22,9 +22,10 @@ import pytest
 
 from repro.errors import ServiceError
 from repro.service import (AsyncThreatHuntingServer, QueryService,
-                           ServiceClient, run_load)
+                           ServiceClient, result_payload, run_load)
 from repro.storage import DualStore
 from repro.streaming import DetectionEngine, FlushPolicy
+from repro.tbql.executor import TBQLExecutor
 
 from .conftest import (SERVER_BACKENDS, start_backend_server,
                        stop_backend_server)
@@ -359,6 +360,56 @@ class TestConcurrentEquivalence:
                 assert payload == serial[text]
         finally:
             stop_backend_server(server, thread)
+
+
+@pytest.fixture(scope="module")
+def segmented_store(data_leak_events):
+    """The data-leak events in sealed segments plus an active tail, so
+    single-pattern ``count()`` texts take the aggregate pushdown."""
+    events = sorted(data_leak_events,
+                    key=lambda event: (event.start_time, event.event_id))
+    with DualStore(layout="segmented") as store:
+        for start in range(0, len(events), 80):
+            store.append_events(events[start:start + 80])
+            store.flush_appends(seal_segment=start + 80 < len(events))
+        assert store.segment_view().active_events
+        yield store
+
+
+class TestWireContract:
+    @pytest.mark.parametrize("backend", SERVER_BACKENDS)
+    def test_aggregated_answers_are_their_rows(self, segmented_store,
+                                               backend):
+        """An aggregate's ``/query`` answer lists no events, counts them
+        in ``per_pattern_matches``, and a cache hit repeats its miss
+        byte for byte; every other answer keeps ``matched_events``."""
+        service = QueryService(segmented_store)
+        server, thread = start_backend_server(service, backend)
+        host, port = server.server_address[:2]
+        executor = TBQLExecutor(segmented_store)
+        pushed = 0
+        try:
+            with ServiceClient(f"http://{host}:{port}") as client:
+                for text in EQUIVALENCE_CORPUS:
+                    reference = executor.execute(text)
+                    miss, hit = client.query(text), client.query(text)
+                    assert (miss["cached"], hit["cached"]) == (False, True)
+                    assert json.dumps(hit["result"]) == \
+                        json.dumps(miss["result"])
+                    result = miss["result"]
+                    assert result == result_payload(reference)
+                    if reference.aggregated:
+                        pushed += reference.plan[0].aggregate_pushdown
+                        assert list(result) == ["rows", "per_pattern_matches",
+                                                "plan"]
+                        assert sum(result["per_pattern_matches"].values()) \
+                            == len(reference.matched_events) > 0
+                    else:
+                        assert result["matched_events"] == \
+                            reference.matched_events
+        finally:
+            stop_backend_server(server, thread)
+        assert pushed == 1
 
 
 def _read_all(sock: socket.socket) -> bytes:

@@ -63,6 +63,58 @@ class TestHelpSurface:
             "snapshot", "segments", "compact", "serve", "tail", "rules"}
 
 
+class TestQueryListing:
+    """``repro query`` lists the matched events of a plain query and
+    only counts those of a ``count()`` query; ``--explain`` is the same
+    either way."""
+
+    AGGREGATED = 'proc p read file f return p, count() group by p top 3'
+
+    @pytest.fixture(scope="class")
+    def sources(self, tmp_path_factory, data_leak_events):
+        from repro.audit.logfmt import format_log
+        from repro.cli import main
+        directory = tmp_path_factory.mktemp("cli_listing")
+        log = directory / "audit.log"
+        log.write_text(format_log(data_leak_events), encoding="utf-8")
+        snapshot = directory / "snap"
+        assert main(["snapshot", "--log", str(log), "--out", str(snapshot),
+                     "--layout", "segmented", "--segment-events", "100"]) == 0
+        return {"--log": str(log), "--snapshot": str(snapshot)}
+
+    @pytest.mark.parametrize("source", ["--log", "--snapshot"])
+    def test_aggregated_query_counts_its_events(self, sources, source,
+                                                capsys):
+        from repro.cli import main
+        capsys.readouterr()
+        assert main(["query", source, sources[source], "--explain",
+                     "--tbql", self.AGGREGATED]) == 0
+        out = capsys.readouterr().out
+        rows, rest = out.split("\n\n", 1)
+        assert rows.splitlines()[0] == "=== 3 result row(s) ==="
+        assert len(rows.splitlines()) == 4
+        listing, plan = rest.split("\n\n", 1)
+        steps = plan.splitlines()[1:-1]
+        assert plan.startswith("=== execution plan ===\n  1. evt1 [sql] ")
+        assert len(steps) == 1
+        matched = int(steps[0].split(" -> ")[1].split()[0])
+        assert listing == (f"=== {matched} matched events (not listed for "
+                           "count() queries) ===")
+        assert matched > 3
+        assert ("agg-pushdown" in steps[0]) == (source == "--snapshot")
+
+    def test_plain_query_lists_its_events(self, sources, capsys):
+        from repro.cli import main
+        capsys.readouterr()
+        assert main(["query", "--log", sources["--log"], "--tbql",
+                     'proc p["%/bin/tar%"] read file f return p, f']) == 0
+        listing = capsys.readouterr().out.split("\n\n", 1)[1]
+        assert listing.splitlines()[0] == "=== matched events ==="
+        assert len(listing.splitlines()) > 1
+        assert all("--read--> " in line
+                   for line in listing.splitlines()[1:])
+
+
 class TestQueryDiagnostics:
     def test_query_prints_caret_diagnostic(self, tmp_path, capsys):
         from repro.cli import main

@@ -110,8 +110,18 @@ class TestQueryCorrectness:
     def test_served_results_match_in_process(self, client, data_leak_store,
                                              text):
         reference = TBQLExecutor(data_leak_store).execute(text)
-        response = client.query(text, use_cache=False)
-        assert response["result"] == result_payload(reference)
+        result = client.query(text, use_cache=False)["result"]
+        assert result == result_payload(reference)
+        # An aggregate's answer is its rows: its events are counted, not
+        # listed.  Every other answer lists them.
+        assert reference.aggregated == ("count()" in text)
+        if reference.aggregated:
+            assert list(result) == ["rows", "per_pattern_matches", "plan"]
+            assert sum(result["per_pattern_matches"].values()) == \
+                len(reference.matched_events) > 0
+        else:
+            assert list(result) == ["rows", "matched_events",
+                                    "per_pattern_matches", "plan"]
 
     def test_concurrent_queries_byte_identical_to_serial(self, client):
         serial = {
@@ -226,6 +236,16 @@ class TestHunt:
                        event["object"])
                       for event in response["result"]["matched_events"]}
         assert signatures == set(DATA_LEAK_EDGES)
+
+    def test_hunt_payload_lists_events(self, client, served_store):
+        # Synthesized hunts never aggregate: their payload keeps every key.
+        response = client.hunt(DATA_LEAK_TEXT)
+        reference = TBQLExecutor(served_store).execute(
+            response["synthesized_tbql"])
+        assert not reference.aggregated
+        assert list(response["result"]) == ["rows", "matched_events",
+                                            "per_pattern_matches", "plan"]
+        assert response["result"] == result_payload(reference)
 
     def test_hunt_fuzzy_fallback_field(self, client):
         # A report whose exact query cannot match: fuzzy fallback runs.

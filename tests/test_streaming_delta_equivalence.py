@@ -25,6 +25,7 @@ from repro.audit.entities import (FileEntity, NetworkEntity, Operation,
 from repro.storage import DualStore
 from repro.streaming import DetectionEngine, FlushPolicy, resume_engine
 
+from .reference.executor_seed import RowPathExecutor
 from .reference.full_reeval import FullReevalEngine
 
 CORPUS: dict[str, str] = {
@@ -250,6 +251,30 @@ def test_random_batch_boundaries(cuts, layout, seal_every, seal, late):
                 late_rules_at=len(batches) // 2)
     finally:
         _close(gated, reference)
+
+
+def test_count_rule_alerts_keep_their_provenance():
+    """A ``count()`` rule's alert lists exactly the events a row-path
+    executor (no aggregate pushdown, events built eagerly) joins for the
+    same text at that flush; the pushdown only defers building them."""
+    engine = DetectionEngine(DualStore(layout="segmented"), seal_every=3,
+                             policy=FlushPolicy(max_events=1, max_seconds=0))
+    reference = RowPathExecutor(engine.store)
+    text = CORPUS["count_single"]
+    checked = 0
+    try:
+        engine.add_rule(text, rule_id="count_single")
+        for batch in _cut(STREAM, _even_cuts(10)):
+            for alert in engine.process_batch(batch).alerts:
+                want = reference.execute(text)
+                assert list(alert.matched_events) == want.joined_events
+                assert list(alert.rows) == want.rows
+                checked += engine.executor.execute(
+                    text).plan[0].aggregate_pushdown
+        assert checked >= 2
+    finally:
+        reference.close()
+        _close(engine)
 
 
 def test_a_quiet_flush_scans_no_segment_and_hydrates_no_entity():
