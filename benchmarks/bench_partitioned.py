@@ -1,23 +1,16 @@
-"""Partitioned-storage benchmark: segment pruning + scatter-gather.
+"""Partitioned-storage benchmark: segment pruning.
 
-Two measurements on the benign workload (``BENCH_PARTITIONED_SESSIONS``
-sessions; 3400 ≈ 100k raw events, overridable for CI smoke runs), with
-the history sealed into ``BENCH_PARTITIONED_SEGMENTS`` segments:
+On the benign workload (``BENCH_PARTITIONED_SESSIONS`` sessions; 3400 ≈
+100k raw events, overridable for CI smoke runs), with the history
+sealed into ``BENCH_PARTITIONED_SEGMENTS`` segments: a selective
+time-windowed hunt (``before T`` plus an artifact filter, the dominant
+shape of the paper's Table 8 corpus) on the segmented store vs the
+identically fed monolithic store.  The window covers one segment, so
+the planner skips the other ``N-1`` via manifest time bounds while the
+monolith filters the whole history.  The acceptance bar is a **>= 2x**
+speedup at full workload scale (asserted there, recorded everywhere).
 
-* *segment pruning* — a selective time-windowed hunt (``before T``
-  plus an artifact filter, the dominant shape of the paper's Table 8
-  corpus) on the segmented store vs the identically fed monolithic
-  store.  The window covers one segment, so the planner skips the
-  other ``N-1`` via manifest time bounds while the monolith filters
-  the whole history.  The acceptance bar is a **>= 2x** speedup at
-  full workload scale (asserted there, recorded everywhere).
-* *scatter-gather* — an unwindowed hunt fanned out across the sealed
-  segments at 1/2/4 worker processes.  Wall-clock gains need physical
-  cores (recorded always, asserted never — CI machines vary); the
-  rows must be identical at every worker count (asserted always).
-
-Tables land in ``benchmarks/results/partitioned_pruning.txt`` and
-``partitioned_scatter.txt``.
+The table lands in ``benchmarks/results/partitioned_pruning.txt``.
 """
 
 from __future__ import annotations
@@ -49,9 +42,6 @@ ROUNDS = 5
 MIN_PRUNING_SPEEDUP = 2.0
 #: Workload size at which the bar is asserted (smoke runs only record).
 FULL_SCALE_SESSIONS = 2000
-
-#: The unwindowed hunt used for the scatter-gather measurement.
-BROAD_QUERY = 'proc p read file f return distinct p'
 
 
 def _best_of(rounds, run):
@@ -105,7 +95,6 @@ def test_partitioned_pruning_speedup(stores):
 
     mono_seconds = _best_of(ROUNDS, lambda: mono_exec.execute(text))
     seg_seconds = _best_of(ROUNDS, lambda: seg_exec.execute(text))
-    seg_exec.close()
     speedup = mono_seconds / seg_seconds
 
     rows = [
@@ -127,33 +116,3 @@ def test_partitioned_pruning_speedup(stores):
         assert speedup >= MIN_PRUNING_SPEEDUP, (
             f"segment pruning speedup {speedup:.2f}x below the "
             f"{MIN_PRUNING_SPEEDUP}x acceptance bar")
-
-
-def test_partitioned_scatter_gather(stores):
-    _mono, seg = stores
-    segments = len(seg.segment_view().sealed)
-    rows = []
-    reference_rows = None
-    serial_seconds = None
-    for workers in (1, 2, 4):
-        executor = TBQLExecutor(seg, workers=workers)
-        result = executor.execute(BROAD_QUERY)
-        if reference_rows is None:
-            reference_rows = result.rows
-        else:
-            # Identical results at every worker count, by construction.
-            assert result.rows == reference_rows
-        seconds = _best_of(ROUNDS,
-                           lambda: executor.execute(BROAD_QUERY))
-        executor.close()
-        if serial_seconds is None:
-            serial_seconds = seconds
-        rows.append({"workers": workers, "seconds": seconds,
-                     "vs serial": serial_seconds / seconds,
-                     "result rows": len(reference_rows)})
-    table = format_table(rows, floatfmt="{:.6f}")
-    header = (f"Scatter-gather over {segments} segments "
-              f"({BENCH_PARTITIONED_SESSIONS} sessions, "
-              f"{os.cpu_count()} cpu(s), best of {ROUNDS}):")
-    print("\n" + header + "\n" + table)
-    write_result_table("partitioned_scatter", header + "\n" + table)

@@ -187,8 +187,7 @@ def test_stats_pruning_speedup(stores):
 
 
 def test_aggregate_pushdown_speedup_and_bytes(stores):
-    from repro.tbql.colscan import (AggregateTask, ColumnarTask,
-                                    build_pattern_spec,
+    from repro.tbql.colscan import (build_pattern_spec,
                                     scan_segment_aggregate,
                                     scan_segment_columnar)
 
@@ -213,21 +212,19 @@ def test_aggregate_pushdown_speedup_and_bytes(stores):
     row_path.close()
     speedup = reference / optimized
 
-    # Worker-result payload: the pushdown ships per-segment partials
-    # (group counts + packed match records) instead of full row
-    # payloads — compare what each task shape would pickle back.
+    # Per-segment result size: the pushdown returns per-segment partials
+    # (group counts + packed match records) instead of full packed rows
+    # — compare the pickled size of each result shape.
     resolved = resolve_query(parse_tbql(GROUP_QUERY))
     pattern = resolved.patterns[0]
     spec = build_pattern_spec(pattern, resolved)
     sealed = seg.segment_view().sealed
     row_bytes = sum(
-        len(pickle.dumps(scan_segment_columnar(
-            ColumnarTask(info.columnar_path, spec))))
+        len(pickle.dumps(scan_segment_columnar(info.columnar_path, spec)))
         for info in sealed)
     agg_bytes = sum(
         len(pickle.dumps(scan_segment_aggregate(
-            AggregateTask(info.columnar_path, spec,
-                          ((True, "exename"),)))))
+            info.columnar_path, spec, ((True, "exename"),))))
         for info in sealed)
     assert agg_bytes < row_bytes, (
         f"pushdown payload ({agg_bytes} B) not smaller than the row "

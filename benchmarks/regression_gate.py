@@ -22,7 +22,7 @@ machine-speed normalizer:
   events (the acceptance bar for live ingestion is 2x of the cold load;
   the gate holds the measured ratio near its committed baseline);
 * *partitioned* — a selective time-windowed hunt on a segmented store
-  (segment pruning, ``workers=1``) vs the same hunt on an identically
+  (segment pruning) vs the same hunt on an identically
   fed monolithic store (the acceptance bar at full scale is a 2x
   speedup, i.e. a ratio <= 0.5; the gate holds the smoke-scale ratio
   near its committed baseline);
@@ -32,8 +32,8 @@ machine-speed normalizer:
   qps, i.e. a ratio well below 1; the gate holds the smoke-scale
   ratio near its committed baseline);
 * *agg_pushdown* — a single-pattern ``group by`` hunt with
-  partial-aggregate pushdown (workers return per-segment group-count
-  partials) vs the identical hunt on ``tests/reference``'s
+  partial-aggregate pushdown (segment scans return per-segment
+  group-count partials) vs the identical hunt on ``tests/reference``'s
   ``RowPathExecutor`` (row scatter + post-join aggregation; the
   acceptance bar at full scale is a 1.5x speedup);
 * *obs_overhead* — the same query loop executed under a live trace

@@ -6,8 +6,8 @@ streaming, and partitioned-storage layers:
 * ``extract``    — OSCTI report text -> threat behavior graph (printed),
 * ``synthesize`` — OSCTI report text -> TBQL query text,
 * ``hunt``       — OSCTI report + audit log -> matched malicious events,
-* ``query``      — hand-written TBQL + audit log (or snapshot, with
-  ``--workers`` for parallel segment scans) -> query results,
+* ``query``      — hand-written TBQL + audit log (or snapshot) -> query
+  results,
 * ``ingest``     — audit log -> dual-store load report (``--stats`` breaks
   the load down per stage: reduce, build, relational, graph),
 * ``snapshot``   — audit log -> persistent on-disk snapshot directory
@@ -49,15 +49,21 @@ def _read_text(path: str) -> str:
     return Path(path).read_text(encoding="utf-8")
 
 
-def _load_raptor(log_path: str, no_reduction: bool,
-                 workers: int = 1) -> ThreatRaptor:
+def _load_raptor(log_path: str, no_reduction: bool) -> ThreatRaptor:
     from .storage import DualStore
-    raptor = ThreatRaptor(store=DualStore(reduce=not no_reduction),
-                          workers=workers)
+    raptor = ThreatRaptor(store=DualStore(reduce=not no_reduction))
     count = raptor.ingest_log_text(_read_text(log_path))
     print(f"[repro] ingested {count} events from {log_path}",
           file=sys.stderr)
     return raptor
+
+
+def _ignore_workers(args: argparse.Namespace) -> None:
+    """``--workers`` is accepted, unlisted, for one release; it does
+    nothing, because sealed segments are scanned in process."""
+    if args.workers is not None:
+        print("[repro] --workers has no effect and will be removed: "
+              "segments are scanned in process", file=sys.stderr)
 
 
 def _print_events(events: list[dict]) -> None:
@@ -90,8 +96,6 @@ def _print_plan(result) -> None:
                     segment_text += f"({count} by {reason}) "
             if step.aggregate_pushdown:
                 segment_text += "agg-pushdown "
-            if step.pool_fallback:
-                segment_text += "(pool fallback: serial) "
         print(f"  {position}. {step.pattern_id} [{step.backend}] "
               f"score={step.score:.2f} candidates({candidate_text}) "
               f"rows {step.rows_in} -> {step.rows_out} {segment_text}"
@@ -331,6 +335,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
         print("[repro] error: --checkpoint requires --live (only the "
               "detection engine checkpoints)", file=sys.stderr)
         return 2
+    _ignore_workers(args)
     engine = None
     if args.snapshot:
         store = DualStore.open(args.snapshot, read_only=not args.live)
@@ -358,8 +363,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
     server = serve(store, host=args.host, port=args.port,
                    plan_cache_size=args.plan_cache,
                    result_cache_size=args.result_cache,
-                   engine=engine, workers=args.workers,
-                   backend=args.server_backend,
+                   engine=engine, backend=args.server_backend,
                    exec_threads=args.exec_threads or None,
                    queue_limit=args.queue_limit,
                    max_body_bytes=(args.max_body_bytes
@@ -394,9 +398,9 @@ def cmd_serve(args: argparse.Namespace) -> int:
     except KeyboardInterrupt:   # pragma: no cover - interactive shutdown
         print("[repro] shutting down", file=sys.stderr)
     finally:
-        # Drain in-flight requests, then release sockets and executor
-        # pools before sealing the live store so a checkpoint (when
-        # --live --checkpoint) captures a quiesced engine.
+        # Drain in-flight requests, then release the sockets before
+        # sealing the live store so a checkpoint (when --live
+        # --checkpoint) captures a quiesced engine.
         server.shutdown_gracefully()
         server.server_close()
         if engine is not None:
@@ -506,19 +510,18 @@ def cmd_query(args: argparse.Namespace) -> int:
     from .errors import TBQLError
     from .obs.trace import start_trace
 
+    _ignore_workers(args)
     # A profiled query is a cold start: its trace covers the open too.
     try:
         with (start_trace("query") if args.profile
               else contextlib.nullcontext()) as trace_root:
             if args.snapshot:
-                raptor = ThreatRaptor.open_snapshot(args.snapshot,
-                                                    workers=args.workers)
+                raptor = ThreatRaptor.open_snapshot(args.snapshot)
                 print(f"[repro] opened snapshot {args.snapshot} "
                       f"({raptor.store.relational.count_events()} events)",
                       file=sys.stderr)
             else:
-                raptor = _load_raptor(args.log, args.no_reduction,
-                                      workers=args.workers)
+                raptor = _load_raptor(args.log, args.no_reduction)
             tbql = args.tbql if args.tbql else _read_text(args.query_file)
             result = raptor.execute_tbql(tbql)
     except TBQLError as exc:
@@ -613,8 +616,8 @@ def build_parser() -> argparse.ArgumentParser:
                           default="monolithic",
                           help="store layout: 'segmented' seals the "
                                "history into immutable time-bounded "
-                               "segments the executor can prune and scan "
-                               "in parallel (default: monolithic)")
+                               "segments the executor can prune "
+                               "(default: monolithic)")
     snapshot.add_argument("--segment-events", type=int, default=25000,
                           help="with --layout segmented: seal a segment "
                                "every N stored events (default: 25000)")
@@ -675,9 +678,7 @@ def build_parser() -> argparse.ArgumentParser:
                        default="monolithic",
                        help="with --log: store layout for the ingested "
                             "data (snapshots carry their own layout)")
-    serve.add_argument("--workers", type=int, default=1,
-                       help="worker processes for parallel segment scans "
-                            "over a segmented store (default: 1 = serial)")
+    serve.add_argument("--workers", type=int, help=argparse.SUPPRESS)
     serve.add_argument("--server-backend",
                        choices=["asyncio", "threaded"], default="asyncio",
                        help="HTTP front end: asyncio event loop with "
@@ -779,14 +780,11 @@ def build_parser() -> argparse.ArgumentParser:
     source.add_argument("--log", help="audit log to ingest and query")
     source.add_argument("--snapshot",
                         help="snapshot directory to query (opened "
-                             "read-only; segmented snapshots support "
-                             "--workers)")
+                             "read-only)")
     group = query.add_mutually_exclusive_group(required=True)
     group.add_argument("--tbql", help="TBQL query text")
     group.add_argument("--query-file", help="path to a file with TBQL text")
-    query.add_argument("--workers", type=int, default=1,
-                       help="worker processes for parallel segment scans "
-                            "(default: 1 = serial)")
+    query.add_argument("--workers", type=int, help=argparse.SUPPRESS)
     query.add_argument("--no-reduction", action="store_true",
                        help="disable data reduction at ingestion time")
     query.add_argument("--explain", action="store_true",

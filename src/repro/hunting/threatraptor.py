@@ -51,9 +51,6 @@ class ThreatRaptor:
         default_factory=ThreatBehaviorExtractor)
     synthesis_plan: SynthesisPlan = field(default_factory=SynthesisPlan)
     use_scheduler: bool = True
-    #: Worker processes for scatter-gather scans over a segmented
-    #: store's sealed segments (1 = serial; see ``repro query --workers``).
-    workers: int = 1
 
     @classmethod
     def open_snapshot(cls, path: str | Path, **kwargs) -> "ThreatRaptor":
@@ -132,13 +129,9 @@ class ThreatRaptor:
         executor: Optional[TBQLExecutor] = \
             self.__dict__.get("_cached_executor")
         if executor is None or executor.store is not self.store or \
-                executor.use_scheduler != self.use_scheduler or \
-                executor.workers != self.workers:
-            if executor is not None:
-                executor.close()
+                executor.use_scheduler != self.use_scheduler:
             executor = TBQLExecutor(self.store,
-                                    use_scheduler=self.use_scheduler,
-                                    workers=self.workers)
+                                    use_scheduler=self.use_scheduler)
             self.__dict__["_cached_executor"] = executor
         return executor
 

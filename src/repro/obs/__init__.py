@@ -5,10 +5,9 @@ and fixed-bucket histograms rendered in the Prometheus text exposition
 format (served at ``GET /metrics`` on both server backends).
 
 ``repro.obs.trace`` records lightweight span trees across the query
-pipeline — parse, plan, per-segment scan, join, aggregation, hydration —
-including spans attached by multiprocessing scatter workers.  Tracing is
-inert unless a trace root is active, and the whole subsystem can be
-switched off with ``REPRO_OBS=0``.
+pipeline — parse, plan, per-segment scan, join, aggregation, hydration.
+Tracing is inert unless a trace root is active, and the whole subsystem
+can be switched off with ``REPRO_OBS=0``.
 """
 
 from __future__ import annotations

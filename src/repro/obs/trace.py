@@ -5,10 +5,7 @@ A trace is opened with :func:`start_trace`; while it is active,
 in the tree.  The current span travels in a :mod:`contextvars` variable,
 so it survives ``await`` boundaries; :func:`wrap` carries it into
 thread-pool workers (``run_in_executor`` does not copy context by
-itself).  Multiprocessing scatter workers cannot share the context at
-all — they instead return plain span-metadata dicts alongside their
-packed payloads, which the gather side grafts into the live tree with
-:meth:`Span.attach`.
+itself).  Everything a trace times runs in this process.
 
 When no trace is active — the overwhelmingly common case —
 :func:`start_span` costs one context-variable read and yields a shared
@@ -60,23 +57,8 @@ class Span:
         self.duration_ms = 0.0
         self._start = 0.0
 
-    @classmethod
-    def completed(cls, name: str, duration_ms: float,
-                  attributes: Optional[dict[str, Any]] = None,
-                  ) -> "Span":
-        """Build an already-finished span (e.g. from worker metadata)."""
-        span = cls(name, attributes)
-        span.duration_ms = float(duration_ms)
-        return span
-
     def set_attribute(self, key: str, value: Any) -> None:
         self.attributes[key] = value
-
-    def attach(self, name: str, duration_ms: float,
-               attributes: Optional[dict[str, Any]] = None) -> None:
-        """Graft a completed child span (scatter-worker metadata)."""
-        self.children.append(
-            Span.completed(name, duration_ms, attributes))
 
     def as_dict(self) -> dict[str, Any]:
         """JSON-friendly tree rendering (profile payloads)."""
@@ -97,10 +79,6 @@ class _NullSpan:
     duration_ms = 0.0
 
     def set_attribute(self, key: str, value: Any) -> None:
-        pass
-
-    def attach(self, name: str, duration_ms: float,
-               attributes: Optional[dict[str, Any]] = None) -> None:
         pass
 
 

@@ -244,7 +244,7 @@ class AsyncThreatHuntingServer:
         return self.service.inflight == 0
 
     def server_close(self) -> None:
-        """Release the listening socket and the service's resources."""
+        """Release the listening socket."""
         if self._closed:
             return
         self._closed = True
@@ -252,7 +252,6 @@ class AsyncThreatHuntingServer:
             self._socket.close()
         except OSError:   # pragma: no cover - already closed by the loop
             pass
-        self.service.close()
 
     # ------------------------------------------------------------------
     # event-loop body

@@ -145,9 +145,6 @@ class QueryService:
             set, the ingest/rules/alerts endpoints come alive, the engine's
             rule evaluation shares this service's executor caches, and all
             query execution takes the engine's reader lock.
-        workers: worker processes for scatter-gather pattern scans over
-            a segmented store's sealed segments (``repro serve
-            --workers``); 1 scans serially.
         slow_query_ms: when set, any query or ingest slower than this
             threshold logs a structured JSON record to stderr with the
             embedded span-tree profile (``repro serve --slow-query-ms``).
@@ -157,15 +154,13 @@ class QueryService:
                  plan_cache_size: int = DEFAULT_PLAN_CACHE_SIZE,
                  result_cache_size: int = DEFAULT_RESULT_CACHE_SIZE,
                  engine: "Optional[DetectionEngine]" = None,
-                 workers: int = 1,
                  slow_query_ms: float | None = None) -> None:
         self.store = store
         self.slow_query_ms = slow_query_ms
         #: Set by the HTTP front end that serves this instance; reported
         #: by /healthz ("embedded" when no server owns the service).
         self.server_backend: Optional[str] = None
-        self.executor = TBQLExecutor(store, use_scheduler=use_scheduler,
-                                     workers=workers)
+        self.executor = TBQLExecutor(store, use_scheduler=use_scheduler)
         self.plan_cache = LRUCache(plan_cache_size)
         self.result_cache = LRUCache(result_cache_size)
         self.engine = engine
@@ -354,7 +349,8 @@ class QueryService:
         and ``data_version`` the store's current version, so cache
         invalidation under live ingest is observable from the outside;
         ``segments`` describes the store partitioning (layout, sealed
-        segment manifests, active tail) plus the executor's worker count.
+        segment manifests, active tail) plus the executor's cumulative
+        segment-pruning counts.
         """
         with self._counter_lock:
             counters = dict(self._counters)
@@ -372,8 +368,6 @@ class QueryService:
             "result_cache": self.result_cache.stats(),
         }
         if segment_stats is not None:
-            segment_stats["workers"] = self.executor.workers
-            segment_stats["pool_fallback"] = self.executor.pool_fallback
             segment_stats["pruning"] = self.executor.pruning_totals
             payload["segments"] = segment_stats
         if self.engine is not None:
@@ -404,8 +398,7 @@ class QueryService:
         return registry.render()
 
     def close(self) -> None:
-        """Release executor resources (the scatter-gather worker pool)."""
-        self.executor.close()
+        """Nothing to release; kept because callers still close services."""
 
     # ------------------------------------------------------------------
     # live streaming endpoints (active when an engine is attached)
@@ -775,17 +768,12 @@ class ThreatHuntingServer(ThreadingHTTPServer):
         self.shutdown()
         return self.service.wait_idle(drain_timeout)
 
-    def server_close(self) -> None:
-        super().server_close()
-        self.service.close()
-
 
 def serve(store: DualStore, host: str = "127.0.0.1", port: int = 8787,
           use_scheduler: bool = True,
           plan_cache_size: int = DEFAULT_PLAN_CACHE_SIZE,
           result_cache_size: int = DEFAULT_RESULT_CACHE_SIZE,
           engine: "Optional[DetectionEngine]" = None,
-          workers: int = 1,
           backend: str = "asyncio", exec_threads: int | None = None,
           queue_limit: int | None = None,
           max_body_bytes: int = DEFAULT_MAX_BODY_BYTES,
@@ -807,8 +795,7 @@ def serve(store: DualStore, host: str = "127.0.0.1", port: int = 8787,
     service = QueryService(store, use_scheduler=use_scheduler,
                            plan_cache_size=plan_cache_size,
                            result_cache_size=result_cache_size,
-                           engine=engine, workers=workers,
-                           slow_query_ms=slow_query_ms)
+                           engine=engine, slow_query_ms=slow_query_ms)
     if backend == "threaded":
         return ThreatHuntingServer((host, port), service, verbose=verbose,
                                    max_body_bytes=max_body_bytes)

@@ -5,9 +5,9 @@ segment's event rows: one contiguous machine-typed array per column
 (int64 ids and numeric fields, float64 timestamps, uint32
 interned-string codes), the entity rows those events join against, and
 a shared interned string table.  The file is read back via :mod:`mmap`,
-so scatter-gather workers share the OS page cache instead of each
-materializing Python row tuples, and every column is exposed zero-copy
-through :class:`memoryview` casts (or :mod:`numpy` views when numpy is
+so a scan reads the OS page cache instead of materializing Python row
+tuples, and every column is exposed zero-copy through
+:class:`memoryview` casts (or :mod:`numpy` views when numpy is
 importable).
 
 Layout::

@@ -402,7 +402,7 @@ class DualStore:
             layout: ``"monolithic"`` (default) or ``"segmented"``; the
                 segmented layout seals immutable time-bounded segments on
                 :meth:`flush_appends`/:meth:`save`, enabling segment
-                pruning and parallel scatter-gather pattern scans.
+                pruning and per-segment columnar pattern scans.
             segment_dir: with ``layout="segmented"``: directory for the
                 sealed segment files; a private temporary directory
                 (removed on :meth:`close`) when omitted.
@@ -615,7 +615,7 @@ class DualStore:
         ``seal_segment=False`` to flush the merge runs without cutting a
         segment (the streaming engine does this for per-request ingest
         seals, where cutting one tiny segment per HTTP request would
-        drown the store in scatter tasks; its ``seal_every`` policy and
+        drown the store in segment scans; its ``seal_every`` policy and
         checkpoint saves decide when segments actually close).
         """
         stats = self._flush_stream()
@@ -741,7 +741,7 @@ class DualStore:
         """Merge adjacent undersized segments into bigger ones.
 
         Streaming seals produce many small segments; each one costs a
-        scatter task (and a file handle) per pattern scan.  Compaction
+        segment scan (and a file handle) per pattern scan.  Compaction
         rewrites every run of adjacent segments smaller than
         ``min_events`` as one merged segment — the event-id space stays
         contiguous, stored data is untouched, and the replaced segment

@@ -6,7 +6,7 @@ two files (:data:`SEGMENT_FILES`):
 * ``events.col`` — the struct-packed columnar payload
   (:mod:`repro.storage.columnar`): the segment's event rows plus exactly
   the entity rows those events reference, memory-mapped by the
-  scatter-gather executor and its worker processes;
+  executor's segment scans;
 * ``segment.json`` — the per-segment manifest: event-id range, newly
   interned entity-id range, and the ``[min, max]`` start/end time bounds
   the query planner prunes against.

@@ -1,14 +1,13 @@
 """Columnar pattern scans: predicate evaluation over ``events.col``.
 
-How the scatter-gather workers (:mod:`repro.tbql.scatter`) scan a
-sealed segment: pattern constraints are compiled once into a picklable
-:class:`PatternSpec`, shipped to the workers, and evaluated directly
+How the executor scans a sealed segment: pattern constraints are
+compiled once into a :class:`PatternSpec` and evaluated directly
 against a segment's memory-mapped column arrays
-(:class:`repro.storage.columnar.ColumnarSegment`).  Matches come back
-as one packed tuple of machine-typed byte strings per task — a handful
-of ``array`` buffers instead of thousands of pickled row tuples — and
-are re-inflated into row dicts by :func:`unpack_rows` on the gather
-side.
+(:class:`repro.storage.columnar.ColumnarSegment`), one segment after
+the other, in process.  Matches come back as one packed tuple of
+machine-typed byte strings per segment — a handful of ``array``
+buffers — and are re-inflated into row dicts by :func:`unpack_rows`
+once every segment has been scanned.
 
 Equivalence contract: the evaluator reproduces the exact semantics of
 the SQL a monolithic store and the active tail run
@@ -69,18 +68,17 @@ _Compiled = tuple[dict[Optional[bool], list[bytes]],
 
 
 # ---------------------------------------------------------------------------
-# the shipped pattern constraint set
+# the pattern constraint set
 # ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class PatternSpec:
-    """Picklable constraint set for one pattern's columnar scan.
+    """Constraint set for one pattern's columnar scan.
 
     Mirrors exactly the clauses ``compile_pattern_sql`` renders (same
     order of concerns, same effective window, same candidate pushdown),
-    with entity types pre-mapped to their stored string values so no
-    enum crosses the process boundary.
+    with entity types pre-mapped to their stored string values.
     """
 
     subject_type: str
@@ -93,14 +91,6 @@ class PatternSpec:
     subject_candidates: Optional[tuple[int, ...]]
     object_candidates: Optional[tuple[int, ...]]
     min_event_id: Optional[int] = None
-
-
-@dataclass(frozen=True)
-class ColumnarTask:
-    """One scatter task against a segment's ``events.col`` payload."""
-
-    path: str
-    spec: PatternSpec
 
 
 def build_pattern_spec(pattern: ResolvedPattern, query: ResolvedQuery,
@@ -815,7 +805,7 @@ def unpack_rows(packed: PackedRows) -> list[dict[str, Any]]:
 
 
 # ---------------------------------------------------------------------------
-# per-worker segment cache
+# process-wide segment cache
 # ---------------------------------------------------------------------------
 
 _SEGMENT_CACHE: dict[str, ColumnarSegment] = {}
@@ -843,9 +833,9 @@ def _segment_for(path: str) -> ColumnarSegment:
     return segment
 
 
-def scan_segment_columnar(task: ColumnarTask) -> PackedRows:
-    """Worker entry point: scan one segment's columnar payload."""
-    return scan_columnar(_segment_for(task.path), task.spec)
+def scan_segment_columnar(path: str, spec: PatternSpec) -> PackedRows:
+    """Scan the sealed segment whose ``events.col`` is at ``path``."""
+    return scan_columnar(_segment_for(path), spec)
 
 
 # ---------------------------------------------------------------------------
@@ -856,26 +846,12 @@ def scan_segment_columnar(task: ColumnarTask) -> PackedRows:
 #: op_strings, starts, ends, subject_ids, object_ids, group_counts) —
 #: a :data:`PackedRows` less ``data_amount`` (44 bytes a match instead
 #: of 52), plus ``group_counts`` mapping group-key tuples to counts.
-#: The records are what the coordinator needs to rebuild
+#: The records are what the executor needs to rebuild
 #: ``matched_events`` if they are ever read; entity ids are global, so
 #: display names resolve through the executor's batched entity cache
-#: instead of shipping per-segment string tables.
+#: instead of per-segment string tables.
 PackedAggregate = tuple[int, bytes, bytes, tuple[str, ...], bytes, bytes,
                         bytes, bytes, dict]
-
-
-@dataclass(frozen=True)
-class AggregateTask:
-    """One pushdown scatter task: scan + per-segment count partials.
-
-    ``group_columns`` lists the resolved ``group by`` attributes as
-    ``(on_subject, entity column)`` pairs; an empty tuple means a
-    global ``count()``.
-    """
-
-    path: str
-    spec: PatternSpec
-    group_columns: tuple[tuple[bool, str], ...]
 
 
 def _group_counts(segment: ColumnarSegment, selected: Any,
@@ -924,11 +900,14 @@ def aggregate_columnar(segment: ColumnarSegment, spec: PatternSpec,
                        ) -> PackedAggregate:
     """Scan one segment and fold matches into per-group count partials.
 
-    Row selection and the per-match records are :func:`scan_columnar`'s
-    (same ``_select_*`` evaluators and packers); the fold does one step
-    per distinct group key, not per match.  Display names stay behind:
-    the coordinator hydrates them by entity id through its batched
-    cache, the same way the ordinary path hydrates matched events.
+    ``group_columns`` lists the resolved ``group by`` attributes as
+    ``(on_subject, entity column)`` pairs; an empty tuple means a
+    global ``count()``.  Row selection and the per-match records are
+    :func:`scan_columnar`'s (same ``_select_*`` evaluators and
+    packers); the fold does one step per distinct group key, not per
+    match.  Display names stay behind: the executor hydrates them by
+    entity id through its batched cache, the same way the ordinary
+    path hydrates matched events.
     """
     np = numpy_module()
     selected = _select(segment, spec, np)
@@ -939,18 +918,20 @@ def aggregate_columnar(segment: ColumnarSegment, spec: PatternSpec,
 
 def unpack_aggregate(packed: PackedAggregate) -> list[dict[str, Any]]:
     """The match records of one pushdown partial as :func:`unpack_rows`
-    row dicts; ``data_amount``, which is not shipped, reads 0."""
+    row dicts; ``data_amount``, which is not packed, reads 0."""
     count = packed[0]
     return unpack_rows(packed[:6] + (bytes(8 * count),) + packed[6:8])
 
 
-def scan_segment_aggregate(task: AggregateTask) -> PackedAggregate:
-    """Worker entry point: pushdown scan of one segment."""
-    return aggregate_columnar(_segment_for(task.path), task.spec,
-                              task.group_columns)
+def scan_segment_aggregate(path: str, spec: PatternSpec,
+                           group_columns: tuple[tuple[bool, str], ...]
+                           ) -> PackedAggregate:
+    """Pushdown scan of the sealed segment whose ``events.col`` is at
+    ``path``."""
+    return aggregate_columnar(_segment_for(path), spec, group_columns)
 
 
-__all__ = ["PatternSpec", "ColumnarTask", "AggregateTask", "PackedRows",
-           "PackedAggregate", "build_pattern_spec", "candidate_rows",
+__all__ = ["PatternSpec", "PackedRows", "PackedAggregate",
+           "build_pattern_spec", "candidate_rows",
            "scan_columnar", "aggregate_columnar", "scan_segment_columnar",
            "scan_segment_aggregate", "unpack_rows", "unpack_aggregate"]

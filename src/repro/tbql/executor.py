@@ -45,19 +45,19 @@ from typing import Any, Callable, Optional
 
 from ..errors import ExecutionError
 from ..obs.metrics import get_registry
-from ..obs.trace import start_span
+from ..obs.trace import current_span, start_span
 from ..storage.dualstore import DualStore
 from ..storage.relational.schema import ENTITY_ATTRIBUTE_COLUMNS
-from ..storage.segments import SegmentView, prune_segments
+from ..storage.segments import SegmentInfo, SegmentView, prune_segments
 from .aggregate import apply_aggregation, rows_from_counts
 from .ast import TemporalRelation
-from .colscan import (AggregateTask, ColumnarTask, build_pattern_spec,
-                      unpack_aggregate)
+from .colscan import (build_pattern_spec, last_filter_table_counts,
+                      scan_segment_aggregate, scan_segment_columnar,
+                      unpack_aggregate, unpack_rows)
 from .compiler_cypher import compile_giant_cypher, compile_pattern_cypher
 from .compiler_sql import compile_giant_sql, compile_pattern_sql
 from .parser import TIME_UNIT_SECONDS, parse_tbql
 from .pruning import prune_by_candidates, prune_by_stats
-from .scatter import ScanTask, SegmentScanner
 from .scheduler import (ScheduledStep, naive_schedule, pruning_score,
                         schedule)
 from .semantics import (ResolvedPattern, ResolvedQuery, effective_window,
@@ -121,12 +121,9 @@ class PlanStep(str):
     #: Skipped after stats pruning: the entity block holds no pushed
     #: candidate id of some side; ``None`` on the monolithic path.
     segments_pruned_by_candidates: Optional[int]
-    #: True when the step ran as a partial-aggregate pushdown: workers
-    #: returned per-segment group counts instead of packed row arrays.
+    #: True when the step ran as a partial-aggregate pushdown: segment
+    #: scans returned per-segment group counts instead of packed rows.
     aggregate_pushdown: bool
-    #: True when the scatter pool could not be created and the segment
-    #: scans ran serially in-process; ``None`` on the monolithic path.
-    pool_fallback: Optional[bool]
     #: True for an ``and not`` absence pattern: scanned after every
     #: positive step and applied as an anti-join, never joined.
     negated: bool
@@ -147,7 +144,6 @@ class PlanStep(str):
                  segments_pruned_by_stats: Optional[int] = None,
                  segments_pruned_by_candidates: Optional[int] = None,
                  aggregate_pushdown: bool = False,
-                 pool_fallback: Optional[bool] = None,
                  negated: bool = False,
                  seconds: Optional[dict[str, float]] = None) -> None:
         super().__init__()
@@ -167,7 +163,6 @@ class PlanStep(str):
         self.segments_pruned_by_stats = segments_pruned_by_stats
         self.segments_pruned_by_candidates = segments_pruned_by_candidates
         self.aggregate_pushdown = aggregate_pushdown
-        self.pool_fallback = pool_fallback
         self.seconds = seconds or {}
 
     def as_dict(self) -> dict[str, Any]:
@@ -264,6 +259,25 @@ def _display_name(attrs: dict) -> str:
     return str(attrs.get("dstip"))
 
 
+def _scan_segments(segments: list[SegmentInfo], strategy: str,
+                   scan: Callable[[str], Any]) -> list[Any]:
+    """``scan(payload path)`` of every segment, in order, in process;
+    under an active trace each scan is one ``segment_scan`` span."""
+    if current_span() is None:
+        return [scan(segment.columnar_path) for segment in segments]
+    results = []
+    for segment in segments:
+        with start_span("segment_scan", segment=segment.name,
+                        strategy=strategy) as span:
+            result = scan(segment.columnar_path)
+            hit, built = last_filter_table_counts()
+            span.set_attribute("rows", result[0])
+            span.set_attribute("filter_tables_hit", hit)
+            span.set_attribute("filter_tables_built", built)
+        results.append(result)
+    return results
+
+
 class TBQLExecutor:
     """Executes TBQL queries against the dual storage backends.
 
@@ -280,22 +294,12 @@ class TBQLExecutor:
         store: the dual relational/graph store to query.
         use_scheduler: order patterns by pruning score (Section III-F)
             instead of declaration order.
-        workers: worker processes for the scatter-gather stage over a
-            segmented store's sealed segments; ``1`` (default) scans
-            serially in-process.  Must be a positive integer.
-            Irrelevant on monolithic stores.
     """
 
-    def __init__(self, store: DualStore, use_scheduler: bool = True,
-                 workers: int = 1) -> None:
-        workers = int(workers)
-        if workers < 1:
-            raise ValueError(
-                f"workers must be a positive integer, got {workers}")
+    def __init__(self, store: DualStore, use_scheduler: bool = True
+                 ) -> None:
         self.store = store
         self.use_scheduler = use_scheduler
-        self.workers = workers
-        self._scanner = SegmentScanner(self.workers)
         self._entity_cache: dict[int, dict] = {}
         self._cache_lock = threading.Lock()
         self._data_version = getattr(store, "data_version", None)
@@ -304,12 +308,6 @@ class TBQLExecutor:
                                 "segments_pruned_by_time": 0,
                                 "segments_pruned_by_stats": 0,
                                 "segments_pruned_by_candidates": 0}
-
-    @property
-    def pool_fallback(self) -> bool:
-        """True once scatter pool creation failed and scans run
-        serially."""
-        return self._scanner.pool_fallback
 
     @property
     def pruning_totals(self) -> dict[str, int]:
@@ -345,8 +343,7 @@ class TBQLExecutor:
             ).observe(skipped / (scanned + skipped))
 
     def close(self) -> None:
-        """Release the scatter-gather worker pool (idempotent)."""
-        self._scanner.close()
+        """Nothing to release; kept because callers still close executors."""
 
     # ------------------------------------------------------------------
     # public API
@@ -597,8 +594,6 @@ class TBQLExecutor:
             rows_in=rows_in, rows_out=len(filtered),
             hydration_queries=hydration_queries,
             **segments,
-            pool_fallback=(self._scanner.pool_fallback
-                           if segments else None),
             negated=negated,
             seconds=seconds)
         return filtered, plan_step
@@ -621,8 +616,8 @@ class TBQLExecutor:
         statistics to drop segments no stored row could match (sound by
         the :mod:`~repro.tbql.pruning` contract; stats-less segments
         always survive), then those whose entity block holds no pushed
-        candidate id of some side.  Survivors fan out through the
-        scanner, the active tail — events past the last seal — scans
+        candidate id of some side.  Survivors are scanned one after the
+        other, the active tail — events past the last seal — scans
         the combined store with an id floor, and everything merges back
         into the single ``(start_time, event_id)`` order a monolithic
         scan would have produced.  Returns the rows and the
@@ -636,11 +631,13 @@ class TBQLExecutor:
                                   object_candidates=object_ids)
         targets, stats_pruned = prune_by_stats(targets, spec)
         targets, candidates_pruned = prune_by_candidates(targets, spec)
-        tasks: list[ScanTask] = [ColumnarTask(segment.columnar_path, spec)
-                                 for segment in targets]
         with start_span("scatter", segments=len(targets),
                         pruned=len(view.sealed) - len(targets)) as span:
-            rows = self._scanner.scan(tasks)
+            rows: list[dict] = []
+            for packed in _scan_segments(
+                    targets, "columnar",
+                    lambda path: scan_segment_columnar(path, spec)):
+                rows.extend(unpack_rows(packed))
             if view.active_events:
                 active = compile_pattern_sql(
                     pattern, resolved, subject_candidates=subject_ids,
@@ -740,11 +737,11 @@ class TBQLExecutor:
 
         When an aggregated query is one positive event pattern with no
         ``with``-clause relations, per-group counting distributes over
-        segments: each scatter worker counts its segment's matches per
-        group key and the coordinator merges the partial counts before
-        rendering.  Workers then ship one ``(group key, count)`` pair per
-        group plus a compact 44-byte packed record per match instead of
-        the row scatter's 52-byte packed rows.  The records stay packed
+        segments: each segment scan counts its segment's matches per
+        group key and the partial counts are merged before rendering.
+        A scan then returns one ``(group key, count)`` pair per group
+        plus a compact 44-byte packed record per match instead of the
+        row scan's 52-byte packed rows.  The records stay packed
         until ``matched_events`` / ``joined_events`` is first read
         (:meth:`QueryResult.deferred`); only then are they unpacked,
         sorted and given display names, hydrated by entity id through
@@ -755,7 +752,7 @@ class TBQLExecutor:
         columnar scan, group keys mirror ``_group_key`` exactly (for
         aggregated queries the resolver makes ``return_items`` equal
         ``group by``, so the emitted row values *are* the entity
-        attributes the workers read), and
+        attributes the scans read), and
         :func:`~repro.tbql.aggregate.rows_from_counts` renders merged
         counts under a total order independent of accumulation order.
         Returns ``None`` — the ordinary path runs — whenever any
@@ -799,13 +796,12 @@ class TBQLExecutor:
         scan_start = time.perf_counter()
         counts: dict[tuple, int] = {}
         tail: list[dict[str, Any]] = []
+        columns = tuple(group_columns)
         with start_span("scatter", segments=len(survivors),
                         pruned=time_pruned + stats_pruned) as span:
-            tasks: list[ScanTask] = [
-                AggregateTask(segment.columnar_path, spec,
-                              tuple(group_columns))
-                for segment in survivors]
-            partials = self._scanner.scan_results(tasks)
+            partials = _scan_segments(
+                survivors, "aggregate",
+                lambda path: scan_segment_aggregate(path, spec, columns))
             for partial in partials:
                 for key, count in partial[-1].items():
                     counts[key] = counts.get(key, 0) + count
@@ -866,7 +862,6 @@ class TBQLExecutor:
             segments_pruned_by_stats=stats_pruned,
             segments_pruned_by_candidates=0,
             aggregate_pushdown=True,
-            pool_fallback=self._scanner.pool_fallback,
             seconds=seconds)
         # Every single-pattern match is a complete join assignment, so
         # the joined list equals the matched list.

@@ -18,10 +18,8 @@ The bodies are the old disabled branches verbatim.  They are installed
 by patching the module attribute the shipped code calls, so the rest of
 the scan is the shipped one; :func:`stats_pruning_disabled`,
 :func:`candidate_pruning_disabled`, :func:`dictionary_disabled` and
-:func:`optimizers_disabled` do that for the duration of a ``with`` block
-(a scatter pool forked inside the block inherits the patch; one forked
-before it does not).  Test-only —
-nothing under ``src/`` imports this module.
+:func:`optimizers_disabled` do that for the duration of a ``with``
+block.  Test-only — nothing under ``src/`` imports this module.
 """
 
 from __future__ import annotations

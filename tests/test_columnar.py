@@ -4,8 +4,7 @@ Covers the ``events.col`` container format, the SQLite comparison
 semantics the columnar evaluator reproduces (differentially, against a
 live SQLite connection), numpy/pure-python selection parity, snapshots
 written by older builds (v1 monolithic, v2 without payloads, v3 with
-files a segment no longer owns), the scatter pool-failure fallback, and
-the worker argument validation.
+files a segment no longer owns).
 """
 
 from __future__ import annotations
@@ -38,7 +37,6 @@ from repro.tbql.colscan import (PatternSpec, _eval_comparison,
                                 unpack_rows)
 from repro.tbql.compiler_sql import render_filter
 from repro.tbql.executor import TBQLExecutor
-from repro.tbql.scatter import SegmentScanner
 
 from .conftest import record_data_leak_attack, snapshot_files
 from .reference.scan_unoptimized import dictionary_disabled
@@ -778,17 +776,12 @@ def test_snapshots_of_older_builds_answer_the_corpus(tmp_path, kind,
     try:
         with DualStore.open(snap, read_only=read_only) as old:
             assert (old.segment_view() is None) == (kind == "v1")
-            for workers in (1, 4):
-                executor = TBQLExecutor(old, workers=workers)
-                try:
-                    for text in EQUIVALENCE_CORPUS:
-                        expected = reference.execute(text)
-                        got = executor.execute(text)
-                        assert got.rows == expected.rows, text
-                        assert got.matched_events == \
-                            expected.matched_events, text
-                finally:
-                    executor.close()
+            executor = TBQLExecutor(old)
+            for text in EQUIVALENCE_CORPUS:
+                expected = reference.execute(text)
+                got = executor.execute(text)
+                assert got.rows == expected.rows, text
+                assert got.matched_events == expected.matched_events, text
         assert snapshot_files(snap) == before      # opening never writes to it
     finally:
         reference.close()
@@ -918,47 +911,3 @@ def test_in_place_compact_drops_files_segments_no_longer_own(
         reference.close()
         mono.close()
         seg.close()
-
-
-# ---------------------------------------------------------------------------
-# pool-failure fallback and argument validation
-# ---------------------------------------------------------------------------
-
-
-def test_pool_failure_falls_back_serially(monkeypatch, caplog):
-    import repro.tbql.scatter as scatter_module
-
-    def broken_get_context(method=None):
-        raise OSError("no semaphores on this platform")
-
-    monkeypatch.setattr(scatter_module.multiprocessing, "get_context",
-                        broken_get_context)
-    mono, seg = _segmented_pair()
-    reference = TBQLExecutor(mono)
-    executor = TBQLExecutor(seg, workers=4)
-    try:
-        assert executor.pool_fallback is False
-        with caplog.at_level("WARNING", logger="repro.tbql.scatter"):
-            result = executor.execute(EQUIVALENCE_CORPUS[0])
-        assert executor.pool_fallback is True
-        assert any("pool creation failed" in record.message
-                   for record in caplog.records)
-        expected = reference.execute(EQUIVALENCE_CORPUS[0])
-        assert result.rows == expected.rows
-        # The flag is surfaced on the scatter plan steps.
-        assert any(step.pool_fallback for step in result.plan
-                   if step.segments_scanned is not None)
-    finally:
-        executor.close()
-        reference.close()
-        mono.close()
-        seg.close()
-
-
-@pytest.mark.parametrize("workers", [0, -1])
-def test_invalid_worker_counts_are_rejected(workers):
-    with pytest.raises(ValueError, match="positive integer"):
-        SegmentScanner(workers=workers)
-    with DualStore() as store:
-        with pytest.raises(ValueError, match="positive integer"):
-            TBQLExecutor(store, workers=workers)

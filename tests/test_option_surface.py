@@ -6,7 +6,9 @@ nobody sees in ``--help``.  The only ones left choose from the platform
 (``REPRO_OBS``); strategies that exist to prove equivalence live in
 ``tests/reference/`` instead.  This test parses every module under
 ``src/`` and fails on any other read, and on a read whose name is not a
-string literal (which would hide the name from this audit).
+string literal (which would hide the name from this audit).  The same
+parse keeps out process pools: segment scans run in process, and no
+committed measurement showed a pool paying for its shipping costs.
 """
 
 from __future__ import annotations
@@ -64,20 +66,39 @@ def test_only_platform_switches_are_read():
     assert set(reads) == ALLOWED, reads
 
 
-def test_package_never_imports_the_test_oracles():
-    importers = []
+def _imports() -> list[tuple[str, list[str]]]:
+    """``(where, imported names)`` of every absolute import in ``src/``;
+    ``from m import a`` yields ``m`` and ``m.a``."""
+    found = []
     for path in sorted(SRC.rglob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
         for node in ast.walk(tree):
             if isinstance(node, ast.Import):
                 names = [alias.name for alias in node.names]
             elif isinstance(node, ast.ImportFrom) and not node.level:
-                names = [node.module or ""]
+                module = node.module or ""
+                names = [module] + [f"{module}.{alias.name}"
+                                    for alias in node.names]
             else:
                 continue
-            if any(name == "tests" or name.startswith("tests.")
-                   for name in names):
-                importers.append(f"{path.relative_to(SRC)}:{node.lineno}")
+            found.append((f"{path.relative_to(SRC)}:{node.lineno}", names))
+    return found
+
+
+def test_package_never_imports_the_test_oracles():
+    importers = [where for where, names in _imports()
+                 if any(name == "tests" or name.startswith("tests.")
+                        for name in names)]
+    assert importers == []
+
+
+def test_package_never_imports_a_process_pool():
+    importers = [where for where, names in _imports()
+                 if any(name == "multiprocessing"
+                        or name.startswith(("multiprocessing.",
+                                            "concurrent.futures.process"))
+                        or name == "concurrent.futures.ProcessPoolExecutor"
+                        for name in names)]
     assert importers == []
 
 

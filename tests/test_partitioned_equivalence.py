@@ -4,11 +4,10 @@ A log split at *random* segment boundaries and ingested into a
 segmented store must answer the full TBQL join-equivalence corpus
 identically to a monolithic store fed through the same boundaries (the
 flush points are shared because sealing closes open merge runs — same
-data in, same stored events, only the layout differs).  Checked at
-``workers=1`` (serial in-process scans) and ``workers=4`` (the
-multiprocessing scatter-gather pool).  Wherever the cuts fall, the three
-routes to a payload — a seal of buffered columns, a seal of rows read
-back from the store, a compaction merge — write the same bytes.
+data in, same stored events, only the layout differs).  Wherever the
+cuts fall, the three routes to a payload — a seal of buffered columns,
+a seal of rows read back from the store, a compaction merge — write the
+same bytes.
 """
 
 from __future__ import annotations
@@ -27,9 +26,6 @@ from repro.tbql.executor import TBQLExecutor
 
 from .conftest import assert_exact_entity_blocks, record_data_leak_attack
 from .test_tbql_join_equivalence import EQUIVALENCE_CORPUS
-
-#: Worker counts the property holds for (serial + process pool).
-WORKER_COUNTS = (1, 4)
 
 
 def _corpus_events():
@@ -61,20 +57,14 @@ def _build_pair(boundaries: list[int]):
 
 def _assert_corpus_identical(mono, seg, corpus) -> None:
     reference = TBQLExecutor(mono)
-    executors = [TBQLExecutor(seg, workers=workers)
-                 for workers in WORKER_COUNTS]
-    try:
-        for text in corpus:
-            expected = reference.execute(text)
-            for executor in executors:
-                got = executor.execute(text)
-                assert got.rows == expected.rows, text
-                assert got.matched_events == expected.matched_events, text
-                assert got.per_pattern_matches == \
-                    expected.per_pattern_matches, text
-    finally:
-        for executor in executors:
-            executor.close()
+    executor = TBQLExecutor(seg)
+    for text in corpus:
+        expected = reference.execute(text)
+        got = executor.execute(text)
+        assert got.rows == expected.rows, text
+        assert got.matched_events == expected.matched_events, text
+        assert got.per_pattern_matches == expected.per_pattern_matches, \
+            text
 
 
 @settings(max_examples=8, deadline=None,

@@ -323,19 +323,14 @@ class TestAggregatePushdown:
     def test_pushdown_fires_and_matches_every_reference(self, store_pair):
         mono, seg = store_pair
         want = TBQLExecutor(mono).execute(self.AGG)
-        for workers in (1, 4):
-            executor = TBQLExecutor(seg, workers=workers)
-            try:
-                got = executor.execute(self.AGG)
-            finally:
-                executor.close()
-            step = got.plan[0]
-            assert step.aggregate_pushdown
-            assert step.segments_scanned is not None
-            assert got.rows == want.rows
-            assert got.matched_events == want.matched_events
-            assert got.joined_events == want.joined_events
-            assert got.per_pattern_matches == want.per_pattern_matches
+        got = TBQLExecutor(seg).execute(self.AGG)
+        step = got.plan[0]
+        assert step.aggregate_pushdown
+        assert step.segments_scanned is not None
+        assert got.rows == want.rows
+        assert got.matched_events == want.matched_events
+        assert got.joined_events == want.joined_events
+        assert got.per_pattern_matches == want.per_pattern_matches
 
     def test_row_path_reference_matches_pushdown(self, store_pair):
         _mono, seg = store_pair
@@ -514,9 +509,8 @@ class TestObservability:
                 sum(s["attributes"]["filter_tables_hit"] for s in spans),
                 len(spans))
 
-    @pytest.mark.parametrize("workers", [1, 4])
     def test_filter_table_counts_reach_metrics_and_spans(
-            self, store_pair, tmp_path, workers):
+            self, store_pair, tmp_path):
         from repro.obs import trace
 
         _mono, seg = store_pair
@@ -527,14 +521,11 @@ class TestObservability:
         previous = set_registry(MetricsRegistry())
         try:
             with DualStore.open(snapshot) as store:
-                executor = TBQLExecutor(store, workers=workers)
-                try:
-                    with trace.start_trace("query") as cold:
-                        first = executor.execute(self.FILTERED)
-                    with trace.start_trace("query") as warm:
-                        second = executor.execute(self.FILTERED)
-                finally:
-                    executor.close()
+                executor = TBQLExecutor(store)
+                with trace.start_trace("query") as cold:
+                    first = executor.execute(self.FILTERED)
+                with trace.start_trace("query") as warm:
+                    second = executor.execute(self.FILTERED)
             text = get_registry().render()
         finally:
             set_registry(previous)
@@ -543,19 +534,13 @@ class TestObservability:
         built, hit, scans = tables(cold)
         # Two filters per scanned segment, none seen before.
         assert (built, hit) == (2 * scans, 0)
-        if workers == 1:
-            assert tables(warm) == (0, 2 * scans, scans)
-            counter = parse_prometheus_text(text)[
-                "repro_tbql_filter_table_total"]
-            assert counter["type"] == "counter"
-            assert {labels["result"]: value for _name, labels, value
-                    in counter["samples"]} == \
-                {"hit": 2 * scans, "miss": 2 * scans}
-        else:
-            # Pool workers each hold their own readers: a segment's
-            # second scan may land on a worker that has not seen it.
-            built, hit, _scans = tables(warm)
-            assert built + hit == 2 * scans
+        assert tables(warm) == (0, 2 * scans, scans)
+        counter = parse_prometheus_text(text)[
+            "repro_tbql_filter_table_total"]
+        assert counter["type"] == "counter"
+        assert {labels["result"]: value for _name, labels, value
+                in counter["samples"]} == \
+            {"hit": 2 * scans, "miss": 2 * scans}
 
     def test_scan_that_compiles_no_filter_reports_no_tables(
             self, store_pair):

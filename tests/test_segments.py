@@ -5,8 +5,8 @@ time-bounded segments; these tests pin the structural invariants (event
 ids partition contiguously, segment files are standalone, manifests
 carry the real time bounds), the pruning rule (conservative w.r.t. the
 compiled window predicate), compaction, the v2 snapshot format (plus
-backward-compatible v1 opens), the service surface (``--workers``,
-``GET /stats`` segments section), and the CLI satellites.
+backward-compatible v1 opens), the service surface (``GET /stats``
+segments section), and the CLI satellites.
 """
 
 from __future__ import annotations
@@ -375,11 +375,9 @@ class TestSnapshotV2:
             assert reopened.read_only
             view = reopened.segment_view()
             assert len(view.sealed) == 5
-            executor = TBQLExecutor(reopened, workers=2)
-            got = executor.execute(QUERY)
+            got = TBQLExecutor(reopened).execute(QUERY)
             assert got.rows == expected.rows
             assert got.matched_events == expected.matched_events
-            executor.close()
             with pytest.raises(StorageError):
                 reopened.compact()
 
@@ -455,28 +453,14 @@ class TestSnapshotV2:
         assert any(home.iterdir())
 
 
-class TestParallelScatter:
-    def test_workers_match_serial(self, store_pair):
-        _mono, seg = store_pair
-        serial = TBQLExecutor(seg, workers=1)
-        parallel = TBQLExecutor(seg, workers=4)
-        for text in (QUERY,
-                     'proc p write file f as e1 '
-                     'proc p read file g as e2 return distinct p'):
-            a = serial.execute(text)
-            b = parallel.execute(text)
-            assert a.rows == b.rows
-            assert a.matched_events == b.matched_events
-            assert a.per_pattern_matches == b.per_pattern_matches
-        serial.close()
-        parallel.close()
-
+class TestExecutorClose:
     def test_close_is_idempotent(self, store_pair):
         _mono, seg = store_pair
-        executor = TBQLExecutor(seg, workers=2)
-        executor.execute(QUERY)
+        executor = TBQLExecutor(seg)
+        before = executor.execute(QUERY)
         executor.close()
         executor.close()
+        assert executor.execute(QUERY).rows == before.rows
 
 
 class TestCLI:
@@ -510,7 +494,7 @@ class TestCLI:
         assert main(["segments", "--snapshot", str(out2)]) == 0
         assert "sealed segments: 1" in capsys.readouterr().out
 
-    def test_query_snapshot_with_workers(self, tmp_path, capsys):
+    def test_query_snapshot_explain(self, tmp_path, capsys):
         from repro.audit.logfmt import format_log
         from repro.cli import main
         log = tmp_path / "audit.log"
@@ -520,7 +504,7 @@ class TestCLI:
         main(["snapshot", "--log", str(log), "--out", str(snap),
               "--layout", "segmented", "--segment-events", "100"])
         capsys.readouterr()
-        code = main(["query", "--snapshot", str(snap), "--workers", "2",
-                     "--explain", "--tbql", QUERY])
+        code = main(["query", "--snapshot", str(snap), "--explain",
+                     "--tbql", QUERY])
         assert code == 0
         assert "scanned" in capsys.readouterr().out

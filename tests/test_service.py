@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 from concurrent.futures import ThreadPoolExecutor
+from operator import attrgetter
 
 import pytest
 
@@ -17,7 +18,7 @@ from repro.errors import ServiceError
 from repro.service import (LRUCache, QueryService, ServiceClient,
                            query_is_time_dependent, result_payload)
 from repro.storage import DualStore
-from repro.tbql.executor import TBQLExecutor
+from repro.tbql.executor import PlanStep, TBQLExecutor
 from repro.tbql.parser import parse_tbql
 
 from .conftest import (DATA_LEAK_EDGES, DATA_LEAK_TEXT, SERVER_BACKENDS,
@@ -255,6 +256,62 @@ class TestHunt:
         if not response["result"]["rows"]:
             assert "fuzzy" in response
             assert response["fuzzy"]["alignments"] >= 0
+
+
+@pytest.fixture(scope="module", params=SERVER_BACKENDS)
+def segmented_client(request, data_leak_events, tmp_path_factory):
+    """A client against each HTTP front end over a segmented snapshot."""
+    directory = tmp_path_factory.mktemp("segmented") / "snapshot"
+    events = sorted(data_leak_events,
+                    key=attrgetter("start_time", "event_id"))
+    step = len(events) // 3 + 1         # three sealed segments
+    with DualStore(layout="segmented") as store:
+        for start in range(0, len(events), step):
+            store.append_events(events[start:start + step])
+            store.flush_appends()
+        store.save(directory)
+    with DualStore.open(directory) as reopened:
+        server, thread = start_backend_server(QueryService(reopened),
+                                              request.param)
+        host, port = server.server_address[:2]
+        with ServiceClient(f"http://{host}:{port}") as client:
+            yield client
+        stop_backend_server(server, thread)
+
+
+class TestWireContract:
+    """What a client of a segmented store sees, pinned on both backends:
+    the plan step fields, the ``/stats`` segments section and the
+    metric families."""
+
+    #: Plan step fields a payload leaves out (see ``result_payload``).
+    VOLATILE = ("seconds", "hydration_queries")
+
+    @pytest.mark.parametrize("text", [
+        'proc p read file f as e1 proc p write file g as e2 return p, f, g',
+        'proc p read file f return p, count() group by p top 3'])
+    def test_plan_steps_carry_exactly_the_plan_step_fields(
+            self, segmented_client, text):
+        plan = segmented_client.query(text, use_cache=False)["result"]["plan"]
+        assert plan and all(step["segments_scanned"] is not None
+                            for step in plan)
+        fields = [name for name in PlanStep.__annotations__
+                  if name not in self.VOLATILE]
+        assert "pool_fallback" not in fields
+        assert [list(step) for step in plan] == [fields] * len(plan)
+
+    def test_stats_segments_section(self, segmented_client):
+        segments = segmented_client.stats()["segments"]
+        assert segments["sealed_segments"] == 3
+        assert "pruning" in segments
+        assert not {"workers", "pool_fallback"} & set(segments)
+
+    def test_metrics_have_no_scatter_family(self, segmented_client):
+        segmented_client.query('proc p read file f return p',
+                               use_cache=False)
+        text = segmented_client.metrics()
+        assert "repro_tbql_segments_pruned_total" in text
+        assert "repro_scatter_" not in text
 
 
 class TestLRUCache:
