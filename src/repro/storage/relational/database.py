@@ -502,14 +502,23 @@ class RelationalStore:
         """
         return [dict(row) for row in self._fetch(sql, params)]
 
-    def _fetch(self, sql: str, params: Sequence[Any]) -> list[sqlite3.Row]:
+    def select_tuples(self, sql: str, params: Sequence[Any] = ()
+                      ) -> list[Any]:
+        """:meth:`execute`, with each row a plain tuple in SELECT order."""
+        return self._fetch(sql, params, None)
+
+    def _fetch(self, sql: str, params: Sequence[Any],
+               row_factory: Any = sqlite3.Row) -> list:
+        def run(database: sqlite3.Connection) -> list:
+            cursor = database.cursor()
+            cursor.row_factory = row_factory
+            return cursor.execute(sql, tuple(params)).fetchall()
         connection = self._reader_connection()
         try:
             if connection is None:
                 with self._lock:
-                    return self._connection.execute(
-                        sql, tuple(params)).fetchall()
-            return connection.execute(sql, tuple(params)).fetchall()
+                    return run(self._connection)
+            return run(connection)
         except sqlite3.Error as exc:
             raise StorageError(f"SQL execution failed: {exc}\n{sql}") from exc
 

@@ -4,10 +4,9 @@ How the executor scans a sealed segment: pattern constraints are
 compiled once into a :class:`PatternSpec` and evaluated directly
 against a segment's memory-mapped column arrays
 (:class:`repro.storage.columnar.ColumnarSegment`), one segment after
-the other, in process.  Matches come back as one packed tuple of
-machine-typed byte strings per segment — a handful of ``array``
-buffers — and are re-inflated into row dicts by :func:`unpack_rows`
-once every segment has been scanned.
+the other, in process.  A scan selects ascending event rows and hands
+them over as :data:`EventRow` tuples, gathered with one read per
+column; the executor merges every segment's tuples with one sort.
 
 Equivalence contract: the evaluator reproduces the exact semantics of
 the SQL a monolithic store and the active tail run
@@ -26,7 +25,7 @@ import threading
 from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import lru_cache, partial, reduce
 from itertools import compress, repeat
 from operator import ge, gt, le, lt
 from typing import Any, Callable, Iterable, Iterator, Optional, Sequence
@@ -42,22 +41,20 @@ from .ast import (AttributeComparison, AttributeFilter, BareValueFilter,
 from .compiler_sql import _ENTITY_TYPE_VALUE
 from .semantics import ResolvedPattern, ResolvedQuery, effective_window
 
-from array import array
-
 #: Relational columns with numeric affinity (everything else is TEXT).
 _NUMERIC_COLUMNS = frozenset({"pid", "srcport", "dstport", "start_time",
                               "end_time", "duration", "data_amount",
                               "failure_code"})
 
-#: Packed scan result: (row_count, ids, opcodes, op_strings, starts,
-#: ends, amounts, subject_ids, object_ids).  All byte strings are
-#: native-endian ``array`` payloads ('q'/'I'/'d'); opcodes index into
-#: ``op_strings`` (codes remapped to the tuple's order).
-PackedRows = tuple[int, bytes, bytes, tuple[str, ...], bytes, bytes,
-                   bytes, bytes, bytes]
+#: One matched event as every scan hands it to the executor:
+#: ``(start_time, event_id, operation, end_time, subject_id,
+#: object_id)``, so that tuple order is the ``(start_time, event_id)``
+#: order a monolithic scan returns.
+EventRow = tuple[float, int, Optional[str], float, int, int]
 
-#: The packed result of a scan that selected no row.
-_NO_ROWS: PackedRows = (0, b"", b"", (), b"", b"", b"", b"", b"")
+#: The event columns an :data:`EventRow` is gathered from, in its order.
+_GATHERED = ("event.start_time", "event.id", "event.operation",
+             "event.end_time", "event.subject_id", "event.object_id")
 
 #: Tri-valued predicate over (entity row index, event row index).
 _Predicate = Callable[[int, int], Optional[bool]]
@@ -699,109 +696,30 @@ def _select(segment: ColumnarSegment, spec: PatternSpec, np: Any) -> Any:
             else _select_python(segment, spec))
 
 
-def _pack_python(segment: ColumnarSegment,
-                 selected: list[int]) -> PackedRows:
-    ids = segment.column("event.id")
-    operations = segment.column("event.operation")
-    starts = segment.column("event.start_time")
-    ends = segment.column("event.end_time")
-    amounts = segment.column("event.data_amount")
-    subjects = segment.column("event.subject_id")
-    objects = segment.column("event.object_id")
-    out_ids = array("q")
-    out_ops = array("I")
-    out_starts = array("d")
-    out_ends = array("d")
-    out_amounts = array("q")
-    out_subjects = array("q")
-    out_objects = array("q")
-    remap: dict[int, int] = {}
-    strings: list[str] = []
-    segment_strings = segment.strings
-    for row in selected:
-        out_ids.append(ids[row])
-        code = operations[row]
-        slot = remap.get(code)
-        if slot is None:
-            slot = remap[code] = len(strings)
-            text = segment_strings[code]
-            assert text is not None  # operation is NOT NULL
-            strings.append(text)
-        out_ops.append(slot)
-        out_starts.append(starts[row])
-        out_ends.append(ends[row])
-        out_amounts.append(amounts[row])
-        out_subjects.append(subjects[row])
-        out_objects.append(objects[row])
-    return (len(selected), out_ids.tobytes(), out_ops.tobytes(),
-            tuple(strings), out_starts.tobytes(), out_ends.tobytes(),
-            out_amounts.tobytes(), out_subjects.tobytes(),
-            out_objects.tobytes())
-
-
-def _pack_numpy(segment: ColumnarSegment, selected: Any,
-                np: Any) -> PackedRows:
-    operations = segment.np_column("event.operation", np)[selected]
-    codes, inverse = np.unique(operations, return_inverse=True)
-    strings = []
-    for code in codes:
-        text = segment.strings[int(code)]
-        assert text is not None  # operation is NOT NULL
-        strings.append(text)
-    return (int(selected.size),
-            segment.np_column("event.id", np)[selected].tobytes(),
-            inverse.astype(np.uint32).tobytes(),
-            tuple(strings),
-            segment.np_column("event.start_time", np)[selected].tobytes(),
-            segment.np_column("event.end_time", np)[selected].tobytes(),
-            segment.np_column("event.data_amount", np)[selected].tobytes(),
-            segment.np_column("event.subject_id", np)[selected].tobytes(),
-            segment.np_column("event.object_id", np)[selected].tobytes())
-
-
-def _pack(segment: ColumnarSegment, selected: Any, np: Any) -> PackedRows:
+def gather_rows(segment: ColumnarSegment, selected: Any
+                ) -> list[EventRow]:
+    """The events of the ``selected`` rows (ascending row indices, an
+    int64 array or a list), one column read each: ``.tolist()`` of the
+    gathered column under numpy, else indexing the mapped column."""
     if not len(selected):
-        return _NO_ROWS
+        return []
+    np = numpy_module()
     if np is not None:
-        return _pack_numpy(segment, selected, np)
-    return _pack_python(segment, selected)
+        starts, ids, operations, ends, subjects, objects = (
+            segment.np_column(name, np)[selected].tolist()
+            for name in _GATHERED)
+    else:
+        starts, ids, operations, ends, subjects, objects = (
+            [column[row] for row in selected]
+            for column in map(segment.column, _GATHERED))
+    return list(zip(starts, ids, map(segment.strings.__getitem__,
+                                     operations), ends, subjects, objects))
 
 
 def scan_columnar(segment: ColumnarSegment,
-                  spec: PatternSpec) -> PackedRows:
-    """Evaluate one pattern against a mapped segment; packed result."""
-    np = numpy_module()
-    return _pack(segment, _select(segment, spec, np), np)
-
-
-def unpack_rows(packed: PackedRows) -> list[dict[str, Any]]:
-    """Re-inflate a packed scan result into SQL-shaped row dicts."""
-    (count, id_bytes, op_bytes, op_strings, start_bytes, end_bytes,
-     amount_bytes, subject_bytes, object_bytes) = packed
-    if not count:
-        return []
-    ids = array("q")
-    ids.frombytes(id_bytes)
-    operations = array("I")
-    operations.frombytes(op_bytes)
-    starts = array("d")
-    starts.frombytes(start_bytes)
-    ends = array("d")
-    ends.frombytes(end_bytes)
-    amounts = array("q")
-    amounts.frombytes(amount_bytes)
-    subjects = array("q")
-    subjects.frombytes(subject_bytes)
-    objects = array("q")
-    objects.frombytes(object_bytes)
-    return [{"event_id": ids[row],
-             "operation": op_strings[operations[row]],
-             "start_time": starts[row],
-             "end_time": ends[row],
-             "data_amount": amounts[row],
-             "subject_id": subjects[row],
-             "object_id": objects[row]}
-            for row in range(count)]
+                  spec: PatternSpec) -> list[EventRow]:
+    """Evaluate one pattern against a mapped segment, in row order."""
+    return gather_rows(segment, _select(segment, spec, numpy_module()))
 
 
 # ---------------------------------------------------------------------------
@@ -833,7 +751,7 @@ def _segment_for(path: str) -> ColumnarSegment:
     return segment
 
 
-def scan_segment_columnar(path: str, spec: PatternSpec) -> PackedRows:
+def scan_segment_columnar(path: str, spec: PatternSpec) -> list[EventRow]:
     """Scan the sealed segment whose ``events.col`` is at ``path``."""
     return scan_columnar(_segment_for(path), spec)
 
@@ -841,18 +759,6 @@ def scan_segment_columnar(path: str, spec: PatternSpec) -> PackedRows:
 # ---------------------------------------------------------------------------
 # partial-aggregate pushdown
 # ---------------------------------------------------------------------------
-
-#: Packed partial-aggregate result: (row_count, ids, opcodes,
-#: op_strings, starts, ends, subject_ids, object_ids, group_counts) —
-#: a :data:`PackedRows` less ``data_amount`` (44 bytes a match instead
-#: of 52), plus ``group_counts`` mapping group-key tuples to counts.
-#: The records are what the executor needs to rebuild
-#: ``matched_events`` if they are ever read; entity ids are global, so
-#: display names resolve through the executor's batched entity cache
-#: instead of per-segment string tables.
-PackedAggregate = tuple[int, bytes, bytes, tuple[str, ...], bytes, bytes,
-                        bytes, bytes, dict]
-
 
 def _group_counts(segment: ColumnarSegment, selected: Any,
                   group_columns: tuple[tuple[bool, str], ...],
@@ -897,41 +803,33 @@ def _group_counts(segment: ColumnarSegment, selected: Any,
 
 def aggregate_columnar(segment: ColumnarSegment, spec: PatternSpec,
                        group_columns: tuple[tuple[bool, str], ...]
-                       ) -> PackedAggregate:
+                       ) -> tuple[Any, dict[tuple, int]]:
     """Scan one segment and fold matches into per-group count partials.
 
     ``group_columns`` lists the resolved ``group by`` attributes as
     ``(on_subject, entity column)`` pairs; an empty tuple means a
-    global ``count()``.  Row selection and the per-match records are
-    :func:`scan_columnar`'s (same ``_select_*`` evaluators and
-    packers); the fold does one step per distinct group key, not per
-    match.  Display names stay behind: the executor hydrates them by
-    entity id through its batched cache, the same way the ordinary
-    path hydrates matched events.
+    global ``count()``.  Returns :func:`scan_columnar`'s row selection,
+    ungathered, and the counts; the fold does one step per distinct
+    group key, not per match.  Events are gathered from the selection
+    (:func:`gather_rows`) only if someone reads them.
     """
     np = numpy_module()
     selected = _select(segment, spec, np)
-    packed = _pack(segment, selected, np)
-    return packed[:6] + packed[7:] + (
-        _group_counts(segment, selected, group_columns, np),)
-
-
-def unpack_aggregate(packed: PackedAggregate) -> list[dict[str, Any]]:
-    """The match records of one pushdown partial as :func:`unpack_rows`
-    row dicts; ``data_amount``, which is not packed, reads 0."""
-    count = packed[0]
-    return unpack_rows(packed[:6] + (bytes(8 * count),) + packed[6:8])
+    return selected, _group_counts(segment, selected, group_columns, np)
 
 
 def scan_segment_aggregate(path: str, spec: PatternSpec,
                            group_columns: tuple[tuple[bool, str], ...]
-                           ) -> PackedAggregate:
+                           ) -> tuple[int, dict[tuple, int],
+                                      Callable[[], list[EventRow]]]:
     """Pushdown scan of the sealed segment whose ``events.col`` is at
-    ``path``."""
-    return aggregate_columnar(_segment_for(path), spec, group_columns)
+    ``path``: ``(matches, group counts, gather of the matches)``."""
+    segment = _segment_for(path)
+    selected, counts = aggregate_columnar(segment, spec, group_columns)
+    return len(selected), counts, partial(gather_rows, segment, selected)
 
 
-__all__ = ["PatternSpec", "PackedRows", "PackedAggregate",
-           "build_pattern_spec", "candidate_rows",
-           "scan_columnar", "aggregate_columnar", "scan_segment_columnar",
-           "scan_segment_aggregate", "unpack_rows", "unpack_aggregate"]
+__all__ = ["PatternSpec", "EventRow", "build_pattern_spec",
+           "candidate_rows", "gather_rows", "scan_columnar",
+           "aggregate_columnar", "scan_segment_columnar",
+           "scan_segment_aggregate"]

@@ -137,6 +137,7 @@ def compile_pattern_sql(pattern: ResolvedPattern, query: ResolvedQuery,
     should start from them (``idx_events_subject`` / ``idx_events_object``)
     and cost O(candidates); left alone, SQLite starts from
     ``idx_events_operation`` and walks every ``read`` of the history.
+    The columns are a :data:`~repro.tbql.colscan.EventRow`'s, in order.
     """
     params: list[Any] = []
     pushed = subject_candidates is not None or object_candidates is not None
@@ -152,8 +153,8 @@ def compile_pattern_sql(pattern: ResolvedPattern, query: ResolvedQuery,
         clauses.append("e.id >= ?")
         params.append(min_event_id)
     sql = (
-        "SELECT e.id AS event_id, e.operation, e.start_time, e.end_time, "
-        "e.data_amount, s.id AS subject_id, o.id AS object_id "
+        "SELECT e.start_time, e.id AS event_id, e.operation, e.end_time, "
+        "s.id AS subject_id, o.id AS object_id "
         "FROM events e "
         "JOIN entities s ON e.subject_id = s.id "
         "JOIN entities o ON e.object_id = o.id "

@@ -41,7 +41,8 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Optional
+from operator import itemgetter
+from typing import Any, Callable, Iterable, NamedTuple, Optional
 
 from ..errors import ExecutionError
 from ..obs.metrics import get_registry
@@ -51,9 +52,9 @@ from ..storage.relational.schema import ENTITY_ATTRIBUTE_COLUMNS
 from ..storage.segments import SegmentInfo, SegmentView, prune_segments
 from .aggregate import apply_aggregation, rows_from_counts
 from .ast import TemporalRelation
-from .colscan import (build_pattern_spec, last_filter_table_counts,
-                      scan_segment_aggregate, scan_segment_columnar,
-                      unpack_aggregate, unpack_rows)
+from .colscan import (EventRow, build_pattern_spec,
+                      last_filter_table_counts, scan_segment_aggregate,
+                      scan_segment_columnar)
 from .compiler_cypher import compile_giant_cypher, compile_pattern_cypher
 from .compiler_sql import compile_giant_sql, compile_pattern_sql
 from .parser import TIME_UNIT_SECONDS, parse_tbql
@@ -71,12 +72,13 @@ from .semantics import (ResolvedPattern, ResolvedQuery, effective_window,
 #: builds.
 MAX_CANDIDATE_PUSHDOWN = 450
 
-#: Serialises the first read of deferred event lists (QueryResult.deferred).
-_DEFERRED_LOCK = threading.Lock()
+#: Serialises the first read of lazily built event lists
+#: (:meth:`QueryResult.lazy`); re-entrant, as one builder may read
+#: another's list.
+_LAZY_LOCK = threading.RLock()
 
 
-@dataclass(frozen=True)
-class PatternMatch:
+class PatternMatch(NamedTuple):
     """One concrete match of a TBQL pattern against the store."""
 
     subject_key: str
@@ -91,6 +93,20 @@ class PatternMatch:
     #: candidate pushdown into subsequent data queries.
     subject_id: Optional[int] = None
     object_id: Optional[int] = None
+
+
+#: A hydrated entity: ``(attributes, canonical key, display name)``.
+_Entity = tuple[dict, str, str]
+
+#: Per pattern id, the hydrated entities of its matches, keyed by a
+#: match's ``subject_id`` / ``object_id``.
+_Entities = dict[str, dict[Any, _Entity]]
+
+#: How :meth:`TBQLExecutor._emit` renders a return row, compiled once
+#: per query: ``(name, pattern id, on subject, attribute)`` per return
+#: item — the pattern ``None`` when no positive pattern binds the
+#: entity — and whether rows are ``distinct``.
+_Projection = tuple[list[tuple[str, Optional[str], bool, str]], bool]
 
 
 class PlanStep(str):
@@ -196,27 +212,28 @@ class QueryResult:
     aggregated: bool = False
 
     @classmethod
-    def deferred(cls, build_events: Callable[[], list[dict[str, Any]]],
-                 **fields: Any) -> "QueryResult":
-        """A result whose ``matched_events`` — and ``joined_events``, an
-        equal copy — ``build_events`` makes on first read."""
+    def lazy(cls, builders: dict[str, Callable[["QueryResult"], list]],
+             **fields: Any) -> "QueryResult":
+        """A result whose fields named in ``builders`` are built, each by
+        its builder from the result, on first read: ``joined_events``
+        always, ``matched_events`` too on a pushed-down aggregate."""
         result = cls(**fields)
-        # Absent until read, so that reading them reaches __getattr__.
-        del result.matched_events, result.joined_events
-        result.__dict__["_build_events"] = build_events
+        for name in builders:   # absent until read: reads reach __getattr__
+            del result.__dict__[name]
+        result.__dict__["_builders"] = dict(builders)
         return result
 
     def __getattr__(self, name: str) -> Any:
-        build = self.__dict__.get("_build_events")
-        if build is None or name not in ("matched_events", "joined_events"):
-            raise AttributeError(name)
-        with _DEFERRED_LOCK:
-            if "_build_events" in self.__dict__:    # not built meanwhile
-                matched = build()
-                self.matched_events = matched
-                self.joined_events = [dict(event) for event in matched]
-                del self.__dict__["_build_events"]
-        return self.__dict__[name]
+        builder = self.__dict__.get("_builders", {}).get(name)
+        if builder is not None:
+            with _LAZY_LOCK:
+                if name not in self.__dict__:   # not built meanwhile
+                    self.__dict__[name] = builder(self)
+                    del self.__dict__["_builders"][name]
+        try:    # set before its builder is dropped, so never missed
+            return self.__dict__[name]
+        except KeyError:
+            raise AttributeError(name) from None
 
     @property
     def matched_event_signatures(self) -> set[tuple[str, str, str]]:
@@ -259,10 +276,48 @@ def _display_name(attrs: dict) -> str:
     return str(attrs.get("dstip"))
 
 
+def _entity(attrs: dict) -> _Entity:
+    return attrs, _canonical_key(attrs), _display_name(attrs)
+
+
+def _entity_ids(rows: list[EventRow]) -> set[int]:
+    """The subject and object entity ids of event rows."""
+    ids = set(map(itemgetter(4), rows))
+    ids.update(map(itemgetter(5), rows))
+    return ids
+
+
+def _collect_events(pairs: Iterable[tuple[str, PatternMatch]],
+                    entities: _Entities) -> list[dict]:
+    """The event dicts of ``(pattern id, match)`` pairs, in order, the
+    first of each ``(event ids, pattern id)`` kept; display names come
+    from each pattern's hydrated entities."""
+    events: list[dict] = []
+    seen: set[tuple] = set()
+    for pattern_id, match in pairs:
+        signature = (match.event_ids, pattern_id)
+        if signature in seen:
+            continue
+        seen.add(signature)
+        names = entities[pattern_id]
+        events.append({
+            "pattern_id": pattern_id,
+            "subject": names[match.subject_id][2],
+            "operation": match.operation,
+            "object": names[match.object_id][2],
+            "start_time": match.start_time,
+            "end_time": match.end_time,
+            "event_ids": list(match.event_ids),
+        })
+    return events
+
+
 def _scan_segments(segments: list[SegmentInfo], strategy: str,
-                   scan: Callable[[str], Any]) -> list[Any]:
+                   scan: Callable[[str], Any],
+                   count: Callable[[Any], int] = len) -> list[Any]:
     """``scan(payload path)`` of every segment, in order, in process;
-    under an active trace each scan is one ``segment_scan`` span."""
+    under an active trace each scan is one ``segment_scan`` span, its
+    ``rows`` the ``count`` of the result."""
     if current_span() is None:
         return [scan(segment.columnar_path) for segment in segments]
     results = []
@@ -271,7 +326,7 @@ def _scan_segments(segments: list[SegmentInfo], strategy: str,
                         strategy=strategy) as span:
             result = scan(segment.columnar_path)
             hit, built = last_filter_table_counts()
-            span.set_attribute("rows", result[0])
+            span.set_attribute("rows", count(result))
             span.set_attribute("filter_tables_hit", hit)
             span.set_attribute("filter_tables_built", built)
         results.append(result)
@@ -300,7 +355,7 @@ class TBQLExecutor:
                  ) -> None:
         self.store = store
         self.use_scheduler = use_scheduler
-        self._entity_cache: dict[int, dict] = {}
+        self._entity_cache: dict[int, _Entity] = {}
         self._cache_lock = threading.Lock()
         self._data_version = getattr(store, "data_version", None)
         self._pruning_lock = threading.Lock()
@@ -366,15 +421,16 @@ class TBQLExecutor:
                 else naive_schedule(resolved)
             plan_span.set_attribute("steps", len(steps))
         matches_by_pattern: dict[str, list[PatternMatch]] = {}
+        entities: _Entities = {}
         candidate_keys: dict[str, set[str]] = {}
         candidate_ids: dict[str, set[int]] = {}
         plan: list[PlanStep] = []
         for step in steps:
             with start_span("scan",
                             pattern=step.pattern.pattern_id) as span:
-                matches, plan_step = self._execute_step(step, resolved,
-                                                        candidate_keys,
-                                                        candidate_ids)
+                matches, entities[step.pattern.pattern_id], plan_step = \
+                    self._execute_step(step, resolved, candidate_keys,
+                                       candidate_ids)
                 span.set_attribute("rows", plan_step.rows_out)
             matches_by_pattern[step.pattern.pattern_id] = matches
             self._update_candidates(step.pattern, matches, candidate_keys,
@@ -384,8 +440,8 @@ class TBQLExecutor:
                                              candidate_ids, plan)
         join_start = time.perf_counter()
         with start_span("join") as span:
-            rows, joined_events = self._join(resolved, matches_by_pattern,
-                                             negated_matches)
+            rows, joined = self._join(resolved, matches_by_pattern,
+                                      negated_matches)
             span.set_attribute("rows", len(rows))
         if resolved.aggregation is not None:
             with start_span("aggregate") as span:
@@ -397,19 +453,20 @@ class TBQLExecutor:
         # Table VI: a pattern that matched nothing does not erase the events
         # the other patterns found.  Absence-pattern matches are evidence
         # *against* the hunt and are excluded.
-        matched_events = self._collect_events(matches_by_pattern)
+        matched_events = _collect_events(
+            ((pid, match) for pid, matches in matches_by_pattern.items()
+             for match in matches), entities)
         per_pattern = {pid: len(matches) for pid, matches
                        in matches_by_pattern.items()}
         per_pattern.update({pid: len(matches) for pid, matches
                             in negated_matches.items()})
-        result = QueryResult(
-            rows=rows, matched_events=matched_events,
-            joined_events=joined_events, plan=plan,
+        return QueryResult.lazy(
+            {"joined_events": lambda _: _collect_events(joined, entities)},
+            rows=rows, matched_events=matched_events, plan=plan,
             per_pattern_matches=per_pattern,
             elapsed_seconds=time.perf_counter() - start,
             join_seconds=join_seconds,
             aggregated=resolved.aggregation is not None)
-        return result
 
     def _sync_entity_cache(self) -> None:
         """Drop hydrated entities when the store's data was replaced."""
@@ -441,7 +498,7 @@ class TBQLExecutor:
                                  bound_entities=frozenset(candidate_keys))
             with start_span("scan", pattern=pattern.pattern_id,
                             negated=True) as span:
-                matches, plan_step = self._execute_step(
+                matches, _, plan_step = self._execute_step(
                     step, resolved, candidate_keys, candidate_ids,
                     negated=True, since_event_id=since_event_id)
                 span.set_attribute("rows", plan_step.rows_out)
@@ -477,7 +534,7 @@ class TBQLExecutor:
             candidate_ids: dict[str, set[int]] = {}
             for step in schedule(resolved, first=pinned):
                 on_delta = step.pattern is pinned
-                matches, _ = self._execute_step(
+                matches, _, _ = self._execute_step(
                     step, resolved, candidate_keys, candidate_ids,
                     since_event_id=min_event_id if on_delta else 0)
                 if on_delta:
@@ -539,7 +596,10 @@ class TBQLExecutor:
                       candidate_ids: dict[str, set[int]],
                       negated: bool = False,
                       since_event_id: Optional[int] = None
-                      ) -> tuple[list[PatternMatch], PlanStep]:
+                      ) -> tuple[list[PatternMatch], dict[int, _Entity],
+                                 PlanStep]:
+        """One pattern's matches, after the candidate key filter, with
+        the hydrated entities they reference and the step's report."""
         pattern = step.pattern
         seconds: dict[str, float] = {}
         pushable = step.candidate_entities
@@ -560,13 +620,14 @@ class TBQLExecutor:
         start = time.perf_counter()
         hydration_queries = 0
         segments: dict[str, Any] = {}
+        entities: dict[int, _Entity] = {}
         if dead:
             matches: list[PatternMatch] = []
         elif pattern.is_path:
-            matches = self._execute_cypher_pattern(pattern, resolved,
-                                                   subject_ids, object_ids)
+            matches, entities = self._execute_cypher_pattern(
+                pattern, resolved, subject_ids, object_ids)
         else:
-            matches, hydration_queries, segments = \
+            matches, entities, hydration_queries, segments = \
                 self._execute_sql_pattern(pattern, resolved, subject_ids,
                                           object_ids, since_event_id)
         seconds["execute"] = time.perf_counter() - start
@@ -596,7 +657,7 @@ class TBQLExecutor:
             **segments,
             negated=negated,
             seconds=seconds)
-        return filtered, plan_step
+        return filtered, entities, plan_step
 
     def _segment_view(self) -> Optional[SegmentView]:
         view_of = getattr(self.store, "segment_view", None)
@@ -607,7 +668,7 @@ class TBQLExecutor:
                       subject_ids: Optional[list[int]],
                       object_ids: Optional[list[int]],
                       view: SegmentView
-                      ) -> tuple[list[dict], dict[str, Any]]:
+                      ) -> tuple[list[EventRow], dict[str, Any]]:
         """Scatter one pattern scan across the store's segments.
 
         The planner prunes sealed segments whose time bounds cannot
@@ -618,10 +679,11 @@ class TBQLExecutor:
         always survive), then those whose entity block holds no pushed
         candidate id of some side.  Survivors are scanned one after the
         other, the active tail — events past the last seal — scans
-        the combined store with an id floor, and everything merges back
-        into the single ``(start_time, event_id)`` order a monolithic
-        scan would have produced.  Returns the rows and the
-        :class:`PlanStep` segment counts.
+        the combined store with an id floor, and one sort of the
+        :data:`~repro.tbql.colscan.EventRow` tuples merges everything
+        back into the ``(start_time, event_id)`` order a monolithic scan
+        would have produced.  Returns the rows and the :class:`PlanStep`
+        segment counts.
         """
         window = effective_window(pattern, resolved)
         targets = prune_segments(view.sealed, window)
@@ -633,20 +695,19 @@ class TBQLExecutor:
         targets, candidates_pruned = prune_by_candidates(targets, spec)
         with start_span("scatter", segments=len(targets),
                         pruned=len(view.sealed) - len(targets)) as span:
-            rows: list[dict] = []
-            for packed in _scan_segments(
+            rows: list[EventRow] = []
+            for scanned in _scan_segments(
                     targets, "columnar",
                     lambda path: scan_segment_columnar(path, spec)):
-                rows.extend(unpack_rows(packed))
+                rows += scanned
             if view.active_events:
                 active = compile_pattern_sql(
                     pattern, resolved, subject_candidates=subject_ids,
                     object_candidates=object_ids,
                     min_event_id=view.active_first_event_id)
-                rows.extend(self.store.execute_sql(active.sql,
-                                                   active.params))
-            rows.sort(key=lambda row: (row["start_time"],
-                                       row["event_id"]))
+                rows += self.store.relational.select_tuples(active.sql,
+                                                            active.params)
+            rows.sort()
             span.set_attribute("rows", len(rows))
         self._record_pruning(len(targets), time_pruned, stats_pruned,
                              candidates_pruned)
@@ -660,7 +721,8 @@ class TBQLExecutor:
                              subject_ids: Optional[list[int]] = None,
                              object_ids: Optional[list[int]] = None,
                              since_event_id: Optional[int] = None
-                             ) -> tuple[list[PatternMatch], int,
+                             ) -> tuple[list[PatternMatch],
+                                        dict[int, _Entity], int,
                                         dict[str, Any]]:
         # ``since_event_id`` (the delta gate): events from that id up (0 =
         # all), read from the combined store whatever the layout.
@@ -672,45 +734,46 @@ class TBQLExecutor:
                                            object_candidates=object_ids,
                                            min_event_id=since_event_id
                                            or None)
-            rows = self.store.execute_sql(compiled.sql, compiled.params)
+            rows = self.store.relational.select_tuples(compiled.sql,
+                                                       compiled.params)
         else:
             rows, segments = self._scatter_rows(
                 pattern, resolved, subject_ids, object_ids, view)
         # Hydrate every subject/object entity of this pattern in one batched
         # query instead of one lookup per result row (the seed's N+1).
-        needed = {row["subject_id"] for row in rows} | \
-            {row["object_id"] for row in rows}
+        needed = _entity_ids(rows)
         with start_span("hydrate", entities=len(needed)) as span:
-            hydration_queries = self._hydrate_entities(needed)
+            entities, hydration_queries = self._hydrate_entities(needed)
             span.set_attribute("queries", hydration_queries)
         matches = []
-        for row in rows:
-            subject_attrs = self._entity_attrs(row["subject_id"])
-            object_attrs = self._entity_attrs(row["object_id"])
+        for start, event_id, operation, end, subject_id, object_id in rows:
+            subject_attrs, subject_key, _ = entities[subject_id]
+            object_attrs, object_key, _ = entities[object_id]
             matches.append(PatternMatch(
-                subject_key=_canonical_key(subject_attrs),
-                object_key=_canonical_key(object_attrs),
-                subject_attrs=subject_attrs, object_attrs=object_attrs,
-                operation=row["operation"], start_time=row["start_time"],
-                end_time=row["end_time"],
-                event_ids=(row["event_id"],),
-                subject_id=row["subject_id"], object_id=row["object_id"]))
-        return matches, hydration_queries, segments
+                subject_key, object_key, subject_attrs, object_attrs,
+                operation, start, end, (event_id,), subject_id, object_id))
+        return matches, entities, hydration_queries, segments
 
     def _execute_cypher_pattern(self, pattern: ResolvedPattern,
                                 resolved: ResolvedQuery,
                                 subject_ids: Optional[list[int]] = None,
                                 object_ids: Optional[list[int]] = None
-                                ) -> list[PatternMatch]:
+                                ) -> tuple[list[PatternMatch],
+                                           dict[int, _Entity]]:
         cypher = compile_pattern_cypher(pattern, resolved,
                                         subject_candidates=subject_ids,
                                         object_candidates=object_ids)
         rows = self.store.execute_cypher(cypher)
         graph = self.store.graph.graph
+        entities: dict[int, _Entity] = {}
         matches = []
         for row in rows:
-            subject_attrs = dict(graph.node(row["subject_id"]).properties)
-            object_attrs = dict(graph.node(row["object_id"]).properties)
+            for node_id in (row["subject_id"], row["object_id"]):
+                if node_id not in entities:
+                    entities[node_id] = _entity(
+                        dict(graph.node(node_id).properties))
+            subject_attrs, subject_key, _ = entities[row["subject_id"]]
+            object_attrs, object_key, _ = entities[row["object_id"]]
             event_ids = row["event_ids"]
             if isinstance(event_ids, int):
                 event_ids = [event_ids]
@@ -721,15 +784,11 @@ class TBQLExecutor:
             start_time = row.get("start_time")
             end_time = row.get("end_time")
             matches.append(PatternMatch(
-                subject_key=_canonical_key(subject_attrs),
-                object_key=_canonical_key(object_attrs),
-                subject_attrs=subject_attrs, object_attrs=object_attrs,
-                operation=operation,
-                start_time=0.0 if start_time is None else start_time,
-                end_time=0.0 if end_time is None else end_time,
-                event_ids=tuple(event_ids),
-                subject_id=row["subject_id"], object_id=row["object_id"]))
-        return matches
+                subject_key, object_key, subject_attrs, object_attrs,
+                operation, 0.0 if start_time is None else start_time,
+                0.0 if end_time is None else end_time, tuple(event_ids),
+                row["subject_id"], row["object_id"]))
+        return matches, entities
 
     def _try_aggregate_pushdown(self, resolved: ResolvedQuery,
                                 started: float) -> Optional[QueryResult]:
@@ -740,10 +799,9 @@ class TBQLExecutor:
         segments: each segment scan counts its segment's matches per
         group key and the partial counts are merged before rendering.
         A scan then returns one ``(group key, count)`` pair per group
-        plus a compact 44-byte packed record per match instead of the
-        row scan's 52-byte packed rows.  The records stay packed
-        until ``matched_events`` / ``joined_events`` is first read
-        (:meth:`QueryResult.deferred`); only then are they unpacked,
+        and keeps its row selection (8 bytes a match) ungathered until
+        ``matched_events`` / ``joined_events`` is first read
+        (:meth:`QueryResult.lazy`); only then are the events gathered,
         sorted and given display names, hydrated by entity id through
         the same batched cache the ordinary path uses.
 
@@ -795,27 +853,28 @@ class TBQLExecutor:
         hydration_queries = 0
         scan_start = time.perf_counter()
         counts: dict[tuple, int] = {}
-        tail: list[dict[str, Any]] = []
+        tail: list[EventRow] = []
         columns = tuple(group_columns)
         with start_span("scatter", segments=len(survivors),
                         pruned=time_pruned + stats_pruned) as span:
             partials = _scan_segments(
                 survivors, "aggregate",
-                lambda path: scan_segment_aggregate(path, spec, columns))
-            for partial in partials:
-                for key, count in partial[-1].items():
+                lambda path: scan_segment_aggregate(path, spec, columns),
+                itemgetter(0))
+            for _matched, partial_counts, _gather in partials:
+                for key, count in partial_counts.items():
                     counts[key] = counts.get(key, 0) + count
             if view.active_events:
                 active = compile_pattern_sql(
                     pattern, resolved,
                     min_event_id=view.active_first_event_id)
-                tail = self.store.execute_sql(active.sql, active.params)
-                hydration_queries = self._hydrate_entities(
-                    {row["subject_id"] for row in tail} |
-                    {row["object_id"] for row in tail})
+                tail = self.store.relational.select_tuples(active.sql,
+                                                           active.params)
+                entities, hydration_queries = self._hydrate_entities(
+                    _entity_ids(tail))
                 for row in tail:
-                    subject_attrs = self._entity_attrs(row["subject_id"])
-                    object_attrs = self._entity_attrs(row["object_id"])
+                    subject_attrs = entities[row[4]][0]
+                    object_attrs = entities[row[5]][0]
                     key = tuple(
                         (subject_attrs if on_subject else object_attrs
                          ).get(attribute)
@@ -831,27 +890,24 @@ class TBQLExecutor:
             span.set_attribute("rows", len(out_rows))
         join_seconds = time.perf_counter() - join_start
 
-        def matched_events() -> list[dict[str, Any]]:
+        def matched_events(_result: QueryResult) -> list[dict[str, Any]]:
             # In the global order a monolithic scan produces, names
             # hydrated by entity id (entity rows never change, so an
             # append since the query does not matter).
-            rows = [row for partial in partials
-                    for row in unpack_aggregate(partial)] + tail
-            rows.sort(key=lambda row: (row["start_time"], row["event_id"]))
-            needed = {row["subject_id"] for row in rows} | \
-                {row["object_id"] for row in rows}
-            self._hydrate_entities(needed)
-            names = {entity_id: _display_name(self._entity_attrs(entity_id))
-                     for entity_id in needed}
+            rows = [row for _matched, _counts, gather in partials
+                    for row in gather()] + tail
+            rows.sort()
+            entities, _ = self._hydrate_entities(_entity_ids(rows))
             return [{
                 "pattern_id": pattern.pattern_id,
-                "subject": names[row["subject_id"]],
-                "operation": row["operation"],
-                "object": names[row["object_id"]],
-                "start_time": row["start_time"],
-                "end_time": row["end_time"],
-                "event_ids": [row["event_id"]],
-            } for row in rows]
+                "subject": entities[subject_id][2],
+                "operation": operation,
+                "object": entities[object_id][2],
+                "start_time": start,
+                "end_time": end,
+                "event_ids": [event_id],
+            } for start, event_id, operation, end, subject_id, object_id
+                in rows]
         plan_step = PlanStep(
             pattern.pattern_id, backend="sql",
             score=pruning_score(pattern),
@@ -865,25 +921,40 @@ class TBQLExecutor:
             seconds=seconds)
         # Every single-pattern match is a complete join assignment, so
         # the joined list equals the matched list.
-        return QueryResult.deferred(
-            matched_events, rows=out_rows, plan=[plan_step],
+        return QueryResult.lazy(
+            {"matched_events": matched_events,
+             "joined_events": lambda result: [
+                 dict(event) for event in result.matched_events]},
+            rows=out_rows, plan=[plan_step],
             per_pattern_matches={pattern.pattern_id: matched},
             elapsed_seconds=time.perf_counter() - started,
             join_seconds=join_seconds, aggregated=True)
 
-    def _hydrate_entities(self, entity_ids: set[int]) -> int:
-        """Batch-load uncached entity rows; returns the query count.
+    def _hydrate_entities(self, entity_ids: set[int]
+                          ) -> tuple[dict[int, _Entity], int]:
+        """The entities of ``entity_ids`` and the query count.
 
-        The count is the number of SQL statements the store actually issued:
+        Uncached entities are batch-loaded and cached with their
+        canonical key and display name, computed once per entity.  The
+        count is the number of SQL statements the store actually issued:
         0 when everything is cached, 1 for one batched ``IN`` list, more
-        only when the store chunks an oversized batch.
+        only when the store chunks an oversized batch.  The returned
+        mapping is the caller's own, so a concurrent clear of the shared
+        cache (a ``data_version`` change) cannot take an entry from it.
         """
-        missing = [entity_id for entity_id in entity_ids
-                   if entity_id not in self._entity_cache]
+        cache = self._entity_cache
+        entities: dict[int, _Entity] = {}
+        missing = []
+        for entity_id in entity_ids:
+            entity = cache.get(entity_id)
+            if entity is None:
+                missing.append(entity_id)
+            else:
+                entities[entity_id] = entity
         if not missing:
-            return 0
+            return entities, 0
         rows_by_id, queries = self.store.relational.entity_by_ids(missing)
-        hydrated: dict[int, dict] = {}
+        hydrated: dict[int, _Entity] = {}
         for entity_id in missing:
             row = rows_by_id.get(entity_id)
             if row is None:
@@ -891,19 +962,13 @@ class TBQLExecutor:
                                      "events table")
             attrs = dict(row)
             attrs["group"] = attrs.pop("grp", None)
-            hydrated[entity_id] = attrs
+            hydrated[entity_id] = _entity(attrs)
         # One locked batch update; concurrent hydrations of the same ids
         # write identical values, so last-writer-wins is safe.
         with self._cache_lock:
-            self._entity_cache.update(hydrated)
-        return queries
-
-    def _entity_attrs(self, entity_id: int) -> dict:
-        cached = self._entity_cache.get(entity_id)
-        if cached is not None:
-            return cached
-        self._hydrate_entities({entity_id})
-        return self._entity_cache[entity_id]
+            cache.update(hydrated)
+        entities.update(hydrated)
+        return entities, queries
 
     @staticmethod
     def _update_candidates(pattern: ResolvedPattern,
@@ -927,28 +992,6 @@ class TBQLExecutor:
                 candidate_ids[entity_id] &= ids
             else:
                 candidate_ids[entity_id] = set(ids)
-
-    @staticmethod
-    def _collect_events(matches_by_pattern: dict[str, list[PatternMatch]]
-                        ) -> list[dict]:
-        events: list[dict] = []
-        seen: set[tuple] = set()
-        for pattern_id, matches in matches_by_pattern.items():
-            for match in matches:
-                signature = (match.event_ids, pattern_id)
-                if signature in seen:
-                    continue
-                seen.add(signature)
-                events.append({
-                    "pattern_id": pattern_id,
-                    "subject": _display_name(match.subject_attrs),
-                    "operation": match.operation,
-                    "object": _display_name(match.object_attrs),
-                    "start_time": match.start_time,
-                    "end_time": match.end_time,
-                    "event_ids": list(match.event_ids),
-                })
-        return events
 
     # ------------------------------------------------------------------
     # join
@@ -1018,7 +1061,7 @@ class TBQLExecutor:
     def _join(self, resolved: ResolvedQuery,
               matches_by_pattern: dict[str, list[PatternMatch]],
               negated_matches: Optional[dict[str, list[PatternMatch]]] = None
-              ) -> tuple[list[dict], list[dict]]:
+              ) -> tuple[list[dict], list[tuple[str, PatternMatch]]]:
         """Pipelined multi-way hash join over the per-pattern match lists.
 
         Each join level indexes its pattern's matches by the subject/object
@@ -1029,15 +1072,17 @@ class TBQLExecutor:
         guaranteed to equal evaluation on the complete assignment, so doomed
         partial joins are discarded as soon as possible.  Complete
         assignments then pass the ``and not`` anti-join.  Enumeration order
-        (and therefore row and matched-event order) is the seed
-        backtracking join's.
+        (and therefore row and joined-event order) is the seed
+        backtracking join's.  Returns the rows and the ``(pattern id,
+        match)`` pairs of the complete assignments, each match once.
         """
         negation_allows = self._build_negation_checker(resolved,
                                                        negated_matches or {})
+        projection = self._projection(resolved)
         rows: list[dict] = []
         seen_rows: set[tuple] = set()
-        matched_events: list[dict] = []
-        seen_events: set[tuple] = set()
+        joined: list[tuple[str, PatternMatch]] = []
+        seen_matches: set[int] = set()
         order = self._join_order(resolved, matches_by_pattern)
         position_of = {pid: index for index, pid in enumerate(order)}
 
@@ -1089,8 +1134,8 @@ class TBQLExecutor:
                 if negation_allows is not None and \
                         not negation_allows(entity_binding):
                     return
-                self._emit(resolved, assignment, rows, seen_rows,
-                           matched_events, seen_events)
+                self._emit(projection, assignment, rows, seen_rows, joined,
+                           seen_matches)
                 return
             pattern, check_subject, check_object, index = levels[position]
             probe = (entity_binding[pattern.subject.entity_id]
@@ -1117,7 +1162,7 @@ class TBQLExecutor:
                     extend(position + 1, new_binding, new_assignment)
 
         extend(0, {}, {})
-        return rows, matched_events
+        return rows, joined
 
     @staticmethod
     def _temporal_holds(relation: TemporalRelation,
@@ -1187,32 +1232,49 @@ class TBQLExecutor:
                 return match.object_attrs.get(attribute)
         return None
 
-    def _emit(self, resolved: ResolvedQuery,
-              assignment: dict[str, PatternMatch], rows: list[dict],
-              seen_rows: set, matched_events: list[dict],
-              seen_events: set) -> None:
-        row: dict[str, Any] = {}
+    @staticmethod
+    def _projection(resolved: ResolvedQuery) -> _Projection:
+        """How :meth:`_emit` renders rows: each return item reads the
+        first-declared positive pattern binding its entity, subject
+        side first — what :meth:`_relation_value` resolves on a complete
+        assignment."""
+        items: dict[str, tuple[str, Optional[str], bool, str]] = {}
         for entity_id, attribute in resolved.return_items:
-            row[f"{entity_id}.{attribute}"] = self._relation_value(
-                f"{entity_id}.{attribute}", resolved, assignment)
-        key = tuple(sorted((name, str(value)) for name, value in row.items()))
-        if not resolved.distinct or key not in seen_rows:
-            seen_rows.add(key)
-            rows.append(row)
-        for pattern_id, match in assignment.items():
-            signature = (match.event_ids, pattern_id)
-            if signature in seen_events:
+            name = f"{entity_id}.{attribute}"
+            pattern_id, on_subject = next(
+                ((pattern.pattern_id, pattern.subject.entity_id == entity_id)
+                 for pattern in resolved.patterns if not pattern.negated
+                 and entity_id in (pattern.subject.entity_id,
+                                   pattern.obj.entity_id)), (None, True))
+            items.setdefault(name, (name, pattern_id, on_subject, attribute))
+        return list(items.values()), resolved.distinct
+
+    @staticmethod
+    def _emit(projection: _Projection, assignment: dict[str, PatternMatch],
+              rows: list[dict], seen_rows: set,
+              joined: list[tuple[str, PatternMatch]],
+              seen_matches: set[int]) -> None:
+        items, distinct = projection
+        row: dict[str, Any] = {}
+        for name, pattern_id, on_subject, attribute in items:
+            if pattern_id is None:      # no positive pattern binds it
+                row[name] = None
                 continue
-            seen_events.add(signature)
-            matched_events.append({
-                "pattern_id": pattern_id,
-                "subject": _display_name(match.subject_attrs),
-                "operation": match.operation,
-                "object": _display_name(match.object_attrs),
-                "start_time": match.start_time,
-                "end_time": match.end_time,
-                "event_ids": list(match.event_ids),
-            })
+            match = assignment[pattern_id]
+            row[name] = (match.subject_attrs if on_subject
+                         else match.object_attrs).get(attribute)
+        if not distinct:
+            rows.append(row)
+        else:
+            # Every row of the query has the same names in one order.
+            key = tuple(map(str, row.values()))
+            if key not in seen_rows:
+                seen_rows.add(key)
+                rows.append(row)
+        for pattern_id, match in assignment.items():
+            if id(match) not in seen_matches:
+                seen_matches.add(id(match))
+                joined.append((pattern_id, match))
 
 
 __all__ = ["PatternMatch", "PlanStep", "QueryResult", "TBQLExecutor",

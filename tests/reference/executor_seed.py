@@ -95,8 +95,8 @@ class BacktrackingJoinExecutor(RowPathExecutor):
                 if negation_allows is not None and \
                         not negation_allows(entity_binding):
                     return
-                self._emit(resolved, assignment, rows, seen_rows,
-                           matched_events, seen_events)
+                self._emit(self._projection(resolved), assignment, rows,
+                           seen_rows, matched_events, seen_events)
                 return
             pattern_id = pattern_order[position]
             pattern = resolved.pattern_by_id(pattern_id)

@@ -32,8 +32,7 @@ from repro.storage import DualStore
 from repro.storage.columnar import (ColumnarSegment, EventColumns,
                                     write_columnar)
 from repro.storage.relational.schema import ENTITY_COLUMNS
-from repro.tbql import colscan
-from repro.tbql.colscan import build_pattern_spec, scan_columnar, unpack_rows
+from repro.tbql.colscan import build_pattern_spec, scan_columnar
 from repro.tbql.executor import TBQLExecutor
 from repro.tbql.parser import parse_tbql
 from repro.tbql.pruning import prune_by_candidates
@@ -163,7 +162,9 @@ def _spec(text, subject_ids, object_ids):
 def _scan(info, spec) -> list[dict]:
     segment = ColumnarSegment(info.columnar_path)
     try:
-        return unpack_rows(scan_columnar(segment, spec))
+        return [dict(zip(("start_time", "event_id", "operation",
+                          "end_time", "subject_id", "object_id"), row))
+                for row in scan_columnar(segment, spec)]
     finally:
         segment.close()
 
@@ -343,7 +344,7 @@ def _event_columns_read(info, spec) -> list[str]:
         return np_column(name, np)
     segment.column, segment.np_column = spy_column, spy_np_column
     try:
-        assert scan_columnar(segment, spec)[0] == 0
+        assert scan_columnar(segment, spec) == []
     finally:
         segment.close()
     return [name for name in read if name.startswith("event.")]
@@ -365,7 +366,7 @@ def test_a_scan_that_cannot_match_reads_no_event_column(layered,
     # A scan that can match still reads the event columns.
     segment = ColumnarSegment(info.columnar_path)
     try:
-        assert scan_columnar(segment, _spec(text, None, None))[0] > 0
+        assert len(scan_columnar(segment, _spec(text, None, None))) > 0
     finally:
         segment.close()
 
@@ -415,8 +416,7 @@ def test_entity_filter_no_entity_of_a_segment_passes(layered, monkeypatch,
 
 
 @pytest.mark.parametrize("use_numpy", EVALUATORS)
-def test_empty_selection_packs_the_empty_tuple(layered, monkeypatch,
-                                              use_numpy):
+def test_empty_selection_gathers_no_row(layered, monkeypatch, use_numpy):
     monkeypatch.setenv("REPRO_COLUMNAR_NUMPY", use_numpy)
     _mono, seg = layered
     segment = ColumnarSegment(seg.segment_view().sealed[0].columnar_path)
@@ -426,10 +426,9 @@ def test_empty_selection_packs_the_empty_tuple(layered, monkeypatch,
                      'return p, f'):
             spec = dataclasses.replace(_spec(text, None, None),
                                        min_event_id=1 << 40)
-            assert scan_columnar(segment, spec) == colscan._NO_ROWS
+            assert scan_columnar(segment, spec) == []
     finally:
         segment.close()
-    assert unpack_rows(colscan._NO_ROWS) == []
 
 
 # ---------------------------------------------------------------------------

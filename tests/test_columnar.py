@@ -33,8 +33,7 @@ from repro.tbql import colscan
 from repro.tbql.ast import (AttributeComparison, BooleanFilter,
                             MembershipFilter, NegatedFilter)
 from repro.tbql.colscan import (PatternSpec, _eval_comparison,
-                                _eval_membership, scan_columnar,
-                                unpack_rows)
+                                _eval_membership, scan_columnar)
 from repro.tbql.compiler_sql import render_filter
 from repro.tbql.executor import TBQLExecutor
 
@@ -395,9 +394,9 @@ def test_numpy_matches_python_selection(tmp_path, monkeypatch, spec):
     segment = ColumnarSegment(path)
     try:
         monkeypatch.delenv("REPRO_COLUMNAR_NUMPY", raising=False)
-        vectorized = unpack_rows(scan_columnar(segment, spec))
+        vectorized = scan_columnar(segment, spec)
         monkeypatch.setenv("REPRO_COLUMNAR_NUMPY", "0")
-        pure = unpack_rows(scan_columnar(segment, spec))
+        pure = scan_columnar(segment, spec)
         assert vectorized == pure
     finally:
         segment.close()
@@ -533,8 +532,8 @@ def _sqlite_selection(connection, filters):
 
 
 def _selection(segment, filters):
-    return [row["event_id"] for row in
-            unpack_rows(scan_columnar(segment, _table_spec(filters)))]
+    return [event_id for _start, event_id, *_rest in
+            scan_columnar(segment, _table_spec(filters))]
 
 
 @pytest.mark.parametrize("use_numpy", [

@@ -220,6 +220,36 @@ class TestExecutor:
         assert rows[0]["i1_dstip"] == "192.168.29.128"
 
 
+class _ClearingExecutor(TBQLExecutor):
+    """Another thread's ``data_version`` bump, simulated: the shared
+    entity cache (attributes, join keys, display names) is emptied right
+    after every hydration returns."""
+
+    def _hydrate_entities(self, entity_ids):
+        hydrated = super()._hydrate_entities(entity_ids)
+        self._entity_cache.clear()
+        return hydrated
+
+
+class TestEntityCacheRace:
+    @pytest.mark.parametrize("text", [
+        'proc p["%/bin/tar%"] read file f as e1 '
+        'proc p write file g as e2 return p, f, g',
+        'proc p["%/bin/tar%"] read file f["%/etc/passwd%"] '
+        'and not proc p connect ip i return p',
+        'proc p["%/bin/tar%"] read file f["%/etc/passwd%"] '
+        'then proc q["%/usr/bin/curl%"] connect ip i return p, q, i.dstip',
+    ], ids=["join", "negation", "then"])
+    def test_a_cleared_cache_changes_no_answer(self, data_leak_store, text):
+        want = TBQLExecutor(data_leak_store).execute(text)
+        got = _ClearingExecutor(data_leak_store).execute(text)
+        assert want.rows and want.joined_events
+        assert (got.rows, got.matched_events, got.joined_events,
+                got.per_pattern_matches) == \
+            (want.rows, want.matched_events, want.joined_events,
+             want.per_pattern_matches)
+
+
 class TestGapBounds:
     """``with e1 before[min-max unit] e2`` bounds the gap on both sides."""
 
