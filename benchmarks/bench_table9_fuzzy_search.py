@@ -6,8 +6,9 @@ stops at the first acceptable alignment.
 
 The module also regenerates a strategy-comparison table on a large synthetic
 store (``BENCH_FUZZY_SESSIONS`` benign sessions, ~100k events by default):
-the indexed fast path (bigram-prefiltered candidates, banded Levenshtein,
-cached flow closure, branch-and-bound enumeration) against the seed's
+the indexed fast path (bigram-prefiltered candidates, bit-parallel
+Levenshtein, one cached flow closure per first-mapped endpoint of a query
+edge, branch-and-bound enumeration) against the seed's
 brute-force search kept in ``tests/reference``, asserting identical
 alignments and a ≥5x speedup at scale, both searches cold; an
 ``indexed (warm)`` row times a second search that reuses the store's

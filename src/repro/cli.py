@@ -58,14 +58,6 @@ def _load_raptor(log_path: str, no_reduction: bool) -> ThreatRaptor:
     return raptor
 
 
-def _ignore_workers(args: argparse.Namespace) -> None:
-    """``--workers`` is accepted, unlisted, for one release; it does
-    nothing, because sealed segments are scanned in process."""
-    if args.workers is not None:
-        print("[repro] --workers has no effect and will be removed: "
-              "segments are scanned in process", file=sys.stderr)
-
-
 def _print_events(events: list[dict]) -> None:
     for event in sorted(events, key=lambda item: item["start_time"]):
         print(f"{event['pattern_id']:>8}  {event['subject']} "
@@ -133,6 +125,9 @@ def cmd_hunt(args: argparse.Namespace) -> int:
     print(report.synthesized.text)
     print("\n=== matched events ===")
     _print_events(report.result.matched_events)
+    if report.fuzzy_result is not None and report.fuzzy_result.truncated:
+        print("[repro] warning: the fuzzy search stopped at its expansion "
+              "limit; the alignments may be incomplete", file=sys.stderr)
     if report.fuzzy_result is not None and report.fuzzy_result.best:
         print("\n=== fuzzy alignment (exact search found nothing) ===")
         for entity_id, name in sorted(
@@ -335,7 +330,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         print("[repro] error: --checkpoint requires --live (only the "
               "detection engine checkpoints)", file=sys.stderr)
         return 2
-    _ignore_workers(args)
     engine = None
     if args.snapshot:
         store = DualStore.open(args.snapshot, read_only=not args.live)
@@ -510,7 +504,6 @@ def cmd_query(args: argparse.Namespace) -> int:
     from .errors import TBQLError
     from .obs.trace import start_trace
 
-    _ignore_workers(args)
     # A profiled query is a cold start: its trace covers the open too.
     try:
         with (start_trace("query") if args.profile
@@ -678,7 +671,6 @@ def build_parser() -> argparse.ArgumentParser:
                        default="monolithic",
                        help="with --log: store layout for the ingested "
                             "data (snapshots carry their own layout)")
-    serve.add_argument("--workers", type=int, help=argparse.SUPPRESS)
     serve.add_argument("--server-backend",
                        choices=["asyncio", "threaded"], default="asyncio",
                        help="HTTP front end: asyncio event loop with "
@@ -784,7 +776,6 @@ def build_parser() -> argparse.ArgumentParser:
     group = query.add_mutually_exclusive_group(required=True)
     group.add_argument("--tbql", help="TBQL query text")
     group.add_argument("--query-file", help="path to a file with TBQL text")
-    query.add_argument("--workers", type=int, help=argparse.SUPPRESS)
     query.add_argument("--no-reduction", action="store_true",
                        help="disable data reduction at ingestion time")
     query.add_argument("--explain", action="store_true",

@@ -19,13 +19,14 @@ alignments exhaustively; :class:`PoirotSearcher` (the baseline, see
 :mod:`repro.tbql.poirot`) stops at the first acceptable alignment.
 
 Node candidates come from a character-bigram inverted index over the
-unique entity names (a lossless prefilter, so no similarity above the
-threshold is missed), edit distances use a banded early-exit Levenshtein,
-information flows come from a bounded-hop flow closure per source node
-(cached by the search's :class:`GraphAligner`), and alignment enumeration
-is pruned with an admissible branch-and-bound upper bound on the
-remaining score.  The seed's brute-force search — a full Levenshtein DP
-against every store entity per query node and a fresh bounded BFS per
+unique entity names (a lossless prefilter: no similarity above the
+threshold is missed), edit distances use a bit-parallel Levenshtein,
+each query edge reads its flows from one bounded-hop closure of the
+endpoint mapped first (cached by the search's :class:`GraphAligner`), so
+a search pays per query node rather than per candidate, and alignment
+enumeration is pruned by an admissible branch-and-bound upper bound on
+the remaining score.  The seed's brute-force search — a full Levenshtein
+DP against every store entity per query node and a fresh bounded BFS per
 query edge per partial alignment — lives in ``tests/reference/`` as the
 oracle that pins identical alignments and scores.
 
@@ -82,12 +83,14 @@ def levenshtein_distance(left: str, right: str) -> int:
 
 
 def levenshtein_within(left: str, right: str, bound: int) -> Optional[int]:
-    """Banded Levenshtein: the exact distance if ``<= bound``, else ``None``.
+    """Bit-parallel Levenshtein: the distance if ``<= bound``, else ``None``.
 
-    Only the diagonal band of DP cells with ``|i - j| <= bound`` is
-    evaluated, and the computation aborts as soon as every cell of a row
-    exceeds the bound — the early exit that makes threshold-filtered
-    similarity cheap for dissimilar strings.
+    Myers' bit-vector algorithm (J. ACM 1999) over Python ints: the
+    shorter string becomes a character -> bitmask table, and each
+    character of the longer one advances a whole DP column in a few
+    integer operations.  The scan stops once the bottom cell exceeds the
+    bound by more than the characters left to read (each lowers it by
+    one at most), which keeps dissimilar strings cheap.
     """
     if bound < 0:
         return None
@@ -102,27 +105,35 @@ def levenshtein_within(left: str, right: str, bound: int) -> Optional[int]:
         return None  # left != right, so the distance is at least 1
     if short == 0:
         return long_  # already known to be <= bound
-    infinity = bound + 1
-    previous = [j if j <= bound else infinity for j in range(long_ + 1)]
-    for i in range(1, short + 1):
-        low = max(1, i - bound)
-        high = min(long_, i + bound)
-        current = [infinity] * (long_ + 1)
-        if i <= bound:
-            current[0] = i
-        left_char = left[i - 1]
-        row_min = current[0] if low == 1 else infinity
-        for j in range(low, high + 1):
-            cost = min(previous[j] + 1, current[j - 1] + 1,
-                       previous[j - 1] + (left_char != right[j - 1]))
-            current[j] = cost
-            if cost < row_min:
-                row_min = cost
-        if row_min > bound:
+    peq: dict[str, int] = {}
+    bit = 1
+    for char in left:
+        peq[char] = peq.get(char, 0) | bit
+        bit <<= 1
+    mask = bit - 1
+    last = bit >> 1
+    # Vertical deltas of the current column: +1 bits and -1 bits.
+    plus, minus = mask, 0
+    score = short
+    remaining = long_
+    for char in right:
+        match = peq.get(char, 0)
+        vertical = match | minus
+        horizontal = (((match & plus) + plus) ^ plus) | match
+        horizontal_plus = minus | (~(horizontal | plus) & mask)
+        horizontal_minus = plus & horizontal
+        if horizontal_plus & last:
+            score += 1
+        elif horizontal_minus & last:
+            score -= 1
+        remaining -= 1
+        if score - remaining > bound:
             return None
-        previous = current
-    distance = previous[long_]
-    return distance if distance <= bound else None
+        horizontal_plus = ((horizontal_plus << 1) | 1) & mask
+        horizontal_minus = (horizontal_minus << 1) & mask
+        plus = horizontal_minus | (~(vertical | horizontal_plus) & mask)
+        minus = horizontal_plus & vertical
+    return score if score <= bound else None
 
 
 def string_similarity(left: str, right: str) -> float:
@@ -141,11 +152,11 @@ def string_similarity(left: str, right: str) -> float:
 
 def _similarity_within(needle: str, name: str, threshold: float
                        ) -> Optional[float]:
-    """:func:`string_similarity` with banded early exit below ``threshold``.
+    """:func:`string_similarity` with an early exit below ``threshold``.
 
     Returns exactly ``string_similarity(needle, name)`` when that value is
     ``>= threshold`` and ``None`` otherwise, but without running the full
-    DP for clearly dissimilar strings.  The Levenshtein bands carry a ``+1``
+    DP for clearly dissimilar strings.  The Levenshtein bounds carry a ``+1``
     margin so the final acceptance is decided by the same float comparison
     the brute-force path performs.
     """
@@ -154,7 +165,7 @@ def _similarity_within(needle: str, name: str, threshold: float
     longest = max(len(needle), len(name))
     if needle and name and (needle in name or name in needle):
         # Beyond d > longest/10 the containment floor of 0.9 dominates, so
-        # the exact distance is only needed inside that band.
+        # the exact distance is only needed within that bound.
         distance = levenshtein_within(needle, name, int(0.1 * longest) + 1)
         similarity = max(0.9, 1.0 - distance / longest) \
             if distance is not None else 0.9
@@ -263,14 +274,24 @@ class _NameIndex:
                 bucket = nodes_by_name[name] = []
                 self.names.append(name)
             bucket.append(node_id)
-        # gram -> [(name index, occurrences), ...]
-        self.postings: dict[str, list[tuple[int, int]]] = {}
+        # gram -> levels: level k lists the names holding the gram more
+        # than k times, so a needle holding it c times shares
+        # min(c, occurrences) of it with each name of levels[:c].
+        self.postings: dict[str, list[list[int]]] = {}
         self.names_by_length: dict[int, list[int]] = {}
         for name_index, name in enumerate(self.names):
             self.names_by_length.setdefault(len(name), []).append(name_index)
             for gram, count in _ngrams(name).items():
-                self.postings.setdefault(gram, []).append((name_index,
-                                                           count))
+                levels = self.postings.get(gram)
+                if levels is None:
+                    levels = self.postings[gram] = [[]]
+                if count == 1:  # most grams: skip the slice
+                    levels[0].append(name_index)
+                    continue
+                while len(levels) < count:
+                    levels.append([])
+                for level in levels[:count]:
+                    level.append(name_index)
 
     @staticmethod
     def _required_shared(needle_len: int, name_len: int,
@@ -279,7 +300,7 @@ class _NameIndex:
 
         Admissible means either normalized distance above the threshold
         (``d <= (1 - threshold) * L`` with the same ``+1`` float margin the
-        banded DP uses) or substring containment (which shares all
+        bounded distance uses) or substring containment (which shares all
         ``min_len - n + 1`` grams of the shorter string) — the two ways
         :func:`string_similarity` can reach the threshold.
         """
@@ -294,11 +315,11 @@ class _NameIndex:
     def candidate_names(self, needle: str, threshold: float) -> list[int]:
         """Return indexes of names the prefilter cannot rule out."""
         needle_len = len(needle)
-        shared: dict[int, int] = {}
+        shared: Counter = Counter()
         for gram, count in _ngrams(needle).items():
-            for name_index, occurrences in self.postings.get(gram, ()):
-                shared[name_index] = shared.get(name_index, 0) + \
-                    min(count, occurrences)
+            # Counter.update counts a list in C.
+            for level in self.postings.get(gram, ())[:count]:
+                shared.update(level)
         required_by_length = {
             length: self._required_shared(needle_len, length, threshold)
             for length in self.names_by_length}
@@ -323,6 +344,8 @@ class ProvenanceIndex:
     node_types: dict[int, str] = field(default_factory=dict)
     out_edges: dict[int, list[tuple[int, str, float]]] = field(
         default_factory=dict)
+    #: target -> the source of each edge into it (operations: out_edges).
+    in_edges: dict[int, list[int]] = field(default_factory=dict)
     num_edges: int = 0
     # The name index (dropped on mutation; excluded from equality so two
     # value-identical indexes still compare equal).  A search builds it
@@ -344,6 +367,7 @@ class ProvenanceIndex:
         self.node_types.setdefault(object_id, row.get("object_type", ""))
         self.out_edges.setdefault(subject_id, []).append(
             (object_id, row.get("operation", ""), row.get("start_time", 0.0)))
+        self.in_edges.setdefault(object_id, []).append(subject_id)
         self.num_edges += 1
         self._name_index = None
 
@@ -371,14 +395,17 @@ class ProvenanceIndex:
                 properties.get("exename") or properties.get("name") or "")
             node_types[node.node_id] = properties.get("type", "")
         out_edges = index.out_edges
+        in_edges = index.in_edges
         count = 0
         for edge in graph.edges():
             properties = edge.properties
-            bucket = out_edges.get(edge.source)
+            source, target = edge.source, edge.target
+            bucket = out_edges.get(source)
             if bucket is None:
-                bucket = out_edges[edge.source] = []
-            bucket.append((edge.target, properties.get("operation", ""),
+                bucket = out_edges[source] = []
+            bucket.append((target, properties.get("operation", ""),
                            properties.get("start_time", 0.0)))
+            in_edges.setdefault(target, []).append(source)
             count += 1
         index.num_edges = count
         return index
@@ -392,7 +419,7 @@ class ProvenanceIndex:
         """Return (node id, similarity) candidates above the threshold.
 
         Unique names are prefiltered through the bigram inverted index,
-        then scored with the banded Levenshtein; the result set (ids and
+        then scored with the bounded Levenshtein; the result set (ids and
         similarity values) is identical to a full DP against every node.
         """
         if threshold is None:
@@ -459,6 +486,33 @@ class ProvenanceIndex:
             depth = hop
         return flows
 
+    def flows_to(self, target: int) -> dict[int, dict[str, int]]:
+        """The flow closure into ``target``, keyed by source:
+        ``flows_to(t).get(s) == flows_from(s).get(t)``.
+
+        One multi-source BFS up the in-edges per final-hop operation,
+        from the sources of ``target``'s edges with that operation, serves
+        every candidate of a query edge's source at once.
+        """
+        in_edges = self.in_edges
+        last_hops: dict[str, set[int]] = {}
+        for source in set(in_edges.get(target, ())):
+            for neighbor, operation, _ in self.out_edges[source]:
+                if neighbor == target:
+                    last_hops.setdefault(operation, set()).add(source)
+        flows: dict[int, dict[str, int]] = {}
+        for operation, seen in last_hops.items():
+            frontier = seen
+            for hop in range(1, MAX_FLOW_LENGTH + 1):
+                for node in frontier:
+                    flows.setdefault(node, {})[operation] = hop
+                if hop < MAX_FLOW_LENGTH:
+                    frontier = {predecessor for node in frontier
+                                for predecessor in in_edges.get(node, ())
+                                } - seen
+                    seen |= frontier
+        return flows
+
     def flow_score(self, source: int, target: int,
                    operations: Optional[frozenset[str]]) -> float:
         """Score the best information flow from ``source`` to ``target``.
@@ -511,6 +565,8 @@ class FuzzySearchResult:
     #: True when the search reused the store's memoised index (loading
     #: and preprocessing are then zero).
     index_reused: bool = False
+    #: True when the aligner stopped at ``max_expansions``: incomplete.
+    truncated: bool = False
 
     @property
     def total_seconds(self) -> float:
@@ -527,13 +583,14 @@ class FuzzySearchResult:
 class GraphAligner:
     """Backtracking aligner shared by the fuzzy mode and the Poirot baseline.
 
-    The aligner scores flows through one flow closure per source node,
-    cached for this search only (the index may be shared by concurrent
-    searches), checks each query edge exactly once (when its second
-    endpoint is mapped), and prunes subtrees whose admissible score upper
-    bound — current flow total plus 1.0 for every unscored edge — cannot
-    reach the acceptance threshold.  The seed's unbounded search yields
-    the same acceptable alignments in the same order.
+    The aligner checks each query edge exactly once (when its second
+    endpoint is mapped), from the flow closure of the endpoint mapped
+    first (``flows_from`` its source or ``flows_to`` its target), cached
+    for this search only (the index may be shared by concurrent
+    searches), and prunes subtrees whose admissible score upper bound —
+    current flow total plus 1.0 for every unscored edge — cannot reach
+    the acceptance threshold.  The seed's unbounded search yields the
+    same acceptable alignments in the same order.
     """
 
     def __init__(self, query_graph: QueryGraph, index: ProvenanceIndex,
@@ -544,8 +601,12 @@ class GraphAligner:
         self.score_threshold = score_threshold
         self.max_expansions = max_expansions
         self._expansions = 0
+        self.truncated = False
         self._last_candidates: Optional[dict[str, list]] = None
         self._flow_closure: dict[int, dict[int, dict[str, int]]] = {}
+        self._flow_closure_to: dict[int, dict[int, dict[str, int]]] = {}
+        # Edges scored from their target's closure (mapped first).
+        self._reversed: set[QueryEdge] = set()
 
     def alignments(self, stop_after_first: bool = False
                    ) -> Iterator[Alignment]:
@@ -565,7 +626,11 @@ class GraphAligner:
             position = max(position_of[edge.source],
                            position_of[edge.target])
             ready_edges[position].append(edge)
+        self._reversed = {edge for edge in self.query_graph.edges
+                          if position_of[edge.target] <
+                          position_of[edge.source]}
         self._expansions = 0
+        self.truncated = False
         yield from self._extend(order, 0, {}, candidates, ready_edges,
                                 0.0, 0, stop_after_first)
 
@@ -584,6 +649,19 @@ class GraphAligner:
             flows = self._flow_closure[source] = self.index.flows_from(source)
         return _score_flows(flows.get(target), operations)
 
+    def _flow_score_to(self, source: int, target: int,
+                       operations: Optional[frozenset[str]]) -> float:
+        """:meth:`_flow_score` from ``target``'s closure; the same value."""
+        flows = self._flow_closure_to.get(target)
+        if flows is None:
+            flows = self._flow_closure_to[target] = \
+                self.index.flows_to(target)
+        return _score_flows(flows.get(source), operations)
+
+    def _edge_scorer(self, edge: QueryEdge):
+        return self._flow_score_to if edge in self._reversed \
+            else self._flow_score
+
     def _extend(self, order: list[QueryNode], position: int,
                 mapping: dict[str, int],
                 candidates: dict[str, list[tuple[int, float]]],
@@ -591,6 +669,7 @@ class GraphAligner:
                 flow_total: float, scored_edges: int,
                 stop_after_first: bool) -> Iterator[Alignment]:
         if self._expansions > self.max_expansions:
+            self.truncated = True
             return
         if position == len(order):
             alignment = self._score(mapping)
@@ -602,7 +681,8 @@ class GraphAligner:
         num_edges = len(self.query_graph.edges)
         newly_ready = ready_edges[position]
         scored = scored_edges + len(newly_ready)
-        flow_score = self._flow_score
+        checks = [(edge.source, edge.target, edge.operations,
+                   self._edge_scorer(edge)) for edge in newly_ready]
         for candidate_id, _similarity in candidates[node.entity_id]:
             if candidate_id in used:
                 continue
@@ -610,9 +690,9 @@ class GraphAligner:
             mapping[node.entity_id] = candidate_id
             consistent = True
             added = 0.0
-            for edge in newly_ready:
-                score = flow_score(mapping[edge.source],
-                                   mapping[edge.target], edge.operations)
+            for source, target, operations, flow_score in checks:
+                score = flow_score(mapping[source], mapping[target],
+                                   operations)
                 if score == 0.0:
                     consistent = False
                     break
@@ -638,8 +718,8 @@ class GraphAligner:
             return None
         total = 0.0
         for edge in self.query_graph.edges:
-            total += self._flow_score(mapping[edge.source],
-                                      mapping[edge.target], edge.operations)
+            total += self._edge_scorer(edge)(
+                mapping[edge.source], mapping[edge.target], edge.operations)
         score = total / len(self.query_graph.edges)
         if score < self.score_threshold:
             return None
@@ -729,7 +809,8 @@ class FuzzySearcher:
                                  preprocessing_seconds=preprocessing,
                                  searching_seconds=searching,
                                  candidate_counts=aligner.candidate_counts(),
-                                 index_reused=reused)
+                                 index_reused=reused,
+                                 truncated=aligner.truncated)
 
 
 __all__ = [

@@ -1,17 +1,23 @@
 """The seed's brute-force fuzzy search, frozen as a differential oracle.
 
 The shipped search prefilters node candidates through a bigram index,
-scores them with a banded Levenshtein, reads information flows from a
-cached closure per source node and cuts alignment subtrees by
-branch-and-bound.  The seed did none of that: a full Levenshtein DP
-against every node per query node, one bounded BFS per query edge per
-partial alignment, no bounding, and the provenance index built from the
-relational rows.  Both must return identical alignments, scores and
-candidate counts; the Table IX benchmark times them against each other.
+scores them with a bit-parallel Levenshtein, reads information flows
+from a cached closure of whichever endpoint of a query edge it maps
+first (forward from the source or backward into the target) and cuts
+alignment subtrees by branch-and-bound.  The seed did none of that: a
+full Levenshtein DP against every node per query node, one bounded BFS
+per query edge per partial alignment, no bounding, and the provenance
+index built from the relational rows.  Both must return identical
+alignments, scores and candidate counts; the Table IX benchmark times
+them against each other.
 
 The bodies below are the old code verbatim, with ``self`` renamed where
-a method became a function.  Test-only — nothing under ``src/`` imports
-this module.
+a method became a function; :meth:`BruteForceAligner._flow_score_to`
+routes edges the shipped aligner reads from their target through the
+same BFS.  The aligner still inherits ``alignments()``, ``_score`` and
+``candidate_counts`` from :class:`GraphAligner`, so
+``tests/test_fuzzy_answers.py`` pins those against recorded digests.
+Test-only — nothing under ``src/`` imports this module.
 """
 
 from __future__ import annotations
@@ -89,6 +95,10 @@ class BruteForceAligner(GraphAligner):
     def _flow_score(self, source: int, target: int,
                     operations: Optional[frozenset[str]]) -> float:
         # The seed scored every flow through the index, with no closure.
+        return self.index.flow_score(source, target, operations)
+
+    def _flow_score_to(self, source: int, target: int,
+                       operations: Optional[frozenset[str]]) -> float:
         return self.index.flow_score(source, target, operations)
 
     def _extend(self, order: list[QueryNode], position: int,

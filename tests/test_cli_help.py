@@ -62,32 +62,16 @@ class TestHelpSurface:
             "extract", "synthesize", "hunt", "query", "ingest",
             "snapshot", "segments", "compact", "serve", "tail", "rules"}
 
-    @pytest.mark.parametrize("name", ["query", "serve"])
-    def test_workers_is_not_listed(self, name):
-        assert "--workers" not in _subcommands()[name].format_help()
 
-
-def test_workers_flag_is_an_ignored_no_op(tmp_path, capsys,
-                                          data_leak_events):
-    """``repro query --workers N`` answers exactly as without the flag
-    and says once, on stderr, that the flag does nothing."""
-    from repro.audit.logfmt import format_log
+def test_workers_flag_is_gone(capsys):
+    """``--workers`` was a hidden no-op for one release; it is now a
+    usage error like any unknown option."""
     from repro.cli import main
-    log = tmp_path / "audit.log"
-    log.write_text(format_log(data_leak_events), encoding="utf-8")
-    command = ["query", "--log", str(log), "--tbql",
-               'proc p["%/bin/tar%"] read file f return p, f']
-    capsys.readouterr()
-    plain_code = main(command)
-    plain = capsys.readouterr()
-    flagged_code = main(command + ["--workers", "4"])
-    flagged = capsys.readouterr()
-    assert flagged_code == plain_code == 0
-    assert flagged.out == plain.out
-    notes = [line for line in flagged.err.splitlines()
-             if "--workers" in line]
-    assert len(notes) == 1 and "no effect" in notes[0]
-    assert "--workers" not in plain.err
+    with pytest.raises(SystemExit) as exited:
+        main(["query", "--log", "audit.log", "--tbql",
+              "proc p read file f return p", "--workers", "4"])
+    assert exited.value.code == 2
+    assert "unrecognized arguments: --workers 4" in capsys.readouterr().err
 
 
 class TestQueryListing:

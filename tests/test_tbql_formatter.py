@@ -134,6 +134,37 @@ class TestCLI:
         output = capsys.readouterr().out
         assert "--connect--> 192.168.29.128" in output
 
+    def test_hunt_warns_about_a_truncated_fuzzy_search(
+            self, report_and_log, capsys, monkeypatch):
+        import dataclasses
+
+        from repro.cli import main
+        from repro.tbql.fuzzy import FuzzySearcher
+        from .conftest import DATA_LEAK_TEXT
+        report, log = report_and_log
+        # A deviated IOC: the exact search finds nothing, the fuzzy
+        # fallback still aligns.
+        with open(report, "w", encoding="utf-8") as handle:
+            handle.write(DATA_LEAK_TEXT.replace("/bin/tar", "/bin/tarx"))
+        command = ["hunt", "--report", report, "--log", log,
+                   "--fuzzy-fallback"]
+        assert main(command) == 0
+        complete = capsys.readouterr()
+        assert "fuzzy alignment" in complete.out
+        assert "expansion limit" not in complete.err
+
+        class CutSearcher(FuzzySearcher):
+            def search(self, query):
+                return dataclasses.replace(super().search(query),
+                                           truncated=True)
+
+        monkeypatch.setattr("repro.hunting.threatraptor.FuzzySearcher",
+                            CutSearcher)
+        assert main(command) == 0
+        cut = capsys.readouterr()
+        assert cut.out == complete.out
+        assert "expansion limit" in cut.err
+
     def test_query_command(self, report_and_log, capsys):
         from repro.cli import main
         _report, log = report_and_log

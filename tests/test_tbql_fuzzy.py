@@ -8,8 +8,8 @@ from repro.tbql.conciseness import (compare_conciseness, measure_conciseness,
                                     strip_comments)
 from repro.tbql.fuzzy import (FuzzySearcher, GraphAligner, ProvenanceIndex,
                               QueryGraph, QueryNode, _forget_index,
-                              levenshtein_distance, levenshtein_within,
-                              string_similarity)
+                              _score_flows, levenshtein_distance,
+                              levenshtein_within, string_similarity)
 from repro.tbql.parser import parse_tbql
 from repro.tbql.poirot import PoirotSearcher
 from repro.tbql.semantics import resolve_query
@@ -67,6 +67,32 @@ class TestLevenshtein:
         assert levenshtein_within("", "abcd", 4) == 4
         assert levenshtein_within("x", "y", -1) is None
 
+    @given(st.text(min_size=60, max_size=130),
+           st.lists(st.tuples(st.sampled_from(["sub", "ins", "del"]),
+                              st.integers(0, 130), st.characters()),
+                    max_size=20),
+           st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_bit_parallel_beyond_a_machine_word(self, a, edits, data):
+        """Strings longer than 64 characters span several words of the
+        bit vectors; near neighbours exercise the early exit."""
+        chars = list(a)
+        for kind, position, char in edits:
+            position %= len(chars) + 1
+            if kind == "ins":
+                chars.insert(position, char)
+            elif position < len(chars):
+                if kind == "sub":
+                    chars[position] = char
+                else:
+                    del chars[position]
+        b = "".join(chars)
+        bound = data.draw(st.integers(-1, max(len(a), len(b))))
+        full = levenshtein_distance(a, b)
+        for left, right in ((a, b), (b, a)):
+            assert levenshtein_within(left, right, bound) == \
+                (full if full <= bound else None)
+
 
 class TestQueryGraph:
     def test_built_from_resolved_query(self):
@@ -112,6 +138,12 @@ class TestProvenanceIndex:
 
 #: Alphabet with heavy collisions so random names share bigrams often.
 _NAME_ALPHABET = "ab/.t"
+#: Strings holding one bigram several times: the prefilter must count
+#: min(needle occurrences, name occurrences) of it.
+_REPEATED_GRAMS = ["aaaa", "aaa", "aa", "/usr/usr", "/usr/usr/bin",
+                   "/usr/bin/usr", "usr", "abab", "ababab"]
+_NAMES = st.one_of(st.text(_NAME_ALPHABET, max_size=12),
+                   st.sampled_from(_REPEATED_GRAMS))
 
 
 def _index_from_names(names):
@@ -125,10 +157,10 @@ def _index_from_names(names):
 class TestCandidatePrefilterEquivalence:
     """The bigram prefilter is lossless: indexed == brute-force candidates."""
 
-    @given(st.lists(st.tuples(st.text(_NAME_ALPHABET, max_size=12),
+    @given(st.lists(st.tuples(_NAMES,
                               st.sampled_from(["proc", "file", "ip"])),
                     max_size=25),
-           st.text(_NAME_ALPHABET, max_size=12),
+           _NAMES,
            st.sampled_from(["proc", "file", ""]),
            st.sampled_from([0.3, 0.5, 0.6, 0.7, 0.9, 0.95]))
     @settings(max_examples=200, deadline=None)
@@ -211,6 +243,32 @@ class TestFlowClosureEquivalence:
             for target in range(1, 9):
                 for operations in operation_filters:
                     assert index.flow_score(source, target, operations) == \
+                        flow_score_bruteforce(index, source, target,
+                                              operations), \
+                        (source, target, operations)
+
+    @given(st.lists(st.tuples(st.integers(1, 6), st.integers(1, 6),
+                              st.sampled_from(["read", "write", "connect"])),
+                    max_size=24))
+    @settings(max_examples=150, deadline=None)
+    def test_target_closures_mirror_source_closures(self, edge_specs):
+        """``flows_to(t)[s] == flows_from(s)[t]`` on multigraphs with
+        self-loops and cycles, ``s == t`` included, and both score like
+        the per-edge BFS."""
+        index = ProvenanceIndex()
+        for source, target, operation in edge_specs:
+            index.add_event({"subject_id": source, "object_id": target,
+                             "operation": operation, "subject_type": "proc",
+                             "object_type": "proc"})
+        operation_filters = [None, frozenset(), frozenset({"read"}),
+                             frozenset({"write", "connect"})]
+        for target in range(1, 7):
+            into = index.flows_to(target)
+            for source in range(1, 7):
+                assert into.get(source) == \
+                    index.flows_from(source).get(target), (source, target)
+                for operations in operation_filters:
+                    assert _score_flows(into.get(source), operations) == \
                         flow_score_bruteforce(index, source, target,
                                               operations), \
                         (source, target, operations)
@@ -307,6 +365,87 @@ class TestStrategyEquivalence:
         assert fast.alignments == slow.alignments == []
 
 
+def _wide_to_narrow_store(seed: int):
+    """Many ``/usr/bin/toolN`` processes around three dissimilar files: a
+    query aimed from a tool at one of the files maps the file first."""
+    import random
+
+    from repro.audit import AuditCollector, CollectorConfig
+    from repro.storage import DualStore
+
+    rng = random.Random(seed)
+    collector = AuditCollector(CollectorConfig(seed=seed))
+    files = ["/tmp/alpha.bin", "/tmp/quebec.dat", "/tmp/zulu.log"]
+    processes = [collector.spawn_process(f"/usr/bin/tool{number}")
+                 for number in range(40)]
+    for _ in range(160):
+        process = rng.choice(processes)
+        kind = rng.randrange(4)
+        if kind == 0:
+            collector.write_file(process, rng.choice(files))
+        elif kind == 1:
+            collector.read_file(process, rng.choice(files))
+        elif kind == 2:
+            child, _ = collector.start_process(
+                process, f"/usr/bin/tool{rng.randrange(40)}")
+            processes.append(child)
+        else:
+            collector.connect_ip(process, f"10.0.0.{rng.randrange(4)}")
+    store = DualStore()
+    store.load_events(collector.events())
+    return store
+
+
+class TestReversedEdges:
+    """Edges scored from their target's closure give the seed's answers."""
+
+    QUERIES = [
+        'proc p["%/usr/bin/tool%"] write file f["%/tmp/quebec%"] as e1 '
+        'proc q["%/usr/bin/tool%"] read file f as e2 return p, f, q',
+        'proc p["%/usr/bin/tool%"] write file f["%/tmp/zulu.log%"] as e1 '
+        'proc p connect ip i["10.0.0.1"] as e2 return p, f, i',
+        'proc p["%/usr/bin/tool%"] start proc q["%/usr/bin/tool%"] as e1 '
+        'proc q read file f["%/tmp/alpha.bin%"] as e2 return p, q, f',
+    ]
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("searchers", [
+        (FuzzySearcher, BruteForceFuzzySearcher),
+        (PoirotSearcher, BruteForcePoirotSearcher)])
+    def test_matches_bruteforce_on_random_stores(self, seed, searchers):
+        fast_searcher, slow_searcher = searchers
+        store = _wide_to_narrow_store(seed)
+        try:
+            for query in self.QUERIES:
+                fast = fast_searcher(store).search(query)
+                slow = slow_searcher(store).search(query)
+                assert fast.candidate_counts == slow.candidate_counts
+                assert [(a.mapping, a.score, a.node_names)
+                        for a in fast.alignments] == \
+                    [(a.mapping, a.score, a.node_names)
+                     for a in slow.alignments], query
+        finally:
+            store.close()
+
+    def test_wide_source_costs_one_target_closure(self):
+        store = _wide_to_narrow_store(1)
+        try:
+            index = ProvenanceIndex.from_graph(store.graph.graph)
+            aligner = GraphAligner(QueryGraph.from_resolved(resolve_query(
+                parse_tbql(self.QUERIES[0]))), index)
+            alignments = list(aligner.alignments())
+            counts = aligner.candidate_counts()
+            assert counts["f"] == 1 and counts["p"] > 40
+            # Both edges point at f, mapped first: each is scored from
+            # f's one closure, never from a closure per tool process.
+            assert len(aligner._reversed) == 2
+            assert list(aligner._flow_closure_to) == \
+                [alignments[0].mapping["f"]]
+            assert aligner._flow_closure == {}
+        finally:
+            store.close()
+
+
 class TestFuzzyAndPoirot:
     QUERY = ('proc p["%/bin/tar%"] read file f["%/etc/passwd%"] as evt1 '
              'proc p write file g["%/tmp/upload.tar%"] as evt2 '
@@ -356,6 +495,20 @@ class TestFuzzyAndPoirot:
                  'f["%/zzz/not/here%"] return p')
         result = FuzzySearcher(data_leak_store).search(query)
         assert result.best is None
+
+    def test_truncated_search_is_reported(self, data_leak_store):
+        resolved = resolve_query(parse_tbql(self.QUERY))
+        index = ProvenanceIndex()
+        for row in data_leak_store.relational.all_events():
+            index.add_event(row)
+        graph = QueryGraph.from_resolved(resolved)
+        complete = GraphAligner(graph, index)
+        assert list(complete.alignments()) and not complete.truncated
+        cut = GraphAligner(graph, index, max_expansions=1)
+        assert list(cut.alignments()) == []
+        assert cut.truncated
+        assert not FuzzySearcher(data_leak_store).search(
+            self.QUERY).truncated
 
     def test_aligner_respects_score_threshold(self, data_leak_store):
         resolved = resolve_query(parse_tbql(self.QUERY))
