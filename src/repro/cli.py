@@ -9,7 +9,7 @@ streaming, and partitioned-storage layers:
 * ``query``      — hand-written TBQL + audit log (or snapshot) -> query
   results,
 * ``ingest``     — audit log -> dual-store load report (``--stats`` breaks
-  the load down per stage: reduce, build, relational, graph),
+  the load down per stage: reduce, build, relational),
 * ``snapshot``   — audit log -> persistent on-disk snapshot directory
   (ingest once, query many times; ``--layout segmented`` seals the
   history into time-bounded segments),
@@ -171,8 +171,8 @@ def cmd_ingest(args: argparse.Namespace) -> int:
               f"lines/s)")
         print(f"  malformed lines:    {parsed.malformed_lines}")
         print(f"  entities created:   {parsed.entities_created}")
-        # Every stage the load timed: reduce, build, relational, graph,
-        # and the seal_* steps whenever a segment was sealed.
+        # Every stage the load timed: reduce, build, relational, and the
+        # seal_* steps whenever a segment was sealed.
         for stage, elapsed in stats.seconds.items():
             print(f"  {stage + ' seconds:':<19} {elapsed * 1000.0:.2f}ms")
         print(f"  total:              {stats.total_seconds * 1000.0:.2f}ms")
@@ -224,7 +224,7 @@ def cmd_segments(args: argparse.Namespace) -> int:
               f"{stats['sealed_events']}")
         if not stats["segments"]:
             print("(monolithic snapshot: the whole history is one "
-                  "relational database + one graph)")
+                  "relational database)")
             return 0
         header = (f"{'name':<12} {'events':>8} {'event ids':>17} "
                   f"{'new ents':>8} {'ent rows':>8} {'start range':>23} "
@@ -590,7 +590,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="path to an auditd-style log file")
     ingest.add_argument("--stats", action="store_true",
                         help="print the per-stage breakdown (parse, reduce, "
-                             "build, relational, graph)")
+                             "build, relational)")
     ingest.add_argument("--no-reduction", action="store_true",
                         help="disable data reduction at ingestion time")
     ingest.set_defaults(func=cmd_ingest)
@@ -603,8 +603,9 @@ def build_parser() -> argparse.ArgumentParser:
     snapshot.add_argument("--out", required=True,
                           help="snapshot directory to write (created if "
                                "missing); holds the relational SQLite "
-                               "database, the binary graph snapshot, and a "
-                               "JSON manifest")
+                               "database and a JSON manifest (the graph is "
+                               "derived from the database when a query "
+                               "needs it)")
     snapshot.add_argument("--layout", choices=["monolithic", "segmented"],
                           default="monolithic",
                           help="store layout: 'segmented' seals the "

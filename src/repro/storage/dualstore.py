@@ -1,17 +1,19 @@
-"""Dual storage facade: replicated relational + graph backends.
+"""Dual access facade: one relational store, read as tables and as a graph.
 
-Section III-B: data is replicated across PostgreSQL and Neo4j so that event
+Section III-B replicates the data across PostgreSQL and Neo4j so that event
 patterns can run as SQL and variable-length path patterns can run as Cypher.
-The :class:`DualStore` mirrors that arrangement — one load call populates both
-backends (optionally applying data reduction first) and exposes both query
-interfaces.
+The :class:`DualStore` keeps both query interfaces but stores the data once:
+the relational store holds every entity and event row, and the property
+graph behind Cypher is an index derived from those rows on first use
+(:class:`~repro.storage.graph.GraphStore`) — dual *access*, not dual
+storage.
 
 Loading runs a *single pass* over the (streamed, reduced) events: entity
-deduplication happens once, producing the relational row batches and the
-graph node/edge batches together, which are then bulk-inserted into each
-backend.  The pre-batching loader (batch reduction, row-at-a-time entity
-inserts, item-wise graph construction) the equivalence tests and the
-ingestion benchmark compare against lives in ``tests/reference/``.
+deduplication happens once, producing the relational row batches, which
+are then bulk-inserted.  The pre-batching loader (batch reduction,
+row-at-a-time entity inserts, item-wise graph construction) the
+equivalence tests and the ingestion benchmark compare against lives in
+``tests/reference/``.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from .segments import (SEGMENT_FILES, SegmentInfo, SegmentView,
                        collect_segment_stats, merge_infos, plan_compaction)
 
 #: Valid ``layout`` arguments for :class:`DualStore`: ``"monolithic"``
-#: keeps the whole history in one relational database + one graph;
+#: keeps the whole history in one relational database;
 #: ``"segmented"`` additionally seals the history into immutable
 #: time-bounded segments the TBQL executor can prune and scan in
 #: parallel (see :mod:`repro.storage.segments`).
@@ -63,16 +65,19 @@ DEFAULT_COMPACT_MIN_EVENTS = 5000
 #: v3 — each sealed segment additionally carries a struct-packed
 #: columnar payload (``events.col``, :mod:`repro.storage.columnar`);
 #: v4 — that payload and ``segment.json`` are all a segment directory
-#: holds (no per-segment ``relational.sqlite``).
+#: holds (no per-segment ``relational.sqlite``);
+#: v5 — no ``graph.bin``: the property graph is derived from the
+#: relational store when first read.
 #: Older snapshots remain readable: v1 opens as a monolithic store, a
 #: segment without a payload (v2) has one built from the combined store
-#: when the snapshot opens, and files a segment no longer owns are
-#: ignored.
-SNAPSHOT_FORMAT_VERSION = 4
+#: when the snapshot opens, and files a snapshot or segment no longer
+#: owns (``graph.bin`` included) are ignored.
+SNAPSHOT_FORMAT_VERSION = 5
 #: File names inside a snapshot directory.
 SNAPSHOT_MANIFEST = "manifest.json"
 SNAPSHOT_RELATIONAL = "relational.sqlite"
-SNAPSHOT_GRAPH = "graph.bin"
+#: The graph file of v1–v4 snapshots; a resave over one deletes it.
+_LEGACY_GRAPH = "graph.bin"
 #: Subdirectory of a snapshot holding one directory per segment.
 SNAPSHOT_SEGMENTS_DIR = "segments"
 
@@ -102,7 +107,7 @@ class IngestStats(int):
     entities: int
     #: ``executemany`` batches issued by the relational backend.
     relational_batches: int
-    #: Seconds per stage: ``reduce``, ``build``, ``relational``, ``graph``;
+    #: Seconds per stage: ``reduce``, ``build``, ``relational``;
     #: :meth:`DualStore.flush_appends` adds ``seal_columnar`` and
     #: ``seal_stats`` when it seals a segment.
     seconds: dict[str, float]
@@ -175,18 +180,17 @@ class _BuildBatches:
       closes (the :class:`StreamingReducer` discipline, inlined);
     * *entity interning* — each entity resolves to its store id once, via an
       object-identity fast path backed by the unique-key map, emitting the
-      relational row and graph node on first sight;
+      relational row on first sight;
     * *row building* — each evicted run materializes its merged event and
-      appends its fields *column-wise* into :class:`EventColumns` (plus the
-      graph edge).  Emitting columns instead of row tuples is what makes
+      appends its fields *column-wise* into :class:`EventColumns`.
+      Emitting columns instead of row tuples is what makes
       sealing a segment cheap: the columnar payload (``events.col``) packs
       each accumulated column into one contiguous array — an O(columns)
       slice — while the SQLite insert path zips the same columns back into
       tuples via :meth:`EventColumns.row_tuples`.
 
     Entity and event ids are assigned in first-appearance order from 1,
-    matching both the reference loader's assignment and the node ids
-    ``add_nodes_bulk`` hands out on a fresh graph.
+    matching the reference loader's assignment.
 
     The pass also powers *incremental* loading: the merge-run state and the
     id assignment survive across :meth:`consume_reducing` calls, so a log
@@ -208,8 +212,6 @@ class _BuildBatches:
         self._ids_by_object: dict[int, int] = {}
         self.entity_rows: list[tuple] = []
         self.event_columns = EventColumns()
-        self.nodes: list[tuple[str, dict]] = []
-        self.edges: list[tuple[int, int, str, dict]] = []
         self.reduced: list[SystemEvent] = []
         self.next_entity_id = next_entity_id
         self.next_event_id = next_event_id
@@ -233,25 +235,19 @@ class _BuildBatches:
                               len(self._run_queue),
                               merged_events=self.merged_events)
 
-    def drain(self) -> tuple[list[tuple], EventColumns,
-                             list[tuple[str, dict]],
-                             list[tuple[int, int, str, dict]],
-                             list[SystemEvent]]:
+    def drain(self) -> tuple[list[tuple], EventColumns, list[SystemEvent]]:
         """Hand over the rows built since the last drain, keeping state.
 
-        Returns ``(entity_rows, event_columns, nodes, edges, reduced)``.
+        Returns ``(entity_rows, event_columns, reduced)``.
         The interning map, id counters, and open merge runs stay live so
         the next batch continues exactly where this one left off.  The
         object-identity fast path is reset: between batches an entity
         object may be garbage collected and its address reused, so only
         the unique-key map may carry over.
         """
-        drained = (self.entity_rows, self.event_columns, self.nodes,
-                   self.edges, self.reduced)
+        drained = (self.entity_rows, self.event_columns, self.reduced)
         self.entity_rows = []
         self.event_columns = EventColumns()
-        self.nodes = []
-        self.edges = []
         self.reduced = []
         self._ids_by_object = {}
         return drained
@@ -269,16 +265,11 @@ class _BuildBatches:
                 self.next_entity_id = entity_id + 1
                 self.entity_ids[key] = entity_id
                 self.entity_rows.append(entity_row(entity_id, entity))
-                self.nodes.append((entity.entity_type.value,
-                                   entity.attributes()))
             self._ids_by_object[marker] = entity_id
         return entity_id
 
     def _emit(self, event: SystemEvent, subject_id: int,
               object_id: int) -> None:
-        # The edge adopts the event's cached attribute dict (no copy): the
-        # graph never mutates edge properties and SystemEvent.attributes()
-        # is documented read-only, so the two views may share one dict.
         attrs = event.attributes()
         event_id = self.next_event_id
         self.next_event_id = event_id + 1
@@ -287,7 +278,6 @@ class _BuildBatches:
             attrs["operation"], attrs["category"], event.start_time,
             event.end_time, attrs["duration"], event.data_amount,
             event.failure_code, event.host)
-        self.edges.append((subject_id, object_id, "EVENT", attrs))
         self.reduced.append(event)
         self.output_events += 1
 
@@ -380,7 +370,8 @@ class _BuildBatches:
 
 
 class DualStore:
-    """Replicated storage across the relational and graph backends."""
+    """One relational store behind two query interfaces: SQL over its
+    tables and Cypher over the property graph derived from them."""
 
     def __init__(self, relational_path: str | Path | None = None,
                  reduce: bool = True,
@@ -411,7 +402,7 @@ class DualStore:
             raise ValueError(f"unknown store layout: {layout!r} "
                              f"(expected one of {STORE_LAYOUTS})")
         self.relational = RelationalStore(relational_path)
-        self.graph = GraphStore()
+        self.graph = GraphStore(self.relational, lambda: self.data_version)
         self.reduce = reduce
         self.merge_threshold = merge_threshold
         self.retain_events = retain_events
@@ -533,22 +524,19 @@ class DualStore:
         stored event count, annotated with per-stage timings and batch
         counts.
 
-        Loading *replaces* the stored data: the graph backend rebuilds from
-        scratch on every load, so the relational backend is cleared first to
-        keep both id spaces aligned (relational entity id == graph node id,
-        the invariant candidate pushdown relies on).  Without the clear, a
-        second load would leave the relational store counting entity ids
-        past the rebuilt graph's, and pushed-down id allowlists would
-        silently select the wrong nodes.
+        Loading *replaces* the stored data: the relational backend is
+        cleared first, so ids restart at 1, and the derived graph is
+        dropped (its next reader builds it from the new rows).
 
-        The reduction streams, and both backends bulk-load from one build
-        pass (:meth:`_load_batched`).
+        The reduction streams, and the relational backend bulk-loads from
+        one build pass (:meth:`_load_batched`).
         """
         if self.read_only:
             raise StorageError(
                 "store is read-only (opened from a snapshot); ingest into "
                 "a writable DualStore and save() a new snapshot instead")
         self._stream = None     # a reload invalidates append continuation
+        self.graph.drop()
         if self._segmented:
             self._drop_segments()
         stats = self._load_batched(events).observe()
@@ -561,13 +549,13 @@ class DualStore:
     # ------------------------------------------------------------------
     @gc_paused()
     def append_events(self, events: Iterable[SystemEvent]) -> IngestStats:
-        """Append a batch of events to both backends without a rebuild.
+        """Append a batch of events without a rebuild.
 
         The same fused reduction/interning/row-building pass as the batched
         loader runs on the delta only: new entities get the next free ids
-        (relational row id == graph node id stays invariant), event rows are
-        appended with multi-row inserts under incremental index maintenance,
-        and the graph grows via the bulk node/edge appends.  Merge runs that
+        and event rows are appended with multi-row inserts under
+        incremental index maintenance; the derived graph catches up from
+        the new rows when it is next read.  Merge runs that
         are still open when the batch ends stay buffered so a run spanning
         two appends merges exactly as a one-shot load would; they are stored
         when a later event closes them or when :meth:`flush_appends` seals
@@ -827,12 +815,6 @@ class DualStore:
         if self._stream is None:
             entity_ids, next_entity_id, next_event_id = \
                 self.relational.id_state()
-            graph_next = self.graph.graph.next_node_id
-            if graph_next != next_entity_id:
-                raise StorageError(
-                    f"backend id spaces diverged: relational expects next "
-                    f"entity id {next_entity_id}, graph expects "
-                    f"{graph_next}; cannot append")
             self._stream = _BuildBatches(
                 self.merge_threshold, entity_ids=entity_ids,
                 next_entity_id=next_entity_id, next_event_id=next_event_id)
@@ -840,7 +822,7 @@ class DualStore:
 
     def _store_stream_delta(self, stream: _BuildBatches, input_count: int,
                             seconds: dict[str, float]) -> IngestStats:
-        entity_rows, event_columns, nodes, edges, reduced = stream.drain()
+        entity_rows, event_columns, reduced = stream.drain()
         stored_events = len(event_columns)
 
         relational_start = time.perf_counter()
@@ -853,11 +835,6 @@ class DualStore:
             next_entity_id=stream.next_entity_id)
         relational_seconds = time.perf_counter() - relational_start
 
-        graph_start = time.perf_counter()
-        if nodes or edges:
-            self.graph.append_prepared(nodes, edges)
-        graph_seconds = time.perf_counter() - graph_start
-
         self._track_active_rows(event_columns)
         if self.retain_events:
             self._events.extend(reduced)
@@ -867,7 +844,6 @@ class DualStore:
             self.last_reduction = stream.reduction_stats
         seconds = dict(seconds)
         seconds["relational"] = relational_seconds
-        seconds["graph"] = graph_seconds
         stats = IngestStats(
             stored_events, input_events=input_count,
             entities=len(entity_rows), relational_batches=statements,
@@ -880,15 +856,14 @@ class DualStore:
     # ------------------------------------------------------------------
     @gc_paused()
     def _load_batched(self, events: Iterable[SystemEvent]) -> IngestStats:
-        """Sort, run the fused build pass, then bulk-load both backends.
+        """Sort, run the fused build pass, then bulk-load the relational
+        backend.
 
         The fused pass (see :class:`_BuildBatches`) produces the relational
-        row batches and graph node/edge batches in one scan; the relational
-        side then loads with multi-row inserts under a deferred index
-        rebuild and the graph side with ``add_nodes_bulk`` /
-        ``add_edges_bulk``.  Stage timings: ``reduce`` is the input ordering
-        (sort), ``build`` the fused pass, then ``relational`` and ``graph``
-        the bulk inserts.
+        row batches in one scan; they load with multi-row inserts under a
+        deferred index rebuild.  Stage timings: ``reduce`` is the input
+        ordering (sort), ``build`` the fused pass, ``relational`` the bulk
+        inserts.
         """
         reduce_start = time.perf_counter()
         event_list = list(events)
@@ -916,10 +891,6 @@ class DualStore:
             next_entity_id=batches.next_entity_id)
         relational_seconds = time.perf_counter() - relational_start
 
-        graph_start = time.perf_counter()
-        self.graph.load_prepared(batches.nodes, batches.edges)
-        graph_seconds = time.perf_counter() - graph_start
-
         self._track_active_rows(batches.event_columns)
         self._events = batches.reduced if self.retain_events else []
         return IngestStats(
@@ -927,15 +898,15 @@ class DualStore:
             entities=len(batches.entity_rows),
             relational_batches=statements,
             seconds={"reduce": reduce_seconds, "build": build_seconds,
-                     "relational": relational_seconds,
-                     "graph": graph_seconds},
+                     "relational": relational_seconds},
             strategy="batched")
 
     def events(self) -> list[SystemEvent]:
         """Return the (reduced) events currently stored.
 
         Empty when the store was built with ``retain_events=False`` or
-        opened from a snapshot (the query backends still hold the data).
+        opened from a snapshot (the relational store still holds the
+        data).
         """
         return list(self._events)
 
@@ -944,17 +915,16 @@ class DualStore:
         return self.relational.execute(sql, params)
 
     def execute_cypher(self, cypher: str) -> list[dict]:
-        """Run mini-Cypher against the graph backend."""
+        """Run mini-Cypher against the derived property graph."""
         return self.graph.execute(cypher)
 
     def entity_by_ids(self, entity_ids) -> dict[int, dict]:
         """Batch-fetch entity rows by id from the relational backend.
 
-        Both backends are loaded from the same (reduced) event stream and
-        register entities in identical order, so relational entity ids and
-        graph node ids refer to the same entities; callers may use either id
-        source.  Callers that also need the issued-statement count use
-        :meth:`RelationalStore.entity_by_ids` directly.
+        The graph is derived from these rows with node id == entity id, so
+        callers may use either id source.  Callers that also need the
+        issued-statement count use :meth:`RelationalStore.entity_by_ids`
+        directly.
         """
         rows_by_id, _statements = self.relational.entity_by_ids(entity_ids)
         return rows_by_id
@@ -968,15 +938,16 @@ class DualStore:
         return self.relational.read_only
 
     def save(self, path: str | Path) -> dict:
-        """Persist both backends into a snapshot directory; returns the
+        """Persist the store into a snapshot directory; returns the
         manifest.
 
         The directory holds the relational database
         (:data:`SNAPSHOT_RELATIONAL`, SQLite in WAL mode via the backup
-        API), the property graph (:data:`SNAPSHOT_GRAPH`, the versioned
-        binary format of :meth:`PropertyGraph.save`), and a JSON manifest
-        recording the format version and the entity/event counts
-        :meth:`open` verifies on restore.
+        API) and a JSON manifest recording the format version and the
+        entity/event counts :meth:`open` verifies on restore.  The graph
+        is not saved: it is derived from the relational rows when read,
+        and a ``graph.bin`` an older snapshot left in the directory is
+        deleted.
 
         On a writable store the append stream is sealed first
         (:meth:`flush_appends`), so events buffered in open merge runs are
@@ -991,7 +962,7 @@ class DualStore:
         directory = Path(path)
         directory.mkdir(parents=True, exist_ok=True)
         self.relational.save_to(directory / SNAPSHOT_RELATIONAL)
-        self.graph.graph.save(directory / SNAPSHOT_GRAPH)
+        (directory / _LEGACY_GRAPH).unlink(missing_ok=True)
         manifest = {
             "format_version": SNAPSHOT_FORMAT_VERSION,
             "created_at": time.time(),
@@ -1001,8 +972,6 @@ class DualStore:
             "data_version": self.data_version,
             "relational_entities": self.relational.count_entities(),
             "relational_events": self.relational.count_events(),
-            "graph_nodes": self.graph.num_nodes(),
-            "graph_edges": self.graph.num_edges(),
         }
         if self._segmented:
             manifest["segments"] = self._save_segments(directory)
@@ -1054,15 +1023,15 @@ class DualStore:
         In both modes the relational counts are checked against the
         manifest and ``data_version`` resumes from the value recorded at
         save time (1 for snapshots written before the field existed).
-        Of ``graph.bin`` only the container header is read here; the
-        graph is parsed and counted against the manifest on its first
-        use (:meth:`GraphStore.defer_load`).  Note :meth:`events` is
-        empty because raw events are not part of the snapshot.
+        No graph is read: it is derived from the relational rows on its
+        first use, and the ``graph.bin`` of a v1–v4 snapshot is ignored.
+        Note :meth:`events` is empty because raw events are not part of
+        the snapshot.
 
         Raises:
             StorageError: when the directory is not a snapshot, was written
-                by a newer format version, or its contents or graph header
-                do not match the manifest.
+                by a newer format version, or its contents do not match the
+                manifest.
         """
         directory = Path(path)
         with start_span("manifest"):
@@ -1082,14 +1051,6 @@ class DualStore:
                     f"unsupported snapshot format version {version!r} "
                     f"(this build reads <= {SNAPSHOT_FORMAT_VERSION})")
 
-        def check_counts(**actual: int) -> None:
-            for recorded, count in actual.items():
-                expected = manifest.get(recorded)
-                if expected is not None and expected != count:
-                    raise StorageError(
-                        f"snapshot {directory} is corrupt: {recorded} is "
-                        f"{count}, manifest says {expected}")
-
         store = cls.__new__(cls)
         with start_span("relational"):
             if read_only:
@@ -1099,14 +1060,17 @@ class DualStore:
                 store.relational = RelationalStore.from_snapshot(
                     directory / SNAPSHOT_RELATIONAL, relational_path)
         try:
-            check_counts(
-                relational_entities=store.relational.count_entities(),
-                relational_events=store.relational.count_events())
-            store.graph = GraphStore()
-            store.graph.defer_load(
-                directory / SNAPSHOT_GRAPH,
-                lambda graph: check_counts(graph_nodes=graph.num_nodes(),
-                                           graph_edges=graph.num_edges()))
+            for recorded, count in (
+                    ("relational_entities",
+                     store.relational.count_entities()),
+                    ("relational_events", store.relational.count_events())):
+                expected = manifest.get(recorded)
+                if expected is not None and expected != count:
+                    raise StorageError(
+                        f"snapshot {directory} is corrupt: {recorded} is "
+                        f"{count}, manifest says {expected}")
+            store.graph = GraphStore(store.relational,
+                                     lambda: store.data_version)
             store.reduce = bool(manifest.get("reduce", True))
             store.merge_threshold = float(
                 manifest.get("merge_threshold", DEFAULT_MERGE_THRESHOLD))
@@ -1200,12 +1164,10 @@ class DualStore:
         return placed
 
     def statistics(self) -> dict:
-        """Return entity/event counts per backend plus reduction stats."""
+        """Return the stored entity/event counts plus reduction stats."""
         stats = {
             "relational_entities": self.relational.count_entities(),
             "relational_events": self.relational.count_events(),
-            "graph_nodes": self.graph.num_nodes(),
-            "graph_edges": self.graph.num_edges(),
         }
         if self._segmented:
             stats["sealed_segments"] = len(self._segments)
@@ -1229,5 +1191,5 @@ class DualStore:
 
 __all__ = ["DualStore", "IngestStats", "STORE_LAYOUTS",
            "DEFAULT_COMPACT_MIN_EVENTS", "SNAPSHOT_FORMAT_VERSION",
-           "SNAPSHOT_MANIFEST", "SNAPSHOT_RELATIONAL", "SNAPSHOT_GRAPH",
+           "SNAPSHOT_MANIFEST", "SNAPSHOT_RELATIONAL",
            "SNAPSHOT_SEGMENTS_DIR"]

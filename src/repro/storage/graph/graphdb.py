@@ -9,11 +9,7 @@ source/destination IP, operation type).
 
 from __future__ import annotations
 
-import json
-import os
-import struct
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Any, Iterable, Iterator
 
 from ...audit.entities import SystemEvent
@@ -27,36 +23,6 @@ INDEXED_NODE_PROPERTIES = ("type", "name", "path", "exename", "dstip",
                            "srcip")
 #: Edge properties indexed for equality lookups.
 INDEXED_EDGE_PROPERTIES = ("operation",)
-
-#: Magic prefix identifying a property-graph snapshot file.
-GRAPH_SNAPSHOT_MAGIC = b"RPGRAPH\x00"
-#: Highest snapshot format version this build reads and writes.  Bump when
-#: the container layout or payload schema changes;
-#: :meth:`PropertyGraph.load` rejects snapshots newer than what it
-#: understands instead of misreading them.
-GRAPH_SNAPSHOT_VERSION = 1
-
-_U16 = struct.Struct("<H")
-_U64 = struct.Struct("<Q")
-#: Magic, version and payload length: what precedes the payload.
-_HEADER_SIZE = len(GRAPH_SNAPSHOT_MAGIC) + _U16.size + _U64.size
-
-#: Scalar types a snapshotted property value may have.  The payload encoder
-#: is type-preserving exactly for this closed set (``bool`` included via
-#: ``int``); anything else — tuples, objects, nested containers — is
-#: rejected at save time rather than silently altered on round trip.
-_SCALAR_TYPES = (str, int, float, type(None))
-
-
-def _validate_properties(properties: dict, owner: str) -> None:
-    for key, value in properties.items():
-        if not isinstance(key, str):
-            raise StorageError(
-                f"unsnapshotable property key {key!r} on {owner}")
-        if not isinstance(value, _SCALAR_TYPES):
-            raise StorageError(
-                f"unsnapshotable property value type "
-                f"{type(value).__name__!r} for {key!r} on {owner}")
 
 
 @dataclass(slots=True)
@@ -320,169 +286,6 @@ class PropertyGraph:
         return [edge for edge in self._edges.values()
                 if edge.properties.get(key) == value]
 
-    # ------------------------------------------------------------------
-    # binary snapshots
-    # ------------------------------------------------------------------
-    def save(self, path: str | Path) -> int:
-        """Write a versioned binary snapshot of the graph; returns the size.
-
-        Container layout: the :data:`GRAPH_SNAPSHOT_MAGIC` prefix, a
-        little-endian ``u16`` format version, a ``u64`` payload length, then
-        the payload — a UTF-8 JSON document holding the id counters plus
-        every node ``[id, label, properties]`` and edge
-        ``[id, source, target, label, properties]``.  JSON keeps the hot
-        restore path in C (parsing tens of MB of per-value Python decoding
-        was slower than re-ingesting) and is type-preserving for the scalar
-        property values the stores use; save rejects anything outside that
-        set.  The label/property indexes are *not* stored — :meth:`load`
-        rebuilds them, so the on-disk layout stays decoupled from the
-        in-memory indexing strategy.  The file is written to a temporary
-        sibling and atomically renamed into place, so a crashed save never
-        leaves a torn snapshot.
-        """
-        nodes = []
-        for node in self._nodes.values():
-            _validate_properties(node.properties, f"node {node.node_id}")
-            nodes.append((node.node_id, node.label, node.properties))
-        edges = []
-        for edge in self._edges.values():
-            _validate_properties(edge.properties, f"edge {edge.edge_id}")
-            edges.append((edge.edge_id, edge.source, edge.target,
-                          edge.label, edge.properties))
-        payload = json.dumps({
-            "next_node_id": self._next_node_id,
-            "next_edge_id": self._next_edge_id,
-            "nodes": nodes,
-            "edges": edges,
-        }, ensure_ascii=False, separators=(",", ":")).encode("utf-8")
-        out = bytearray()
-        out += GRAPH_SNAPSHOT_MAGIC
-        out += _U16.pack(GRAPH_SNAPSHOT_VERSION)
-        out += _U64.pack(len(payload))
-        out += payload
-        target = Path(path)
-        temporary = target.with_name(target.name + ".tmp")
-        temporary.write_bytes(out)
-        os.replace(temporary, target)
-        return len(out)
-
-    @staticmethod
-    def check_snapshot(path: str | Path) -> int:
-        """Validate a snapshot's container header against the file size
-        without reading the payload; returns the payload size.
-
-        Raises the :class:`StorageError` :meth:`load` would for a
-        missing, foreign, newer-version or truncated file.
-        """
-        try:
-            with open(path, "rb") as handle:
-                header = handle.read(_HEADER_SIZE)
-                found = os.fstat(handle.fileno()).st_size - _HEADER_SIZE
-        except OSError as exc:
-            raise StorageError(
-                f"cannot read graph snapshot {path}: {exc}") from exc
-        magic_size = len(GRAPH_SNAPSHOT_MAGIC)
-        if header[:magic_size] != GRAPH_SNAPSHOT_MAGIC:
-            raise StorageError(f"not a property-graph snapshot: {path}")
-        if len(header) < _HEADER_SIZE:
-            raise StorageError(f"truncated graph snapshot: {path}")
-        (version,) = _U16.unpack_from(header, magic_size)
-        if version < 1 or version > GRAPH_SNAPSHOT_VERSION:
-            raise StorageError(
-                f"unsupported graph snapshot version {version} "
-                f"(this build reads <= {GRAPH_SNAPSHOT_VERSION})")
-        (payload_size,) = _U64.unpack_from(header, magic_size + _U16.size)
-        if found < payload_size:
-            raise StorageError(
-                f"truncated graph snapshot: expected {payload_size} payload "
-                f"bytes, found {found}")
-        return payload_size
-
-    @classmethod
-    def load(cls, path: str | Path) -> "PropertyGraph":
-        """Rebuild a graph from a binary snapshot written by :meth:`save`.
-
-        Raises:
-            StorageError: when the file is missing or unreadable, is not a
-                graph snapshot, was written by a newer format version, or
-                is truncated/corrupt.
-        """
-        payload_size = cls.check_snapshot(path)
-        try:
-            with open(path, "rb") as handle:
-                handle.seek(_HEADER_SIZE)
-                document = json.loads(handle.read(payload_size))
-            node_rows = document.pop("nodes")
-            edge_rows = document.pop("edges")
-            next_node_id = int(document["next_node_id"])
-            next_edge_id = int(document["next_edge_id"])
-            # Popped in order as built, so no parsed row outlives its use.
-            node_rows.reverse()
-            edge_rows.reverse()
-        except OSError as exc:
-            raise StorageError(
-                f"cannot read graph snapshot {path}: {exc}") from exc
-        except (ValueError, KeyError, TypeError, AttributeError,
-                UnicodeDecodeError) as exc:
-            raise StorageError(
-                f"corrupt graph snapshot payload: {exc}") from exc
-        graph = cls()
-        node_map = graph._nodes
-        outgoing = graph._outgoing
-        incoming = graph._incoming
-        label_index = graph._node_label_index
-        node_property_index = graph._node_property_index
-        indexed_node_keys = INDEXED_NODE_PROPERTIES
-        while node_rows:
-            node_id, label, properties = node_rows.pop()
-            if node_id in node_map:
-                raise StorageError(
-                    f"corrupt graph snapshot: duplicate node id {node_id}")
-            node_map[node_id] = GraphNode(node_id, label, properties)
-            outgoing[node_id] = []
-            incoming[node_id] = []
-            bucket = label_index.get(label)
-            if bucket is None:
-                bucket = label_index[label] = set()
-            bucket.add(node_id)
-            for key in indexed_node_keys:
-                if key in properties:
-                    entry = (key, properties[key])
-                    values = node_property_index.get(entry)
-                    if values is None:
-                        values = node_property_index[entry] = set()
-                    values.add(node_id)
-        edge_map = graph._edges
-        edge_property_index = graph._edge_property_index
-        indexed_edge_keys = INDEXED_EDGE_PROPERTIES
-        while edge_rows:
-            edge_id, source, target, label, properties = edge_rows.pop()
-            if edge_id in edge_map:
-                raise StorageError(
-                    f"corrupt graph snapshot: duplicate edge id {edge_id}")
-            source_out = outgoing.get(source)
-            target_in = incoming.get(target)
-            if source_out is None or target_in is None:
-                raise StorageError(
-                    f"corrupt graph snapshot: edge {edge_id} references "
-                    f"unknown endpoints {source} -> {target}")
-            edge_map[edge_id] = GraphEdge(edge_id, source, target, label,
-                                          properties)
-            source_out.append(edge_id)
-            target_in.append(edge_id)
-            for key in indexed_edge_keys:
-                if key in properties:
-                    entry = (key, properties[key])
-                    values = edge_property_index.get(entry)
-                    if values is None:
-                        values = edge_property_index[entry] = set()
-                    values.add(edge_id)
-        graph._next_node_id = max(next_node_id,
-                                  max(node_map, default=0) + 1)
-        graph._next_edge_id = max(next_edge_id,
-                                  max(edge_map, default=0) + 1)
-        return graph
-
 
 def graph_from_events(events: Iterable[SystemEvent]) -> PropertyGraph:
     """Build the provenance property graph from a system event stream.
@@ -521,6 +324,4 @@ __all__ = [
     "graph_from_events",
     "INDEXED_NODE_PROPERTIES",
     "INDEXED_EDGE_PROPERTIES",
-    "GRAPH_SNAPSHOT_MAGIC",
-    "GRAPH_SNAPSHOT_VERSION",
 ]

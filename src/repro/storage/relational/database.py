@@ -50,6 +50,25 @@ def entity_row(entity_id: int, entity: SystemEntity) -> tuple:
     raise StorageError(f"unsupported entity class: {type(entity)!r}")
 
 
+def entity_attributes(row: Sequence[Any]) -> tuple[str, dict]:
+    """The inverse of :func:`entity_row`: ``(type, attributes)`` of an
+    entities row in :data:`ENTITY_COLUMNS` order, the attributes keyed
+    and ordered as the entity's ``attributes()`` builds them."""
+    (_id, kind, name, path, exename, pid, user, grp, cmdline, srcip,
+     srcport, dstip, dstport, protocol) = row
+    if kind == "file":
+        return kind, {"type": kind, "name": name, "path": path,
+                      "user": user, "group": grp}
+    if kind == "proc":
+        return kind, {"type": kind, "exename": exename, "pid": pid,
+                      "user": user, "group": grp, "cmdline": cmdline}
+    if kind == "ip":
+        return kind, {"type": kind, "srcip": srcip, "srcport": srcport,
+                      "dstip": dstip, "dstport": dstport,
+                      "protocol": protocol}
+    raise StorageError(f"unknown entity type in store: {kind!r}")
+
+
 class RelationalStore:
     """Relational storage backend for system audit logging data.
 

@@ -378,7 +378,7 @@ class ProvenanceIndex:
 
     @classmethod
     def from_graph(cls, graph) -> "ProvenanceIndex":
-        """Build the index straight from the loaded property graph.
+        """Build the index straight from the property graph.
 
         Skips the relational round trip (the joined ``all_events()`` query
         plus one dictionary per row) the row-based construction pays; the
@@ -729,23 +729,23 @@ class GraphAligner:
                          node_names=names)
 
 
-#: ``store -> ((data_version, graph edges, relational events), index)``;
-#: weak, so it never keeps a dropped store alive.  Indexes are read-only.
+#: ``store -> (data_version, index)``; weak, so it never keeps a dropped
+#: store alive.  Indexes are read-only.
 _INDEX_MEMO: "weakref.WeakKeyDictionary[DualStore, tuple]" = \
     weakref.WeakKeyDictionary()
 _INDEX_MEMO_LOCK = threading.Lock()
 
 
-def _memoised_index(store: DualStore, graph, key: tuple
+def _memoised_index(store: DualStore, graph, version: int
                     ) -> tuple[ProvenanceIndex, bool]:
-    """``(index, reused)`` for ``key``; a miss builds under the lock, so
-    concurrent cold searches on one store build once."""
+    """``(index, reused)`` for ``version``; a miss builds under the lock,
+    so concurrent cold searches on one store build once."""
     with _INDEX_MEMO_LOCK:
         memo = _INDEX_MEMO.get(store)
-        if memo is not None and memo[0] == key:
+        if memo is not None and memo[0] == version:
             return memo[1], True
         index = ProvenanceIndex.from_graph(graph).build_name_index()
-        _INDEX_MEMO[store] = (key, index)
+        _INDEX_MEMO[store] = (version, index)
         return index, False
 
 
@@ -769,28 +769,16 @@ class FuzzySearcher:
         """Run the fuzzy search for a TBQL query."""
         resolved = query if isinstance(query, ResolvedQuery) else \
             resolve_query(parse_tbql(query))
-        # The provenance index builds straight from the in-memory property
-        # graph, once per store version.  When the backends have drifted
-        # apart (e.g. an incremental relational-only load, which bumps no
-        # version), fall back to the relational rows so the search always
-        # sees every stored event; that index is private to this search.
+        # The provenance index builds straight from the property graph
+        # (derived from the relational store on first read), once per
+        # store version.
         store = self.store
         load_start = time.perf_counter()
+        version = store.data_version
         graph = store.graph.graph
-        num_edges = graph.num_edges()
-        num_events = store.relational.count_events()
-        rows = None if num_edges == num_events else \
-            store.relational.all_events()
         loading = time.perf_counter() - load_start
         prep_start = time.perf_counter()
-        if rows is None:
-            index, reused = _memoised_index(
-                store, graph, (store.data_version, num_edges, num_events))
-        else:
-            index, reused = ProvenanceIndex(), False
-            for row in rows:
-                index.add_event(row)
-            index.build_name_index()
+        index, reused = _memoised_index(store, graph, version)
         preprocessing = time.perf_counter() - prep_start
 
         search_start = time.perf_counter()

@@ -888,7 +888,7 @@ def test_in_place_compact_drops_files_segments_no_longer_own(
                  "--min-events", min_events]) == 0
     capsys.readouterr()
     manifest = json.loads((snap / "manifest.json").read_text("utf-8"))
-    assert manifest["format_version"] == SNAPSHOT_FORMAT_VERSION == 4
+    assert manifest["format_version"] == SNAPSHOT_FORMAT_VERSION == 5
     names = sorted(os.listdir(snap / "segments"))
     assert names == [entry["name"] for entry in manifest["segments"]]
     assert len(names) == (3 if min_events == "1" else 1)

@@ -1,11 +1,10 @@
 """The fuzzy search's provenance index is built once per store version.
 
 ``FuzzySearcher.search`` memoises the index beside the store, keyed by
-``(data_version, graph edges, relational events)``.  A repeated search
-on an unchanged store reuses it — same alignments, scores and candidate
-counts as a cold search and as the brute-force reference — while every
-change to the stored data (an append, a reload, relational-only rows)
-makes the next search see the new data.
+its ``data_version``.  A repeated search on an unchanged store reuses it
+— same alignments, scores and candidate counts as a cold search and as
+the brute-force reference — while every change to the stored data (an
+append, a reload) makes the next search see the new data.
 """
 
 from __future__ import annotations
@@ -104,16 +103,6 @@ def test_reload_rebuilds_even_with_equal_counts():
         assert after.best.node_names["p"] == "/usr/bin/exfiltool"
         assert _key(after) == \
             _key(BruteForceFuzzySearcher(reloaded).search(LATE_QUERY))
-
-
-def test_relational_only_rows_take_the_row_path(store):
-    assert FuzzySearcher(store).search(LATE_QUERY).best is None
-    store.relational.load_events(_late_events(0.0))   # no version bump
-    after = FuzzySearcher(store).search(LATE_QUERY)
-    assert not after.index_reused
-    assert after.best.node_names["p"] == "/usr/bin/exfiltool"
-    assert _key(after) == \
-        _key(BruteForceFuzzySearcher(store).search(LATE_QUERY))
 
 
 def test_concurrent_searches_share_one_build(store):

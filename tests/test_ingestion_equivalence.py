@@ -108,10 +108,9 @@ class TestIngestStats:
             assert stats.strategy == "batched"
             assert stats.input_events == len(noise_events)
             assert stats.events <= stats.input_events
-            assert stats.entities == store.statistics()["graph_nodes"]
+            assert stats.entities == store.graph.num_nodes()
             assert stats.relational_batches >= 1
-            assert set(stats.seconds) == {"reduce", "build", "relational",
-                                          "graph"}
+            assert set(stats.seconds) == {"reduce", "build", "relational"}
             assert stats.total_seconds == pytest.approx(
                 sum(stats.seconds.values()))
             as_dict = stats.as_dict()

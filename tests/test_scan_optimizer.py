@@ -456,9 +456,9 @@ class TestBackwardCompatibility:
             payload.unlink()
         manifest_path = snapshot / "manifest.json"
         manifest = manifest_path.read_text(encoding="utf-8")
-        assert '"format_version": 4' in manifest
+        assert '"format_version": 5' in manifest
         manifest_path.write_text(
-            manifest.replace('"format_version": 4',
+            manifest.replace('"format_version": 5',
                              '"format_version": 2'), encoding="utf-8")
         before = snapshot_files(snapshot)
         self._assert_identical_without_stats(snapshot,

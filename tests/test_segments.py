@@ -132,7 +132,7 @@ class TestSealing:
     def test_flush_reports_seal_stages(self):
         """A flush that seals times the seal's steps next to its own;
         appends and unsealed flushes report theirs unchanged."""
-        own = {"reduce", "build", "relational", "graph"}
+        own = {"reduce", "build", "relational"}
         seal = {"seal_columnar", "seal_stats"}
         events = _events(sessions=4, seed=5)
         with DualStore(layout="segmented") as store:

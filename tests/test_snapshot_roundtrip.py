@@ -3,9 +3,7 @@
 The persistence contract of the serving subsystem: a store reopened from a
 snapshot directory must answer the full TBQL equivalence corpus with results
 identical to the freshly ingested store it was saved from, expose the same
-statistics, and refuse mutation (read-only reader connections).  The binary
-graph snapshot format is exercised directly for versioning and corruption
-handling.
+statistics, and refuse mutation (read-only reader connections).
 """
 
 from __future__ import annotations
@@ -18,11 +16,7 @@ import pytest
 
 from repro.errors import StorageError
 from repro.storage import DualStore
-from repro.storage.dualstore import (SNAPSHOT_FORMAT_VERSION, SNAPSHOT_GRAPH,
-                                     SNAPSHOT_MANIFEST)
-from repro.storage.graph.graphdb import (GRAPH_SNAPSHOT_MAGIC,
-                                         GRAPH_SNAPSHOT_VERSION,
-                                         PropertyGraph)
+from repro.storage.dualstore import SNAPSHOT_FORMAT_VERSION, SNAPSHOT_MANIFEST
 from repro.storage.relational import RelationalStore
 from repro.tbql.executor import TBQLExecutor
 
@@ -60,9 +54,12 @@ class TestRoundTrip:
                                        reopened_store):
         fresh = data_leak_store.statistics()
         warm = reopened_store.statistics()
-        for key in ("relational_entities", "relational_events",
-                    "graph_nodes", "graph_edges"):
+        for key in ("relational_entities", "relational_events"):
             assert warm[key] == fresh[key]
+        assert reopened_store.graph.num_nodes() == \
+            data_leak_store.graph.num_nodes()
+        assert reopened_store.graph.num_edges() == \
+            data_leak_store.graph.num_edges()
 
     def test_manifest_contents(self, snapshot_dir, reopened_store):
         manifest = json.loads(
@@ -70,7 +67,7 @@ class TestRoundTrip:
         assert manifest["format_version"] == SNAPSHOT_FORMAT_VERSION
         assert manifest["relational_events"] == \
             reopened_store.relational.count_events()
-        assert manifest["graph_nodes"] == reopened_store.graph.num_nodes()
+        assert "graph_nodes" not in manifest
 
     def test_concurrent_reads_match_serial(self, reopened_store):
         executor = TBQLExecutor(reopened_store)
@@ -129,141 +126,15 @@ class TestSnapshotValidation:
         with pytest.raises(StorageError, match="unsupported snapshot"):
             DualStore.open(copy)
 
-    def test_open_rejects_count_mismatch(self, snapshot_dir, tmp_path,
-                                         data_leak_store):
-        """A relational count that disagrees fails the open; a graph
-        count is checked when the graph loads, on first use — the open
-        and every relational answer succeed, each graph use raises."""
-        for key in ("relational_events", "graph_edges"):
-            copy = tmp_path / f"tampered-{key}"
-            shutil.copytree(snapshot_dir, copy)
-            manifest_path = copy / SNAPSHOT_MANIFEST
-            manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-            manifest[key] += 1
-            manifest_path.write_text(json.dumps(manifest), encoding="utf-8")
-            if key == "relational_events":
-                with pytest.raises(StorageError, match="corrupt"):
-                    DualStore.open(copy)
-                continue
-            with DualStore.open(copy) as store:
-                text = EQUIVALENCE_CORPUS[0]
-                assert TBQLExecutor(store).execute(text).rows == \
-                    TBQLExecutor(data_leak_store).execute(text).rows
-                for _attempt in range(2):
-                    with pytest.raises(StorageError,
-                                       match="corrupt: graph_edges"):
-                        store.graph.graph
-                with pytest.raises(StorageError, match="corrupt"):
-                    store.statistics()
-
-    def test_open_missing_graph_file_maps_to_storage_error(self,
-                                                           snapshot_dir,
-                                                           tmp_path):
-        copy = tmp_path / "no_graph"
+    def test_open_rejects_count_mismatch(self, snapshot_dir, tmp_path):
+        copy = tmp_path / "tampered"
         shutil.copytree(snapshot_dir, copy)
-        (copy / SNAPSHOT_GRAPH).unlink()
-        with pytest.raises(StorageError, match="cannot read"):
+        manifest_path = copy / SNAPSHOT_MANIFEST
+        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+        manifest["relational_events"] += 1
+        manifest_path.write_text(json.dumps(manifest), encoding="utf-8")
+        with pytest.raises(StorageError, match="corrupt"):
             DualStore.open(copy)
-
-    @pytest.mark.parametrize("damage,message", [
-        (lambda data: b"NOTAGRAPH" + data[9:], "not a property-graph"),
-        (lambda data: data[:8] + (GRAPH_SNAPSHOT_VERSION + 1).to_bytes(
-            2, "little") + data[10:], "unsupported graph snapshot"),
-        (lambda data: data[:-7], "truncated"),
-        (lambda data: data[:12], "truncated"),
-    ], ids=["magic", "version", "payload", "header"])
-    def test_open_checks_the_graph_header(self, snapshot_dir, tmp_path,
-                                          damage, message):
-        """The graph payload loads lazily, but a damaged container header
-        still fails the open itself."""
-        copy = tmp_path / "damaged"
-        shutil.copytree(snapshot_dir, copy)
-        graph_path = copy / SNAPSHOT_GRAPH
-        graph_path.write_bytes(damage(graph_path.read_bytes()))
-        with pytest.raises(StorageError, match=message):
-            DualStore.open(copy)
-
-    def test_graph_load_rejects_bad_magic(self, tmp_path):
-        bogus = tmp_path / "bogus.bin"
-        bogus.write_bytes(b"NOTAGRAPH" + b"\x00" * 32)
-        with pytest.raises(StorageError, match="not a property-graph"):
-            PropertyGraph.load(bogus)
-
-    def test_graph_load_rejects_newer_version(self, tmp_path):
-        graph = PropertyGraph()
-        graph.add_node("proc", {"exename": "/bin/sh"})
-        path = tmp_path / "graph.bin"
-        graph.save(path)
-        data = bytearray(path.read_bytes())
-        offset = len(GRAPH_SNAPSHOT_MAGIC)
-        data[offset:offset + 2] = (GRAPH_SNAPSHOT_VERSION + 1).to_bytes(
-            2, "little")
-        path.write_bytes(data)
-        with pytest.raises(StorageError, match="unsupported graph snapshot"):
-            PropertyGraph.load(path)
-
-    def test_graph_load_rejects_truncation(self, tmp_path):
-        graph = PropertyGraph()
-        graph.add_node("proc", {"exename": "/bin/sh"})
-        graph.add_node("file", {"path": "/etc/passwd"})
-        graph.add_edge(1, 2, "EVENT", {"operation": "read"})
-        path = tmp_path / "graph.bin"
-        graph.save(path)
-        path.write_bytes(path.read_bytes()[:-7])
-        with pytest.raises(StorageError, match="truncated"):
-            PropertyGraph.load(path)
-
-
-class TestGraphSnapshotFormat:
-    def test_value_types_round_trip(self, tmp_path):
-        graph = PropertyGraph()
-        properties = {
-            "none": None, "true": True, "false": False,
-            "int": -42, "big": 2 ** 80, "float": 3.25,
-            "str": "päth/✓", "zero": 0.0,
-        }
-        node_a = graph.add_node("proc", dict(properties,
-                                             exename="/bin/tar"))
-        node_b = graph.add_node("file", {"path": "/etc/passwd"})
-        graph.add_edge(node_a, node_b, "EVENT",
-                       {"operation": "read", "start_time": 12.5})
-        path = tmp_path / "graph.bin"
-        graph.save(path)
-        loaded = PropertyGraph.load(path)
-        assert loaded.num_nodes() == 2
-        assert loaded.num_edges() == 1
-        restored = loaded.node(node_a).properties
-        for key, value in properties.items():
-            assert restored[key] == value
-            assert type(restored[key]) is type(value)
-
-    def test_indexes_rebuilt_on_load(self, tmp_path):
-        graph = PropertyGraph()
-        node_a = graph.add_node("proc", {"exename": "/bin/tar"})
-        node_b = graph.add_node("file", {"path": "/etc/passwd"})
-        graph.add_edge(node_a, node_b, "EVENT", {"operation": "read"})
-        path = tmp_path / "graph.bin"
-        graph.save(path)
-        loaded = PropertyGraph.load(path)
-        assert [node.node_id for node in
-                loaded.nodes_with_property("exename", "/bin/tar")] == [node_a]
-        assert [edge.edge_id for edge in
-                loaded.edges_with_property("operation", "read")] == [1]
-        assert {node.node_id for node in loaded.nodes("file")} == {node_b}
-
-    def test_id_counters_continue_after_load(self, tmp_path):
-        graph = PropertyGraph()
-        graph.add_node("proc", {"exename": "/bin/tar"})
-        path = tmp_path / "graph.bin"
-        graph.save(path)
-        loaded = PropertyGraph.load(path)
-        assert loaded.add_node("file", {"path": "/tmp/x"}) == 2
-
-    def test_unsnapshotable_value_rejected(self, tmp_path):
-        graph = PropertyGraph()
-        graph.add_node("proc", {"bad": object()})
-        with pytest.raises(StorageError, match="unsnapshotable"):
-            graph.save(tmp_path / "graph.bin")
 
 
 class TestLifecycle:
@@ -295,9 +166,10 @@ class TestLifecycle:
             assert reopened.relational.count_events() == \
                 first["relational_events"]
 
-    def test_graph_snapshot_is_a_single_binary_file(self, snapshot_dir):
-        payload = (snapshot_dir / SNAPSHOT_GRAPH).read_bytes()
-        assert payload.startswith(GRAPH_SNAPSHOT_MAGIC)
+    def test_snapshot_holds_no_graph_file(self, snapshot_dir):
+        assert sorted(path.name for path in snapshot_dir.iterdir()
+                      if path.is_file() and "sqlite-" not in path.name) == \
+            [SNAPSHOT_MANIFEST, "relational.sqlite"]
 
     def test_cli_snapshot_command(self, tmp_path, capsys):
         from repro.audit.collector import AuditCollector, CollectorConfig

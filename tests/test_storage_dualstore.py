@@ -24,8 +24,8 @@ class TestDualStore:
             stored = store.load_events(small_events)
             stats = store.statistics()
             assert stats["relational_events"] == stored
-            assert stats["graph_edges"] == stored
-            assert stats["relational_entities"] == stats["graph_nodes"]
+            assert store.graph.num_edges() == stored
+            assert stats["relational_entities"] == store.graph.num_nodes()
 
     def test_reduction_applied_by_default(self, small_events):
         with DualStore() as store:

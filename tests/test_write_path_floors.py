@@ -63,19 +63,23 @@ def _table(store: DualStore, name: str) -> list[tuple]:
             store.execute_sql(f"SELECT * FROM {name} ORDER BY id")]
 
 
-def _graph_bytes(store: DualStore, path: Path) -> bytes:
-    store.graph.graph.save(path)
-    return path.read_bytes()
+def _graph_tuples(store: DualStore) -> tuple[list, list]:
+    """Every node and edge with its id, label and properties; ``repr``
+    keeps key order and value types (``1`` is not ``1.0``)."""
+    graph = store.graph.graph
+    return ([(node.node_id, node.label, repr(list(node.properties.items())))
+             for node in graph.nodes()],
+            [(edge.edge_id, edge.source, edge.target, edge.label,
+              repr(list(edge.properties.items())))
+             for edge in graph.edges()])
 
 
 @settings(max_examples=8, deadline=None,
-          suppress_health_check=[HealthCheck.too_slow,
-                                 HealthCheck.function_scoped_fixture])
+          suppress_health_check=[HealthCheck.too_slow])
 @given(boundaries=st.lists(
     st.integers(min_value=1, max_value=len(LINES) - 1),
     min_size=1, max_size=5))
-def test_shared_and_unshared_entities_build_the_same_store(boundaries,
-                                                           tmp_path):
+def test_shared_and_unshared_entities_build_the_same_store(boundaries):
     shared = parse_audit_log(LOG_TEXT)
     unshared = sorted((parse_record(line) for line in LINES),
                       key=attrgetter("start_time", "event_id"))
@@ -91,8 +95,7 @@ def test_shared_and_unshared_entities_build_the_same_store(boundaries,
         for ours, theirs in zip(left, right):
             assert Path(ours.columnar_path).read_bytes() == \
                 Path(theirs.columnar_path).read_bytes(), ours.name
-        assert _graph_bytes(one, tmp_path / "one.bin") == \
-            _graph_bytes(other, tmp_path / "other.bin")
+        assert _graph_tuples(one) == _graph_tuples(other)
     finally:
         one.close()
         other.close()
@@ -208,7 +211,7 @@ class TestOnePayloadPerSegment:
                 assert sorted(os.listdir(info.directory)) == \
                     ["events.col", "segment.json"]
             manifest = store.save(snap)
-        assert manifest["format_version"] == 4
+        assert manifest["format_version"] == 5
         for info in sealed:
             assert sorted(os.listdir(snap / "segments" / info.name)) == \
                 ["events.col", "segment.json"]
@@ -233,9 +236,9 @@ class TestOnePayloadPerSegment:
         with DualStore(layout="segmented") as store:
             store.append_events(parse_audit_log(LOG_TEXT))
             store.save(tmp_path / "snap")
-        monkeypatch.setattr(dualstore, "SNAPSHOT_FORMAT_VERSION", 3)
+        monkeypatch.setattr(dualstore, "SNAPSHOT_FORMAT_VERSION", 4)
         with pytest.raises(StorageError,
-                           match="unsupported snapshot format version 4"):
+                           match="unsupported snapshot format version 5"):
             DualStore.open(tmp_path / "snap")
 
     def test_a_failed_seal_leaves_a_store_that_seals_again(
