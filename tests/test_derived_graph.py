@@ -5,8 +5,9 @@ graph a store extends in place equals one derived from its relational
 rows in one go and :func:`graph_from_events` over the events it stored:
 node and edge ids, labels, property keys in order, and value types.
 Snapshots written while ``graph.bin`` was part of the format open and
-answer the same whether that file is intact or empty, and a resave
-deletes it.  Rows whose ids leave a gap fail the derivation.
+answer the same whether that file is intact, empty, damaged or missing,
+and a resave deletes it.  The bulk paths fill the graph's indexes and
+id counters.  Rows whose ids leave a gap fail the derivation.
 """
 
 from __future__ import annotations
@@ -28,7 +29,10 @@ from repro.audit.parser import parse_audit_log
 from repro.errors import StorageError
 from repro.storage import DualStore
 from repro.storage.graph import GraphStore
-from repro.storage.graph.graphdb import PropertyGraph, graph_from_events
+from repro.storage.graph.graphdb import (INDEXED_EDGE_PROPERTIES,
+                                         INDEXED_NODE_PROPERTIES,
+                                         PropertyGraph, graph_from_events)
+from repro.storage.relational.database import entity_attributes, entity_row
 from repro.tbql.executor import TBQLExecutor
 from repro.tbql.fuzzy import FuzzySearcher
 
@@ -131,20 +135,52 @@ def _answers(directory: Path) -> tuple:
                 _shape(store.graph.graph))
 
 
+@pytest.fixture(scope="module")
+def intact(tmp_path_factory):
+    """``(a copy of the fixture snapshot, its answers)``."""
+    directory = tmp_path_factory.mktemp("legacy") / "intact"
+    shutil.copytree(_PR13_SNAPSHOT, directory)
+    return directory, _answers(directory)
+
+
 @pytest.mark.skipif(sys.byteorder != "little",
                     reason="the fixture's payloads are little-endian")
-def test_a_graph_bin_is_ignored_intact_or_empty(tmp_path):
-    intact, empty = tmp_path / "intact", tmp_path / "empty"
-    shutil.copytree(_PR13_SNAPSHOT, intact)
+def test_a_graph_bin_is_ignored_intact_or_empty(intact, tmp_path):
+    directory, answers = intact
+    empty = tmp_path / "empty"
     shutil.copytree(_PR13_SNAPSHOT, empty)
     (empty / "graph.bin").write_bytes(b"")
     before = snapshot_files(empty)
-    paths, cypher, fuzzy, graph = _answers(intact)
+    paths, cypher, fuzzy, graph = answers
     assert all(paths) and cypher and all(fuzzy)
-    assert _answers(empty) == (paths, cypher, fuzzy, graph)
+    assert _answers(empty) == answers
     assert snapshot_files(empty) == before
     # The graph derived from the rows is the graph the old build saved.
-    assert graph == _graph_bin(intact)
+    assert graph == _graph_bin(directory)
+
+
+@pytest.mark.parametrize("damage", [
+    lambda data: b"NOTAGRAPH" + data[9:],
+    lambda data: data[:8] + (0xFFFF).to_bytes(2, "little") + data[10:],
+    lambda data: data[:-7],
+    lambda data: data[:12],
+    None,
+], ids=["magic", "version", "payload", "header", "missing"])
+def test_a_damaged_or_missing_graph_bin_is_ignored(intact, tmp_path,
+                                                   damage):
+    """Damage that used to fail the open or the graph load — a bad magic
+    or version, a truncated payload or header, a deleted file — in every
+    ``graph.bin`` of the snapshot changes no answer."""
+    directory = tmp_path / "damaged"
+    shutil.copytree(_PR13_SNAPSHOT, directory)
+    graph_files = sorted(directory.rglob("graph.bin"))
+    assert len(graph_files) == 4
+    for path in graph_files:
+        if damage is None:
+            path.unlink()
+        else:
+            path.write_bytes(damage(path.read_bytes()))
+    assert _answers(directory) == intact[1]
 
 
 def test_a_resave_deletes_a_graph_bin(tmp_path):
@@ -157,6 +193,65 @@ def test_a_resave_deletes_a_graph_bin(tmp_path):
     manifest = json.loads((directory / "manifest.json").read_text("utf-8"))
     assert manifest["format_version"] == 5
     assert "graph_nodes" not in manifest and "graph_edges" not in manifest
+
+
+def test_entity_attributes_inverts_entity_row():
+    """Node properties read back from an entities row keep the keys, key
+    order and value types the entity's ``attributes()`` builds."""
+    entities = {entity.unique_key: entity for event in EVENTS
+                for entity in (event.subject, event.obj)}
+    assert {entity.entity_type.value for entity in entities.values()} == \
+        {"proc", "file", "ip"}
+    for entity_id, entity in enumerate(entities.values(), start=1):
+        label, properties = entity_attributes(entity_row(entity_id, entity))
+        assert label == entity.entity_type.value
+        assert repr(list(properties.items())) == \
+            repr(list(entity.attributes().items()))
+
+
+def test_derived_indexes_match_a_scan():
+    """The bulk paths a derivation and an extension take fill the label
+    and property indexes: every indexed lookup equals a full scan."""
+    half = len(EVENTS) // 2
+    with DualStore(layout="segmented") as store:
+        store.append_events(EVENTS[:half])
+        store.flush_appends()
+        first = store.graph.num_edges()
+        store.append_events(EVENTS[half:])
+        store.flush_appends()
+        graph = store.graph.graph
+        assert first < graph.num_edges() == store.relational.count_events()
+        nodes, edges = list(graph.nodes()), list(graph.edges())
+        for label in ("proc", "file", "ip"):
+            assert {node.node_id for node in graph.nodes(label)} == \
+                {node.node_id for node in nodes if node.label == label}
+        for key in INDEXED_NODE_PROPERTIES:
+            for value in {node.properties.get(key) for node in nodes}:
+                assert {node.node_id for node in
+                        graph.nodes_with_property(key, value)} == \
+                    {node.node_id for node in nodes
+                     if key in node.properties
+                     and node.properties[key] == value}
+        for key in INDEXED_EDGE_PROPERTIES:
+            for value in {edge.properties[key] for edge in edges}:
+                assert {edge.edge_id for edge in
+                        graph.edges_with_property(key, value)} == \
+                    {edge.edge_id for edge in edges
+                     if edge.properties[key] == value}
+
+
+def test_id_counters_continue_after_derive():
+    with DualStore() as store:
+        store.load_events(EVENTS)
+        graph = GraphStore(store.relational).graph
+        nodes, edges = graph.num_nodes(), graph.num_edges()
+        assert (nodes, edges) == (store.relational.count_entities(),
+                                  store.relational.count_events())
+        assert graph.next_node_id == nodes + 1
+        node = graph.add_node("file", {"path": "/tmp/x"})
+        assert node == nodes + 1
+        assert graph.add_edge(1, node, "EVENT",
+                              {"operation": "write"}) == edges + 1
 
 
 def test_an_id_gap_is_a_storage_error_not_a_shifted_graph():
