@@ -28,7 +28,8 @@ import pytest
 
 from repro.audit.workload import generate_benign_noise
 from repro.benchmark.evaluation import format_table
-from repro.service import QueryService, ServiceClient, ThreatHuntingServer
+from repro.service import (AsyncThreatHuntingServer, QueryService,
+                           ServiceClient)
 from repro.storage import DualStore
 from repro.tbql.executor import TBQLExecutor
 
@@ -145,9 +146,10 @@ def test_service_queries_per_second(benchmark, snapshot_dir):
     """Queries/sec through the HTTP API at 1, 4, and 8 client threads."""
     store = DualStore.open(snapshot_dir)
     service = QueryService(store, result_cache_size=0)
-    server = ThreatHuntingServer(("127.0.0.1", 0), service)
+    server = AsyncThreatHuntingServer(("127.0.0.1", 0), service)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
+    assert server.wait_ready(10)
     host, port = server.server_address[:2]
     base_url = f"http://{host}:{port}"
 

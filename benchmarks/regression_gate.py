@@ -26,11 +26,11 @@ machine-speed normalizer:
   fed monolithic store (the acceptance bar at full scale is a 2x
   speedup, i.e. a ratio <= 0.5; the gate holds the smoke-scale ratio
   near its committed baseline);
-* *service_load* — the asyncio HTTP front end vs the legacy threaded
-  server answering the same 32-client keep-alive query load over the
-  same store (the acceptance bar at full fan-in is 2x the threaded
-  qps, i.e. a ratio well below 1; the gate holds the smoke-scale
-  ratio near its committed baseline);
+* *service_http* — the asyncio HTTP front end answering a 32-client
+  keep-alive query load vs the same 256 requests routed in process
+  (``route`` + ``json.dumps``, one thread) over the same store; the
+  ratio is the front end's cost over the service's own work, and any
+  failed request raises;
 * *agg_pushdown* — a single-pattern ``group by`` hunt with
   partial-aggregate pushdown (segment scans return per-segment
   group-count partials) vs the identical hunt on ``tests/reference``'s
@@ -283,18 +283,20 @@ def measure_agg_pushdown() -> dict:
     }
 
 
-def measure_service_load() -> dict:
-    """Asyncio HTTP front end vs the threaded reference, keep-alive load.
+def measure_service_http() -> dict:
+    """HTTP front end vs the same requests routed in process.
 
-    Both backends serve the same store to the same 32-client keep-alive
-    query load (result cache primed, so the serving path dominates); the
-    threaded thread-per-connection server is the machine normalizer.
+    The asyncio server answers a 32-client keep-alive query load (result
+    cache primed, so the serving path dominates); the reference sends
+    the same 256 requests through ``route`` and ``json.dumps`` on one
+    thread, with the same cache.  The ratio is the HTTP front end's cost
+    over the service's own work on the same host.  The two sides
+    alternate round by round so host noise falls on both alike.
     """
     import threading
 
     from repro.service import (AsyncThreatHuntingServer, QueryService,
-                               ServiceClient, ThreatHuntingServer,
-                               run_load)
+                               ServiceClient, route, run_load)
 
     events = generate_benign_noise(SESSIONS, seed=29)
     queries = [
@@ -303,45 +305,48 @@ def measure_service_load() -> dict:
         'proc p["%/bin/tar%"] read file f["%/etc/passwd%"] as e1 '
         'return distinct p',
     ]
+    clients, requests_per_client = 32, 8
+    bodies = [{"tbql": queries[index % len(queries)]}
+              for index in range(clients * requests_per_client)]
 
-    def serve_and_load(backend: str) -> float:
-        store = DualStore()
-        store.load_events(events)
-        service = QueryService(store)
-        if backend == "asyncio":
-            server = AsyncThreatHuntingServer(("127.0.0.1", 0), service)
-        else:
-            server = ThreatHuntingServer(("127.0.0.1", 0), service)
-        thread = threading.Thread(target=server.serve_forever,
-                                  daemon=True)
-        thread.start()
-        if backend == "asyncio":
-            server.wait_ready(10)
-        host, port = server.server_address[:2]
-        try:
-            with ServiceClient(f"http://{host}:{port}") as client:
-                for query in queries:
-                    client.query(query)   # prime the result cache
-            run_load(host, port, queries, clients=8,
-                     requests_per_client=2)   # warmup
-            best = float("inf")
-            for _ in range(ROUNDS):
-                result = run_load(host, port, queries, clients=32,
-                                  requests_per_client=8)
-                if result.errors:
-                    raise RuntimeError(
-                        f"{backend} load run had {result.errors} "
-                        f"error(s): {result.statuses}")
-                best = min(best, result.seconds)
-            return best
-        finally:
-            server.shutdown()
-            server.server_close()
-            thread.join(timeout=10)
-            store.close()
+    def in_process() -> None:
+        for body in bodies:
+            status, payload = route(service, "POST", "/query", body)
+            if status != 200:
+                raise RuntimeError(
+                    f"in-process request answered {status}: {payload}")
+            json.dumps(payload).encode("utf-8")
 
-    optimized = serve_and_load("asyncio") * INJECTED_SLOWDOWN
-    reference = serve_and_load("threaded")
+    store = DualStore()
+    store.load_events(events)
+    service = QueryService(store)
+    server = AsyncThreatHuntingServer(("127.0.0.1", 0), service)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    server.wait_ready(10)
+    host, port = server.server_address[:2]
+    try:
+        with ServiceClient(f"http://{host}:{port}") as client:
+            for query in queries:
+                client.query(query)   # prime the result cache
+        run_load(host, port, queries, clients=8,
+                 requests_per_client=2)   # warmup
+        optimized = reference = float("inf")
+        for _ in range(ROUNDS):
+            result = run_load(host, port, queries, clients=clients,
+                              requests_per_client=requests_per_client)
+            if result.errors:
+                raise RuntimeError(
+                    f"HTTP load run had {result.errors} error(s): "
+                    f"{result.statuses}")
+            optimized = min(optimized, result.seconds)
+            reference = min(reference, _best_of(1, in_process))
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=10)
+        store.close()
+    optimized *= INJECTED_SLOWDOWN
     return {
         "optimized_seconds": optimized,
         "reference_seconds": reference,
@@ -422,7 +427,7 @@ MEASUREMENTS = {
     "streaming": measure_streaming,
     "partitioned": measure_partitioned,
     "agg_pushdown": measure_agg_pushdown,
-    "service_load": measure_service_load,
+    "service_http": measure_service_http,
     "obs_overhead": measure_obs_overhead,
 }
 

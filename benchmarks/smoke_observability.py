@@ -5,8 +5,6 @@ freshly generated audit log, then drives the observability surface the
 way an operator would::
 
     PYTHONPATH=src python benchmarks/smoke_observability.py
-    PYTHONPATH=src python benchmarks/smoke_observability.py \
-        --server-backend asyncio
 
 Checks: ``GET /healthz`` answers with the pinned payload shape,
 ``GET /metrics`` serves a valid Prometheus 0.0.4 exposition (validated
@@ -16,7 +14,7 @@ script just sent, ``POST /query`` with ``"profile": true`` returns
 a span tree rooted at ``query``, and a profiled ``count()`` query has an
 ``aggregate`` stage and answers with its rows and no
 ``matched_events``.  Exits non-zero on the first
-violation — CI runs this once per backend.
+violation.
 """
 
 from __future__ import annotations
@@ -84,10 +82,10 @@ def _post(url: str, payload: dict) -> dict:
         return json.loads(response.read())
 
 
-def check(base: str, backend: str) -> None:
+def check(base: str) -> None:
     health = json.loads(_get(f"{base}/healthz")[0])
     assert health["status"] == "ok", health
-    assert health["backend"] == backend, health
+    assert health["backend"] == "asyncio", health
     assert set(health) == {"status", "uptime_seconds", "version",
                            "backend"}, health
 
@@ -122,9 +120,7 @@ def check(base: str, backend: str) -> None:
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         description=__doc__.splitlines()[0])
-    parser.add_argument("--server-backend", default="threaded",
-                        choices=["threaded", "asyncio"])
-    args = parser.parse_args(argv)
+    parser.parse_args(argv)
 
     log_text = BenignWorkloadGenerator(
         WorkloadConfig(num_sessions=10, seed=7)).generate_log()
@@ -133,16 +129,14 @@ def main(argv: list[str] | None = None) -> int:
         log_path.write_text(log_text, encoding="utf-8")
         process = subprocess.Popen(
             [sys.executable, "-m", "repro.cli", "serve",
-             "--log", str(log_path), "--port", "0",
-             "--server-backend", args.server_backend],
+             "--log", str(log_path), "--port", "0"],
             cwd=REPO_ROOT, stderr=subprocess.PIPE, text=True,
             env={**os.environ,
                  "PYTHONPATH": str(REPO_ROOT / "src")})
         try:
             host, port = _await_banner(process)
-            print(f"[smoke] {args.server_backend} backend up on "
-                  f"{host}:{port}")
-            check(f"http://{host}:{port}", args.server_backend)
+            print(f"[smoke] server up on {host}:{port}")
+            check(f"http://{host}:{port}")
         finally:
             process.terminate()
             try:
@@ -150,7 +144,7 @@ def main(argv: list[str] | None = None) -> int:
             except subprocess.TimeoutExpired:
                 process.kill()
                 process.wait(timeout=10)
-    print(f"[smoke] observability surface OK ({args.server_backend})")
+    print("[smoke] observability surface OK")
     return 0
 
 

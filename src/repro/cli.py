@@ -357,7 +357,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
     server = serve(store, host=args.host, port=args.port,
                    plan_cache_size=args.plan_cache,
                    result_cache_size=args.result_cache,
-                   engine=engine, backend=args.server_backend,
+                   engine=engine,
                    exec_threads=args.exec_threads or None,
                    queue_limit=args.queue_limit,
                    max_body_bytes=(args.max_body_bytes
@@ -373,20 +373,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
         endpoints += (", POST /ingest, POST /rules, DELETE /rules/{id}, "
                       "GET /rules, GET /alerts")
     print(f"[repro] serving on http://{host}:{port} "
-          f"[{args.server_backend}] ({endpoints})", file=sys.stderr)
-    if args.server_backend == "threaded":
-        # The asyncio backend installs its own loop signal handlers; the
-        # threaded one needs SIGTERM translated into the same clean exit
-        # path SIGINT already takes.
-        import signal
-
-        def _sigterm(signum, frame):   # pragma: no cover - signal path
-            raise KeyboardInterrupt
-
-        try:
-            signal.signal(signal.SIGTERM, _sigterm)
-        except ValueError:   # pragma: no cover - not the main thread
-            pass
+          f"[asyncio] ({endpoints})", file=sys.stderr)
     try:
         server.serve_forever()
     except KeyboardInterrupt:   # pragma: no cover - interactive shutdown
@@ -672,28 +659,20 @@ def build_parser() -> argparse.ArgumentParser:
                        default="monolithic",
                        help="with --log: store layout for the ingested "
                             "data (snapshots carry their own layout)")
-    serve.add_argument("--server-backend",
-                       choices=["asyncio", "threaded"], default="asyncio",
-                       help="HTTP front end: asyncio event loop with "
-                            "keep-alive connections, a bounded executor "
-                            "pool and admission-queue backpressure "
-                            "(default), or the legacy thread-per-"
-                            "connection server")
     serve.add_argument("--exec-threads", type=int, default=0,
-                       help="asyncio backend: executor threads running "
-                            "TBQL off the event loop (0 = auto-size "
-                            "from the CPU count)")
+                       help="executor threads running TBQL off the "
+                            "event loop (0 = auto-size from the CPU "
+                            "count)")
     serve.add_argument("--queue-limit", type=int, default=None,
-                       help="asyncio backend: admission-queue depth per "
-                            "lane before requests are answered 429 "
-                            "(default 64)")
+                       help="admission-queue depth per lane before "
+                            "requests are answered 429 (default 64)")
     serve.add_argument("--max-body-bytes", type=int, default=None,
                        help="reject POST bodies larger than this with "
-                            "413 (default 8 MiB; both backends)")
+                            "413 (default 8 MiB)")
     serve.add_argument("--read-timeout", type=float, default=None,
-                       help="asyncio backend: close keep-alive "
-                            "connections idle or stalled longer than "
-                            "this many seconds (default 30)")
+                       help="close keep-alive connections idle or "
+                            "stalled longer than this many seconds "
+                            "(default 30)")
     serve.add_argument("--checkpoint",
                        help="with --live: checkpoint the detection "
                             "engine into this directory on graceful "

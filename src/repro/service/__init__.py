@@ -2,12 +2,11 @@
 
 ``repro snapshot`` persists an ingested dual store once;
 ``repro serve`` then answers many TBQL hunts against the shared read-only
-store — the always-on arrangement the paper's system is built for.  Two
-HTTP front ends share one transport-agnostic :class:`QueryService` and
-one routing table (:func:`route`): the default asyncio backend
-(:class:`AsyncThreatHuntingServer` — keep-alive connections, a bounded
-executor pool, admission-queue backpressure) and the legacy
-thread-per-connection :class:`ThreatHuntingServer`.
+store — the always-on arrangement the paper's system is built for.  One
+HTTP front end, :class:`AsyncThreatHuntingServer` (keep-alive
+connections, a bounded executor pool, admission-queue backpressure),
+serves a transport-agnostic :class:`QueryService` through one routing
+table (:func:`route`).
 """
 
 from .aserver import (DEFAULT_EXEC_THREADS, DEFAULT_QUEUE_LIMIT,
@@ -18,10 +17,8 @@ from .client import ServiceClient
 from .loadgen import LoadResult, run_load
 from .server import (DEFAULT_MAX_BODY_BYTES, DEFAULT_PLAN_CACHE_SIZE,
                      DEFAULT_RESULT_CACHE_SIZE, QueryService,
-                     ServiceRequestHandler, ThreatHuntingServer,
-                     canonical_endpoint, observe_request,
-                     parse_json_body, query_is_time_dependent,
-                     result_payload, route, serve)
+                     canonical_endpoint, observe_request, parse_json_body,
+                     query_is_time_dependent, result_payload, route, serve)
 
 __all__ = [
     "canonical_endpoint",
@@ -29,8 +26,6 @@ __all__ = [
     "LRUCache",
     "ServiceClient",
     "QueryService",
-    "ServiceRequestHandler",
-    "ThreatHuntingServer",
     "AsyncThreatHuntingServer",
     "LoadResult",
     "run_load",

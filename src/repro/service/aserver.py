@@ -1,11 +1,10 @@
 """Asyncio HTTP front end: keep-alive serving with bounded execution.
 
-The default ``repro serve`` backend.  One event loop owns every
+The ``repro serve`` HTTP server.  One event loop owns every
 connection (``asyncio.start_server``); TBQL execution never runs on the
 loop — requests are handed to a bounded ``ThreadPoolExecutor``
 (``--exec-threads``), and the loop keeps accepting, parsing, and
-answering while the executor works.  Three properties the threaded
-backend cannot give:
+answering while the executor works.  Three properties it is built for:
 
 * **Keep-alive at scale.**  A connection is a coroutine, not an OS
   thread: hundreds of concurrent keep-alive clients cost one loop
@@ -22,12 +21,11 @@ backend cannot give:
   in-flight request finish (bounded by ``drain_timeout``), then closes
   idle keep-alive connections — no request is dropped mid-execution.
 
-Routing is :func:`repro.service.server.route` — the same table the
-threaded backend uses — so both front ends return byte-identical JSON
-``result`` payloads.  Request hygiene: bodies beyond ``max_body_bytes``
-answer ``413`` unread, malformed JSON answers a structured ``400``, and
-a connection that stays silent past ``read_timeout`` (idle keep-alive or
-a slow-loris trickle) is closed.
+Routing is :func:`repro.service.server.route`, which gives the same
+JSON ``result`` payloads in process.  Request hygiene: bodies beyond
+``max_body_bytes`` answer ``413`` unread, malformed JSON answers a
+structured ``400``, and a connection that stays silent past
+``read_timeout`` (idle keep-alive or a slow-loris trickle) is closed.
 """
 
 from __future__ import annotations
@@ -143,11 +141,10 @@ class _RawResponse:
 class AsyncThreatHuntingServer:
     """Asyncio keep-alive HTTP server over one shared `QueryService`.
 
-    API-compatible with :class:`~repro.service.server.ThreatHuntingServer`
-    where the CLI and tests touch it: constructed with ``(address,
-    service)``, exposes ``server_address`` immediately (the listening
-    socket is bound in the constructor), blocks in ``serve_forever()``,
-    and is stopped with ``shutdown()`` (thread-safe) + ``server_close()``.
+    Constructed with ``(address, service)``, it exposes
+    ``server_address`` immediately (the listening socket is bound in the
+    constructor), blocks in ``serve_forever()``, and is stopped with
+    ``shutdown()`` (thread-safe) + ``server_close()``.
 
     Args:
         address: ``(host, port)`` to bind; port 0 picks a free port.
@@ -182,8 +179,7 @@ class AsyncThreatHuntingServer:
         self.read_timeout = read_timeout
         self.drain_timeout = drain_timeout
         self.verbose = verbose
-        # Bind now so server_address is known before serve_forever runs
-        # (the threaded backend binds in its constructor too).
+        # Bind now so server_address is known before serve_forever runs.
         self._socket = socket.create_server(address, backlog=256,
                                             reuse_port=False)
         self.server_address = self._socket.getsockname()
@@ -197,6 +193,7 @@ class AsyncThreatHuntingServer:
         self._lanes: dict[str, _AdmissionLane] = {}
         self._conn_tasks: set[asyncio.Task] = set()
         self._active_requests = 0
+        self._abandoned_requests = 0
         self._all_idle: Optional[asyncio.Event] = None
         self._draining = False
         self._shutdown_requested = False
@@ -238,10 +235,11 @@ class AsyncThreatHuntingServer:
         self._stopped.wait(timeout)
 
     def shutdown_gracefully(self, drain_timeout: float = 30.0) -> bool:
-        """Alias mirroring the threaded backend's drain entry point."""
+        """``shutdown()`` with the given drain timeout; False when
+        requests were still running when it expired."""
         self.drain_timeout = drain_timeout
         self.shutdown()
-        return self.service.inflight == 0
+        return self._abandoned_requests == 0
 
     def server_close(self) -> None:
         """Release the listening socket."""
@@ -305,9 +303,10 @@ class AsyncThreatHuntingServer:
             try:
                 await asyncio.wait_for(self._all_idle.wait(),
                                        self.drain_timeout)
-            except asyncio.TimeoutError:   # pragma: no cover - stuck work
+            except asyncio.TimeoutError:
+                self._abandoned_requests = self._active_requests
                 self._log("drain timeout: %d request(s) abandoned"
-                          % self._active_requests)
+                          % self._abandoned_requests)
         # Whatever is left is an idle keep-alive reader (or a straggler
         # past the drain timeout): cancel and collect.
         for task in list(self._conn_tasks):
@@ -371,8 +370,8 @@ class AsyncThreatHuntingServer:
                 start = time.perf_counter()
                 status, payload, extra = await self._dispatch(
                     method, target, body_raw)
-                observe_request("asyncio", method, urlsplit(target).path,
-                                status, time.perf_counter() - start)
+                observe_request(method, urlsplit(target).path, status,
+                                time.perf_counter() - start)
                 keep_alive = keep_alive and not self._draining
                 # Count before the write: a client that has read the
                 # response must observe the bumped counter.

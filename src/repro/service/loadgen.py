@@ -1,19 +1,18 @@
-"""Asyncio load generator for the query service's HTTP front ends.
+"""Asyncio load generator for the query service's HTTP front end.
 
 Drives many concurrent *keep-alive* clients against a running server —
 each client is one coroutine holding one TCP connection for its whole
 request train — and reports throughput (qps) plus latency quantiles
-(p50/p99).  Used by ``benchmarks/bench_service_load.py`` and the
-``service_load`` metric of ``benchmarks/regression_gate.py``; the HTTP
-side is raw ``asyncio.open_connection`` so a thousand clients cost one
-driver thread, not a thousand.
+(p50/p99).  Used by the ``service_http`` metric of
+``benchmarks/regression_gate.py``; the HTTP side is raw
+``asyncio.open_connection`` so a thousand clients cost one driver
+thread, not a thousand.
 
 All clients connect first, then start firing together (a start barrier),
 so the timed window measures request serving rather than connection
-ramp-up.  A server that closes the connection mid-train (the threaded
-backend under pressure, a drained keep-alive socket) is handled by a
-transparent reconnect; responses with unexpected statuses are counted as
-errors, never silently dropped.
+ramp-up.  A server that closes the connection mid-train (a drained
+keep-alive socket) is handled by a transparent reconnect; responses with
+unexpected statuses are counted as errors, never silently dropped.
 """
 
 from __future__ import annotations

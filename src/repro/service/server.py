@@ -11,15 +11,11 @@ then many clients hunt against the same provenance data concurrently.
   cache* keyed by query text (time-dependent queries — ``last N`` windows —
   are compiled per request and never result-cached).
 * :func:`route` maps one ``(method, path, body)`` triple onto the service
-  and returns the ``(status, payload)`` pair — the single routing table
-  shared by both HTTP front ends, which is what keeps their JSON
-  ``result`` payloads byte-identical.
-* :class:`ThreatHuntingServer` is a stdlib ``ThreadingHTTPServer`` exposing
-  the JSON API: ``POST /query``, ``POST /hunt``, ``GET /stats``,
-  ``GET /healthz`` — one thread per connection
-  (``repro serve --server-backend threaded``).
-* :class:`~repro.service.aserver.AsyncThreatHuntingServer` (the default
-  backend) serves the same API from an asyncio event loop with keep-alive
+  and returns the ``(status, payload)`` pair — the routing table of the
+  HTTP front end, also callable in process.
+* :class:`~repro.service.aserver.AsyncThreatHuntingServer` serves the JSON
+  API — ``POST /query``, ``POST /hunt``, ``GET /stats``, ``GET /healthz``,
+  ``GET /metrics`` — from an asyncio event loop with keep-alive
   connections, a bounded executor pool, and admission-queue backpressure.
 
 When a :class:`~repro.streaming.engine.DetectionEngine` is attached
@@ -46,18 +42,18 @@ import sys
 import threading
 import time
 from contextlib import nullcontext
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import TYPE_CHECKING, Any, Optional
 from urllib.parse import parse_qs, unquote, urlsplit
 
 from .. import __version__
 from ..errors import ReproError, StreamingError
-from ..obs.metrics import METRICS_CONTENT_TYPE, get_registry
+from ..obs.metrics import get_registry
 from ..obs.trace import start_span, start_trace
 from ..storage.dualstore import DualStore
 
 if TYPE_CHECKING:   # pragma: no cover - typing only
     from ..streaming.engine import DetectionEngine
+    from .aserver import AsyncThreatHuntingServer
 from ..tbql.executor import QueryResult, TBQLExecutor
 from ..tbql.fuzzy import FuzzySearcher
 from ..tbql.parser import parse_tbql
@@ -71,7 +67,7 @@ from .cache import LRUCache
 DEFAULT_PLAN_CACHE_SIZE = 128
 DEFAULT_RESULT_CACHE_SIZE = 256
 
-#: Largest request body either HTTP front end accepts; beyond it the
+#: Largest request body the HTTP front end accepts; beyond it the
 #: server answers ``413`` without reading the payload
 #: (``repro serve --max-body-bytes``).
 DEFAULT_MAX_BODY_BYTES = 8 * 1024 * 1024
@@ -98,21 +94,24 @@ def canonical_endpoint(path: str) -> str:
     return "other"
 
 
-def observe_request(backend: str, method: str, path: str, status: int,
+def observe_request(method: str, path: str, status: int,
                     seconds: float) -> None:
-    """Record one served request into the metrics registry."""
+    """Record one served request into the metrics registry.
+
+    The ``backend`` label is always ``"asyncio"``, the one HTTP front
+    end; it is kept so scrapes and dashboards keep their label set."""
     registry = get_registry()
     endpoint = canonical_endpoint(path)
     registry.counter(
         "repro_http_requests_total",
         "HTTP requests served, by backend, method, path and status.",
         labels=("backend", "method", "path", "status"),
-    ).labels(backend, method, endpoint, str(status)).inc()
+    ).labels("asyncio", method, endpoint, str(status)).inc()
     registry.histogram(
         "repro_http_request_seconds",
         "Request latency from routing to response, in seconds.",
         labels=("backend", "method", "path"),
-    ).labels(backend, method, endpoint).observe(seconds)
+    ).labels("asyncio", method, endpoint).observe(seconds)
 
 
 def result_payload(result: QueryResult) -> dict:
@@ -174,8 +173,6 @@ class QueryService:
             self._read_guard = nullcontext
         self._hunt_lock = threading.Lock()
         self._counter_lock = threading.Lock()
-        self._idle = threading.Condition()
-        self._inflight = 0
         self._counters = {"queries": 0, "query_cache_hits": 0, "hunts": 0,
                           "ingests": 0, "errors": 0}
         self._started_at = time.time()
@@ -487,43 +484,6 @@ class QueryService:
             labels=("cache", "outcome"),
         ).labels(cache, outcome).inc()
 
-    # ------------------------------------------------------------------
-    # in-flight request tracking (graceful-shutdown drain)
-    # ------------------------------------------------------------------
-    def _enter_request(self) -> None:
-        with self._idle:
-            self._inflight += 1
-
-    def _exit_request(self) -> None:
-        with self._idle:
-            self._inflight -= 1
-            if self._inflight <= 0:
-                self._idle.notify_all()
-
-    @property
-    def inflight(self) -> int:
-        """Requests currently being routed (any front end)."""
-        with self._idle:
-            return self._inflight
-
-    def wait_idle(self, timeout: float | None = None) -> bool:
-        """Block until no request is in flight; False on timeout.
-
-        Both HTTP front ends route every request through :func:`route`,
-        which tracks entry/exit here — so a server that has stopped
-        accepting work can drain what is already executing before
-        tearing the executor and the store down.
-        """
-        deadline = None if timeout is None else time.monotonic() + timeout
-        with self._idle:
-            while self._inflight > 0:
-                remaining = None if deadline is None \
-                    else deadline - time.monotonic()
-                if remaining is not None and remaining <= 0:
-                    return False
-                self._idle.wait(remaining)
-            return True
-
     def _check_data_version(self) -> None:
         """Drop cached results when the store's data was replaced.
 
@@ -553,7 +513,7 @@ def parse_json_body(raw: bytes) -> dict:
 
     The shared validation for every POST endpoint: a missing body, broken
     JSON, and a non-object top level are all rejected with a structured
-    message the front ends answer as a 400.
+    message the HTTP front end answers as a 400.
     """
     if not raw:
         raise ValueError("missing request body")
@@ -622,17 +582,14 @@ def route(service: QueryService, method: str, target: str,
           body: dict | None) -> tuple[int, dict]:
     """Dispatch one request onto the service; returns (status, payload).
 
-    The single routing table shared by the threaded and asyncio front
-    ends: ``target`` is the raw request target (path plus optional query
+    The HTTP front end's routing table, also callable in process:
+    ``target`` is the raw request target (path plus optional query
     string), ``body`` the parsed JSON object for POST requests (``None``
     otherwise).  Library errors map to their 4xx status, anything else to
-    a 500 — a request can never take a connection down.  Entry/exit is
-    recorded on the service so graceful shutdown can drain in-flight
-    requests (:meth:`QueryService.wait_idle`).
+    a 500 — a request can never take a connection down.
     """
     parts = urlsplit(target)
     path = parts.path
-    service._enter_request()
     try:
         if method == "GET":
             return _route_get(service, path, parts.query)
@@ -655,118 +612,6 @@ def route(service: QueryService, method: str, target: str,
     except Exception as exc:   # pragma: no cover - defensive
         service._bump("errors")
         return 500, {"error": f"internal error: {exc}"}
-    finally:
-        service._exit_request()
-
-
-class ServiceRequestHandler(BaseHTTPRequestHandler):
-    """Routes the JSON API onto a shared :class:`QueryService`."""
-
-    server_version = "repro-serve/1"
-    protocol_version = "HTTP/1.1"
-
-    @property
-    def service(self) -> QueryService:
-        return self.server.service  # type: ignore[attr-defined]
-
-    # ------------------------------------------------------------------
-    # routing
-    # ------------------------------------------------------------------
-    def do_GET(self) -> None:  # noqa: N802 - BaseHTTPRequestHandler API
-        if urlsplit(self.path).path == "/metrics":
-            # Render first, observe after: a scrape reports itself on
-            # the *next* scrape, matching the asyncio backend.
-            start = time.perf_counter()
-            data = self.service.metrics_text().encode("utf-8")
-            observe_request("threaded", "GET", "/metrics", 200,
-                            time.perf_counter() - start)
-            self._send_raw(200, data, METRICS_CONTENT_TYPE)
-            return
-        self._routed("GET", None)
-
-    def do_POST(self) -> None:  # noqa: N802 - BaseHTTPRequestHandler API
-        try:
-            length = int(self.headers.get("Content-Length") or 0)
-        except ValueError:
-            self._send(400, {"error": "invalid Content-Length header"})
-            return
-        limit = getattr(self.server, "max_body_bytes",
-                        DEFAULT_MAX_BODY_BYTES)
-        if length > limit:
-            # The payload is rejected *unread*: answer 413 and drop the
-            # connection instead of swallowing an arbitrarily large body.
-            self.close_connection = True
-            self._send(413, {"error": f"request body of {length} bytes "
-                                      f"exceeds the {limit}-byte limit"})
-            return
-        try:
-            body = parse_json_body(self.rfile.read(length)
-                                   if length > 0 else b"")
-        except ValueError as exc:
-            self._send(400, {"error": str(exc)})
-            return
-        self._routed("POST", body)
-
-    def do_DELETE(self) -> None:  # noqa: N802 - BaseHTTPRequestHandler API
-        self._routed("DELETE", None)
-
-    def _routed(self, method: str, body: dict | None) -> None:
-        start = time.perf_counter()
-        status, payload = route(self.service, method, self.path, body)
-        observe_request("threaded", method, urlsplit(self.path).path,
-                        status, time.perf_counter() - start)
-        self._send(status, payload)
-
-    def _send(self, status: int, payload: dict) -> None:
-        self._send_raw(status, json.dumps(payload).encode("utf-8"),
-                       "application/json")
-
-    def _send_raw(self, status: int, data: bytes,
-                  content_type: str) -> None:
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(data)))
-        self.end_headers()
-        self.wfile.write(data)
-
-    def log_message(self, format: str, *args: Any) -> None:
-        if getattr(self.server, "verbose", False):
-            sys.stderr.write("[repro-serve] %s - %s\n" %
-                             (self.address_string(), format % args))
-
-
-class ThreatHuntingServer(ThreadingHTTPServer):
-    """Threaded HTTP server executing TBQL over one shared store.
-
-    Every request runs in its own thread (stdlib ``ThreadingHTTPServer``);
-    concurrency safety comes from the shared :class:`QueryService` /
-    :class:`~repro.tbql.executor.TBQLExecutor` and the per-thread reader
-    connections of the relational store.
-    """
-
-    daemon_threads = True
-    #: Hold enough pending TCP connects for a load spike: a client burst
-    #: beyond the default backlog of 5 would otherwise sit in SYN retries.
-    request_queue_size = 256
-
-    def __init__(self, address: tuple[str, int], service: QueryService,
-                 verbose: bool = False,
-                 max_body_bytes: int = DEFAULT_MAX_BODY_BYTES) -> None:
-        super().__init__(address, ServiceRequestHandler)
-        self.service = service
-        self.service.server_backend = "threaded"
-        self.verbose = verbose
-        self.max_body_bytes = max_body_bytes
-
-    def shutdown_gracefully(self, drain_timeout: float = 30.0) -> bool:
-        """Stop accepting connections and drain in-flight requests.
-
-        Returns False when requests were still running at the timeout.
-        Safe to call after ``serve_forever`` already returned (SIGTERM
-        raised through the serving thread).
-        """
-        self.shutdown()
-        return self.service.wait_idle(drain_timeout)
 
 
 def serve(store: DualStore, host: str = "127.0.0.1", port: int = 8787,
@@ -774,32 +619,24 @@ def serve(store: DualStore, host: str = "127.0.0.1", port: int = 8787,
           plan_cache_size: int = DEFAULT_PLAN_CACHE_SIZE,
           result_cache_size: int = DEFAULT_RESULT_CACHE_SIZE,
           engine: "Optional[DetectionEngine]" = None,
-          backend: str = "asyncio", exec_threads: int | None = None,
+          exec_threads: int | None = None,
           queue_limit: int | None = None,
           max_body_bytes: int = DEFAULT_MAX_BODY_BYTES,
           read_timeout: float | None = None,
           verbose: bool = False,
-          slow_query_ms: float | None = None) -> Any:
+          slow_query_ms: float | None = None) -> "AsyncThreatHuntingServer":
     """Build a ready-to-run server (call ``serve_forever()`` on it).
 
-    ``backend`` picks the HTTP front end: ``"asyncio"`` (default — event
-    loop, keep-alive connections, bounded executor + admission-queue
-    backpressure) or ``"threaded"`` (the legacy thread-per-connection
-    stdlib server).  ``exec_threads`` / ``queue_limit`` / ``read_timeout``
-    only apply to the asyncio backend; ``max_body_bytes`` caps POST
-    bodies on both.
+    The server is the asyncio front end (event loop, keep-alive
+    connections, bounded executor + admission-queue backpressure);
+    ``None`` for ``exec_threads`` / ``queue_limit`` / ``read_timeout``
+    keeps its defaults.
     """
-    if backend not in ("asyncio", "threaded"):
-        raise ValueError(f"unknown server backend: {backend!r} "
-                         f"(expected 'asyncio' or 'threaded')")
     service = QueryService(store, use_scheduler=use_scheduler,
                            plan_cache_size=plan_cache_size,
                            result_cache_size=result_cache_size,
                            engine=engine, slow_query_ms=slow_query_ms)
-    if backend == "threaded":
-        return ThreatHuntingServer((host, port), service, verbose=verbose,
-                                   max_body_bytes=max_body_bytes)
-    from .aserver import AsyncThreatHuntingServer
+    from . import aserver   # aserver imports this module
     kwargs: dict[str, Any] = {"verbose": verbose,
                               "max_body_bytes": max_body_bytes}
     if exec_threads is not None:
@@ -808,11 +645,11 @@ def serve(store: DualStore, host: str = "127.0.0.1", port: int = 8787,
         kwargs["queue_limit"] = queue_limit
     if read_timeout is not None:
         kwargs["read_timeout"] = read_timeout
-    return AsyncThreatHuntingServer((host, port), service, **kwargs)
+    return aserver.AsyncThreatHuntingServer((host, port), service, **kwargs)
 
 
-__all__ = ["QueryService", "ServiceRequestHandler", "ThreatHuntingServer",
-           "serve", "route", "parse_json_body", "query_is_time_dependent",
-           "result_payload", "canonical_endpoint", "observe_request",
+__all__ = ["QueryService", "serve", "route", "parse_json_body",
+           "query_is_time_dependent", "result_payload",
+           "canonical_endpoint", "observe_request",
            "DEFAULT_PLAN_CACHE_SIZE", "DEFAULT_RESULT_CACHE_SIZE",
            "DEFAULT_MAX_BODY_BYTES"]

@@ -46,34 +46,25 @@ DATA_LEAK_EDGES = [
 ]
 
 
-#: The HTTP front ends the service tests run against.
-SERVER_BACKENDS = ["threaded", "asyncio"]
+def start_server(service, **kwargs):
+    """Start an HTTP server for ``service`` on a daemon thread.
 
-
-def start_backend_server(service, backend, **kwargs):
-    """Start a server of the given backend on a daemon thread.
-
-    Returns ``(server, thread)``; stop with :func:`stop_backend_server`.
-    Both backends bind an ephemeral port in their constructor, so
+    Returns ``(server, thread)``; stop with :func:`stop_server`.  The
+    server binds an ephemeral port in its constructor, so
     ``server.server_address`` is valid immediately.
     """
     import threading
 
-    from repro.service import AsyncThreatHuntingServer, ThreatHuntingServer
+    from repro.service import AsyncThreatHuntingServer
 
-    if backend == "asyncio":
-        server = AsyncThreatHuntingServer(("127.0.0.1", 0), service,
-                                          **kwargs)
-    else:
-        server = ThreatHuntingServer(("127.0.0.1", 0), service, **kwargs)
+    server = AsyncThreatHuntingServer(("127.0.0.1", 0), service, **kwargs)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
-    if backend == "asyncio":
-        assert server.wait_ready(10)
+    assert server.wait_ready(10)
     return server, thread
 
 
-def stop_backend_server(server, thread) -> None:
+def stop_server(server, thread) -> None:
     """Shut a test server down and release its resources."""
     server.shutdown()
     server.server_close()

@@ -1,13 +1,12 @@
 """Asyncio front-end tests: keep-alive, backpressure, drain, hygiene.
 
-The shared endpoint/correctness suite already runs against both backends
-(``tests/test_service.py`` and ``tests/test_streaming_service.py`` are
-parametrized over them); this file covers what is *specific* to the
-asyncio server — admission-queue backpressure (429 + ``Retry-After``,
-never a hang or a 500), the ingest lane that cannot starve queries,
-single-connection keep-alive reuse, graceful-shutdown drain of in-flight
-requests, read timeouts — plus the request-hygiene answers (413/400/411)
-both backends must give.
+The shared endpoint/correctness suite runs over HTTP in
+``tests/test_service.py`` and ``tests/test_streaming_service.py``; this
+file covers the transport itself — admission-queue backpressure (429 +
+``Retry-After``, never a hang or a 500), the ingest lane that cannot
+starve queries, single-connection keep-alive reuse, graceful-shutdown
+drain of in-flight requests, read timeouts — plus the request-hygiene
+answers (413/400/411).
 """
 
 from __future__ import annotations
@@ -21,25 +20,16 @@ from concurrent.futures import ThreadPoolExecutor
 import pytest
 
 from repro.errors import ServiceError
-from repro.service import (AsyncThreatHuntingServer, QueryService,
-                           ServiceClient, result_payload, run_load)
+from repro.service import (QueryService, ServiceClient, result_payload,
+                           run_load)
 from repro.storage import DualStore
 from repro.streaming import DetectionEngine, FlushPolicy
 from repro.tbql.executor import TBQLExecutor
 
-from .conftest import (SERVER_BACKENDS, start_backend_server,
-                       stop_backend_server)
+from .conftest import start_server, stop_server
 from .test_tbql_join_equivalence import EQUIVALENCE_CORPUS
 
 QUERY = 'proc p["%/bin/tar%"] read file f as e1 return distinct f'
-
-
-def _start_async(service, **kwargs):
-    server = AsyncThreatHuntingServer(("127.0.0.1", 0), service, **kwargs)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    assert server.wait_ready(10)
-    return server, thread
 
 
 @pytest.fixture()
@@ -52,7 +42,7 @@ def store(data_leak_events):
 class TestKeepAlive:
     def test_request_train_reuses_one_connection(self, store):
         service = QueryService(store)
-        server, thread = _start_async(service)
+        server, thread = start_server(service)
         host, port = server.server_address[:2]
         try:
             with ServiceClient(f"http://{host}:{port}") as client:
@@ -62,13 +52,13 @@ class TestKeepAlive:
             assert server.connections_accepted == 1
             assert server.requests_served == 9
         finally:
-            stop_backend_server(server, thread)
+            stop_server(server, thread)
 
     def test_client_reconnects_after_server_side_close(self, store):
         # An idle connection the read timeout reaped must be replaced
         # transparently on the next call, not surface as an error.
         service = QueryService(store)
-        server, thread = _start_async(service, read_timeout=0.3)
+        server, thread = start_server(service, read_timeout=0.3)
         host, port = server.server_address[:2]
         try:
             with ServiceClient(f"http://{host}:{port}") as client:
@@ -77,11 +67,11 @@ class TestKeepAlive:
                 assert client.healthz()["status"] == "ok"
             assert server.connections_accepted == 2
         finally:
-            stop_backend_server(server, thread)
+            stop_server(server, thread)
 
     def test_load_generator_round_trip(self, store):
         service = QueryService(store)
-        server, thread = _start_async(service)
+        server, thread = start_server(service)
         host, port = server.server_address[:2]
         try:
             result = run_load(host, port, EQUIVALENCE_CORPUS[:4],
@@ -91,7 +81,7 @@ class TestKeepAlive:
             assert result.qps > 0 and result.p99_ms >= result.p50_ms
             assert server.connections_accepted == 8
         finally:
-            stop_backend_server(server, thread)
+            stop_server(server, thread)
 
 
 class TestBackpressure:
@@ -106,7 +96,7 @@ class TestBackpressure:
             return original(self, text, use_cache=use_cache, **kwargs)
 
         monkeypatch.setattr(QueryService, "query", slow_query)
-        server, thread = _start_async(service, exec_threads=1,
+        server, thread = start_server(service, exec_threads=1,
                                       queue_limit=1)
         host, port = server.server_address[:2]
         try:
@@ -148,7 +138,7 @@ class TestBackpressure:
             assert server.stats()["lanes"]["query"]["rejected"] == 4
         finally:
             release.set()
-            stop_backend_server(server, thread)
+            stop_server(server, thread)
 
     def test_saturated_ingest_lane_does_not_starve_queries(self,
                                                            monkeypatch):
@@ -164,7 +154,7 @@ class TestBackpressure:
                     "watermark": None}
 
         monkeypatch.setattr(QueryService, "ingest", slow_ingest)
-        server, thread = _start_async(service, exec_threads=2,
+        server, thread = start_server(service, exec_threads=2,
                                       queue_limit=4)
         host, port = server.server_address[:2]
         try:
@@ -203,16 +193,14 @@ class TestBackpressure:
             assert len(ingest_errors) == 5
         finally:
             release.set()
-            stop_backend_server(server, thread)
+            stop_server(server, thread)
             store.close()
 
 
 class TestRequestHygiene:
-    @pytest.mark.parametrize("backend", SERVER_BACKENDS)
-    def test_oversized_body_is_413(self, store, backend):
+    def test_oversized_body_is_413(self, store):
         service = QueryService(store)
-        server, thread = start_backend_server(service, backend,
-                                              max_body_bytes=1024)
+        server, thread = start_server(service, max_body_bytes=1024)
         host, port = server.server_address[:2]
         try:
             client = ServiceClient(f"http://{host}:{port}")
@@ -225,12 +213,11 @@ class TestRequestHygiene:
             assert client.healthz()["status"] == "ok"
             client.close()
         finally:
-            stop_backend_server(server, thread)
+            stop_server(server, thread)
 
-    @pytest.mark.parametrize("backend", SERVER_BACKENDS)
-    def test_malformed_json_is_structured_400(self, store, backend):
+    def test_malformed_json_is_structured_400(self, store):
         service = QueryService(store)
-        server, thread = start_backend_server(service, backend)
+        server, thread = start_server(service)
         host, port = server.server_address[:2]
         try:
             for raw in (b"{not json", b"[1, 2, 3]", b""):
@@ -247,11 +234,11 @@ class TestRequestHygiene:
                 assert status == 400
                 assert "error" in json.loads(body)
         finally:
-            stop_backend_server(server, thread)
+            stop_server(server, thread)
 
     def test_chunked_transfer_is_rejected(self, store):
         service = QueryService(store)
-        server, thread = _start_async(service)
+        server, thread = start_server(service)
         host, port = server.server_address[:2]
         try:
             with socket.create_connection((host, port),
@@ -263,11 +250,11 @@ class TestRequestHygiene:
             status, _body = _split_response(response)
             assert status == 411
         finally:
-            stop_backend_server(server, thread)
+            stop_server(server, thread)
 
     def test_read_timeout_reaps_silent_connection(self, store):
         service = QueryService(store)
-        server, thread = _start_async(service, read_timeout=0.3)
+        server, thread = start_server(service, read_timeout=0.3)
         host, port = server.server_address[:2]
         try:
             with socket.create_connection((host, port),
@@ -277,7 +264,7 @@ class TestRequestHygiene:
                 assert sock.recv(1) == b""   # EOF: server closed it
                 assert time.monotonic() - started < 4
         finally:
-            stop_backend_server(server, thread)
+            stop_server(server, thread)
 
 
 class TestGracefulShutdown:
@@ -292,7 +279,7 @@ class TestGracefulShutdown:
             return original(self, text, use_cache=use_cache, **kwargs)
 
         monkeypatch.setattr(QueryService, "query", slow_query)
-        server, thread = _start_async(service)
+        server, thread = start_server(service)
         host, port = server.server_address[:2]
         outcome: dict = {}
 
@@ -314,11 +301,46 @@ class TestGracefulShutdown:
         thread.join(timeout=10)
         assert not thread.is_alive()
 
-    @pytest.mark.parametrize("backend", SERVER_BACKENDS)
-    def test_shutdown_gracefully_idempotent_when_idle(self, store,
-                                                      backend):
+    def test_drain_timeout_reports_the_abandoned_request(self, store,
+                                                         monkeypatch):
+        """A request still executing when the drain timeout expires is
+        abandoned, and ``shutdown_gracefully`` says so."""
         service = QueryService(store)
-        server, thread = start_backend_server(service, backend)
+        original = QueryService.query
+        entered = threading.Event()
+
+        def stuck_query(self, text, use_cache=True, **kwargs):
+            entered.set()
+            time.sleep(1.0)
+            return original(self, text, use_cache=use_cache, **kwargs)
+
+        monkeypatch.setattr(QueryService, "query", stuck_query)
+        server, thread = start_server(service)
+        host, port = server.server_address[:2]
+        outcome: dict = {}
+
+        def fire():
+            try:
+                with ServiceClient(f"http://{host}:{port}",
+                                   timeout=30) as client:
+                    outcome["response"] = client.query(QUERY)
+            except Exception as exc:   # the server drops the request
+                outcome["error"] = exc
+
+        requester = threading.Thread(target=fire)
+        requester.start()
+        assert entered.wait(10)
+        assert server.shutdown_gracefully(drain_timeout=0.1) is False
+        requester.join(timeout=15)
+        assert not requester.is_alive()
+        assert "response" not in outcome
+        server.server_close()
+        thread.join(timeout=10)
+        assert not thread.is_alive()
+
+    def test_shutdown_gracefully_idempotent_when_idle(self, store):
+        service = QueryService(store)
+        server, thread = start_server(service)
         host, port = server.server_address[:2]
         with ServiceClient(f"http://{host}:{port}") as client:
             assert client.healthz()["status"] == "ok"
@@ -334,7 +356,7 @@ class TestConcurrentEquivalence:
         # threads hammering the bounded executor still observe exactly
         # the single-threaded payloads.
         service = QueryService(store)
-        server, thread = _start_async(service, exec_threads=4)
+        server, thread = start_server(service, exec_threads=4)
         host, port = server.server_address[:2]
         try:
             base = f"http://{host}:{port}"
@@ -359,7 +381,7 @@ class TestConcurrentEquivalence:
             for text, payload in outcomes:
                 assert payload == serial[text]
         finally:
-            stop_backend_server(server, thread)
+            stop_server(server, thread)
 
 
 @pytest.fixture(scope="module")
@@ -377,14 +399,12 @@ def segmented_store(data_leak_events):
 
 
 class TestWireContract:
-    @pytest.mark.parametrize("backend", SERVER_BACKENDS)
-    def test_aggregated_answers_are_their_rows(self, segmented_store,
-                                               backend):
+    def test_aggregated_answers_are_their_rows(self, segmented_store):
         """An aggregate's ``/query`` answer lists no events, counts them
         in ``per_pattern_matches``, and a cache hit repeats its miss
         byte for byte; every other answer keeps ``matched_events``."""
         service = QueryService(segmented_store)
-        server, thread = start_backend_server(service, backend)
+        server, thread = start_server(service)
         host, port = server.server_address[:2]
         executor = TBQLExecutor(segmented_store)
         pushed = 0
@@ -408,7 +428,7 @@ class TestWireContract:
                         assert result["matched_events"] == \
                             reference.matched_events
         finally:
-            stop_backend_server(server, thread)
+            stop_server(server, thread)
         assert pushed == 1
 
 

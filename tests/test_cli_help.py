@@ -63,15 +63,34 @@ class TestHelpSurface:
             "snapshot", "segments", "compact", "serve", "tail", "rules"}
 
 
-def test_workers_flag_is_gone(capsys):
-    """``--workers`` was a hidden no-op for one release; it is now a
-    usage error like any unknown option."""
+#: ``(subcommand with its required arguments, removed flag and value)``
+#: for every option the CLI has deleted.
+REMOVED_FLAGS = [
+    (["query", "--log", "audit.log", "--tbql",
+      "proc p read file f return p"], ["--workers", "4"]),
+    (["serve", "--log", "audit.log"], ["--workers", "4"]),
+    (["query", "--log", "audit.log", "--tbql",
+      "proc p read file f return p"], ["--scan-strategy", "sqlite"]),
+    (["serve", "--log", "audit.log"], ["--scan-strategy", "sqlite"]),
+    (["ingest", "--log", "audit.log"], ["--strategy", "rowwise"]),
+    (["snapshot", "--log", "audit.log", "--out", "snap"],
+     ["--strategy", "rowwise"]),
+    (["serve", "--log", "audit.log"], ["--server-backend", "threaded"]),
+]
+
+
+@pytest.mark.parametrize("command, flag", REMOVED_FLAGS,
+                         ids=[f"{command[0]}{flag[0]}"
+                              for command, flag in REMOVED_FLAGS])
+def test_workers_flag_is_gone(command, flag, capsys):
+    """A deleted option is a usage error like any unknown option; the
+    parser rejects it before anything is read or served."""
     from repro.cli import main
     with pytest.raises(SystemExit) as exited:
-        main(["query", "--log", "audit.log", "--tbql",
-              "proc p read file f return p", "--workers", "4"])
+        main(command + flag)
     assert exited.value.code == 2
-    assert "unrecognized arguments: --workers 4" in capsys.readouterr().err
+    assert f"unrecognized arguments: {' '.join(flag)}" in \
+        capsys.readouterr().err
 
 
 class TestQueryListing:

@@ -8,7 +8,8 @@ nobody sees in ``--help``.  The only ones left choose from the platform
 ``src/`` and fails on any other read, and on a read whose name is not a
 string literal (which would hide the name from this audit).  The same
 parse keeps out process pools: segment scans run in process, and no
-committed measurement showed a pool paying for its shipping costs.
+committed measurement showed a pool paying for its shipping costs.  It
+also keeps out ``http.server``: the package has one HTTP front end.
 """
 
 from __future__ import annotations
@@ -98,6 +99,15 @@ def test_package_never_imports_a_process_pool():
                         or name.startswith(("multiprocessing.",
                                             "concurrent.futures.process"))
                         or name == "concurrent.futures.ProcessPoolExecutor"
+                        for name in names)]
+    assert importers == []
+
+
+def test_package_never_imports_http_server():
+    """One HTTP front end: the asyncio server in ``service/aserver.py``."""
+    importers = [where for where, names in _imports()
+                 if any(name == "http.server"
+                        or name.startswith("http.server.")
                         for name in names)]
     assert importers == []
 

@@ -21,8 +21,8 @@ from repro.storage import DualStore
 from repro.tbql.executor import PlanStep, TBQLExecutor
 from repro.tbql.parser import parse_tbql
 
-from .conftest import (DATA_LEAK_EDGES, DATA_LEAK_TEXT, SERVER_BACKENDS,
-                       start_backend_server, stop_backend_server)
+from .conftest import (DATA_LEAK_EDGES, DATA_LEAK_TEXT, start_server,
+                       stop_server)
 from .test_tbql_join_equivalence import EQUIVALENCE_CORPUS
 
 #: A query whose resolution depends on the wall clock ("last N" window).
@@ -42,16 +42,16 @@ def served_store(data_leak_events, tmp_path_factory):
     reopened.close()
 
 
-@pytest.fixture(scope="module", params=SERVER_BACKENDS)
-def client(request, served_store):
-    """A client against each HTTP front end — the whole endpoint and
-    correctness suite runs once per backend."""
+@pytest.fixture(scope="module")
+def client(served_store):
+    """A client against the HTTP front end — the whole endpoint and
+    correctness suite runs over the wire."""
     service = QueryService(served_store)
-    server, thread = start_backend_server(service, request.param)
+    server, thread = start_server(service)
     host, port = server.server_address[:2]
     with ServiceClient(f"http://{host}:{port}") as client:
         yield client
-    stop_backend_server(server, thread)
+    stop_server(server, thread)
 
 
 class TestEndpoints:
@@ -258,9 +258,9 @@ class TestHunt:
             assert response["fuzzy"]["alignments"] >= 0
 
 
-@pytest.fixture(scope="module", params=SERVER_BACKENDS)
-def segmented_client(request, data_leak_events, tmp_path_factory):
-    """A client against each HTTP front end over a segmented snapshot."""
+@pytest.fixture(scope="module")
+def segmented_client(data_leak_events, tmp_path_factory):
+    """A client against the HTTP front end over a segmented snapshot."""
     directory = tmp_path_factory.mktemp("segmented") / "snapshot"
     events = sorted(data_leak_events,
                     key=attrgetter("start_time", "event_id"))
@@ -271,16 +271,15 @@ def segmented_client(request, data_leak_events, tmp_path_factory):
             store.flush_appends()
         store.save(directory)
     with DualStore.open(directory) as reopened:
-        server, thread = start_backend_server(QueryService(reopened),
-                                              request.param)
+        server, thread = start_server(QueryService(reopened))
         host, port = server.server_address[:2]
         with ServiceClient(f"http://{host}:{port}") as client:
             yield client
-        stop_backend_server(server, thread)
+        stop_server(server, thread)
 
 
 class TestWireContract:
-    """What a client of a segmented store sees, pinned on both backends:
+    """What a client of a segmented store sees, pinned over HTTP:
     the plan step fields, the ``/stats`` segments section and the
     metric families."""
 

@@ -1,10 +1,9 @@
 """Service-level observability: /metrics, /healthz, profile, slow log.
 
-Everything here runs against both HTTP front ends (the threaded
-``http.server`` backend and the asyncio backend) — the observability
-surface is part of the service contract, not a property of one server.
-Each test gets a fresh default registry so metric assertions never see
-another test's increments.
+The HTTP tests run against the asyncio front end, which reports itself
+as ``"backend": "asyncio"`` in ``/healthz`` and in the request metrics'
+``backend`` label.  Each test gets a fresh default registry so metric
+assertions never see another test's increments.
 """
 
 from __future__ import annotations
@@ -19,8 +18,7 @@ from repro.service import QueryService, ServiceClient
 from repro.service.server import canonical_endpoint
 from repro.storage import DualStore
 
-from .conftest import (SERVER_BACKENDS, start_backend_server,
-                       stop_backend_server)
+from .conftest import start_server, stop_server
 from .promtext import parse_prometheus_text
 
 QUERY = 'proc p["%/bin/tar%"] read file f as e1 return distinct f'
@@ -42,35 +40,32 @@ def store(data_leak_events):
         yield store
 
 
-@pytest.fixture(params=SERVER_BACKENDS)
-def backend_client(request, store):
+@pytest.fixture()
+def client(store):
     service = QueryService(store)
-    server, thread = start_backend_server(service, request.param)
+    server, thread = start_server(service)
     host, port = server.server_address[:2]
     client = ServiceClient(f"http://{host}:{port}")
     try:
-        yield request.param, client
+        yield client
     finally:
         client.close()
-        stop_backend_server(server, thread)
+        stop_server(server, thread)
 
 
 class TestHealthz:
-    def test_payload_shape_is_pinned(self, backend_client):
-        backend, client = backend_client
+    def test_payload_shape_is_pinned(self, client):
         payload = client.healthz()
         assert set(payload) == {"status", "uptime_seconds", "version",
                                 "backend"}
         assert payload["status"] == "ok"
         assert payload["version"] == repro.__version__
-        assert payload["backend"] == backend
+        assert payload["backend"] == "asyncio"
         assert payload["uptime_seconds"] >= 0
 
 
 class TestMetricsEndpoint:
-    def test_exposition_is_valid_and_covers_requests(
-            self, backend_client):
-        backend, client = backend_client
+    def test_exposition_is_valid_and_covers_requests(self, client):
         client.query(QUERY)
         client.query(QUERY)          # second call: result-cache hit
         client.healthz()
@@ -80,7 +75,7 @@ class TestMetricsEndpoint:
                       in requests["samples"]
                       if labels["path"] == "/query"
                       and labels["status"] == "200"
-                      and labels["backend"] == backend]
+                      and labels["backend"] == "asyncio"]
         assert query_hits == [2.0]
         latency = families["repro_http_request_seconds"]
         counts = [value for name, labels, value in latency["samples"]
@@ -98,9 +93,7 @@ class TestMetricsEndpoint:
         assert build_labels == {"version": repro.__version__}
         assert build_value == 1.0
 
-    def test_scrape_does_not_count_itself_before_rendering(
-            self, backend_client):
-        _backend, client = backend_client
+    def test_scrape_does_not_count_itself_before_rendering(self, client):
         parse_prometheus_text(client.metrics())   # must parse clean
         second = parse_prometheus_text(client.metrics())
         # The second scrape must observe the first one.
@@ -111,8 +104,7 @@ class TestMetricsEndpoint:
 
 
 class TestProfile:
-    def test_profile_returns_span_tree(self, backend_client):
-        _backend, client = backend_client
+    def test_profile_returns_span_tree(self, client):
         response = client.query(QUERY, profile=True)
         tree = response["profile"]
         assert tree["name"] == "query"
@@ -124,8 +116,7 @@ class TestProfile:
         assert response["result"] == plain["result"]
         assert "profile" not in plain
 
-    def test_profile_bypasses_result_cache(self, backend_client):
-        _backend, client = backend_client
+    def test_profile_bypasses_result_cache(self, client):
         client.query(QUERY)                       # warm the cache
         profiled = client.query(QUERY, profile=True)
         assert profiled["cached"] is False

@@ -30,7 +30,7 @@ from repro.tbql.fuzzy import FuzzySearcher
 from repro.tbql.parser import parse_tbql
 from repro.tbql.semantics import resolve_query
 
-from .conftest import start_backend_server, stop_backend_server
+from .conftest import start_server, stop_server
 from .test_streaming_engine import EXFIL_RULE, _attack_batches
 from .test_tbql_join_equivalence import EQUIVALENCE_CORPUS
 
@@ -129,15 +129,14 @@ def test_nothing_but_a_graph_reader_derives_the_graph(snapshot, source,
         store.segment_stats()
         assert store.statistics()["relational_events"] == \
             source.relational.count_events()
-        server, thread = start_backend_server(QueryService(store),
-                                              "asyncio")
+        server, thread = start_server(QueryService(store))
         try:
             host, port = server.server_address[:2]
             with ServiceClient(f"http://{host}:{port}") as client:
                 assert client.stats()["store"]["relational_entities"] == \
                     source.relational.count_entities()
         finally:
-            stop_backend_server(server, thread)
+            stop_server(server, thread)
         store.save(tmp_path / "resaved")
         executor.close()
     with DualStore.open(snapshot, read_only=False) as writable:

@@ -5,24 +5,32 @@ Covers the streaming endpoints (``POST /ingest``, ``POST /rules``,
 when streaming is disabled, result-cache invalidation under live ingest
 observable via ``GET /stats`` (``data_version`` + hit/miss counters), and
 a concurrent ingest-vs-query consistency smoke under the single-writer /
-multi-reader lock.
+multi-reader lock, and the checkpoint a ``repro serve --live`` process
+writes when SIGTERM stops it.
 """
 
 from __future__ import annotations
 
+import os
+import signal
+import subprocess
+import sys
+import threading
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.audit import AuditCollector, CollectorConfig
 from repro.audit.logfmt import format_log
 from repro.errors import ServiceError
 from repro.service import QueryService, ServiceClient
 from repro.storage import DualStore
-from repro.streaming import DetectionEngine, FlushPolicy
+from repro.streaming import (DetectionEngine, FlushPolicy, has_checkpoint,
+                             resume_engine)
 
-from .conftest import (SERVER_BACKENDS, start_backend_server,
-                       stop_backend_server)
+from .conftest import start_server, stop_server
 
 EXFIL_RULE = ('proc p["%/bin/tar%"] read file f["%/etc/passwd%"] as e1 '
               'proc q["%/usr/bin/curl%"] connect ip i as e2 '
@@ -43,18 +51,18 @@ def _attack_log_parts() -> tuple[str, str]:
     return format_log(first), format_log(second)
 
 
-@pytest.fixture(params=SERVER_BACKENDS)
-def live_server(request):
+@pytest.fixture()
+def live_server():
     store = DualStore()
     engine = DetectionEngine(store,
                              policy=FlushPolicy(max_events=1,
                                                 max_seconds=0))
     service = QueryService(store, engine=engine)
-    server, thread = start_backend_server(service, request.param)
+    server, thread = start_server(service)
     host, port = server.server_address[:2]
     with ServiceClient(f"http://{host}:{port}") as client:
         yield client, service, engine
-    stop_backend_server(server, thread)
+    stop_server(server, thread)
     store.close()
 
 
@@ -220,11 +228,10 @@ class TestAlertsValidation:
 
 
 class TestStreamingDisabled:
-    @pytest.mark.parametrize("backend", SERVER_BACKENDS)
-    def test_endpoints_answer_409_without_engine(self, backend):
+    def test_endpoints_answer_409_without_engine(self):
         store = DualStore()
         service = QueryService(store)
-        server, thread = start_backend_server(service, backend)
+        server, thread = start_server(service)
         host, port = server.server_address[:2]
         client = ServiceClient(f"http://{host}:{port}")
         try:
@@ -243,3 +250,56 @@ class TestStreamingDisabled:
             server.server_close()
             thread.join(timeout=5)
             store.close()
+
+
+class TestServeProcess:
+    def test_sigterm_writes_a_checkpoint_and_exits_zero(self, tmp_path):
+        """SIGTERM stops ``repro serve --live`` through the event loop's
+        signal handler: the server drains, the engine checkpoints, and
+        the process exits 0 with a checkpoint ``resume_engine`` reopens."""
+        first, second = _attack_log_parts()
+        log = tmp_path / "audit.log"
+        log.write_text(first, encoding="utf-8")
+        checkpoint = tmp_path / "ckpt"
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(Path(repro.__file__).resolve().parents[1])]
+            + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro.cli", "serve", "--live",
+             "--checkpoint", str(checkpoint), "--log", str(log),
+             "--port", "0"],
+            stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
+            env=env)
+        # Bounds the banner read below: a server that hangs is killed.
+        watchdog = threading.Timer(60, proc.kill)
+        watchdog.start()
+        try:
+            for line in proc.stderr:
+                if "serving on http://" in line:
+                    break
+            else:
+                pytest.fail("repro serve exited before serving")
+            address = line.split("serving on ", 1)[1].split()[0]
+            with ServiceClient(address) as client:
+                client.add_rule(EXFIL_RULE, rule_id="exfil")
+                assert client.ingest(second)["alerts"]
+            proc.send_signal(signal.SIGTERM)
+            _out, err = proc.communicate(timeout=60)
+        finally:
+            watchdog.cancel()
+            if proc.poll() is None:
+                proc.kill()
+                proc.communicate()
+        assert proc.returncode == 0, err
+        assert has_checkpoint(checkpoint)
+        engine = resume_engine(checkpoint)
+        try:
+            assert [rule.rule_id for rule in engine.rules.list()] == \
+                ["exfil"]
+            # The ingested batch is in the checkpoint, not only the log.
+            assert engine.events_stored > 0
+            assert engine.executor.execute(
+                'proc q["%/usr/bin/curl%"] connect ip i return q').rows
+        finally:
+            engine.store.close()
