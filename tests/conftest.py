@@ -7,8 +7,12 @@ Figure-2 text) are session-scoped so the integration tests stay fast.
 from __future__ import annotations
 
 import dataclasses
+import json
 import tempfile
+from contextlib import contextmanager
 from pathlib import Path
+from types import SimpleNamespace
+from urllib.parse import urlsplit
 
 import pytest
 
@@ -17,6 +21,7 @@ from repro.benchmark import get_case
 from repro.benchmark.case import CaseBuilder
 from repro.extraction import extract_threat_behaviors
 from repro.hunting import ThreatRaptor
+from repro.service import ServiceClient
 from repro.storage import DualStore
 from repro.storage.columnar import ColumnarSegment
 
@@ -69,6 +74,65 @@ def stop_server(server, thread) -> None:
     server.shutdown()
     server.server_close()
     thread.join(timeout=10)
+
+
+#: How the endpoint suites reach a ``QueryService``: over HTTP from the
+#: asyncio front end, or through ``route()`` in process.
+TRANSPORTS = ["asyncio", "embedded"]
+
+
+class RoutedClient(ServiceClient):
+    """A :class:`~repro.service.ServiceClient` whose requests never touch
+    a socket: each one goes through ``route()`` in process.
+
+    :meth:`exchange` does with a request what the HTTP front end does —
+    parse the JSON body, route it, encode the payload (``/metrics``
+    renders the registry) — and the answer is decoded, error answers
+    included, by the client's own ``_decode``, so a test written against
+    the client runs unchanged on either transport.
+    """
+
+    def __init__(self, service) -> None:
+        super().__init__("http://embedded")
+        self.service = service
+
+    def exchange(self, method: str, target: str,
+                 body: bytes | None = None) -> tuple[int, bytes]:
+        """Answer one request: ``(status, encoded response body)``."""
+        from repro.service import parse_json_body, route
+
+        if method == "GET" and urlsplit(target).path == "/metrics":
+            return 200, self.service.metrics_text().encode("utf-8")
+        parsed = None
+        if method == "POST":
+            try:
+                parsed = parse_json_body(body or b"")
+            except ValueError as exc:
+                return 400, json.dumps({"error": str(exc)}).encode("utf-8")
+        status, payload = route(self.service, method, target, parsed)
+        return status, json.dumps(payload).encode("utf-8")
+
+    def _send(self, method, path, body=None, raw_text=False):
+        status, raw = self.exchange(method, path, body)
+        response = SimpleNamespace(status=status, reason=None,
+                                   getheader=lambda name: None)
+        return self._decode(response, raw, raw_text=raw_text)
+
+
+@contextmanager
+def service_client(service, transport: str):
+    """A client of ``service`` over ``transport`` (one of
+    :data:`TRANSPORTS`); an HTTP server is stopped on exit."""
+    if transport == "embedded":
+        yield RoutedClient(service)
+        return
+    server, thread = start_server(service)
+    host, port = server.server_address[:2]
+    try:
+        with ServiceClient(f"http://{host}:{port}") as client:
+            yield client
+    finally:
+        stop_server(server, thread)
 
 
 def assert_exact_entity_blocks(store: DualStore) -> list[int]:

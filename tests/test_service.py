@@ -2,7 +2,8 @@
 
 The flagship guarantee: ``/query`` under concurrent clients returns results
 byte-identical to serial in-process execution, over a read-only store opened
-from a snapshot.  Also covers the compiled-plan and result caches, the
+from a snapshot.  The endpoint suites run twice: over HTTP and through
+``route()`` in process.  Also covers the compiled-plan and result caches, the
 ``/hunt`` pipeline, error mapping, and the LRU cache primitive.
 """
 
@@ -15,14 +16,14 @@ from operator import attrgetter
 import pytest
 
 from repro.errors import ServiceError
-from repro.service import (LRUCache, QueryService, ServiceClient,
-                           query_is_time_dependent, result_payload)
+from repro.service import (LRUCache, QueryService, query_is_time_dependent,
+                           result_payload)
 from repro.storage import DualStore
 from repro.tbql.executor import PlanStep, TBQLExecutor
 from repro.tbql.parser import parse_tbql
 
-from .conftest import (DATA_LEAK_EDGES, DATA_LEAK_TEXT, start_server,
-                       stop_server)
+from .conftest import (DATA_LEAK_EDGES, DATA_LEAK_TEXT, TRANSPORTS,
+                       service_client)
 from .test_tbql_join_equivalence import EQUIVALENCE_CORPUS
 
 #: A query whose resolution depends on the wall clock ("last N" window).
@@ -42,16 +43,13 @@ def served_store(data_leak_events, tmp_path_factory):
     reopened.close()
 
 
-@pytest.fixture(scope="module")
-def client(served_store):
-    """A client against the HTTP front end — the whole endpoint and
-    correctness suite runs over the wire."""
-    service = QueryService(served_store)
-    server, thread = start_server(service)
-    host, port = server.server_address[:2]
-    with ServiceClient(f"http://{host}:{port}") as client:
+@pytest.fixture(scope="module", params=TRANSPORTS)
+def client(request, served_store):
+    """A client over each transport — the whole endpoint and correctness
+    suite runs over the wire and through ``route()`` in process."""
+    with service_client(QueryService(served_store),
+                        request.param) as client:
         yield client
-    stop_server(server, thread)
 
 
 class TestEndpoints:
@@ -258,9 +256,9 @@ class TestHunt:
             assert response["fuzzy"]["alignments"] >= 0
 
 
-@pytest.fixture(scope="module")
-def segmented_client(data_leak_events, tmp_path_factory):
-    """A client against the HTTP front end over a segmented snapshot."""
+@pytest.fixture(scope="module", params=TRANSPORTS)
+def segmented_client(request, data_leak_events, tmp_path_factory):
+    """A client over each transport against a segmented snapshot."""
     directory = tmp_path_factory.mktemp("segmented") / "snapshot"
     events = sorted(data_leak_events,
                     key=attrgetter("start_time", "event_id"))
@@ -270,16 +268,13 @@ def segmented_client(data_leak_events, tmp_path_factory):
             store.append_events(events[start:start + step])
             store.flush_appends()
         store.save(directory)
-    with DualStore.open(directory) as reopened:
-        server, thread = start_server(QueryService(reopened))
-        host, port = server.server_address[:2]
-        with ServiceClient(f"http://{host}:{port}") as client:
-            yield client
-        stop_server(server, thread)
+    with DualStore.open(directory) as reopened, \
+            service_client(QueryService(reopened), request.param) as client:
+        yield client
 
 
 class TestWireContract:
-    """What a client of a segmented store sees, pinned over HTTP:
+    """What a client of a segmented store sees, pinned on both transports:
     the plan step fields, the ``/stats`` segments section and the
     metric families."""
 

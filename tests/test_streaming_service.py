@@ -1,4 +1,5 @@
-"""Live service tests: ingest/rules/alerts over HTTP on a writable store.
+"""Live service tests: ingest/rules/alerts on a writable store, over HTTP
+and through ``route()`` in process.
 
 Covers the streaming endpoints (``POST /ingest``, ``POST /rules``,
 ``DELETE /rules/{id}``, ``GET /rules``, ``GET /alerts``), the 409 answer
@@ -30,7 +31,7 @@ from repro.storage import DualStore
 from repro.streaming import (DetectionEngine, FlushPolicy, has_checkpoint,
                              resume_engine)
 
-from .conftest import start_server, stop_server
+from .conftest import TRANSPORTS, RoutedClient, service_client
 
 EXFIL_RULE = ('proc p["%/bin/tar%"] read file f["%/etc/passwd%"] as e1 '
               'proc q["%/usr/bin/curl%"] connect ip i as e2 '
@@ -51,19 +52,29 @@ def _attack_log_parts() -> tuple[str, str]:
     return format_log(first), format_log(second)
 
 
-@pytest.fixture()
-def live_server():
+@pytest.fixture(params=TRANSPORTS)
+def live_server(request):
     store = DualStore()
     engine = DetectionEngine(store,
                              policy=FlushPolicy(max_events=1,
                                                 max_seconds=0))
     service = QueryService(store, engine=engine)
-    server, thread = start_server(service)
-    host, port = server.server_address[:2]
-    with ServiceClient(f"http://{host}:{port}") as client:
+    with service_client(service, request.param) as client:
         yield client, service, engine
-    stop_server(server, thread)
     store.close()
+
+
+def _raw_get(client, target: str) -> tuple[int, bytes]:
+    """``(status, body)`` of a GET, read past the client's error mapping."""
+    from urllib.error import HTTPError
+    from urllib.request import urlopen
+    if isinstance(client, RoutedClient):
+        return client.exchange("GET", target)
+    try:
+        with urlopen(f"{client.base_url}{target}") as response:
+            return response.status, response.read()
+    except HTTPError as error:
+        return error.code, error.read()
 
 
 class TestLiveEndpoints:
@@ -212,13 +223,10 @@ class TestAlertsValidation:
         """Bad ``since_id``/``limit`` must be a 400 with the shared JSON
         error shape — never an unhandled 500."""
         import json as json_module
-        from urllib.error import HTTPError
-        from urllib.request import urlopen
         client, _service, _engine = live_server
-        with pytest.raises(HTTPError) as excinfo:
-            urlopen(f"{client.base_url}/alerts?{query_string}")
-        assert excinfo.value.code == 400
-        body = json_module.loads(excinfo.value.read().decode("utf-8"))
+        status, raw = _raw_get(client, f"/alerts?{query_string}")
+        assert status == 400
+        body = json_module.loads(raw.decode("utf-8"))
         assert "error" in body
         assert "integer" in body["error"]
 
@@ -228,27 +236,23 @@ class TestAlertsValidation:
 
 
 class TestStreamingDisabled:
-    def test_endpoints_answer_409_without_engine(self):
+    @pytest.mark.parametrize("transport", TRANSPORTS)
+    def test_endpoints_answer_409_without_engine(self, transport):
         store = DualStore()
         service = QueryService(store)
-        server, thread = start_server(service)
-        host, port = server.server_address[:2]
-        client = ServiceClient(f"http://{host}:{port}")
         try:
-            for call in (lambda: client.ingest("x"),
-                         lambda: client.add_rule(TAR_QUERY),
-                         lambda: client.rules(),
-                         lambda: client.alerts(),
-                         lambda: client.delete_rule("any")):
-                with pytest.raises(ServiceError) as excinfo:
-                    call()
-                assert excinfo.value.status == 409
-            # Plain serving still works and reports its data_version.
-            assert client.stats()["data_version"] == store.data_version
+            with service_client(service, transport) as client:
+                for call in (lambda: client.ingest("x"),
+                             lambda: client.add_rule(TAR_QUERY),
+                             lambda: client.rules(),
+                             lambda: client.alerts(),
+                             lambda: client.delete_rule("any")):
+                    with pytest.raises(ServiceError) as excinfo:
+                        call()
+                    assert excinfo.value.status == 409
+                # Plain serving still works and reports its data_version.
+                assert client.stats()["data_version"] == store.data_version
         finally:
-            server.shutdown()
-            server.server_close()
-            thread.join(timeout=5)
             store.close()
 
 
