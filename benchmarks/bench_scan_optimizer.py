@@ -35,7 +35,7 @@ benign history —
 * *case-report joins* — all 18 queries through the default segmented,
   scheduled path (first pass on freshly sealed segments, i.e. every
   filter table built, then repeated passes that reuse the per-segment
-  memo) vs one giant SQL statement each on the monolithic store.  Rows
+  memo) vs one giant SQL statement each on the never-sealed store.  Rows
   must be identical (asserted always); the ratios are recorded, not
   asserted — which side wins is the finding.
 
@@ -110,14 +110,14 @@ def _attack_tail(after: float) -> list:
 
 
 def _store_pair(batches):
-    """Monolithic + segmented stores fed identically (same seals)."""
-    mono = DualStore(retain_events=False)
-    seg = DualStore(retain_events=False, layout="segmented")
+    """Never-sealed + sealed stores fed identically (same flushes)."""
+    unsealed = DualStore(retain_events=False)
+    seg = DualStore(retain_events=False)
     for batch in batches:
-        for store in (mono, seg):
+        for store in (unsealed, seg):
             store.append_events(batch)
-            store.flush_appends()
-    return mono, seg
+            store.flush_appends(seal_segment=store is seg)
+    return unsealed, seg
 
 
 def _equal_batches(events, count):
@@ -133,19 +133,19 @@ def stores():
         generate_benign_noise(BENCH_SCAN_OPT_SESSIONS, seed=31),
         BENCH_SCAN_OPT_SEGMENTS)
     batches.append(_attack_tail(batches[-1][-1].start_time))
-    mono, seg = _store_pair(batches)
-    yield mono, seg
-    mono.close()
+    unsealed, seg = _store_pair(batches)
+    yield unsealed, seg
+    unsealed.close()
     seg.close()
 
 
 def test_stats_pruning_speedup(stores):
-    mono, seg = stores
+    unsealed, seg = stores
     segments = len(seg.segment_view().sealed)
-    mono_exec = TBQLExecutor(mono)
+    unsealed_exec = TBQLExecutor(unsealed)
     seg_exec = TBQLExecutor(seg)
 
-    expected = mono_exec.execute(SELECTIVE_QUERY)
+    expected = unsealed_exec.execute(SELECTIVE_QUERY)
     optimized_result = seg_exec.execute(SELECTIVE_QUERY)
     assert optimized_result.rows == expected.rows
     assert optimized_result.matched_events == expected.matched_events
@@ -201,11 +201,11 @@ def _peak_bytes(run) -> int:
 
 
 def test_aggregate_pushdown_speedup_and_bytes(stores):
-    mono, seg = stores
-    mono_exec = TBQLExecutor(mono)
+    unsealed, seg = stores
+    unsealed_exec = TBQLExecutor(unsealed)
     seg_exec = TBQLExecutor(seg)
 
-    expected = mono_exec.execute(GROUP_QUERY)
+    expected = unsealed_exec.execute(GROUP_QUERY)
     optimized_result = seg_exec.execute(GROUP_QUERY)
     assert optimized_result.plan[0].aggregate_pushdown
     assert optimized_result.rows == expected.rows
@@ -273,31 +273,31 @@ def test_case_report_joins_vs_giant_sql():
         events += CaseBuilder(start_time=offset).build(
             case, benign_sessions=0).events
     batches = _equal_batches(events, BENCH_SCAN_OPT_SEGMENTS)
-    mono, seg = _store_pair(batches)
+    unsealed, seg = _store_pair(batches)
     raptor = ThreatRaptor()
     queries = [resolve_query(parse_tbql(raptor.synthesize(
         raptor.extract(case.description)).text)) for case in ALL_CASES]
     patterns = sum(len(query.patterns) for query in queries)
-    mono_exec = TBQLExecutor(mono)
+    unsealed_exec = TBQLExecutor(unsealed)
     seg_exec = TBQLExecutor(seg)
     try:
         start = time.perf_counter()
         answers = [seg_exec.execute(query).rows for query in queries]
         first_pass = time.perf_counter() - start
-        expected = [_giant_sql_rows(mono_exec, query) for query in queries]
+        expected = [_giant_sql_rows(unsealed_exec, query) for query in queries]
         assert answers == expected
         assert sum(map(len, expected)) > 0
         repeated = _best_of(ROUNDS, lambda: [seg_exec.execute(query)
                                              for query in queries])
         giant = _best_of(ROUNDS, lambda: [
-            mono_exec.execute_giant_sql(query) for query in queries])
+            unsealed_exec.execute_giant_sql(query) for query in queries])
     finally:
         seg_exec.close()
-        mono.close()
+        unsealed.close()
         seg.close()
 
     rows = [
-        {"path": "giant SQL, monolithic store", "seconds": giant,
+        {"path": "giant SQL, never-sealed store", "seconds": giant,
          "vs giant SQL": 1.0},
         {"path": "segmented default path, first pass (tables built)",
          "seconds": first_pass, "vs giant SQL": first_pass / giant},

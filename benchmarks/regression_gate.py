@@ -18,12 +18,13 @@ machine-speed normalizer:
 * *fuzzy*     — ``FuzzySearcher`` vs the seed's brute-force search kept in
   ``tests/reference/fuzzy_bruteforce.py``, on the data-leak case store;
 * *streaming* — the incremental append path (``DualStore.append_events``
-  in batches + seal) vs the one-shot batched cold load of the same
-  events (the acceptance bar for live ingestion is 2x of the cold load;
-  the gate holds the measured ratio near its committed baseline);
-* *partitioned* — a selective time-windowed hunt on a segmented store
-  (segment pruning) vs the same hunt on an identically
-  fed monolithic store (the acceptance bar at full scale is a 2x
+  in batches + a final flush of the open merge runs, no segment cut) vs
+  the one-shot batched cold load of the same events (the acceptance bar
+  for live ingestion is 2x of the cold load; the gate holds the measured
+  ratio near its committed baseline);
+* *partitioned* — a selective time-windowed hunt on a store of sealed
+  segments (segment pruning) vs the same hunt on an identically fed
+  store that was never sealed (the acceptance bar at full scale is a 2x
   speedup, i.e. a ratio <= 0.5; the gate holds the smoke-scale ratio
   near its committed baseline);
 * *service_http* — the asyncio HTTP front end answering a 32-client
@@ -165,7 +166,7 @@ def measure_streaming() -> dict:
         with DualStore() as store:
             for chunk in batches:
                 store.append_events(chunk)
-            store.flush_appends()
+            store.flush_appends(seal_segment=False)
 
     def one_shot() -> None:
         with DualStore() as store:
@@ -181,7 +182,7 @@ def measure_streaming() -> dict:
 
 
 def measure_partitioned() -> dict:
-    """Segment-pruned windowed hunt vs the monolithic full filter."""
+    """Segment-pruned windowed hunt vs the never-sealed full filter."""
     from operator import attrgetter
 
     from repro.tbql.executor import TBQLExecutor
@@ -190,17 +191,17 @@ def measure_partitioned() -> dict:
     events.sort(key=attrgetter("start_time", "event_id"))
     segments = 8
     step = len(events) // segments + 1
-    mono = DualStore(retain_events=False)
-    segmented = DualStore(retain_events=False, layout="segmented")
+    unsealed = DualStore(retain_events=False)
+    segmented = DualStore(retain_events=False)
     try:
         for index in range(0, len(events), step):
-            for store in (mono, segmented):
+            for store in (unsealed, segmented):
                 store.append_events(events[index:index + step])
-                store.flush_appends()
+                store.flush_appends(seal_segment=store is segmented)
         cut = segmented.segment_view().sealed[0].max_end_time
         text = (f'before {cut} proc p read file f["%/etc/%"] '
                 f'return distinct p, f')
-        mono_exec = TBQLExecutor(mono)
+        unsealed_exec = TBQLExecutor(unsealed)
         seg_exec = TBQLExecutor(segmented)
 
         def run_many(executor) -> None:
@@ -211,10 +212,10 @@ def measure_partitioned() -> dict:
 
         optimized = _best_of(
             ROUNDS, lambda: run_many(seg_exec)) * INJECTED_SLOWDOWN
-        reference = _best_of(ROUNDS, lambda: run_many(mono_exec))
+        reference = _best_of(ROUNDS, lambda: run_many(unsealed_exec))
         seg_exec.close()
     finally:
-        mono.close()
+        unsealed.close()
         segmented.close()
     return {
         "optimized_seconds": optimized,
@@ -239,7 +240,7 @@ def _segmented_with_rare_ops() -> DualStore:
     events.sort(key=attrgetter("start_time", "event_id"))
     segments = 8
     step = len(events) // segments + 1
-    store = DualStore(retain_events=False, layout="segmented")
+    store = DualStore(retain_events=False)
     for index in range(0, len(events), step):
         store.append_events(events[index:index + step])
         store.flush_appends()
@@ -369,7 +370,7 @@ def measure_obs_overhead() -> dict:
     events.sort(key=attrgetter("start_time", "event_id"))
     segments = 6
     step = len(events) // segments + 1
-    store = DualStore(retain_events=False, layout="segmented")
+    store = DualStore(retain_events=False)
     text = 'proc p read file f["%/etc/%"] return distinct p, f'
     try:
         for index in range(0, len(events), step):

@@ -11,8 +11,8 @@ streaming, and partitioned-storage layers:
 * ``ingest``     — audit log -> dual-store load report (``--stats`` breaks
   the load down per stage: reduce, build, relational),
 * ``snapshot``   — audit log -> persistent on-disk snapshot directory
-  (ingest once, query many times; ``--layout segmented`` seals the
-  history into time-bounded segments),
+  (ingest once, query many times; the history is sealed into
+  time-bounded segments),
 * ``segments``   — list a snapshot's segment manifests,
 * ``compact``    — merge a snapshot's undersized segments,
 * ``serve``      — snapshot (or audit log) -> concurrent HTTP query service
@@ -47,6 +47,19 @@ from .tbql.synthesis import SynthesisPlan, TBQLSynthesizer
 
 def _read_text(path: str) -> str:
     return Path(path).read_text(encoding="utf-8")
+
+
+def _add_layout_argument(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--layout", choices=["monolithic", "segmented"],
+                        help=argparse.SUPPRESS)
+
+
+def _ignore_layout(args: argparse.Namespace) -> None:
+    """``--layout`` is accepted, unlisted, for one release; it does
+    nothing, because every store seals segments."""
+    if args.layout is not None:
+        print("[repro] --layout has no effect and will be removed: every "
+              "store seals segments", file=sys.stderr)
 
 
 def _load_raptor(log_path: str, no_reduction: bool) -> ThreatRaptor:
@@ -186,31 +199,24 @@ def cmd_snapshot(args: argparse.Namespace) -> int:
     from .audit.parser import parse_audit_log
     from .storage import DualStore
 
+    _ignore_layout(args)
     events = parse_audit_log(_read_text(args.log))
-    with DualStore(reduce=not args.no_reduction,
-                   layout=args.layout) as store:
-        if args.layout == "segmented":
-            # Feed the time-ordered stream through the append path and
-            # seal every --segment-events, so the snapshot carries a
-            # prunable multi-segment history instead of one big segment.
-            events.sort(key=attrgetter("start_time", "event_id"))
-            step = max(1, args.segment_events)
-            stored = 0
-            for index in range(0, len(events), step):
-                stored += int(store.append_events(
-                    events[index:index + step]))
-                stored += int(store.flush_appends())
-            manifest = store.save(args.out)
-            segment_count = len(manifest.get("segments", []))
-            print(f"sealed {segment_count} segment(s)", file=sys.stderr)
-        else:
-            stored = int(store.load_events(events))
-            manifest = store.save(args.out)
+    with DualStore(reduce=not args.no_reduction) as store:
+        # Feed the time-ordered stream through the append path and seal
+        # every --segment-events parsed events, so the snapshot carries
+        # a prunable multi-segment history instead of one big segment.
+        events.sort(key=attrgetter("start_time", "event_id"))
+        step = max(1, args.segment_events)
+        stored = 0
+        for index in range(0, len(events), step):
+            stored += int(store.append_events(events[index:index + step]))
+            stored += int(store.flush_appends())
+        manifest = store.save(args.out)
     print(f"snapshot written to {args.out}: "
           f"{manifest['relational_events']} events, "
-          f"{manifest['relational_entities']} entities "
-          f"(format v{manifest['format_version']}, "
-          f"layout {manifest['layout']})")
+          f"{manifest['relational_entities']} entities, "
+          f"{len(manifest['segments'])} sealed segment(s) "
+          f"(format v{manifest['format_version']})")
     return 0 if stored else 1
 
 
@@ -219,12 +225,10 @@ def cmd_segments(args: argparse.Namespace) -> int:
 
     with DualStore.open(args.snapshot) as store:
         stats = store.segment_stats()
-        print(f"layout: {stats['layout']}  sealed segments: "
-              f"{stats['sealed_segments']}  sealed events: "
-              f"{stats['sealed_events']}")
+        print(f"sealed segments: {stats['sealed_segments']}  sealed "
+              f"events: {stats['sealed_events']}  tail events: "
+              f"{stats['active_events']}")
         if not stats["segments"]:
-            print("(monolithic snapshot: the whole history is one "
-                  "relational database)")
             return 0
         header = (f"{'name':<12} {'events':>8} {'event ids':>17} "
                   f"{'new ents':>8} {'ent rows':>8} {'start range':>23} "
@@ -330,6 +334,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
         print("[repro] error: --checkpoint requires --live (only the "
               "detection engine checkpoints)", file=sys.stderr)
         return 2
+    _ignore_layout(args)
     engine = None
     if args.snapshot:
         store = DualStore.open(args.snapshot, read_only=not args.live)
@@ -340,8 +345,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
     else:
         from .audit.parser import parse_audit_log
         store = DualStore(reduce=not args.no_reduction,
-                          retain_events=not args.live,
-                          layout=args.layout)
+                          retain_events=not args.live)
         count = store.load_events(parse_audit_log(_read_text(args.log)))
         print(f"[repro] ingested {count} events from {args.log}",
               file=sys.stderr)
@@ -395,6 +399,7 @@ def cmd_tail(args: argparse.Namespace) -> int:
     from .streaming import (DetectionEngine, FlushPolicy, LogTailer,
                             has_checkpoint, resume_engine)
 
+    _ignore_layout(args)
     policy = FlushPolicy(max_events=args.batch_events,
                          max_seconds=args.flush_interval)
     if args.checkpoint and has_checkpoint(args.checkpoint):
@@ -408,8 +413,7 @@ def cmd_tail(args: argparse.Namespace) -> int:
               file=sys.stderr)
     else:
         engine = DetectionEngine(
-            DualStore(reduce=not args.no_reduction, retain_events=False,
-                      layout=args.layout),
+            DualStore(reduce=not args.no_reduction, retain_events=False),
             policy=policy, max_alerts=args.max_alerts,
             checkpoint_dir=args.checkpoint,
             checkpoint_every=args.checkpoint_every,
@@ -593,15 +597,11 @@ def build_parser() -> argparse.ArgumentParser:
                                "database and a JSON manifest (the graph is "
                                "derived from the database when a query "
                                "needs it)")
-    snapshot.add_argument("--layout", choices=["monolithic", "segmented"],
-                          default="monolithic",
-                          help="store layout: 'segmented' seals the "
-                               "history into immutable time-bounded "
-                               "segments the executor can prune "
-                               "(default: monolithic)")
+    _add_layout_argument(snapshot)
     snapshot.add_argument("--segment-events", type=int, default=25000,
-                          help="with --layout segmented: seal a segment "
-                               "every N stored events (default: 25000)")
+                          help="seal a segment after every N parsed "
+                               "events; reduction stores at most N per "
+                               "segment (default: 25000)")
     snapshot.add_argument("--no-reduction", action="store_true",
                           help="disable data reduction at ingestion time")
     snapshot.set_defaults(func=cmd_snapshot)
@@ -655,10 +655,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "text (default: 256; 0 disables)")
     serve.add_argument("--no-reduction", action="store_true",
                        help="with --log: disable data reduction")
-    serve.add_argument("--layout", choices=["monolithic", "segmented"],
-                       default="monolithic",
-                       help="with --log: store layout for the ingested "
-                            "data (snapshots carry their own layout)")
+    _add_layout_argument(serve)
     serve.add_argument("--exec-threads", type=int, default=0,
                        help="executor threads running TBQL off the "
                             "event loop (0 = auto-size from the CPU "
@@ -678,9 +675,9 @@ def build_parser() -> argparse.ArgumentParser:
                             "engine into this directory on graceful "
                             "shutdown")
     serve.add_argument("--seal-every", type=int, default=0,
-                       help="with --live: seal the active segment after "
-                            "this many stored flushes (0 = only at "
-                            "checkpoints; segmented stores only)")
+                       help="with --live: seal the tail into a segment "
+                            "after this many stored flushes (0 = only at "
+                            "checkpoints)")
     serve.add_argument("--live", action="store_true",
                        help="enable live ingestion + standing-query "
                             "detection (POST /ingest, /rules, /alerts); "
@@ -728,14 +725,10 @@ def build_parser() -> argparse.ArgumentParser:
                            "checkpoint, and exit (batch catch-up mode)")
     tail.add_argument("--no-reduction", action="store_true",
                       help="disable data reduction at ingestion time")
-    tail.add_argument("--layout", choices=["monolithic", "segmented"],
-                      default="monolithic",
-                      help="store layout for the live store (checkpoints "
-                           "of a segmented store carry their segments)")
+    _add_layout_argument(tail)
     tail.add_argument("--seal-every", type=int, default=0,
-                      help="seal the active segment after this many "
-                           "stored flushes (0 = only at checkpoints; "
-                           "segmented stores only)")
+                      help="seal the tail into a segment after this many "
+                           "stored flushes (0 = only at checkpoints)")
     tail.set_defaults(func=cmd_tail)
 
     rules = subparsers.add_parser(

@@ -345,16 +345,16 @@ class QueryService:
         ``plan_cache`` / ``result_cache`` expose hit/miss/eviction counters
         and ``data_version`` the store's current version, so cache
         invalidation under live ingest is observable from the outside;
-        ``segments`` describes the store partitioning (layout, sealed
-        segment manifests, active tail) plus the executor's cumulative
+        ``segments`` describes the store partitioning (sealed segment
+        manifests, unsealed tail) plus the executor's cumulative
         segment-pruning counts.
         """
         with self._counter_lock:
             counters = dict(self._counters)
         with self._read_guard():
             store_stats = self.store.statistics()
-            segment_stats = self.store.segment_stats() \
-                if hasattr(self.store, "segment_stats") else None
+            segment_stats = self.store.segment_stats()
+        segment_stats["pruning"] = self.executor.pruning_totals
         payload = {
             "uptime_seconds": time.time() - self._started_at,
             "read_only": getattr(self.store, "read_only", False),
@@ -363,10 +363,8 @@ class QueryService:
             "counters": counters,
             "plan_cache": self.plan_cache.stats(),
             "result_cache": self.result_cache.stats(),
+            "segments": segment_stats,
         }
-        if segment_stats is not None:
-            segment_stats["pruning"] = self.executor.pruning_totals
-            payload["segments"] = segment_stats
         if self.engine is not None:
             payload["streaming"] = self.engine.stats()
         return payload

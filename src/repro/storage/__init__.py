@@ -1,6 +1,6 @@
 """Storage substrate: relational (SQL) and graph (Cypher) backends."""
 
-from .dualstore import STORE_LAYOUTS, DualStore, IngestStats
+from .dualstore import DualStore, IngestStats
 from .graph import GraphStore, PropertyGraph, graph_from_events, parse_cypher
 from .relational import RelationalStore
 from .segments import SegmentInfo, SegmentView
@@ -8,7 +8,6 @@ from .segments import SegmentInfo, SegmentView
 __all__ = [
     "DualStore",
     "IngestStats",
-    "STORE_LAYOUTS",
     "GraphStore",
     "PropertyGraph",
     "graph_from_events",

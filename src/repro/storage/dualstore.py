@@ -23,6 +23,7 @@ import json
 import shutil
 import tempfile
 import time
+import warnings
 from collections import deque
 from operator import attrgetter
 from pathlib import Path
@@ -40,13 +41,6 @@ from .relational import RelationalStore
 from .relational.database import entity_row
 from .segments import (SEGMENT_FILES, SegmentInfo, SegmentView,
                        collect_segment_stats, merge_infos, plan_compaction)
-
-#: Valid ``layout`` arguments for :class:`DualStore`: ``"monolithic"``
-#: keeps the whole history in one relational database;
-#: ``"segmented"`` additionally seals the history into immutable
-#: time-bounded segments the TBQL executor can prune and scan in
-#: parallel (see :mod:`repro.storage.segments`).
-STORE_LAYOUTS = ("monolithic", "segmented")
 
 #: Steps of a segment seal, as ``IngestStats.seconds`` keys and ``stage``
 #: labels of ``repro_ingest_stage_seconds``.
@@ -68,10 +62,12 @@ DEFAULT_COMPACT_MIN_EVENTS = 5000
 #: holds (no per-segment ``relational.sqlite``);
 #: v5 — no ``graph.bin``: the property graph is derived from the
 #: relational store when first read.
-#: Older snapshots remain readable: v1 opens as a monolithic store, a
-#: segment without a payload (v2) has one built from the combined store
-#: when the snapshot opens, and files a snapshot or segment no longer
-#: owns (``graph.bin`` included) are ignored.
+#: Older snapshots remain readable: one whose manifest lists no
+#: segments (v1, or a store that was never sealed) opens with its whole
+#: history as the unsealed tail, a segment without a payload (v2) has
+#: one built from the combined store when the snapshot opens, and files
+#: a snapshot or segment no longer owns (``graph.bin`` included) and the
+#: manifest's former ``layout`` key are ignored.
 SNAPSHOT_FORMAT_VERSION = 5
 #: File names inside a snapshot directory.
 SNAPSHOT_MANIFEST = "manifest.json"
@@ -371,13 +367,20 @@ class _BuildBatches:
 
 class DualStore:
     """One relational store behind two query interfaces: SQL over its
-    tables and Cypher over the property graph derived from them."""
+    tables and Cypher over the property graph derived from them.
+
+    The event history is a list of sealed segments — immutable,
+    time-bounded columnar payloads the TBQL executor can prune and scan
+    (see :mod:`repro.storage.segments`) — plus the unsealed tail: the
+    events past the last seal, read from the relational store.  A store
+    that was never sealed is all tail.
+    """
 
     def __init__(self, relational_path: str | Path | None = None,
                  reduce: bool = True,
                  merge_threshold: float = DEFAULT_MERGE_THRESHOLD,
                  retain_events: bool = True,
-                 layout: str = "monolithic",
+                 layout: str | None = None,
                  segment_dir: str | Path | None = None) -> None:
         """Create the dual store.
 
@@ -390,17 +393,16 @@ class DualStore:
                 streaming stores — both query backends hold the data, and
                 retaining a third in-memory copy grows without bound under
                 continuous :meth:`append_events`.
-            layout: ``"monolithic"`` (default) or ``"segmented"``; the
-                segmented layout seals immutable time-bounded segments on
-                :meth:`flush_appends`/:meth:`save`, enabling segment
-                pruning and per-segment columnar pattern scans.
-            segment_dir: with ``layout="segmented"``: directory for the
-                sealed segment files; a private temporary directory
-                (removed on :meth:`close`) when omitted.
+            layout: deprecated and ignored: every store seals segments on
+                :meth:`flush_appends` / :meth:`save`.
+            segment_dir: directory for the sealed segment files; a private
+                temporary directory (made on the first seal, removed on
+                :meth:`close`) when omitted.
         """
-        if layout not in STORE_LAYOUTS:
-            raise ValueError(f"unknown store layout: {layout!r} "
-                             f"(expected one of {STORE_LAYOUTS})")
+        if layout is not None:
+            warnings.warn("DualStore(layout=...) is ignored and will be "
+                          "removed: every store seals segments",
+                          DeprecationWarning, stacklevel=2)
         self.relational = RelationalStore(relational_path)
         self.graph = GraphStore(self.relational, lambda: self.data_version)
         self.reduce = reduce
@@ -415,16 +417,12 @@ class DualStore:
         self.data_version = 0
         #: Continuation state of the incremental append path (lazy).
         self._stream: _BuildBatches | None = None
-        self.layout = layout
-        self._init_segment_state(segmented=(layout == "segmented"),
-                                 segment_dir=segment_dir)
+        self._init_segment_state(segment_dir)
 
     # ------------------------------------------------------------------
-    # segment bookkeeping (layout="segmented")
+    # segment bookkeeping
     # ------------------------------------------------------------------
-    def _init_segment_state(self, segmented: bool,
-                            segment_dir: str | Path | None = None) -> None:
-        self._segmented = segmented
+    def _init_segment_state(self, segment_dir: str | Path | None) -> None:
         self._segments: list[SegmentInfo] = []
         #: Monotonic per-store counter so segment names (and therefore
         #: file paths) are never reused, even across reloads — scanners
@@ -432,22 +430,18 @@ class DualStore:
         self._segment_seq = 1
         self._owns_segment_home = False
         self._segment_home: Path | None = None
-        if segmented:
-            if segment_dir is None:
-                self._own_segment_home()
-            else:
-                self._segment_home = Path(segment_dir)
-                self._segment_home.mkdir(parents=True, exist_ok=True)
+        if segment_dir is not None:
+            self._segment_home = Path(segment_dir)
+            self._segment_home.mkdir(parents=True, exist_ok=True)
         self._reset_active_tracking(first_event_id=1, first_entity_id=1)
 
     def _own_segment_home(self) -> Path:
-        """The private temporary segment home (removed on :meth:`close`),
-        created on first use."""
-        if not self._owns_segment_home:
+        """The segment home: ``segment_dir``, or a private temporary
+        directory (removed on :meth:`close`) created on first use."""
+        if self._segment_home is None:
             self._segment_home = Path(
                 tempfile.mkdtemp(prefix="repro-segments-"))
             self._owns_segment_home = True
-        assert self._segment_home is not None
         return self._segment_home
 
     def _reset_active_tracking(self, first_event_id: int,
@@ -459,19 +453,19 @@ class DualStore:
         self._active_max_start: Optional[float] = None
         self._active_min_end: Optional[float] = None
         self._active_max_end: Optional[float] = None
-        #: Column-major buffer of the active segment's stored event rows
-        #: — the seal-time fast path packs these lists straight into the
-        #: ``events.col`` payload.  When it does not cover the active
-        #: segment (no buffer on a monolithic store), sealing reads the
-        #: rows back from the relational store.
-        self._active_columns: EventColumns | None = (
-            EventColumns() if self._segmented else None)
+        #: Column-major buffer of the tail's stored event rows — the
+        #: seal-time fast path packs these lists straight into the
+        #: ``events.col`` payload.  ``None`` when it does not cover the
+        #: tail (a bulk-loaded history, or a snapshot whose history is all
+        #: tail); sealing then reads the rows back from the relational
+        #: store.
+        self._active_columns: EventColumns | None = EventColumns()
 
     def _track_active_bounds(self, times: Iterable[tuple[float, float]],
                              count: int) -> None:
-        """Fold stored ``(start_time, end_time)`` pairs into the active
-        segment's manifest-to-be."""
-        if not self._segmented or count == 0:
+        """Fold stored ``(start_time, end_time)`` pairs into the tail's
+        manifest-to-be."""
+        if count == 0:
             return
         min_start = self._active_min_start
         max_start = self._active_max_start
@@ -495,8 +489,7 @@ class DualStore:
     def _track_active_rows(self, event_columns: EventColumns) -> None:
         self._track_active_bounds(event_columns.time_pairs(),
                                   len(event_columns))
-        if self._segmented and self._active_columns is not None and \
-                len(event_columns):
+        if self._active_columns is not None and len(event_columns):
             self._active_columns.extend(event_columns)
 
     def _drop_segments(self) -> None:
@@ -525,8 +518,10 @@ class DualStore:
         counts.
 
         Loading *replaces* the stored data: the relational backend is
-        cleared first, so ids restart at 1, and the derived graph is
-        dropped (its next reader builds it from the new rows).
+        cleared first, so ids restart at 1, sealed segments are dropped
+        (the loaded history is the tail until the next seal), and the
+        derived graph is dropped (its next reader builds it from the new
+        rows).
 
         The reduction streams, and the relational backend bulk-loads from
         one build pass (:meth:`_load_batched`).
@@ -537,8 +532,7 @@ class DualStore:
                 "a writable DualStore and save() a new snapshot instead")
         self._stream = None     # a reload invalidates append continuation
         self.graph.drop()
-        if self._segmented:
-            self._drop_segments()
+        self._drop_segments()
         stats = self._load_batched(events).observe()
         self.last_ingest = stats
         self.data_version += 1
@@ -597,9 +591,8 @@ class DualStore:
 
         Call at end of stream (or before a checkpoint snapshot) so events
         buffered in open merge runs become queryable.  A no-op when nothing
-        is buffered.  On a segmented store this also seals the active
-        write segment (when it holds any events), making the stored tail
-        an immutable, independently scannable segment — pass
+        is buffered.  This also seals the tail (when it holds any events),
+        making it an immutable, independently scannable segment — pass
         ``seal_segment=False`` to flush the merge runs without cutting a
         segment (the streaming engine does this for per-request ingest
         seals, where cutting one tiny segment per HTTP request would
@@ -607,7 +600,7 @@ class DualStore:
         checkpoint saves decide when segments actually close).
         """
         stats = self._flush_stream()
-        if seal_segment and self._segmented and not self.read_only:
+        if seal_segment and not self.read_only:
             self._seal_active(stats.seconds)
         return stats
 
@@ -625,19 +618,14 @@ class DualStore:
             stream, 0, {"reduce": 0.0, "build": build_seconds})
 
     # ------------------------------------------------------------------
-    # segmented layout: sealing, compaction, execution view
+    # sealing, compaction, execution view
     # ------------------------------------------------------------------
     def seal_active_segment(self) -> SegmentInfo | None:
-        """Flush open merge runs and seal the active write segment.
+        """Flush open merge runs and seal the tail.
 
-        Returns the new segment's manifest, or ``None`` when the active
-        segment held no stored events.  Only valid on a writable store
-        with ``layout="segmented"``.
+        Returns the new segment's manifest, or ``None`` when the tail held
+        no stored events.  Only valid on a writable store.
         """
-        if not self._segmented:
-            raise StorageError(
-                "this store has no segments (layout='monolithic'); "
-                "construct it with layout='segmented' to seal")
         if self.read_only:
             raise StorageError("store is read-only (opened from a "
                                "snapshot); segments cannot be sealed")
@@ -648,10 +636,9 @@ class DualStore:
                      ) -> SegmentInfo | None:
         if self._active_events == 0:
             return None
-        assert self._segment_home is not None
         name = f"seg-{self._segment_seq:06d}"
         self._segment_seq += 1
-        directory = self._segment_home / name
+        directory = self._own_segment_home() / name
         directory.mkdir(parents=True, exist_ok=True)
         first_event = self._active_first_event_id
         last_event = first_event + self._active_events - 1
@@ -685,10 +672,10 @@ class DualStore:
         """Write ``events.col``: the segment's event rows and the entity
         rows they reference.
 
-        ``event_columns`` are the event rows when the active segment
-        buffered them column-wise; compaction merges and snapshots whose
-        segments lack a payload read them back from the relational
-        store.  The payload is the same, byte for byte.
+        ``event_columns`` are the event rows when the tail buffered them
+        column-wise; compaction merges, snapshots whose segments lack a
+        payload and tails restored from a snapshot read them back from
+        the relational store.  The payload is the same, byte for byte.
         """
         event_rows, entity_rows = self.relational.segment_rows(
             info.first_event_id, info.last_event_id,
@@ -736,9 +723,6 @@ class DualStore:
         files are deleted when this store owns them.  Returns a report:
         ``{"merged_runs", "segments_before", "segments_after", "created"}``.
         """
-        if not self._segmented:
-            raise StorageError(
-                "this store has no segments (layout='monolithic')")
         if self.read_only:
             raise StorageError(
                 "store is read-only (opened from a snapshot); reopen "
@@ -747,10 +731,9 @@ class DualStore:
         runs = plan_compaction(self._segments, min_events)
         created: list[str] = []
         for run in runs:
-            assert self._segment_home is not None
             name = f"seg-{self._segment_seq:06d}"
             self._segment_seq += 1
-            directory = self._segment_home / name
+            directory = self._own_segment_home() / name
             directory.mkdir(parents=True, exist_ok=True)
             merged = merge_infos(run, name, directory)
             merged = self._write_segment_files(merged)
@@ -762,22 +745,16 @@ class DualStore:
         return {"merged_runs": len(runs), "segments_before": before,
                 "segments_after": len(self._segments), "created": created}
 
-    def segment_view(self) -> SegmentView | None:
-        """Execution-time view of the partitioning, or ``None``.
-
-        ``None`` means "no sealed segments" — the executor then runs each
-        pattern as one query against the combined store, exactly the
-        monolithic code path.
-        """
-        if not self._segmented or not self._segments:
-            return None
+    def segment_view(self) -> SegmentView:
+        """Execution-time view of the partitioning: the sealed segments
+        (none before the first seal) and the tail."""
         return SegmentView(
             sealed=tuple(self._segments),
             active_first_event_id=self._active_first_event_id,
             active_events=self._active_events)
 
     def segment_stats(self) -> dict:
-        """Layout + per-segment summary (``GET /stats``, ``repro
+        """Sealed segments + tail summary (``GET /stats``, ``repro
         segments``).
 
         Each segment entry carries ``entity_rows`` — the entities its
@@ -785,12 +762,10 @@ class DualStore:
         (``None`` without a payload) — and a ``payload_bytes`` breakdown
         of its on-disk files by kind (:data:`SEGMENT_FILES`).
         """
-        stats: dict = {"layout": self.layout,
-                       "sealed_segments": len(self._segments),
+        stats: dict = {"sealed_segments": len(self._segments),
                        "sealed_events": sum(info.event_count
                                             for info in self._segments),
-                       "active_events": self._active_events
-                       if self._segmented else None}
+                       "active_events": self._active_events}
         entries = []
         for info in self._segments:
             entry = info.as_manifest_entry()
@@ -891,7 +866,11 @@ class DualStore:
             next_entity_id=batches.next_entity_id)
         relational_seconds = time.perf_counter() - relational_start
 
-        self._track_active_rows(batches.event_columns)
+        # No column buffer: a load-only store never seals, and the rare
+        # seal after a load reads the rows back (the same payload bytes).
+        self._track_active_bounds(batches.event_columns.time_pairs(),
+                                  len(batches.event_columns))
+        self._active_columns = None
         self._events = batches.reduced if self.retain_events else []
         return IngestStats(
             len(batches.reduced), input_events=input_count,
@@ -951,11 +930,9 @@ class DualStore:
 
         On a writable store the append stream is sealed first
         (:meth:`flush_appends`), so events buffered in open merge runs are
-        part of the snapshot; on a segmented store that seal also closes
-        the active write segment, and every sealed segment is copied into
-        ``segments/<name>/`` with its entry recorded in the manifest.
-        Monolithic stores write the same manifest without a ``segments``
-        list.
+        part of the snapshot and the tail is sealed; every sealed segment
+        is copied into ``segments/<name>/`` with its entry recorded in the
+        manifest.
         """
         if not self.read_only:
             self.flush_appends()
@@ -966,15 +943,13 @@ class DualStore:
         manifest = {
             "format_version": SNAPSHOT_FORMAT_VERSION,
             "created_at": time.time(),
-            "layout": self.layout,
             "reduce": self.reduce,
             "merge_threshold": self.merge_threshold,
             "data_version": self.data_version,
             "relational_entities": self.relational.count_entities(),
             "relational_events": self.relational.count_events(),
+            "segments": self._save_segments(directory),
         }
-        if self._segmented:
-            manifest["segments"] = self._save_segments(directory)
         (directory / SNAPSHOT_MANIFEST).write_text(
             json.dumps(manifest, indent=2, sort_keys=True) + "\n",
             encoding="utf-8")
@@ -1097,25 +1072,22 @@ class DualStore:
                           read_only: bool) -> None:
         """Attach a snapshot's segments to this freshly opened store.
 
-        v1 manifests (no ``segments``, no ``layout``) leave the store
-        monolithic — the backward-compatible path.  Read-only opens
-        reference the snapshot's segment files in place; writable reopens
-        copy them into a private temporary home first, so a later
-        checkpoint swap (which replaces the snapshot directory) can never
-        delete files a live store still scans.  A segment that arrives
-        without a payload (format v2) gets one built in that private
-        home in either mode; the snapshot directory is never written.
+        A manifest that lists no segments (v1, or a store saved before
+        its first seal) restores the whole stored history as the tail:
+        event ids ``1..max``, time bounds read from the relational store.
+        Read-only opens reference the snapshot's segment files in place;
+        writable reopens copy them into a private temporary home first,
+        so a later checkpoint swap (which replaces the snapshot
+        directory) can never delete files a live store still scans.  A
+        segment that arrives without a payload (format v2) gets one built
+        in that private home in either mode; the snapshot directory is
+        never written.
         """
+        self._init_segment_state(None)
         entries = manifest.get("segments") or []
-        segmented = bool(entries) or \
-            manifest.get("layout") == "segmented"
-        self.layout = "segmented" if segmented else "monolithic"
-        self._init_segment_state(segmented=False)
-        if not segmented:
+        if not entries:
+            self._restore_tail()
             return
-        self._segmented = True
-        if not read_only:
-            self._own_segment_home()
         infos: list[SegmentInfo] = []
         for entry in entries:
             name = entry.get("name")
@@ -1142,12 +1114,31 @@ class DualStore:
             raise StorageError(
                 f"snapshot {directory} is corrupt: segments cover "
                 f"{covered} events, store holds {stored}")
-        next_event_id = infos[-1].last_event_id + 1 if infos else 1
         next_entity_id = max(
             [info.last_new_entity_id + 1 for info in infos
              if info.new_entity_count] or [1])
-        self._reset_active_tracking(first_event_id=next_event_id,
-                                    first_entity_id=next_entity_id)
+        self._reset_active_tracking(
+            first_event_id=infos[-1].last_event_id + 1,
+            first_entity_id=next_entity_id)
+
+    def _restore_tail(self) -> None:
+        """Make every stored event the tail (no column buffer: a seal
+        reads the rows back from the relational store).
+
+        Only a seal reads the tail's time bounds, so a read-only open
+        skips their full-table scan and reads ``MAX(id)`` alone.
+        """
+        [(last_event,)] = self.relational.select_tuples(
+            "SELECT MAX(id) FROM events")
+        self._active_events = last_event or 0
+        self._active_columns = None
+        if self.read_only:
+            return
+        [(self._active_min_start, self._active_max_start,
+          self._active_min_end, self._active_max_end)] = \
+            self.relational.select_tuples(
+                "SELECT MIN(start_time), MAX(start_time), "
+                "MIN(end_time), MAX(end_time) FROM events")
 
     def _place_segment(self, info: SegmentInfo,
                        directory: Path) -> SegmentInfo:
@@ -1168,9 +1159,8 @@ class DualStore:
         stats = {
             "relational_entities": self.relational.count_entities(),
             "relational_events": self.relational.count_events(),
+            "sealed_segments": len(self._segments),
         }
-        if self._segmented:
-            stats["sealed_segments"] = len(self._segments)
         if self.last_reduction is not None:
             stats["reduction_ratio"] = self.last_reduction.reduction_ratio
             stats["events_removed"] = self.last_reduction.events_removed
@@ -1189,7 +1179,7 @@ class DualStore:
         self.close()
 
 
-__all__ = ["DualStore", "IngestStats", "STORE_LAYOUTS",
+__all__ = ["DualStore", "IngestStats",
            "DEFAULT_COMPACT_MIN_EVENTS", "SNAPSHOT_FORMAT_VERSION",
            "SNAPSHOT_MANIFEST", "SNAPSHOT_RELATIONAL",
            "SNAPSHOT_SEGMENTS_DIR"]

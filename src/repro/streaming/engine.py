@@ -109,14 +109,13 @@ class DetectionEngine:
         checkpoint_dir: directory for periodic snapshot checkpoints.
         checkpoint_every: checkpoint after this many stored flushes
             (0 disables automatic checkpointing).
-        seal_every: on a segmented store: seal the active write segment
-            after this many stored flushes (the flush→seal policy; 0
-            seals only when a checkpoint snapshot is saved).  Per-request
-            ingest seals (``POST /ingest``) flush merge runs but never
-            cut segments.  Sealing closes open merge runs, so a sealed
-            event can no longer merge with later arrivals — pick a
-            cadence coarse enough for your merge threshold.  No effect
-            on monolithic stores.
+        seal_every: seal the store's tail into a segment after this
+            many stored flushes (the flush→seal policy; 0 seals only when
+            a checkpoint snapshot is saved).  Per-request ingest seals
+            (``POST /ingest``) flush merge runs but never cut segments.
+            Sealing closes open merge runs, so a sealed event can no
+            longer merge with later arrivals — pick a cadence coarse
+            enough for your merge threshold.
     """
 
     def __init__(self, store: DualStore,
@@ -271,12 +270,11 @@ class DetectionEngine:
                 if events:
                     stored += int(self.store.append_events(events))
                     self._flushes_since_seal += 1
-                # Flush→seal policy: periodically close the active write
-                # segment so segmented stores keep gaining prunable,
-                # parallel-scannable history.  A per-request ``seal``
-                # (POST /ingest) only flushes the open merge runs — it
-                # must NOT cut one tiny segment per HTTP request; actual
-                # segment seals happen here and at checkpoint saves.
+                # Flush→seal policy: periodically seal the tail so the
+                # store keeps gaining prunable history.  A per-request
+                # ``seal`` (POST /ingest) only flushes the open merge runs
+                # — it must NOT cut one tiny segment per HTTP request;
+                # actual segment seals happen here and at checkpoints.
                 seal_segment = self.seal_every > 0 and \
                     self._flushes_since_seal >= self.seal_every
                 if seal or seal_segment:
@@ -406,8 +404,9 @@ class DetectionEngine:
         """Persist the store + stream state for restart-resume.
 
         Drains and seals any buffered data first (so the saved snapshot
-        and the recorded log offset agree), snapshots the dual store, and
-        writes ``stream_state.json`` next to the snapshot manifest.
+        and the recorded log offset agree), merges undersized adjacent
+        segments (:meth:`DualStore.compact`), snapshots the dual store,
+        and writes ``stream_state.json`` next to the snapshot manifest.
 
         The write is *atomic at the directory level*: the new checkpoint
         is built in a ``<dir>.tmp`` sibling and swapped into place via
@@ -431,6 +430,14 @@ class DetectionEngine:
                 self._apply(pending, seal=True)
             if staging.exists():
                 shutil.rmtree(staging)
+            # Cutting a segment changes what readers scan: exclusive.  So
+            # does merging the small segments earlier checkpoints cut,
+            # which keeps a long-running store's segment count (and the
+            # per-segment cost of every scan) bounded.  The save then
+            # only reads.
+            with self.lock.write_lock():
+                self.store.seal_active_segment()
+                self.store.compact()
             with self.lock.read_lock():
                 self.store.save(staging)
             state = write_stream_state(staging, self)

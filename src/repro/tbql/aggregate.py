@@ -1,12 +1,12 @@
 """Post-join aggregation for TBQL v2 (``count()`` / ``group by`` / ``top``).
 
 Aggregation runs over the *joined* result rows, after the scatter-gather
-stage has merged per-segment partial results back into the monolithic
+stage has merged per-segment partial results back into the global
 ``(start_time, event_id)`` order and the join has enumerated assignments
 in its canonical order.  Every partial contribution a segment scan made is
 therefore re-combined here exactly once, which is what keeps aggregated
-results byte-identical across storage layouts and segment cuts — the
-partitioned equivalence corpus pins this.
+results byte-identical across segment cuts — the partitioned equivalence
+corpus pins this.
 
 Accumulation is one dict keyed by the group tuple, O(rows), in row order
 (first-seen group order).  The naive linear-lookup accumulator it is

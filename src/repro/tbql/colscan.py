@@ -9,13 +9,13 @@ them over as :data:`EventRow` tuples, gathered with one read per
 column; the executor merges every segment's tuples with one sort.
 
 Equivalence contract: the evaluator reproduces the exact semantics of
-the SQL a monolithic store and the active tail run
-(``compile_pattern_sql``) under SQLite's comparison rules —
-three-valued logic with only-TRUE-kept WHERE semantics, storage-class
-ordering (numbers sort before text), numeric/text affinity conversions,
-and the ``LIKE`` mapping of TBQL ``%`` wildcards (ASCII
-case-insensitive, ``_`` escaped).  The equivalence corpus pins this
-byte-for-byte against the monolithic store.
+the SQL the unsealed tail runs (``compile_pattern_sql``) under SQLite's
+comparison rules — three-valued logic with only-TRUE-kept WHERE
+semantics, storage-class ordering (numbers sort before text),
+numeric/text affinity conversions, and the ``LIKE`` mapping of TBQL
+``%`` wildcards (ASCII case-insensitive, ``_`` escaped).  The
+equivalence corpus pins this byte-for-byte against a store that was
+never sealed.
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ _NUMERIC_COLUMNS = frozenset({"pid", "srcport", "dstport", "start_time",
 #: One matched event as every scan hands it to the executor:
 #: ``(start_time, event_id, operation, end_time, subject_id,
 #: object_id)``, so that tuple order is the ``(start_time, event_id)``
-#: order a monolithic scan returns.
+#: order one SQL statement over the whole store returns.
 EventRow = tuple[float, int, Optional[str], float, int, int]
 
 #: The event columns an :data:`EventRow` is gathered from, in its order.

@@ -128,10 +128,10 @@ def compile_pattern_sql(pattern: ResolvedPattern, query: ResolvedQuery,
     ``subject_candidates`` / ``object_candidates`` are entity-row-id
     restrictions injected by the scheduler from previously executed
     patterns.  ``min_event_id`` restricts the scan to events at or above
-    that id — how the scatter-gather executor scans only the *active*
-    (not yet sealed) tail of a segmented store, whose earlier events the
-    per-segment scans already covered, and how the standing-rule delta
-    gate scans only what a flush stored.
+    that id — how the scatter-gather executor scans only the unsealed
+    tail of a store, whose earlier events the per-segment scans already
+    covered, and how the standing-rule delta gate scans only what a
+    flush stored.
 
     A pushed id list is at most a few hundred entities, so the statement
     should start from them (``idx_events_subject`` / ``idx_events_object``)

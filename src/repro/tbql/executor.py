@@ -49,10 +49,10 @@ from ..obs.metrics import get_registry
 from ..obs.trace import current_span, start_span
 from ..storage.dualstore import DualStore
 from ..storage.relational.schema import ENTITY_ATTRIBUTE_COLUMNS
-from ..storage.segments import SegmentInfo, SegmentView, prune_segments
+from ..storage.segments import SegmentInfo, prune_segments
 from .aggregate import apply_aggregation, rows_from_counts
 from .ast import TemporalRelation
-from .colscan import (EventRow, build_pattern_spec,
+from .colscan import (EventRow, PatternSpec, build_pattern_spec,
                       last_filter_table_counts, scan_segment_aggregate,
                       scan_segment_columnar)
 from .compiler_cypher import compile_giant_cypher, compile_pattern_cypher
@@ -61,8 +61,7 @@ from .parser import TIME_UNIT_SECONDS, parse_tbql
 from .pruning import prune_by_candidates, prune_by_stats
 from .scheduler import (ScheduledStep, naive_schedule, pruning_score,
                         schedule)
-from .semantics import (ResolvedPattern, ResolvedQuery, effective_window,
-                        resolve_query)
+from .semantics import ResolvedPattern, ResolvedQuery, resolve_query
 
 #: Largest candidate set pushed down into a data query, per side.  Bigger
 #: sets are cheaper to apply as the post-execution key filter than to
@@ -71,6 +70,11 @@ from .semantics import (ResolvedPattern, ResolvedQuery, effective_window,
 #: own parameters) under the 999 bound-variable limit of older SQLite
 #: builds.
 MAX_CANDIDATE_PUSHDOWN = 450
+
+#: The :class:`PlanStep` segment counts of a scan with no sealed segment.
+_NO_SEGMENTS = {"segments_scanned": 0, "segments_pruned": 0,
+                "segments_pruned_by_stats": 0,
+                "segments_pruned_by_candidates": 0}
 
 #: Serialises the first read of lazily built event lists
 #: (:meth:`QueryResult.lazy`); re-entrant, as one builder may read
@@ -128,14 +132,14 @@ class PlanStep(str):
     rows_out: int
     hydration_queries: int
     #: Sealed segments the pattern scan visited / skipped via manifest
-    #: pruning; ``None`` when the store has no segment view (monolithic).
+    #: pruning; ``None`` for a Cypher step, which reads the graph.
     segments_scanned: Optional[int]
     segments_pruned: Optional[int]
     #: Sealed segments skipped via seal-time statistics (zone maps and
-    #: distinct sets) after time pruning; ``None`` on the monolithic path.
+    #: distinct sets) after time pruning; ``None`` for a Cypher step.
     segments_pruned_by_stats: Optional[int]
     #: Skipped after stats pruning: the entity block holds no pushed
-    #: candidate id of some side; ``None`` on the monolithic path.
+    #: candidate id of some side; ``None`` for a Cypher step.
     segments_pruned_by_candidates: Optional[int]
     #: True when the step ran as a partial-aggregate pushdown: segment
     #: scans returned per-segment group counts instead of packed rows.
@@ -517,8 +521,9 @@ class TBQLExecutor:
         the scheduler's order (candidate pushdown as in :meth:`execute`,
         absence patterns last) into the ordinary join; the first
         non-empty join answers yes.  Every scan runs on the combined
-        store — the history side of a term is an index lookup from the
-        pushed-down ids, never a scatter over sealed segments.  Exact,
+        store (:meth:`_scan_rows` with no sealed segments) — the history
+        side of a term is an index lookup from the pushed-down ids,
+        never a scatter over sealed segments.  Exact,
         except that a positive path pattern (no id floor in Cypher) is a
         conservative yes.  Also returns the delta rows per pattern.
         """
@@ -659,17 +664,25 @@ class TBQLExecutor:
             seconds=seconds)
         return filtered, entities, plan_step
 
-    def _segment_view(self) -> Optional[SegmentView]:
-        view_of = getattr(self.store, "segment_view", None)
-        return view_of() if callable(view_of) else None
+    def _tail_rows(self, pattern: ResolvedPattern, resolved: ResolvedQuery,
+                   floor: int, subject_ids: Optional[list[int]] = None,
+                   object_ids: Optional[list[int]] = None
+                   ) -> list[EventRow]:
+        """The pattern's events with ids from ``floor`` up, read from the
+        combined store in ``(start_time, event_id)`` order.  The first
+        event id renders no id clause: the statement then reads the whole
+        store."""
+        compiled = compile_pattern_sql(
+            pattern, resolved, subject_candidates=subject_ids,
+            object_candidates=object_ids,
+            min_event_id=floor if floor > 1 else None)
+        return self.store.relational.select_tuples(compiled.sql,
+                                                   compiled.params)
 
-    def _scatter_rows(self, pattern: ResolvedPattern,
-                      resolved: ResolvedQuery,
-                      subject_ids: Optional[list[int]],
-                      object_ids: Optional[list[int]],
-                      view: SegmentView
-                      ) -> tuple[list[EventRow], dict[str, Any]]:
-        """Scatter one pattern scan across the store's segments.
+    def _prune(self, sealed: tuple[SegmentInfo, ...], spec: PatternSpec
+               ) -> tuple[list[SegmentInfo], dict[str, int]]:
+        """The sealed segments a scan of ``spec`` must visit, and the
+        :class:`PlanStep` segment counts (also recorded as metrics).
 
         The planner prunes sealed segments whose time bounds cannot
         intersect the pattern's resolved window (same predicate the SQL
@@ -677,44 +690,56 @@ class TBQLExecutor:
         statistics to drop segments no stored row could match (sound by
         the :mod:`~repro.tbql.pruning` contract; stats-less segments
         always survive), then those whose entity block holds no pushed
-        candidate id of some side.  Survivors are scanned one after the
-        other, the active tail — events past the last seal — scans
-        the combined store with an id floor, and one sort of the
-        :data:`~repro.tbql.colscan.EventRow` tuples merges everything
-        back into the ``(start_time, event_id)`` order a monolithic scan
-        would have produced.  Returns the rows and the :class:`PlanStep`
-        segment counts.
+        candidate id of some side.  With no sealed segment there is
+        nothing to prune, and nothing is recorded.
         """
-        window = effective_window(pattern, resolved)
-        targets = prune_segments(view.sealed, window)
-        time_pruned = len(view.sealed) - len(targets)
+        if not sealed:
+            return [], _NO_SEGMENTS
+        targets = prune_segments(sealed, spec.window)
+        time_pruned = len(sealed) - len(targets)
+        targets, stats_pruned = prune_by_stats(targets, spec)
+        targets, candidates_pruned = prune_by_candidates(targets, spec)
+        self._record_pruning(len(targets), time_pruned, stats_pruned,
+                             candidates_pruned)
+        return targets, {"segments_scanned": len(targets),
+                         "segments_pruned": time_pruned,
+                         "segments_pruned_by_stats": stats_pruned,
+                         "segments_pruned_by_candidates": candidates_pruned}
+
+    def _scan_rows(self, pattern: ResolvedPattern, resolved: ResolvedQuery,
+                   subject_ids: Optional[list[int]],
+                   object_ids: Optional[list[int]],
+                   sealed: tuple[SegmentInfo, ...], floor: Optional[int]
+                   ) -> tuple[list[EventRow], dict[str, int]]:
+        """One pattern scan: the ``sealed`` segments that survive
+        :meth:`_prune`, one after the other, plus the combined store from
+        event id ``floor`` (:meth:`_tail_rows`; no SQL leg when ``floor``
+        is None).  One sort of the :data:`~repro.tbql.colscan.EventRow`
+        tuples merges everything into the ``(start_time, event_id)``
+        order one statement over the whole store would have produced.
+        Returns the rows and the :class:`PlanStep` segment counts.
+        """
+        if not sealed:      # nothing to prune or merge: the tail leg alone
+            rows = [] if floor is None else self._tail_rows(
+                pattern, resolved, floor, subject_ids, object_ids)
+            return rows, _NO_SEGMENTS
         spec = build_pattern_spec(pattern, resolved,
                                   subject_candidates=subject_ids,
                                   object_candidates=object_ids)
-        targets, stats_pruned = prune_by_stats(targets, spec)
-        targets, candidates_pruned = prune_by_candidates(targets, spec)
+        targets, segments = self._prune(sealed, spec)
         with start_span("scatter", segments=len(targets),
-                        pruned=len(view.sealed) - len(targets)) as span:
+                        pruned=len(sealed) - len(targets)) as span:
             rows: list[EventRow] = []
             for scanned in _scan_segments(
                     targets, "columnar",
                     lambda path: scan_segment_columnar(path, spec)):
                 rows += scanned
-            if view.active_events:
-                active = compile_pattern_sql(
-                    pattern, resolved, subject_candidates=subject_ids,
-                    object_candidates=object_ids,
-                    min_event_id=view.active_first_event_id)
-                rows += self.store.relational.select_tuples(active.sql,
-                                                            active.params)
+            if floor is not None:
+                rows += self._tail_rows(pattern, resolved, floor,
+                                        subject_ids, object_ids)
             rows.sort()
             span.set_attribute("rows", len(rows))
-        self._record_pruning(len(targets), time_pruned, stats_pruned,
-                             candidates_pruned)
-        return rows, {"segments_scanned": len(targets),
-                      "segments_pruned": time_pruned,
-                      "segments_pruned_by_stats": stats_pruned,
-                      "segments_pruned_by_candidates": candidates_pruned}
+        return rows, segments
 
     def _execute_sql_pattern(self, pattern: ResolvedPattern,
                              resolved: ResolvedQuery,
@@ -724,21 +749,15 @@ class TBQLExecutor:
                              ) -> tuple[list[PatternMatch],
                                         dict[int, _Entity], int,
                                         dict[str, Any]]:
-        # ``since_event_id`` (the delta gate): events from that id up (0 =
-        # all), read from the combined store whatever the layout.
-        view = self._segment_view() if since_event_id is None else None
-        segments: dict[str, Any] = {}
-        if view is None:
-            compiled = compile_pattern_sql(pattern, resolved,
-                                           subject_candidates=subject_ids,
-                                           object_candidates=object_ids,
-                                           min_event_id=since_event_id
-                                           or None)
-            rows = self.store.relational.select_tuples(compiled.sql,
-                                                       compiled.params)
-        else:
-            rows, segments = self._scatter_rows(
-                pattern, resolved, subject_ids, object_ids, view)
+        if since_event_id is None:
+            view = self.store.segment_view()
+            sealed = view.sealed
+            floor = view.active_first_event_id if view.active_events \
+                else None
+        else:   # the delta gate: the combined store from that id (0 = all)
+            sealed, floor = (), max(since_event_id, 1)
+        rows, segments = self._scan_rows(pattern, resolved, subject_ids,
+                                         object_ids, sealed, floor)
         # Hydrate every subject/object entity of this pattern in one batched
         # query instead of one lookup per result row (the seed's N+1).
         needed = _entity_ids(rows)
@@ -825,9 +844,7 @@ class TBQLExecutor:
             return None
         if resolved.temporal_relations or resolved.attribute_relations:
             return None
-        view = self._segment_view()
-        if view is None:
-            return None
+        view = self.store.segment_view()
         # Map every group-by pair onto (pattern side, entity column).
         # Subject first: on a self-loop pattern both sides name the same
         # entity and _relation_value resolves subject-first.
@@ -846,17 +863,14 @@ class TBQLExecutor:
             group_sides.append((on_subject, attribute))
             group_columns.append((on_subject, column))
         spec = build_pattern_spec(pattern, resolved)
-        window = effective_window(pattern, resolved)
-        targets = prune_segments(view.sealed, window)
-        time_pruned = len(view.sealed) - len(targets)
-        survivors, stats_pruned = prune_by_stats(targets, spec)
+        survivors, segments = self._prune(view.sealed, spec)
         hydration_queries = 0
         scan_start = time.perf_counter()
         counts: dict[tuple, int] = {}
         tail: list[EventRow] = []
         columns = tuple(group_columns)
         with start_span("scatter", segments=len(survivors),
-                        pruned=time_pruned + stats_pruned) as span:
+                        pruned=len(view.sealed) - len(survivors)) as span:
             partials = _scan_segments(
                 survivors, "aggregate",
                 lambda path: scan_segment_aggregate(path, spec, columns),
@@ -865,11 +879,8 @@ class TBQLExecutor:
                 for key, count in partial_counts.items():
                     counts[key] = counts.get(key, 0) + count
             if view.active_events:
-                active = compile_pattern_sql(
-                    pattern, resolved,
-                    min_event_id=view.active_first_event_id)
-                tail = self.store.relational.select_tuples(active.sql,
-                                                           active.params)
+                tail = self._tail_rows(pattern, resolved,
+                                       view.active_first_event_id)
                 entities, hydration_queries = self._hydrate_entities(
                     _entity_ids(tail))
                 for row in tail:
@@ -883,7 +894,6 @@ class TBQLExecutor:
             matched = sum(partial[0] for partial in partials) + len(tail)
             span.set_attribute("rows", matched)
         seconds = {"execute": time.perf_counter() - scan_start}
-        self._record_pruning(len(survivors), time_pruned, stats_pruned)
         join_start = time.perf_counter()
         with start_span("aggregate") as span:
             out_rows = rows_from_counts(counts, aggregation)
@@ -891,9 +901,9 @@ class TBQLExecutor:
         join_seconds = time.perf_counter() - join_start
 
         def matched_events(_result: QueryResult) -> list[dict[str, Any]]:
-            # In the global order a monolithic scan produces, names
-            # hydrated by entity id (entity rows never change, so an
-            # append since the query does not matter).
+            # In the global order one statement over the whole store
+            # produces, names hydrated by entity id (entity rows never
+            # change, so an append since the query does not matter).
             rows = [row for _matched, _counts, gather in partials
                     for row in gather()] + tail
             rows.sort()
@@ -912,11 +922,7 @@ class TBQLExecutor:
             pattern.pattern_id, backend="sql",
             score=pruning_score(pattern),
             rows_in=matched, rows_out=matched,
-            hydration_queries=hydration_queries,
-            segments_scanned=len(survivors),
-            segments_pruned=time_pruned,
-            segments_pruned_by_stats=stats_pruned,
-            segments_pruned_by_candidates=0,
+            hydration_queries=hydration_queries, **segments,
             aggregate_pushdown=True,
             seconds=seconds)
         # Every single-pattern match is a complete join assignment, so

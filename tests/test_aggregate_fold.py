@@ -92,7 +92,7 @@ def _events(batch: int) -> list[SystemEvent]:
 
 def _store(sealed: int = 3) -> DualStore:
     """``sealed`` sealed segments plus one batch in the active tail."""
-    store = DualStore(layout="segmented")
+    store = DualStore()
     for batch in range(sealed):
         store.append_events(_events(batch))
         store.flush_appends()

@@ -36,18 +36,18 @@ from .test_tbql_join_equivalence import EQUIVALENCE_CORPUS
 
 FIXTURE = Path(__file__).parent / "fixtures" / "answer_bytes.json"
 
-#: Store name -> (layout, flush points as fractions of EVENTS, whether
-#: the last flush seals).
+#: Store name -> (flush points as fractions of EVENTS, whether the last
+#: flush seals).
 STORES = {
-    "never_sealed": ("monolithic", (1.0,), True),
-    "sealed_3": ("segmented", (1 / 3, 2 / 3, 1.0), True),
-    "sealed_3_tail": ("segmented", (0.25, 0.5, 0.75, 1.0), False),
+    "never_sealed": ((1.0,), False),
+    "sealed_3": ((1 / 3, 2 / 3, 1.0), True),
+    "sealed_3_tail": ((0.25, 0.5, 0.75, 1.0), False),
 }
 
 
 def build_store(name: str) -> DualStore:
-    layout, points, seal_last = STORES[name]
-    store = DualStore(layout=layout)
+    points, seal_last = STORES[name]
+    store = DualStore()
     start = 0
     for index, point in enumerate(points):
         end = round(point * len(EVENTS))
@@ -90,8 +90,7 @@ def test_answers_match_the_recorded_bytes(named_store, monkeypatch,
                                           use_numpy):
     monkeypatch.setenv("REPRO_COLUMNAR_NUMPY", use_numpy)
     name, store = named_store
-    if name != "never_sealed":
-        assert store.segment_view().sealed, name
+    assert bool(store.segment_view().sealed) == (name != "never_sealed")
     recorded = json.loads(FIXTURE.read_text())[name]
     assert list(recorded) == EQUIVALENCE_CORPUS
     executor = TBQLExecutor(store)

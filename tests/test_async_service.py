@@ -390,7 +390,7 @@ def segmented_store(data_leak_events):
     single-pattern ``count()`` texts take the aggregate pushdown."""
     events = sorted(data_leak_events,
                     key=lambda event: (event.start_time, event.event_id))
-    with DualStore(layout="segmented") as store:
+    with DualStore() as store:
         for start in range(0, len(events), 80):
             store.append_events(events[start:start + 80])
             store.flush_appends(seal_segment=start + 80 < len(events))

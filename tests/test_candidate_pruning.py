@@ -6,7 +6,7 @@ pushed side (``pruning.prune_by_candidates``), and a segment scan in
 which a pushed side or a conjunctive pass mask has no passing row
 returns before any per-event work.  Neither may change an answer: rows
 and ``matched_events`` equal the unpruned reference
-(``candidate_pruning_disabled()``) and the monolithic store, under the
+(``candidate_pruning_disabled()``) and the never-sealed store, under the
 numpy evaluator and under ``REPRO_COLUMNAR_NUMPY=0``, on a store with
 compacted, freshly sealed and widened (ids ``1..N``) payloads plus an
 active tail.
@@ -65,7 +65,7 @@ def _widen_entity_block(store: DualStore, info) -> None:
 
 
 def _layered_pair():
-    """(monolithic, segmented) stores over the same batches: the first
+    """(never sealed, sealed) stores over the same batches: the first
     four seals compacted into one segment, the second segment's payload
     widened to ids ``1..N``, the last two batches left in the active
     tail."""
@@ -76,25 +76,26 @@ def _layered_pair():
     events.sort(key=attrgetter("start_time", "event_id"))
     batches = [events[start:start + 30]
                for start in range(0, len(events), 30)]
-    mono = DualStore()
-    seg = DualStore(layout="segmented")
+    unsealed = DualStore()
+    seg = DualStore()
     for index, batch in enumerate(batches):
-        for store in (mono, seg):
+        for store in (unsealed, seg):
             store.append_events(batch)
-            store.flush_appends(seal_segment=index < len(batches) - 2)
+            store.flush_appends(seal_segment=store is seg and
+                                index < len(batches) - 2)
         if index == 3:
             seg.compact(min_events=10 ** 6)
     _widen_entity_block(seg, seg.segment_view().sealed[1])
-    return mono, seg
+    return unsealed, seg
 
 
 @pytest.fixture(scope="module")
 def layered():
-    mono, seg = _layered_pair()
+    unsealed, seg = _layered_pair()
     view = seg.segment_view()
     assert len(view.sealed) >= 4 and view.active_events
-    yield mono, seg
-    mono.close()
+    yield unsealed, seg
+    unsealed.close()
     seg.close()
 
 
@@ -127,7 +128,7 @@ def _homes(seg: DualStore) -> dict[int, set[str]]:
 
 
 def test_the_store_has_every_kind_of_payload(layered):
-    _mono, seg = layered
+    _unsealed, seg = layered
     sealed = seg.segment_view().sealed
     assert sealed[0].event_count > sealed[2].event_count      # compacted
     widened = _block_ids(sealed[1])
@@ -196,7 +197,7 @@ def test_named_candidate_lists(layered, monkeypatch, use_numpy):
     """Ids in one segment, in several, only in the tail, in none, and
     of the wrong entity type, on every sealed payload."""
     monkeypatch.setenv("REPRO_COLUMNAR_NUMPY", use_numpy)
-    _mono, seg = layered
+    _unsealed, seg = layered
     homes = _homes(seg)
     types = {row["id"]: row["type"] for row in seg.relational.execute(
         "SELECT id, type FROM entities")}
@@ -224,7 +225,7 @@ def test_named_candidate_lists(layered, monkeypatch, use_numpy):
 
 @pytest.mark.parametrize("use_numpy", EVALUATORS)
 def test_generated_candidate_lists(layered, use_numpy):
-    _mono, seg = layered
+    _unsealed, seg = layered
     top = max(row["id"] for row in seg.relational.execute(
         "SELECT id FROM entities"))
     pool = st.one_of(st.integers(1, top), st.sampled_from((0, top + 1,
@@ -274,10 +275,10 @@ def _answer(executor, text):
 
 @pytest.mark.parametrize("use_numpy", EVALUATORS)
 def test_generated_joins_match_the_unpruned_reference(layered, use_numpy):
-    mono, seg = layered
+    unsealed, seg = layered
     pids = sorted({row["pid"] for row in seg.relational.execute(
         "SELECT pid FROM entities WHERE type = 'proc'")})
-    reference = TBQLExecutor(mono)
+    reference = TBQLExecutor(unsealed)
     executor = TBQLExecutor(seg)
 
     @settings(max_examples=40, deadline=None,
@@ -303,7 +304,7 @@ def test_generated_joins_match_the_unpruned_reference(layered, use_numpy):
 
 
 def test_tail_only_candidates_prune_every_sealed_segment(layered):
-    mono, seg = layered
+    unsealed, seg = layered
     homes = _homes(seg)
     tail = {row["id"]: row["pid"] for row in seg.relational.execute(
         "SELECT id, pid FROM entities WHERE type = 'proc'")
@@ -319,7 +320,7 @@ def test_tail_only_candidates_prune_every_sealed_segment(layered):
         assert step.segments_pruned_by_candidates == \
             len(seg.segment_view().sealed) - step.segments_pruned - \
             step.segments_pruned_by_stats
-    expected = TBQLExecutor(mono).execute(text)
+    expected = TBQLExecutor(unsealed).execute(text)
     assert (result.rows, result.matched_events) == \
         (expected.rows, expected.matched_events)
 
@@ -355,7 +356,7 @@ def test_a_scan_that_cannot_match_reads_no_event_column(layered,
                                                         monkeypatch,
                                                         use_numpy):
     monkeypatch.setenv("REPRO_COLUMNAR_NUMPY", use_numpy)
-    _mono, seg = layered
+    _unsealed, seg = layered
     info = seg.segment_view().sealed[-1]
     absent = max(_block_ids(info)) + 1
     text = 'proc p read || write file f return p'
@@ -378,11 +379,11 @@ def test_entity_filter_no_entity_of_a_segment_passes(layered, monkeypatch,
     per-event work; the answer and the filter-table span counts are as
     if every segment were scanned in full."""
     monkeypatch.setenv("REPRO_COLUMNAR_NUMPY", use_numpy)
-    mono, seg = layered
+    unsealed, seg = layered
     snapshot = tmp_path / "snap"       # fresh paths: every memo cold
     seg.save(snapshot)
     text = 'proc p["%/bin/tar%"] read || write file f["%/%"] return p, f'
-    expected = TBQLExecutor(mono).execute(text)
+    expected = TBQLExecutor(unsealed).execute(text)
     with DualStore.open(snapshot) as store, stats_pruning_disabled():
         executor = TBQLExecutor(store)
         with trace.start_trace("query") as cold:
@@ -418,7 +419,7 @@ def test_entity_filter_no_entity_of_a_segment_passes(layered, monkeypatch,
 @pytest.mark.parametrize("use_numpy", EVALUATORS)
 def test_empty_selection_gathers_no_row(layered, monkeypatch, use_numpy):
     monkeypatch.setenv("REPRO_COLUMNAR_NUMPY", use_numpy)
-    _mono, seg = layered
+    _unsealed, seg = layered
     segment = ColumnarSegment(seg.segment_view().sealed[0].columnar_path)
     try:
         for text in ('proc p["%no-such-binary%"] read file f return p',
@@ -461,13 +462,13 @@ def test_data_leak_join_scans_one_segment_per_pushed_step():
         get_case("data_leak"), benign_sessions=0).events
     batches[7] = sorted(batches[7] + attack,
                         key=attrgetter("start_time", "event_id"))
-    mono = DualStore()
-    seg = DualStore(layout="segmented")
+    unsealed = DualStore()
+    seg = DualStore()
     try:
         for batch in batches:
-            for store in (mono, seg):
+            for store in (unsealed, seg):
                 store.append_events(batch)
-                store.flush_appends()
+                store.flush_appends(seal_segment=store is seg)
         assert len(seg.segment_view().sealed) == 16
         result = TBQLExecutor(seg).execute(DATA_LEAK_JOIN)
         assert len(result.rows) == 1
@@ -477,7 +478,7 @@ def test_data_leak_join_scans_one_segment_per_pushed_step():
         for step in pushed:
             assert (step.segments_scanned,
                     step.segments_pruned_by_candidates) == (1, 15), step
-        expected = TBQLExecutor(mono).execute(DATA_LEAK_JOIN)
+        expected = TBQLExecutor(unsealed).execute(DATA_LEAK_JOIN)
         assert (result.rows, result.matched_events) == \
             (expected.rows, expected.matched_events)
         with candidate_pruning_disabled():
@@ -487,5 +488,5 @@ def test_data_leak_join_scans_one_segment_per_pushed_step():
         assert all(step.segments_pruned_by_candidates == 0
                    for step in unpruned.plan)
     finally:
-        mono.close()
+        unsealed.close()
         seg.close()

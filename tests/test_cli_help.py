@@ -47,13 +47,15 @@ class TestHelpSurface:
 
     @pytest.mark.parametrize("name, options", [
         ("ingest", {"--log", "--stats", "--no-reduction"}),
-        ("snapshot", {"--log", "--out", "--layout", "--segment-events",
+        ("snapshot", {"--log", "--out", "--segment-events",
                       "--no-reduction"}),
     ])
     def test_load_commands_have_one_load_path(self, name, options):
-        """The batched loader is the only one; no ``--strategy``."""
+        """The batched loader is the only one; no ``--strategy``, and no
+        listed ``--layout``."""
         present = {option for action in _subcommands()[name]._actions
                    if not isinstance(action, argparse._HelpAction)
+                   and action.help != argparse.SUPPRESS
                    for option in action.option_strings}
         assert present == options
 
@@ -93,6 +95,77 @@ def test_workers_flag_is_gone(command, flag, capsys):
         capsys.readouterr().err
 
 
+class TestDeprecatedLayout:
+    """``--layout`` is accepted, unlisted, on ``snapshot``, ``serve`` and
+    ``tail`` for one release: either value prints one deprecation line
+    and changes nothing."""
+
+    @pytest.mark.parametrize("name", ["snapshot", "serve", "tail"])
+    def test_layout_is_hidden(self, name):
+        [action] = [action for action in _subcommands()[name]._actions
+                    if "--layout" in action.option_strings]
+        assert action.help == argparse.SUPPRESS
+        assert "--layout" not in _subcommands()[name].format_help()
+
+    @pytest.mark.parametrize("layout", ["monolithic", "segmented"])
+    def test_snapshot_layout_warns_and_writes_the_same_store(
+            self, tmp_path, capsys, data_leak_events, layout):
+        from repro.audit.logfmt import format_log
+        from repro.cli import main
+        from repro.storage import DualStore
+        log = tmp_path / "audit.log"
+        log.write_text(format_log(data_leak_events), encoding="utf-8")
+        snaps = {flag: tmp_path / f"snap{len(flag)}"
+                 for flag in ((), ("--layout", layout))}
+        for flag, snap in snaps.items():
+            capsys.readouterr()
+            assert main(["snapshot", "--log", str(log), "--out", str(snap),
+                         "--segment-events", "100", *flag]) == 0
+            err = capsys.readouterr().err
+            assert err.count("--layout has no effect") == \
+                (1 if flag else 0)
+        default, flagged = (DualStore.open(snap) for snap in snaps.values())
+        with default, flagged:
+            assert [info.event_count
+                    for info in flagged.segment_view().sealed] == \
+                [info.event_count for info in default.segment_view().sealed]
+            for sql in ("SELECT * FROM entities ORDER BY id",
+                        "SELECT * FROM events ORDER BY id"):
+                assert flagged.execute_sql(sql) == default.execute_sql(sql)
+
+    def test_tail_layout_warns(self, tmp_path, capsys):
+        from repro.cli import main
+        log = tmp_path / "audit.log"
+        log.write_text("", encoding="utf-8")
+        assert main(["tail", "--log", str(log), "--once",
+                     "--layout", "monolithic"]) == 0
+        assert capsys.readouterr().err.count("--layout has no effect") == 1
+
+
+def test_snapshot_of_one_chunk_stores_what_load_events_stores(
+        tmp_path, data_leak_events):
+    """Under ``--segment-events`` parsed events, ``repro snapshot`` stores
+    the rows a one-shot :meth:`DualStore.load_events` stores, as one
+    sealed segment."""
+    from repro.audit.logfmt import format_log
+    from repro.audit.parser import parse_audit_log
+    from repro.cli import main
+    from repro.storage import DualStore
+    text = format_log(data_leak_events)
+    log = tmp_path / "audit.log"
+    log.write_text(text, encoding="utf-8")
+    assert len(parse_audit_log(text)) < 25000
+    assert main(["snapshot", "--log", str(log), "--out",
+                 str(tmp_path / "snap")]) == 0
+    with DualStore.open(tmp_path / "snap") as snapped, \
+            DualStore() as loaded:
+        loaded.load_events(parse_audit_log(text))
+        assert len(snapped.segment_view().sealed) == 1
+        for sql in ("SELECT * FROM entities ORDER BY id",
+                    "SELECT * FROM events ORDER BY id"):
+            assert snapped.execute_sql(sql) == loaded.execute_sql(sql)
+
+
 class TestQueryListing:
     """``repro query`` lists the matched events of a plain query and
     only counts those of a ``count()`` query; ``--explain`` is the same
@@ -109,7 +182,7 @@ class TestQueryListing:
         log.write_text(format_log(data_leak_events), encoding="utf-8")
         snapshot = directory / "snap"
         assert main(["snapshot", "--log", str(log), "--out", str(snapshot),
-                     "--layout", "segmented", "--segment-events", "100"]) == 0
+                     "--segment-events", "100"]) == 0
         return {"--log": str(log), "--snapshot": str(snapshot)}
 
     @pytest.mark.parametrize("source", ["--log", "--snapshot"])
@@ -131,7 +204,7 @@ class TestQueryListing:
         assert listing == (f"=== {matched} matched events (not listed for "
                            "count() queries) ===")
         assert matched > 3
-        assert ("agg-pushdown" in steps[0]) == (source == "--snapshot")
+        assert "agg-pushdown" in steps[0]
 
     def test_plain_query_lists_its_events(self, sources, capsys):
         from repro.cli import main

@@ -3,12 +3,13 @@
 Covers the ``events.col`` container format, the SQLite comparison
 semantics the columnar evaluator reproduces (differentially, against a
 live SQLite connection), numpy/pure-python selection parity, snapshots
-written by older builds (v1 monolithic, v2 without payloads, v3 with
-files a segment no longer owns).
+written by older builds (v1 and never-sealed v5 listing no segments,
+v2 without payloads, v3 with files a segment no longer owns).
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import shutil
@@ -21,7 +22,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.audit import AuditCollector, CollectorConfig
+from repro.audit import (AuditCollector, CollectorConfig,
+                         generate_benign_noise)
 from repro.errors import StorageError
 from repro.storage import DualStore
 from repro.storage.dualstore import SNAPSHOT_FORMAT_VERSION
@@ -38,6 +40,7 @@ from repro.tbql.compiler_sql import render_filter
 from repro.tbql.executor import TBQLExecutor
 
 from .conftest import record_data_leak_attack, snapshot_files
+from .reference.executor_seed import RowPathExecutor
 from .reference.scan_unoptimized import dictionary_disabled
 from .test_tbql_join_equivalence import EQUIVALENCE_CORPUS
 
@@ -84,20 +87,20 @@ def _sample_payload(tmp_path):
 
 
 def _segmented_pair(batches=3):
-    """A (monolithic, segmented) store pair over the attack corpus."""
+    """A (never sealed, sealed) store pair over the attack corpus."""
     collector = AuditCollector(CollectorConfig(seed=7))
     record_data_leak_attack(collector)
     events = sorted(collector.events(),
                     key=attrgetter("start_time", "event_id"))
-    mono = DualStore()
-    seg = DualStore(layout="segmented")
+    unsealed = DualStore()
+    seg = DualStore()
     step = len(events) // batches + 1
     for index in range(0, len(events), step):
         batch = events[index:index + step]
-        for store in (mono, seg):
+        for store in (unsealed, seg):
             store.append_events(batch)
-            store.flush_appends()
-    return mono, seg
+            store.flush_appends(seal_segment=store is seg)
+    return unsealed, seg
 
 
 # ---------------------------------------------------------------------------
@@ -406,8 +409,8 @@ def test_pure_python_corpus_equivalence(monkeypatch):
     """The portable path (every CI leg but ``tests-numpy``) answers the
     corpus correctly."""
     monkeypatch.setenv("REPRO_COLUMNAR_NUMPY", "0")
-    mono, seg = _segmented_pair()
-    reference = TBQLExecutor(mono)
+    unsealed, seg = _segmented_pair()
+    reference = RowPathExecutor(unsealed)
     executor = TBQLExecutor(seg)
     try:
         for text in EQUIVALENCE_CORPUS[:6]:
@@ -418,7 +421,7 @@ def test_pure_python_corpus_equivalence(monkeypatch):
     finally:
         executor.close()
         reference.close()
-        mono.close()
+        unsealed.close()
         seg.close()
 
 
@@ -732,21 +735,31 @@ def _edit_manifest(path, edit) -> None:
     path.write_text(json.dumps(manifest), encoding="utf-8")
 
 
+#: Older snapshots whose manifest lists no segments: format v1 (no
+#: ``layout``, no ``segments``) and v5 as the monolithic layout wrote it.
+_ZERO_SEGMENT_KINDS = ("v1", "v5_monolithic")
+
+
 def _older_snapshot(kind, snap) -> None:
     """Write a snapshot of ``_segmented_pair()``'s corpus as ``kind``."""
     if kind == "v3_pr13":
         shutil.copytree(_PR13_SNAPSHOT, snap)
         return
-    mono, seg = _segmented_pair()
+    unsealed, seg = _segmented_pair()
     try:
-        (mono if kind == "v1" else seg).save(snap)
+        seg.save(snap)
     finally:
-        mono.close()
+        unsealed.close()
         seg.close()
-    if kind == "v1":
+    if kind in _ZERO_SEGMENT_KINDS:
+        shutil.rmtree(snap / "segments")
+
         def downgrade(manifest):
-            manifest["format_version"] = 1
-            del manifest["layout"]
+            del manifest["segments"]
+            if kind == "v1":
+                manifest["format_version"] = 1
+            else:
+                manifest["layout"] = "monolithic"
     else:
         # Format v2: no columnar payloads and no seal-time statistics.
         for payload in snap.glob("segments/*/events.col"):
@@ -764,17 +777,18 @@ def _older_snapshot(kind, snap) -> None:
 @pytest.mark.skipif(sys.byteorder != "little",
                     reason="the fixture's payloads are little-endian")
 @pytest.mark.parametrize("read_only", [True, False])
-@pytest.mark.parametrize("kind", ["v1", "v2", "v3_pr13"])
+@pytest.mark.parametrize("kind", [*_ZERO_SEGMENT_KINDS, "v2", "v3_pr13"])
 def test_snapshots_of_older_builds_answer_the_corpus(tmp_path, kind,
                                                      read_only):
     snap = tmp_path / "snap"
     _older_snapshot(kind, snap)
     before = snapshot_files(snap)
-    mono, seg = _segmented_pair()
-    reference = TBQLExecutor(mono)
+    unsealed, seg = _segmented_pair()
+    reference = RowPathExecutor(unsealed)
     try:
         with DualStore.open(snap, read_only=read_only) as old:
-            assert (old.segment_view() is None) == (kind == "v1")
+            assert (old.segment_view().sealed == ()) == \
+                (kind in _ZERO_SEGMENT_KINDS)
             executor = TBQLExecutor(old)
             for text in EQUIVALENCE_CORPUS:
                 expected = reference.execute(text)
@@ -784,7 +798,51 @@ def test_snapshots_of_older_builds_answer_the_corpus(tmp_path, kind,
         assert snapshot_files(snap) == before      # opening never writes to it
     finally:
         reference.close()
-        mono.close()
+        unsealed.close()
+        seg.close()
+
+
+@pytest.mark.parametrize("kind", _ZERO_SEGMENT_KINDS)
+def test_zero_segment_snapshot_seals_its_whole_history(tmp_path, kind):
+    """A snapshot listing no segments opens with its whole history as
+    the tail: ids ``1..max``, time bounds from the relational store.
+    Reopened writable, appended to, flushed and resaved, its segments
+    cover every stored event, hold what the never-sealed store fed the
+    same events seals, and answer as that store does."""
+    snap = tmp_path / "snap"
+    _older_snapshot(kind, snap)
+    extra = sorted(generate_benign_noise(3, seed=5),
+                   key=attrgetter("start_time", "event_id"))
+    unsealed, seg = _segmented_pair()
+    try:
+        unsealed.append_events(extra)
+        unsealed.flush_appends(seal_segment=False)
+        with DualStore.open(snap, read_only=False) as old:
+            view = old.segment_view()
+            assert (view.sealed, view.active_first_event_id,
+                    view.active_events) == \
+                ((), 1, old.relational.count_events())
+            old.append_events(extra)
+            old.flush_appends()
+            [merged] = old.segment_view().sealed
+            payload = Path(merged.columnar_path).read_bytes()
+            old.save(tmp_path / "resaved")
+        with DualStore.open(tmp_path / "resaved") as reopened:
+            assert reopened.segment_view().sealed_events == \
+                reopened.relational.count_events()
+            reference = RowPathExecutor(unsealed)
+            executor = TBQLExecutor(reopened)
+            for text in EQUIVALENCE_CORPUS:
+                expected = reference.execute(text)
+                got = executor.execute(text)
+                assert got.rows == expected.rows, text
+                assert got.matched_events == expected.matched_events, text
+        twin = unsealed.seal_active_segment()
+        assert dataclasses.replace(merged, name="", directory="") == \
+            dataclasses.replace(twin, name="", directory="")
+        assert payload == Path(twin.columnar_path).read_bytes()
+    finally:
+        unsealed.close()
         seg.close()
 
 
@@ -792,7 +850,7 @@ def test_v2_snapshot_gets_its_payloads_built_at_open(tmp_path):
     snap = tmp_path / "snap"
     _older_snapshot("v2", snap)
     assert not list(snap.rglob("events.col"))
-    _mono, seg = _segmented_pair()
+    _unsealed, seg = _segmented_pair()
     try:
         with DualStore.open(snap) as reopened:
             sealed = reopened.segment_view().sealed
@@ -817,17 +875,17 @@ def test_v2_snapshot_gets_its_payloads_built_at_open(tmp_path):
         assert not home.exists()            # the private home is removed
         assert not list(snap.rglob("events.col"))
     finally:
-        _mono.close()
+        _unsealed.close()
         seg.close()
 
 
 def test_saved_snapshot_reopens_with_its_payloads(tmp_path):
-    _mono, seg = _segmented_pair()
+    _unsealed, seg = _segmented_pair()
     snap = tmp_path / "snap"
     try:
         seg.save(snap)
     finally:
-        _mono.close()
+        _unsealed.close()
         seg.close()
     with DualStore.open(snap) as reopened:
         view = reopened.segment_view()
@@ -895,8 +953,8 @@ def test_in_place_compact_drops_files_segments_no_longer_own(
     for name in names:
         assert sorted(os.listdir(snap / "segments" / name)) == \
             ["events.col", "segment.json"]
-    mono, seg = _segmented_pair()
-    reference = TBQLExecutor(mono)
+    unsealed, seg = _segmented_pair()
+    reference = RowPathExecutor(unsealed)
     try:
         with DualStore.open(snap) as upgraded:
             executor = TBQLExecutor(upgraded)
@@ -908,5 +966,5 @@ def test_in_place_compact_drops_files_segments_no_longer_own(
                 executor.close()
     finally:
         reference.close()
-        mono.close()
+        unsealed.close()
         seg.close()

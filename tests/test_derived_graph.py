@@ -91,7 +91,7 @@ def test_extended_graph_equals_a_fresh_build(steps, replace):
     unsealed flush of the merge runs, a seal or nothing), whether the
     graph is read then, and whether a compaction runs."""
     steps = sorted(steps)
-    with DualStore(layout="segmented") as store:
+    with DualStore() as store:
         start = 0
         for end, flush, read, compact in steps + [(len(EVENTS), "seal",
                                                    False, False)]:
@@ -213,7 +213,7 @@ def test_derived_indexes_match_a_scan():
     """The bulk paths a derivation and an extension take fill the label
     and property indexes: every indexed lookup equals a full scan."""
     half = len(EVENTS) // 2
-    with DualStore(layout="segmented") as store:
+    with DualStore() as store:
         store.append_events(EVENTS[:half])
         store.flush_appends()
         first = store.graph.num_edges()

@@ -69,7 +69,7 @@ def test_second_search_reuses_index(store):
 def test_append_and_flush_rebuild(data_leak_events):
     events = sorted(data_leak_events, key=attrgetter("start_time",
                                                      "event_id"))
-    with DualStore(retain_events=False, layout="segmented") as segmented:
+    with DualStore(retain_events=False) as segmented:
         segmented.append_events(events)
         segmented.flush_appends()
         before = FuzzySearcher(segmented).search(LATE_QUERY)

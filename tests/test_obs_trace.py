@@ -41,7 +41,7 @@ def _events():
 @pytest.fixture(scope="module")
 def segmented_store():
     events = _events()
-    store = DualStore(layout="segmented")
+    store = DualStore()
     size = max(1, len(events) // SEGMENT_BATCHES)
     for start in range(0, len(events), size):
         store.append_events(events[start:start + size])

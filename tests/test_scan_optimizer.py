@@ -67,23 +67,23 @@ def _corpus_events():
 
 
 def _build_pair(batch_size=40):
-    """(monolithic, segmented) stores fed identical batches/seals."""
+    """(never sealed, sealed) stores fed identical batches/flushes."""
     events = _corpus_events()
-    mono = DualStore()
-    seg = DualStore(layout="segmented")
+    unsealed = DualStore()
+    seg = DualStore()
     for index in range(0, len(events), batch_size):
         batch = events[index:index + batch_size]
-        for store in (mono, seg):
+        for store in (unsealed, seg):
             store.append_events(batch)
-            store.flush_appends()
-    return mono, seg
+            store.flush_appends(seal_segment=store is seg)
+    return unsealed, seg
 
 
 @pytest.fixture(scope="module")
 def store_pair():
-    mono, seg = _build_pair()
-    yield mono, seg
-    mono.close()
+    unsealed, seg = _build_pair()
+    yield unsealed, seg
+    unsealed.close()
     seg.close()
 
 
@@ -94,14 +94,14 @@ def store_pair():
 
 class TestSealTimeStats:
     def test_every_sealed_segment_carries_stats(self, store_pair):
-        _mono, seg = store_pair
+        _unsealed, seg = store_pair
         view = seg.segment_view()
         assert view.sealed
         for info in view.sealed:
             assert isinstance(info.stats, SegmentStats)
 
     def test_stats_describe_the_stored_rows_exactly(self, store_pair):
-        _mono, seg = store_pair
+        _unsealed, seg = store_pair
         for info in seg.segment_view().sealed:
             segment = ColumnarSegment(info.columnar_path)
             try:
@@ -121,7 +121,7 @@ class TestSealTimeStats:
             assert info.stats.object_types
 
     def test_stats_survive_snapshot_roundtrip(self, store_pair, tmp_path):
-        _mono, seg = store_pair
+        _unsealed, seg = store_pair
         before = [info.stats for info in seg.segment_view().sealed]
         seg.save(tmp_path / "snap")
         with DualStore.open(tmp_path / "snap") as reopened:
@@ -129,7 +129,7 @@ class TestSealTimeStats:
         assert after == before
 
     def test_compaction_recomputes_stats_for_merged_segments(self):
-        _mono, seg = _build_pair(batch_size=25)
+        _unsealed, seg = _build_pair(batch_size=25)
         try:
             assert len(seg.segment_view().sealed) > 2
             seg.compact(min_events=10_000)
@@ -139,7 +139,7 @@ class TestSealTimeStats:
             assert isinstance(stats, SegmentStats)
             assert set(stats.numeric) == set(STATS_NUMERIC_COLUMNS)
         finally:
-            _mono.close()
+            _unsealed.close()
             seg.close()
 
     def test_stats_entry_parser_is_tolerant(self):
@@ -215,7 +215,7 @@ class TestConservativePruning:
                                                        spec):
         """The contract stats pruning rests on: ``segment_may_match``
         returning False must imply the real scan returns zero rows."""
-        _mono, seg = store_pair
+        _unsealed, seg = store_pair
         for info in seg.segment_view().sealed:
             if segment_may_match(info.stats, spec):
                 continue
@@ -226,7 +226,7 @@ class TestConservativePruning:
                 segment.close()
 
     def test_unpruned_reference_scans_every_segment(self, store_pair):
-        _mono, seg = store_pair
+        _unsealed, seg = store_pair
         sealed = seg.segment_view().sealed
         impossible = PatternSpec(
             subject_type="proc", object_type="file",
@@ -246,7 +246,7 @@ class TestConservativePruning:
         assert unpruned.matched_events == pruned_result.matched_events
 
     def test_stats_less_segments_always_survive(self, store_pair):
-        _mono, seg = store_pair
+        _unsealed, seg = store_pair
         sealed = seg.segment_view().sealed
         impossible = PatternSpec(
             subject_type="proc", object_type="file",
@@ -267,7 +267,7 @@ class TestConservativePruning:
 
 class TestDictionaryPredicates:
     def test_string_table_is_sorted_case_insensitively(self, store_pair):
-        _mono, seg = store_pair
+        _unsealed, seg = store_pair
         info = seg.segment_view().sealed[0]
         segment = ColumnarSegment(info.columnar_path)
         try:
@@ -282,7 +282,7 @@ class TestDictionaryPredicates:
                                         "", "zzzz", "/tmp/upload.tar"])
     def test_prefix_code_range_matches_linear_scan(self, store_pair,
                                                    prefix):
-        _mono, seg = store_pair
+        _unsealed, seg = store_pair
         info = seg.segment_view().sealed[0]
         segment = ColumnarSegment(info.columnar_path)
         try:
@@ -297,8 +297,8 @@ class TestDictionaryPredicates:
             segment.close()
 
     def test_dictionary_toggle_preserves_results(self, store_pair):
-        mono, seg = store_pair
-        reference = TBQLExecutor(mono)
+        unsealed, seg = store_pair
+        reference = RowPathExecutor(unsealed)
         expected = [reference.execute(text) for text in EQUIVALENCE_CORPUS]
         for dict_enabled in (True, False):
             with contextlib.ExitStack() as stack:
@@ -321,8 +321,10 @@ class TestAggregatePushdown:
     AGG = 'proc p read file f return p, count() group by p top 5'
 
     def test_pushdown_fires_and_matches_every_reference(self, store_pair):
-        mono, seg = store_pair
-        want = TBQLExecutor(mono).execute(self.AGG)
+        unsealed, seg = store_pair
+        # The never-sealed store answers on the row path: the pushdown
+        # is not its own oracle.
+        want = RowPathExecutor(unsealed).execute(self.AGG)
         got = TBQLExecutor(seg).execute(self.AGG)
         step = got.plan[0]
         assert step.aggregate_pushdown
@@ -333,7 +335,7 @@ class TestAggregatePushdown:
         assert got.per_pattern_matches == want.per_pattern_matches
 
     def test_row_path_reference_matches_pushdown(self, store_pair):
-        _mono, seg = store_pair
+        _unsealed, seg = store_pair
         pushed = TBQLExecutor(seg).execute(self.AGG)
         assert pushed.plan[0].aggregate_pushdown
         plain = RowPathExecutor(seg).execute(self.AGG)
@@ -344,7 +346,7 @@ class TestAggregatePushdown:
 
     def test_multi_pattern_and_reference_strategies_fall_back(
             self, store_pair):
-        _mono, seg = store_pair
+        _unsealed, seg = store_pair
         sequence = ('proc p read file f then proc p write file g '
                     'return p.exename, count()')
         result = TBQLExecutor(seg).execute(sequence)
@@ -353,10 +355,12 @@ class TestAggregatePushdown:
         result = scan_agg.execute(self.AGG)
         assert not any(step.aggregate_pushdown for step in result.plan)
 
-    def test_monolithic_store_never_pushes_down(self, store_pair):
-        mono, _seg = store_pair
-        result = TBQLExecutor(mono).execute(self.AGG)
-        assert not any(step.aggregate_pushdown for step in result.plan)
+    def test_never_sealed_store_pushes_down_its_tail(self, store_pair):
+        unsealed, seg = store_pair
+        result = TBQLExecutor(unsealed).execute(self.AGG)
+        [step] = result.plan
+        assert step.aggregate_pushdown and step.segments_scanned == 0
+        assert result.rows == TBQLExecutor(seg).execute(self.AGG).rows
 
 
 # ---------------------------------------------------------------------------
@@ -367,8 +371,8 @@ class TestAggregatePushdown:
 class TestOptimizerEquivalence:
     def test_corpus_identical_with_and_without_optimizations(
             self, store_pair):
-        mono, seg = store_pair
-        reference = TBQLExecutor(mono)
+        unsealed, seg = store_pair
+        reference = TBQLExecutor(unsealed)
         expected = [reference.execute(text) for text in OPTIMIZER_CORPUS]
         for disabled in (False, True):
             with contextlib.ExitStack() as stack:
@@ -383,14 +387,14 @@ class TestOptimizerEquivalence:
                         (disabled, text)
 
     def test_selective_patterns_are_pruned_by_stats(self, store_pair):
-        mono, seg = store_pair
+        unsealed, seg = store_pair
         executor = TBQLExecutor(seg)
         text = 'proc p["%/bin/tar%"] read file f["/etc/passwd"] return p'
         result = executor.execute(text)
         step = result.plan[0]
         assert step.segments_pruned_by_stats is not None
         assert step.segments_pruned_by_stats > 0
-        assert result.rows == TBQLExecutor(mono).execute(text).rows
+        assert result.rows == TBQLExecutor(unsealed).execute(text).rows
         totals = executor.pruning_totals
         assert totals["segments_pruned_by_stats"] >= \
             step.segments_pruned_by_stats
@@ -417,8 +421,8 @@ def _strip_stats(snapshot) -> None:
 class TestBackwardCompatibility:
     CORPUS = EQUIVALENCE_CORPUS[:4] + OPTIMIZER_CORPUS
 
-    def _expected(self, mono):
-        return [TBQLExecutor(mono).execute(text) for text in self.CORPUS]
+    def _expected(self, unsealed):
+        return [TBQLExecutor(unsealed).execute(text) for text in self.CORPUS]
 
     def _assert_identical_without_stats(self, snapshot, expected):
         with DualStore.open(snapshot) as reopened:
@@ -438,17 +442,17 @@ class TestBackwardCompatibility:
 
     def test_prestats_v3_snapshot_opens_and_answers(self, store_pair,
                                                     tmp_path):
-        mono, seg = store_pair
+        unsealed, seg = store_pair
         snapshot = tmp_path / "prestats"
         seg.save(snapshot)
         _strip_stats(snapshot)
         self._assert_identical_without_stats(snapshot,
-                                             self._expected(mono))
+                                             self._expected(unsealed))
 
     def test_v2_snapshot_opens_and_answers(self, store_pair, tmp_path):
         """No payloads either: they are built when the snapshot opens,
         outside it, and still without statistics to prune by."""
-        mono, seg = store_pair
+        unsealed, seg = store_pair
         snapshot = tmp_path / "v2"
         seg.save(snapshot)
         _strip_stats(snapshot)
@@ -462,7 +466,7 @@ class TestBackwardCompatibility:
                              '"format_version": 2'), encoding="utf-8")
         before = snapshot_files(snapshot)
         self._assert_identical_without_stats(snapshot,
-                                             self._expected(mono))
+                                             self._expected(unsealed))
         assert snapshot_files(snapshot) == before
 
 
@@ -473,7 +477,7 @@ class TestBackwardCompatibility:
 
 class TestObservability:
     def test_pruning_metrics_render_validly(self, store_pair):
-        _mono, seg = store_pair
+        _unsealed, seg = store_pair
         previous = set_registry(MetricsRegistry())
         try:
             executor = TBQLExecutor(seg)
@@ -513,7 +517,7 @@ class TestObservability:
             self, store_pair, tmp_path):
         from repro.obs import trace
 
-        _mono, seg = store_pair
+        _unsealed, seg = store_pair
         snapshot = tmp_path / "memo"      # fresh paths: every memo cold
         seg.save(snapshot)
         tables = self._tables
@@ -549,7 +553,7 @@ class TestObservability:
         scan this thread ran before."""
         from repro.obs import trace
 
-        _mono, seg = store_pair
+        _unsealed, seg = store_pair
         absent = 'proc p delete file f["%/etc/%"] return p, f'
         executor = TBQLExecutor(seg)
         # Statistics would prune these segments; scan them anyway.
@@ -564,7 +568,7 @@ class TestObservability:
                 assert self._tables(root)[:2] == (0, 0)
 
     def test_per_row_reference_bypasses_tables_and_memo(self, store_pair):
-        _mono, seg = store_pair
+        _unsealed, seg = store_pair
         previous = set_registry(MetricsRegistry())
         try:
             with dictionary_disabled():
@@ -578,7 +582,7 @@ class TestObservability:
                                                  tmp_path):
         from repro.service import QueryService
 
-        _mono, seg = store_pair
+        _unsealed, seg = store_pair
         snapshot = tmp_path / "svc"
         seg.save(snapshot)
         with DualStore.open(snapshot) as store:
@@ -596,7 +600,7 @@ class TestObservability:
                                                  tmp_path):
         from repro.service.server import result_payload
 
-        _mono, seg = store_pair
+        _unsealed, seg = store_pair
         result = TBQLExecutor(seg).execute(
             'proc p connect ip i return p')
         payload = result_payload(result)

@@ -1,17 +1,20 @@
-"""Segmented store tests: sealing, pruning, compaction, snapshots, CLI.
+"""Segment tests: sealing, pruning, compaction, snapshots, CLI.
 
-The segmented layout partitions the event history into immutable
-time-bounded segments; these tests pin the structural invariants (event
+A store seals its event history into immutable time-bounded segments
+plus an unsealed tail; these tests pin the structural invariants (event
 ids partition contiguously, segment files are standalone, manifests
 carry the real time bounds), the pruning rule (conservative w.r.t. the
 compiled window predicate), compaction, the v2 snapshot format (plus
 backward-compatible v1 opens), the service surface (``GET /stats``
-segments section), and the CLI satellites.
+segments section), and the CLI satellites.  The reference each sealed
+store is checked against is the same data never sealed.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
+import shutil
 from operator import attrgetter
 from pathlib import Path
 
@@ -27,6 +30,8 @@ from repro.storage.dualstore import (SNAPSHOT_FORMAT_VERSION,
 from repro.storage.columnar import ColumnarSegment
 from repro.storage.segments import SegmentInfo, plan_compaction
 from repro.tbql.executor import TBQLExecutor
+from repro.tbql.parser import parse_tbql
+from repro.tbql.semantics import resolve_query
 
 from .conftest import assert_exact_entity_blocks
 
@@ -40,28 +45,28 @@ def _events(sessions: int = 25, seed: int = 7):
 
 
 def _build_pair(events, batches: int = 5):
-    """Monolithic + segmented stores fed identically (same seals)."""
-    mono = DualStore()
-    seg = DualStore(layout="segmented")
+    """Never-sealed + sealed stores fed identically (same flushes)."""
+    unsealed = DualStore()
+    seg = DualStore()
     step = len(events) // batches + 1
     for index in range(0, len(events), step):
-        for store in (mono, seg):
+        for store in (unsealed, seg):
             store.append_events(events[index:index + step])
-            store.flush_appends()
-    return mono, seg
+            store.flush_appends(seal_segment=store is seg)
+    return unsealed, seg
 
 
 @pytest.fixture()
 def store_pair():
-    mono, seg = _build_pair(_events())
-    yield mono, seg
-    mono.close()
+    unsealed, seg = _build_pair(_events())
+    yield unsealed, seg
+    unsealed.close()
     seg.close()
 
 
 class TestSealing:
     def test_flush_appends_seals_contiguous_segments(self, store_pair):
-        mono, seg = store_pair
+        unsealed, seg = store_pair
         view = seg.segment_view()
         assert view is not None
         assert len(view.sealed) == 5
@@ -72,13 +77,14 @@ class TestSealing:
         assert view.active_events == 0
         assert view.active_first_event_id == \
             view.sealed[-1].last_event_id + 1
-        # Backends hold the same data as the identically fed monolith.
+        # Backends hold the same data as the identically fed store that
+        # never sealed.
         assert seg.relational.count_events() == \
-            mono.relational.count_events()
-        assert seg.graph.num_edges() == mono.graph.num_edges()
+            unsealed.relational.count_events()
+        assert seg.graph.num_edges() == unsealed.graph.num_edges()
 
     def test_segment_files_are_standalone(self, store_pair):
-        _mono, seg = store_pair
+        _unsealed, seg = store_pair
         for info in seg.segment_view().sealed:
             payload = ColumnarSegment(info.columnar_path)
             try:
@@ -101,7 +107,7 @@ class TestSealing:
                 encoding="utf-8")) == info.as_manifest_entry()
 
     def test_entity_blocks_hold_referenced_rows_only(self, store_pair):
-        _mono, seg = store_pair
+        _unsealed, seg = store_pair
         counts = assert_exact_entity_blocks(seg)
         stats = seg.segment_stats()
         assert [entry["entity_rows"] for entry in stats["segments"]] == \
@@ -111,22 +117,37 @@ class TestSealing:
         total = seg.relational.count_entities()
         assert all(0 < count < total for count in counts)
 
-    def test_monolithic_store_has_no_view(self, store_pair):
-        mono, _seg = store_pair
-        assert mono.segment_view() is None
-        with pytest.raises(StorageError):
-            mono.seal_active_segment()
-        with pytest.raises(StorageError):
-            mono.compact()
+    def test_never_sealed_store_is_all_tail(self, store_pair):
+        unsealed, seg = store_pair
+        view = unsealed.segment_view()
+        assert view.sealed == ()
+        assert view.active_first_event_id == 1
+        assert view.active_events == unsealed.relational.count_events()
+        assert unsealed.compact()["merged_runs"] == 0
+        info = unsealed.seal_active_segment()
+        assert (info.first_event_id, info.last_event_id) == \
+            (1, seg.max_event_id)
+        assert unsealed.segment_view().active_events == 0
 
-    def test_unknown_layout_rejected(self):
-        with pytest.raises(ValueError):
-            DualStore(layout="sharded")
+    @pytest.mark.parametrize("layout", ["monolithic", "segmented"])
+    def test_layout_keyword_is_deprecated_and_ignored(self, layout):
+        events = _events(sessions=4, seed=5)
+        with pytest.warns(DeprecationWarning, match="layout"):
+            store = DualStore(layout=layout)
+        with store, DualStore() as default:
+            for each in (store, default):
+                each.append_events(events)
+                each.flush_appends()
+            assert [(info.first_event_id, info.last_event_id)
+                    for info in store.segment_view().sealed] == \
+                [(info.first_event_id, info.last_event_id)
+                 for info in default.segment_view().sealed] == \
+                [(1, default.max_event_id)]
 
     def test_empty_flush_seals_nothing(self):
-        with DualStore(layout="segmented") as store:
+        with DualStore() as store:
             assert store.flush_appends().seconds == {}
-            assert store.segment_view() is None
+            assert store.segment_view().sealed == ()
             assert store.seal_active_segment() is None
 
     def test_flush_reports_seal_stages(self):
@@ -135,7 +156,7 @@ class TestSealing:
         own = {"reduce", "build", "relational"}
         seal = {"seal_columnar", "seal_stats"}
         events = _events(sessions=4, seed=5)
-        with DualStore(layout="segmented") as store:
+        with DualStore() as store:
             assert set(store.append_events(events).seconds) == own
             stats = store.flush_appends()
             assert set(stats.seconds) == own | seal
@@ -145,20 +166,39 @@ class TestSealing:
             store.append_events(_events(sessions=2, seed=6))
             assert set(store.flush_appends(seal_segment=False).seconds) \
                 == own
-        with DualStore() as mono:
-            mono.append_events(events)
-            assert set(mono.flush_appends().seconds) == own
         scrape = get_registry().render()
         for stage in seal:
             assert ('repro_ingest_stage_seconds_count{stage="%s"}' % stage
                     ) in scrape
 
+    def test_loaded_history_seals_what_appends_seal(self):
+        """A bulk load keeps no column buffer of its tail (a load-only
+        store never reads one); its seal reads the rows back and writes
+        the payload an append-fed seal packs from buffered columns."""
+        events = _events(sessions=4, seed=5)
+        with DualStore() as loaded, DualStore() as appended:
+            loaded.load_events(events)
+            assert loaded._active_columns is None
+            appended.append_events(events)
+            appended.flush_appends(seal_segment=False)
+            assert len(appended._active_columns) == \
+                appended.max_event_id
+            infos = [store.seal_active_segment()
+                     for store in (loaded, appended)]
+            assert infos[0].event_count == appended.max_event_id
+            first, second = (dataclasses.replace(info, name="",
+                                                 directory="")
+                             for info in infos)
+            assert first == second
+            assert Path(infos[0].columnar_path).read_bytes() == \
+                Path(infos[1].columnar_path).read_bytes()
+
     def test_reload_drops_old_segments(self, store_pair):
-        _mono, seg = store_pair
+        _unsealed, seg = store_pair
         old = seg.segment_view().sealed
         events = _events(sessions=5, seed=13)
         seg.load_events(events)
-        assert seg.segment_view() is None       # all data active again
+        assert seg.segment_view().sealed == ()       # all data active again
         seg.flush_appends()
         view = seg.segment_view()
         assert len(view.sealed) == 1
@@ -177,7 +217,7 @@ class TestSealPolicy:
         from repro.streaming import DetectionEngine
         events = _events(sessions=6, seed=21)
         step = len(events) // 6 + 1
-        store = DualStore(layout="segmented", retain_events=False)
+        store = DualStore(retain_events=False)
         engine = DetectionEngine(store, seal_every=0)
         for index in range(0, len(events), step):
             engine.process_batch(events[index:index + step], seal=True)
@@ -189,7 +229,7 @@ class TestSealPolicy:
         from repro.streaming import DetectionEngine
         events = _events(sessions=6, seed=21)
         step = len(events) // 6 + 1
-        store = DualStore(layout="segmented", retain_events=False)
+        store = DualStore(retain_events=False)
         engine = DetectionEngine(store, seal_every=2)
         for index in range(0, len(events), step):
             engine.process_batch(events[index:index + step], seal=True)
@@ -219,13 +259,13 @@ class TestPruning:
         assert not info.overlaps_window((300.0, 400.0))
 
     def test_windowed_query_prunes_and_matches(self, store_pair):
-        mono, seg = store_pair
+        unsealed, seg = store_pair
         events = seg.segment_view().sealed
         cut = events[0].max_end_time
         text = f'before {cut} proc p read file f return distinct p'
-        mono_exec = TBQLExecutor(mono)
+        unsealed_exec = TBQLExecutor(unsealed)
         seg_exec = TBQLExecutor(seg)
-        expected = mono_exec.execute(text)
+        expected = unsealed_exec.execute(text)
         got = seg_exec.execute(text)
         assert got.rows == expected.rows
         assert got.matched_events == expected.matched_events
@@ -233,13 +273,14 @@ class TestPruning:
         assert step.segments_scanned is not None
         assert step.segments_scanned < len(events)
         assert step.segments_scanned + step.segments_pruned == len(events)
-        # Monolithic plans carry no segment counts.
-        assert expected.plan[0].segments_scanned is None
+        # A never-sealed store has no segments to scan or prune.
+        assert expected.plan[0].segments_scanned == 0
+        assert expected.plan[0].segments_pruned == 0
         assert "segments_scanned" in step.as_dict()
         seg_exec.close()
 
     def test_disjoint_window_scans_nothing(self, store_pair):
-        _mono, seg = store_pair
+        _unsealed, seg = store_pair
         horizon = seg.segment_view().sealed[-1].max_end_time + 1000.0
         executor = TBQLExecutor(seg)
         result = executor.execute(
@@ -250,21 +291,52 @@ class TestPruning:
         executor.close()
 
     def test_active_tail_is_scanned(self, store_pair):
-        mono, seg = store_pair
+        unsealed, seg = store_pair
         extra = _events(sessions=3, seed=99)
-        for store in (mono, seg):
+        for store in (unsealed, seg):
             store.append_events(extra)
-            store._flush_stream() if store is seg else \
-                store.flush_appends()
-        # seg: appended events stored but NOT sealed (no flush_appends).
+            store.flush_appends(seal_segment=False)
+        # seg: appended events stored but NOT sealed.
         view = seg.segment_view()
         assert view.active_events > 0
-        expected = TBQLExecutor(mono).execute(QUERY)
+        expected = TBQLExecutor(unsealed).execute(QUERY)
         executor = TBQLExecutor(seg)
         got = executor.execute(QUERY)
         assert got.rows == expected.rows
         assert got.matched_events == expected.matched_events
         executor.close()
+
+    def test_tail_sql_renders_its_floor_only_past_the_first_event(
+            self, store_pair, monkeypatch):
+        """The one SQL leg reads from a floor event id; from the first
+        id it renders no ``e.id >= ?``, so a never-sealed store and the
+        gate's history legs emit the statement a whole-store scan
+        always emitted."""
+        unsealed, seg = store_pair
+        statements: list[tuple[str, tuple]] = []
+        for store in (unsealed, seg):
+            select = store.relational.select_tuples
+            monkeypatch.setattr(
+                store.relational, "select_tuples",
+                lambda sql, params=(), select=select: (
+                    statements.append((sql, tuple(params))),
+                    select(sql, params))[1])
+        resolved = resolve_query(parse_tbql(QUERY))
+        TBQLExecutor(unsealed).execute(resolved)
+        assert len(statements) == 1 and "e.id >=" not in statements[0][0]
+        seg.append_events(_events(sessions=2, seed=17))
+        seg.flush_appends(seal_segment=False)
+        statements.clear()
+        TBQLExecutor(seg).execute(resolved)
+        floor = seg.segment_view().active_first_event_id
+        [(sql, params)] = statements
+        assert sql.rstrip().endswith("ORDER BY e.start_time, e.id") and \
+            "e.id >= ?" in sql and params[-1] == floor
+        for store, high_water in ((unsealed, 0), (seg, floor - 1)):
+            statements.clear()
+            TBQLExecutor(store).matches_since(resolved, high_water + 1)
+            [(sql, params)] = statements
+            assert ("e.id >= ?" in sql) == (high_water > 0)
 
 
 class TestCompaction:
@@ -290,8 +362,8 @@ class TestCompaction:
             [["s0", "s1"], ["s2", "s3"]]
 
     def test_compact_preserves_results(self, store_pair):
-        mono, seg = store_pair
-        expected = TBQLExecutor(mono).execute(QUERY)
+        unsealed, seg = store_pair
+        expected = TBQLExecutor(unsealed).execute(QUERY)
         old = seg.segment_view().sealed
         report = seg.compact(min_events=10 ** 9)
         assert report["segments_after"] == 1
@@ -329,8 +401,8 @@ class TestCompaction:
 
         monkeypatch.setattr(ColumnarSegment, "entity_rows", spy)
         events = _events()
-        _mono, sealed = _build_pair(events)
-        _mono2, compacted = _build_pair(events)
+        _unsealed, sealed = _build_pair(events)
+        _unsealed2, compacted = _build_pair(events)
         compacted.compact(min_events=100)
         assert 1 < len(compacted.segment_view().sealed) < \
             len(sealed.segment_view().sealed)
@@ -355,23 +427,22 @@ class TestCompaction:
                     assert all(rows is calls[0] for rows in calls)
             assert answers[0] == answers[1]
         finally:
-            for store in (_mono, sealed, _mono2, compacted):
+            for store in (_unsealed, sealed, _unsealed2, compacted):
                 store.close()
 
 
 class TestSnapshotV2:
     def test_roundtrip_segmented(self, store_pair, tmp_path):
-        mono, seg = store_pair
+        unsealed, seg = store_pair
         snapshot = tmp_path / "snap"
         manifest = seg.save(snapshot)
         assert manifest["format_version"] == SNAPSHOT_FORMAT_VERSION
-        assert manifest["layout"] == "segmented"
+        assert "layout" not in manifest
         assert len(manifest["segments"]) == 5
         assert (snapshot / SNAPSHOT_SEGMENTS_DIR / "seg-000001" /
                 "events.col").is_file()
-        expected = TBQLExecutor(mono).execute(QUERY)
+        expected = TBQLExecutor(unsealed).execute(QUERY)
         with DualStore.open(snapshot) as reopened:
-            assert reopened.layout == "segmented"
             assert reopened.read_only
             view = reopened.segment_view()
             assert len(view.sealed) == 5
@@ -383,12 +454,11 @@ class TestSnapshotV2:
 
     def test_writable_reopen_appends_new_segments(self, store_pair,
                                                   tmp_path):
-        _mono, seg = store_pair
+        _unsealed, seg = store_pair
         snapshot = tmp_path / "snap"
         seg.save(snapshot)
         extra = _events(sessions=3, seed=42)
         with DualStore.open(snapshot, read_only=False) as writable:
-            assert writable.layout == "segmented"
             before = len(writable.segment_view().sealed)
             writable.append_events(extra)
             writable.flush_appends()
@@ -402,36 +472,43 @@ class TestSnapshotV2:
         assert not (snapshot / SNAPSHOT_SEGMENTS_DIR /
                     view.sealed[-1].name).exists()
 
-    def test_monolithic_snapshot_has_no_segments(self, store_pair,
-                                                 tmp_path):
-        mono, _seg = store_pair
+    def test_saving_an_unsealed_store_seals_its_tail(self, store_pair,
+                                                     tmp_path):
+        unsealed, _seg = store_pair
         snapshot = tmp_path / "snap"
-        manifest = mono.save(snapshot)
-        assert manifest["layout"] == "monolithic"
-        assert "segments" not in manifest
+        expected = TBQLExecutor(unsealed).execute(QUERY)
+        manifest = unsealed.save(snapshot)
+        assert "layout" not in manifest
+        [entry] = manifest["segments"]
+        assert entry["event_count"] == manifest["relational_events"]
         with DualStore.open(snapshot) as reopened:
-            assert reopened.layout == "monolithic"
-            assert reopened.segment_view() is None
+            view = reopened.segment_view()
+            assert len(view.sealed) == 1 and view.active_events == 0
+            got = TBQLExecutor(reopened).execute(QUERY)
+            assert got.rows == expected.rows
+            assert got.matched_events == expected.matched_events
 
     def test_v1_manifest_still_opens(self, store_pair, tmp_path):
-        mono, _seg = store_pair
+        unsealed, _seg = store_pair
         snapshot = tmp_path / "snap"
-        mono.save(snapshot)
+        unsealed.save(snapshot)
         manifest_path = snapshot / SNAPSHOT_MANIFEST
         manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
         manifest["format_version"] = 1
-        del manifest["layout"]
+        del manifest["segments"]
         manifest_path.write_text(json.dumps(manifest), encoding="utf-8")
-        expected = TBQLExecutor(mono).execute(QUERY)
+        shutil.rmtree(snapshot / SNAPSHOT_SEGMENTS_DIR)
+        expected = TBQLExecutor(unsealed).execute(QUERY)
         with DualStore.open(snapshot) as reopened:
-            assert reopened.layout == "monolithic"
-            assert reopened.segment_view() is None
+            view = reopened.segment_view()
+            assert view.sealed == ()
+            assert view.active_events == reopened.relational.count_events()
             got = TBQLExecutor(reopened).execute(QUERY)
             assert got.rows == expected.rows
 
     def test_corrupt_segment_coverage_rejected(self, store_pair,
                                                tmp_path):
-        _mono, seg = store_pair
+        _unsealed, seg = store_pair
         snapshot = tmp_path / "snap"
         seg.save(snapshot)
         manifest_path = snapshot / SNAPSHOT_MANIFEST
@@ -444,7 +521,7 @@ class TestSnapshotV2:
     def test_explicit_segment_dir_is_kept(self, tmp_path):
         home = tmp_path / "segments-home"
         events = _events(sessions=4, seed=3)
-        with DualStore(layout="segmented", segment_dir=home) as store:
+        with DualStore(segment_dir=home) as store:
             store.append_events(events)
             store.flush_appends()
             assert len(store.segment_view().sealed) == 1
@@ -455,7 +532,7 @@ class TestSnapshotV2:
 
 class TestExecutorClose:
     def test_close_is_idempotent(self, store_pair):
-        _mono, seg = store_pair
+        _unsealed, seg = store_pair
         executor = TBQLExecutor(seg)
         before = executor.execute(QUERY)
         executor.close()
@@ -481,11 +558,10 @@ class TestCLI:
                        encoding="utf-8")
         snap = tmp_path / "snap"
         assert main(["snapshot", "--log", str(log), "--out", str(snap),
-                     "--layout", "segmented", "--segment-events",
-                     "100"]) == 0
+                     "--segment-events", "100"]) == 0
         assert main(["segments", "--snapshot", str(snap)]) == 0
         out = capsys.readouterr().out
-        assert "layout: segmented" in out
+        assert "tail events: 0" in out
         assert "seg-000001" in out
         assert "ent rows" in out and "graph KiB" not in out
         out2 = tmp_path / "snap2"
@@ -502,7 +578,7 @@ class TestCLI:
                        encoding="utf-8")
         snap = tmp_path / "snap"
         main(["snapshot", "--log", str(log), "--out", str(snap),
-              "--layout", "segmented", "--segment-events", "100"])
+              "--segment-events", "100"])
         capsys.readouterr()
         code = main(["query", "--snapshot", str(snap), "--explain",
                      "--tbql", QUERY])

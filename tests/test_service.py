@@ -43,6 +43,16 @@ def served_store(data_leak_events, tmp_path_factory):
     reopened.close()
 
 
+@pytest.fixture(scope="module")
+def sealed_reference(data_leak_events):
+    """The data-leak store in process, never saved: sealed as ``save()``
+    seals, so its plans match the served snapshot's."""
+    with DualStore() as store:
+        store.load_events(data_leak_events)
+        store.flush_appends()
+        yield store
+
+
 @pytest.fixture(scope="module", params=TRANSPORTS)
 def client(request, served_store):
     """A client over each transport — the whole endpoint and correctness
@@ -106,9 +116,9 @@ class TestEndpoints:
 
 class TestQueryCorrectness:
     @pytest.mark.parametrize("text", EQUIVALENCE_CORPUS)
-    def test_served_results_match_in_process(self, client, data_leak_store,
-                                             text):
-        reference = TBQLExecutor(data_leak_store).execute(text)
+    def test_served_results_match_in_process(self, client,
+                                             sealed_reference, text):
+        reference = TBQLExecutor(sealed_reference).execute(text)
         result = client.query(text, use_cache=False)["result"]
         assert result == result_payload(reference)
         # An aggregate's answer is its rows: its events are counted, not
@@ -263,7 +273,7 @@ def segmented_client(request, data_leak_events, tmp_path_factory):
     events = sorted(data_leak_events,
                     key=attrgetter("start_time", "event_id"))
     step = len(events) // 3 + 1         # three sealed segments
-    with DualStore(layout="segmented") as store:
+    with DualStore() as store:
         for start in range(0, len(events), step):
             store.append_events(events[start:start + step])
             store.flush_appends()

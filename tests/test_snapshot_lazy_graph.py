@@ -6,8 +6,9 @@ A reopened snapshot derives nothing on open; event-pattern TBQL,
 a graph.  Path patterns, Cypher and fuzzy search derive it exactly once
 per ``data_version``, and after an append the next one reads only the
 rows the append stored.  A spy on :meth:`GraphStore._derive` counts the
-derivations and the rows each one added, on a monolithic and on a
-segmented snapshot.
+derivations and the rows each one added, on a snapshot of a store
+loaded in one go (sealed whole by the save) and on one of three sealed
+segments.
 """
 
 from __future__ import annotations
@@ -60,13 +61,14 @@ def derivations(monkeypatch):
     return calls
 
 
-@pytest.fixture(scope="module", params=["monolithic", "segmented"])
+@pytest.fixture(scope="module", params=["loaded", "three_segments"])
 def saved(request, data_leak_events, tmp_path_factory):
     """``(snapshot directory, the store saved there, graph derived)``:
-    the data-leak events in each layout (three sealed segments)."""
+    the data-leak events loaded in one go, or appended and sealed in
+    three segments."""
     directory = tmp_path_factory.mktemp("lazy") / request.param
-    store = DualStore(layout=request.param)
-    if request.param == "monolithic":
+    store = DualStore()
+    if request.param == "loaded":
         store.load_events(data_leak_events)
     else:
         events = sorted(data_leak_events,

@@ -119,10 +119,11 @@ def _late(events: list[SystemEvent]) -> list[SystemEvent]:
     return on_time
 
 
-def _pair(layout: str, seal_every: int
-          ) -> tuple[DetectionEngine, FullReevalEngine]:
+def _pair(seal_every: int) -> tuple[DetectionEngine, FullReevalEngine]:
+    """The gated engine and its always-re-evaluate reference; with
+    ``seal_every=0`` their stores are never sealed."""
     def build(cls):
-        return cls(DualStore(layout=layout), seal_every=seal_every,
+        return cls(DualStore(), seal_every=seal_every,
                    policy=FlushPolicy(max_events=1, max_seconds=0))
     return build(DetectionEngine), build(FullReevalEngine)
 
@@ -175,14 +176,15 @@ def _close(*engines: DetectionEngine) -> None:
 
 
 @pytest.mark.parametrize("seal_every", [0, 1, 3])
-@pytest.mark.parametrize("layout", ["monolithic", "segmented"])
-def test_gated_engine_reports_what_full_reevaluation_reports(layout,
-                                                             seal_every):
-    gated, reference = _pair(layout, seal_every)
+@pytest.mark.parametrize("request_seals", [False, True])
+def test_gated_engine_reports_what_full_reevaluation_reports(
+        request_seals, seal_every):
+    gated, reference = _pair(seal_every)
     try:
         _register((gated, reference), skip=LATE_RULES)
         batches = _cut(STREAM, _even_cuts(15))
-        fired = _replay(gated, reference, batches, late_rules_at=5)
+        fired = _replay(gated, reference, batches, seal=request_seals,
+                        late_rules_at=5)
         # The corpus is not vacuous: every rule alerted at least once,
         # and the gate did spare most full evaluations.
         assert fired >= len(CORPUS)
@@ -198,9 +200,9 @@ def test_gated_engine_reports_what_full_reevaluation_reports(layout,
         _close(gated, reference)
 
 
-@pytest.mark.parametrize("layout", ["monolithic", "segmented"])
-def test_out_of_order_arrivals_and_per_request_seals(layout):
-    gated, reference = _pair(layout, seal_every=2)
+@pytest.mark.parametrize("seal_every", [0, 2])
+def test_out_of_order_arrivals_and_per_request_seals(seal_every):
+    gated, reference = _pair(seal_every)
     try:
         _register((gated, reference))
         batches = _cut(_late(STREAM), _even_cuts(12))
@@ -210,21 +212,21 @@ def test_out_of_order_arrivals_and_per_request_seals(layout):
         _close(gated, reference)
 
 
-@pytest.mark.parametrize("layout", ["monolithic", "segmented"])
-def test_resume_between_the_legs_of_a_then(tmp_path, layout):
+@pytest.mark.parametrize("seal_every", [0, 2])
+def test_resume_between_the_legs_of_a_then(tmp_path, seal_every):
     """A checkpoint the always-re-evaluate engine wrote (what the parent
     commit writes: the stream state has no field of the gate) is resumed
     by both; the gated side fires the sequence once, on the second leg."""
     batches = _cut(STREAM, _even_cuts(10))
-    writer = FullReevalEngine(DualStore(layout=layout), seal_every=2)
+    writer = FullReevalEngine(DualStore(), seal_every=seal_every)
     _register((writer,))
     for batch in batches[:5]:     # stage1 is in, stage2 is not
         writer.process_batch(batch)
     assert writer.rules.get("then_legs").alerts_fired == 0
     writer.checkpoint(tmp_path / "ckpt")
     _close(writer)
-    gated = resume_engine(tmp_path / "ckpt", seal_every=2)
-    reference = resume_engine(tmp_path / "ckpt", seal_every=2)
+    gated = resume_engine(tmp_path / "ckpt", seal_every=seal_every)
+    reference = resume_engine(tmp_path / "ckpt", seal_every=seal_every)
     reference.__class__ = FullReevalEngine
     try:
         assert all(rule.high_water_event_id > 0 for rule in gated.rules)
@@ -239,11 +241,10 @@ def test_resume_between_the_legs_of_a_then(tmp_path, layout):
           suppress_health_check=[HealthCheck.too_slow])
 @given(cuts=st.lists(st.integers(min_value=1, max_value=len(STREAM) - 1),
                      min_size=1, max_size=12),
-       layout=st.sampled_from(["monolithic", "segmented"]),
        seal_every=st.sampled_from([0, 1, 3]), seal=st.booleans(),
        late=st.booleans())
-def test_random_batch_boundaries(cuts, layout, seal_every, seal, late):
-    gated, reference = _pair(layout, seal_every)
+def test_random_batch_boundaries(cuts, seal_every, seal, late):
+    gated, reference = _pair(seal_every)
     try:
         _register((gated, reference), skip=LATE_RULES)
         batches = _cut(_late(STREAM) if late else STREAM, cuts)
@@ -257,7 +258,7 @@ def test_count_rule_alerts_keep_their_provenance():
     """A ``count()`` rule's alert lists exactly the events a row-path
     executor (no aggregate pushdown, events built eagerly) joins for the
     same text at that flush; the pushdown only defers building them."""
-    engine = DetectionEngine(DualStore(layout="segmented"), seal_every=3,
+    engine = DetectionEngine(DualStore(), seal_every=3,
                              policy=FlushPolicy(max_events=1, max_seconds=0))
     reference = RowPathExecutor(engine.store)
     text = CORPUS["count_single"]
@@ -279,8 +280,8 @@ def test_count_rule_alerts_keep_their_provenance():
 
 def test_a_quiet_flush_scans_no_segment_and_hydrates_no_entity():
     """Exact counts on a store with four sealed segments."""
-    gated, reference = _pair("segmented", seal_every=1)
-    solo = FullReevalEngine(DualStore(layout="segmented"), seal_every=1)
+    gated, reference = _pair(seal_every=1)
+    solo = FullReevalEngine(DualStore(), seal_every=1)
     hydrated: list[int] = []
     try:
         _register((gated, reference), skip=("path",))

@@ -9,6 +9,7 @@ policies, the reader/writer lock, and checkpoint-resume.
 
 from __future__ import annotations
 
+import sys
 import threading
 
 import pytest
@@ -444,6 +445,89 @@ class TestCheckpointResume:
             assert resumed.alerts.counters()["fired"] == 1
         finally:
             resumed.store.close()
+
+    def test_checkpoint_seals_under_the_write_lock(self, tmp_path,
+                                                  monkeypatch):
+        """Cutting a segment changes what a concurrent query scans, so a
+        checkpoint seals (and merges small segments) holding the engine's
+        lock exclusively — not the reader side that queries and rule
+        evaluation share."""
+        _collector, first, second = _attack_batches()
+        engine = _engine()
+        engine.add_rule(EXFIL_RULE, rule_id="exfil")
+        engine.process_batch(first)
+        engine.process_batch(second)
+        store, lock = engine.store, engine.lock
+        seal = store._seal_active
+        cuts = []
+
+        def checked(*args, **kwargs):
+            if store._active_events:
+                cuts.append((lock._writer_active, lock._readers))
+            return seal(*args, **kwargs)
+
+        compact = store.compact
+        merges = []
+
+        def checked_compact(*args, **kwargs):
+            merges.append((lock._writer_active, lock._readers))
+            return compact(*args, **kwargs)
+
+        monkeypatch.setattr(store, "_seal_active", checked)
+        monkeypatch.setattr(store, "compact", checked_compact)
+        try:
+            engine.checkpoint(tmp_path / "ckpt")
+            assert cuts == [(True, 0)]
+            assert merges == [(True, 0)]
+            view = store.segment_view()
+            assert view.sealed and view.active_events == 0
+        finally:
+            store.close()
+
+    def test_queries_racing_checkpoints_never_see_an_event_twice(
+            self, tmp_path):
+        """Readers hold the engine's reader lock while checkpoints seal
+        the tail and merge it into the segment before: every answer lists
+        each stored event exactly once."""
+        proc = ProcessEntity(exename="/bin/x", pid=7)
+        engine = _engine(reduce=False)
+        errors: list[tuple[int, int, int]] = []
+        done = threading.Event()
+
+        def reader() -> None:
+            while not done.is_set():
+                with engine.lock.read_lock():
+                    result = engine.executor.execute(
+                        "proc p read file f return p")
+                    stored = engine.store.relational.count_events()
+                ids = [event["event_ids"][0]
+                       for event in result.matched_events]
+                if not len(ids) == len(set(ids)) == stored:
+                    errors.append((len(ids), len(set(ids)), stored))
+
+        threads = [threading.Thread(target=reader) for _ in range(3)]
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for index in range(12):
+                engine.process_batch([_event(
+                    proc, FileEntity(path=f"/tmp/f{index}"),
+                    Operation.READ, float(index))])
+                engine.checkpoint(tmp_path / "ckpt")
+        finally:
+            done.set()
+            for thread in threads:
+                thread.join(timeout=30)
+            sys.setswitchinterval(previous)
+            engine.store.close()
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        # Each checkpoint cut a one-event segment, and each after the
+        # first merged it into the one before.
+        [merged] = engine.store.segment_view().sealed
+        assert merged.event_count == 12
 
     def test_checkpoint_overwrite_is_atomic_and_crash_recoverable(
             self, tmp_path):

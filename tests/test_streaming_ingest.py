@@ -85,7 +85,8 @@ class TestBatchedAppendEquivalence:
         with DualStore() as streamed:
             for chunk in _chunks(stream_events, batches):
                 streamed.append_events(chunk)
-            streamed.flush_appends()
+            # Unsealed, as the one-shot load: the plans compare too.
+            streamed.flush_appends(seal_segment=False)
             reference = TBQLExecutor(one_shot)
             live = TBQLExecutor(streamed)
             for text in EQUIVALENCE_CORPUS:

@@ -51,7 +51,7 @@ LINES = LOG_TEXT.splitlines()
 
 def _segmented(events, boundaries) -> DualStore:
     cuts = sorted(set(boundaries))
-    store = DualStore(layout="segmented")
+    store = DualStore()
     for start, end in zip([0] + cuts, cuts + [len(events)]):
         store.append_events(events[start:end])
         store.flush_appends()
@@ -152,7 +152,7 @@ class TestCollectorIsRestored:
         def refuse(*_args, **_kwargs):
             raise StorageError("disk full")
 
-        with DualStore(layout="segmented") as store:
+        with DualStore() as store:
             store.append_events(parse_audit_log(LOG_TEXT))
             monkeypatch.setattr(store.relational, "segment_rows", refuse)
             with pytest.raises(StorageError):
@@ -160,7 +160,7 @@ class TestCollectorIsRestored:
             assert gc.isenabled()
 
     def test_after_open_and_when_it_was_off_to_begin_with(self, tmp_path):
-        with DualStore(layout="segmented") as store:
+        with DualStore() as store:
             store.append_events(parse_audit_log(LOG_TEXT))
             store.save(tmp_path / "snap")
         DualStore.open(tmp_path / "snap").close()
@@ -215,15 +215,15 @@ class TestOnePayloadPerSegment:
         for info in sealed:
             assert sorted(os.listdir(snap / "segments" / info.name)) == \
                 ["events.col", "segment.json"]
-        with DualStore.open(snap) as reopened, DualStore() as mono:
-            mono.load_events(events)
+        with DualStore.open(snap) as reopened, DualStore() as unsealed:
+            unsealed.load_events(events)
             executor = TBQLExecutor(reopened)
             try:
                 for text in QUERY_CLASSES:
                     result = executor.execute(text)
                     assert result.plan[0].segments_scanned is not None
                     assert result.rows == \
-                        TBQLExecutor(mono).execute(text).rows, text
+                        TBQLExecutor(unsealed).execute(text).rows, text
             finally:
                 executor.close()
         combined = str(snap / "relational.sqlite")
@@ -233,7 +233,7 @@ class TestOnePayloadPerSegment:
 
     def test_an_older_build_refuses_the_snapshot(self, monkeypatch,
                                                  tmp_path):
-        with DualStore(layout="segmented") as store:
+        with DualStore() as store:
             store.append_events(parse_audit_log(LOG_TEXT))
             store.save(tmp_path / "snap")
         monkeypatch.setattr(dualstore, "SNAPSHOT_FORMAT_VERSION", 4)
@@ -249,12 +249,12 @@ class TestOnePayloadPerSegment:
             real(path, *args)
             raise StorageError(f"disk full writing {path}")
 
-        with DualStore(layout="segmented") as store:
+        with DualStore() as store:
             store.append_events(parse_audit_log(LOG_TEXT))
             monkeypatch.setattr(dualstore, "write_columnar", broken)
             with pytest.raises(StorageError, match="disk full"):
                 store.flush_appends()
-            assert store.segment_view() is None
+            assert store.segment_view().sealed == ()
             assert store.segment_stats()["sealed_segments"] == 0
             monkeypatch.setattr(dualstore, "write_columnar", real)
             sealed = store.seal_active_segment()
