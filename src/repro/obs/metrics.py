@@ -250,22 +250,24 @@ class MetricsRegistry:
     def _register(self, name: str, help_text: str, kind: str,
                   labels: Sequence[str],
                   buckets: tuple[float, ...]) -> MetricFamily:
-        if not _METRIC_NAME.match(name):
-            raise ValueError(f"invalid metric name: {name!r}")
         label_names = tuple(labels)
-        for label in label_names:
-            if not _LABEL_NAME.match(label) or label == "le":
-                raise ValueError(f"invalid label name: {label!r}")
         with self._lock:
             family = self._families.get(name)
             if family is not None:
                 if (family.kind != kind
-                        or family.label_names != label_names):
+                        or family.label_names != label_names
+                        or family.buckets != buckets):
                     raise ValueError(
                         f"metric {name!r} already registered as "
                         f"{family.kind} with labels "
-                        f"{family.label_names}")
+                        f"{family.label_names}, buckets {family.buckets}")
                 return family
+            # Names are validated once, when the family is created.
+            if not _METRIC_NAME.match(name):
+                raise ValueError(f"invalid metric name: {name!r}")
+            for label in label_names:
+                if not _LABEL_NAME.match(label) or label == "le":
+                    raise ValueError(f"invalid label name: {label!r}")
             family = MetricFamily(name, help_text, kind, label_names,
                                   buckets, threading.Lock())
             self._families[name] = family

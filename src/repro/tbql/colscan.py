@@ -1,8 +1,9 @@
 """Columnar pattern scans: predicate evaluation over ``events.col``.
 
 How the executor scans a sealed segment: pattern constraints are
-compiled once into a :class:`PatternSpec` and evaluated directly
-against a segment's memory-mapped column arrays
+gathered into a :class:`PatternSpec`, compiled once per plan step into
+a :class:`CompiledScan`, and evaluated directly against each segment's
+memory-mapped column arrays
 (:class:`repro.storage.columnar.ColumnarSegment`), one segment after
 the other, in process.  A scan selects ascending event rows and hands
 them over as :data:`EventRow` tuples, gathered with one read per
@@ -22,16 +23,18 @@ from __future__ import annotations
 
 import re
 import threading
-from bisect import bisect_left
+from array import array
+from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache, partial, reduce
+from functools import lru_cache, reduce
 from itertools import compress, repeat
 from operator import ge, gt, le, lt
-from typing import Any, Callable, Iterable, Iterator, Optional, Sequence
+from typing import (Any, Callable, Iterable, Iterator, NamedTuple, Optional,
+                    Sequence)
 
 from ..errors import TBQLSemanticError
-from ..obs.metrics import get_registry
+from ..obs.metrics import MetricsRegistry, get_registry
 from ..storage.columnar import NULL_INT, ColumnarSegment, numpy_module
 from ..storage.relational.schema import (ENTITY_ATTRIBUTE_COLUMNS,
                                          EVENT_ATTRIBUTE_COLUMNS)
@@ -386,25 +389,22 @@ def _domains(filt: AttributeFilter) -> set[str]:
     return {"row"}
 
 
-def _filter_mask(segment: ColumnarSegment, filt: AttributeFilter,
+def _filter_mask(segment: ColumnarSegment, conjunct: "_Conjunct",
                  np: Any) -> Optional[tuple[bytes, bool, Optional[bool]]]:
-    """``(pass mask, is_event_domain, was_memo_hit)`` of one filter, or
-    ``None`` when it needs the per-row closure.
+    """``(pass mask, is_event_domain, was_memo_hit)`` of one conjunct,
+    or ``None`` when it needs the per-row closure.
 
     One 0/1 byte per entity row (or event row): whether the filter is
     TRUE there — WHERE keeps TRUE only, so NULL folds to 0.  Memoised
     on the immutable segment; both evaluators read the same bytes.
     """
-    domains = _domains(filt)
-    if len(domains) != 1 or "row" in domains:
+    if conjunct.domain is None:
         return None
 
     def build() -> bytes:
-        return _tri_vector(segment, filt, np).translate(_ONLY_TRUE)
-    # repr, not the filter itself: 1, 1.0 and True are equal as keys
-    # but compare differently under TEXT affinity.
-    mask, hit = segment.filter_mask(repr(filt), build)
-    return mask, "event" in domains, hit
+        return _tri_vector(segment, conjunct.filt, np).translate(_ONLY_TRUE)
+    mask, hit = segment.filter_mask(conjunct.key, build)
+    return mask, conjunct.domain == "event", hit
 
 
 def _compile_filter(filt: AttributeFilter,
@@ -469,6 +469,25 @@ def _conjuncts(filt: Optional[AttributeFilter]
         yield filt
 
 
+class _Conjunct(NamedTuple):
+    """A top-level conjunct compiled once per step.  ``domain`` is what
+    its mask indexes (``"entity"``, ``"event"``; ``None``: per-row
+    closure only); ``key`` its memo key, repr as 1, 1.0 and True are
+    equal keys that compare differently under TEXT affinity."""
+
+    filt: AttributeFilter
+    on_subject: bool
+    domain: Optional[str]
+    key: str
+
+
+def _conjunct(filt: AttributeFilter, on_subject: bool) -> _Conjunct:
+    domains = _domains(filt)
+    if len(domains) != 1 or "row" in domains:
+        return _Conjunct(filt, on_subject, None, "")
+    return _Conjunct(filt, on_subject, domains.pop(), repr(filt))
+
+
 #: Per thread: its latest scan's ``(memo hits, masks built)``, for spans.
 _tally = threading.local()
 
@@ -478,79 +497,165 @@ def last_filter_table_counts() -> tuple[int, int]:
     return getattr(_tally, "last", (0, 0))
 
 
-def _compile_filters(segment: ColumnarSegment, spec: PatternSpec,
-                     np: Any) -> _Compiled:
-    """The spec's filters as ``(masks, residuals)``.
+class CompiledScan:
+    """A :class:`PatternSpec` compiled once per plan step: all that no
+    segment changes (numpy module, conjuncts, operations, pushed ids and
+    where they live, readers, memo hit/build sums).  Per segment is what
+    reads its own bytes: dictionary codes, memoised masks, selection."""
+
+    def __init__(self, spec: PatternSpec, paths: Iterable[str] = (),
+                 readers: Optional[dict[str, ColumnarSegment]] = None
+                 ) -> None:
+        self.spec, self.np = spec, numpy_module()
+        self.paths = tuple(paths)   # every sealed payload of the store
+        self._readers = dict(readers or {})
+        self.conjuncts = tuple(
+            _conjunct(conjunct, on_subject)
+            # A pattern filter judges the object, as the SQL renderer does.
+            for filt, on_subject in ((spec.subject_filter, True),
+                                     (spec.object_filter, False),
+                                     (spec.pattern_filter, False))
+            for conjunct in _conjuncts(filt))
+        self.operations = (None if spec.operations is None
+                           else frozenset(spec.operations))
+        self.pushed = tuple((on_subject, ids) for on_subject, ids in (
+            (True, spec.subject_candidates),
+            (False, spec.object_candidates)) if ids is not None)
+        self._found: Optional[dict[str, tuple]] = None
+        self.hits = self.built = 0
+
+    def readers(self, paths: Sequence[str]) -> list[ColumnarSegment]:
+        """Readers of ``paths``, resolving new ones under one lock."""
+        missing = [path for path in paths if path not in self._readers]
+        self._readers.update(zip(missing, _segments_for(missing)))
+        return [self._readers[path] for path in paths]
+
+    def candidate_rows(self, path: str
+                       ) -> Optional[tuple[tuple[bool, list[int]], ...]]:
+        """``(on_subject, entity-block rows)`` per pushed side in the
+        block at ``path`` (``None``: a side has none there), searched
+        once per side over every block of the store on the first call.
+        Sound: an event's entity ids are all in its segment's block."""
+        if self._found is None:
+            blocks = tuple(self.readers(self.paths))
+            index = _block_index(blocks, self.np)
+            sides = [(on_subject, index.search(ids))
+                     for on_subject, ids in self.pushed]
+            common = set.intersection(*(set(found) for _, found in sides))
+            self._found = {blocks[where].path: tuple(
+                (on_subject, found[where]) for on_subject, found in sides)
+                for where in common}
+        return self._found.get(path)
+
+    def count_filter_tables(self) -> None:
+        """Count the step's memo hits and builds (if it had tables)."""
+        if self.hits or self.built:
+            hit, miss = _filter_table_counters(get_registry())
+            hit.inc(self.hits)
+            miss.inc(self.built)
+
+
+def _compiled(segment: ColumnarSegment,
+              scan: CompiledScan | PatternSpec) -> CompiledScan:
+    """``scan``, or a bare spec compiled for ``segment`` alone."""
+    if isinstance(scan, CompiledScan):
+        return scan
+    return CompiledScan(scan, (segment.path,), {segment.path: segment})
+
+
+@lru_cache(maxsize=1)      # resolved again only for a swapped registry
+def _filter_table_counters(registry: MetricsRegistry) -> tuple[Any, Any]:
+    family = registry.counter(
+        "repro_tbql_filter_table_total",
+        "Per-segment filter masks this process reused from the "
+        "segment's memo ('hit') or built from the dictionary ('miss').",
+        labels=("result",))
+    return family.labels("hit"), family.labels("miss")
+
+
+class _BlockIndex:
+    """Blocks' ``entity.id`` columns merged: ``ids`` ascending, ``where``
+    each id's block position in the tuple, ``rows`` its row there."""
+
+    def __init__(self, blocks: tuple[ColumnarSegment, ...], np: Any
+                 ) -> None:
+        if np is None:
+            merged = sorted((entity_id, where, row)
+                            for where, block in enumerate(blocks)
+                            for row, entity_id in enumerate(
+                                block.column("entity.id")))
+            self.ids, self.where, self.rows = (array("q", [
+                entry[part] for entry in merged]) for part in range(3))
+            return
+        columns = [block.np_column("entity.id", np) for block in blocks]
+        sizes = [column.size for column in columns]
+        ids = np.concatenate(columns)
+        # Each block is sorted already: a stable sort merges the runs
+        # (and keeps an id's blocks in tuple order, as ``sorted`` does).
+        order = np.argsort(ids, kind="stable")
+        where = np.repeat(np.arange(len(blocks)), sizes)
+        rows = np.arange(ids.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+        self.ids, self.where, self.rows = (
+            array("q", column[order].astype(np.int64).tobytes())
+            for column in (ids, where, rows))
+
+    def search(self, candidates: Iterable[int]) -> dict[int, list[int]]:
+        """Block position -> rows of the ``candidates`` that block
+        holds, in candidate order, as a search of it alone finds them."""
+        found: dict[int, list[int]] = {}
+        for entity_id in candidates:
+            for at in range(bisect_left(self.ids, entity_id),
+                            bisect_right(self.ids, entity_id)):
+                found.setdefault(self.where[at], []).append(self.rows[at])
+        return found
+
+
+#: :class:`_BlockIndex` per tuple of readers and evaluator (LRU, built
+#: outside the cache's lock).  A seal, a ``compact()`` or an evicted
+#: reader makes a new tuple, so a new index: never a stale one.
+_block_index = lru_cache(maxsize=4)(_BlockIndex)
+
+
+def _compile_filters(segment: ColumnarSegment, scan: CompiledScan
+                     ) -> _Compiled:
+    """The scan's filters against one segment, as ``(masks,
+    residuals)``.
 
     ``masks`` groups the pass masks by what they index: subject entity
-    rows (``True``), object entity rows (``False`` — pattern filters
-    resolve entity attributes against the object, as the SQL renderer
-    does) or event rows (``None``).  Residual closures are paired with
-    whether they judge the subject.
+    rows (``True``), object entity rows (``False``) or event rows
+    (``None``).  Residual closures are paired with whether they judge
+    the subject.
     """
     masks: dict[Optional[bool], list[bytes]] = {True: [], False: [],
                                                 None: []}
     residuals: list[tuple[_Predicate, bool]] = []
     hits = built = 0
-    for filt, on_subject in ((spec.subject_filter, True),
-                             (spec.object_filter, False),
-                             (spec.pattern_filter, False)):
-        for conjunct in _conjuncts(filt):
-            compiled = _filter_mask(segment, conjunct, np)
-            if compiled is None:
-                residuals.append((_compile_filter(conjunct, segment),
-                                  on_subject))
-                continue
-            mask, on_event, was_hit = compiled
-            masks[None if on_event else on_subject].append(mask)
-            hits += was_hit is True
-            built += was_hit is False
+    for conjunct in scan.conjuncts:
+        compiled = _filter_mask(segment, conjunct, scan.np)
+        if compiled is None:
+            residuals.append((_compile_filter(conjunct.filt, segment),
+                              conjunct.on_subject))
+            continue
+        mask, on_event, was_hit = compiled
+        masks[None if on_event else conjunct.on_subject].append(mask)
+        hits += was_hit is True
+        built += was_hit is False
     _tally.last = hits, built
-    if hits or built:
-        counter = get_registry().counter(
-            "repro_tbql_filter_table_total",
-            "Per-segment filter masks this process reused from the "
-            "segment's memo ('hit') or built from the dictionary ('miss').",
-            labels=("result",))
-        counter.labels("hit").inc(hits)
-        counter.labels("miss").inc(built)
+    scan.hits += hits
+    scan.built += built
     return masks, residuals
 
 
-def candidate_rows(segment: ColumnarSegment, candidates: Sequence[int],
-                   np: Any) -> list[int]:
-    """Entity-block rows of the ``candidates`` the block holds: one
-    ``searchsorted`` under numpy, else a ``bisect`` per id, on the id
-    column :func:`write_columnar` sorted.  An id the block lacks is
-    referenced by no event of the segment."""
-    if np is not None:
-        ids = segment.np_column("entity.id", np)
-        wanted = np.asarray(candidates, dtype=np.int64)
-        found = np.searchsorted(ids, wanted)
-        inside = found < ids.size
-        found, wanted = found[inside], wanted[inside]
-        return found[ids[found] == wanted].tolist()
-    ids = segment.column("entity.id")
-    found = [bisect_left(ids, entity_id) for entity_id in candidates]
-    return [row for row, entity_id in zip(found, candidates)
-            if row < len(ids) and ids[row] == entity_id]
-
-
-def _pass_masks(segment: ColumnarSegment, spec: PatternSpec,
-                np: Any) -> Optional[_Compiled]:
-    """:func:`_compile_filters` plus each pushed candidate list as one
-    more entity-row mask of its side, or ``None`` when a pushed list or
-    any conjunctive mask passes no row: no event can match then, and
-    the scan returns before any per-event work."""
-    pushed = []
-    for on_subject, candidates in ((True, spec.subject_candidates),
-                                   (False, spec.object_candidates)):
-        if candidates is not None:
-            rows = candidate_rows(segment, candidates, np)
-            if not rows:
-                return None
-            pushed.append((on_subject, rows))
-    masks, residuals = _compile_filters(segment, spec, np)
+def _pass_masks(segment: ColumnarSegment, scan: CompiledScan
+                ) -> Optional[_Compiled]:
+    """:func:`_compile_filters` plus each pushed side's candidate rows
+    as one more entity-row mask of its side, or ``None`` when a pushed
+    side or any conjunctive mask passes no row: no event can match
+    then, and the scan returns before any per-event work."""
+    pushed = scan.candidate_rows(segment.path) if scan.pushed else ()
+    if pushed is None:
+        return None
+    masks, residuals = _compile_filters(segment, scan)
     for on_subject, rows in pushed:
         mask = bytearray(segment.entity_count)
         for row in rows:
@@ -588,10 +693,11 @@ def _spec_codes(segment: ColumnarSegment, spec: PatternSpec
 
 
 def _select_python(segment: ColumnarSegment,
-                   spec: PatternSpec) -> list[int]:
+                   scan: CompiledScan) -> list[int]:
     """Pure-python row selection (the portable reference path)."""
+    spec = scan.spec
     codes = _spec_codes(segment, spec)
-    compiled = None if codes is None else _pass_masks(segment, spec, None)
+    compiled = None if codes is None else _pass_masks(segment, scan)
     if compiled is None:
         return []
     subject_code, object_code, operation_codes = codes
@@ -640,11 +746,12 @@ def _select_python(segment: ColumnarSegment,
     return selected
 
 
-def _select_numpy(segment: ColumnarSegment, spec: PatternSpec,
+def _select_numpy(segment: ColumnarSegment, scan: CompiledScan,
                   np: Any) -> Any:
     """Vectorized row selection; same semantics as `_select_python`."""
+    spec = scan.spec
     codes = _spec_codes(segment, spec)
-    compiled = None if codes is None else _pass_masks(segment, spec, np)
+    compiled = None if codes is None else _pass_masks(segment, scan)
     if compiled is None:
         return np.empty(0, dtype=np.int64)
     subject_code, object_code, operation_codes = codes
@@ -689,21 +796,21 @@ def _select_numpy(segment: ColumnarSegment, spec: PatternSpec,
     return np.nonzero(mask)[0]
 
 
-def _select(segment: ColumnarSegment, spec: PatternSpec, np: Any) -> Any:
-    """The matching event rows, ascending (vectorized when ``np``)."""
+def _select(segment: ColumnarSegment, scan: CompiledScan) -> Any:
+    """The matching event rows, ascending (vectorized under numpy)."""
     _tally.last = 0, 0      # a scan that compiles no filter reports none
-    return (_select_numpy(segment, spec, np) if np is not None
-            else _select_python(segment, spec))
+    return (_select_numpy(segment, scan, scan.np) if scan.np is not None
+            else _select_python(segment, scan))
 
 
-def gather_rows(segment: ColumnarSegment, selected: Any
+def gather_rows(segment: ColumnarSegment, selected: Any, np: Any
                 ) -> list[EventRow]:
     """The events of the ``selected`` rows (ascending row indices, an
     int64 array or a list), one column read each: ``.tolist()`` of the
-    gathered column under numpy, else indexing the mapped column."""
+    gathered column under numpy (``np``), else indexing the mapped
+    column."""
     if not len(selected):
         return []
-    np = numpy_module()
     if np is not None:
         starts, ids, operations, ends, subjects, objects = (
             segment.np_column(name, np)[selected].tolist()
@@ -717,9 +824,11 @@ def gather_rows(segment: ColumnarSegment, selected: Any
 
 
 def scan_columnar(segment: ColumnarSegment,
-                  spec: PatternSpec) -> list[EventRow]:
-    """Evaluate one pattern against a mapped segment, in row order."""
-    return gather_rows(segment, _select(segment, spec, numpy_module()))
+                  scan: CompiledScan | PatternSpec) -> list[EventRow]:
+    """Evaluate one pattern against a mapped segment, in row order (a
+    bare spec is compiled for this segment alone)."""
+    compiled = _compiled(segment, scan)
+    return gather_rows(segment, _select(segment, compiled), compiled.np)
 
 
 # ---------------------------------------------------------------------------
@@ -731,29 +840,21 @@ _SEGMENT_CACHE_LIMIT = 128
 _SEGMENT_CACHE_LOCK = threading.Lock()
 
 
-def _segment_for(path: str) -> ColumnarSegment:
-    """Shared mmap readers per payload path (process-wide, bounded,
-    least recently used evicted first).
-
-    Not thread-local — :class:`ColumnarSegment` is safe to share.
-    Evicted entries (and
-    the filter masks memoised on them) are released by GC once
-    in-flight scans drop them; closing them eagerly could yank the
-    mapping from under a concurrent reader.
-    """
+def _segments_for(paths: Iterable[str]) -> list[ColumnarSegment]:
+    """Shared mmap readers of ``paths``, under one lock (process-wide,
+    LRU-bounded).  GC frees an evicted reader and its masks once scans
+    drop it; closing it could yank the mapping from a concurrent scan."""
+    segments = []
     with _SEGMENT_CACHE_LOCK:
-        segment = _SEGMENT_CACHE.pop(path, None)
-        if segment is None:
-            if len(_SEGMENT_CACHE) >= _SEGMENT_CACHE_LIMIT:
-                del _SEGMENT_CACHE[next(iter(_SEGMENT_CACHE))]
-            segment = ColumnarSegment(path)
-        _SEGMENT_CACHE[path] = segment      # most recently used last
-    return segment
-
-
-def scan_segment_columnar(path: str, spec: PatternSpec) -> list[EventRow]:
-    """Scan the sealed segment whose ``events.col`` is at ``path``."""
-    return scan_columnar(_segment_for(path), spec)
+        for path in paths:
+            segment = _SEGMENT_CACHE.pop(path, None)
+            if segment is None:
+                if len(_SEGMENT_CACHE) >= _SEGMENT_CACHE_LIMIT:
+                    del _SEGMENT_CACHE[next(iter(_SEGMENT_CACHE))]
+                segment = ColumnarSegment(path)
+            _SEGMENT_CACHE[path] = segment      # most recently used last
+            segments.append(segment)
+    return segments
 
 
 # ---------------------------------------------------------------------------
@@ -801,7 +902,8 @@ def _group_counts(segment: ColumnarSegment, selected: Any,
             for key, count in raw}
 
 
-def aggregate_columnar(segment: ColumnarSegment, spec: PatternSpec,
+def aggregate_columnar(segment: ColumnarSegment,
+                       scan: CompiledScan | PatternSpec,
                        group_columns: tuple[tuple[bool, str], ...]
                        ) -> tuple[Any, dict[tuple, int]]:
     """Scan one segment and fold matches into per-group count partials.
@@ -811,25 +913,14 @@ def aggregate_columnar(segment: ColumnarSegment, spec: PatternSpec,
     global ``count()``.  Returns :func:`scan_columnar`'s row selection,
     ungathered, and the counts; the fold does one step per distinct
     group key, not per match.  Events are gathered from the selection
-    (:func:`gather_rows`) only if someone reads them.
+    (:func:`gather_rows`) only if someone reads them.  A bare spec is
+    compiled as :func:`scan_columnar` compiles it.
     """
-    np = numpy_module()
-    selected = _select(segment, spec, np)
-    return selected, _group_counts(segment, selected, group_columns, np)
+    compiled = _compiled(segment, scan)
+    selected = _select(segment, compiled)
+    return selected, _group_counts(segment, selected, group_columns,
+                                   compiled.np)
 
 
-def scan_segment_aggregate(path: str, spec: PatternSpec,
-                           group_columns: tuple[tuple[bool, str], ...]
-                           ) -> tuple[int, dict[tuple, int],
-                                      Callable[[], list[EventRow]]]:
-    """Pushdown scan of the sealed segment whose ``events.col`` is at
-    ``path``: ``(matches, group counts, gather of the matches)``."""
-    segment = _segment_for(path)
-    selected, counts = aggregate_columnar(segment, spec, group_columns)
-    return len(selected), counts, partial(gather_rows, segment, selected)
-
-
-__all__ = ["PatternSpec", "EventRow", "build_pattern_spec",
-           "candidate_rows", "gather_rows", "scan_columnar",
-           "aggregate_columnar", "scan_segment_columnar",
-           "scan_segment_aggregate"]
+__all__ = ["CompiledScan", "PatternSpec", "EventRow", "build_pattern_spec",
+           "gather_rows", "scan_columnar", "aggregate_columnar"]

@@ -41,20 +41,22 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass, field
+from functools import lru_cache, partial
 from operator import itemgetter
 from typing import Any, Callable, Iterable, NamedTuple, Optional
 
 from ..errors import ExecutionError
-from ..obs.metrics import get_registry
+from ..obs.metrics import MetricsRegistry, get_registry
 from ..obs.trace import current_span, start_span
+from ..storage.columnar import ColumnarSegment
 from ..storage.dualstore import DualStore
 from ..storage.relational.schema import ENTITY_ATTRIBUTE_COLUMNS
 from ..storage.segments import SegmentInfo, prune_segments
 from .aggregate import apply_aggregation, rows_from_counts
 from .ast import TemporalRelation
-from .colscan import (EventRow, PatternSpec, build_pattern_spec,
-                      last_filter_table_counts, scan_segment_aggregate,
-                      scan_segment_columnar)
+from .colscan import (CompiledScan, EventRow, aggregate_columnar,
+                      build_pattern_spec, gather_rows,
+                      last_filter_table_counts, scan_columnar)
 from .compiler_cypher import compile_giant_cypher, compile_pattern_cypher
 from .compiler_sql import compile_giant_sql, compile_pattern_sql
 from .parser import TIME_UNIT_SECONDS, parse_tbql
@@ -316,25 +318,43 @@ def _collect_events(pairs: Iterable[tuple[str, PatternMatch]],
     return events
 
 
-def _scan_segments(segments: list[SegmentInfo], strategy: str,
-                   scan: Callable[[str], Any],
+def _scan_segments(segments: list[SegmentInfo], compiled: CompiledScan,
+                   strategy: str, scan: Callable[[ColumnarSegment], Any],
                    count: Callable[[Any], int] = len) -> list[Any]:
-    """``scan(payload path)`` of every segment, in order, in process;
-    under an active trace each scan is one ``segment_scan`` span, its
-    ``rows`` the ``count`` of the result."""
+    """``scan(reader)`` of every segment (readers via ``compiled``), in
+    order, in process; under an active trace each scan is one
+    ``segment_scan`` span, its ``rows`` the ``count`` of the result."""
+    readers = compiled.readers([segment.columnar_path
+                                for segment in segments])
     if current_span() is None:
-        return [scan(segment.columnar_path) for segment in segments]
+        return list(map(scan, readers))
     results = []
-    for segment in segments:
+    for segment, reader in zip(segments, readers):
         with start_span("segment_scan", segment=segment.name,
                         strategy=strategy) as span:
-            result = scan(segment.columnar_path)
+            result = scan(reader)
             hit, built = last_filter_table_counts()
             span.set_attribute("rows", count(result))
             span.set_attribute("filter_tables_hit", hit)
             span.set_attribute("filter_tables_built", built)
         results.append(result)
     return results
+
+
+@lru_cache(maxsize=1)      # resolved again only for a swapped registry
+def _pruning_metrics(registry: MetricsRegistry) -> tuple[tuple, Any]:
+    pruned = registry.counter(
+        "repro_tbql_segments_pruned_total",
+        "Sealed segments skipped before scanning, by reason: "
+        "manifest time bounds ('time'), seal-time statistics "
+        "('stats') or no pushed candidate id in the segment's "
+        "entity block ('candidates').", labels=("reason",))
+    fraction = registry.histogram(
+        "repro_tbql_segments_pruned_fraction",
+        "Fraction of sealed segments pruned (any reason) per "
+        "pattern scan.", buckets=(0.1, 0.25, 0.5, 0.75, 0.9, 1.0))
+    reasons = ("time", "stats", "candidates")
+    return tuple(pruned.labels(reason) for reason in reasons), fraction
 
 
 class TBQLExecutor:
@@ -383,23 +403,12 @@ class TBQLExecutor:
             self._pruning_counts["segments_scanned"] += scanned
             for reason, count in reasons:
                 self._pruning_counts[f"segments_pruned_by_{reason}"] += count
-        registry = get_registry()
-        pruned = registry.counter(
-            "repro_tbql_segments_pruned_total",
-            "Sealed segments skipped before scanning, by reason: "
-            "manifest time bounds ('time'), seal-time statistics "
-            "('stats') or no pushed candidate id in the segment's "
-            "entity block ('candidates').", labels=("reason",))
-        for reason, count in reasons:
-            pruned.labels(reason).inc(count)
+        pruned, fraction = _pruning_metrics(get_registry())
+        for counter, (_reason, count) in zip(pruned, reasons):
+            counter.inc(count)
         skipped = time_pruned + stats_pruned + candidates_pruned
         if scanned + skipped:
-            registry.histogram(
-                "repro_tbql_segments_pruned_fraction",
-                "Fraction of sealed segments pruned (any reason) per "
-                "pattern scan.",
-                buckets=(0.1, 0.25, 0.5, 0.75, 0.9, 1.0),
-            ).observe(skipped / (scanned + skipped))
+            fraction.observe(skipped / (scanned + skipped))
 
     def close(self) -> None:
         """Nothing to release; kept because callers still close executors."""
@@ -679,9 +688,9 @@ class TBQLExecutor:
         return self.store.relational.select_tuples(compiled.sql,
                                                    compiled.params)
 
-    def _prune(self, sealed: tuple[SegmentInfo, ...], spec: PatternSpec
+    def _prune(self, sealed: tuple[SegmentInfo, ...], scan: CompiledScan
                ) -> tuple[list[SegmentInfo], dict[str, int]]:
-        """The sealed segments a scan of ``spec`` must visit, and the
+        """The sealed segments ``scan`` must visit, and the
         :class:`PlanStep` segment counts (also recorded as metrics).
 
         The planner prunes sealed segments whose time bounds cannot
@@ -695,10 +704,10 @@ class TBQLExecutor:
         """
         if not sealed:
             return [], _NO_SEGMENTS
-        targets = prune_segments(sealed, spec.window)
+        targets = prune_segments(sealed, scan.spec.window)
         time_pruned = len(sealed) - len(targets)
-        targets, stats_pruned = prune_by_stats(targets, spec)
-        targets, candidates_pruned = prune_by_candidates(targets, spec)
+        targets, stats_pruned = prune_by_stats(targets, scan)
+        targets, candidates_pruned = prune_by_candidates(targets, scan)
         self._record_pruning(len(targets), time_pruned, stats_pruned,
                              candidates_pruned)
         return targets, {"segments_scanned": len(targets),
@@ -723,17 +732,18 @@ class TBQLExecutor:
             rows = [] if floor is None else self._tail_rows(
                 pattern, resolved, floor, subject_ids, object_ids)
             return rows, _NO_SEGMENTS
-        spec = build_pattern_spec(pattern, resolved,
-                                  subject_candidates=subject_ids,
-                                  object_candidates=object_ids)
-        targets, segments = self._prune(sealed, spec)
+        scan = CompiledScan(build_pattern_spec(
+            pattern, resolved, subject_candidates=subject_ids,
+            object_candidates=object_ids),
+            [segment.columnar_path for segment in sealed])
+        targets, segments = self._prune(sealed, scan)
         with start_span("scatter", segments=len(targets),
                         pruned=len(sealed) - len(targets)) as span:
             rows: list[EventRow] = []
-            for scanned in _scan_segments(
-                    targets, "columnar",
-                    lambda path: scan_segment_columnar(path, spec)):
+            for scanned in _scan_segments(targets, scan, "columnar",
+                                          partial(scan_columnar, scan=scan)):
                 rows += scanned
+            scan.count_filter_tables()
             if floor is not None:
                 rows += self._tail_rows(pattern, resolved, floor,
                                         subject_ids, object_ids)
@@ -862,8 +872,10 @@ class TBQLExecutor:
                 return None
             group_sides.append((on_subject, attribute))
             group_columns.append((on_subject, column))
-        spec = build_pattern_spec(pattern, resolved)
-        survivors, segments = self._prune(view.sealed, spec)
+        scan = CompiledScan(build_pattern_spec(pattern, resolved),
+                            [segment.columnar_path
+                             for segment in view.sealed])
+        survivors, segments = self._prune(view.sealed, scan)
         hydration_queries = 0
         scan_start = time.perf_counter()
         counts: dict[tuple, int] = {}
@@ -872,10 +884,11 @@ class TBQLExecutor:
         with start_span("scatter", segments=len(survivors),
                         pruned=len(view.sealed) - len(survivors)) as span:
             partials = _scan_segments(
-                survivors, "aggregate",
-                lambda path: scan_segment_aggregate(path, spec, columns),
-                itemgetter(0))
-            for _matched, partial_counts, _gather in partials:
+                survivors, scan, "aggregate", lambda reader: (
+                    reader, *aggregate_columnar(reader, scan, columns)),
+                lambda partial: len(partial[1]))
+            scan.count_filter_tables()
+            for _reader, _selected, partial_counts in partials:
                 for key, count in partial_counts.items():
                     counts[key] = counts.get(key, 0) + count
             if view.active_events:
@@ -891,7 +904,8 @@ class TBQLExecutor:
                          ).get(attribute)
                         for on_subject, attribute in group_sides)
                     counts[key] = counts.get(key, 0) + 1
-            matched = sum(partial[0] for partial in partials) + len(tail)
+            matched = sum(len(selected) for _reader, selected, _counts
+                          in partials) + len(tail)
             span.set_attribute("rows", matched)
         seconds = {"execute": time.perf_counter() - scan_start}
         join_start = time.perf_counter()
@@ -904,8 +918,8 @@ class TBQLExecutor:
             # In the global order one statement over the whole store
             # produces, names hydrated by entity id (entity rows never
             # change, so an append since the query does not matter).
-            rows = [row for _matched, _counts, gather in partials
-                    for row in gather()] + tail
+            rows = [row for reader, selected, _counts in partials
+                    for row in gather_rows(reader, selected, scan.np)] + tail
             rows.sort()
             entities, _ = self._hydrate_entities(_entity_ids(rows))
             return [{

@@ -33,13 +33,11 @@ from __future__ import annotations
 
 from typing import Any, Optional
 
-from ..storage.columnar import numpy_module
 from ..storage.relational.schema import EVENT_ATTRIBUTE_COLUMNS
 from ..storage.segments import SegmentInfo, SegmentStats
 from .ast import (AttributeComparison, AttributeFilter, BooleanFilter,
                   MembershipFilter)
-from .colscan import (PatternSpec, _eval_comparison, _eval_membership,
-                      _segment_for, candidate_rows)
+from .colscan import CompiledScan, _eval_comparison, _eval_membership
 
 
 def _numeric_may_match(bounds: tuple[float, float], operator: str,
@@ -67,11 +65,8 @@ def _numeric_may_match(bounds: tuple[float, float], operator: str,
     return True
 
 
-def _filter_may_match(filt: Optional[AttributeFilter],
-                      stats: SegmentStats) -> bool:
+def _filter_may_match(filt: AttributeFilter, stats: SegmentStats) -> bool:
     """Conservative filter walk: ``False`` only on a provable miss."""
-    if filt is None:
-        return True
     if isinstance(filt, BooleanFilter):
         if filt.operator == "&&":
             return all(_filter_may_match(operand, stats)
@@ -112,8 +107,9 @@ def _filter_may_match(filt: Optional[AttributeFilter],
 
 
 def segment_may_match(stats: Optional[SegmentStats],
-                      spec: PatternSpec) -> bool:
-    """Whether a segment with ``stats`` could hold a matching row.
+                      scan: CompiledScan) -> bool:
+    """Whether a segment with ``stats`` could hold a row ``scan``
+    matches.
 
     ``True`` is always safe (the segment is scanned); ``False`` is
     asserted only when the statistics prove every stored row fails the
@@ -121,25 +117,23 @@ def segment_may_match(stats: Optional[SegmentStats],
     """
     if stats is None:
         return True
+    spec = scan.spec
     if stats.subject_types is not None and \
             spec.subject_type not in stats.subject_types:
         return False
     if stats.object_types is not None and \
             spec.object_type not in stats.object_types:
         return False
-    if spec.operations is not None:
+    if scan.operations is not None:
         present = stats.distinct.get("operation")
-        if present is not None and \
-                not set(spec.operations) & set(present):
+        if present is not None and scan.operations.isdisjoint(present):
             return False
-    for filt in (spec.subject_filter, spec.object_filter,
-                 spec.pattern_filter):
-        if not _filter_may_match(filt, stats):
-            return False
-    return True
+    return all(_filter_may_match(filt, stats)
+               for filt in (spec.subject_filter, spec.object_filter,
+                            spec.pattern_filter) if filt is not None)
 
 
-def prune_by_stats(segments: list[SegmentInfo], spec: PatternSpec
+def prune_by_stats(segments: list[SegmentInfo], scan: CompiledScan
                    ) -> tuple[list[SegmentInfo], int]:
     """Partition time-surviving segments by the stats verdict.
 
@@ -147,25 +141,23 @@ def prune_by_stats(segments: list[SegmentInfo], spec: PatternSpec
     survive.
     """
     survivors = [segment for segment in segments
-                 if segment_may_match(segment.stats, spec)]
+                 if segment_may_match(segment.stats, scan)]
     return survivors, len(segments) - len(survivors)
 
 
-def prune_by_candidates(segments: list[SegmentInfo], spec: PatternSpec
+def prune_by_candidates(segments: list[SegmentInfo], scan: CompiledScan
                         ) -> tuple[list[SegmentInfo], int]:
     """Keep the segments whose entity block holds a candidate id of
     every pushed side; returns ``(survivors, pruned_count)``.
 
-    Sound: an event's entity ids are always in its segment's block
-    (``ColumnarSegment.entity_rows`` raises otherwise).  A block of ids
-    ``1..N`` (older payloads) is a superset and prunes less.
+    One search per pushed side over every block of the store
+    (:meth:`CompiledScan.candidate_rows`), whose rows the scans of the
+    survivors reuse.
     """
-    pushed = [ids for ids in (spec.subject_candidates,
-                              spec.object_candidates) if ids is not None]
-    np = numpy_module()
-    survivors = [segment for segment in segments if all(
-        candidate_rows(_segment_for(segment.columnar_path), ids, np)
-        for ids in pushed)]
+    if not scan.pushed:
+        return list(segments), 0
+    survivors = [segment for segment in segments
+                 if scan.candidate_rows(segment.columnar_path) is not None]
     return survivors, len(segments) - len(survivors)
 
 

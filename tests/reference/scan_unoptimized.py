@@ -7,12 +7,14 @@ tested and timed against:
   pruning off: every time-surviving segment is scanned;
 * candidate pruning — :func:`prune_nothing` again, in place of
   ``prune_by_candidates``: a step with pushed candidate ids scans every
-  segment that survived statistics, and each scan finds the ids itself;
+  segment that survived statistics, and the step's first scan searches
+  the ids itself; :func:`candidate_rows` is that search on one block
+  alone, the reference of the store-wide ``colscan._BlockIndex``;
 * dictionary predicates — :func:`filter_mask_per_row` is
   ``colscan._filter_mask`` without the dictionary: no memo, an
-  entity-row filter judged by its per-row closure once per entity row
-  on every scan, and an event-row filter left to the per-row closure as
-  a residual.
+  entity-row conjunct judged by its per-row closure once per entity
+  row on every scan, and an event-row conjunct left to the per-row
+  closure as a residual.
 
 The bodies are the old disabled branches verbatim.  They are installed
 by patching the module attribute the shipped code calls, so the rest of
@@ -24,17 +26,18 @@ block.  Test-only — nothing under ``src/`` imports this module.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from contextlib import contextmanager
-from typing import Any, Iterator, Optional
+from typing import Any, Iterator, Optional, Sequence
 
 from repro.storage.columnar import ColumnarSegment
 from repro.storage.segments import SegmentInfo
 from repro.tbql import colscan, executor
 from repro.tbql.ast import AttributeFilter, BooleanFilter, NegatedFilter
-from repro.tbql.colscan import PatternSpec
+from repro.tbql.colscan import CompiledScan
 
 
-def prune_nothing(segments: list[SegmentInfo], spec: PatternSpec
+def prune_nothing(segments: list[SegmentInfo], scan: CompiledScan
                   ) -> tuple[list[SegmentInfo], int]:
     """``prune_by_stats`` (or ``prune_by_candidates``) with pruning
     disabled: scan everything."""
@@ -57,19 +60,37 @@ def _tri_vector_per_row(segment: ColumnarSegment,
                  for index in range(segment.entity_count))
 
 
-def filter_mask_per_row(segment: ColumnarSegment, filt: AttributeFilter,
-                        np: Any
+def filter_mask_per_row(segment: ColumnarSegment,
+                        conjunct: colscan._Conjunct, np: Any
                         ) -> Optional[tuple[bytes, bool, Optional[bool]]]:
     """``colscan._filter_mask`` without the dictionary.
 
     The reference keeps its shape: no memo (hit ``None``), one closure
     call per entity row, or per event row as a residual.
     """
-    domains = colscan._domains(filt)
-    if len(domains) != 1 or "row" in domains or "event" in domains:
+    if conjunct.domain != "entity":
         return None
-    return (_tri_vector_per_row(segment, filt).translate(
+    return (_tri_vector_per_row(segment, conjunct.filt).translate(
         colscan._ONLY_TRUE), False, None)
+
+
+def candidate_rows(segment: ColumnarSegment, candidates: Sequence[int],
+                   np: Any) -> list[int]:
+    """Entity-block rows of the ``candidates`` one block holds, in
+    candidate order: one ``searchsorted`` under numpy, else a
+    ``bisect`` per id, on the block's sorted id column.  An id the
+    block lacks is referenced by no event of the segment."""
+    if np is not None:
+        ids = segment.np_column("entity.id", np)
+        wanted = np.asarray(candidates, dtype=np.int64)
+        found = np.searchsorted(ids, wanted)
+        inside = found < ids.size
+        found, wanted = found[inside], wanted[inside]
+        return found[ids[found] == wanted].tolist()
+    ids = segment.column("entity.id")
+    found = [bisect_left(ids, entity_id) for entity_id in candidates]
+    return [row for row, entity_id in zip(found, candidates)
+            if row < len(ids) and ids[row] == entity_id]
 
 
 @contextmanager
@@ -106,6 +127,7 @@ def optimizers_disabled() -> Iterator[None]:
         yield
 
 
-__all__ = ["candidate_pruning_disabled", "dictionary_disabled",
+__all__ = ["candidate_pruning_disabled", "candidate_rows",
+           "dictionary_disabled",
            "filter_mask_per_row", "optimizers_disabled", "prune_nothing",
            "stats_pruning_disabled"]

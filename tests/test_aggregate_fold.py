@@ -24,7 +24,7 @@ import pytest
 from repro.audit.entities import (FileEntity, NetworkEntity, Operation,
                                   ProcessEntity, SystemEvent)
 from repro.storage import DualStore
-from repro.storage.columnar import ColumnarSegment
+from repro.storage.columnar import ColumnarSegment, numpy_module
 from repro.tbql import colscan
 from repro.tbql.colscan import build_pattern_spec
 from repro.tbql.executor import TBQLExecutor
@@ -224,7 +224,8 @@ def test_both_evaluators_fold_alike(store, monkeypatch, label):
             try:
                 selected, counts = colscan.aggregate_columnar(segment, spec,
                                                               columns)
-                records = colscan.gather_rows(segment, selected)
+                records = colscan.gather_rows(segment, selected,
+                                              numpy_module())
             finally:
                 segment.close()
             folds.append((counts, records))

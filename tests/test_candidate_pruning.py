@@ -16,6 +16,8 @@ from __future__ import annotations
 
 import dataclasses
 import os
+import sys
+from concurrent.futures import ThreadPoolExecutor
 from operator import attrgetter
 from pathlib import Path
 
@@ -28,19 +30,26 @@ from repro.audit import AuditCollector, CollectorConfig, \
 from repro.benchmark import get_case
 from repro.benchmark.case import CaseBuilder
 from repro.obs import trace
+from repro.obs.metrics import MetricsRegistry, get_registry, set_registry
 from repro.storage import DualStore
 from repro.storage.columnar import (ColumnarSegment, EventColumns,
                                     write_columnar)
 from repro.storage.relational.schema import ENTITY_COLUMNS
-from repro.tbql.colscan import build_pattern_spec, scan_columnar
+from repro.tbql import colscan
+from repro.tbql.ast import AttributeComparison
+from repro.tbql.colscan import (CompiledScan, build_pattern_spec,
+                                scan_columnar)
 from repro.tbql.executor import TBQLExecutor
 from repro.tbql.parser import parse_tbql
 from repro.tbql.pruning import prune_by_candidates
 from repro.tbql.semantics import resolve_query
 
 from .conftest import record_data_leak_attack
+from .promtext import parse_prometheus_text
 from .reference.scan_unoptimized import (candidate_pruning_disabled,
                                          stats_pruning_disabled)
+from .test_answer_bytes import build_store
+from .test_tbql_join_equivalence import EQUIVALENCE_CORPUS
 
 EVALUATORS = ["1", "0"]      # REPRO_COLUMNAR_NUMPY: numpy, pure python
 
@@ -183,7 +192,8 @@ def _check_segment(info, spec) -> None:
                row["object_id"] in spec.object_candidates)]
     assert _scan(info, spec) == wanted
     block = _block_ids(info)
-    survivors, pruned = prune_by_candidates([info], spec)
+    survivors, pruned = prune_by_candidates(
+        [info], CompiledScan(spec, (info.columnar_path,)))
     holds = all(candidates is None or block & set(candidates)
                 for candidates in (spec.subject_candidates,
                                    spec.object_candidates))
@@ -449,10 +459,9 @@ DATA_LEAK_JOIN = (
     'return distinct p1, p2, p3, p4, f1, f2, f3, f4')
 
 
-def test_data_leak_join_scans_one_segment_per_pushed_step():
-    """The attack sits inside one of sixteen sealed segments; every step
-    after the first receives its one candidate id and scans only that
-    segment."""
+def _data_leak_batches():
+    """Sixteen batches of benign noise, the data_leak attack inside the
+    eighth."""
     noise = generate_benign_noise(64, 5, 1_523_400_000.0)
     step = -(-len(noise) // 16)
     batches = [noise[start:start + step]
@@ -462,13 +471,24 @@ def test_data_leak_join_scans_one_segment_per_pushed_step():
         get_case("data_leak"), benign_sessions=0).events
     batches[7] = sorted(batches[7] + attack,
                         key=attrgetter("start_time", "event_id"))
-    unsealed = DualStore()
-    seg = DualStore()
+    return batches
+
+
+def _data_leak_store(seal: bool = True) -> DualStore:
+    store = DualStore()
+    for batch in _data_leak_batches():
+        store.append_events(batch)
+        store.flush_appends(seal_segment=seal)
+    return store
+
+
+def test_data_leak_join_scans_one_segment_per_pushed_step():
+    """The attack sits inside one of sixteen sealed segments; every step
+    after the first receives its one candidate id and scans only that
+    segment."""
+    unsealed = _data_leak_store(seal=False)
+    seg = _data_leak_store()
     try:
-        for batch in batches:
-            for store in (unsealed, seg):
-                store.append_events(batch)
-                store.flush_appends(seal_segment=store is seg)
         assert len(seg.segment_view().sealed) == 16
         result = TBQLExecutor(seg).execute(DATA_LEAK_JOIN)
         assert len(result.rows) == 1
@@ -490,3 +510,149 @@ def test_data_leak_join_scans_one_segment_per_pushed_step():
     finally:
         unsealed.close()
         seg.close()
+
+
+# ---------------------------------------------------------------------------
+# a scan's setup is paid once per step
+# ---------------------------------------------------------------------------
+
+
+def test_setup_is_paid_once_per_step(monkeypatch):
+    """On sixteen segments, every pushed step searches the entity blocks
+    once (one index built for the query), every conjunct's row domain
+    and memo key are computed once per step, not once per segment
+    scanned, and the metric families are looked up once per registry,
+    not once per step."""
+    seg = _data_leak_store()
+    searches, builds, domains, reprs = [], [], [], []
+    search, build = colscan._BlockIndex.search, colscan._BlockIndex.__init__
+    domains_of = colscan._domains
+    comparison_repr = AttributeComparison.__repr__
+
+    def spy_search(index, candidates):
+        searches.append(len(candidates))
+        return search(index, candidates)
+
+    def spy_build(index, blocks, np):
+        builds.append(len(blocks))
+        build(index, blocks, np)
+
+    def spy_domains(filt):
+        domains.append(filt)
+        return domains_of(filt)
+
+    def spy_repr(filt):
+        reprs.append(filt)
+        return comparison_repr(filt)
+    monkeypatch.setattr(colscan._BlockIndex, "search", spy_search)
+    monkeypatch.setattr(colscan._BlockIndex, "__init__", spy_build)
+    monkeypatch.setattr(colscan, "_domains", spy_domains)
+    monkeypatch.setattr(AttributeComparison, "__repr__", spy_repr)
+    registered = []
+    register = MetricsRegistry._register
+
+    def spy_register(registry, name, *args):
+        registered.append(name)
+        return register(registry, name, *args)
+    monkeypatch.setattr(MetricsRegistry, "_register", spy_register)
+    previous = set_registry(MetricsRegistry())
+    try:
+        executor = TBQLExecutor(seg)
+        result = executor.execute(DATA_LEAK_JOIN)
+        assert sorted(registered) == [
+            "repro_tbql_filter_table_total",
+            "repro_tbql_segments_pruned_fraction",
+            "repro_tbql_segments_pruned_total"]
+        for seen in (searches, domains, reprs):
+            seen.clear()        # the second query alone, below
+        assert executor.execute(DATA_LEAK_JOIN).rows == result.rows
+        assert len(registered) == 3
+    finally:
+        set_registry(previous)
+        seg.close()
+    assert len(result.rows) == 1
+    pushed = [step for step in result.plan
+              if step.pushed_subject or step.pushed_object]
+    assert len(pushed) == 6 and len(result.plan) == 7
+    assert builds == [16]
+    assert searches == [1] * len(pushed)
+    resolved = resolve_query(parse_tbql(DATA_LEAK_JOIN))
+    conjuncts = [conjunct for pattern in resolved.patterns
+                 for filt in (pattern.subject.attr_filter,
+                              pattern.obj.attr_filter,
+                              pattern.pattern_filter)
+                 for conjunct in colscan._conjuncts(filt)]
+    assert all(isinstance(conjunct, AttributeComparison)
+               for conjunct in conjuncts)
+    assert domains == conjuncts and reprs == conjuncts
+    assert len(conjuncts) == 8
+
+
+#: One pass of the join-equivalence corpus over the ``sealed_3`` store
+#: (fresh payloads, so every memo starts cold), recorded before the scan
+#: setup moved from once per segment to once per step.
+SEALED_3_TOTALS = {
+    "filter_tables": {"hit": 79.0, "miss": 24.0},
+    "segments_pruned": {"time": 0.0, "stats": 0.0, "candidates": 14.0},
+    "fraction": (35.0, 4.666666666666666),
+    "pruning_totals": {"segments_scanned": 91,
+                       "segments_pruned_by_time": 0,
+                       "segments_pruned_by_stats": 0,
+                       "segments_pruned_by_candidates": 14},
+}
+
+
+@pytest.mark.parametrize("use_numpy", EVALUATORS)
+def test_metric_totals_of_a_corpus_pass(monkeypatch, use_numpy):
+    monkeypatch.setenv("REPRO_COLUMNAR_NUMPY", use_numpy)
+    store = build_store("sealed_3")
+    previous = set_registry(MetricsRegistry())
+    try:
+        executor = TBQLExecutor(store)
+        for text in EQUIVALENCE_CORPUS:
+            executor.execute(text)
+        families = parse_prometheus_text(get_registry().render())
+    finally:
+        set_registry(previous)
+        store.close()
+
+    def by_label(name, label):
+        return {labels[label]: value
+                for _sample, labels, value in families[name]["samples"]}
+    fraction = {sample: value for sample, labels, value
+                in families["repro_tbql_segments_pruned_fraction"][
+                    "samples"] if "le" not in labels}
+    assert {
+        "filter_tables": by_label("repro_tbql_filter_table_total",
+                                  "result"),
+        "segments_pruned": by_label("repro_tbql_segments_pruned_total",
+                                    "reason"),
+        "fraction": (
+            fraction["repro_tbql_segments_pruned_fraction_count"],
+            fraction["repro_tbql_segments_pruned_fraction_sum"]),
+        "pruning_totals": executor.pruning_totals,
+    } == SEALED_3_TOTALS
+
+
+def test_concurrent_queries_share_the_block_index():
+    """Threads racing on the first pushed step may each build the index;
+    every answer still equals the single-threaded one."""
+    seg = _data_leak_store()
+    interval = sys.getswitchinterval()
+    try:
+        expected = TBQLExecutor(seg).execute(DATA_LEAK_JOIN)
+        colscan._block_index.cache_clear()
+        executor = TBQLExecutor(seg)
+        sys.setswitchinterval(1e-6)
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            answers = list(pool.map(
+                lambda _: executor.execute(DATA_LEAK_JOIN), range(8),
+                timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
+        seg.close()
+    for answer in answers:
+        assert (answer.rows, answer.matched_events) == \
+            (expected.rows, expected.matched_events)
+        assert [step.segments_scanned for step in answer.plan] == \
+            [step.segments_scanned for step in expected.plan]

@@ -689,14 +689,13 @@ def test_segment_cache_evicts_least_recently_used(tmp_path, monkeypatch):
         paths.append(str(_sample_payload(directory)))
     monkeypatch.setattr(colscan, "_SEGMENT_CACHE", {})
     monkeypatch.setattr(colscan, "_SEGMENT_CACHE_LIMIT", 2)
-    first = colscan._segment_for(paths[0])
-    second = colscan._segment_for(paths[1])
-    assert colscan._segment_for(paths[0]) is first     # refreshes paths[0]
-    third = colscan._segment_for(paths[2])             # evicts paths[1]
+    first, second = colscan._segments_for(paths[:2])
+    assert colscan._segments_for(paths[:1]) == [first]  # refreshes [0]
+    (third,) = colscan._segments_for(paths[2:])          # evicts [1]
     try:
         assert list(colscan._SEGMENT_CACHE) == [paths[0], paths[2]]
-        assert colscan._segment_for(paths[0]) is first
-        assert colscan._segment_for(paths[1]) is not second
+        assert colscan._segments_for(paths[:1]) == [first]
+        assert colscan._segments_for(paths[1:2]) != [second]
     finally:
         for segment in (first, second, third,
                         *colscan._SEGMENT_CACHE.values()):

@@ -11,6 +11,7 @@ import threading
 
 import pytest
 
+from repro.obs import metrics
 from repro.obs.metrics import (DEFAULT_BUCKETS, MetricsRegistry,
                                get_registry, set_registry)
 
@@ -91,6 +92,50 @@ class TestRegistration:
         with pytest.raises(ValueError):
             registry.counter("repro_ok_total", "bad label",
                              labels=("le",))
+
+    def test_invalid_label_rejected_on_first_registration(self,
+                                                          registry):
+        with pytest.raises(ValueError, match="invalid label name"):
+            registry.counter("repro_bad_label_total", "x",
+                             labels=("bad-label",))
+        with pytest.raises(ValueError, match="invalid metric name"):
+            registry.histogram("bad name", "x", labels=("ok",))
+
+    def test_bucket_conflict_raises(self, registry):
+        first = registry.histogram("repro_bk", "x", buckets=(1.0, 5.0))
+        assert registry.histogram("repro_bk", "x", buckets=(1, 5)) is first
+        with pytest.raises(ValueError, match="buckets"):
+            registry.histogram("repro_bk", "x", buckets=(1.0, 10.0))
+        with pytest.raises(ValueError, match="buckets"):
+            registry.histogram("repro_bk", "x")     # the defaults
+        registry.histogram("repro_bk_default", "x")
+        with pytest.raises(ValueError, match="buckets"):
+            registry.histogram("repro_bk_default", "x", buckets=(1.0,))
+
+    def test_names_are_validated_only_on_creation(self, registry,
+                                                   monkeypatch):
+        """A repeat registration is a dict lookup: the name and label
+        patterns run when the family is created, never again."""
+        checked: list[str] = []
+
+        class Spy:
+            def __init__(self, pattern):
+                self.pattern = pattern
+
+            def match(self, text):
+                checked.append(text)
+                return self.pattern.match(text)
+        monkeypatch.setattr(metrics, "_METRIC_NAME",
+                            Spy(metrics._METRIC_NAME))
+        monkeypatch.setattr(metrics, "_LABEL_NAME",
+                            Spy(metrics._LABEL_NAME))
+        family = registry.counter("repro_once_total", "x",
+                                  labels=("a", "b"))
+        assert checked == ["repro_once_total", "a", "b"]
+        for _ in range(3):
+            assert registry.counter("repro_once_total", "x",
+                                    labels=("a", "b")) is family
+        assert checked == ["repro_once_total", "a", "b"]
 
     def test_bucket_validation(self, registry):
         with pytest.raises(ValueError):

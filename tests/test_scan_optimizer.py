@@ -30,7 +30,7 @@ from repro.storage.segments import (STATS_DISTINCT_COLUMNS,
                                     STATS_NUMERIC_COLUMNS, SegmentStats)
 from repro.tbql.ast import (AttributeComparison, BooleanFilter,
                             MembershipFilter)
-from repro.tbql.colscan import PatternSpec, scan_columnar
+from repro.tbql.colscan import CompiledScan, PatternSpec, scan_columnar
 from repro.tbql.executor import TBQLExecutor
 from repro.tbql.pruning import prune_by_stats, segment_may_match
 from repro.tbql.semantics import resolve_query
@@ -217,7 +217,7 @@ class TestConservativePruning:
         returning False must imply the real scan returns zero rows."""
         _unsealed, seg = store_pair
         for info in seg.segment_view().sealed:
-            if segment_may_match(info.stats, spec):
+            if segment_may_match(info.stats, CompiledScan(spec)):
                 continue
             segment = ColumnarSegment(info.columnar_path)
             try:
@@ -233,7 +233,8 @@ class TestConservativePruning:
             operations=("no-such-operation",), subject_filter=None,
             object_filter=None, pattern_filter=None, window=None,
             subject_candidates=None, object_candidates=None)
-        survivors, pruned = prune_by_stats(list(sealed), impossible)
+        survivors, pruned = prune_by_stats(list(sealed),
+                                           CompiledScan(impossible))
         assert pruned == len(sealed) and not survivors
         text = 'proc p delete file f return p, f'
         pruned_result = TBQLExecutor(seg).execute(text)
@@ -253,10 +254,11 @@ class TestConservativePruning:
             operations=("no-such-operation",), subject_filter=None,
             object_filter=None, pattern_filter=None, window=None,
             subject_candidates=None, object_candidates=None)
-        assert segment_may_match(None, impossible)
+        assert segment_may_match(None, CompiledScan(impossible))
         stripped = [dataclasses.replace(info, stats=None)
                     for info in sealed]
-        survivors, pruned = prune_by_stats(stripped, impossible)
+        survivors, pruned = prune_by_stats(stripped,
+                                           CompiledScan(impossible))
         assert pruned == 0 and len(survivors) == len(sealed)
 
 
