@@ -1,33 +1,26 @@
-"""TBQL -> Cypher compilation.
+"""TBQL -> giant Cypher: one mini-Cypher statement for a whole query.
 
-Variable-length event path patterns (and length-1 ``->`` patterns) execute on
-the graph backend.  As with SQL there are two code paths:
-
-* :func:`compile_pattern_cypher` — one small Cypher data query per pattern,
-  used by the scheduler;
-* :func:`compile_giant_cypher` — one Cypher statement containing every
-  pattern (the hand-written Cypher baseline of RQ4).
+The hand-written Cypher baseline of RQ4 (Table VIII, column (d)): every
+pattern of the query in one ``MATCH``, run by the mini-Cypher evaluator
+over a graph built from the store's rows.  The engine itself runs path
+patterns on the stored rows (:mod:`repro.tbql.paths`).
 """
 
 from __future__ import annotations
 
 import re
-from typing import Optional, Sequence
+from typing import Optional
 
-from ..audit.entities import EntityType
-from ..errors import TBQLSemanticError
-from .ast import (AttributeComparison, AttributeFilter, BareValueFilter,
-                  BooleanFilter, MembershipFilter, NegatedFilter,
-                  TemporalRelation)
-from .semantics import EVENT_ATTRIBUTES, ResolvedPattern, ResolvedQuery
+from ...audit.entities import EntityType
+from ...errors import TBQLSemanticError
+from ...tbql.ast import (AttributeComparison, AttributeFilter,
+                         BareValueFilter, BooleanFilter, MembershipFilter,
+                         NegatedFilter, TemporalRelation)
+from ...tbql.semantics import (DEFAULT_MAX_PATH_LENGTH, EVENT_ATTRIBUTES,
+                               ResolvedPattern, ResolvedQuery)
 
 _LABELS = {EntityType.FILE: "file", EntityType.PROCESS: "proc",
            EntityType.NETWORK: "ip"}
-
-#: Upper bound substituted when an unbounded ``~>`` path is compiled; keeps
-#: graph traversal bounded exactly like the mini-Cypher evaluator does.
-DEFAULT_MAX_PATH_LENGTH = 6
-
 
 def _quote(value) -> str:
     if isinstance(value, str):
@@ -148,50 +141,12 @@ def _pattern_match_and_where(pattern: ResolvedPattern, query: ResolvedQuery,
     return match, where
 
 
-def _candidate_clause(var: str, candidate_ids: Sequence[int]) -> str:
-    """Render an entity-candidate allowlist as a ``var.id IN [...]`` test.
-
-    The evaluator recognizes this form and enumerates the listed node ids
-    directly instead of scanning a label, so candidates injected by the
-    scheduler prune graph traversal the same way they prune SQL.
-    """
-    rendered = ", ".join(str(int(node_id)) for node_id in candidate_ids)
-    return f"{var}.id IN [{rendered}]"
-
-
-def compile_pattern_cypher(pattern: ResolvedPattern, query: ResolvedQuery,
-                           subject_candidates: Sequence[int] | None = None,
-                           object_candidates: Sequence[int] | None = None
-                           ) -> str:
-    """Compile one pattern into a small Cypher data query.
-
-    The query returns the matched subject/object node ids plus the edge (or
-    edge path) id(s) and the final-hop timing, which is what the scheduler's
-    join needs.  ``subject_candidates`` / ``object_candidates`` are node-id
-    restrictions injected from previously executed patterns (the graph twin
-    of :func:`~repro.tbql.compiler_sql.compile_pattern_sql`'s candidate
-    parameters).
-    """
-    match, where = _pattern_match_and_where(pattern, query, "s", "o", "e")
-    if subject_candidates is not None:
-        where.append(_candidate_clause("s", subject_candidates))
-    if object_candidates is not None:
-        where.append(_candidate_clause("o", object_candidates))
-    where_text = f" WHERE {' AND '.join(where)}" if where else ""
-    return (f"MATCH {match}{where_text} "
-            "RETURN s.id AS subject_id, o.id AS object_id, "
-            "e AS event_ids, e.start_time AS start_time, "
-            "e.end_time AS end_time")
-
-
 def compile_giant_cypher(query: ResolvedQuery) -> str:
     """Compile the whole query into one Cypher statement (RQ4 baseline).
 
     The mini-Cypher dialect has no ``NOT EXISTS`` subqueries and no
     aggregation, so ``and not`` absence patterns and ``count()`` queries
-    cannot be expressed as a single statement; both raise.  (Negated
-    *path* patterns still execute on the graph backend through
-    :func:`compile_pattern_cypher` — the executor owns the anti-join.)
+    cannot be expressed as a single statement; both raise.
     """
     if any(pattern.negated for pattern in query.patterns):
         raise TBQLSemanticError(
@@ -245,5 +200,4 @@ def _temporal_cypher(relation: TemporalRelation) -> str:
     return f"{relation.left}.start_time <= {relation.right}.end_time"
 
 
-__all__ = ["compile_pattern_cypher", "compile_giant_cypher",
-           "render_filter_cypher", "DEFAULT_MAX_PATH_LENGTH"]
+__all__ = ["compile_giant_cypher", "render_filter_cypher"]

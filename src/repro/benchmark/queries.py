@@ -6,7 +6,7 @@ queries (Section IV-B4):
 (a) the TBQL query with event-pattern syntax (scheduled, PostgreSQL backend),
 (b) a single giant SQL query,
 (c) the TBQL query with length-1 event path pattern syntax (scheduled,
-    Neo4j backend),
+    the path operator over the stored rows),
 (d) a single giant Cypher query.
 """
 
@@ -15,12 +15,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..extraction.pipeline import ThreatBehaviorExtractor
-from ..tbql.compiler_cypher import compile_giant_cypher
 from ..tbql.compiler_sql import compile_giant_sql
 from ..tbql.parser import parse_tbql
 from ..tbql.semantics import resolve_query
 from ..tbql.synthesis import SynthesisPlan, TBQLSynthesizer
 from .case import AttackCase
+from .cypher import compile_giant_cypher
 
 
 @dataclass(frozen=True)

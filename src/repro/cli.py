@@ -594,9 +594,8 @@ def build_parser() -> argparse.ArgumentParser:
     snapshot.add_argument("--out", required=True,
                           help="snapshot directory to write (created if "
                                "missing); holds the relational SQLite "
-                               "database and a JSON manifest (the graph is "
-                               "derived from the database when a query "
-                               "needs it)")
+                               "database, the sealed segments and a JSON "
+                               "manifest")
     _add_layout_argument(snapshot)
     snapshot.add_argument("--segment-events", type=int, default=25000,
                           help="seal a segment after every N parsed "

@@ -16,7 +16,8 @@ class AuditError(ReproError):
 
 
 class StorageError(ReproError):
-    """Raised by the relational or graph storage backends."""
+    """Raised by the storage substrate (relational store, segments,
+    snapshots) and by the giant-Cypher baseline's property graph."""
 
 
 class CypherError(StorageError):

@@ -319,9 +319,9 @@ def ingest_stage_histogram() -> MetricFamily:
     """The per-stage histogram parses, loads, appends and seals record into."""
     return get_registry().histogram(
         "repro_ingest_stage_seconds",
-        "Per-stage ingest durations (parse; reduce, build, relational, "
-        "graph; seal_columnar, seal_stats when a segment seals), in "
-        "seconds.", labels=("stage",))
+        "Per-stage ingest durations (parse; reduce, build, relational; "
+        "seal_columnar, seal_stats when a segment seals), in seconds.",
+        labels=("stage",))
 
 
 def set_registry(registry: MetricsRegistry) -> MetricsRegistry:

@@ -1,17 +1,17 @@
-"""Dual access facade: one relational store, read as tables and as a graph.
+"""The store: one relational store plus sealed columnar segments.
 
 Section III-B replicates the data across PostgreSQL and Neo4j so that event
 patterns can run as SQL and variable-length path patterns can run as Cypher.
-The :class:`DualStore` keeps both query interfaces but stores the data once:
-the relational store holds every entity and event row, and the property
-graph behind Cypher is an index derived from those rows on first use
-(:class:`~repro.storage.graph.GraphStore`) — dual *access*, not dual
-storage.
+The :class:`DualStore` stores the data once: the relational store holds
+every entity and event row, and TBQL reads them as tables (event
+patterns) and as an adjacency built from the ``events`` rows (path
+patterns, :mod:`repro.tbql.paths`) — the paper's graph store becomes a
+path operator over the stored rows.
 
 Loading runs a *single pass* over the (streamed, reduced) events: entity
 deduplication happens once, producing the relational row batches, which
 are then bulk-inserted.  The pre-batching loader (batch reduction,
-row-at-a-time entity inserts, item-wise graph construction) the
+row-at-a-time entity inserts) the
 equivalence tests and the ingestion benchmark compare against lives in
 ``tests/reference/``.
 """
@@ -36,7 +36,6 @@ from ..gcpause import gc_paused
 from ..obs.metrics import get_registry, ingest_stage_histogram
 from ..obs.trace import start_span
 from .columnar import EventColumns, write_columnar
-from .graph import GraphStore
 from .relational import RelationalStore
 from .relational.database import entity_row
 from .segments import (SEGMENT_FILES, SegmentInfo, SegmentView,
@@ -60,8 +59,7 @@ DEFAULT_COMPACT_MIN_EVENTS = 5000
 #: columnar payload (``events.col``, :mod:`repro.storage.columnar`);
 #: v4 — that payload and ``segment.json`` are all a segment directory
 #: holds (no per-segment ``relational.sqlite``);
-#: v5 — no ``graph.bin``: the property graph is derived from the
-#: relational store when first read.
+#: v5 — no ``graph.bin``: path patterns read the relational rows.
 #: Older snapshots remain readable: one whose manifest lists no
 #: segments (v1, or a store that was never sealed) opens with its whole
 #: history as the unsealed tail, a segment without a payload (v2) has
@@ -366,8 +364,8 @@ class _BuildBatches:
 
 
 class DualStore:
-    """One relational store behind two query interfaces: SQL over its
-    tables and Cypher over the property graph derived from them.
+    """One relational store, read as tables by event patterns and as an
+    adjacency of its ``events`` rows by path patterns.
 
     The event history is a list of sealed segments — immutable,
     time-bounded columnar payloads the TBQL executor can prune and scan
@@ -404,7 +402,6 @@ class DualStore:
                           "removed: every store seals segments",
                           DeprecationWarning, stacklevel=2)
         self.relational = RelationalStore(relational_path)
-        self.graph = GraphStore(self.relational, lambda: self.data_version)
         self.reduce = reduce
         self.merge_threshold = merge_threshold
         self.retain_events = retain_events
@@ -415,6 +412,10 @@ class DualStore:
         #: executors watch it to drop caches keyed by entity id when the
         #: stored data changes.
         self.data_version = 0
+        #: Bumped when :meth:`load_events` replaces the stored data: an
+        #: index built from the rows is rebuilt, not extended from its
+        #: high-water id, once this moves.
+        self.data_generation = 0
         #: Continuation state of the incremental append path (lazy).
         self._stream: _BuildBatches | None = None
         self._init_segment_state(segment_dir)
@@ -519,9 +520,9 @@ class DualStore:
 
         Loading *replaces* the stored data: the relational backend is
         cleared first, so ids restart at 1, sealed segments are dropped
-        (the loaded history is the tail until the next seal), and the
-        derived graph is dropped (its next reader builds it from the new
-        rows).
+        (the loaded history is the tail until the next seal), and
+        ``data_generation`` moves, so indexes built from the old rows
+        are rebuilt by their next reader.
 
         The reduction streams, and the relational backend bulk-loads from
         one build pass (:meth:`_load_batched`).
@@ -531,11 +532,11 @@ class DualStore:
                 "store is read-only (opened from a snapshot); ingest into "
                 "a writable DualStore and save() a new snapshot instead")
         self._stream = None     # a reload invalidates append continuation
-        self.graph.drop()
         self._drop_segments()
         stats = self._load_batched(events).observe()
         self.last_ingest = stats
         self.data_version += 1
+        self.data_generation += 1
         return stats
 
     # ------------------------------------------------------------------
@@ -548,8 +549,8 @@ class DualStore:
         The same fused reduction/interning/row-building pass as the batched
         loader runs on the delta only: new entities get the next free ids
         and event rows are appended with multi-row inserts under
-        incremental index maintenance; the derived graph catches up from
-        the new rows when it is next read.  Merge runs that
+        incremental index maintenance; the path adjacency catches up
+        from the new rows when it is next read.  Merge runs that
         are still open when the batch ends stay buffered so a run spanning
         two appends merges exactly as a one-shot load would; they are stored
         when a later event closes them or when :meth:`flush_appends` seals
@@ -893,17 +894,11 @@ class DualStore:
         """Run SQL against the relational backend."""
         return self.relational.execute(sql, params)
 
-    def execute_cypher(self, cypher: str) -> list[dict]:
-        """Run mini-Cypher against the derived property graph."""
-        return self.graph.execute(cypher)
-
     def entity_by_ids(self, entity_ids) -> dict[int, dict]:
         """Batch-fetch entity rows by id from the relational backend.
 
-        The graph is derived from these rows with node id == entity id, so
-        callers may use either id source.  Callers that also need the
-        issued-statement count use :meth:`RelationalStore.entity_by_ids`
-        directly.
+        Callers that also need the issued-statement count use
+        :meth:`RelationalStore.entity_by_ids` directly.
         """
         rows_by_id, _statements = self.relational.entity_by_ids(entity_ids)
         return rows_by_id
@@ -923,10 +918,8 @@ class DualStore:
         The directory holds the relational database
         (:data:`SNAPSHOT_RELATIONAL`, SQLite in WAL mode via the backup
         API) and a JSON manifest recording the format version and the
-        entity/event counts :meth:`open` verifies on restore.  The graph
-        is not saved: it is derived from the relational rows when read,
-        and a ``graph.bin`` an older snapshot left in the directory is
-        deleted.
+        entity/event counts :meth:`open` verifies on restore.  A
+        ``graph.bin`` an older snapshot left in the directory is deleted.
 
         On a writable store the append stream is sealed first
         (:meth:`flush_appends`), so events buffered in open merge runs are
@@ -998,8 +991,7 @@ class DualStore:
         In both modes the relational counts are checked against the
         manifest and ``data_version`` resumes from the value recorded at
         save time (1 for snapshots written before the field existed).
-        No graph is read: it is derived from the relational rows on its
-        first use, and the ``graph.bin`` of a v1–v4 snapshot is ignored.
+        The ``graph.bin`` of a v1–v4 snapshot is ignored.
         Note :meth:`events` is empty because raw events are not part of
         the snapshot.
 
@@ -1044,8 +1036,7 @@ class DualStore:
                     raise StorageError(
                         f"snapshot {directory} is corrupt: {recorded} is "
                         f"{count}, manifest says {expected}")
-            store.graph = GraphStore(store.relational,
-                                     lambda: store.data_version)
+            store.data_generation = 0
             store.reduce = bool(manifest.get("reduce", True))
             store.merge_threshold = float(
                 manifest.get("merge_threshold", DEFAULT_MERGE_THRESHOLD))

@@ -16,9 +16,9 @@ at segment *k*'s ``last_event_id + 1``); everything past the last sealed
 segment is the *active* write segment, which lives only in the combined
 store until :meth:`DualStore.flush_appends` or a snapshot save seals it.
 Segment directories of snapshots saved by earlier builds also hold a
-``graph.bin`` slice of the provenance graph; nothing reads it (the
-graph is derived from the combined store, see
-:class:`~repro.storage.graph.GraphStore`).
+``graph.bin`` slice of the provenance graph; nothing reads it (path
+patterns read the combined store's ``events`` rows, see
+:mod:`repro.tbql.paths`).
 
 Pruning contract: the SQL compiler renders a resolved TBQL time window
 as ``start_time >= earliest AND end_time <= latest``, so a segment can

@@ -2,10 +2,14 @@
 
 The streaming subsystem mutates a store other threads are querying: one
 ingest thread appends batches while HTTP request handlers (and the rule
-evaluator) read.  SQLite's WAL mode already isolates the relational
-readers, but the in-memory property graph has no such machinery — so the
-engine serializes writers against *all* readers with this lock while
-letting any number of readers proceed together.
+evaluator) read.  SQLite's WAL mode already isolates each relational
+read, but one query reads more than one statement's snapshot: the sealed
+segment list, the unsealed tail's rows and the in-memory indexes built
+from the rows and memoised per ``data_version`` (the path adjacency, the
+fuzzy provenance index, hydrated entities).  A seal or an append between
+those reads would let one answer mix two store versions — so the engine
+serializes writers against *all* readers with this lock while letting
+any number of readers proceed together.
 
 Writer preference: once a writer is waiting, new readers queue behind it,
 so a steady query load cannot starve ingestion.  The lock is not

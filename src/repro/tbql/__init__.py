@@ -1,8 +1,9 @@
 """TBQL: the Threat Behavior Query Language subsystem.
 
 Parser (Grammar 1), semantic resolution, query synthesis from threat behavior
-graphs, compilation to SQL / Cypher data queries, pruning-score scheduling,
-the exact execution engine, and the fuzzy (Poirot-extended) search mode.
+graphs, compilation to SQL data queries, the path operator over the stored
+event rows, pruning-score scheduling, the exact execution engine, and the
+fuzzy (Poirot-extended) search mode.
 """
 
 from .aggregate import apply_aggregation
@@ -10,7 +11,6 @@ from .ast import (AttributeComparison, AttributeRelation, BareValueFilter,
                   BooleanFilter, EntityDecl, EventPattern, MembershipFilter,
                   OperationAtom, OperationPath, ReturnClause, ReturnItem,
                   SequenceLink, TBQLQuery, TemporalRelation, TimeWindow)
-from .compiler_cypher import compile_giant_cypher, compile_pattern_cypher
 from .compiler_sql import compile_giant_sql, compile_pattern_sql
 from .conciseness import (ConcisenessMetrics, compare_conciseness,
                           measure_conciseness)
@@ -45,8 +45,6 @@ __all__ = [
     "TBQLQuery",
     "TemporalRelation",
     "TimeWindow",
-    "compile_giant_cypher",
-    "compile_pattern_cypher",
     "compile_giant_sql",
     "compile_pattern_sql",
     "ConcisenessMetrics",

@@ -93,7 +93,7 @@ class OperationPath:
     """A variable-length event path ``~>(min~max)[op_expr]`` or ``->[op]``.
 
     ``fuzzy_arrow`` distinguishes ``~>`` (arbitrary-length path) from ``->``
-    (length-1 path executed on the graph backend).
+    (length-1 path, executed by the path operator).
     """
 
     fuzzy_arrow: bool = True

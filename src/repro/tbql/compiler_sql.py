@@ -78,25 +78,29 @@ def render_filter(filt: Optional[AttributeFilter], entity_alias: str,
 def _pattern_clauses(pattern: ResolvedPattern, query: ResolvedQuery,
                      event_alias: str, subject_alias: str, object_alias: str,
                      params: list[Any],
-                     operation_drives: bool = True) -> list[str]:
-    """Shared WHERE clauses for one pattern (used by both code paths).
+                     operation_drives: bool = True,
+                     subject: bool = True) -> list[str]:
+    """Shared WHERE clauses for one pattern (used by both code paths,
+    and for a path pattern's final hop).
 
     ``operation_drives=False`` renders the operation test on
     ``+e.operation``: the same predicate, but one SQLite's planner may
-    not answer from ``idx_events_operation``.
+    not answer from ``idx_events_operation``.  ``subject=False`` leaves
+    out the subject's type and filter: a path's final hop does not
+    start at its subject.
     """
-    clauses = [
-        f"{subject_alias}.type = ?",
-        f"{object_alias}.type = ?",
-    ]
-    params.extend([_ENTITY_TYPE_VALUE[pattern.subject.entity_type],
-                   _ENTITY_TYPE_VALUE[pattern.obj.entity_type]])
+    clauses = []
+    if subject:
+        clauses.append(f"{subject_alias}.type = ?")
+        params.append(_ENTITY_TYPE_VALUE[pattern.subject.entity_type])
+    clauses.append(f"{object_alias}.type = ?")
+    params.append(_ENTITY_TYPE_VALUE[pattern.obj.entity_type])
     if pattern.operations is not None:
         hint = "" if operation_drives else "+"
         clauses.append(in_list(f"{hint}{event_alias}.operation",
                                sorted(pattern.operations), False, params))
     subject_clause = render_filter(pattern.subject.attr_filter, subject_alias,
-                                   event_alias, params)
+                                   event_alias, params) if subject else None
     if subject_clause:
         clauses.append(subject_clause)
     object_clause = render_filter(pattern.obj.attr_filter, object_alias,

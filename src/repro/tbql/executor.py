@@ -3,13 +3,15 @@
 The engine executes a TBQL query against a :class:`~repro.storage.DualStore`
 in three stages:
 
-1. compile every pattern into a data query — SQL for event patterns,
-   Cypher for (variable-length) path patterns;
+1. compile every pattern into a data query — SQL (and columnar segment
+   scans) for event patterns, the path operator of :mod:`.paths` over the
+   stored event rows for (variable-length) path patterns;
 2. execute the data queries in the order chosen by the scheduler, pushing
-   entity-candidate restrictions from previously executed patterns down into
-   both backends (``id IN (...)`` lists in SQL, ``var.id IN [...]``
-   allowlists in Cypher) and hydrating all entity attributes of a pattern's
-   result rows with one batched lookup per pattern;
+   entity-candidate restrictions from previously executed patterns down
+   into both (``id IN (...)`` lists in SQL, which also pick a path's
+   start subjects and final-hop objects) and hydrating all entity
+   attributes of a pattern's result rows with one batched lookup per
+   pattern;
 3. join the per-pattern match lists on shared entity IDs with a pipelined
    hash join — each pattern's matches are indexed by the entity keys already
    bound by earlier join levels and probed instead of enumerated, replacing
@@ -25,11 +27,9 @@ per-stage timings.  ``PlanStep`` subclasses :class:`str` (its value is the
 pattern id) so existing consumers that treat the plan as a list of pattern
 ids keep working unchanged.
 
-Candidate pushdown relies on the dual-store invariant that relational entity
-ids and graph node ids coincide (both backends register entities from the
-same reduced event stream in the same order); the key-based post-filter is
-kept as a correctness backstop, so pushdown can only ever narrow a pattern's
-match list, never widen it.
+Candidate pushdown passes entity row ids between steps; the key-based
+post-filter is kept as a correctness backstop, so pushdown can only ever
+narrow a pattern's match list, never widen it.
 
 There is one join, one anti-join and one aggregation here.  The seed's
 backtracking join and the naive anti-join and aggregation they are tested
@@ -57,9 +57,9 @@ from .ast import TemporalRelation
 from .colscan import (CompiledScan, EventRow, aggregate_columnar,
                       build_pattern_spec, gather_rows,
                       last_filter_table_counts, scan_columnar)
-from .compiler_cypher import compile_giant_cypher, compile_pattern_cypher
 from .compiler_sql import compile_giant_sql, compile_pattern_sql
 from .parser import TIME_UNIT_SECONDS, parse_tbql
+from .paths import path_matches
 from .pruning import prune_by_candidates, prune_by_stats
 from .scheduler import (ScheduledStep, naive_schedule, pruning_score,
                         schedule)
@@ -95,8 +95,8 @@ class PatternMatch(NamedTuple):
     start_time: float
     end_time: float
     event_ids: tuple = ()
-    #: Backend entity ids (relational row id == graph node id); used for
-    #: candidate pushdown into subsequent data queries.
+    #: Entity row ids; used for candidate pushdown into subsequent data
+    #: queries.
     subject_id: Optional[int] = None
     object_id: Optional[int] = None
 
@@ -134,14 +134,14 @@ class PlanStep(str):
     rows_out: int
     hydration_queries: int
     #: Sealed segments the pattern scan visited / skipped via manifest
-    #: pruning; ``None`` for a Cypher step, which reads the graph.
+    #: pruning; ``None`` for a path step, which reads the adjacency.
     segments_scanned: Optional[int]
     segments_pruned: Optional[int]
     #: Sealed segments skipped via seal-time statistics (zone maps and
-    #: distinct sets) after time pruning; ``None`` for a Cypher step.
+    #: distinct sets) after time pruning; ``None`` for a path step.
     segments_pruned_by_stats: Optional[int]
     #: Skipped after stats pruning: the entity block holds no pushed
-    #: candidate id of some side; ``None`` for a Cypher step.
+    #: candidate id of some side; ``None`` for a path step.
     segments_pruned_by_candidates: Optional[int]
     #: True when the step ran as a partial-aggregate pushdown: segment
     #: scans returned per-segment group counts instead of packed rows.
@@ -370,7 +370,7 @@ class TBQLExecutor:
     (i.e. the stored data was replaced by a new load).
 
     Args:
-        store: the dual relational/graph store to query.
+        store: the store to query.
         use_scheduler: order patterns by pruning score (Section III-F)
             instead of declaration order.
     """
@@ -533,8 +533,9 @@ class TBQLExecutor:
         store (:meth:`_scan_rows` with no sealed segments) — the history
         side of a term is an index lookup from the pushed-down ids,
         never a scatter over sealed segments.  Exact,
-        except that a positive path pattern (no id floor in Cypher) is a
-        conservative yes.  Also returns the delta rows per pattern.
+        except that a positive path pattern (the path operator takes no
+        id floor) is a conservative yes.  Also returns the delta rows per
+        pattern.
         """
         self._sync_entity_cache()
         positives = [pattern for pattern in resolved.patterns
@@ -571,12 +572,6 @@ class TBQLExecutor:
         resolved = self._resolve(query, now)
         compiled = compile_giant_sql(resolved)
         return self.store.execute_sql(compiled.sql, compiled.params)
-
-    def execute_giant_cypher(self, query: str | ResolvedQuery,
-                             now: Optional[float] = None) -> list[dict]:
-        """Run the single-statement Cypher baseline (RQ4 comparison)."""
-        resolved = self._resolve(query, now)
-        return self.store.execute_cypher(compile_giant_cypher(resolved))
 
     # ------------------------------------------------------------------
     # resolution / compilation helpers
@@ -638,8 +633,9 @@ class TBQLExecutor:
         if dead:
             matches: list[PatternMatch] = []
         elif pattern.is_path:
-            matches, entities = self._execute_cypher_pattern(
-                pattern, resolved, subject_ids, object_ids)
+            matches, entities, hydration_queries = \
+                self._execute_path_pattern(pattern, resolved, subject_ids,
+                                           object_ids)
         else:
             matches, entities, hydration_queries, segments = \
                 self._execute_sql_pattern(pattern, resolved, subject_ids,
@@ -658,7 +654,7 @@ class TBQLExecutor:
         seconds["filter"] = time.perf_counter() - start
         plan_step = PlanStep(
             pattern.pattern_id,
-            backend="cypher" if pattern.is_path else "sql",
+            backend="path" if pattern.is_path else "sql",
             score=step.score,
             subject_candidates=(len(subject_known)
                                 if subject_known is not None else None),
@@ -783,41 +779,27 @@ class TBQLExecutor:
                 operation, start, end, (event_id,), subject_id, object_id))
         return matches, entities, hydration_queries, segments
 
-    def _execute_cypher_pattern(self, pattern: ResolvedPattern,
-                                resolved: ResolvedQuery,
-                                subject_ids: Optional[list[int]] = None,
-                                object_ids: Optional[list[int]] = None
-                                ) -> tuple[list[PatternMatch],
-                                           dict[int, _Entity]]:
-        cypher = compile_pattern_cypher(pattern, resolved,
-                                        subject_candidates=subject_ids,
-                                        object_candidates=object_ids)
-        rows = self.store.execute_cypher(cypher)
-        graph = self.store.graph.graph
-        entities: dict[int, _Entity] = {}
+    def _execute_path_pattern(self, pattern: ResolvedPattern,
+                              resolved: ResolvedQuery,
+                              subject_ids: Optional[list[int]] = None,
+                              object_ids: Optional[list[int]] = None
+                              ) -> tuple[list[PatternMatch],
+                                         dict[int, _Entity], int]:
+        paths = path_matches(self.store, pattern, resolved, subject_ids,
+                             object_ids)
+        needed = {path.subject_id for path in paths}
+        needed.update(path.object_id for path in paths)
+        with start_span("hydrate", entities=len(needed)) as span:
+            entities, hydration_queries = self._hydrate_entities(needed)
+            span.set_attribute("queries", hydration_queries)
         matches = []
-        for row in rows:
-            for node_id in (row["subject_id"], row["object_id"]):
-                if node_id not in entities:
-                    entities[node_id] = _entity(
-                        dict(graph.node(node_id).properties))
-            subject_attrs, subject_key, _ = entities[row["subject_id"]]
-            object_attrs, object_key, _ = entities[row["object_id"]]
-            event_ids = row["event_ids"]
-            if isinstance(event_ids, int):
-                event_ids = [event_ids]
-            final_edge = graph.edge(event_ids[-1]) if event_ids else None
-            operation = final_edge.get("operation") if final_edge else None
-            # Explicit None checks: a legitimate epoch-0 timestamp must not
-            # be conflated with a missing value.
-            start_time = row.get("start_time")
-            end_time = row.get("end_time")
+        for subject_id, event_ids, object_id, operation, start, end in paths:
+            subject_attrs, subject_key, _ = entities[subject_id]
+            object_attrs, object_key, _ = entities[object_id]
             matches.append(PatternMatch(
                 subject_key, object_key, subject_attrs, object_attrs,
-                operation, 0.0 if start_time is None else start_time,
-                0.0 if end_time is None else end_time, tuple(event_ids),
-                row["subject_id"], row["object_id"]))
-        return matches, entities
+                operation, start, end, event_ids, subject_id, object_id))
+        return matches, entities, hydration_queries
 
     def _try_aggregate_pushdown(self, resolved: ResolvedQuery,
                                 started: float) -> Optional[QueryResult]:

@@ -31,9 +31,11 @@ query edge per partial alignment — lives in ``tests/reference/`` as the
 oracle that pins identical alignments and scores.
 
 Only the searching depends on the query: the provenance index and its
-name index (built as preprocessing) are memoised per store and store
-version and shared read-only, so a search that reuses them reports zero
-loading and preprocessing (:attr:`FuzzySearchResult.index_reused`).
+name index (built as preprocessing from the path operator's adjacency
+of the stored events, :mod:`repro.tbql.paths`, and one entities
+statement) are memoised per store and store version and shared
+read-only, so a search that reuses them reports zero loading and
+preprocessing (:attr:`FuzzySearchResult.index_reused`).
 """
 
 from __future__ import annotations
@@ -45,8 +47,10 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
+from ..gcpause import gc_paused
 from ..storage.dualstore import DualStore
 from .parser import parse_tbql
+from .paths import Adjacency, adjacency
 from .semantics import ResolvedQuery, resolve_query
 from .ast import AttributeComparison, BooleanFilter, NegatedFilter, \
     MembershipFilter
@@ -336,6 +340,10 @@ class _NameIndex:
         return candidates
 
 
+#: The entity columns a node's name and type are read from.
+_NODE_SELECT = "SELECT id, type, dstip, path, exename, name FROM entities"
+
+
 @dataclass
 class ProvenanceIndex:
     """In-memory provenance graph built from the stored events."""
@@ -377,37 +385,34 @@ class ProvenanceIndex:
         return self
 
     @classmethod
-    def from_graph(cls, graph) -> "ProvenanceIndex":
-        """Build the index straight from the property graph.
+    def from_store(cls, store: DualStore,
+                   edges: Adjacency) -> "ProvenanceIndex":
+        """Build the index from ``store``'s entity rows and the path
+        operator's adjacency of its events.
 
-        Skips the relational round trip (the joined ``all_events()`` query
-        plus one dictionary per row) the row-based construction pays; the
-        resulting index is identical — node names follow the same
-        ``dstip -> path -> exename -> name`` attribute precedence.
+        Node names follow the ``dstip -> path -> exename -> name``
+        attribute precedence; edges keep event-id order, per source in
+        ``out_edges`` and per target in ``in_edges``.
         """
         index = cls()
         node_names = index.node_names
         node_types = index.node_types
-        for node in graph.nodes():
-            properties = node.properties
-            node_names[node.node_id] = (
-                properties.get("dstip") or properties.get("path") or
-                properties.get("exename") or properties.get("name") or "")
-            node_types[node.node_id] = properties.get("type", "")
+        for entity_id, kind, dstip, path, exename, name in \
+                store.relational.select_tuples(_NODE_SELECT):
+            node_names[entity_id] = dstip or path or exename or name or ""
+            node_types[entity_id] = kind or ""
         out_edges = index.out_edges
+        flat: list[tuple[int, int, int]] = []
+        for source, bucket in list(edges.out_edges.items()):
+            out_edges[source] = [(target, operation, start)
+                                 for _event, target, operation, start, _end
+                                 in bucket]
+            flat += [(edge[0], source, edge[1]) for edge in bucket]
+        flat.sort()
         in_edges = index.in_edges
-        count = 0
-        for edge in graph.edges():
-            properties = edge.properties
-            source, target = edge.source, edge.target
-            bucket = out_edges.get(source)
-            if bucket is None:
-                bucket = out_edges[source] = []
-            bucket.append((target, properties.get("operation", ""),
-                           properties.get("start_time", 0.0)))
+        for _event, source, target in flat:
             in_edges.setdefault(target, []).append(source)
-            count += 1
-        index.num_edges = count
+        index.num_edges = len(flat)
         return index
 
     # ------------------------------------------------------------------
@@ -736,7 +741,7 @@ _INDEX_MEMO: "weakref.WeakKeyDictionary[DualStore, tuple]" = \
 _INDEX_MEMO_LOCK = threading.Lock()
 
 
-def _memoised_index(store: DualStore, graph, version: int
+def _memoised_index(store: DualStore, edges: Adjacency, version: int
                     ) -> tuple[ProvenanceIndex, bool]:
     """``(index, reused)`` for ``version``; a miss builds under the lock,
     so concurrent cold searches on one store build once."""
@@ -744,7 +749,9 @@ def _memoised_index(store: DualStore, graph, version: int
         memo = _INDEX_MEMO.get(store)
         if memo is not None and memo[0] == version:
             return memo[1], True
-        index = ProvenanceIndex.from_graph(graph).build_name_index()
+        with gc_paused():
+            index = ProvenanceIndex.from_store(store,
+                                               edges).build_name_index()
         _INDEX_MEMO[store] = (version, index)
         return index, False
 
@@ -769,16 +776,16 @@ class FuzzySearcher:
         """Run the fuzzy search for a TBQL query."""
         resolved = query if isinstance(query, ResolvedQuery) else \
             resolve_query(parse_tbql(query))
-        # The provenance index builds straight from the property graph
-        # (derived from the relational store on first read), once per
-        # store version.
+        # The provenance index builds from the path operator's adjacency
+        # (read from the relational store on first use), once per store
+        # version.
         store = self.store
         load_start = time.perf_counter()
         version = store.data_version
-        graph = store.graph.graph
+        edges = adjacency(store)
         loading = time.perf_counter() - load_start
         prep_start = time.perf_counter()
-        index, reused = _memoised_index(store, graph, version)
+        index, reused = _memoised_index(store, edges, version)
         preprocessing = time.perf_counter() - prep_start
 
         search_start = time.perf_counter()

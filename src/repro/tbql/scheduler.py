@@ -1,7 +1,7 @@
 """Data query scheduling (Section III-F).
 
 Each TBQL pattern compiles into one data query (SQL for event patterns,
-Cypher for path patterns).  The scheduler decides the execution order:
+the path operator for path patterns).  The scheduler decides the order:
 
 * every pattern gets a *pruning score* — the number of constraints it
   declares; variable-length path patterns are additionally penalized by their

@@ -36,6 +36,9 @@ _ENTITY_ATTRIBUTES = {
                          "name", "type"},
 }
 
+#: Longest path an unbounded ``~>`` pattern follows.
+DEFAULT_MAX_PATH_LENGTH = 6
+
 #: Event-level attributes accepted in pattern filters and with-clauses.
 EVENT_ATTRIBUTES = {"operation", "start_time", "end_time", "duration",
                     "data_amount", "failure_code", "host", "category"}
@@ -340,6 +343,12 @@ def resolve_query(query: TBQLQuery, now: Optional[float] = None
             operations = evaluate_operation_expr(path.operation)
             min_length, max_length = path.min_length, path.max_length
             path_fuzzy = path.fuzzy_arrow
+            if max_length is None and \
+                    min_length > DEFAULT_MAX_PATH_LENGTH:
+                raise TBQLSemanticError(
+                    f"pattern {pattern_id!r}: an unbounded path stops at "
+                    f"{DEFAULT_MAX_PATH_LENGTH} hops, below its minimum "
+                    f"of {min_length}")
         else:
             operations = evaluate_operation_expr(pattern.operation)
             min_length, max_length = 1, 1
@@ -560,6 +569,7 @@ __all__ = [
     "ResolvedEntity",
     "ResolvedPattern",
     "ResolvedQuery",
+    "DEFAULT_MAX_PATH_LENGTH",
     "EVENT_ATTRIBUTES",
     "effective_window",
     "evaluate_operation_expr",

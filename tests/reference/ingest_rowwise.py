@@ -4,10 +4,13 @@
 one ``INSERT`` per new entity plus one ``executemany`` for the events on
 the relational side, and one ``add_node`` / ``add_edge`` call per item on
 the graph side.  The batched loader must store exactly what it stored —
-same rows, same ids, same graph — and the ingestion benchmark times the
-two against each other.  The bodies below are the old code verbatim,
-with ``self`` renamed where a method became a function.  Test-only —
-nothing under ``src/`` imports this module.
+same rows, same ids — and the ingestion benchmark times the two against
+each other.  Stores hold no graph any more, so :class:`RowwiseDualStore`
+loads the rows only; :func:`graph_from_events_itemwise` stays as the
+oracle of the giant-Cypher baseline's bulk ``graph_from_events``.  The
+bodies below are the old code verbatim, with ``self`` renamed where a
+method became a function.  Test-only — nothing under ``src/`` imports
+this module.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from typing import Iterable
 from repro.audit.entities import SystemEntity, SystemEvent
 from repro.audit.reduction import reduce_events
 from repro.storage import DualStore, IngestStats
-from repro.storage.graph.graphdb import PropertyGraph
+from repro.benchmark.cypher import PropertyGraph
 from repro.storage.relational import RelationalStore
 from repro.storage.relational.database import entity_row
 from repro.storage.relational.schema import ENTITY_COLUMNS, EVENT_COLUMNS
@@ -114,10 +117,6 @@ class RowwiseDualStore(DualStore):
         load_events_rowwise(self.relational, event_list)
         relational_seconds = time.perf_counter() - relational_start
 
-        graph_start = time.perf_counter()
-        self.graph.graph = graph_from_events_itemwise(event_list)
-        graph_seconds = time.perf_counter() - graph_start
-
         self._track_active_bounds(
             ((event.start_time, event.end_time) for event in event_list),
             len(event_list))
@@ -132,8 +131,7 @@ class RowwiseDualStore(DualStore):
             len(event_list), input_events=input_count, entities=entities,
             relational_batches=statements,
             seconds={"reduce": reduce_seconds, "build": 0.0,
-                     "relational": relational_seconds,
-                     "graph": graph_seconds},
+                     "relational": relational_seconds},
             strategy="rowwise")
 
 

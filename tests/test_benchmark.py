@@ -10,6 +10,7 @@ from repro.benchmark import (ALL_CASES, CaseBuilder, PRF, aggregate,
                              run_extraction_accuracy, run_hunting_accuracy,
                              score_hunting, score_ioc_entities,
                              score_ioc_relations, score_sets, step_signature)
+from repro.benchmark.cypher import execute_cypher, graph_from_store
 from repro.errors import BenchmarkError
 from repro.hunting import ThreatRaptor
 
@@ -124,7 +125,8 @@ class TestCases:
         store, ground_truth = build_case_store(get_case("tc_clearscope_3"),
                                                benign_sessions=3)
         stats = store.statistics()
-        assert stats["relational_events"] == store.graph.num_edges() > 0
+        assert stats["relational_events"] == \
+            graph_from_store(store).num_edges() > 0
         assert ground_truth
         store.close()
 
@@ -146,7 +148,8 @@ class TestQueries:
         raptor = ThreatRaptor(store=store)
         tbql_rows = raptor.execute_tbql(queries.tbql).rows
         sql_rows = store.execute_sql(queries.sql)
-        cypher_rows = store.execute_cypher(queries.cypher)
+        cypher_rows = execute_cypher(graph_from_store(store),
+                                     queries.cypher)
         assert len(tbql_rows) == len(sql_rows) == len(cypher_rows) == 1
         store.close()
 

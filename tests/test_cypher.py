@@ -1,13 +1,15 @@
-"""Unit tests for the mini-Cypher lexer, parser, and evaluator."""
+"""Unit tests for the mini-Cypher lexer, parser, and evaluator of the
+giant-Cypher baseline (``repro.benchmark.cypher``)."""
 
 import pytest
 
+from repro.benchmark.cypher import PropertyGraph, parse_cypher
+from repro.benchmark.cypher.cypher_ast import (Comparison, NodePattern,
+                                               PropertyRef)
+from repro.benchmark.cypher.cypher_eval import (CypherEvaluator,
+                                                evaluate_where)
+from repro.benchmark.cypher.cypher_parser import tokenize
 from repro.errors import CypherError
-from repro.storage.graph import PropertyGraph, parse_cypher
-from repro.storage.graph.cypher_ast import (Comparison, NodePattern,
-                                            PropertyRef)
-from repro.storage.graph.cypher_eval import CypherEvaluator, evaluate_where
-from repro.storage.graph.cypher_parser import tokenize
 
 
 @pytest.fixture()
@@ -101,7 +103,7 @@ class TestLexerParser:
 
     def test_path_pattern_length_mismatch_guard(self):
         with pytest.raises(ValueError):
-            from repro.storage.graph.cypher_ast import PathPattern
+            from repro.benchmark.cypher.cypher_ast import PathPattern
             PathPattern(nodes=(NodePattern("a", None),), relationships=(
                 parse_cypher("MATCH (x)-[r]->(y) RETURN x")
                 .patterns[0].relationships[0],))
@@ -216,7 +218,7 @@ class TestWhereEvaluation:
 
 
 def _lit(value):
-    from repro.storage.graph.cypher_ast import Literal
+    from repro.benchmark.cypher.cypher_ast import Literal
     return Literal(value)
 
 

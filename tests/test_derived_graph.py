@@ -1,13 +1,15 @@
-"""The derived graph is the graph the events describe.
+"""What is derived from the rows is what the events describe.
 
 However appends, seals, compactions, reads and a reload interleave, the
-graph a store extends in place equals one derived from its relational
-rows in one go and :func:`graph_from_events` over the events it stored:
-node and edge ids, labels, property keys in order, and value types.
-Snapshots written while ``graph.bin`` was part of the format open and
-answer the same whether that file is intact, empty, damaged or missing,
-and a resave deletes it.  The bulk paths fill the graph's indexes and
-id counters.  Rows whose ids leave a gap fail the derivation.
+path adjacency a store extends in place equals one built from its
+relational rows in one go and the out-edges of :func:`graph_from_events`
+over the events it stored; the giant-Cypher baseline's
+:func:`graph_from_store` equals that graph too: node and edge ids,
+labels, property keys in order, and value types.  Snapshots written
+while ``graph.bin`` was part of the format open and answer the same
+whether that file is intact, empty, damaged or missing, and a resave
+deletes it.  The bulk paths fill the graph's indexes and id counters.
+Rows whose ids leave a gap fail the graph build.
 """
 
 from __future__ import annotations
@@ -27,17 +29,20 @@ from repro.audit import AuditCollector, CollectorConfig, \
 from repro.audit.logfmt import format_log
 from repro.audit.parser import parse_audit_log
 from repro.errors import StorageError
+from repro.benchmark.cypher import (PropertyGraph, execute_cypher,
+                                    graph_from_events, graph_from_store)
+from repro.benchmark.cypher.graphdb import (INDEXED_EDGE_PROPERTIES,
+                                            INDEXED_NODE_PROPERTIES)
 from repro.storage import DualStore
-from repro.storage.graph import GraphStore
-from repro.storage.graph.graphdb import (INDEXED_EDGE_PROPERTIES,
-                                         INDEXED_NODE_PROPERTIES,
-                                         PropertyGraph, graph_from_events)
 from repro.storage.relational.database import entity_attributes, entity_row
 from repro.tbql.executor import TBQLExecutor
 from repro.tbql.fuzzy import FuzzySearcher
+from repro.tbql.paths import Adjacency, adjacency
 
 from .conftest import record_data_leak_attack, snapshot_files
-from .test_snapshot_lazy_graph import CYPHER, PATH_TEXTS
+from .test_path_adjacency import PATH_TEXTS
+
+CYPHER = "MATCH (p:proc)-[e:EVENT]->(f:file) RETURN DISTINCT p.exename"
 
 #: A snapshot saved while the format still held ``graph.bin`` (v3).
 _PR13_SNAPSHOT = Path(__file__).parent / "fixtures" / "snapshot_v3_pr13"
@@ -71,11 +76,25 @@ def _shape(graph: PropertyGraph) -> tuple[list, list]:
              for edge in graph.edges()])
 
 
-def _assert_derived_graph_is_exact(store: DualStore) -> None:
-    extended = _shape(store.graph.graph)
-    assert extended == _shape(GraphStore(store.relational).graph)
-    assert extended == _shape(graph_from_events(store.events()))
-    assert len(extended[1]) == store.relational.count_events()
+def _out_edges(graph: PropertyGraph) -> dict[int, list[tuple]]:
+    """The graph's edges as the path adjacency keeps them."""
+    out_edges: dict[int, list[tuple]] = {}
+    for edge in graph.edges():
+        out_edges.setdefault(edge.source, []).append((
+            edge.edge_id, edge.target, edge.get("operation"),
+            edge.get("start_time"), edge.get("end_time")))
+    return out_edges
+
+
+def _assert_derived_is_exact(store: DualStore) -> None:
+    described = graph_from_events(store.events())
+    assert _shape(graph_from_store(store)) == _shape(described)
+    fresh = Adjacency(store.data_generation)
+    fresh.extend(store)
+    extended = adjacency(store).out_edges
+    assert extended == fresh.out_edges == _out_edges(described)
+    assert sum(map(len, extended.values())) == \
+        store.relational.count_events()
 
 
 @settings(max_examples=25, deadline=None,
@@ -86,10 +105,10 @@ def _assert_derived_graph_is_exact(store: DualStore) -> None:
               st.booleans(), st.booleans()),
     min_size=1, max_size=6),
     replace=st.integers(min_value=1, max_value=len(EVENTS)))
-def test_extended_graph_equals_a_fresh_build(steps, replace):
+def test_extended_adjacency_equals_a_fresh_build(steps, replace):
     """``steps``: per append batch, where it ends, what follows it (an
     unsealed flush of the merge runs, a seal or nothing), whether the
-    graph is read then, and whether a compaction runs."""
+    adjacency is read then, and whether a compaction runs."""
     steps = sorted(steps)
     with DualStore() as store:
         start = 0
@@ -102,10 +121,10 @@ def test_extended_graph_equals_a_fresh_build(steps, replace):
             if compact:
                 store.compact(min_events=len(EVENTS) // 3)
             if read:
-                store.graph.graph
-        _assert_derived_graph_is_exact(store)
+                adjacency(store)
+        _assert_derived_is_exact(store)
         store.load_events(EVENTS[:replace])
-        _assert_derived_graph_is_exact(store)
+        _assert_derived_is_exact(store)
 
 
 def _graph_bin(directory: Path) -> tuple[list, list]:
@@ -127,12 +146,12 @@ def _answers(directory: Path) -> tuple:
     with DualStore.open(directory) as store:
         return ([TBQLExecutor(store).execute(text).rows
                  for text in PATH_TEXTS],
-                store.execute_cypher(CYPHER),
+                execute_cypher(graph_from_store(store), CYPHER),
                 [[(sorted(alignment.mapping.items()), alignment.score,
                    alignment.node_names)
                   for alignment in FuzzySearcher(store).search(text)
                   .alignments] for text in _FUZZY_TEXTS],
-                _shape(store.graph.graph))
+                _shape(graph_from_store(store)))
 
 
 @pytest.fixture(scope="module")
@@ -210,16 +229,16 @@ def test_entity_attributes_inverts_entity_row():
 
 
 def test_derived_indexes_match_a_scan():
-    """The bulk paths a derivation and an extension take fill the label
-    and property indexes: every indexed lookup equals a full scan."""
+    """The bulk paths a build from the rows takes fill the label and
+    property indexes: every indexed lookup equals a full scan."""
     half = len(EVENTS) // 2
     with DualStore() as store:
         store.append_events(EVENTS[:half])
         store.flush_appends()
-        first = store.graph.num_edges()
+        first = graph_from_store(store).num_edges()
         store.append_events(EVENTS[half:])
         store.flush_appends()
-        graph = store.graph.graph
+        graph = graph_from_store(store)
         assert first < graph.num_edges() == store.relational.count_events()
         nodes, edges = list(graph.nodes()), list(graph.edges())
         for label in ("proc", "file", "ip"):
@@ -243,7 +262,7 @@ def test_derived_indexes_match_a_scan():
 def test_id_counters_continue_after_derive():
     with DualStore() as store:
         store.load_events(EVENTS)
-        graph = GraphStore(store.relational).graph
+        graph = graph_from_store(store)
         nodes, edges = graph.num_nodes(), graph.num_edges()
         assert (nodes, edges) == (store.relational.count_entities(),
                                   store.relational.count_events())
@@ -256,11 +275,11 @@ def test_id_counters_continue_after_derive():
 
 def test_an_id_gap_is_a_storage_error_not_a_shifted_graph():
     """Edge ids are assigned in row order, so a missing event row would
-    shift every later id; the derivation refuses instead."""
+    shift every later id; the build refuses instead."""
     with DualStore() as store:
         store.load_events(EVENTS)
         with store.relational._lock:
             store.relational._connection.execute(
                 "DELETE FROM events WHERE id = 2")
         with pytest.raises(StorageError, match="gaps"):
-            store.graph.graph
+            graph_from_store(store)

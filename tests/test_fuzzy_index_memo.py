@@ -95,9 +95,9 @@ def test_reload_rebuilds_even_with_equal_counts():
     with DualStore() as reloaded:
         reloaded.load_events(old.events())
         FuzzySearcher(reloaded).search(LATE_QUERY)
-        edges = reloaded.graph.graph.num_edges()
+        edges = reloaded.relational.count_events()
         reloaded.load_events(new)
-        assert reloaded.graph.graph.num_edges() == edges
+        assert reloaded.relational.count_events() == edges
         after = FuzzySearcher(reloaded).search(LATE_QUERY)
         assert not after.index_reused
         assert after.best.node_names["p"] == "/usr/bin/exfiltool"

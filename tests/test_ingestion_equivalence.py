@@ -1,17 +1,19 @@
 """Equivalence tests for the batched ingestion fast path.
 
 The batched loader (streaming reduction, single build pass, chunked
-``executemany``, bulk graph insertion) must populate both backends with data
-*identical* to the row-at-a-time reference loader kept in
-``tests/reference/ingest_rowwise.py`` — same relational rows, same graph
-nodes/edges/properties, same id assignment.
+``executemany``) must store data *identical* to the row-at-a-time
+reference loader kept in ``tests/reference/ingest_rowwise.py`` — same
+relational rows, same id assignment — and the giant-Cypher baseline's
+bulk graph construction must build the graph its item-wise reference
+builds, from the events and from the stored rows alike.
 """
 
 import pytest
 
 from repro.audit import AuditCollector, generate_benign_noise
 from repro.storage import DualStore, IngestStats
-from repro.storage.graph.graphdb import graph_from_events
+from repro.tbql.paths import adjacency
+from repro.benchmark.cypher import graph_from_events, graph_from_store
 
 from .reference.ingest_rowwise import (RowwiseDualStore,
                                        graph_from_events_itemwise)
@@ -45,7 +47,8 @@ class TestLoadStrategyEquivalence:
             for sql in ("SELECT * FROM entities ORDER BY id",
                         "SELECT * FROM events ORDER BY id"):
                 assert batched.execute_sql(sql) == rowwise.execute_sql(sql)
-            _graphs_equal(batched.graph.graph, rowwise.graph.graph)
+            _graphs_equal(graph_from_store(batched),
+                          graph_from_events_itemwise(rowwise.events()))
             assert [e.event_id for e in batched.events()] == \
                    [e.event_id for e in rowwise.events()]
 
@@ -61,16 +64,16 @@ class TestLoadStrategyEquivalence:
                 rowwise.last_reduction.merged_events
 
     def test_reload_keeps_ids_aligned(self, noise_events):
-        # Candidate pushdown relies on relational id == graph node id, and
-        # the invariant must survive a second batched load.
+        # A second batched load restarts the ids at 1; the path adjacency
+        # built over the first load is rebuilt, never extended past it.
         with DualStore() as store:
             store.load_events(noise_events)
+            first = adjacency(store)
             store.load_events(noise_events)
-            rows = store.execute_sql(
-                "SELECT id, type FROM entities ORDER BY id")
-            for row in rows:
-                node = store.graph.graph.node(row["id"])
-                assert node.properties["type"] == row["type"]
+            rebuilt = adjacency(store)
+            assert rebuilt is not first
+            assert rebuilt.out_edges == first.out_edges
+            assert rebuilt.high_water == store.relational.count_events()
 
     def test_incremental_relational_load_after_batched(self, noise_events):
         # adopt_entity_ids must leave the relational store ready for later
@@ -108,7 +111,7 @@ class TestIngestStats:
             assert stats.strategy == "batched"
             assert stats.input_events == len(noise_events)
             assert stats.events <= stats.input_events
-            assert stats.entities == store.graph.num_nodes()
+            assert stats.entities == store.relational.count_entities()
             assert stats.relational_batches >= 1
             assert set(stats.seconds) == {"reduce", "build", "relational"}
             assert stats.total_seconds == pytest.approx(

@@ -1,10 +1,12 @@
-"""Tests for the replicated dual store and the error hierarchy."""
+"""Tests for the dual store and the error hierarchy."""
 
 import pytest
 
 from repro import errors
 from repro.audit import AuditCollector, generate_benign_noise
 from repro.storage import DualStore
+from repro.tbql.executor import TBQLExecutor
+from repro.tbql.paths import adjacency
 
 
 @pytest.fixture()
@@ -19,13 +21,15 @@ def small_events():
 
 
 class TestDualStore:
-    def test_data_replicated_across_backends(self, small_events):
+    def test_stored_rows_feed_the_path_adjacency(self, small_events):
         with DualStore() as store:
             stored = store.load_events(small_events)
             stats = store.statistics()
             assert stats["relational_events"] == stored
-            assert store.graph.num_edges() == stored
-            assert stats["relational_entities"] == store.graph.num_nodes()
+            edges = adjacency(store).out_edges
+            assert sum(map(len, edges.values())) == stored
+            assert set(edges) <= set(range(
+                1, stats["relational_entities"] + 1))
 
     def test_reduction_applied_by_default(self, small_events):
         with DualStore() as store:
@@ -59,10 +63,11 @@ class TestDualStore:
             sql_rows = store.execute_sql(
                 "SELECT COUNT(*) AS n FROM events e JOIN entities s ON "
                 "e.subject_id = s.id WHERE s.exename = '/bin/tar'")
-            cypher_rows = store.execute_cypher(
-                "MATCH (p:proc {exename: '/bin/tar'})-[e:EVENT]->(o) "
-                "RETURN e")
-            assert sql_rows[0]["n"] == len(cypher_rows)
+            paths = sum(TBQLExecutor(store).execute(
+                f'proc p["/bin/tar"] -> {kind} o return p')
+                .per_pattern_matches["evt1"]
+                for kind in ("proc", "file", "ip"))
+            assert sql_rows[0]["n"] == paths > 0
 
     def test_on_disk_relational_path(self, tmp_path, small_events):
         path = tmp_path / "events.db"

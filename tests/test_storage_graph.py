@@ -1,10 +1,13 @@
-"""Unit tests for the property graph store and graph construction."""
+"""Unit tests for the giant-Cypher baseline's property graph and its
+construction from events and from a store's rows."""
 
 import pytest
 
 from repro.audit.collector import AuditCollector
+from repro.benchmark.cypher import (PropertyGraph, execute_cypher,
+                                    graph_from_events, graph_from_store)
 from repro.errors import StorageError
-from repro.storage.graph import GraphStore, PropertyGraph, graph_from_events
+from repro.storage import DualStore
 
 
 class TestPropertyGraph:
@@ -111,18 +114,13 @@ class TestGraphFromEvents:
         assert edge.get("start_time") > 0
 
 
-class TestGraphStore:
+class TestGraphFromStore:
     def test_load_and_execute(self, data_leak_events):
-        store = GraphStore()
-        count = store.load_events(data_leak_events)
-        assert count == store.num_edges()
-        rows = store.execute(
-            "MATCH (p:proc)-[e:EVENT {operation: 'connect'}]->(i:ip) "
+        with DualStore() as store:
+            count = store.load_events(data_leak_events)
+            graph = graph_from_store(store)
+        assert count == graph.num_edges()
+        rows = execute_cypher(
+            graph, "MATCH (p:proc)-[e:EVENT {operation: 'connect'}]->(i:ip) "
             "WHERE p.exename CONTAINS 'curl' RETURN DISTINCT i.dstip")
         assert {row["i.dstip"] for row in rows} == {"192.168.29.128"}
-
-    def test_clear(self, data_leak_events):
-        store = GraphStore()
-        store.load_events(data_leak_events)
-        store.clear()
-        assert store.num_nodes() == 0

@@ -21,7 +21,9 @@ from repro.errors import StorageError
 from repro.service import result_payload
 from repro.storage import DualStore
 from repro.tbql.executor import TBQLExecutor
+from repro.tbql.paths import adjacency
 
+from .test_path_adjacency import _assert_fresh
 from .test_tbql_join_equivalence import EQUIVALENCE_CORPUS
 
 
@@ -39,16 +41,7 @@ def _assert_stores_identical(left: DualStore, right: DualStore) -> None:
     for sql in ("SELECT * FROM entities ORDER BY id",
                 "SELECT * FROM events ORDER BY id"):
         assert left.execute_sql(sql) == right.execute_sql(sql)
-    lgraph, rgraph = left.graph.graph, right.graph.graph
-    assert lgraph.num_nodes() == rgraph.num_nodes()
-    assert lgraph.num_edges() == rgraph.num_edges()
-    for node_id in range(1, lgraph.num_nodes() + 1):
-        a, b = lgraph.node(node_id), rgraph.node(node_id)
-        assert (a.label, a.properties) == (b.label, b.properties)
-    for edge_id in range(1, lgraph.num_edges() + 1):
-        a, b = lgraph.edge(edge_id), rgraph.edge(edge_id)
-        assert (a.source, a.target, a.label, a.properties) == \
-            (b.source, b.target, b.label, b.properties)
+    assert adjacency(left).out_edges == adjacency(right).out_edges
 
 
 @pytest.fixture(scope="module")
@@ -123,15 +116,12 @@ class TestBatchedAppendEquivalence:
         with DualStore() as store:
             store.load_events(stream_events[:half])
             loaded_entities = store.relational.count_entities()
+            adjacency(store)
             store.append_events(stream_events[half:])
             store.flush_appends()
-            # Ids keep the relational == graph invariant across the seam.
-            rows = store.execute_sql(
-                "SELECT id, type FROM entities ORDER BY id")
-            assert len(rows) >= loaded_entities
-            for row in rows:
-                node = store.graph.graph.node(row["id"])
-                assert node.properties["type"] == row["type"]
+            # The adjacency extends across the seam.
+            assert store.relational.count_entities() >= loaded_entities
+            _assert_fresh(store)
 
     def test_append_without_reduction(self, stream_events):
         with DualStore(reduce=False) as one, \
@@ -175,8 +165,7 @@ class TestAppendBookkeeping:
             store.flush_appends()
             assert store.events() == []
             assert store.relational.count_events() > 0
-            assert store.graph.num_edges() == \
-                store.relational.count_events()
+            _assert_fresh(store)
 
     def test_read_only_snapshot_rejects_append(self, stream_events,
                                                tmp_path):
@@ -199,8 +188,7 @@ class TestAppendBookkeeping:
             assert store.pending_appends == 0
         reopened = DualStore.open(tmp_path / "sealed")
         try:
-            assert reopened.relational.count_events() == \
-                reopened.graph.num_edges()
+            _assert_fresh(reopened)
         finally:
             reopened.close()
 
@@ -219,16 +207,13 @@ class TestWritableReopen:
             assert writable.read_only is False
             assert writable.data_version == saved_version
             assert writable.max_event_id == saved_max
+            adjacency(writable)
             stats = writable.append_events(stream_events[60:])
             writable.flush_appends()
             assert writable.data_version > saved_version
             assert int(stats) >= 0
-            # The appended rows keep the id invariant with the graph.
-            top = writable.execute_sql(
-                "SELECT id, type FROM entities ORDER BY id DESC LIMIT 5")
-            for row in top:
-                node = writable.graph.graph.node(row["id"])
-                assert node.properties["type"] == row["type"]
+            # The adjacency extends by the appended rows.
+            _assert_fresh(writable)
         finally:
             writable.close()
 

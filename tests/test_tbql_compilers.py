@@ -1,14 +1,16 @@
-"""Unit tests for the TBQL -> SQL and TBQL -> Cypher compilers."""
+"""Unit tests for the TBQL -> SQL compiler, and for the TBQL -> Cypher
+compilers of the giant-Cypher baseline and the path oracle."""
 
 import pytest
 
+from repro.benchmark.cypher import (compile_giant_cypher, execute_cypher,
+                                    graph_from_store, parse_cypher)
 from repro.errors import TBQLSemanticError
-from repro.storage.graph import parse_cypher
-from repro.tbql.compiler_cypher import (compile_giant_cypher,
-                                        compile_pattern_cypher)
 from repro.tbql.compiler_sql import compile_giant_sql, compile_pattern_sql
 from repro.tbql.parser import parse_tbql
 from repro.tbql.semantics import resolve_query
+
+from .reference.cypher_paths import compile_pattern_cypher
 
 
 def resolve(text):
@@ -203,7 +205,7 @@ class TestPatternCypher:
         resolved = resolve('proc p["%/usr/bin/curl%"] ->[connect] ip '
                            'i["192.168.29.128"] return p, i')
         cypher = compile_pattern_cypher(resolved.patterns[0], resolved)
-        rows = data_leak_store.execute_cypher(cypher)
+        rows = execute_cypher(graph_from_store(data_leak_store), cypher)
         assert rows
         assert all("subject_id" in row for row in rows)
 
@@ -235,13 +237,14 @@ class TestGiantCypher:
         text = TBQLSynthesizer(plan).synthesize(
             data_leak_extraction.graph).text
         resolved = resolve(text)
-        rows = data_leak_store.execute_cypher(compile_giant_cypher(resolved))
+        rows = execute_cypher(graph_from_store(data_leak_store),
+                              compile_giant_cypher(resolved))
         assert len(rows) == 1
         assert rows[0]["p1_exename"] == "/bin/tar"
 
     def test_bare_value_filter_rejected_uncompiled(self):
         from repro.tbql.ast import BareValueFilter
-        from repro.tbql.compiler_cypher import render_filter_cypher
+        from repro.benchmark.cypher import render_filter_cypher
         from repro.tbql.compiler_sql import render_filter
         with pytest.raises(TBQLSemanticError):
             render_filter(BareValueFilter("x"), "s", "e", [])

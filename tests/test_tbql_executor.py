@@ -4,6 +4,8 @@ import pytest
 
 from repro.audit.entities import (FileEntity, Operation, ProcessEntity,
                                   SystemEvent)
+from repro.benchmark.cypher import (compile_giant_cypher, execute_cypher,
+                                    graph_from_store)
 from repro.errors import TBQLSemanticError
 from repro.storage import DualStore
 from repro.tbql.executor import TBQLExecutor
@@ -214,8 +216,9 @@ class TestExecutor:
                              temporal_order=False)
         text = TBQLSynthesizer(plan).synthesize(
             data_leak_extraction.graph).text
-        executor = TBQLExecutor(data_leak_store)
-        rows = executor.execute_giant_cypher(text)
+        rows = execute_cypher(graph_from_store(data_leak_store),
+                              compile_giant_cypher(resolve_query(
+                                  parse_tbql(text))))
         assert len(rows) == 1
         assert rows[0]["i1_dstip"] == "192.168.29.128"
 

@@ -11,6 +11,7 @@ from repro.tbql.fuzzy import (FuzzySearcher, GraphAligner, ProvenanceIndex,
                               _score_flows, levenshtein_distance,
                               levenshtein_within, string_similarity)
 from repro.tbql.parser import parse_tbql
+from repro.tbql.paths import adjacency
 from repro.tbql.poirot import PoirotSearcher
 from repro.tbql.semantics import resolve_query
 
@@ -430,7 +431,7 @@ class TestReversedEdges:
     def test_wide_source_costs_one_target_closure(self):
         store = _wide_to_narrow_store(1)
         try:
-            index = ProvenanceIndex.from_graph(store.graph.graph)
+            index = ProvenanceIndex.from_store(store, adjacency(store))
             aligner = GraphAligner(QueryGraph.from_resolved(resolve_query(
                 parse_tbql(self.QUERIES[0]))), index)
             alignments = list(aligner.alignments())

@@ -16,13 +16,14 @@ from repro.audit.entities import (FileEntity, NetworkEntity, Operation,
                                   ProcessEntity, SystemEvent)
 from repro.storage import DualStore
 from repro.storage.relational import RelationalStore
-from repro.tbql.compiler_cypher import compile_pattern_cypher
 from repro.tbql.executor import (MAX_CANDIDATE_PUSHDOWN, PlanStep,
                                  TBQLExecutor, _canonical_key, _display_name)
 from repro.tbql.parser import parse_tbql
+from repro.tbql.paths import adjacency
 from repro.tbql.semantics import resolve_query
 
 from .conftest import DATA_LEAK_EDGES
+from .reference.cypher_paths import compile_pattern_cypher
 from .reference.executor_seed import BacktrackingJoinExecutor
 
 #: Multi-pattern TBQL corpus executed through both join strategies.
@@ -243,7 +244,7 @@ class TestBatchedHydration:
         store.close()
 
 
-class TestCypherCandidatePushdown:
+class TestPathCandidatePushdown:
     def test_compile_pattern_cypher_injects_allowlists(self):
         resolved = resolve_query(parse_tbql(
             'proc p ~>(1~3)[read] file f return p'))
@@ -259,9 +260,9 @@ class TestCypherCandidatePushdown:
             'proc p ~>(1~2)[connect] ip i as e2 return distinct p, i.dstip')
         by_id = {step.pattern_id: step for step in result.plan}
         # The event pattern is more selective, so it runs first and its
-        # bindings are pushed into the graph traversal.
+        # bindings pick the path's start subjects.
         assert result.plan[0] == "e1"
-        assert by_id["e2"].backend == "cypher"
+        assert by_id["e2"].backend == "path"
         assert by_id["e2"].pushed_subject
         assert result.rows == [{"p.exename": "/usr/bin/curl",
                                 "i.dstip": "192.168.29.128"}]
@@ -293,12 +294,12 @@ class TestKeyNormalization:
         assert _display_name(both) == "/etc/passwd"
 
     def test_reload_keeps_id_spaces_aligned(self):
-        """A second load_events must not desync relational and graph ids.
+        """A second load_events must not leave stale ids behind.
 
-        The graph backend rebuilds on every load while the relational one
-        used to accumulate, so pushed-down id allowlists pointed at the
-        wrong nodes after a reload; DualStore.load_events now clears the
-        relational store to keep replace semantics on both backends.
+        The graph backend once rebuilt on every load while the relational
+        one accumulated, so pushed-down id allowlists pointed at the wrong
+        nodes after a reload; DualStore.load_events clears the relational
+        store, and the path adjacency is rebuilt from the new rows.
         """
         store = DualStore(reduce=False)
         first = [SystemEvent(subject=ProcessEntity(exename=f"/bin/p{i}",
@@ -318,7 +319,8 @@ class TestKeyNormalization:
                                           dstip="10.0.0.1", dstport=443),
                         start_time=2.0, end_time=2.5),
         ])
-        assert store.relational.count_entities() == store.graph.num_nodes()
+        assert adjacency(store).high_water == \
+            store.relational.count_events() == 2
         result = TBQLExecutor(store).execute(
             'proc p["%curl2%"] read file f as e1 '
             'proc p ~>(1~2)[connect] ip i as e2 return distinct p, i.dstip')

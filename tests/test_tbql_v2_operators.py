@@ -10,10 +10,10 @@ from __future__ import annotations
 
 import pytest
 
+from repro.benchmark.cypher import compile_giant_cypher
 from repro.errors import TBQLSemanticError, TBQLSyntaxError
 from repro.storage import DualStore
 from repro.tbql.aggregate import apply_aggregation
-from repro.tbql.compiler_cypher import compile_giant_cypher
 from repro.tbql.diagnostics import ParseDiagnostic, make_diagnostic
 from repro.tbql.executor import TBQLExecutor
 from repro.tbql.formatter import format_query

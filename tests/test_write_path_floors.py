@@ -29,6 +29,7 @@ from repro.audit import AuditCollector, CollectorConfig, \
     generate_benign_noise
 from repro.audit.logfmt import format_log, parse_record
 from repro.audit.parser import AuditLogParser, parse_audit_log
+from repro.benchmark.cypher import graph_from_store
 from repro.errors import AuditError, StorageError
 from repro.storage import DualStore, dualstore
 from repro.tbql.executor import TBQLExecutor
@@ -66,7 +67,7 @@ def _table(store: DualStore, name: str) -> list[tuple]:
 def _graph_tuples(store: DualStore) -> tuple[list, list]:
     """Every node and edge with its id, label and properties; ``repr``
     keeps key order and value types (``1`` is not ``1.0``)."""
-    graph = store.graph.graph
+    graph = graph_from_store(store)
     return ([(node.node_id, node.label, repr(list(node.properties.items())))
              for node in graph.nodes()],
             [(edge.edge_id, edge.source, edge.target, edge.label,
@@ -107,7 +108,7 @@ def test_edge_properties_do_not_depend_on_process_history():
     endpoint id of its own."""
     def edges(store: DualStore) -> list[tuple]:
         return [(edge.source, edge.target, dict(edge.properties))
-                for edge in store.graph.graph.edges()]
+                for edge in graph_from_store(store).edges()]
 
     with DualStore() as first, DualStore() as second:
         first.load_events(parse_audit_log(LOG_TEXT))
