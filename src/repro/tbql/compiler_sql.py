@@ -173,8 +173,18 @@ def compile_giant_sql(query: ResolvedQuery) -> SQLQuery:
 
     ``and not`` absence patterns become correlated ``NOT EXISTS``
     subqueries; ``count()`` / ``group by`` / ``top`` become
-    ``GROUP BY`` / ``COUNT(*)`` / ``ORDER BY .. LIMIT``.
+    ``GROUP BY`` / ``COUNT(*)`` / ``ORDER BY .. LIMIT``.  Every pattern
+    becomes one event, so a path pattern of any length range but exactly
+    one hop is a :class:`TBQLSemanticError`.
     """
+    for pattern in query.patterns:
+        if pattern.is_path and (pattern.min_length,
+                                pattern.max_length) != (1, 1):
+            raise TBQLSemanticError(
+                f"giant SQL renders each pattern as one event, but path "
+                f"pattern {pattern.pattern_id!r} ({pattern.subject.entity_id}"
+                f" ~>({pattern.min_length}~{pattern.max_length or ''}) "
+                f"{pattern.obj.entity_id}) is not exactly one hop")
     params: list[Any] = []
     from_parts: list[str] = []
     clauses: list[str] = []

@@ -30,12 +30,13 @@ DP against every store entity per query node and a fresh bounded BFS per
 query edge per partial alignment — lives in ``tests/reference/`` as the
 oracle that pins identical alignments and scores.
 
-Only the searching depends on the query: the provenance index and its
-name index (built as preprocessing from the path operator's adjacency
-of the stored events, :mod:`repro.tbql.paths`, and one entities
-statement) are memoised per store and store version and shared
-read-only, so a search that reuses them reports zero loading and
-preprocessing (:attr:`FuzzySearchResult.index_reused`).
+Only the searching depends on the query: the provenance index (node
+names and types from one entities statement, and their name index) is
+memoised per store and store version, so a search that reuses it
+reports zero loading and preprocessing
+(:attr:`FuzzySearchResult.index_reused`).  Its edges are the path
+operator's adjacency (:mod:`repro.tbql.paths`) itself, which readers
+extend in place: consistent only under :mod:`repro.streaming.locks`.
 """
 
 from __future__ import annotations
@@ -346,15 +347,13 @@ _NODE_SELECT = "SELECT id, type, dstip, path, exename, name FROM entities"
 
 @dataclass
 class ProvenanceIndex:
-    """In-memory provenance graph built from the stored events."""
+    """In-memory provenance graph: node names and types, and the edges
+    of an :class:`~repro.tbql.paths.Adjacency`."""
 
     node_names: dict[int, str] = field(default_factory=dict)
     node_types: dict[int, str] = field(default_factory=dict)
-    out_edges: dict[int, list[tuple[int, str, float]]] = field(
-        default_factory=dict)
-    #: target -> the source of each edge into it (operations: out_edges).
-    in_edges: dict[int, list[int]] = field(default_factory=dict)
-    num_edges: int = 0
+    #: A store-built index shares the store's adjacency (no copy).
+    edges: Adjacency = field(default_factory=Adjacency)
     # The name index (dropped on mutation; excluded from equality so two
     # value-identical indexes still compare equal).  A search builds it
     # before its first lookup, so a memoised index is only ever read.
@@ -373,11 +372,14 @@ class ProvenanceIndex:
                        row.get("object_name") or "")
         self.node_names.setdefault(object_id, object_name)
         self.node_types.setdefault(object_id, row.get("object_type", ""))
-        self.out_edges.setdefault(subject_id, []).append(
-            (object_id, row.get("operation", ""), row.get("start_time", 0.0)))
-        self.in_edges.setdefault(object_id, []).append(subject_id)
-        self.num_edges += 1
+        self.edges.add([(row.get("id", 0), subject_id, object_id,
+                         row.get("operation", ""), row.get("start_time", 0.0),
+                         row.get("end_time", 0.0))])
         self._name_index = None
+
+    @property
+    def num_edges(self) -> int:
+        return sum(map(len, self.edges.out_edges.values()))
 
     def build_name_index(self) -> "ProvenanceIndex":
         """Build the bigram name index now instead of on first lookup."""
@@ -387,32 +389,19 @@ class ProvenanceIndex:
     @classmethod
     def from_store(cls, store: DualStore,
                    edges: Adjacency) -> "ProvenanceIndex":
-        """Build the index from ``store``'s entity rows and the path
+        """The index of ``store``'s entity rows over ``edges``, the path
         operator's adjacency of its events.
 
         Node names follow the ``dstip -> path -> exename -> name``
-        attribute precedence; edges keep event-id order, per source in
-        ``out_edges`` and per target in ``in_edges``.
+        attribute precedence.
         """
-        index = cls()
+        index = cls(edges=edges)
         node_names = index.node_names
         node_types = index.node_types
         for entity_id, kind, dstip, path, exename, name in \
                 store.relational.select_tuples(_NODE_SELECT):
             node_names[entity_id] = dstip or path or exename or name or ""
             node_types[entity_id] = kind or ""
-        out_edges = index.out_edges
-        flat: list[tuple[int, int, int]] = []
-        for source, bucket in list(edges.out_edges.items()):
-            out_edges[source] = [(target, operation, start)
-                                 for _event, target, operation, start, _end
-                                 in bucket]
-            flat += [(edge[0], source, edge[1]) for edge in bucket]
-        flat.sort()
-        in_edges = index.in_edges
-        for _event, source, target in flat:
-            in_edges.setdefault(target, []).append(source)
-        index.num_edges = len(flat)
         return index
 
     # ------------------------------------------------------------------
@@ -470,15 +459,13 @@ class ProvenanceIndex:
         closures of one search, so a shared index holds no per-query state.
         """
         flows: dict[int, dict[str, int]] = {}
-        out_edges = self.out_edges
+        out_edges = self.edges.out_edges
         seen = {source}
         frontier = [source]
-        depth = 0
-        while frontier and depth < MAX_FLOW_LENGTH:
-            hop = depth + 1
+        for hop in range(1, MAX_FLOW_LENGTH + 1):
             next_frontier: list[int] = []
             for node in frontier:
-                for neighbor, operation, _ in out_edges.get(node, ()):
+                for _, _, neighbor, operation, _, _ in out_edges.get(node, ()):
                     operations = flows.get(neighbor)
                     if operations is None:
                         flows[neighbor] = {operation: hop}
@@ -488,7 +475,6 @@ class ProvenanceIndex:
                         seen.add(neighbor)
                         next_frontier.append(neighbor)
             frontier = next_frontier
-            depth = hop
         return flows
 
     def flows_to(self, target: int) -> dict[int, dict[str, int]]:
@@ -496,15 +482,13 @@ class ProvenanceIndex:
         ``flows_to(t).get(s) == flows_from(s).get(t)``.
 
         One multi-source BFS up the in-edges per final-hop operation,
-        from the sources of ``target``'s edges with that operation, serves
-        every candidate of a query edge's source at once.
+        from the subjects of ``target``'s in-edges with that operation,
+        serves every candidate of a query edge's source at once.
         """
-        in_edges = self.in_edges
+        in_edges = self.edges.in_edges
         last_hops: dict[str, set[int]] = {}
-        for source in set(in_edges.get(target, ())):
-            for neighbor, operation, _ in self.out_edges[source]:
-                if neighbor == target:
-                    last_hops.setdefault(operation, set()).add(source)
+        for edge in in_edges.get(target, ()):
+            last_hops.setdefault(edge[3], set()).add(edge[1])
         flows: dict[int, dict[str, int]] = {}
         for operation, seen in last_hops.items():
             frontier = seen
@@ -512,9 +496,8 @@ class ProvenanceIndex:
                 for node in frontier:
                     flows.setdefault(node, {})[operation] = hop
                 if hop < MAX_FLOW_LENGTH:
-                    frontier = {predecessor for node in frontier
-                                for predecessor in in_edges.get(node, ())
-                                } - seen
+                    frontier = {edge[1] for node in frontier
+                                for edge in in_edges.get(node, ())} - seen
                     seen |= frontier
         return flows
 
@@ -735,7 +718,7 @@ class GraphAligner:
 
 
 #: ``store -> (data_version, index)``; weak, so it never keeps a dropped
-#: store alive.  Indexes are read-only.
+#: store alive.  A search only reads an index.
 _INDEX_MEMO: "weakref.WeakKeyDictionary[DualStore, tuple]" = \
     weakref.WeakKeyDictionary()
 _INDEX_MEMO_LOCK = threading.Lock()
@@ -776,9 +759,9 @@ class FuzzySearcher:
         """Run the fuzzy search for a TBQL query."""
         resolved = query if isinstance(query, ResolvedQuery) else \
             resolve_query(parse_tbql(query))
-        # The provenance index builds from the path operator's adjacency
-        # (read from the relational store on first use), once per store
-        # version.
+        # The provenance index reads the path operator's adjacency (read
+        # from the relational store on first use) and builds its node maps
+        # once per store version.
         store = self.store
         load_start = time.perf_counter()
         version = store.data_version

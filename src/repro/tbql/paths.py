@@ -2,10 +2,12 @@
 
 The paper runs TBQL's path patterns as Cypher on a Neo4j copy of the
 audit data (Section III-B).  Here they run on the rows the store already
-holds: one adjacency per store — for each subject entity id, its
-out-edges ``(event id, object id, operation, start, end)`` in event-id
-order, read from the relational ``events`` table — expanded by a bounded
-depth-first search.
+holds: one two-way adjacency per store — each event row of the relational
+``events`` table read once as an edge ``(event id, subject id, object
+id, operation, start, end)``, that same tuple listed under its subject
+in ``out_edges`` and under its object in ``in_edges``, both in event-id
+order — expanded by a bounded depth-first search.  The fuzzy search
+(:mod:`repro.tbql.fuzzy`) reads its flows from the same adjacency.
 
 A match is a trail (no event twice) of ``min_length`` to ``max_length``
 events (an unbounded ``~>`` stops at
@@ -29,7 +31,8 @@ from __future__ import annotations
 
 import threading
 import weakref
-from typing import Any, Iterator, NamedTuple, Optional, Sequence
+from collections import defaultdict
+from typing import Any, NamedTuple, Optional, Sequence
 
 from ..gcpause import gc_paused
 from ..obs.trace import start_span
@@ -40,10 +43,11 @@ from .colscan import _conjuncts, _domains
 from .compiler_sql import _pattern_clauses, render_filter
 from .semantics import DEFAULT_MAX_PATH_LENGTH, ResolvedPattern, ResolvedQuery
 
-#: One out-edge: ``(event id, object id, operation, start, end)``.
-Edge = tuple[int, int, str, float, float]
+#: One stored event: ``(event id, subject id, object id, operation,
+#: start, end)``.
+Edge = tuple[int, int, int, str, float, float]
 
-_EDGE_SELECT = ("SELECT subject_id, id, object_id, operation, start_time, "
+_EDGE_SELECT = ("SELECT id, subject_id, object_id, operation, start_time, "
                 "end_time FROM events WHERE id > ? ORDER BY id")
 
 #: Most reached final hops the final-hop statement lists by event id;
@@ -69,13 +73,29 @@ class PathMatch(NamedTuple):
 
 
 class Adjacency:
-    """Out-edges per subject id, covering event ids ``1..high_water``."""
+    """Each edge under its subject id (``out_edges``) and its object id
+    (``in_edges``), covering event ids ``1..high_water``."""
 
-    def __init__(self, generation: int) -> None:
-        self.out_edges: dict[int, list[Edge]] = {}
+    def __init__(self, generation: int = 0) -> None:
+        self.out_edges: defaultdict[int, list[Edge]] = defaultdict(list)
+        self.in_edges: defaultdict[int, list[Edge]] = defaultdict(list)
         self.high_water = 0
         self.generation = generation
         self.version: Optional[int] = None
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, Adjacency) and \
+            (self.out_edges, self.in_edges) == (other.out_edges,
+                                                other.in_edges)
+
+    def add(self, edges: Sequence[Edge]) -> None:
+        """Append ``edges`` to both maps, in order."""
+        out_edges, in_edges = self.out_edges, self.in_edges
+        for edge in edges:
+            out_edges[edge[1]].append(edge)
+            in_edges[edge[2]].append(edge)
+        if edges:
+            self.high_water = max(self.high_water, edges[-1][0])
 
     @gc_paused()
     def extend(self, store: DualStore) -> int:
@@ -84,14 +104,7 @@ class Adjacency:
         with start_span("path_adjacency") as span:
             rows = store.relational.select_tuples(_EDGE_SELECT,
                                                   (self.high_water,))
-            out_edges = self.out_edges
-            for subject, event_id, obj, operation, start, end in rows:
-                bucket = out_edges.get(subject)
-                if bucket is None:
-                    bucket = out_edges[subject] = []
-                bucket.append((event_id, obj, operation, start, end))
-            if rows:
-                self.high_water = rows[-1][1]
+            self.add(rows)
             span.set_attribute("edges", len(rows))
         return len(rows)
 
@@ -191,34 +204,43 @@ def _passing_pairs(store: DualStore, conjuncts: list[AttributeFilter],
 def _expand(out_edges: dict[int, list[Edge]], starts: list[int],
             min_length: int, max_length: int,
             operations: Optional[frozenset[str]]
-            ) -> Iterator[tuple[int, tuple[int, ...], Edge]]:
+            ) -> list[tuple[int, tuple[int, ...], Edge]]:
     """Bounded DFS: ``(start, event ids, final edge)`` of every trail
     from each start whose length is in range and whose final hop has one
     of ``operations`` (``None``: any).  The stack holds a node's edges,
     pushed only when it has some: popping one without would add
-    nothing."""
+    nothing.  One ``path_expand`` span counts the starts, the edge lists
+    popped (``edges``) and the trails found (``paths``)."""
     get = out_edges.get
-    for start in starts:
-        edges = get(start)
-        if not edges:
-            continue
-        stack: list[tuple[list[Edge], tuple[int, ...]]] = [(edges, ())]
-        while stack:
-            edges, path = stack.pop()
-            length = len(path) + 1
-            ends = length >= min_length
-            deeper = length < max_length
-            for edge in edges:
-                event_id = edge[0]
-                if event_id in path:
-                    continue
-                extended = path + (event_id,)
-                if ends and (operations is None or edge[2] in operations):
-                    yield start, extended, edge
-                if deeper:
-                    following = get(edge[1])
-                    if following:
-                        stack.append((following, extended))
+    found: list[tuple[int, tuple[int, ...], Edge]] = []
+    walked = 0
+    with start_span("path_expand", starts=len(starts)) as span:
+        for start in starts:
+            edges = get(start)
+            if not edges:
+                continue
+            stack: list[tuple[list[Edge], tuple[int, ...]]] = [(edges, ())]
+            while stack:
+                edges, path = stack.pop()
+                walked += 1
+                length = len(path) + 1
+                ends = length >= min_length
+                deeper = length < max_length
+                for edge in edges:
+                    event_id = edge[0]
+                    if event_id in path:
+                        continue
+                    extended = path + (event_id,)
+                    if ends and (operations is None or
+                                 edge[3] in operations):
+                        found.append((start, extended, edge))
+                    if deeper:
+                        following = get(edge[2])
+                        if following:
+                            stack.append((following, extended))
+        span.set_attribute("edges", walked)
+        span.set_attribute("paths", len(found))
+    return found
 
 
 def path_matches(store: DualStore, pattern: ResolvedPattern,
@@ -232,15 +254,14 @@ def path_matches(store: DualStore, pattern: ResolvedPattern,
     starts = _start_ids(store, pattern, on_entity, subject_ids)
     if not starts:
         return []
-    paths = list(_expand(adjacency(store).out_edges, starts,
-                         pattern.min_length,
-                         pattern.max_length or DEFAULT_MAX_PATH_LENGTH,
-                         pattern.operations))
+    paths = _expand(adjacency(store).out_edges, starts, pattern.min_length,
+                    pattern.max_length or DEFAULT_MAX_PATH_LENGTH,
+                    pattern.operations)
     if not paths:
         return []
     accepted = _final_hops(store, pattern, resolved, object_ids,
                            {edge[0] for _start, _path, edge in paths})
-    matches = [PathMatch(start, path, *edge[1:])
+    matches = [PathMatch(start, path, *edge[2:])
                for start, path, edge in paths if edge[0] in accepted]
     if on_pair and matches:
         passing = _passing_pairs(store, on_pair, sorted(

@@ -127,20 +127,12 @@ def provenance_index_from_graph(graph: PropertyGraph) -> ProvenanceIndex:
             properties.get("dstip") or properties.get("path") or
             properties.get("exename") or properties.get("name") or "")
         node_types[node.node_id] = properties.get("type", "")
-    out_edges = index.out_edges
-    in_edges = index.in_edges
-    count = 0
     for edge in graph.edges():
         properties = edge.properties
-        source, target = edge.source, edge.target
-        bucket = out_edges.get(source)
-        if bucket is None:
-            bucket = out_edges[source] = []
-        bucket.append((target, properties.get("operation", ""),
-                       properties.get("start_time", 0.0)))
-        in_edges.setdefault(target, []).append(source)
-        count += 1
-    index.num_edges = count
+        index.edges.add([(edge.edge_id, edge.source, edge.target,
+                          properties.get("operation", ""),
+                          properties.get("start_time", 0.0),
+                          properties.get("end_time", 0.0))])
     return index
 
 

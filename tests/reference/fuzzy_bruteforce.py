@@ -63,7 +63,8 @@ def flow_score_bruteforce(index: ProvenanceIndex, source: int, target: int,
         node, depth = frontier.pop(0)
         if depth >= MAX_FLOW_LENGTH:
             continue
-        for neighbor, operation, _ in index.out_edges.get(node, ()):
+        for _event, _subject, neighbor, operation, _start, _end in \
+                index.edges.out_edges.get(node, ()):
             hop = depth + 1
             if neighbor == target and (
                     operations is None or operation in operations or

@@ -76,14 +76,17 @@ def _shape(graph: PropertyGraph) -> tuple[list, list]:
              for edge in graph.edges()])
 
 
-def _out_edges(graph: PropertyGraph) -> dict[int, list[tuple]]:
-    """The graph's edges as the path adjacency keeps them."""
+def _edge_maps(graph: PropertyGraph) -> tuple[dict, dict]:
+    """The graph's edges as the path adjacency keeps them: per source,
+    then per target."""
     out_edges: dict[int, list[tuple]] = {}
+    in_edges: dict[int, list[tuple]] = {}
     for edge in graph.edges():
-        out_edges.setdefault(edge.source, []).append((
-            edge.edge_id, edge.target, edge.get("operation"),
-            edge.get("start_time"), edge.get("end_time")))
-    return out_edges
+        row = (edge.edge_id, edge.source, edge.target, edge.get("operation"),
+               edge.get("start_time"), edge.get("end_time"))
+        out_edges.setdefault(edge.source, []).append(row)
+        in_edges.setdefault(edge.target, []).append(row)
+    return out_edges, in_edges
 
 
 def _assert_derived_is_exact(store: DualStore) -> None:
@@ -91,9 +94,10 @@ def _assert_derived_is_exact(store: DualStore) -> None:
     assert _shape(graph_from_store(store)) == _shape(described)
     fresh = Adjacency(store.data_generation)
     fresh.extend(store)
-    extended = adjacency(store).out_edges
-    assert extended == fresh.out_edges == _out_edges(described)
-    assert sum(map(len, extended.values())) == \
+    extended = adjacency(store)
+    assert (extended.out_edges, extended.in_edges) == \
+        (fresh.out_edges, fresh.in_edges) == _edge_maps(described)
+    assert sum(map(len, extended.out_edges.values())) == \
         store.relational.count_events()
 
 

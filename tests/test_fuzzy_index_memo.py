@@ -4,7 +4,8 @@
 its ``data_version``.  A repeated search on an unchanged store reuses it
 — same alignments, scores and candidate counts as a cold search and as
 the brute-force reference — while every change to the stored data (an
-append, a reload) makes the next search see the new data.
+append, a reload) makes the next search see the new data.  The index
+reads its edges through the store's path adjacency, never a copy.
 """
 
 from __future__ import annotations
@@ -19,7 +20,8 @@ import pytest
 
 from repro.audit import AuditCollector, CollectorConfig
 from repro.storage import DualStore
-from repro.tbql.fuzzy import FuzzySearcher, _forget_index
+from repro.tbql.fuzzy import _INDEX_MEMO, FuzzySearcher, _forget_index
+from repro.tbql.paths import adjacency
 from repro.tbql.poirot import PoirotSearcher
 
 from .reference.fuzzy_bruteforce import (BruteForceFuzzySearcher,
@@ -84,6 +86,26 @@ def test_append_and_flush_rebuild(data_leak_events):
                                          "i": "203.0.113.77"}
         assert _key(after) == \
             _key(BruteForceFuzzySearcher(segmented).search(LATE_QUERY))
+
+
+def test_the_index_shares_the_path_adjacency(data_leak_events):
+    """The memoised index copies no edge: its ``edges`` is the adjacency
+    path patterns expand, before and after an append extends it."""
+    events = sorted(data_leak_events, key=attrgetter("start_time",
+                                                     "event_id"))
+    with DualStore(retain_events=False) as store:
+        store.append_events(events)
+        store.flush_appends()
+        FuzzySearcher(store).search(QUERY)
+        first = _INDEX_MEMO[store][1]
+        assert first.edges is adjacency(store)
+        store.append_events(_late_events(events[-1].start_time))
+        store.flush_appends()
+        assert not FuzzySearcher(store).search(LATE_QUERY).index_reused
+        second = _INDEX_MEMO[store][1]
+        assert second is not first
+        assert second.edges is first.edges is adjacency(store)
+        assert second.num_edges == store.relational.count_events()
 
 
 def test_reload_rebuilds_even_with_equal_counts():

@@ -9,9 +9,9 @@ after ``load_events`` replaced the data the next one reads them all.  A
 spy on :meth:`Adjacency.extend` counts the builds and the rows each one
 added, on a snapshot of a store loaded in one go (sealed whole by the
 save) and on one of three sealed segments.  Seals, compactions and a
-reopen leave path answers unchanged, and the fuzzy search's index, built
-from the adjacency and the entity rows, equals the one a property graph
-of the same rows gave.
+reopen leave path answers and both edge maps unchanged, and the fuzzy
+search's index, the entity rows over the adjacency, equals the one a
+property graph of the same rows gave.
 """
 
 from __future__ import annotations
@@ -131,6 +131,7 @@ def _assert_fresh(store: DualStore) -> None:
     fresh = Adjacency(store.data_generation)
     fresh.extend(store)
     assert adjacency(store).out_edges == fresh.out_edges
+    assert adjacency(store).in_edges == fresh.in_edges
     assert adjacency(store).high_water == fresh.high_water == \
         store.relational.count_events()
 
@@ -247,16 +248,21 @@ def test_seals_compaction_and_a_reopen_leave_path_answers(data_leak_events,
             store.append_events(events[start:start + third])
             store.flush_appends(seal_segment=False)
         expected = _path_answers(store)
+        built = adjacency(store)
         assert not store.segment_view().sealed
         store.flush_appends()
         assert store.segment_view().sealed
         assert _path_answers(store) == expected
+        _assert_fresh(store)
         store.compact(min_events=len(events))
         assert _path_answers(store) == expected
+        _assert_fresh(store)
+        assert adjacency(store) is built
         store.save(tmp_path / "snap")
     for read_only in (True, False):
         with DualStore.open(tmp_path / "snap", read_only=read_only) as again:
             assert _path_answers(again) == expected
+            assert adjacency(again) == built
 
 
 def test_append_on_a_writable_reopen_builds_nothing(tmp_path, builds):

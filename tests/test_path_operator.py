@@ -6,6 +6,8 @@ did, with the event patterns' endpoint semantics.
   never sealed and on a sealed one (Cypher's ``CONTAINS`` was
   case-sensitive there).
 * An unbounded ``~>`` whose minimum exceeds the 6-hop cap is an error.
+* Giant SQL answers a one-hop path as the path operator does and refuses
+  a longer one; the expansion reports a ``path_expand`` span.
 * On the join-equivalence corpus (plus unselective path texts) over the
   three ``test_answer_bytes`` stores, under both columnar evaluators,
   every answer equals the mini-Cypher oracle's
@@ -28,6 +30,7 @@ from hypothesis import strategies as st
 from repro.audit.entities import (FileEntity, NetworkEntity, Operation,
                                   ProcessEntity, SystemEvent)
 from repro.errors import TBQLSemanticError
+from repro.obs.trace import start_trace
 from repro.storage import DualStore
 from repro.tbql.executor import TBQLExecutor
 from repro.tbql.parser import parse_tbql
@@ -116,6 +119,72 @@ def test_an_unbounded_path_must_reach_its_minimum_within_the_cap():
     pattern = resolve_query(parse_tbql(
         "proc p ~>(6~) file f return p")).patterns[0]
     assert (pattern.min_length, pattern.max_length) == (6, None)
+
+
+def _fork_store() -> DualStore:
+    """``/bin/a`` forks ``/bin/b``, which writes ``/tmp/x``."""
+    a = ProcessEntity(exename="/bin/a", pid=1)
+    b = ProcessEntity(exename="/bin/b", pid=2)
+    store = DualStore(reduce=False)
+    store.load_events([
+        SystemEvent(subject=a, operation=Operation.FORK, obj=b,
+                    start_time=1.0, end_time=1.5),
+        SystemEvent(subject=b, operation=Operation.WRITE,
+                    obj=FileEntity(path="/tmp/x"),
+                    start_time=2.0, end_time=2.5)])
+    return store
+
+
+@pytest.mark.parametrize("arrow", ["~>(1~2)[write]", "~>[write]",
+                                   "~>(2~2)[write]", "~>(2~)[write]"])
+def test_giant_sql_refuses_a_path_of_more_than_one_hop(arrow):
+    """Giant SQL renders every pattern as one event, so it used to answer
+    ``[]`` where the path operator finds the two-hop trail; now it
+    raises."""
+    text = f'proc p["/bin/a"] {arrow} file f return p, f'
+    with _fork_store() as store:
+        executor = TBQLExecutor(store)
+        assert executor.execute(text).rows == [{"p.exename": "/bin/a",
+                                                "f.name": "/tmp/x"}]
+        with pytest.raises(TBQLSemanticError,
+                           match="pattern 'evt1' .* not exactly one hop"):
+            executor.execute_giant_sql(text)
+
+
+@pytest.mark.parametrize("text", [
+    "proc p ->[write] file f return p, f",
+    'proc p["/bin/a"] ->[fork] proc q return p, q',
+    "proc p ~>(1~1) proc q return p, q",
+    'proc p ->[fork] proc q as e1 proc q ->[write] file f["/tmp/x"] '
+    'as e2 return p, q, f',
+])
+def test_a_one_hop_path_answers_the_same_under_giant_sql(text):
+    with _fork_store() as store:
+        executor = TBQLExecutor(store)
+        rows = [list(row.values()) for row in executor.execute(text).rows]
+        assert rows
+        assert sorted(rows) == sorted(
+            list(row.values()) for row in executor.execute_giant_sql(text))
+
+
+def test_the_expansion_has_a_span():
+    """``path_expand`` counts the start subjects, the edge lists popped
+    from the stack — ``/bin/a``'s, ``/bin/b``'s under it, ``/bin/b``'s
+    as a start: 3 lists of 2 edges each — and the trails kept."""
+    with _amount_store() as store:
+        with start_trace("query") as root:
+            TBQLExecutor(store).execute(
+                "proc p ~>(1~2)[write] file f return p, f")
+    assert root is not None
+
+    def walk(span):
+        yield span
+        for child in span.children:
+            yield from walk(child)
+
+    expansions = [span for span in walk(root) if span.name == "path_expand"]
+    assert [span.attributes for span in expansions] == [
+        {"starts": 2, "edges": 3, "paths": 5}]
 
 
 def _answer(result) -> tuple:

@@ -234,10 +234,9 @@ class TestFlowClosureEquivalence:
         for node in range(1, 9):
             index.node_names[node] = f"n{node}"
             index.node_types[node] = "proc"
-        for source, target, operation in edge_specs:
-            index.out_edges.setdefault(source, []).append(
-                (target, operation, 0.0))
-            index.num_edges += 1
+        index.edges.add([(event_id, source, target, operation, 0.0, 0.0)
+                         for event_id, (source, target, operation)
+                         in enumerate(edge_specs, start=1)])
         operation_filters = [None, frozenset(), frozenset({"read"}),
                              frozenset({"write", "connect"})]
         for source in range(1, 9):
