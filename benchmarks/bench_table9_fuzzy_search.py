@@ -12,7 +12,8 @@ edge, branch-and-bound enumeration) against the seed's
 brute-force search kept in ``tests/reference``, asserting identical
 alignments and a ≥5x speedup at scale, both searches cold; an
 ``indexed (warm)`` row times a second search that reuses the store's
-memoised index.
+memoised index and the node candidates that index memoised for the
+same query, so it pays for the alignment alone.
 """
 
 import os
@@ -109,6 +110,8 @@ def test_table9_strategy_speedup(benchmark):
             sorted(map(alignment_key, bruteforce.alignments))
         assert result.candidate_counts == bruteforce.candidate_counts
     assert not indexed.index_reused and warm.index_reused
+    assert indexed.candidates_reused == 0
+    assert warm.candidates_reused == len(warm.candidate_counts) > 0
 
     speedup = bruteforce_seconds / max(indexed_seconds, 1e-9)
     rows = [

@@ -18,9 +18,12 @@ from ..audit.entities import SystemEvent
 from ..audit.parser import parse_audit_log
 from ..extraction.pipeline import (ExtractionResult,
                                    ThreatBehaviorExtractor)
+from ..obs.trace import start_span
 from ..storage.dualstore import DualStore
 from ..tbql.executor import QueryResult, TBQLExecutor
 from ..tbql.fuzzy import FuzzySearcher, FuzzySearchResult
+from ..tbql.parser import parse_tbql
+from ..tbql.semantics import ResolvedQuery, resolve_query
 from ..tbql.synthesis import SynthesisPlan, SynthesizedQuery, TBQLSynthesizer
 
 
@@ -103,10 +106,13 @@ class ThreatRaptor:
         synthesis_seconds = time.perf_counter() - synthesis_start
         query_text = revised_query if revised_query is not None \
             else synthesized.text
-        result = self.execute_tbql(query_text)
+        # One resolution serves the exact search and the fuzzy fallback.
+        with start_span("parse"):
+            resolved = resolve_query(parse_tbql(query_text))
+        result = self.execute_tbql(resolved)
         fuzzy_result = None
         if fallback_to_fuzzy and not result.rows:
-            fuzzy_result = self.fuzzy_search(query_text)
+            fuzzy_result = self.fuzzy_search(resolved)
         return HuntReport(extraction=extraction, synthesized=synthesized,
                           executed_query=query_text, result=result,
                           synthesis_seconds=synthesis_seconds,
@@ -115,9 +121,9 @@ class ThreatRaptor:
     # ------------------------------------------------------------------
     # proactive hunting with manually constructed queries
     # ------------------------------------------------------------------
-    def execute_tbql(self, query_text: str,
+    def execute_tbql(self, query_text: str | ResolvedQuery,
                      now: Optional[float] = None) -> QueryResult:
-        """Execute a TBQL query in exact search mode.
+        """Execute a TBQL query (text or resolved) in exact search mode.
 
         The executor is reused across calls, so its hydrated-entity cache
         stays warm over a hunting session; it invalidates itself when the
@@ -135,8 +141,10 @@ class ThreatRaptor:
             self.__dict__["_cached_executor"] = executor
         return executor
 
-    def fuzzy_search(self, query_text: str) -> FuzzySearchResult:
-        """Execute a TBQL query in fuzzy (inexact graph matching) mode."""
+    def fuzzy_search(self, query_text: str | ResolvedQuery
+                     ) -> FuzzySearchResult:
+        """Execute a TBQL query (text or resolved) in fuzzy (inexact
+        graph matching) mode."""
         return FuzzySearcher(self.store).search(query_text)
 
 

@@ -329,8 +329,10 @@ class QueryService:
         response = dict(self.query(synthesized.text))
         response["synthesized_tbql"] = synthesized.text
         if fuzzy_fallback and not response["result"]["rows"]:
+            # A plan-cache hit: query() just compiled the same text.
+            resolved = self.compile(synthesized.text)
             with self._hunt_lock, self._read_guard():
-                fuzzy = FuzzySearcher(self.store).search(synthesized.text)
+                fuzzy = FuzzySearcher(self.store).search(resolved)
             best = fuzzy.best
             response["fuzzy"] = {
                 "alignments": len(fuzzy.alignments),

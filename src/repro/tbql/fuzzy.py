@@ -34,9 +34,14 @@ Only the searching depends on the query: the provenance index (node
 names and types from one entities statement, and their name index) is
 memoised per store and store version, so a search that reuses it
 reports zero loading and preprocessing
-(:attr:`FuzzySearchResult.index_reused`).  Its edges are the path
-operator's adjacency (:mod:`repro.tbql.paths`) itself, which readers
-extend in place: consistent only under :mod:`repro.streaming.locks`.
+(:attr:`FuzzySearchResult.index_reused`).  A memoised index is only
+ever read, with one exception: it keeps the node candidates of every
+``(entity type, needle, threshold)`` it was asked for, inserted and
+evicted under a lock, so a needle repeated on one store version is
+scored once (:attr:`FuzzySearchResult.candidates_reused`).  Its edges
+are the path operator's adjacency (:mod:`repro.tbql.paths`) itself,
+which readers extend in place: consistent only under
+:mod:`repro.streaming.locks`.
 """
 
 from __future__ import annotations
@@ -49,6 +54,7 @@ from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
 from ..gcpause import gc_paused
+from ..obs.trace import start_span
 from ..storage.dualstore import DualStore
 from .parser import parse_tbql
 from .paths import Adjacency, adjacency
@@ -65,6 +71,10 @@ MAX_FLOW_LENGTH = 4
 
 #: Character n-gram size of the candidate prefilter index.
 _NGRAM = 2
+#: Bound on the ``(node id, similarity)`` pairs one index's candidate
+#: memo holds, counting one more per entry; the oldest entries are
+#: evicted first, and a longer answer is not kept.
+CANDIDATE_MEMO_PAIRS = 65_536
 
 
 def levenshtein_distance(left: str, right: str) -> int:
@@ -348,17 +358,30 @@ _NODE_SELECT = "SELECT id, type, dstip, path, exename, name FROM entities"
 @dataclass
 class ProvenanceIndex:
     """In-memory provenance graph: node names and types, and the edges
-    of an :class:`~repro.tbql.paths.Adjacency`."""
+    of an :class:`~repro.tbql.paths.Adjacency`.
+
+    A memoised index is only ever read, except for its candidate memo
+    (:meth:`lookup_candidates`), which takes a lock to insert and evict.
+    """
 
     node_names: dict[int, str] = field(default_factory=dict)
     node_types: dict[int, str] = field(default_factory=dict)
     #: A store-built index shares the store's adjacency (no copy).
     edges: Adjacency = field(default_factory=Adjacency)
-    # The name index (dropped on mutation; excluded from equality so two
-    # value-identical indexes still compare equal).  A search builds it
-    # before its first lookup, so a memoised index is only ever read.
+    # The name index and the candidate memo (dropped on mutation;
+    # excluded from equality so two value-identical indexes still compare
+    # equal).  A search builds the name index before its first lookup.
+    # The memo maps ``(entity type, needle, threshold)`` to a tuple of
+    # ``(node id, similarity)`` pairs in insertion order, costs at most
+    # CANDIDATE_MEMO_PAIRS (pairs plus one per entry), and is written only
+    # under ``_memo_lock``: concurrent searches share it.
     _name_index: Optional[_NameIndex] = field(default=None, repr=False,
                                               compare=False)
+    _candidate_memo: dict = field(default_factory=dict, repr=False,
+                                  compare=False)
+    _memo_cost: int = field(default=0, repr=False, compare=False)
+    _memo_lock: threading.Lock = field(default_factory=threading.Lock,
+                                       repr=False, compare=False)
 
     def add_event(self, row: dict) -> None:
         subject_id = row["subject_id"]
@@ -376,6 +399,9 @@ class ProvenanceIndex:
                          row.get("operation", ""), row.get("start_time", 0.0),
                          row.get("end_time", 0.0))])
         self._name_index = None
+        with self._memo_lock:
+            self._candidate_memo.clear()
+            self._memo_cost = 0
 
     @property
     def num_edges(self) -> int:
@@ -415,9 +441,37 @@ class ProvenanceIndex:
         Unique names are prefiltered through the bigram inverted index,
         then scored with the bounded Levenshtein; the result set (ids and
         similarity values) is identical to a full DP against every node.
+        The answer is memoised on the index; every call gets a fresh list.
         """
+        return self.lookup_candidates(query_node, threshold)[0]
+
+    def lookup_candidates(self, query_node: QueryNode,
+                          threshold: Optional[float] = None
+                          ) -> tuple[list[tuple[int, float]], bool]:
+        """:meth:`candidates_for`, and whether the memo served it."""
         if threshold is None:
             threshold = NODE_SIMILARITY_THRESHOLD
+        key = (query_node.entity_type, query_node.search_string, threshold)
+        memo = self._candidate_memo
+        found = memo.get(key)
+        if found is not None:
+            return list(found), True
+        results = self._score_candidates(query_node, threshold)
+        # An entry costs its pairs plus one, so empty answers count too.
+        cost = len(results) + 1
+        if cost <= CANDIDATE_MEMO_PAIRS:
+            with self._memo_lock:
+                if key not in memo:
+                    self._memo_cost += cost
+                    while self._memo_cost > CANDIDATE_MEMO_PAIRS:
+                        # Dicts keep insertion order: the oldest goes first.
+                        oldest = memo.pop(next(iter(memo)))
+                        self._memo_cost -= len(oldest) + 1
+                    memo[key] = tuple(results)
+        return results, False
+
+    def _score_candidates(self, query_node: QueryNode, threshold: float
+                          ) -> list[tuple[int, float]]:
         needle = query_node.search_string
         query_type = query_node.entity_type
         node_types = self.node_types
@@ -555,6 +609,8 @@ class FuzzySearchResult:
     index_reused: bool = False
     #: True when the aligner stopped at ``max_expansions``: incomplete.
     truncated: bool = False
+    #: Query nodes whose candidates the index's memo served.
+    candidates_reused: int = 0
 
     @property
     def total_seconds(self) -> float:
@@ -591,6 +647,8 @@ class GraphAligner:
         self._expansions = 0
         self.truncated = False
         self._last_candidates: Optional[dict[str, list]] = None
+        #: Query nodes whose candidates the index's memo served.
+        self.candidates_reused = 0
         self._flow_closure: dict[int, dict[int, dict[str, int]]] = {}
         self._flow_closure_to: dict[int, dict[int, dict[str, int]]] = {}
         # Edges scored from their target's closure (mapped first).
@@ -599,8 +657,12 @@ class GraphAligner:
     def alignments(self, stop_after_first: bool = False
                    ) -> Iterator[Alignment]:
         """Yield acceptable alignments (all of them, or just the first)."""
-        candidates = {node.entity_id: self.index.candidates_for(node)
-                      for node in self.query_graph.nodes}
+        candidates: dict[str, list[tuple[int, float]]] = {}
+        self.candidates_reused = 0
+        for node in self.query_graph.nodes:
+            candidates[node.entity_id], reused = \
+                self.index.lookup_candidates(node)
+            self.candidates_reused += reused
         self._last_candidates = candidates
         # Align the most selective query node first.
         order = sorted(self.query_graph.nodes,
@@ -740,7 +802,8 @@ def _memoised_index(store: DualStore, edges: Adjacency, version: int
 
 
 def _forget_index(store: DualStore) -> None:
-    """Drop ``store``'s memoised index, so its next search builds cold."""
+    """Drop ``store``'s memoised index, and the candidates it memoised,
+    so its next search builds and scores cold."""
     with _INDEX_MEMO_LOCK:
         _INDEX_MEMO.pop(store, None)
 
@@ -756,7 +819,19 @@ class FuzzySearcher:
         self.score_threshold = score_threshold
 
     def search(self, query: str | ResolvedQuery) -> FuzzySearchResult:
-        """Run the fuzzy search for a TBQL query."""
+        """Run the fuzzy search for a TBQL query, in a ``fuzzy_search``
+        span."""
+        with start_span("fuzzy_search") as span:
+            result = self._search(query)
+            counts = result.candidate_counts
+            span.set_attribute("nodes", len(counts))
+            span.set_attribute("candidates", sum(counts.values()))
+            span.set_attribute("candidates_reused", result.candidates_reused)
+            span.set_attribute("alignments", len(result.alignments))
+            span.set_attribute("truncated", result.truncated)
+        return result
+
+    def _search(self, query: str | ResolvedQuery) -> FuzzySearchResult:
         resolved = query if isinstance(query, ResolvedQuery) else \
             resolve_query(parse_tbql(query))
         # The provenance index reads the path operator's adjacency (read
@@ -788,7 +863,8 @@ class FuzzySearcher:
                                  searching_seconds=searching,
                                  candidate_counts=aligner.candidate_counts(),
                                  index_reused=reused,
-                                 truncated=aligner.truncated)
+                                 truncated=aligner.truncated,
+                                 candidates_reused=aligner.candidates_reused)
 
 
 __all__ = [
@@ -806,4 +882,5 @@ __all__ = [
     "NODE_SIMILARITY_THRESHOLD",
     "ALIGNMENT_SCORE_THRESHOLD",
     "MAX_FLOW_LENGTH",
+    "CANDIDATE_MEMO_PAIRS",
 ]

@@ -8,7 +8,7 @@ hand-written lexer + recursive-descent parser producing the same language
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from ..errors import TBQLSyntaxError
 from .diagnostics import make_diagnostic
@@ -23,6 +23,8 @@ KEYWORDS = {
     "then", "count", "group", "by", "top",
 }
 
+#: One alternative per token kind, named after it; ``error`` catches any
+#: character no token starts with, so ``finditer`` walks every position.
 _TOKEN_RE = re.compile(r"""
     (?P<ws>\s+)
   | (?P<comment>//[^\n]*|\#[^\n]*)
@@ -30,11 +32,11 @@ _TOKEN_RE = re.compile(r"""
   | (?P<string>"(?:[^"\\]|\\.)*")
   | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
   | (?P<symbol>~>|->|&&|\|\||!=|<=|>=|[=!<>\[\]\(\)\{\},\.\-~\*/:%])
+  | (?P<error>(?s:.))
 """, re.VERBOSE)
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str      # 'keyword', 'ident', 'number', 'string', 'symbol', 'eof'
     text: str
     line: int
@@ -52,38 +54,30 @@ class Lexer:
 
     def tokens(self) -> list[Token]:
         tokens: list[Token] = []
-        index = 0
+        append = tokens.append
         line = 1
         line_start = 0
         source = self.source
-        while index < len(source):
-            match = _TOKEN_RE.match(source, index)
-            if match is None:
-                column = index - line_start + 1
-                message = f"unexpected character {source[index]!r}"
+        for match in _TOKEN_RE.finditer(source):
+            kind = match.lastgroup
+            text = match.group()
+            if kind == "ws" or kind == "comment":
+                if "\n" in text:
+                    line += text.count("\n")
+                    line_start = match.start() + text.rfind("\n") + 1
+                continue
+            column = match.start() - line_start + 1
+            if kind == "ident":
+                if text in KEYWORDS:
+                    kind = "keyword"
+            elif kind == "error":
+                message = f"unexpected character {text!r}"
                 raise TBQLSyntaxError(
                     message, line, column,
                     diagnostic=make_diagnostic(source, message, line,
                                                column))
-            text = match.group()
-            column = match.start() - line_start + 1
-            group = match.lastgroup
-            if group in ("ws", "comment"):
-                newlines = text.count("\n")
-                if newlines:
-                    line += newlines
-                    line_start = match.start() + text.rfind("\n") + 1
-            elif group == "ident":
-                kind = "keyword" if text in KEYWORDS else "ident"
-                tokens.append(Token(kind, text, line, column))
-            elif group == "number":
-                tokens.append(Token("number", text, line, column))
-            elif group == "string":
-                tokens.append(Token("string", text, line, column))
-            else:
-                tokens.append(Token("symbol", text, line, column))
-            index = match.end()
-        tokens.append(Token("eof", "", line, len(source) - line_start + 1))
+            append(Token(kind, text, line, column))
+        append(Token("eof", "", line, len(source) - line_start + 1))
         return tokens
 
 

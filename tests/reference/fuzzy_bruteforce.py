@@ -77,12 +77,13 @@ def flow_score_bruteforce(index: ProvenanceIndex, source: int, target: int,
 
 
 class BruteForceIndex(ProvenanceIndex):
-    """A provenance index answering through the reference scans."""
+    """A provenance index answering through the reference scans (no
+    candidate memo: ``candidates_for`` reads through this override)."""
 
-    def candidates_for(self, query_node: QueryNode,
-                       threshold: Optional[float] = None
-                       ) -> list[tuple[int, float]]:
-        return candidates_for_bruteforce(self, query_node, threshold)
+    def lookup_candidates(self, query_node: QueryNode,
+                          threshold: Optional[float] = None
+                          ) -> tuple[list[tuple[int, float]], bool]:
+        return candidates_for_bruteforce(self, query_node, threshold), False
 
     def flow_score(self, source: int, target: int,
                    operations: Optional[frozenset[str]]) -> float:

@@ -151,6 +151,9 @@ def test_concurrent_searches_share_one_build(store):
         sys.setswitchinterval(previous)
     reference = _key(BruteForceFuzzySearcher(store).search(QUERY))
     assert all(_key(result) == reference for result in results)
+    # The searches shared one index and its candidate memo.
+    assert all(result.alignments == results[0].alignments
+               for result in results)
     assert sum(not result.index_reused for result in results) == 1
 
 
