@@ -3,12 +3,14 @@
 Every bench module regenerates one table (or figure-style ablation) of the
 paper.  Besides the pytest-benchmark timings, each module writes the
 regenerated table to ``benchmarks/results/<name>.txt`` so the rows the paper
-reports can be inspected after a run.
+reports can be inspected after a run.  A run with ``--benchmark-disable``
+(a smoke run) times nothing and writes no table.
 """
 
 from __future__ import annotations
 
 from pathlib import Path
+from typing import Optional
 
 import pytest
 
@@ -27,8 +29,22 @@ BENCH_NOISE_SESSIONS = 60
 BENCH_CASE_IDS = ["tc_clearscope_3", "tc_theia_1", "data_leak"]
 
 
-def write_result_table(name: str, text: str) -> Path:
-    """Persist a regenerated table under ``benchmarks/results``."""
+#: Whether this run times its benchmarks, as pytest-benchmark decides
+#: from ``--benchmark-disable`` / ``--benchmark-enable``.
+_timed = True
+
+
+def pytest_configure(config: pytest.Config) -> None:
+    global _timed
+    _timed = not config.getoption("benchmark_disable") or \
+        config.getoption("benchmark_enable")
+
+
+def write_result_table(name: str, text: str) -> Optional[Path]:
+    """Persist a regenerated table under ``benchmarks/results``; a run
+    that times nothing writes nothing and returns ``None``."""
+    if not _timed:
+        return None
     RESULTS_DIR.mkdir(parents=True, exist_ok=True)
     path = RESULTS_DIR / f"{name}.txt"
     path.write_text(text + "\n", encoding="utf-8")

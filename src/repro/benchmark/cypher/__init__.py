@@ -1,14 +1,15 @@
-"""The giant-Cypher baseline of Table VIII: a property graph plus
-mini-Cypher (Neo4j stand-in).
+"""The giant-Cypher text of Table VIII and Table X, and a property graph.
 
 The paper replicates the audit data into Neo4j and runs path patterns as
 Cypher (Section III-B).  The engine here runs path patterns on the stored
-event rows (:mod:`repro.tbql.paths`) and holds no graph; this package
-keeps the graph store and its query language as the RQ4 baseline a case
-benchmark times against.  :func:`graph_from_store` builds the graph of a
-store's rows — node id == entity id, edge id == event id — before any
-timing starts, and :func:`execute_cypher` runs a mini-Cypher statement
-on it.  Nothing under the engine packages imports this one.
+event rows (:mod:`repro.tbql.paths`), holds no graph and runs no Cypher:
+:func:`compile_giant_cypher` writes the Cypher statement a Neo4j user
+would, whose text Table VIII lists and Table X measures, but nothing
+executes it — without a graph database the Cypher timing is not
+reproduced.  :func:`graph_from_store` builds the property graph of a
+store's rows — node id == entity id, edge id == event id — which tests
+hold the path adjacency and the fuzzy index against.  Nothing under the
+engine packages imports this one.
 """
 
 from typing import Any, Sequence
@@ -18,11 +19,6 @@ from ...gcpause import gc_paused
 from ...storage.relational.database import entity_attributes
 from ...storage.relational.schema import ENTITY_COLUMNS
 from .compiler import compile_giant_cypher, render_filter_cypher
-from .cypher_ast import (BooleanExpr, Comparison, CypherQuery, Literal,
-                         NodePattern, NotExpr, PathPattern, PropertyRef,
-                         RelationshipPattern, ReturnItem)
-from .cypher_eval import CypherEvaluator, evaluate_where
-from .cypher_parser import CypherParser, parse_cypher, tokenize
 from .graphdb import GraphEdge, GraphNode, PropertyGraph, graph_from_events
 
 #: The events columns an edge is built from: its endpoints, then the
@@ -66,33 +62,12 @@ def graph_from_store(store) -> PropertyGraph:
     return graph
 
 
-def execute_cypher(graph: PropertyGraph, cypher: str) -> list[dict]:
-    """Parse and evaluate a mini-Cypher query, returning result rows."""
-    return CypherEvaluator(graph).execute(parse_cypher(cypher))
-
-
 __all__ = [
-    "BooleanExpr",
-    "Comparison",
-    "CypherQuery",
-    "Literal",
-    "NodePattern",
-    "NotExpr",
-    "PathPattern",
-    "PropertyRef",
-    "RelationshipPattern",
-    "ReturnItem",
-    "CypherEvaluator",
-    "evaluate_where",
-    "CypherParser",
-    "parse_cypher",
-    "tokenize",
     "GraphEdge",
     "GraphNode",
     "PropertyGraph",
     "graph_from_events",
     "graph_from_store",
-    "execute_cypher",
     "compile_giant_cypher",
     "render_filter_cypher",
 ]

@@ -1,9 +1,9 @@
-"""TBQL -> giant Cypher: one mini-Cypher statement for a whole query.
+"""TBQL -> giant Cypher: one Cypher statement for a whole query.
 
-The hand-written Cypher baseline of RQ4 (Table VIII, column (d)): every
-pattern of the query in one ``MATCH``, run by the mini-Cypher evaluator
-over a graph built from the store's rows.  The engine itself runs path
-patterns on the stored rows (:mod:`repro.tbql.paths`).
+The hand-written Cypher baseline of RQ4: every pattern of the query in
+one ``MATCH``.  Table VIII lists the text and Table X measures its
+length; nothing here runs it.  The engine itself runs path patterns on
+the stored rows (:mod:`repro.tbql.paths`).
 """
 
 from __future__ import annotations

@@ -8,6 +8,10 @@ queries (Section IV-B4):
 (c) the TBQL query with length-1 event path pattern syntax (scheduled,
     the path operator over the stored rows),
 (d) a single giant Cypher query.
+
+Without a graph database (d) is text only: Table X measures it, and
+Table VIII times in its place the giant SQL of (c), whose length-1 paths
+are recursive CTEs (``sql_path``).
 """
 
 from __future__ import annotations
@@ -25,7 +29,8 @@ from .cypher import compile_giant_cypher
 
 @dataclass(frozen=True)
 class CaseQueries:
-    """The four equivalent query texts for one case."""
+    """The four equivalent query texts for one case, and the giant SQL
+    of the length-1 path variant."""
 
     case_id: str
     tbql: str
@@ -33,6 +38,7 @@ class CaseQueries:
     tbql_path: str
     cypher: str
     pattern_count: int
+    sql_path: str
 
     def as_dict(self) -> dict[str, str]:
         return {"TBQL": self.tbql, "SQL": self.sql,
@@ -54,11 +60,14 @@ def build_case_queries(case: AttackCase,
     resolved = resolve_query(parse_tbql(tbql.text))
     resolved_path = resolve_query(parse_tbql(tbql_path.text))
     sql = compile_giant_sql(resolved)
+    sql_path = compile_giant_sql(resolved_path)
     cypher = compile_giant_cypher(resolved_path)
     return CaseQueries(case_id=case.case_id, tbql=tbql.text,
                        sql=_inline_sql_params(sql.sql, sql.params),
                        tbql_path=tbql_path.text, cypher=cypher,
-                       pattern_count=tbql.pattern_count)
+                       pattern_count=tbql.pattern_count,
+                       sql_path=_inline_sql_params(sql_path.sql,
+                                                   sql_path.params))
 
 
 def _inline_sql_params(sql: str, params: list) -> str:

@@ -17,15 +17,7 @@ class AuditError(ReproError):
 
 class StorageError(ReproError):
     """Raised by the storage substrate (relational store, segments,
-    snapshots) and by the giant-Cypher baseline's property graph."""
-
-
-class CypherError(StorageError):
-    """Raised when a mini-Cypher query cannot be parsed or evaluated."""
-
-    def __init__(self, message: str, position: int | None = None) -> None:
-        super().__init__(message)
-        self.position = position
+    snapshots) and by the property graph of ``repro.benchmark.cypher``."""
 
 
 class NLPError(ReproError):

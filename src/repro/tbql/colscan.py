@@ -30,8 +30,7 @@ from dataclasses import dataclass
 from functools import lru_cache, reduce
 from itertools import compress, repeat
 from operator import ge, gt, le, lt
-from typing import (Any, Callable, Iterable, Iterator, NamedTuple, Optional,
-                    Sequence)
+from typing import Any, Callable, Iterable, NamedTuple, Optional, Sequence
 
 from ..errors import TBQLSemanticError
 from ..obs.metrics import MetricsRegistry, get_registry
@@ -41,7 +40,7 @@ from ..storage.relational.schema import (ENTITY_ATTRIBUTE_COLUMNS,
 from ..storage.relational.sqlgen import like_escape
 from .ast import (AttributeComparison, AttributeFilter, BareValueFilter,
                   BooleanFilter, MembershipFilter, NegatedFilter)
-from .compiler_sql import _ENTITY_TYPE_VALUE
+from .compiler_sql import _ENTITY_TYPE_VALUE, _conjuncts
 from .semantics import ResolvedPattern, ResolvedQuery, effective_window
 
 #: Relational columns with numeric affinity (everything else is TEXT).
@@ -455,18 +454,6 @@ def _compile_filter(filt: AttributeFilter,
         raise TBQLSemanticError("bare value filters must be expanded before "
                                 "compilation")
     raise TBQLSemanticError(f"unknown attribute filter: {filt!r}")
-
-
-def _conjuncts(filt: Optional[AttributeFilter]
-               ) -> Iterator[AttributeFilter]:
-    """Top-level ``&&`` operands: WHERE keeps a conjunction exactly
-    when it keeps every operand, so each compiles (and is memoised) on
-    its own, in its own row domain."""
-    if isinstance(filt, BooleanFilter) and filt.operator == "&&":
-        for operand in filt.operands:
-            yield from _conjuncts(operand)
-    elif filt is not None:
-        yield filt
 
 
 class _Conjunct(NamedTuple):

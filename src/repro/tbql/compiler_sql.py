@@ -5,12 +5,14 @@ Two code paths, matching the evaluation setup of RQ4:
 * :func:`compile_pattern_sql` — one small *data query* per event pattern,
   executed by the scheduler (this is how ThreatRaptor runs TBQL);
 * :func:`compile_giant_sql` — a single SQL statement that weaves every
-  pattern's joins and constraints together (the hand-written SQL baseline).
+  pattern's joins and constraints together (the hand-written SQL baseline,
+  and the oracle every TBQL text is checked against: a path pattern is a
+  recursive CTE over the ``events`` rows).
 """
 
 from __future__ import annotations
 
-from typing import Any, Optional, Sequence
+from typing import Any, Iterator, Optional, Sequence
 
 from ..audit.entities import EntityType
 from ..errors import TBQLSemanticError
@@ -20,7 +22,8 @@ from ..storage.relational.sqlgen import SQLQuery, comparison, in_list
 from .ast import (AttributeComparison, AttributeFilter, BareValueFilter,
                   BooleanFilter, MembershipFilter, NegatedFilter,
                   TemporalRelation)
-from .semantics import ResolvedPattern, ResolvedQuery, effective_window
+from .semantics import (DEFAULT_MAX_PATH_LENGTH, ResolvedPattern,
+                        ResolvedQuery, effective_window)
 
 _ENTITY_TYPE_VALUE = {EntityType.FILE: "file", EntityType.PROCESS: "proc",
                       EntityType.NETWORK: "ip"}
@@ -73,6 +76,44 @@ def render_filter(filt: Optional[AttributeFilter], entity_alias: str,
                     for operand in filt.operands]
         return "(" + keyword.join(part for part in rendered if part) + ")"
     raise TBQLSemanticError(f"unknown attribute filter: {filt!r}")
+
+
+def _conjuncts(filt: Optional[AttributeFilter]
+               ) -> Iterator[AttributeFilter]:
+    """Top-level ``&&`` operands: WHERE keeps a conjunction exactly
+    when it keeps every operand, so each can be judged on its own — a
+    path's start subjects by the entity ones, a segment scan's masks
+    one per row domain."""
+    if isinstance(filt, BooleanFilter) and filt.operator == "&&":
+        for operand in filt.operands:
+            yield from _conjuncts(operand)
+    elif filt is not None:
+        yield filt
+
+
+def _reads_event(filt: AttributeFilter) -> bool:
+    """Whether :func:`render_filter` puts a leaf of ``filt`` on the
+    event alias."""
+    if isinstance(filt, NegatedFilter):
+        return _reads_event(filt.operand)
+    if isinstance(filt, BooleanFilter):
+        return any(map(_reads_event, filt.operands))
+    if isinstance(filt, (AttributeComparison, MembershipFilter)):
+        return filt.attribute.split(".")[-1] in EVENT_ATTRIBUTE_COLUMNS
+    return True
+
+
+def _split_subject_filter(pattern: ResolvedPattern
+                          ) -> tuple[list[AttributeFilter],
+                                     list[AttributeFilter]]:
+    """A path's subject filter as top-level conjuncts: those on entity
+    attributes only (they pick start subjects) and those reading an
+    event attribute (they judge a start subject with the final hop)."""
+    on_entity: list[AttributeFilter] = []
+    on_pair: list[AttributeFilter] = []
+    for conjunct in _conjuncts(pattern.subject.attr_filter):
+        (on_pair if _reads_event(conjunct) else on_entity).append(conjunct)
+    return on_entity, on_pair
 
 
 def _pattern_clauses(pattern: ResolvedPattern, query: ResolvedQuery,
@@ -173,19 +214,14 @@ def compile_giant_sql(query: ResolvedQuery) -> SQLQuery:
 
     ``and not`` absence patterns become correlated ``NOT EXISTS``
     subqueries; ``count()`` / ``group by`` / ``top`` become
-    ``GROUP BY`` / ``COUNT(*)`` / ``ORDER BY .. LIMIT``.  Every pattern
-    becomes one event, so a path pattern of any length range but exactly
-    one hop is a :class:`TBQLSemanticError`.
+    ``GROUP BY`` / ``COUNT(*)`` / ``ORDER BY .. LIMIT``.  A path pattern
+    is a recursive CTE (:func:`_path_cte`) whose final hop is the
+    pattern's event: its start is the pattern's subject, and every
+    clause of an event pattern judges the final hop.
     """
-    for pattern in query.patterns:
-        if pattern.is_path and (pattern.min_length,
-                                pattern.max_length) != (1, 1):
-            raise TBQLSemanticError(
-                f"giant SQL renders each pattern as one event, but path "
-                f"pattern {pattern.pattern_id!r} ({pattern.subject.entity_id}"
-                f" ~>({pattern.min_length}~{pattern.max_length or ''}) "
-                f"{pattern.obj.entity_id}) is not exactly one hop")
     params: list[Any] = []
+    ctes = [_path_cte(pattern, params) for pattern in query.patterns
+            if pattern.is_path]
     from_parts: list[str] = []
     clauses: list[str] = []
     alias_of_entity: dict[str, str] = {}
@@ -195,10 +231,11 @@ def compile_giant_sql(query: ResolvedQuery) -> SQLQuery:
         index = pattern.index + 1
         event_alias, subject_alias, object_alias = (f"e{index}", f"s{index}",
                                                     f"o{index}")
-        from_parts += [f"events {event_alias}", f"entities {subject_alias}",
-                       f"entities {object_alias}"]
-        clauses += [f"{event_alias}.subject_id = {subject_alias}.id",
-                    f"{event_alias}.object_id = {object_alias}.id"]
+        for table, join in _pattern_tables(pattern, event_alias,
+                                           subject_alias, object_alias):
+            from_parts.append(table)
+            if join is not None:
+                clauses.append(join)
         clauses += _pattern_clauses(pattern, query, event_alias,
                                     subject_alias, object_alias, params)
         for entity, alias in ((pattern.subject, subject_alias),
@@ -220,12 +257,13 @@ def compile_giant_sql(query: ResolvedQuery) -> SQLQuery:
         select_items.append(
             f"{_column_for(alias, attribute)} AS "
             f"{entity_id}_{attribute}")
+    with_clause = f"WITH RECURSIVE {', '.join(ctes)} " if ctes else ""
     if query.aggregation is not None:
         group_cols = ", ".join(
             _column_for(alias_of_entity[entity_id], attribute)
             for entity_id, attribute in query.aggregation.group_by)
         select = select_items + ["COUNT(*) AS count"]
-        sql = ("SELECT " + ", ".join(select) +
+        sql = (with_clause + "SELECT " + ", ".join(select) +
                " FROM " + ", ".join(from_parts) +
                " WHERE " + " AND ".join(clauses))
         if group_cols:
@@ -235,10 +273,59 @@ def compile_giant_sql(query: ResolvedQuery) -> SQLQuery:
             sql += f" LIMIT {query.aggregation.top_n}"
         return SQLQuery(sql=sql, params=params)
     distinct = "DISTINCT " if query.distinct else ""
-    sql = (f"SELECT {distinct}" + ", ".join(select_items) +
+    sql = (f"{with_clause}SELECT {distinct}" + ", ".join(select_items) +
            " FROM " + ", ".join(from_parts) +
            " WHERE " + " AND ".join(clauses))
     return SQLQuery(sql=sql, params=params)
+
+
+def _path_cte(pattern: ResolvedPattern, params: list[Any]) -> str:
+    """``p{i}(start_id, node, hops, trail, last_id)``: every trail of
+    at most ``max_length`` events (an unbounded ``~>`` stops at
+    :data:`~repro.tbql.semantics.DEFAULT_MAX_PATH_LENGTH`) from each
+    start subject — the subject type and the subject filter's entity
+    conjuncts — ending at ``node`` after the event ``last_id``.  The
+    trail lists the event ids as ``,id,id,`` so that ``instr`` keeps an
+    event from repeating."""
+    path = f"p{pattern.index + 1}"
+    anchor = ["s.type = ?"]
+    params.append(_ENTITY_TYPE_VALUE[pattern.subject.entity_type])
+    on_entity, _on_pair = _split_subject_filter(pattern)
+    anchor += [render_filter(conjunct, "s", "e", params) or "1"
+               for conjunct in on_entity]
+    max_hops = pattern.max_length or DEFAULT_MAX_PATH_LENGTH
+    return (f"{path}(start_id, node, hops, trail, last_id) AS ("
+            "SELECT s.id, s.id, 0, ',', NULL FROM entities s WHERE " +
+            " AND ".join(anchor) +
+            f" UNION ALL SELECT {path}.start_id, e.object_id, "
+            f"{path}.hops + 1, {path}.trail || e.id || ',', e.id "
+            f"FROM {path} JOIN events e ON e.subject_id = {path}.node "
+            f"WHERE {path}.hops < {max_hops} "
+            f"AND instr({path}.trail, ',' || e.id || ',') = 0)")
+
+
+def _pattern_tables(pattern: ResolvedPattern, event_alias: str,
+                    subject_alias: str, object_alias: str
+                    ) -> list[tuple[str, Optional[str]]]:
+    """The tables binding one pattern's aliases, each with the clause
+    joining it to those before it (``None`` for the first).  A path's
+    event is its final hop and its subject the start of the trail: a
+    row of its CTE of at least ``min_length`` hops."""
+    object_join = (f"entities {object_alias}",
+                   f"{event_alias}.object_id = {object_alias}.id")
+    if not pattern.is_path:
+        return [(f"events {event_alias}", None),
+                (f"entities {subject_alias}",
+                 f"{event_alias}.subject_id = {subject_alias}.id"),
+                object_join]
+    path = f"p{pattern.index + 1}"
+    return [(path, None),
+            (f"events {event_alias}",
+             f"{event_alias}.id = {path}.last_id "
+             f"AND {path}.hops >= {pattern.min_length}"),
+            (f"entities {subject_alias}",
+             f"{subject_alias}.id = {path}.start_id"),
+            object_join]
 
 
 def _negation_clause(pattern: ResolvedPattern, query: ResolvedQuery,
@@ -248,6 +335,8 @@ def _negation_clause(pattern: ResolvedPattern, query: ResolvedQuery,
     index = pattern.index + 1
     event_alias, subject_alias, object_alias = (f"ne{index}", f"ns{index}",
                                                 f"no{index}")
+    (first, _none), *joined = _pattern_tables(pattern, event_alias,
+                                              subject_alias, object_alias)
     inner = _pattern_clauses(pattern, query, event_alias, subject_alias,
                              object_alias, params)
     for entity, alias in ((pattern.subject, subject_alias),
@@ -255,12 +344,8 @@ def _negation_clause(pattern: ResolvedPattern, query: ResolvedQuery,
         outer = alias_of_entity.get(entity.entity_id)
         if outer is not None:
             inner.append(f"{alias}.id = {outer}.id")
-    return ("NOT EXISTS (SELECT 1 "
-            f"FROM events {event_alias} "
-            f"JOIN entities {subject_alias} "
-            f"ON {event_alias}.subject_id = {subject_alias}.id "
-            f"JOIN entities {object_alias} "
-            f"ON {event_alias}.object_id = {object_alias}.id "
+    return (f"NOT EXISTS (SELECT 1 FROM {first} " +
+            "".join(f"JOIN {table} ON {join} " for table, join in joined) +
             "WHERE " + " AND ".join(inner) + ")")
 
 

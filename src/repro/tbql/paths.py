@@ -20,6 +20,9 @@ pattern filters, the operations, the window and the pushed object ids.
 As in an event pattern, event attributes judge the event — the final
 hop — also inside the subject filter.  Start subjects are expanded in
 ascending id order, each with a LIFO stack over edges in id order.
+Giant SQL (:func:`~repro.tbql.compiler_sql.compile_giant_sql`) renders
+this same definition as a recursive CTE over the ``events`` rows, the
+oracle the operator's answers are tested against.
 
 The adjacency is memoised per store and built once however many readers
 race for it; after an append it is extended from its high-water event
@@ -39,8 +42,8 @@ from ..obs.trace import start_span
 from ..storage.dualstore import DualStore
 from ..storage.relational.sqlgen import in_list
 from .ast import AttributeFilter
-from .colscan import _conjuncts, _domains
-from .compiler_sql import _pattern_clauses, render_filter
+from .compiler_sql import (_pattern_clauses, _split_subject_filter,
+                           render_filter)
 from .semantics import DEFAULT_MAX_PATH_LENGTH, ResolvedPattern, ResolvedQuery
 
 #: One stored event: ``(event id, subject id, object id, operation,
@@ -130,20 +133,6 @@ def adjacency(store: DualStore) -> Adjacency:
 
 def _select_ids(store: DualStore, sql: str, params: list[Any]) -> list[int]:
     return [row[0] for row in store.relational.select_tuples(sql, params)]
-
-
-def _split_subject_filter(pattern: ResolvedPattern
-                          ) -> tuple[list[AttributeFilter],
-                                     list[AttributeFilter]]:
-    """The subject filter's top-level conjuncts: those on entity
-    attributes only (they pick start subjects) and those reading an
-    event attribute (they judge a start subject with the final hop)."""
-    on_entity: list[AttributeFilter] = []
-    on_pair: list[AttributeFilter] = []
-    for conjunct in _conjuncts(pattern.subject.attr_filter):
-        (on_entity if _domains(conjunct) == {"entity"}
-         else on_pair).append(conjunct)
-    return on_entity, on_pair
 
 
 def _start_ids(store: DualStore, pattern: ResolvedPattern,

@@ -7,7 +7,7 @@ the graph side.  The batched loader must store exactly what it stored —
 same rows, same ids — and the ingestion benchmark times the two against
 each other.  Stores hold no graph any more, so :class:`RowwiseDualStore`
 loads the rows only; :func:`graph_from_events_itemwise` stays as the
-oracle of the giant-Cypher baseline's bulk ``graph_from_events``.  The
+oracle of ``repro.benchmark.cypher``'s bulk ``graph_from_events``.  The
 bodies below are the old code verbatim, with ``self`` renamed where a
 method became a function.  Test-only — nothing under ``src/`` imports
 this module.

@@ -10,7 +10,7 @@ from repro.benchmark import (ALL_CASES, CaseBuilder, PRF, aggregate,
                              run_extraction_accuracy, run_hunting_accuracy,
                              score_hunting, score_ioc_entities,
                              score_ioc_relations, score_sets, step_signature)
-from repro.benchmark.cypher import execute_cypher, graph_from_store
+from repro.benchmark.cypher import graph_from_store
 from repro.errors import BenchmarkError
 from repro.hunting import ThreatRaptor
 
@@ -140,17 +140,22 @@ class TestQueries:
         assert "SELECT" in queries.sql
         assert "MATCH" in queries.cypher
         assert "?" not in queries.sql          # params inlined for counting
+        assert queries.sql_path.startswith("WITH RECURSIVE p1(")
+        assert "?" not in queries.sql_path
 
     def test_variants_return_same_answer(self):
         case = get_case("tc_clearscope_2")
         store, _ = build_case_store(case, benign_sessions=5)
         queries = build_case_queries(case)
         raptor = ThreatRaptor(store=store)
-        tbql_rows = raptor.execute_tbql(queries.tbql).rows
-        sql_rows = store.execute_sql(queries.sql)
-        cypher_rows = execute_cypher(graph_from_store(store),
-                                     queries.cypher)
-        assert len(tbql_rows) == len(sql_rows) == len(cypher_rows) == 1
+        answers = [
+            [list(row.values()) for row in rows] for rows in (
+                raptor.execute_tbql(queries.tbql).rows,
+                store.execute_sql(queries.sql),
+                raptor.execute_tbql(queries.tbql_path).rows,
+                store.execute_sql(queries.sql_path))]
+        assert len(answers[0]) == 1
+        assert all(answer == answers[0] for answer in answers)
         store.close()
 
 
@@ -187,3 +192,29 @@ class TestDrivers:
         text = format_table([{"a": 1, "b": 2.5}, {"a": 10, "b": 0.123}])
         assert "a" in text.splitlines()[0]
         assert len(text.splitlines()) == 4
+
+
+class TestResultTables:
+    @pytest.mark.parametrize("disable, enable, written", [
+        (True, False, False), (True, True, True), (False, False, True)],
+        ids=["disabled", "disabled_then_enabled", "timed"])
+    def test_only_a_timed_run_writes_its_table(self, tmp_path, monkeypatch,
+                                               disable, enable, written):
+        """A ``--benchmark-disable`` smoke run leaves the committed
+        ``benchmarks/results`` tables alone; ``--benchmark-enable``
+        overrides it, as in pytest-benchmark."""
+        from benchmarks import conftest as bench
+
+        class Config:
+            @staticmethod
+            def getoption(name):
+                return {"benchmark_disable": disable,
+                        "benchmark_enable": enable}[name]
+
+        monkeypatch.setattr(bench, "RESULTS_DIR", tmp_path)
+        monkeypatch.setattr(bench, "_timed", True)
+        bench.pytest_configure(Config())
+        path = bench.write_result_table("table", "a  b")
+        assert sorted(tmp_path.iterdir()) == ([tmp_path / "table.txt"]
+                                              if written else [])
+        assert (path is not None) == written

@@ -3,8 +3,8 @@
 However appends, seals, compactions, reads and a reload interleave, the
 path adjacency a store extends in place equals one built from its
 relational rows in one go and the out-edges of :func:`graph_from_events`
-over the events it stored; the giant-Cypher baseline's
-:func:`graph_from_store` equals that graph too: node and edge ids,
+over the events it stored; :func:`graph_from_store` of
+``repro.benchmark.cypher`` equals that graph too: node and edge ids,
 labels, property keys in order, and value types.  Snapshots written
 while ``graph.bin`` was part of the format open and answer the same
 whether that file is intact, empty, damaged or missing, and a resave
@@ -29,8 +29,8 @@ from repro.audit import AuditCollector, CollectorConfig, \
 from repro.audit.logfmt import format_log
 from repro.audit.parser import parse_audit_log
 from repro.errors import StorageError
-from repro.benchmark.cypher import (PropertyGraph, execute_cypher,
-                                    graph_from_events, graph_from_store)
+from repro.benchmark.cypher import (PropertyGraph, graph_from_events,
+                                    graph_from_store)
 from repro.benchmark.cypher.graphdb import (INDEXED_EDGE_PROPERTIES,
                                             INDEXED_NODE_PROPERTIES)
 from repro.storage import DualStore
@@ -41,8 +41,6 @@ from repro.tbql.paths import Adjacency, adjacency
 
 from .conftest import record_data_leak_attack, snapshot_files
 from .test_path_adjacency import PATH_TEXTS
-
-CYPHER = "MATCH (p:proc)-[e:EVENT]->(f:file) RETURN DISTINCT p.exename"
 
 #: A snapshot saved while the format still held ``graph.bin`` (v3).
 _PR13_SNAPSHOT = Path(__file__).parent / "fixtures" / "snapshot_v3_pr13"
@@ -148,9 +146,9 @@ def _graph_bin(directory: Path) -> tuple[list, list]:
 
 def _answers(directory: Path) -> tuple:
     with DualStore.open(directory) as store:
-        return ([TBQLExecutor(store).execute(text).rows
-                 for text in PATH_TEXTS],
-                execute_cypher(graph_from_store(store), CYPHER),
+        executor = TBQLExecutor(store)
+        return ([executor.execute(text).rows for text in PATH_TEXTS],
+                [executor.execute_giant_sql(text) for text in PATH_TEXTS],
                 [[(sorted(alignment.mapping.items()), alignment.score,
                    alignment.node_names)
                   for alignment in FuzzySearcher(store).search(text)
@@ -174,8 +172,8 @@ def test_a_graph_bin_is_ignored_intact_or_empty(intact, tmp_path):
     shutil.copytree(_PR13_SNAPSHOT, empty)
     (empty / "graph.bin").write_bytes(b"")
     before = snapshot_files(empty)
-    paths, cypher, fuzzy, graph = answers
-    assert all(paths) and cypher and all(fuzzy)
+    paths, giant_sql, fuzzy, graph = answers
+    assert all(paths) and all(giant_sql) and all(fuzzy)
     assert _answers(empty) == answers
     assert snapshot_files(empty) == before
     # The graph derived from the rows is the graph the old build saved.

@@ -1,10 +1,11 @@
 """The engine holds no graph store and no Cypher.
 
-Path patterns run on the stored rows (``repro.tbql.paths``); the
-property graph and mini-Cypher live in ``repro.benchmark.cypher`` as the
-giant-Cypher baseline.  Importing every engine package and the CLI in a
-fresh interpreter loads neither that package nor any other
-``repro.benchmark`` or Cypher module.
+Path patterns run on the stored rows (``repro.tbql.paths``), and giant
+SQL renders them as recursive CTEs; the property graph and the giant-
+Cypher compiler, whose text Tables VIII and X list, live in
+``repro.benchmark.cypher``, and nothing runs Cypher.  Importing every
+engine package and the CLI in a fresh interpreter loads neither that
+package nor any other ``repro.benchmark`` or Cypher module.
 """
 
 from __future__ import annotations

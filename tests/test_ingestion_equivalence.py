@@ -3,9 +3,10 @@
 The batched loader (streaming reduction, single build pass, chunked
 ``executemany``) must store data *identical* to the row-at-a-time
 reference loader kept in ``tests/reference/ingest_rowwise.py`` — same
-relational rows, same id assignment — and the giant-Cypher baseline's
-bulk graph construction must build the graph its item-wise reference
-builds, from the events and from the stored rows alike.
+relational rows, same id assignment — and the bulk property-graph
+construction of ``repro.benchmark.cypher`` must build the graph its
+item-wise reference builds, from the events and from the stored rows
+alike.
 """
 
 import pytest

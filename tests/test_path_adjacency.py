@@ -24,7 +24,7 @@ import pytest
 
 from repro.audit import AuditCollector, CollectorConfig, \
     generate_benign_noise
-from repro.benchmark.cypher import graph_from_store
+from repro.benchmark.cypher import PropertyGraph, graph_from_store
 from repro.obs.trace import start_trace
 from repro.service import QueryService, ServiceClient
 from repro.storage import DualStore
@@ -36,7 +36,6 @@ from repro.tbql.paths import Adjacency, adjacency
 from repro.tbql.semantics import resolve_query
 
 from .conftest import start_server, stop_server
-from .reference.cypher_paths import provenance_index_from_graph
 from .test_streaming_engine import EXFIL_RULE, _attack_batches
 from .test_tbql_join_equivalence import EQUIVALENCE_CORPUS
 
@@ -344,6 +343,25 @@ def test_open_and_path_adjacency_spans(snapshot, source):
     assert len(builds) == 1
     assert builds[0].attributes == {
         "edges": source.relational.count_events()}
+
+
+def provenance_index_from_graph(graph: PropertyGraph) -> ProvenanceIndex:
+    """The fuzzy search's index built straight from a property graph —
+    the construction ``ProvenanceIndex.from_store`` replaced."""
+    index = ProvenanceIndex()
+    for node in graph.nodes():
+        properties = node.properties
+        index.node_names[node.node_id] = (
+            properties.get("dstip") or properties.get("path") or
+            properties.get("exename") or properties.get("name") or "")
+        index.node_types[node.node_id] = properties.get("type", "")
+    for edge in graph.edges():
+        properties = edge.properties
+        index.edges.add([(edge.edge_id, edge.source, edge.target,
+                          properties.get("operation", ""),
+                          properties.get("start_time", 0.0),
+                          properties.get("end_time", 0.0))])
+    return index
 
 
 def _generated_store() -> DualStore:

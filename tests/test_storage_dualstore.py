@@ -100,7 +100,7 @@ class TestDualStore:
 
 class TestErrorHierarchy:
     def test_all_errors_derive_from_repro_error(self):
-        for name in ("AuditError", "StorageError", "CypherError", "NLPError",
+        for name in ("AuditError", "StorageError", "NLPError",
                      "ExtractionError", "TBQLError", "TBQLSyntaxError",
                      "TBQLSemanticError", "SynthesisError", "ExecutionError",
                      "BenchmarkError"):
@@ -115,10 +115,6 @@ class TestErrorHierarchy:
         error = errors.TBQLSyntaxError("bad token", line=3, column=7)
         assert "line 3" in str(error)
         assert error.line == 3 and error.column == 7
-
-    def test_cypher_error_position(self):
-        error = errors.CypherError("oops", position=12)
-        assert error.position == 12
 
     def test_catching_base_class_catches_subsystem_errors(self):
         from repro.tbql.parser import parse_tbql

@@ -4,8 +4,6 @@ import pytest
 
 from repro.audit.entities import (FileEntity, Operation, ProcessEntity,
                                   SystemEvent)
-from repro.benchmark.cypher import (compile_giant_cypher, execute_cypher,
-                                    graph_from_store)
 from repro.errors import TBQLSemanticError
 from repro.storage import DualStore
 from repro.tbql.executor import TBQLExecutor
@@ -209,18 +207,19 @@ class TestExecutor:
         assert len(rows) == 1
         assert rows[0]["p1_exename"] == "/bin/tar"
 
-    def test_giant_cypher_baseline_agrees(self, data_leak_store,
-                                          data_leak_extraction):
+    def test_giant_sql_of_the_path_variant_agrees(self, data_leak_store,
+                                                  data_leak_extraction):
         from repro.tbql.synthesis import SynthesisPlan, TBQLSynthesizer
         plan = SynthesisPlan(use_path_patterns=True, fuzzy_paths=False,
                              temporal_order=False)
         text = TBQLSynthesizer(plan).synthesize(
             data_leak_extraction.graph).text
-        rows = execute_cypher(graph_from_store(data_leak_store),
-                              compile_giant_cypher(resolve_query(
-                                  parse_tbql(text))))
+        executor = TBQLExecutor(data_leak_store)
+        rows = executor.execute_giant_sql(text)
         assert len(rows) == 1
         assert rows[0]["i1_dstip"] == "192.168.29.128"
+        assert list(rows[0].values()) == \
+            list(executor.execute(text).rows[0].values())
 
 
 class _ClearingExecutor(TBQLExecutor):

@@ -18,12 +18,9 @@ from repro.storage import DualStore
 from repro.storage.relational import RelationalStore
 from repro.tbql.executor import (MAX_CANDIDATE_PUSHDOWN, PlanStep,
                                  TBQLExecutor, _canonical_key, _display_name)
-from repro.tbql.parser import parse_tbql
 from repro.tbql.paths import adjacency
-from repro.tbql.semantics import resolve_query
 
 from .conftest import DATA_LEAK_EDGES
-from .reference.cypher_paths import compile_pattern_cypher
 from .reference.executor_seed import BacktrackingJoinExecutor
 
 #: Multi-pattern TBQL corpus executed through both join strategies.
@@ -245,15 +242,6 @@ class TestBatchedHydration:
 
 
 class TestPathCandidatePushdown:
-    def test_compile_pattern_cypher_injects_allowlists(self):
-        resolved = resolve_query(parse_tbql(
-            'proc p ~>(1~3)[read] file f return p'))
-        cypher = compile_pattern_cypher(resolved.patterns[0], resolved,
-                                        subject_candidates=[3, 1, 2],
-                                        object_candidates=[9])
-        assert "s.id IN [3, 1, 2]" in cypher
-        assert "o.id IN [9]" in cypher
-
     def test_path_pattern_receives_candidates(self, data_leak_store):
         result = TBQLExecutor(data_leak_store).execute(
             'proc p["%/usr/bin/curl%"] read file f["%/tmp/upload%"] as e1 '

@@ -385,8 +385,7 @@ class TestJoinStrategyEquivalenceV2:
 
 
 class TestGiantBaselinesV2:
-    @pytest.mark.parametrize("text", [
-        text for text in V2_CORPUS if "~>" not in text])
+    @pytest.mark.parametrize("text", V2_CORPUS)
     def test_giant_sql_agrees_with_executor(self, v2_store, text):
         executor = TBQLExecutor(v2_store)
         resolved = resolve_query(parse_tbql(text))
