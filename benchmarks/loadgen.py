@@ -4,9 +4,10 @@ Drives many concurrent *keep-alive* clients against a running server —
 each client is one coroutine holding one TCP connection for its whole
 request train — and reports throughput (qps) plus latency quantiles
 (p50/p99).  Used by the ``service_http`` metric of
-``benchmarks/regression_gate.py``; the HTTP side is raw
-``asyncio.open_connection`` so a thousand clients cost one driver
-thread, not a thousand.
+``benchmarks/regression_gate.py`` and by ``tests/test_async_service.py``;
+the HTTP side is raw ``asyncio.open_connection`` so a thousand clients
+cost one driver thread, not a thousand.  (The end-to-end harness paces
+its own open-loop requests, ``benchmarks/e2e/loadgen.py``.)
 
 All clients connect first, then start firing together (a start barrier),
 so the timed window measures request serving rather than connection

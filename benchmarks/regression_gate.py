@@ -296,8 +296,9 @@ def measure_service_http() -> dict:
     """
     import threading
 
+    from benchmarks.loadgen import run_load
     from repro.service import (AsyncThreatHuntingServer, QueryService,
-                               ServiceClient, route, run_load)
+                               ServiceClient, route)
 
     events = generate_benign_noise(SESSIONS, seed=29)
     queries = [

@@ -10,8 +10,7 @@ captures the order of the threat steps, which query synthesis later turns into
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-
-import networkx as nx
+from typing import Any
 
 from .ioc import IOCType
 from .merge import MergedIOC
@@ -66,9 +65,12 @@ class ThreatBehaviorGraph:
     def predecessors(self, ioc: str) -> list[BehaviorEdge]:
         return [edge for edge in self.edges if edge.target == ioc]
 
-    def to_networkx(self) -> nx.MultiDiGraph:
-        """Export to a networkx multigraph (used by examples and tests)."""
-        graph = nx.MultiDiGraph()
+    def to_networkx(self) -> Any:
+        """Export to a ``networkx.MultiDiGraph``.  networkx is no runtime
+        dependency (only the ``test`` extra lists it): imported here."""
+        import networkx
+
+        graph = networkx.MultiDiGraph()
         for node in self.nodes:
             graph.add_node(node.ioc,
                            ioc_type=node.ioc_type.value if node.ioc_type

@@ -14,7 +14,6 @@ from .aserver import (DEFAULT_EXEC_THREADS, DEFAULT_QUEUE_LIMIT,
                       AsyncThreatHuntingServer)
 from .cache import LRUCache
 from .client import ServiceClient
-from .loadgen import LoadResult, run_load
 from .server import (DEFAULT_MAX_BODY_BYTES, DEFAULT_PLAN_CACHE_SIZE,
                      DEFAULT_RESULT_CACHE_SIZE, QueryService,
                      canonical_endpoint, observe_request, parse_json_body,
@@ -27,8 +26,6 @@ __all__ = [
     "ServiceClient",
     "QueryService",
     "AsyncThreatHuntingServer",
-    "LoadResult",
-    "run_load",
     "serve",
     "route",
     "parse_json_body",

@@ -7,8 +7,7 @@ interned-string codes), the entity rows those events join against, and
 a shared interned string table.  The file is read back via :mod:`mmap`,
 so a scan reads the OS page cache instead of materializing Python row
 tuples, and every column is exposed zero-copy through
-:class:`memoryview` casts (or :mod:`numpy` views when numpy is
-importable).
+:class:`memoryview` casts and :mod:`numpy` views.
 
 Layout::
 
@@ -32,7 +31,6 @@ from __future__ import annotations
 
 import json
 import mmap
-import os
 import struct
 import sys
 import threading
@@ -41,13 +39,10 @@ from bisect import bisect_left, bisect_right
 from pathlib import Path
 from typing import Any, Callable, Iterable, Optional, Sequence
 
+import numpy as np
+
 from ..errors import StorageError
 from .relational.schema import ENTITY_COLUMNS
-
-try:  # pragma: no cover - exercised via REPRO_COLUMNAR_NUMPY toggle
-    import numpy as _numpy
-except ImportError:  # pragma: no cover - numpy-less environments
-    _numpy = None  # type: ignore[assignment]
 
 #: File magic of an ``events.col`` payload.
 COLUMNAR_MAGIC = b"RPRCOL01"
@@ -72,17 +67,10 @@ FILTER_MEMO_BYTES = 2 << 20
 
 _ENTITY_INDEX = {name: index for index, name in enumerate(ENTITY_COLUMNS)}
 
-_TYPECODE_SIZE = {"q": 8, "d": 8, "I": 4, "Q": 8}
+_NP_DTYPE = {"q": np.int64, "d": np.float64, "I": np.uint32, "Q": np.uint64}
 
 _ASCII_LOWER = str.maketrans("ABCDEFGHIJKLMNOPQRSTUVWXYZ",
                              "abcdefghijklmnopqrstuvwxyz")
-
-
-def numpy_module() -> Any:
-    """numpy, unless absent or disabled via ``REPRO_COLUMNAR_NUMPY=0``."""
-    if os.environ.get("REPRO_COLUMNAR_NUMPY", "").strip() == "0":
-        return None
-    return _numpy
 
 
 def ascii_lower(text: str) -> str:
@@ -401,7 +389,7 @@ class ColumnarSegment:
         self._lowered_blob: Optional[bytes] = None
         self._filter_memo: dict[str, bytes] = {}
         self._filter_memo_lock = threading.Lock()
-        self._entity_rows: Optional[tuple[array, array]] = None
+        self._entity_rows: Optional[tuple[Any, Any]] = None
 
     def _section(self, name: str) -> tuple[int, int, str]:
         try:
@@ -421,14 +409,13 @@ class ColumnarSegment:
             self._views[name] = view
         return view
 
-    def np_column(self, name: str, np: Any) -> Any:
-        """Zero-copy numpy view of one section (``np`` = numpy module)."""
+    def np_column(self, name: str) -> Any:
+        """Zero-copy numpy view of one section."""
         key = ("np", name)
         view = self._views.get(key)
         if view is None:
             start, nbytes, typecode = self._section(name)
-            dtype = np.dtype({"q": np.int64, "d": np.float64,
-                              "I": np.uint32, "Q": np.uint64}[typecode])
+            dtype = np.dtype(_NP_DTYPE[typecode])
             view = np.frombuffer(self._mm, dtype=dtype,
                                  count=nbytes // dtype.itemsize,
                                  offset=start)
@@ -517,48 +504,33 @@ class ColumnarSegment:
                 excess -= len(memo.pop(next(iter(memo))))
         return mask, False
 
-    def entity_rows(self) -> tuple[array, array]:
+    def entity_rows(self) -> tuple[Any, Any]:
         """Entity-block row of each event's subject and of its object:
-        two ``array('q')`` aligned with the event rows.
+        two int64 arrays aligned with the event rows.
 
         Resolved once per reader, so no scan looks an id up again,
         whether the block holds ids ``1..N`` (payloads sealed before
-        blocks held referenced rows only) or any ascending subset, by
-        ``searchsorted`` under :func:`numpy_module`, else by a dict.
-        Threads racing on the first call each build the same arrays.
+        blocks held referenced rows only) or any ascending subset: one
+        ``searchsorted`` per side over the sorted id column, then a
+        check that every position holds the id sought.  Threads racing
+        on the first call each build the same arrays.
         """
         rows = self._entity_rows
         if rows is not None:
             return rows
-        sides = ("event.subject_id", "event.object_id")
-        np = numpy_module()
-        try:
-            if np is None:
-                row_of = {entity_id: row for row, entity_id
-                          in enumerate(self.column("entity.id"))}
-                subject_rows, object_rows = (
-                    array("q", map(row_of.__getitem__, self.column(name)))
-                    for name in sides)
-            else:
-                # The block is sorted by id: one binary search per side,
-                # then a check that every position holds the id sought.
-                ids = self.np_column("entity.id", np)
-                resolved: list[array] = []
-                for name in sides:
-                    wanted = self.np_column(name, np)
-                    found = np.searchsorted(ids, wanted)
-                    exact = found < ids.size
-                    exact[exact] = ids[found[exact]] == wanted[exact]
-                    if not exact.all():
-                        raise KeyError(int(wanted[~exact][0]))
-                    resolved.append(array("q", found.astype(
-                        np.int64, copy=False).tobytes()))
-                subject_rows, object_rows = resolved
-        except KeyError as exc:
-            raise StorageError(
-                f"columnar payload {self.path} has no entity row for "
-                f"id {exc.args[0]}") from exc
-        rows = self._entity_rows = (subject_rows, object_rows)
+        ids = self.np_column("entity.id")
+        resolved: list[Any] = []
+        for name in ("event.subject_id", "event.object_id"):
+            wanted = self.np_column(name)
+            found = np.searchsorted(ids, wanted)
+            exact = found < ids.size
+            exact[exact] = ids[found[exact]] == wanted[exact]
+            if not exact.all():
+                raise StorageError(
+                    f"columnar payload {self.path} has no entity row for "
+                    f"id {int(wanted[~exact][0])}")
+            resolved.append(found.astype(np.int64, copy=False))
+        rows = self._entity_rows = (resolved[0], resolved[1])
         return rows
 
     def close(self) -> None:
@@ -574,4 +546,4 @@ class ColumnarSegment:
 __all__ = ["COLUMNAR_FORMAT_VERSION", "COLUMNAR_MAGIC", "NULL_INT",
            "ENTITY_STRING_COLUMNS", "ENTITY_INT_COLUMNS",
            "EVENT_STRING_COLUMNS", "EventColumns", "ColumnarSegment",
-           "ascii_lower", "numpy_module", "write_columnar"]
+           "ascii_lower", "write_columnar"]

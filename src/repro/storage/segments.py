@@ -29,11 +29,12 @@ see :meth:`SegmentInfo.overlaps_window`.
 from __future__ import annotations
 
 import json
-from array import array
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
 from typing import Any, Mapping, Optional
+
+import numpy as np
 
 from ..errors import StorageError
 from .columnar import ColumnarSegment
@@ -159,11 +160,11 @@ def collect_segment_stats(columnar_path: str | Path
                 if len(codes) <= STATS_DISTINCT_CAP:
                     distinct[column] = tuple(
                         sorted(strings[code] for code in codes))
-        types = segment.column("entity.type")
+        types = segment.np_column("entity.type")
         strings = segment.strings
 
-        def _side_types(rows: array) -> tuple[str, ...]:
-            codes = {types[row] for row in set(rows)}
+        def _side_types(rows: Any) -> tuple[str, ...]:
+            codes = set(np.unique(types[rows]).tolist())
             codes.discard(0)
             return tuple(sorted(strings[code] for code in codes))
 

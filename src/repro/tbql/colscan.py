@@ -25,16 +25,17 @@ import re
 import threading
 from array import array
 from bisect import bisect_left, bisect_right
-from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 from itertools import compress, repeat
 from operator import ge, gt, le, lt
 from typing import Any, Callable, Iterable, NamedTuple, Optional, Sequence
 
+import numpy as np
+
 from ..errors import TBQLSemanticError
 from ..obs.metrics import MetricsRegistry, get_registry
-from ..storage.columnar import NULL_INT, ColumnarSegment, numpy_module
+from ..storage.columnar import NULL_INT, ColumnarSegment
 from ..storage.relational.schema import (ENTITY_ATTRIBUTE_COLUMNS,
                                          EVENT_ATTRIBUTE_COLUMNS)
 from ..storage.relational.sqlgen import like_escape
@@ -343,8 +344,7 @@ def _bitwise(fold: Callable[[int, int], int],
                   ).to_bytes(len(vectors[0]), "little")
 
 
-def _tri_vector(segment: ColumnarSegment, filt: AttributeFilter,
-                np: Any) -> bytes:
+def _tri_vector(segment: ColumnarSegment, filt: AttributeFilter) -> bytes:
     """Tri-valued verdict of ``filt`` for every entity row (or every
     event row), one byte each.
 
@@ -353,11 +353,11 @@ def _tri_vector(segment: ColumnarSegment, filt: AttributeFilter,
     vectors.  The caller guarantees one domain (:func:`_domains`).
     """
     if isinstance(filt, NegatedFilter):
-        return _tri_vector(segment, filt.operand, np).translate(_KLEENE_NOT)
+        return _tri_vector(segment, filt.operand).translate(_KLEENE_NOT)
     if isinstance(filt, BooleanFilter):
         return _bitwise(
             int.__and__ if filt.operator == "&&" else int.__or__,
-            [_tri_vector(segment, operand, np) for operand in filt.operands])
+            [_tri_vector(segment, operand) for operand in filt.operands])
     section, numeric, _on_event = _resolve(filt.attribute)
     if numeric:
         # Entity pid or port: one closure verdict per entity row.
@@ -365,10 +365,8 @@ def _tri_vector(segment: ColumnarSegment, filt: AttributeFilter,
         return bytes(_TRI[predicate(index, 0)]
                      for index in range(segment.entity_count))
     table = _code_table(segment, filt)
-    if np is not None:
-        return np.frombuffer(table, np.uint8)[
-            segment.np_column(section, np)].tobytes()
-    return bytes([table[code] for code in segment.column(section)])
+    return np.frombuffer(table, np.uint8)[
+        segment.np_column(section)].tobytes()
 
 
 def _domains(filt: AttributeFilter) -> set[str]:
@@ -388,20 +386,20 @@ def _domains(filt: AttributeFilter) -> set[str]:
     return {"row"}
 
 
-def _filter_mask(segment: ColumnarSegment, conjunct: "_Conjunct",
-                 np: Any) -> Optional[tuple[bytes, bool, Optional[bool]]]:
+def _filter_mask(segment: ColumnarSegment, conjunct: "_Conjunct"
+                 ) -> Optional[tuple[bytes, bool, Optional[bool]]]:
     """``(pass mask, is_event_domain, was_memo_hit)`` of one conjunct,
     or ``None`` when it needs the per-row closure.
 
     One 0/1 byte per entity row (or event row): whether the filter is
     TRUE there — WHERE keeps TRUE only, so NULL folds to 0.  Memoised
-    on the immutable segment; both evaluators read the same bytes.
+    on the immutable segment.
     """
     if conjunct.domain is None:
         return None
 
     def build() -> bytes:
-        return _tri_vector(segment, conjunct.filt, np).translate(_ONLY_TRUE)
+        return _tri_vector(segment, conjunct.filt).translate(_ONLY_TRUE)
     mask, hit = segment.filter_mask(conjunct.key, build)
     return mask, conjunct.domain == "event", hit
 
@@ -486,14 +484,14 @@ def last_filter_table_counts() -> tuple[int, int]:
 
 class CompiledScan:
     """A :class:`PatternSpec` compiled once per plan step: all that no
-    segment changes (numpy module, conjuncts, operations, pushed ids and
-    where they live, readers, memo hit/build sums).  Per segment is what
-    reads its own bytes: dictionary codes, memoised masks, selection."""
+    segment changes (conjuncts, operations, pushed ids and where they
+    live, readers, memo hit/build sums).  Per segment is what reads its
+    own bytes: dictionary codes, memoised masks, selection."""
 
     def __init__(self, spec: PatternSpec, paths: Iterable[str] = (),
                  readers: Optional[dict[str, ColumnarSegment]] = None
                  ) -> None:
-        self.spec, self.np = spec, numpy_module()
+        self.spec = spec
         self.paths = tuple(paths)   # every sealed payload of the store
         self._readers = dict(readers or {})
         self.conjuncts = tuple(
@@ -525,7 +523,7 @@ class CompiledScan:
         Sound: an event's entity ids are all in its segment's block."""
         if self._found is None:
             blocks = tuple(self.readers(self.paths))
-            index = _block_index(blocks, self.np)
+            index = _block_index(blocks)
             sides = [(on_subject, index.search(ids))
                      for on_subject, ids in self.pushed]
             common = set.intersection(*(set(found) for _, found in sides))
@@ -564,21 +562,12 @@ class _BlockIndex:
     """Blocks' ``entity.id`` columns merged: ``ids`` ascending, ``where``
     each id's block position in the tuple, ``rows`` its row there."""
 
-    def __init__(self, blocks: tuple[ColumnarSegment, ...], np: Any
-                 ) -> None:
-        if np is None:
-            merged = sorted((entity_id, where, row)
-                            for where, block in enumerate(blocks)
-                            for row, entity_id in enumerate(
-                                block.column("entity.id")))
-            self.ids, self.where, self.rows = (array("q", [
-                entry[part] for entry in merged]) for part in range(3))
-            return
-        columns = [block.np_column("entity.id", np) for block in blocks]
+    def __init__(self, blocks: tuple[ColumnarSegment, ...]) -> None:
+        columns = [block.np_column("entity.id") for block in blocks]
         sizes = [column.size for column in columns]
         ids = np.concatenate(columns)
         # Each block is sorted already: a stable sort merges the runs
-        # (and keeps an id's blocks in tuple order, as ``sorted`` does).
+        # and keeps an id's blocks in tuple order.
         order = np.argsort(ids, kind="stable")
         where = np.repeat(np.arange(len(blocks)), sizes)
         rows = np.arange(ids.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)
@@ -597,9 +586,9 @@ class _BlockIndex:
         return found
 
 
-#: :class:`_BlockIndex` per tuple of readers and evaluator (LRU, built
-#: outside the cache's lock).  A seal, a ``compact()`` or an evicted
-#: reader makes a new tuple, so a new index: never a stale one.
+#: :class:`_BlockIndex` per tuple of readers (LRU, built outside the
+#: cache's lock).  A seal, a ``compact()`` or an evicted reader makes a
+#: new tuple, so a new index: never a stale one.
 _block_index = lru_cache(maxsize=4)(_BlockIndex)
 
 
@@ -618,7 +607,7 @@ def _compile_filters(segment: ColumnarSegment, scan: CompiledScan
     residuals: list[tuple[_Predicate, bool]] = []
     hits = built = 0
     for conjunct in scan.conjuncts:
-        compiled = _filter_mask(segment, conjunct, scan.np)
+        compiled = _filter_mask(segment, conjunct)
         if compiled is None:
             residuals.append((_compile_filter(conjunct.filt, segment),
                               conjunct.on_subject))
@@ -679,63 +668,9 @@ def _spec_codes(segment: ColumnarSegment, spec: PatternSpec
     return subject_code, object_code, operation_codes
 
 
-def _select_python(segment: ColumnarSegment,
-                   scan: CompiledScan) -> list[int]:
-    """Pure-python row selection (the portable reference path)."""
-    spec = scan.spec
-    codes = _spec_codes(segment, spec)
-    compiled = None if codes is None else _pass_masks(segment, scan)
-    if compiled is None:
-        return []
-    subject_code, object_code, operation_codes = codes
-    type_codes = segment.column("entity.type")
-    masks, residuals = compiled
-    subject_ok, object_ok, event_ok = (
-        _bitwise(int.__and__, masks[side]) if masks[side] else None
-        for side in (True, False, None))
-    ids = segment.column("event.id")
-    operations = segment.column("event.operation")
-    starts = segment.column("event.start_time")
-    ends = segment.column("event.end_time")
-    earliest = latest = None
-    if spec.window is not None:
-        earliest, latest = spec.window
-    min_id = spec.min_event_id
-    subject_rows, object_rows = segment.entity_rows()
-    selected: list[int] = []
-    for row in range(segment.event_count):
-        if min_id is not None and ids[row] < min_id:
-            continue
-        if operation_codes is not None and \
-                operations[row] not in operation_codes:
-            continue
-        if earliest is not None and starts[row] < earliest:
-            continue
-        if latest is not None and ends[row] > latest:
-            continue
-        subject_index = subject_rows[row]
-        object_index = object_rows[row]
-        if type_codes[subject_index] != subject_code or \
-                type_codes[object_index] != object_code:
-            continue
-        if subject_ok is not None and not subject_ok[subject_index]:
-            continue
-        if object_ok is not None and not object_ok[object_index]:
-            continue
-        if event_ok is not None and not event_ok[row]:
-            continue
-        if residuals and any(
-                residual(subject_index if on_subject else object_index,
-                         row) is not True
-                for residual, on_subject in residuals):
-            continue
-        selected.append(row)
-    return selected
-
-
-def _select_numpy(segment: ColumnarSegment, scan: CompiledScan,
-                  np: Any) -> Any:
-    """Vectorized row selection; same semantics as `_select_python`."""
+def _select(segment: ColumnarSegment, scan: CompiledScan) -> Any:
+    """The matching event rows, ascending, as an int64 array."""
+    _tally.last = 0, 0      # a scan that compiles no filter reports none
     spec = scan.spec
     codes = _spec_codes(segment, spec)
     compiled = None if codes is None else _pass_masks(segment, scan)
@@ -744,24 +679,23 @@ def _select_numpy(segment: ColumnarSegment, scan: CompiledScan,
     subject_code, object_code, operation_codes = codes
     mask = np.ones(segment.event_count, dtype=bool)
     if spec.min_event_id is not None:
-        mask &= segment.np_column("event.id", np) >= spec.min_event_id
+        mask &= segment.np_column("event.id") >= spec.min_event_id
     if spec.window is not None:
         earliest, latest = spec.window
         if earliest is not None:
-            mask &= segment.np_column("event.start_time", np) >= earliest
+            mask &= segment.np_column("event.start_time") >= earliest
         if latest is not None:
-            mask &= segment.np_column("event.end_time", np) <= latest
+            mask &= segment.np_column("event.end_time") <= latest
     if operation_codes is not None:
-        operations = segment.np_column("event.operation", np)
+        operations = segment.np_column("event.operation")
         if len(operation_codes) == 1:
             mask &= operations == next(iter(operation_codes))
         else:
             mask &= np.isin(operations,
                             np.array(sorted(operation_codes),
                                      dtype=np.int64))
-    subject_rows, object_rows = (np.frombuffer(rows, dtype=np.int64)
-                                 for rows in segment.entity_rows())
-    type_codes = segment.np_column("entity.type", np)
+    subject_rows, object_rows = segment.entity_rows()
+    type_codes = segment.np_column("entity.type")
     masks, residuals = compiled
     for on_subject, type_code, entity_rows in (
             (True, subject_code, subject_rows),
@@ -783,29 +717,13 @@ def _select_numpy(segment: ColumnarSegment, scan: CompiledScan,
     return np.nonzero(mask)[0]
 
 
-def _select(segment: ColumnarSegment, scan: CompiledScan) -> Any:
-    """The matching event rows, ascending (vectorized under numpy)."""
-    _tally.last = 0, 0      # a scan that compiles no filter reports none
-    return (_select_numpy(segment, scan, scan.np) if scan.np is not None
-            else _select_python(segment, scan))
-
-
-def gather_rows(segment: ColumnarSegment, selected: Any, np: Any
-                ) -> list[EventRow]:
+def gather_rows(segment: ColumnarSegment, selected: Any) -> list[EventRow]:
     """The events of the ``selected`` rows (ascending row indices, an
-    int64 array or a list), one column read each: ``.tolist()`` of the
-    gathered column under numpy (``np``), else indexing the mapped
-    column."""
+    int64 array), one ``.tolist()`` of each gathered column."""
     if not len(selected):
         return []
-    if np is not None:
-        starts, ids, operations, ends, subjects, objects = (
-            segment.np_column(name, np)[selected].tolist()
-            for name in _GATHERED)
-    else:
-        starts, ids, operations, ends, subjects, objects = (
-            [column[row] for row in selected]
-            for column in map(segment.column, _GATHERED))
+    starts, ids, operations, ends, subjects, objects = (
+        segment.np_column(name)[selected].tolist() for name in _GATHERED)
     return list(zip(starts, ids, map(segment.strings.__getitem__,
                                      operations), ends, subjects, objects))
 
@@ -815,7 +733,7 @@ def scan_columnar(segment: ColumnarSegment,
     """Evaluate one pattern against a mapped segment, in row order (a
     bare spec is compiled for this segment alone)."""
     compiled = _compiled(segment, scan)
-    return gather_rows(segment, _select(segment, compiled), compiled.np)
+    return gather_rows(segment, _select(segment, compiled))
 
 
 # ---------------------------------------------------------------------------
@@ -849,44 +767,36 @@ def _segments_for(paths: Iterable[str]) -> list[ColumnarSegment]:
 # ---------------------------------------------------------------------------
 
 def _group_counts(segment: ColumnarSegment, selected: Any,
-                  group_columns: tuple[tuple[bool, str], ...],
-                  np: Any) -> dict[tuple, int]:
+                  group_columns: tuple[tuple[bool, str], ...]
+                  ) -> dict[tuple, int]:
     """Match counts per group key over one segment's selected rows.
 
     Counts on the group columns' stored values — dictionary codes of
     string columns, raw numbers of numeric ones — with one
-    ``np.unique`` under numpy, else one dict keyed by the value tuple;
-    each distinct key then resolves to its SQL values once.
+    ``np.unique``; each distinct key then resolves to its SQL values
+    once.
     """
     if not len(selected):
         return {}
     if not group_columns:
         return {(): len(selected)}
-    sides: Sequence[Any] = segment.entity_rows()
-    if np is not None:
-        sides = [np.frombuffer(rows, dtype=np.int64) for rows in sides]
-        columns = [segment.np_column(f"entity.{column}", np)[
-            sides[0 if on_subject else 1][selected]]
-            for on_subject, column in group_columns]
-        if len(columns) == 1:
-            keys, counts = np.unique(columns[0], return_counts=True)
-            keys = keys[:, None]
-        else:
-            keys, counts = np.unique(np.stack(columns, axis=1), axis=0,
-                                     return_counts=True)
-        raw: Iterable = zip(map(tuple, keys.tolist()), counts.tolist())
+    sides = segment.entity_rows()
+    columns = [segment.np_column(f"entity.{column}")[
+        sides[0 if on_subject else 1][selected]]
+        for on_subject, column in group_columns]
+    if len(columns) == 1:
+        keys, counts = np.unique(columns[0], return_counts=True)
+        keys = keys[:, None]
     else:
-        gathers = [(segment.column(f"entity.{column}"),
-                    sides[0 if on_subject else 1])
-                   for on_subject, column in group_columns]
-        raw = Counter(tuple(values[rows[row]] for values, rows in gathers)
-                      for row in selected).items()
+        keys, counts = np.unique(np.stack(columns, axis=1), axis=0,
+                                 return_counts=True)
     strings = segment.strings
     numeric = [column in _NUMERIC_COLUMNS for _side, column in group_columns]
     return {tuple((None if value == NULL_INT else value) if is_numeric
                   else strings[value]
                   for value, is_numeric in zip(key, numeric)): count
-            for key, count in raw}
+            for key, count in zip(map(tuple, keys.tolist()),
+                                  counts.tolist())}
 
 
 def aggregate_columnar(segment: ColumnarSegment,
@@ -905,8 +815,7 @@ def aggregate_columnar(segment: ColumnarSegment,
     """
     compiled = _compiled(segment, scan)
     selected = _select(segment, compiled)
-    return selected, _group_counts(segment, selected, group_columns,
-                                   compiled.np)
+    return selected, _group_counts(segment, selected, group_columns)
 
 
 __all__ = ["CompiledScan", "PatternSpec", "EventRow", "build_pattern_spec",

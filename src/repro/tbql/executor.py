@@ -901,7 +901,7 @@ class TBQLExecutor:
             # produces, names hydrated by entity id (entity rows never
             # change, so an append since the query does not matter).
             rows = [row for reader, selected, _counts in partials
-                    for row in gather_rows(reader, selected, scan.np)] + tail
+                    for row in gather_rows(reader, selected)] + tail
             rows.sort()
             entities, _ = self._hydrate_entities(_entity_ids(rows))
             return [{

@@ -61,7 +61,7 @@ def _tri_vector_per_row(segment: ColumnarSegment,
 
 
 def filter_mask_per_row(segment: ColumnarSegment,
-                        conjunct: colscan._Conjunct, np: Any
+                        conjunct: colscan._Conjunct
                         ) -> Optional[tuple[bytes, bool, Optional[bool]]]:
     """``colscan._filter_mask`` without the dictionary.
 
@@ -74,19 +74,12 @@ def filter_mask_per_row(segment: ColumnarSegment,
         colscan._ONLY_TRUE), False, None)
 
 
-def candidate_rows(segment: ColumnarSegment, candidates: Sequence[int],
-                   np: Any) -> list[int]:
+def candidate_rows(segment: ColumnarSegment,
+                   candidates: Sequence[int]) -> list[int]:
     """Entity-block rows of the ``candidates`` one block holds, in
-    candidate order: one ``searchsorted`` under numpy, else a
-    ``bisect`` per id, on the block's sorted id column.  An id the
-    block lacks is referenced by no event of the segment."""
-    if np is not None:
-        ids = segment.np_column("entity.id", np)
-        wanted = np.asarray(candidates, dtype=np.int64)
-        found = np.searchsorted(ids, wanted)
-        inside = found < ids.size
-        found, wanted = found[inside], wanted[inside]
-        return found[ids[found] == wanted].tolist()
+    candidate order: a ``bisect`` per id on the block's sorted id
+    column.  An id the block lacks is referenced by no event of the
+    segment."""
     ids = segment.column("entity.id")
     found = [bisect_left(ids, entity_id) for entity_id in candidates]
     return [row for row, entity_id in zip(found, candidates)

@@ -3,9 +3,8 @@ does not reach.
 
 A pushed-down ``count()`` folds each sealed segment's matches once per
 distinct group key (``np.unique`` on the group columns' codes and raw
-numbers, or a dict keyed by the code tuple without numpy) and defers
-building ``matched_events`` / ``joined_events`` until they are read.
-Here the numpy fold, the pure-python fold and ``RowPathExecutor`` (no
+numbers) and defers building ``matched_events`` / ``joined_events``
+until they are read.  Here the fold and ``RowPathExecutor`` (no
 pushdown at all) must agree on rows, per-pattern counts and both event
 lists for NULL group attributes, numeric group columns, a key across
 subject and object, a self-loop, a global count, ``top N`` ties and a
@@ -17,6 +16,7 @@ from __future__ import annotations
 
 import sys
 import threading
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
@@ -24,7 +24,8 @@ import pytest
 from repro.audit.entities import (FileEntity, NetworkEntity, Operation,
                                   ProcessEntity, SystemEvent)
 from repro.storage import DualStore
-from repro.storage.columnar import ColumnarSegment, numpy_module
+from repro.storage.columnar import (ENTITY_INT_COLUMNS, NULL_INT,
+                                    ColumnarSegment)
 from repro.tbql import colscan
 from repro.tbql.colscan import build_pattern_spec
 from repro.tbql.executor import TBQLExecutor
@@ -114,26 +115,15 @@ def _answer(result) -> tuple:
             result.joined_events)
 
 
-def _evaluators(monkeypatch):
-    """The pushdown under numpy, then under the pure-python fold."""
-    for setting in (None, "0"):
-        if setting is None:
-            monkeypatch.delenv("REPRO_COLUMNAR_NUMPY", raising=False)
-        else:
-            monkeypatch.setenv("REPRO_COLUMNAR_NUMPY", setting)
-        yield setting
-
-
 @pytest.mark.parametrize("label", sorted(FOLD_CORPUS))
-def test_fold_equals_row_path(store, monkeypatch, label):
+def test_fold_equals_row_path(store, label):
     text = FOLD_CORPUS[label]
     want = RowPathExecutor(store).execute(text)
     assert want.aggregated and not want.plan[0].aggregate_pushdown
-    for _setting in _evaluators(monkeypatch):
-        got = TBQLExecutor(store).execute(text)
-        assert got.aggregated and got.plan[0].aggregate_pushdown
-        assert got.plan[0].rows_out == sum(want.per_pattern_matches.values())
-        assert _answer(got) == _answer(want), (label, _setting)
+    got = TBQLExecutor(store).execute(text)
+    assert got.aggregated and got.plan[0].aggregate_pushdown
+    assert got.plan[0].rows_out == sum(want.per_pattern_matches.values())
+    assert _answer(got) == _answer(want), label
     if label != "no_match":
         assert want.rows and want.matched_events
 
@@ -157,27 +147,26 @@ def test_corpus_reaches_its_shapes(store):
     assert untruncated[1]["count"] == untruncated[2]["count"]
 
 
-def test_lists_first_read_after_an_append(monkeypatch):
+def test_lists_first_read_after_an_append():
     """Deferred lists describe the store the query ran on, even when an
     append (new entities, new matching events) bumped ``data_version``
     before they were read."""
-    for _setting in _evaluators(monkeypatch):
-        with _store(sealed=2) as store:
-            executor = TBQLExecutor(store)
-            texts = sorted(FOLD_CORPUS.values())
-            want = [_answer(RowPathExecutor(store).execute(text))
-                    for text in texts]
-            pending = [executor.execute(text) for text in texts]
-            version = store.data_version
-            newcomer = ProcessEntity("/bin/late", 99)
-            store.append_events(
-                _events(7) + [SystemEvent(newcomer, Operation.READ,
-                                          FileEntity("/late"), 2e6, 2e6)])
-            store.flush_appends()
-            assert store.data_version != version
-            executor.execute(texts[0])          # the executor syncs its cache
-            for text, result, expected in zip(texts, pending, want):
-                assert _answer(result) == expected, text
+    with _store(sealed=2) as store:
+        executor = TBQLExecutor(store)
+        texts = sorted(FOLD_CORPUS.values())
+        want = [_answer(RowPathExecutor(store).execute(text))
+                for text in texts]
+        pending = [executor.execute(text) for text in texts]
+        version = store.data_version
+        newcomer = ProcessEntity("/bin/late", 99)
+        store.append_events(
+            _events(7) + [SystemEvent(newcomer, Operation.READ,
+                                      FileEntity("/late"), 2e6, 2e6)])
+        store.flush_appends()
+        assert store.data_version != version
+        executor.execute(texts[0])          # the executor syncs its cache
+        for text, result, expected in zip(texts, pending, want):
+            assert _answer(result) == expected, text
 
 
 def test_concurrent_first_reads_build_once(store):
@@ -205,11 +194,28 @@ def test_concurrent_first_reads_build_once(store):
         sys.setswitchinterval(interval)
 
 
+def _counted_per_row(segment, selected, group_columns) -> dict:
+    """The fold's group counts, by one dict lookup per selected row."""
+    row_of = {entity_id: row for row, entity_id
+              in enumerate(segment.column("entity.id"))}
+
+    def value(row, on_subject, column):
+        side = "subject_id" if on_subject else "object_id"
+        entity_row = row_of[segment.column(f"event.{side}")[row]]
+        cell = segment.column(f"entity.{column}")[entity_row]
+        if column in ENTITY_INT_COLUMNS:
+            return None if cell == NULL_INT else cell
+        return segment.strings[cell]
+    return dict(Counter(tuple(value(row, on_subject, column)
+                              for on_subject, column in group_columns)
+                        for row in selected.tolist()))
+
+
 @pytest.mark.parametrize("label", ["subject_and_object", "numeric_and_string",
                                    "two_numeric", "global", "self_loop"])
-def test_both_evaluators_fold_alike(store, monkeypatch, label):
-    """Per segment, the numpy and pure-python folds give the same group
-    counts and the same records."""
+def test_fold_counts_equal_a_per_row_count(store, label):
+    """Per segment, the ``np.unique`` fold gives the group counts one
+    dict lookup per selected row gives, and as many records."""
     resolved = resolve_query(parse_tbql(FOLD_CORPUS[label]))
     pattern = resolved.patterns[0]
     spec = build_pattern_spec(pattern, resolved)
@@ -218,16 +224,12 @@ def test_both_evaluators_fold_alike(store, monkeypatch, label):
          {"group": "grp"}.get(attribute, attribute))
         for entity_id, attribute in resolved.aggregation.group_by)
     for info in store.segment_view().sealed:
-        folds = []
-        for _setting in _evaluators(monkeypatch):
-            segment = ColumnarSegment(info.columnar_path)
-            try:
-                selected, counts = colscan.aggregate_columnar(segment, spec,
-                                                              columns)
-                records = colscan.gather_rows(segment, selected,
-                                              numpy_module())
-            finally:
-                segment.close()
-            folds.append((counts, records))
-        assert folds[0] == folds[1]
-        assert sum(folds[0][0].values()) == len(folds[0][1]) > 0
+        segment = ColumnarSegment(info.columnar_path)
+        try:
+            selected, counts = colscan.aggregate_columnar(segment, spec,
+                                                          columns)
+            records = colscan.gather_rows(segment, selected)
+            assert counts == _counted_per_row(segment, selected, columns)
+        finally:
+            segment.close()
+        assert sum(counts.values()) == len(records) > 0

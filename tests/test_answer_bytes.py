@@ -11,8 +11,7 @@ and its ``joined_events``, hashed from their ``repr`` so that a tuple
 turning into a list or an ``int`` into a float changes it.  The
 join-equivalence corpus runs on three stores built from the same
 events: one never sealed, one of three sealed segments, and one of
-three sealed segments plus an active tail — under both columnar
-evaluators.
+three sealed segments plus an active tail.
 
 The fixture is only rewritten for an intended answer change::
 
@@ -85,10 +84,7 @@ def named_store(request):
     store.close()
 
 
-@pytest.mark.parametrize("use_numpy", ["1", "0"])
-def test_answers_match_the_recorded_bytes(named_store, monkeypatch,
-                                          use_numpy):
-    monkeypatch.setenv("REPRO_COLUMNAR_NUMPY", use_numpy)
+def test_answers_match_the_recorded_bytes(named_store):
     name, store = named_store
     assert bool(store.segment_view().sealed) == (name != "never_sealed")
     recorded = json.loads(FIXTURE.read_text())[name]

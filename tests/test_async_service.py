@@ -19,9 +19,9 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
+from benchmarks.loadgen import run_load
 from repro.errors import ServiceError
-from repro.service import (QueryService, ServiceClient, result_payload,
-                           run_load)
+from repro.service import QueryService, ServiceClient, result_payload
 from repro.storage import DualStore
 from repro.streaming import DetectionEngine, FlushPolicy
 from repro.tbql.executor import TBQLExecutor

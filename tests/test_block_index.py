@@ -5,7 +5,7 @@ sealed segment's entity block (``colscan._BlockIndex``, memoised per
 tuple of readers), and pruning and scans share the answer.  Here that
 answer is compared, segment by segment, with
 ``tests.reference.scan_unoptimized.candidate_rows`` on the segment's own
-block, under both evaluators, on stores cut at generated seal points,
+block, on stores cut at generated seal points,
 some of them compacted, with generated candidate sets that hold ids in
 no block, ids in exactly one block and sides with no id in any block.
 A seal or a ``compact()`` after an index was built must get a new one
@@ -16,21 +16,17 @@ from __future__ import annotations
 
 from operator import attrgetter
 
-import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.audit import generate_benign_noise
 from repro.storage import DualStore
-from repro.storage.columnar import numpy_module
 from repro.tbql import colscan
 from repro.tbql.colscan import CompiledScan, build_pattern_spec
 from repro.tbql.parser import parse_tbql
 from repro.tbql.semantics import resolve_query
 
 from .reference.scan_unoptimized import candidate_rows
-
-EVALUATORS = ["1", "0"]      # REPRO_COLUMNAR_NUMPY: numpy, pure python
 
 EVENTS = sorted(generate_benign_noise(num_sessions=12, seed=41),
                 key=attrgetter("start_time", "event_id"))
@@ -71,15 +67,14 @@ def _scan(store: DualStore, subject_ids, object_ids) -> CompiledScan:
 def _check(readers: list, scan: CompiledScan) -> None:
     """Every block's rows equal the per-block reference, for the index
     and for the scan's combined answer."""
-    np = numpy_module()
-    index = colscan._block_index(tuple(readers), np)
+    index = colscan._block_index(tuple(readers))
     per_side = []
     for on_subject, ids in ((True, scan.spec.subject_candidates),
                             (False, scan.spec.object_candidates)):
         if ids is None:
             continue
         found = index.search(ids)
-        expected = [candidate_rows(reader, ids, np) for reader in readers]
+        expected = [candidate_rows(reader, ids) for reader in readers]
         assert [found.get(where, []) for where in range(len(readers))] \
             == expected
         per_side.append((on_subject, expected))
@@ -108,8 +103,7 @@ def _id_pool(readers: list) -> tuple[list[int], list[int], list[int]]:
                 set(range(1, top + 1)) - everywhere)[:5])
 
 
-@pytest.mark.parametrize("use_numpy", EVALUATORS)
-def test_index_equals_the_per_block_search(use_numpy):
+def test_index_equals_the_per_block_search():
     @settings(max_examples=40, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
     @given(data=st.data())
@@ -138,19 +132,14 @@ def test_index_equals_the_per_block_search(use_numpy):
         finally:
             store.close()
 
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setenv("REPRO_COLUMNAR_NUMPY", use_numpy)
-        check()
+    check()
 
 
-@pytest.mark.parametrize("use_numpy", EVALUATORS)
-def test_a_seal_or_compact_gets_a_fresh_index(monkeypatch, use_numpy):
-    monkeypatch.setenv("REPRO_COLUMNAR_NUMPY", use_numpy)
-    np = numpy_module()
+def test_a_seal_or_compact_gets_a_fresh_index():
     store = _sealed_store([len(EVENTS) // 3, 2 * len(EVENTS) // 3], None)
     try:
         before = _readers(store)
-        old_index = colscan._block_index(tuple(before), np)
+        old_index = colscan._block_index(tuple(before))
         known = set().union(*(reader.column("entity.id")
                               for reader in before))
         store.append_events(LATE)
@@ -161,7 +150,7 @@ def test_a_seal_or_compact_gets_a_fresh_index(monkeypatch, use_numpy):
                                 known))
         assert new_only
         scan = _scan(store, new_only, None)
-        assert colscan._block_index(tuple(after), np) is not old_index
+        assert colscan._block_index(tuple(after)) is not old_index
         assert [scan.candidate_rows(reader.path) is not None
                 for reader in after] == [False] * len(before) + [True]
         _check(after, scan)
@@ -171,34 +160,27 @@ def test_a_seal_or_compact_gets_a_fresh_index(monkeypatch, use_numpy):
         assert merged not in after
         scan = _scan(store, new_only, None)
         rows = scan.candidate_rows(merged.path)
-        assert rows == ((True, candidate_rows(merged, new_only, np)),)
+        assert rows == ((True, candidate_rows(merged, new_only)),)
         assert len(rows[0][1]) == len(new_only)
         _check([merged], scan)
     finally:
         store.close()
 
 
-def test_the_memo_is_bounded_and_keyed_by_evaluator():
+def test_the_memo_is_bounded_and_keyed_by_readers():
     colscan._block_index.cache_clear()
     store = _sealed_store([len(EVENTS) // 2], None)
     try:
         readers = tuple(_readers(store))
-        np = numpy_module()
         keys = [readers, readers[:1], readers[1:]]
-        indexes = [colscan._block_index(key, None) for key in keys]
-        if np is not None:
-            numpy_built = colscan._block_index(readers, np)
-            assert numpy_built is not indexes[0]
-            assert (numpy_built.ids, numpy_built.where,
-                    numpy_built.rows) == (indexes[0].ids,
-                                          indexes[0].where,
-                                          indexes[0].rows)
-        assert colscan._block_index(readers[:1], None) is indexes[1]
+        indexes = [colscan._block_index(key) for key in keys]
+        assert len({id(index) for index in indexes}) == len(keys)
+        assert colscan._block_index(readers[:1]) is indexes[1]
         limit = colscan._block_index.cache_info().maxsize
         for extra in range(limit + 2):
-            colscan._block_index(readers * (extra + 2), None)
+            colscan._block_index(readers * (extra + 2))
         assert colscan._block_index.cache_info().currsize == limit
-        assert colscan._block_index(readers[:1], None) is not indexes[1]
+        assert colscan._block_index(readers[:1]) is not indexes[1]
     finally:
         store.close()
 
@@ -210,16 +192,16 @@ def test_a_snapshot_opened_elsewhere_gets_its_own_index(tmp_path):
     change)."""
     store = _sealed_store([len(EVENTS) // 2], None)
     try:
-        old_index = colscan._block_index(tuple(_readers(store)), None)
+        old_index = colscan._block_index(tuple(_readers(store)))
         store.save(tmp_path / "snap")
     finally:
         store.close()
     with DualStore.open(tmp_path / "snap") as first:
         readers = _readers(first)
-        index = colscan._block_index(tuple(readers), None)
+        index = colscan._block_index(tuple(readers))
         assert index is not old_index
         one, _several, absent = _id_pool(readers)
         _check(readers, _scan(first, tuple(one[:3] + absent[:1]), None))
     with DualStore.open(tmp_path / "snap") as again:
         assert _readers(again) == readers
-        assert colscan._block_index(tuple(readers), None) is index
+        assert colscan._block_index(tuple(readers)) is index

@@ -6,10 +6,9 @@ pushed side (``pruning.prune_by_candidates``), and a segment scan in
 which a pushed side or a conjunctive pass mask has no passing row
 returns before any per-event work.  Neither may change an answer: rows
 and ``matched_events`` equal the unpruned reference
-(``candidate_pruning_disabled()``) and the never-sealed store, under the
-numpy evaluator and under ``REPRO_COLUMNAR_NUMPY=0``, on a store with
-compacted, freshly sealed and widened (ids ``1..N``) payloads plus an
-active tail.
+(``candidate_pruning_disabled()``) and the never-sealed store, on a
+store with compacted, freshly sealed and widened (ids ``1..N``)
+payloads plus an active tail.
 """
 
 from __future__ import annotations
@@ -50,8 +49,6 @@ from .reference.scan_unoptimized import (candidate_pruning_disabled,
                                          stats_pruning_disabled)
 from .test_answer_bytes import build_store
 from .test_tbql_join_equivalence import EQUIVALENCE_CORPUS
-
-EVALUATORS = ["1", "0"]      # REPRO_COLUMNAR_NUMPY: numpy, pure python
 
 
 # ---------------------------------------------------------------------------
@@ -202,11 +199,9 @@ def _check_segment(info, spec) -> None:
         assert wanted == []
 
 
-@pytest.mark.parametrize("use_numpy", EVALUATORS)
-def test_named_candidate_lists(layered, monkeypatch, use_numpy):
+def test_named_candidate_lists(layered):
     """Ids in one segment, in several, only in the tail, in none, and
     of the wrong entity type, on every sealed payload."""
-    monkeypatch.setenv("REPRO_COLUMNAR_NUMPY", use_numpy)
     _unsealed, seg = layered
     homes = _homes(seg)
     types = {row["id"]: row["type"] for row in seg.relational.execute(
@@ -233,8 +228,7 @@ def test_named_candidate_lists(layered, monkeypatch, use_numpy):
                 _check_segment(info, _spec(text, None, tuple(ids)))
 
 
-@pytest.mark.parametrize("use_numpy", EVALUATORS)
-def test_generated_candidate_lists(layered, use_numpy):
+def test_generated_candidate_lists(layered):
     _unsealed, seg = layered
     top = max(row["id"] for row in seg.relational.execute(
         "SELECT id FROM entities"))
@@ -254,9 +248,7 @@ def test_generated_candidate_lists(layered, use_numpy):
         for info in seg.segment_view().sealed:
             _check_segment(info, spec)
 
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setenv("REPRO_COLUMNAR_NUMPY", use_numpy)
-        check()
+    check()
 
 
 # ---------------------------------------------------------------------------
@@ -283,8 +275,7 @@ def _answer(executor, text):
     return result.rows, result.matched_events
 
 
-@pytest.mark.parametrize("use_numpy", EVALUATORS)
-def test_generated_joins_match_the_unpruned_reference(layered, use_numpy):
+def test_generated_joins_match_the_unpruned_reference(layered):
     unsealed, seg = layered
     pids = sorted({row["pid"] for row in seg.relational.execute(
         "SELECT pid FROM entities WHERE type = 'proc'")})
@@ -305,9 +296,7 @@ def test_generated_joins_match_the_unpruned_reference(layered, use_numpy):
         assert _answer(reference, text) == got, text
 
     try:
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setenv("REPRO_COLUMNAR_NUMPY", use_numpy)
-            check()
+        check()
     finally:
         executor.close()
         reference.close()
@@ -350,9 +339,9 @@ def _event_columns_read(info, spec) -> list[str]:
         read.append(name)
         return column(name)
 
-    def spy_np_column(name, np):
+    def spy_np_column(name):
         read.append(name)
-        return np_column(name, np)
+        return np_column(name)
     segment.column, segment.np_column = spy_column, spy_np_column
     try:
         assert scan_columnar(segment, spec) == []
@@ -361,11 +350,7 @@ def _event_columns_read(info, spec) -> list[str]:
     return [name for name in read if name.startswith("event.")]
 
 
-@pytest.mark.parametrize("use_numpy", EVALUATORS)
-def test_a_scan_that_cannot_match_reads_no_event_column(layered,
-                                                        monkeypatch,
-                                                        use_numpy):
-    monkeypatch.setenv("REPRO_COLUMNAR_NUMPY", use_numpy)
+def test_a_scan_that_cannot_match_reads_no_event_column(layered):
     _unsealed, seg = layered
     info = seg.segment_view().sealed[-1]
     absent = max(_block_ids(info)) + 1
@@ -382,13 +367,10 @@ def test_a_scan_that_cannot_match_reads_no_event_column(layered,
         segment.close()
 
 
-@pytest.mark.parametrize("use_numpy", EVALUATORS)
-def test_entity_filter_no_entity_of_a_segment_passes(layered, monkeypatch,
-                                                     tmp_path, use_numpy):
+def test_entity_filter_no_entity_of_a_segment_passes(layered, tmp_path):
     """Segments holding no ``/bin/tar`` process answer 0 rows before any
     per-event work; the answer and the filter-table span counts are as
     if every segment were scanned in full."""
-    monkeypatch.setenv("REPRO_COLUMNAR_NUMPY", use_numpy)
     unsealed, seg = layered
     snapshot = tmp_path / "snap"       # fresh paths: every memo cold
     seg.save(snapshot)
@@ -426,9 +408,7 @@ def test_entity_filter_no_entity_of_a_segment_passes(layered, monkeypatch,
                for attributes in scans["warm"])
 
 
-@pytest.mark.parametrize("use_numpy", EVALUATORS)
-def test_empty_selection_gathers_no_row(layered, monkeypatch, use_numpy):
-    monkeypatch.setenv("REPRO_COLUMNAR_NUMPY", use_numpy)
+def test_empty_selection_gathers_no_row(layered):
     _unsealed, seg = layered
     segment = ColumnarSegment(seg.segment_view().sealed[0].columnar_path)
     try:
@@ -533,9 +513,9 @@ def test_setup_is_paid_once_per_step(monkeypatch):
         searches.append(len(candidates))
         return search(index, candidates)
 
-    def spy_build(index, blocks, np):
+    def spy_build(index, blocks):
         builds.append(len(blocks))
-        build(index, blocks, np)
+        build(index, blocks)
 
     def spy_domains(filt):
         domains.append(filt)
@@ -602,9 +582,7 @@ SEALED_3_TOTALS = {
 }
 
 
-@pytest.mark.parametrize("use_numpy", EVALUATORS)
-def test_metric_totals_of_a_corpus_pass(monkeypatch, use_numpy):
-    monkeypatch.setenv("REPRO_COLUMNAR_NUMPY", use_numpy)
+def test_metric_totals_of_a_corpus_pass():
     store = build_store("sealed_3")
     previous = set_registry(MetricsRegistry())
     try:

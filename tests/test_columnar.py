@@ -2,7 +2,8 @@
 
 Covers the ``events.col`` container format, the SQLite comparison
 semantics the columnar evaluator reproduces (differentially, against a
-live SQLite connection), numpy/pure-python selection parity, snapshots
+live SQLite connection), selection parity with the row-at-a-time
+reference (``tests/reference/scan_rowwise.py``), snapshots
 written by older builds (v1 and never-sealed v5 listing no segments,
 v2 without payloads, v3 with files a segment no longer owns).
 """
@@ -16,7 +17,6 @@ import shutil
 import sqlite3
 import sys
 import threading
-from array import array
 from operator import attrgetter
 from pathlib import Path
 
@@ -35,19 +35,19 @@ from repro.tbql import colscan
 from repro.tbql.ast import (AttributeComparison, BooleanFilter,
                             MembershipFilter, NegatedFilter)
 from repro.tbql.colscan import (PatternSpec, _eval_comparison,
-                                _eval_membership, scan_columnar)
+                                _eval_membership, build_pattern_spec,
+                                scan_columnar)
 from repro.tbql.compiler_sql import render_filter
 from repro.tbql.executor import TBQLExecutor
+from repro.tbql.parser import parse_tbql
+from repro.tbql.semantics import resolve_query
 
 from .conftest import record_data_leak_attack, snapshot_files
 from .reference.executor_seed import RowPathExecutor
+from .reference.scan_rowwise import entity_rows_by_dict, scan_rowwise
 from .reference.scan_unoptimized import dictionary_disabled
+from .test_answer_bytes import build_store
 from .test_tbql_join_equivalence import EQUIVALENCE_CORPUS
-
-try:
-    import numpy as _numpy
-except ImportError:   # pragma: no cover - numpy-less environments
-    _numpy = None
 
 
 # ---------------------------------------------------------------------------
@@ -126,8 +126,8 @@ def test_roundtrip_preserves_columns(tmp_path):
             [None, "/etc/pass_wd", "/tmp/50%.tar", None]
         pids = segment.column("entity.pid")
         assert list(pids) == [101, NULL_INT, NULL_INT, NULL_INT]
-        assert segment.entity_rows() == (array("q", [0, 0, 3]),
-                                         array("q", [1, 2, 1]))
+        assert [rows.tolist() for rows in segment.entity_rows()] == \
+            [[0, 0, 3], [1, 2, 1]]
         assert segment.code_of("read") is not None
         assert segment.code_of("never-stored") is None
     finally:
@@ -143,23 +143,15 @@ def test_sparse_entity_ids_resolve_once(tmp_path):
     segment = ColumnarSegment(path)
     try:
         rows = segment.entity_rows()
-        assert rows == (array("q", [0]), array("q", [1]))
+        assert [side.tolist() for side in rows] == [[0], [1]]
         assert segment.entity_rows() is rows
     finally:
         segment.close()
 
 
-@pytest.mark.parametrize("use_numpy", [
-    pytest.param(True, marks=pytest.mark.skipif(
-        _numpy is None, reason="numpy not installed")), False])
-def test_missing_entity_row_raises_storage_error(tmp_path, monkeypatch,
-                                                 use_numpy):
+def test_missing_entity_row_raises_storage_error(tmp_path):
     """An event whose entity row is absent fails the scan with the typed
-    error, under both evaluators, and names the id."""
-    if use_numpy:
-        monkeypatch.delenv("REPRO_COLUMNAR_NUMPY", raising=False)
-    else:
-        monkeypatch.setenv("REPRO_COLUMNAR_NUMPY", "0")
+    error, and names the id."""
     events = EventColumns()
     events.append(1, 10, 70, "read", "file", 1.0, 2.0, 1.0, 0, 0, "h")
     events.append(2, 10, 99, "read", "file", 3.0, 4.0, 1.0, 0, 0, "h")
@@ -219,8 +211,7 @@ def test_one_pass_string_decode_matches_per_string_decode(tmp_path, names):
         segment.close()
 
 
-@pytest.mark.skipif(_numpy is None, reason="numpy not installed")
-def test_entity_rows_agree_under_both_evaluators(tmp_path, monkeypatch):
+def test_entity_rows_of_a_sparse_block_equal_the_dict_lookup(tmp_path):
     events = EventColumns()
     for index, (subject, obj) in enumerate([(10, 70), (10, 40), (3, 70),
                                             (40, 3), (90, 90)]):
@@ -229,28 +220,19 @@ def test_entity_rows_agree_under_both_evaluators(tmp_path, monkeypatch):
     path = tmp_path / "sparse.col"
     write_columnar(path, events, [_entity(entity_id, "proc") for entity_id
                                   in (3, 10, 40, 70, 90)])
-    rows = {}
-    for setting in ("1", "0"):
-        monkeypatch.setenv("REPRO_COLUMNAR_NUMPY", setting)
-        segment = ColumnarSegment(path)
-        try:
-            rows[setting] = segment.entity_rows()
-        finally:
-            segment.close()
-    assert rows["1"] == rows["0"] == (array("q", [1, 1, 0, 2, 4]),
-                                      array("q", [3, 2, 3, 0, 4]))
+    segment = ColumnarSegment(path)
+    try:
+        rows = [side.tolist() for side in segment.entity_rows()]
+        assert rows == list(entity_rows_by_dict(segment))
+    finally:
+        segment.close()
+    assert rows == [[1, 1, 0, 2, 4], [3, 2, 3, 0, 4]]
 
 
-@pytest.mark.parametrize("use_numpy", [
-    pytest.param("1", marks=pytest.mark.skipif(
-        _numpy is None, reason="numpy not installed")), "0"],
-    ids=["numpy", "python"])
 @pytest.mark.parametrize("missing", [5, 50, 99])
-def test_entity_rows_name_the_missing_id(tmp_path, monkeypatch, use_numpy,
-                                         missing):
+def test_entity_rows_name_the_missing_id(tmp_path, missing):
     """Below, between and above the ids the block holds, on the object
     side after a complete subject side."""
-    monkeypatch.setenv("REPRO_COLUMNAR_NUMPY", use_numpy)
     events = EventColumns()
     events.append(1, 10, 70, "read", "file", 1.0, 2.0, 1.0, 0, 0, "h")
     events.append(2, 10, missing, "read", "file", 3.0, 4.0, 1.0, 0, 0, "h")
@@ -360,7 +342,7 @@ def test_membership_matches_sqlite(affinity, cells, values, numeric,
 
 
 # ---------------------------------------------------------------------------
-# numpy / pure-python selection parity
+# selection parity with the row-at-a-time reference
 # ---------------------------------------------------------------------------
 
 
@@ -389,40 +371,44 @@ _PARITY_SPECS = [
 ]
 
 
-@pytest.mark.skipif(_numpy is None, reason="numpy not installed")
 @pytest.mark.parametrize("spec", _PARITY_SPECS,
                          ids=["unfiltered", "filtered", "kleene"])
-def test_numpy_matches_python_selection(tmp_path, monkeypatch, spec):
+def test_numpy_matches_python_selection(tmp_path, spec):
+    """The vectorized scan equals the row-at-a-time reference."""
     path = _sample_payload(tmp_path)
     segment = ColumnarSegment(path)
     try:
-        monkeypatch.delenv("REPRO_COLUMNAR_NUMPY", raising=False)
-        vectorized = scan_columnar(segment, spec)
-        monkeypatch.setenv("REPRO_COLUMNAR_NUMPY", "0")
-        pure = scan_columnar(segment, spec)
-        assert vectorized == pure
+        assert scan_columnar(segment, spec) == scan_rowwise(segment, spec)
     finally:
         segment.close()
 
 
-def test_pure_python_corpus_equivalence(monkeypatch):
-    """The portable path (every CI leg but ``tests-numpy``) answers the
-    corpus correctly."""
-    monkeypatch.setenv("REPRO_COLUMNAR_NUMPY", "0")
-    unsealed, seg = _segmented_pair()
-    reference = RowPathExecutor(unsealed)
-    executor = TBQLExecutor(seg)
-    try:
-        for text in EQUIVALENCE_CORPUS[:6]:
-            expected = reference.execute(text)
-            got = executor.execute(text)
-            assert got.rows == expected.rows, text
-            assert got.matched_events == expected.matched_events, text
-    finally:
-        executor.close()
-        reference.close()
-        unsealed.close()
-        seg.close()
+@pytest.fixture(scope="module", params=["sealed_3", "sealed_3_tail"])
+def corpus_segments(request):
+    """The sealed segments of a ``test_answer_bytes`` store."""
+    store = build_store(request.param)
+    segments = [ColumnarSegment(info.columnar_path)
+                for info in store.segment_view().sealed]
+    yield segments
+    for segment in segments:
+        segment.close()
+    store.close()
+
+
+@pytest.mark.parametrize("text", EQUIVALENCE_CORPUS)
+def test_corpus_selections_equal_the_rowwise_reference(corpus_segments,
+                                                       text):
+    """Each event pattern of the corpus selects, in every sealed segment
+    of a real store, the rows the row-at-a-time reference selects."""
+    resolved = resolve_query(parse_tbql(text))
+    patterns = [pattern for pattern in resolved.patterns
+                if not pattern.is_path]
+    assert patterns, text
+    for pattern in patterns:
+        spec = build_pattern_spec(pattern, resolved)
+        for segment in corpus_segments:
+            assert scan_columnar(segment, spec) == \
+                scan_rowwise(segment, spec), (text, pattern.pattern_id)
 
 
 # ---------------------------------------------------------------------------
@@ -539,18 +525,20 @@ def _selection(segment, filters):
             scan_columnar(segment, _table_spec(filters))]
 
 
-@pytest.mark.parametrize("use_numpy", [
-    pytest.param(True, marks=pytest.mark.skipif(
-        _numpy is None, reason="numpy not installed")), False],
-    ids=["numpy", "python"])
 @pytest.mark.parametrize("filters", _TABLE_FILTERS, ids=repr)
-def test_filter_tables_match_sqlite(table_payload, monkeypatch, filters,
-                                    use_numpy):
+def test_filter_tables_match_the_rowwise_reference(table_payload, filters):
+    path, _connection = table_payload
+    spec = _table_spec(filters)
+    segment = ColumnarSegment(path)
+    try:
+        assert scan_columnar(segment, spec) == scan_rowwise(segment, spec)
+    finally:
+        segment.close()
+
+
+@pytest.mark.parametrize("filters", _TABLE_FILTERS, ids=repr)
+def test_filter_tables_match_sqlite(table_payload, filters):
     path, connection = table_payload
-    if use_numpy:
-        monkeypatch.delenv("REPRO_COLUMNAR_NUMPY", raising=False)
-    else:
-        monkeypatch.setenv("REPRO_COLUMNAR_NUMPY", "0")
     expected = _sqlite_selection(connection, filters)
     segment = ColumnarSegment(path)
     try:
@@ -632,17 +620,11 @@ def test_memo_is_bounded_and_evicts_least_recently_used(table_payload,
         segment.close()
 
 
-@pytest.mark.parametrize("use_numpy", [
-    pytest.param("1", marks=pytest.mark.skipif(
-        _numpy is None, reason="numpy not installed")), "0"],
-    ids=["numpy", "python"])
-def test_concurrent_compiles_of_one_filter_agree(table_payload,
-                                                 monkeypatch, use_numpy):
+def test_concurrent_compiles_of_one_filter_agree(table_payload):
     """Eight threads (more than cores) make the first scans of one
     shared segment at once, compiling the same filters; every selection
     equals the serial one, the memo ends with one mask per filter and
     the entity-row index they raced to build is one cached pair."""
-    monkeypatch.setenv("REPRO_COLUMNAR_NUMPY", use_numpy)
     path, connection = table_payload
     chosen = _TABLE_FILTERS[:12]
     expected = [_sqlite_selection(connection, filters)

@@ -1,8 +1,7 @@
 """The package's environment surface: which variables ``src/`` reads.
 
 Every environment variable the package reads is a user-settable value
-nobody sees in ``--help``.  The only ones left choose from the platform
-— the numpy evaluator (``REPRO_COLUMNAR_NUMPY``) and tracing
+nobody sees in ``--help``.  The only one left is tracing
 (``REPRO_OBS``); strategies that exist to prove equivalence live in
 ``tests/reference/`` instead.  This test parses every module under
 ``src/`` and fails on any other read, and on a read whose name is not a
@@ -19,7 +18,7 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
-ALLOWED = {"REPRO_COLUMNAR_NUMPY", "REPRO_OBS"}
+ALLOWED = {"REPRO_OBS"}
 
 
 def _is_environ(node: ast.AST) -> bool:

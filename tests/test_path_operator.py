@@ -13,8 +13,8 @@ does, with the event patterns' endpoint semantics.
   operations and the window, and each trail is a row.
 * On the join-equivalence corpus's path texts, unselective path texts
   and path texts with ``and not``, aggregates and temporal relations,
-  over the three ``test_answer_bytes`` stores, under both columnar
-  evaluators, every answer's rows equal giant SQL's as multisets.
+  over the three ``test_answer_bytes`` stores, every answer's rows
+  equal giant SQL's as multisets.
 * On small random stores with mixed-case names, random path patterns
   (bounded, unbounded and length-1 arrows, cycles, windows, pushed
   candidates on either side, a ``then`` join) give giant SQL's rows as
@@ -301,10 +301,7 @@ def corpus_store(request):
     store.close()
 
 
-@pytest.mark.parametrize("use_numpy", ["1", "0"])
-def test_corpus_path_answers_equal_giant_sql(corpus_store, monkeypatch,
-                                             use_numpy):
-    monkeypatch.setenv("REPRO_COLUMNAR_NUMPY", use_numpy)
+def test_corpus_path_answers_equal_giant_sql(corpus_store):
     executor = TBQLExecutor(corpus_store)
     for text in PATH_TEXTS + WIDE_PATH_TEXTS + GIANT_SQL_PATH_TEXTS:
         result = executor.execute(text)

@@ -385,13 +385,11 @@ class TestCompaction:
         assert assert_exact_entity_blocks(seg) == \
             [seg.relational.count_entities()]
 
-    @pytest.mark.parametrize("use_numpy", ["1", "0"])
     def test_compacted_and_sealed_payloads_resolve_ids_once(
-            self, monkeypatch, use_numpy):
+            self, monkeypatch):
         """A compacted store and its uncompacted twin scan through the
         same cached per-segment entity-row index: each payload resolves
         its events' entity ids once, however many scans follow."""
-        monkeypatch.setenv("REPRO_COLUMNAR_NUMPY", use_numpy)
         resolved: dict[str, list] = {}
         cached = ColumnarSegment.entity_rows
 
