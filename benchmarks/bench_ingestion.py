@@ -1,12 +1,13 @@
-"""Ingestion benchmark: the batched fast path vs the retained references.
+"""Ingestion benchmark: the shipped write path vs the retained references.
 
 Times ``DualStore.load_events`` on a synthetic ~100k-event benign workload
 (`BENCH_INGEST_SESSIONS` sessions, overridable via the environment for CI
 smoke runs) for three loaders:
 
-* ``batched``  — the fast path: fused streaming-reduction/build pass,
-  multi-row relational inserts under a deferred index rebuild, bulk graph
-  insertion;
+* ``batched``  — the shipped ``load_events``: a clear, then the append
+  path (fused streaming-reduction/build pass, multi-row relational
+  inserts; the first batch into the empty ``events`` table builds the
+  secondary indexes once at its end);
 * ``rowwise``  — the pre-batching loader (row-at-a-time entity inserts)
   the equivalence tests compare against, kept in
   ``tests/reference/ingest_rowwise.py``;
@@ -209,7 +210,6 @@ def seed_load_events(store: DualStore, events) -> int:
             endpoints.append(node_id)
         graph.add_edge(endpoints[0], endpoints[1], "EVENT",
                        _seed_event_attributes(event))
-    store._events = event_list
     return len(event_list)
 
 
@@ -312,7 +312,7 @@ def test_ingestion_speedup_table():
 
 
 def test_ingestion_stage_breakdown(workload_events):
-    """Record the batched path's per-stage statistics."""
+    """Record the shipped load's per-stage statistics."""
     store = DualStore()
     stats = store.load_events(workload_events)
     rows = [{"stage": stage, "seconds": seconds}

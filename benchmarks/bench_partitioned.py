@@ -59,8 +59,8 @@ def stores():
     """Never-sealed + sealed stores fed identically (same flushes)."""
     events = generate_benign_noise(BENCH_PARTITIONED_SESSIONS, seed=29)
     events.sort(key=attrgetter("start_time", "event_id"))
-    unsealed = DualStore(retain_events=False)
-    seg = DualStore(retain_events=False)
+    unsealed = DualStore()
+    seg = DualStore()
     step = len(events) // BENCH_PARTITIONED_SEGMENTS + 1
     for index in range(0, len(events), step):
         batch = events[index:index + step]

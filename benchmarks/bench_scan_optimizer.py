@@ -111,8 +111,8 @@ def _attack_tail(after: float) -> list:
 
 def _store_pair(batches):
     """Never-sealed + sealed stores fed identically (same flushes)."""
-    unsealed = DualStore(retain_events=False)
-    seg = DualStore(retain_events=False)
+    unsealed = DualStore()
+    seg = DualStore()
     for batch in batches:
         for store in (unsealed, seg):
             store.append_events(batch)

@@ -13,13 +13,14 @@ gate fails when the optimized/reference time ratio regresses by more than
 ``benchmarks/results/baseline_small.json``.  The reference path acts as the
 machine-speed normalizer:
 
-* *ingest*    — ``DualStore.load_events`` (the batched fast path) vs the
-  pre-batching loader kept in ``tests/reference/ingest_rowwise.py``;
+* *ingest*    — ``DualStore.load_events`` (a clear, then the append
+  path) vs the pre-batching loader kept in
+  ``tests/reference/ingest_rowwise.py``;
 * *fuzzy*     — ``FuzzySearcher`` vs the seed's brute-force search kept in
   ``tests/reference/fuzzy_bruteforce.py``, on the data-leak case store;
 * *streaming* — the incremental append path (``DualStore.append_events``
   in batches + a final flush of the open merge runs, no segment cut) vs
-  the one-shot batched cold load of the same events (the acceptance bar
+  the one-shot cold load of the same events (the acceptance bar
   for live ingestion is 2x of the cold load; the gate holds the measured
   ratio near its committed baseline);
 * *partitioned* — a selective time-windowed hunt on a store of sealed
@@ -153,7 +154,7 @@ def measure_fuzzy() -> dict:
 
 
 def measure_streaming() -> dict:
-    """K-batch incremental append vs the one-shot batched cold load."""
+    """K-batch incremental append vs the one-shot cold load."""
     from operator import attrgetter
     events = generate_benign_noise(SESSIONS, seed=29)
     events.sort(key=attrgetter("start_time", "event_id"))
@@ -191,8 +192,8 @@ def measure_partitioned() -> dict:
     events.sort(key=attrgetter("start_time", "event_id"))
     segments = 8
     step = len(events) // segments + 1
-    unsealed = DualStore(retain_events=False)
-    segmented = DualStore(retain_events=False)
+    unsealed = DualStore()
+    segmented = DualStore()
     try:
         for index in range(0, len(events), step):
             for store in (unsealed, segmented):
@@ -240,7 +241,7 @@ def _segmented_with_rare_ops() -> DualStore:
     events.sort(key=attrgetter("start_time", "event_id"))
     segments = 8
     step = len(events) // segments + 1
-    store = DualStore(retain_events=False)
+    store = DualStore()
     for index in range(0, len(events), step):
         store.append_events(events[index:index + step])
         store.flush_appends()
@@ -371,7 +372,7 @@ def measure_obs_overhead() -> dict:
     events.sort(key=attrgetter("start_time", "event_id"))
     segments = 6
     step = len(events) // segments + 1
-    store = DualStore(retain_events=False)
+    store = DualStore()
     text = 'proc p read file f["%/etc/%"] return distinct p, f'
     try:
         for index in range(0, len(events), step):

@@ -344,8 +344,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
               file=sys.stderr)
     else:
         from .audit.parser import parse_audit_log
-        store = DualStore(reduce=not args.no_reduction,
-                          retain_events=not args.live)
+        store = DualStore(reduce=not args.no_reduction)
         count = store.load_events(parse_audit_log(_read_text(args.log)))
         print(f"[repro] ingested {count} events from {args.log}",
               file=sys.stderr)
@@ -413,7 +412,7 @@ def cmd_tail(args: argparse.Namespace) -> int:
               file=sys.stderr)
     else:
         engine = DetectionEngine(
-            DualStore(reduce=not args.no_reduction, retain_events=False),
+            DualStore(reduce=not args.no_reduction),
             policy=policy, max_alerts=args.max_alerts,
             checkpoint_dir=args.checkpoint,
             checkpoint_every=args.checkpoint_every,

@@ -10,7 +10,6 @@ captures the order of the threat steps, which query synthesis later turns into
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any
 
 from .ioc import IOCType
 from .merge import MergedIOC
@@ -64,21 +63,6 @@ class ThreatBehaviorGraph:
 
     def predecessors(self, ioc: str) -> list[BehaviorEdge]:
         return [edge for edge in self.edges if edge.target == ioc]
-
-    def to_networkx(self) -> Any:
-        """Export to a ``networkx.MultiDiGraph``.  networkx is no runtime
-        dependency (only the ``test`` extra lists it): imported here."""
-        import networkx
-
-        graph = networkx.MultiDiGraph()
-        for node in self.nodes:
-            graph.add_node(node.ioc,
-                           ioc_type=node.ioc_type.value if node.ioc_type
-                           else None)
-        for edge in self.edges:
-            graph.add_edge(edge.source, edge.target, relation=edge.relation,
-                           sequence=edge.sequence)
-        return graph
 
     def __len__(self) -> int:
         return len(self.nodes)

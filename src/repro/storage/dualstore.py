@@ -8,12 +8,13 @@ patterns) and as an adjacency built from the ``events`` rows (path
 patterns, :mod:`repro.tbql.paths`) — the paper's graph store becomes a
 path operator over the stored rows.
 
-Loading runs a *single pass* over the (streamed, reduced) events: entity
-deduplication happens once, producing the relational row batches, which
-are then bulk-inserted.  The pre-batching loader (batch reduction,
-row-at-a-time entity inserts) the
-equivalence tests and the ingestion benchmark compare against lives in
-``tests/reference/``.
+There is one write path.  :meth:`DualStore.append_events` runs a *single
+pass* over the (streamed, reduced) events: entity deduplication happens
+once, producing the relational row batches, which are then inserted with
+:meth:`RelationalStore.append_rows`.  :meth:`DualStore.load_events` is a
+clear followed by that same path.  The pre-batching loader (batch
+reduction, row-at-a-time entity inserts) the equivalence tests and the
+ingestion benchmark compare against lives in ``tests/reference/``.
 """
 
 from __future__ import annotations
@@ -99,26 +100,22 @@ class IngestStats(int):
     events: int
     #: Unique entities registered.
     entities: int
-    #: ``executemany`` batches issued by the relational backend.
+    #: Insert statements :meth:`RelationalStore.append_rows` issued.
     relational_batches: int
     #: Seconds per stage: ``reduce``, ``build``, ``relational``;
     #: :meth:`DualStore.flush_appends` adds ``seal_columnar`` and
     #: ``seal_stats`` when it seals a segment.
     seconds: dict[str, float]
-    #: Load path: ``"batched"`` (:meth:`DualStore.load_events`) or
-    #: ``"append"`` (:meth:`DualStore.append_events`).
-    strategy: str
 
     def __new__(cls, events: int, *, input_events: int, entities: int,
-                relational_batches: int, seconds: dict[str, float],
-                strategy: str) -> "IngestStats":
+                relational_batches: int, seconds: dict[str, float]
+                ) -> "IngestStats":
         self = super().__new__(cls, events)
         self.events = events
         self.input_events = input_events
         self.entities = entities
         self.relational_batches = relational_batches
         self.seconds = seconds
-        self.strategy = strategy
         return self
 
     @property
@@ -141,7 +138,6 @@ class IngestStats(int):
     def as_dict(self) -> dict:
         """Plain-dict view for programmatic consumers (logging, JSON)."""
         return {
-            "strategy": self.strategy,
             "input_events": self.input_events,
             "events": self.events,
             "entities": self.entities,
@@ -163,7 +159,7 @@ class IngestStats(int):
 
 
 class _BuildBatches:
-    """The fused build pass of the batched loader.
+    """The fused build pass of the write path.
 
     One scan over the (sorted) input events interleaves three jobs the
     pre-batching reference loader (``tests/reference/ingest_rowwise.py``)
@@ -175,8 +171,8 @@ class _BuildBatches:
     * *entity interning* — each entity resolves to its store id once, via an
       object-identity fast path backed by the unique-key map, emitting the
       relational row on first sight;
-    * *row building* — each evicted run materializes its merged event and
-      appends its fields *column-wise* into :class:`EventColumns`.
+    * *row building* — each evicted run appends its (merged) event's
+      fields *column-wise* into :class:`EventColumns`.
       Emitting columns instead of row tuples is what makes
       sealing a segment cheap: the columnar payload (``events.col``) packs
       each accumulated column into one contiguous array — an O(columns)
@@ -206,7 +202,6 @@ class _BuildBatches:
         self._ids_by_object: dict[int, int] = {}
         self.entity_rows: list[tuple] = []
         self.event_columns = EventColumns()
-        self.reduced: list[SystemEvent] = []
         self.next_entity_id = next_entity_id
         self.next_event_id = next_event_id
         # Merge-run continuation state (persists across consume calls).
@@ -229,20 +224,19 @@ class _BuildBatches:
                               len(self._run_queue),
                               merged_events=self.merged_events)
 
-    def drain(self) -> tuple[list[tuple], EventColumns, list[SystemEvent]]:
+    def drain(self) -> tuple[list[tuple], EventColumns]:
         """Hand over the rows built since the last drain, keeping state.
 
-        Returns ``(entity_rows, event_columns, reduced)``.
+        Returns ``(entity_rows, event_columns)``.
         The interning map, id counters, and open merge runs stay live so
         the next batch continues exactly where this one left off.  The
         object-identity fast path is reset: between batches an entity
         object may be garbage collected and its address reused, so only
         the unique-key map may carry over.
         """
-        drained = (self.entity_rows, self.event_columns, self.reduced)
+        drained = (self.entity_rows, self.event_columns)
         self.entity_rows = []
         self.event_columns = EventColumns()
-        self.reduced = []
         self._ids_by_object = {}
         return drained
 
@@ -272,7 +266,6 @@ class _BuildBatches:
             attrs["operation"], attrs["category"], event.start_time,
             event.end_time, attrs["duration"], event.data_amount,
             event.failure_code, event.host)
-        self.reduced.append(event)
         self.output_events += 1
 
     def _emit_run(self, cell: list) -> None:
@@ -377,7 +370,6 @@ class DualStore:
     def __init__(self, relational_path: str | Path | None = None,
                  reduce: bool = True,
                  merge_threshold: float = DEFAULT_MERGE_THRESHOLD,
-                 retain_events: bool = True,
                  layout: str | None = None,
                  segment_dir: str | Path | None = None) -> None:
         """Create the dual store.
@@ -386,11 +378,6 @@ class DualStore:
             relational_path: optional on-disk path for the relational store.
             reduce: apply the Section III-B data reduction before storing.
             merge_threshold: merge-gap threshold in seconds.
-            retain_events: keep the (reduced) :class:`SystemEvent` objects
-                in memory for :meth:`events`.  Turn off for long-running
-                streaming stores — both query backends hold the data, and
-                retaining a third in-memory copy grows without bound under
-                continuous :meth:`append_events`.
             layout: deprecated and ignored: every store seals segments on
                 :meth:`flush_appends` / :meth:`save`.
             segment_dir: directory for the sealed segment files; a private
@@ -404,10 +391,8 @@ class DualStore:
         self.relational = RelationalStore(relational_path)
         self.reduce = reduce
         self.merge_threshold = merge_threshold
-        self.retain_events = retain_events
         self.last_reduction: ReductionStats | None = None
         self.last_ingest: IngestStats | None = None
-        self._events: list[SystemEvent] = []
         #: Bumped on every (re)load and on every stored append batch;
         #: executors watch it to drop caches keyed by entity id when the
         #: stored data changes.
@@ -457,22 +442,22 @@ class DualStore:
         #: Column-major buffer of the tail's stored event rows — the
         #: seal-time fast path packs these lists straight into the
         #: ``events.col`` payload.  ``None`` when it does not cover the
-        #: tail (a bulk-loaded history, or a snapshot whose history is all
-        #: tail); sealing then reads the rows back from the relational
-        #: store.
+        #: tail (a snapshot whose history is all tail, see
+        #: :meth:`_restore_tail`); sealing then reads the rows back from
+        #: the relational store.
         self._active_columns: EventColumns | None = EventColumns()
 
-    def _track_active_bounds(self, times: Iterable[tuple[float, float]],
-                             count: int) -> None:
-        """Fold stored ``(start_time, end_time)`` pairs into the tail's
-        manifest-to-be."""
+    def _track_active_rows(self, event_columns: EventColumns) -> None:
+        """Fold stored event rows into the tail's manifest-to-be and its
+        column buffer."""
+        count = len(event_columns)
         if count == 0:
             return
         min_start = self._active_min_start
         max_start = self._active_max_start
         min_end = self._active_min_end
         max_end = self._active_max_end
-        for start, end in times:
+        for start, end in event_columns.time_pairs():
             if min_start is None or start < min_start:
                 min_start = start
             if max_start is None or start > max_start:
@@ -486,11 +471,7 @@ class DualStore:
         self._active_min_end = min_end
         self._active_max_end = max_end
         self._active_events += count
-
-    def _track_active_rows(self, event_columns: EventColumns) -> None:
-        self._track_active_bounds(event_columns.time_pairs(),
-                                  len(event_columns))
-        if self._active_columns is not None and len(event_columns):
+        if self._active_columns is not None:
             self._active_columns.extend(event_columns)
 
     def _drop_segments(self) -> None:
@@ -511,31 +492,35 @@ class DualStore:
         except (OSError, ValueError):  # pragma: no cover - best effort
             pass
 
+    @gc_paused()
     def load_events(self, events: Iterable[SystemEvent]) -> IngestStats:
-        """Load events into both backends; returns ingestion statistics.
+        """Replace the stored data with ``events``; returns ingestion
+        statistics.
 
         The return value is an :class:`IngestStats` — an ``int`` holding the
         stored event count, annotated with per-stage timings and batch
         counts.
 
-        Loading *replaces* the stored data: the relational backend is
-        cleared first, so ids restart at 1, sealed segments are dropped
-        (the loaded history is the tail until the next seal), and
-        ``data_generation`` moves, so indexes built from the old rows
-        are rebuilt by their next reader.
-
-        The reduction streams, and the relational backend bulk-loads from
-        one build pass (:meth:`_load_batched`).
+        A load is a clear followed by the append path: the relational
+        store is emptied, so ids restart at 1, sealed segments are
+        dropped (the loaded history is the tail until the next seal),
+        every merge run closes at the end of ``events``, and
+        ``data_generation`` moves, so indexes built from the old rows are
+        rebuilt by their next reader.  ``data_version`` moves once.  A
+        later :meth:`append_events` continues the ids with fresh
+        reduction statistics.
         """
         if self.read_only:
             raise StorageError(
                 "store is read-only (opened from a snapshot); ingest into "
                 "a writable DualStore and save() a new snapshot instead")
-        self._stream = None     # a reload invalidates append continuation
         self._drop_segments()
-        stats = self._load_batched(events).observe()
-        self.last_ingest = stats
-        self.data_version += 1
+        self.relational.clear()
+        self._stream = None
+        version = self.data_version
+        stats = self._ingest(events, flush=True)
+        self._stream = None
+        self.data_version = version + 1
         self.data_generation += 1
         return stats
 
@@ -546,11 +531,11 @@ class DualStore:
     def append_events(self, events: Iterable[SystemEvent]) -> IngestStats:
         """Append a batch of events without a rebuild.
 
-        The same fused reduction/interning/row-building pass as the batched
-        loader runs on the delta only: new entities get the next free ids
-        and event rows are appended with multi-row inserts under
-        incremental index maintenance; the path adjacency catches up
-        from the new rows when it is next read.  Merge runs that
+        One fused reduction/interning/row-building pass
+        (:class:`_BuildBatches`) runs on the delta only: new entities get
+        the next free ids and event rows are appended with multi-row
+        inserts under incremental index maintenance; the path adjacency
+        catches up from the new rows when it is next read.  Merge runs that
         are still open when the batch ends stay buffered so a run spanning
         two appends merges exactly as a one-shot load would; they are stored
         when a later event closes them or when :meth:`flush_appends` seals
@@ -569,6 +554,14 @@ class DualStore:
             raise StorageError(
                 "store is read-only (opened from a snapshot); reopen with "
                 "DualStore.open(path, read_only=False) to append")
+        return self._ingest(events, flush=False)
+
+    def _ingest(self, events: Iterable[SystemEvent],
+                flush: bool) -> IngestStats:
+        """Sort, run the fused build pass (closing every merge run when
+        ``flush``), then store the rows.  Stage timings: ``reduce`` is the
+        input ordering, ``build`` the fused pass, ``relational`` the
+        inserts."""
         stream = self._ensure_stream()
         reduce_start = time.perf_counter()
         event_list = list(events)
@@ -582,6 +575,8 @@ class DualStore:
             stream.consume_reducing(event_list)
         else:
             stream.consume(event_list)
+        if flush:
+            stream.flush_runs()
         build_seconds = time.perf_counter() - build_start
         return self._store_stream_delta(
             stream, input_count,
@@ -610,8 +605,7 @@ class DualStore:
         stream = self._stream
         if stream is None:
             return IngestStats(0, input_events=0, entities=0,
-                               relational_batches=0, seconds={},
-                               strategy="append")
+                               relational_batches=0, seconds={})
         build_start = time.perf_counter()
         stream.flush_runs()
         build_seconds = time.perf_counter() - build_start
@@ -798,7 +792,7 @@ class DualStore:
 
     def _store_stream_delta(self, stream: _BuildBatches, input_count: int,
                             seconds: dict[str, float]) -> IngestStats:
-        entity_rows, event_columns, reduced = stream.drain()
+        entity_rows, event_columns = stream.drain()
         stored_events = len(event_columns)
 
         relational_start = time.perf_counter()
@@ -812,8 +806,6 @@ class DualStore:
         relational_seconds = time.perf_counter() - relational_start
 
         self._track_active_rows(event_columns)
-        if self.retain_events:
-            self._events.extend(reduced)
         if entity_rows or stored_events:
             self.data_version += 1
         if self.reduce:
@@ -823,72 +815,9 @@ class DualStore:
         stats = IngestStats(
             stored_events, input_events=input_count,
             entities=len(entity_rows), relational_batches=statements,
-            seconds=seconds, strategy="append").observe()
+            seconds=seconds).observe()
         self.last_ingest = stats
         return stats
-
-    # ------------------------------------------------------------------
-    # batched fast path: fused streaming reduction + single build pass
-    # ------------------------------------------------------------------
-    @gc_paused()
-    def _load_batched(self, events: Iterable[SystemEvent]) -> IngestStats:
-        """Sort, run the fused build pass, then bulk-load the relational
-        backend.
-
-        The fused pass (see :class:`_BuildBatches`) produces the relational
-        row batches in one scan; they load with multi-row inserts under a
-        deferred index rebuild.  Stage timings: ``reduce`` is the input
-        ordering (sort), ``build`` the fused pass, ``relational`` the bulk
-        inserts.
-        """
-        reduce_start = time.perf_counter()
-        event_list = list(events)
-        input_count = len(event_list)
-        do_reduce = self.reduce
-        if do_reduce:
-            event_list.sort(key=attrgetter("start_time", "event_id"))
-        reduce_seconds = time.perf_counter() - reduce_start
-
-        build_start = time.perf_counter()
-        batches = _BuildBatches(self.merge_threshold)
-        if do_reduce:
-            batches.consume_reducing(event_list)
-            batches.flush_runs()
-            self.last_reduction = batches.reduction_stats
-        else:
-            batches.consume(event_list)
-        build_seconds = time.perf_counter() - build_start
-
-        relational_start = time.perf_counter()
-        statements = self.relational.reload_rows(
-            batches.entity_rows, batches.event_columns.row_tuples())
-        self.relational.adopt_entity_ids(
-            batches.entity_ids, batches.next_event_id,
-            next_entity_id=batches.next_entity_id)
-        relational_seconds = time.perf_counter() - relational_start
-
-        # No column buffer: a load-only store never seals, and the rare
-        # seal after a load reads the rows back (the same payload bytes).
-        self._track_active_bounds(batches.event_columns.time_pairs(),
-                                  len(batches.event_columns))
-        self._active_columns = None
-        self._events = batches.reduced if self.retain_events else []
-        return IngestStats(
-            len(batches.reduced), input_events=input_count,
-            entities=len(batches.entity_rows),
-            relational_batches=statements,
-            seconds={"reduce": reduce_seconds, "build": build_seconds,
-                     "relational": relational_seconds},
-            strategy="batched")
-
-    def events(self) -> list[SystemEvent]:
-        """Return the (reduced) events currently stored.
-
-        Empty when the store was built with ``retain_events=False`` or
-        opened from a snapshot (the relational store still holds the
-        data).
-        """
-        return list(self._events)
 
     def execute_sql(self, sql: str, params=()) -> list[dict]:
         """Run SQL against the relational backend."""
@@ -992,8 +921,6 @@ class DualStore:
         manifest and ``data_version`` resumes from the value recorded at
         save time (1 for snapshots written before the field existed).
         The ``graph.bin`` of a v1–v4 snapshot is ignored.
-        Note :meth:`events` is empty because raw events are not part of
-        the snapshot.
 
         Raises:
             StorageError: when the directory is not a snapshot, was written
@@ -1042,10 +969,6 @@ class DualStore:
                 manifest.get("merge_threshold", DEFAULT_MERGE_THRESHOLD))
             store.last_reduction = None
             store.last_ingest = None
-            # Raw events are not part of a snapshot; appends to a writable
-            # reopen must not start accumulating a partial copy either.
-            store.retain_events = False
-            store._events = []
             store._stream = None
             data_version = manifest.get("data_version")
             store.data_version = data_version \

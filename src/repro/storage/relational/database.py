@@ -4,10 +4,13 @@ The store keeps one row per unique system entity and one row per (reduced)
 system event, with indexes on the attributes threat-hunting filters touch.
 It exposes a thin, explicit API:
 
-* :meth:`RelationalStore.load_events` - bulk-load an event stream,
-* :meth:`RelationalStore.execute` - run a parameterized SQL query,
-* :meth:`RelationalStore.query_events` - convenience filtered event lookup
-  used by the TBQL execution engine.
+* :meth:`RelationalStore.append_rows` - the one row writer, fed the rows
+  :class:`repro.storage.DualStore` builds (it also bulk-loads: a batch
+  into an empty ``events`` table rebuilds the indexes once at the end),
+* :meth:`RelationalStore.execute` and :meth:`RelationalStore.select_tuples`
+  - run a parameterized SQL query (the TBQL engine compiles its own SQL),
+* :meth:`RelationalStore.entity_by_ids` - batched entity hydration,
+* :meth:`RelationalStore.segment_rows` - the rows a sealed segment packs.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from pathlib import Path
 from typing import Any, Iterable, Sequence
 
 from ...audit.entities import (EntityType, FileEntity, NetworkEntity,
-                               ProcessEntity, SystemEntity, SystemEvent)
+                               ProcessEntity, SystemEntity)
 from ...errors import StorageError
 from .schema import (ENTITY_COLUMNS, EVENT_COLUMNS, INDEX_DDL, INDEX_NAMES,
                      all_ddl)
@@ -256,111 +259,11 @@ class RelationalStore:
         self._next_event_id = 1
 
     # ------------------------------------------------------------------
-    # loading
+    # writing
     # ------------------------------------------------------------------
-    #: Rows per ``executemany`` call on the bulk-load path.  Bounds the
-    #: per-call row buffer without giving up the amortized statement reuse.
-    INSERT_CHUNK_SIZE = 10_000
-
-    def load_events(self, events: Iterable[SystemEvent]) -> int:
-        """Bulk-load events (and their entities); returns events inserted.
-
-        New entity rows are collected and inserted with chunked
-        ``executemany`` alongside the event rows (one statement per
-        :attr:`INSERT_CHUNK_SIZE` rows) instead of one ``INSERT`` per new
-        entity.
-        """
-        self._assert_writable()
-        entity_ids = self._entity_ids
-        entity_rows: list[tuple] = []
-        event_rows: list[tuple] = []
-        next_entity_id = self._next_entity_id
-        event_id = self._next_event_id
-        for event in events:
-            endpoint_ids = []
-            for entity in (event.subject, event.obj):
-                key = entity.unique_key
-                entity_id = entity_ids.get(key)
-                if entity_id is None:
-                    entity_id = next_entity_id
-                    next_entity_id += 1
-                    entity_ids[key] = entity_id
-                    entity_rows.append(entity_row(entity_id, entity))
-                endpoint_ids.append(entity_id)
-            event_rows.append((event_id, endpoint_ids[0], endpoint_ids[1],
-                               event.operation.value, event.category.value,
-                               event.start_time, event.end_time,
-                               event.duration, event.data_amount,
-                               event.failure_code, event.host))
-            event_id += 1
-        self._next_entity_id = next_entity_id
-        self._next_event_id = event_id
-        self.insert_rows(entity_rows, event_rows)
-        return len(event_rows)
-
-    def insert_rows(self, entity_rows: Sequence[tuple],
-                    event_rows: Sequence[tuple]) -> int:
-        """Insert pre-flattened entity/event rows; returns batches issued.
-
-        Rows must match :data:`ENTITY_COLUMNS` / :data:`EVENT_COLUMNS` and
-        carry ids consistent with the store's id bookkeeping (callers that
-        assign ids themselves register them via :meth:`adopt_entity_ids`).
-        Each table is written with chunked ``executemany`` and the whole load
-        commits once.
-        """
-        self._assert_writable()
-        batches = 0
-        chunk_size = self.INSERT_CHUNK_SIZE
-        with self._lock:
-            for table, columns, rows in (
-                    ("entities", ENTITY_COLUMNS, entity_rows),
-                    ("events", EVENT_COLUMNS, event_rows)):
-                if not rows:
-                    continue
-                statement = (f"INSERT INTO {table} ({', '.join(columns)}) "
-                             f"VALUES ({', '.join('?' for _ in columns)})")
-                for start in range(0, len(rows), chunk_size):
-                    self._connection.executemany(
-                        statement, rows[start:start + chunk_size])
-                    batches += 1
-            self._connection.commit()
-        return batches
-
-    def reload_rows(self, entity_rows: Sequence[tuple],
-                    event_rows: Sequence[tuple]) -> int:
-        """Replace the stored tables with pre-flattened rows; returns batches.
-
-        The replace-semantics bulk load: secondary indexes are dropped up
-        front so both the ``DELETE`` of the old rows and the inserts run
-        index-free, then the indexes are rebuilt once over the final table —
-        substantially cheaper than maintaining every index row-by-row.  Rows
-        are written with multi-row ``VALUES`` statements
-        (:attr:`MULTIROW_CHUNK` rows per statement, staying under SQLite's
-        bound-variable limit), which roughly halves the per-row statement
-        stepping cost of plain ``executemany``.  Id bookkeeping is *not*
-        touched; callers follow up with :meth:`adopt_entity_ids`.
-        """
-        self._assert_writable()
-        with self._lock:
-            cursor = self._connection.cursor()
-            for index_name in INDEX_NAMES:
-                cursor.execute(f"DROP INDEX IF EXISTS {index_name}")
-            cursor.execute("DELETE FROM events")
-            cursor.execute("DELETE FROM entities")
-            batches = 0
-            for table, columns, rows in (
-                    ("entities", ENTITY_COLUMNS, entity_rows),
-                    ("events", EVENT_COLUMNS, event_rows)):
-                batches += self._insert_multirow(cursor, table, columns,
-                                                 rows)
-            for ddl in INDEX_DDL:
-                cursor.execute(ddl)
-            self._connection.commit()
-        return batches
-
-    #: Rows per multi-row ``VALUES`` statement on the replace-load path;
-    #: sized so even the 14-column entity table stays well below SQLite's
-    #: default 999 bound-variable limit (14 * 64 = 896).
+    #: Rows per multi-row ``VALUES`` statement; sized so even the
+    #: 14-column entity table stays well below SQLite's default 999
+    #: bound-variable limit (14 * 64 = 896).
     MULTIROW_CHUNK = 64
 
     def _insert_multirow(self, cursor, table: str, columns: Sequence[str],
@@ -389,25 +292,46 @@ class RelationalStore:
 
     def append_rows(self, entity_rows: Sequence[tuple],
                     event_rows: Sequence[tuple]) -> int:
-        """Append pre-flattened rows to the live tables; returns batches.
+        """Append pre-flattened rows to the tables; returns statements.
 
-        The incremental-ingestion write path: unlike :meth:`reload_rows`
-        nothing is deleted and the secondary indexes stay in place — the
-        engine maintains them incrementally as the multi-row ``VALUES``
-        statements land, which is the right trade-off for deltas that are
-        small next to the stored tables.  Rows must carry ids continuing
-        the store's id spaces (callers register them via
-        :meth:`adopt_entity_ids`).  The whole batch commits once.
+        The one write path.  Rows must match :data:`ENTITY_COLUMNS` /
+        :data:`EVENT_COLUMNS` and carry ids continuing the store's id
+        spaces (callers register them via :meth:`adopt_entity_ids`); they
+        land as multi-row ``VALUES`` statements (:attr:`MULTIROW_CHUNK`
+        rows each, which roughly halves the per-row stepping cost of
+        plain ``executemany``) and the batch commits once.
+
+        A batch whose first event id is 1 writes into an empty ``events``
+        table — a fresh or cleared store, the bulk load — so the
+        secondary indexes are dropped first and rebuilt once over the
+        final tables in the same transaction, which is substantially
+        cheaper than maintaining every index row by row.  Any later
+        batch is a delta, small next to the stored tables, and the
+        engine maintains the indexes incrementally.
         """
         self._assert_writable()
+        rebuild_indexes = bool(event_rows) and event_rows[0][0] == 1
         with self._lock:
             cursor = self._connection.cursor()
-            batches = 0
-            for table, columns, rows in (
-                    ("entities", ENTITY_COLUMNS, entity_rows),
-                    ("events", EVENT_COLUMNS, event_rows)):
-                batches += self._insert_multirow(cursor, table, columns,
-                                                 rows)
+            try:
+                if rebuild_indexes:
+                    if not self._connection.in_transaction:
+                        cursor.execute("BEGIN")
+                    for index_name in INDEX_NAMES:
+                        cursor.execute(f"DROP INDEX IF EXISTS {index_name}")
+                batches = 0
+                for table, columns, rows in (
+                        ("entities", ENTITY_COLUMNS, entity_rows),
+                        ("events", EVENT_COLUMNS, event_rows)):
+                    batches += self._insert_multirow(cursor, table, columns,
+                                                     rows)
+                if rebuild_indexes:
+                    for ddl in INDEX_DDL:
+                        cursor.execute(ddl)
+            except BaseException:
+                # Never leave the indexes dropped behind a failed batch.
+                self._connection.rollback()
+                raise
             self._connection.commit()
         return batches
 
@@ -491,10 +415,10 @@ class RelationalStore:
                          next_entity_id: int | None = None) -> None:
         """Adopt an externally-built ``unique_key -> id`` assignment.
 
-        Used by the dual store's loaders, which dedup entities once for
-        both backends and hand the resulting mapping over so later
-        incremental :meth:`load_events` calls keep allocating ids after
-        the adopted ones.  Callers that already track
+        Used by the dual store's write path, which dedups entities once
+        and hands the resulting mapping over after every
+        :meth:`append_rows` batch so the bookkeeping stays the store's
+        own (:meth:`id_state`, a writable reopen).  Callers that already track
         the next free entity id pass it via ``next_entity_id`` — the
         streaming append path adopts once per flush, and rescanning the
         whole (ever-growing) mapping there would be O(total entities) per
@@ -541,21 +465,11 @@ class RelationalStore:
         except sqlite3.Error as exc:
             raise StorageError(f"SQL execution failed: {exc}\n{sql}") from exc
 
-    def explain(self, sql: str, params: Sequence[Any] = ()) -> list[str]:
-        """Return the engine's query plan lines (useful for diagnostics)."""
-        rows = self.execute(f"EXPLAIN QUERY PLAN {sql}", params)
-        return [str(row.get("detail", row)) for row in rows]
-
     def count_entities(self) -> int:
         return self.execute("SELECT COUNT(*) AS n FROM entities")[0]["n"]
 
     def count_events(self) -> int:
         return self.execute("SELECT COUNT(*) AS n FROM events")[0]["n"]
-
-    def entity_by_id(self, entity_id: int) -> dict | None:
-        rows = self.execute("SELECT * FROM entities WHERE id = ?",
-                            (entity_id,))
-        return rows[0] if rows else None
 
     #: Maximum ids per batched ``IN`` list; stays well below SQLite's bound
     #: variable limit (999 in older builds).
@@ -586,57 +500,6 @@ class RelationalStore:
             for row in rows:
                 rows_by_id[row["id"]] = row
         return rows_by_id, statements
-
-    def entities_matching(self, entity_type: EntityType | None = None,
-                          where_sql: str = "", params: Sequence[Any] = ()
-                          ) -> list[dict]:
-        """Return entity rows matching an optional type and WHERE fragment."""
-        clauses = []
-        bound: list[Any] = []
-        if entity_type is not None:
-            clauses.append("type = ?")
-            bound.append(entity_type.value)
-        if where_sql:
-            clauses.append(f"({where_sql})")
-            bound.extend(params)
-        where = f" WHERE {' AND '.join(clauses)}" if clauses else ""
-        return self.execute(f"SELECT * FROM entities{where}", bound)
-
-    def query_events(self, where_sql: str = "", params: Sequence[Any] = (),
-                     limit: int | None = None) -> list[dict]:
-        """Return joined event rows with subject/object attributes inlined.
-
-        The result rows expose event columns plus ``subject_*`` and
-        ``object_*`` prefixed entity columns; this is the shape the TBQL
-        execution engine consumes.
-        """
-        sql = (
-            "SELECT e.id AS event_id, e.operation, e.category, e.start_time, "
-            "e.end_time, e.duration, e.data_amount, e.failure_code, e.host, "
-            "s.id AS subject_id, s.type AS subject_type, s.name AS "
-            "subject_name, s.path AS subject_path, s.exename AS "
-            "subject_exename, s.pid AS subject_pid, s.user AS subject_user, "
-            "s.grp AS subject_group, s.cmdline AS subject_cmdline, "
-            "o.id AS object_id, o.type AS object_type, o.name AS object_name, "
-            "o.path AS object_path, o.exename AS object_exename, o.pid AS "
-            "object_pid, o.user AS object_user, o.grp AS object_group, "
-            "o.cmdline AS object_cmdline, o.srcip AS object_srcip, o.srcport "
-            "AS object_srcport, o.dstip AS object_dstip, o.dstport AS "
-            "object_dstport, o.protocol AS object_protocol "
-            "FROM events e "
-            "JOIN entities s ON e.subject_id = s.id "
-            "JOIN entities o ON e.object_id = o.id"
-        )
-        if where_sql:
-            sql += f" WHERE {where_sql}"
-        sql += " ORDER BY e.start_time, e.id"
-        if limit is not None:
-            sql += f" LIMIT {int(limit)}"
-        return self.execute(sql, params)
-
-    def all_events(self) -> list[dict]:
-        """Return every stored event row with inlined entity attributes."""
-        return self.query_events()
 
 
 __all__ = ["RelationalStore"]

@@ -63,8 +63,8 @@ INDEX_DDL = [
     "CREATE INDEX IF NOT EXISTS idx_events_start ON events(start_time)",
 ]
 
-#: Names of the indexes in :data:`INDEX_DDL` (so bulk loads can drop and
-#: rebuild them around large inserts).
+#: Names of the indexes in :data:`INDEX_DDL` (so ``append_rows`` can drop
+#: and rebuild them around a batch into the empty ``events`` table).
 INDEX_NAMES = [ddl.split(" ON ")[0].rsplit(" ", 1)[-1] for ddl in INDEX_DDL]
 
 #: Columns accepted by the entity table, in insertion order.

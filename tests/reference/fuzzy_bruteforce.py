@@ -7,9 +7,9 @@ first (forward from the source or backward into the target) and cuts
 alignment subtrees by branch-and-bound.  The seed did none of that: a
 full Levenshtein DP against every node per query node, one bounded BFS
 per query edge per partial alignment, no bounding, and the provenance
-index built from the relational rows.  Both must return identical
-alignments, scores and candidate counts; the Table IX benchmark times
-them against each other.
+index built from the joined relational rows (:func:`joined_event_rows`).
+Both must return identical alignments, scores and candidate counts; the
+Table IX benchmark times them against each other.
 
 The bodies below are the old code verbatim, with ``self`` renamed where
 a method became a function; :meth:`BruteForceAligner._flow_score_to`
@@ -25,12 +25,40 @@ from __future__ import annotations
 import time
 from typing import Iterator, Optional
 
+from repro.storage.relational import RelationalStore
 from repro.tbql.fuzzy import (MAX_FLOW_LENGTH, NODE_SIMILARITY_THRESHOLD,
                               Alignment, FuzzySearcher, FuzzySearchResult,
                               GraphAligner, ProvenanceIndex, QueryEdge,
                               QueryGraph, QueryNode, string_similarity)
 from repro.tbql.parser import parse_tbql
 from repro.tbql.semantics import ResolvedQuery, resolve_query
+
+
+#: Every stored event joined with its subject's and object's attributes,
+#: the rows the seed built its provenance index from.
+_JOINED_EVENTS_SQL = (
+    "SELECT e.id AS event_id, e.operation, e.category, e.start_time, "
+    "e.end_time, e.duration, e.data_amount, e.failure_code, e.host, "
+    "s.id AS subject_id, s.type AS subject_type, s.name AS "
+    "subject_name, s.path AS subject_path, s.exename AS "
+    "subject_exename, s.pid AS subject_pid, s.user AS subject_user, "
+    "s.grp AS subject_group, s.cmdline AS subject_cmdline, "
+    "o.id AS object_id, o.type AS object_type, o.name AS object_name, "
+    "o.path AS object_path, o.exename AS object_exename, o.pid AS "
+    "object_pid, o.user AS object_user, o.grp AS object_group, "
+    "o.cmdline AS object_cmdline, o.srcip AS object_srcip, o.srcport "
+    "AS object_srcport, o.dstip AS object_dstip, o.dstport AS "
+    "object_dstport, o.protocol AS object_protocol "
+    "FROM events e "
+    "JOIN entities s ON e.subject_id = s.id "
+    "JOIN entities o ON e.object_id = o.id "
+    "ORDER BY e.start_time, e.id")
+
+
+def joined_event_rows(relational: RelationalStore) -> list[dict]:
+    """Every stored event row with its endpoints' attributes inlined
+    (``subject_*`` / ``object_*`` columns), in time order."""
+    return relational.execute(_JOINED_EVENTS_SQL)
 
 
 def candidates_for_bruteforce(index: ProvenanceIndex, query_node: QueryNode,
@@ -153,7 +181,7 @@ class BruteForceFuzzySearcher(FuzzySearcher):
         resolved = query if isinstance(query, ResolvedQuery) else \
             resolve_query(parse_tbql(query))
         load_start = time.perf_counter()
-        rows = self.store.relational.all_events()
+        rows = joined_event_rows(self.store.relational)
         loading = time.perf_counter() - load_start
         prep_start = time.perf_counter()
         index = BruteForceIndex()
@@ -183,4 +211,5 @@ class BruteForcePoirotSearcher(BruteForceFuzzySearcher):
 
 __all__ = ["BruteForceAligner", "BruteForceFuzzySearcher",
            "BruteForceIndex", "BruteForcePoirotSearcher",
-           "candidates_for_bruteforce", "flow_score_bruteforce"]
+           "candidates_for_bruteforce", "flow_score_bruteforce",
+           "joined_event_rows"]

@@ -3,13 +3,14 @@
 ``DualStore.load_events`` once had a second load path: batch reduction,
 one ``INSERT`` per new entity plus one ``executemany`` for the events on
 the relational side, and one ``add_node`` / ``add_edge`` call per item on
-the graph side.  The batched loader must store exactly what it stored —
-same rows, same ids — and the ingestion benchmark times the two against
-each other.  Stores hold no graph any more, so :class:`RowwiseDualStore`
-loads the rows only; :func:`graph_from_events_itemwise` stays as the
-oracle of ``repro.benchmark.cypher``'s bulk ``graph_from_events``.  The
-bodies below are the old code verbatim, with ``self`` renamed where a
-method became a function.  Test-only — nothing under ``src/`` imports
+the graph side.  The shipped write path must store exactly what it
+stored — same rows, same ids — and the ingestion benchmark times the two
+against each other.  Stores hold no graph any more, so
+:class:`RowwiseDualStore` loads the rows only;
+:func:`graph_from_events_itemwise` stays as the oracle of
+``repro.benchmark.cypher``'s bulk ``graph_from_events``.  The loader
+bodies are the old code verbatim, with ``self`` renamed where a method
+became a function.  Test-only — nothing under ``src/`` imports
 this module.
 """
 
@@ -20,6 +21,7 @@ from typing import Iterable
 
 from repro.audit.entities import SystemEntity, SystemEvent
 from repro.audit.reduction import reduce_events
+from repro.errors import StorageError
 from repro.storage import DualStore, IngestStats
 from repro.benchmark.cypher import PropertyGraph
 from repro.storage.relational import RelationalStore
@@ -97,12 +99,20 @@ def graph_from_events_itemwise(events: Iterable[SystemEvent]
 class RowwiseDualStore(DualStore):
     """A :class:`DualStore` whose ``load_events`` runs the old loader.
 
-    Everything around the loader — the read-only check, dropping sealed
-    segments, metrics, ``data_version`` — is the shipped
-    ``load_events``; only the method it delegates to is replaced.
+    Around the loader it keeps the shipped ``load_events``' contract:
+    the read-only check, sealed segments dropped, ids restarting at 1,
+    metrics, one ``data_version`` and ``data_generation`` move, and the
+    loaded history as the tail (without a column buffer: the rows never
+    flow through the columnar builder, so a seal reads them back).
+    After a load, ``stored_events`` is the oracle's own list of the
+    events it stored, in id order.
     """
 
-    def _load_batched(self, events: Iterable[SystemEvent]) -> IngestStats:
+    def load_events(self, events: Iterable[SystemEvent]) -> IngestStats:
+        if self.read_only:
+            raise StorageError("store is read-only (opened from a snapshot)")
+        self._drop_segments()
+        self._stream = None
         reduce_start = time.perf_counter()
         event_list = list(events)
         input_count = len(event_list)
@@ -117,22 +127,20 @@ class RowwiseDualStore(DualStore):
         load_events_rowwise(self.relational, event_list)
         relational_seconds = time.perf_counter() - relational_start
 
-        self._track_active_bounds(
-            ((event.start_time, event.end_time) for event in event_list),
-            len(event_list))
-        # Rowwise rows never flow through the columnar builder; sealing
-        # this data reads them back from the relational store.
-        self._active_columns = None
-        self._events = event_list if self.retain_events else []
+        self._restore_tail()
+        self.stored_events = event_list
         entities = self.relational.count_entities()
         # One INSERT per entity plus one executemany for the events.
         statements = entities + (1 if event_list else 0)
-        return IngestStats(
+        ingest = IngestStats(
             len(event_list), input_events=input_count, entities=entities,
             relational_batches=statements,
             seconds={"reduce": reduce_seconds, "build": 0.0,
-                     "relational": relational_seconds},
-            strategy="rowwise")
+                     "relational": relational_seconds}).observe()
+        self.last_ingest = ingest
+        self.data_version += 1
+        self.data_generation += 1
+        return ingest
 
 
 __all__ = ["RowwiseDualStore", "entity_id_for",

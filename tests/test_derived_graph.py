@@ -28,6 +28,7 @@ from repro.audit import AuditCollector, CollectorConfig, \
     generate_benign_noise
 from repro.audit.logfmt import format_log
 from repro.audit.parser import parse_audit_log
+from repro.audit.reduction import reduce_events
 from repro.errors import StorageError
 from repro.benchmark.cypher import (PropertyGraph, graph_from_events,
                                     graph_from_store)
@@ -87,8 +88,9 @@ def _edge_maps(graph: PropertyGraph) -> tuple[dict, dict]:
     return out_edges, in_edges
 
 
-def _assert_derived_is_exact(store: DualStore) -> None:
-    described = graph_from_events(store.events())
+def _assert_derived_is_exact(store: DualStore, stored: list) -> None:
+    """``stored``: the reduced events the store holds, in id order."""
+    described = graph_from_events(stored)
     assert _shape(graph_from_store(store)) == _shape(described)
     fresh = Adjacency(store.data_generation)
     fresh.extend(store)
@@ -112,6 +114,10 @@ def test_extended_adjacency_equals_a_fresh_build(steps, replace):
     unsealed flush of the merge runs, a seal or nothing), whether the
     adjacency is read then, and whether a compaction runs."""
     steps = sorted(steps)
+    # A flush closes every open merge run, so the store holds the
+    # reduction of each stretch between flushes, one after the other.
+    stored: list = []
+    stretch_start = 0
     with DualStore() as store:
         start = 0
         for end, flush, read, compact in steps + [(len(EVENTS), "seal",
@@ -120,13 +126,15 @@ def test_extended_adjacency_equals_a_fresh_build(steps, replace):
             start = max(start, end)
             if flush != "none":
                 store.flush_appends(seal_segment=(flush == "seal"))
+                stored += reduce_events(EVENTS[stretch_start:start])[0]
+                stretch_start = start
             if compact:
                 store.compact(min_events=len(EVENTS) // 3)
             if read:
                 adjacency(store)
-        _assert_derived_is_exact(store)
+        _assert_derived_is_exact(store, stored)
         store.load_events(EVENTS[:replace])
-        _assert_derived_is_exact(store)
+        _assert_derived_is_exact(store, reduce_events(EVENTS[:replace])[0])
 
 
 def _graph_bin(directory: Path) -> tuple[list, list]:

@@ -203,13 +203,6 @@ class TestBehaviorGraph:
         names = {node.ioc for node in data_leak_extraction.graph.nodes}
         assert "/bin/tar" in names and "192.168.29.128" in names
 
-    def test_networkx_export(self, data_leak_extraction):
-        graph = data_leak_extraction.graph.to_networkx()
-        assert graph.number_of_nodes() == len(
-            data_leak_extraction.graph.nodes)
-        assert graph.number_of_edges() == len(
-            data_leak_extraction.graph.edges)
-
     def test_successors_predecessors(self, data_leak_extraction):
         graph = data_leak_extraction.graph
         assert {e.target for e in graph.successors("/bin/tar")} == \

@@ -238,7 +238,7 @@ def test_the_search_span_counts_reuse(data_leak_events):
 def test_an_append_starts_a_cold_memo(data_leak_events):
     events = sorted(data_leak_events, key=attrgetter("start_time",
                                                      "event_id"))
-    with DualStore(retain_events=False) as store:
+    with DualStore() as store:
         store.append_events(events)
         store.flush_appends()
         FuzzySearcher(store).search(LATE_QUERY)

@@ -71,7 +71,7 @@ def test_second_search_reuses_index(store):
 def test_append_and_flush_rebuild(data_leak_events):
     events = sorted(data_leak_events, key=attrgetter("start_time",
                                                      "event_id"))
-    with DualStore(retain_events=False) as segmented:
+    with DualStore() as segmented:
         segmented.append_events(events)
         segmented.flush_appends()
         before = FuzzySearcher(segmented).search(LATE_QUERY)
@@ -93,7 +93,7 @@ def test_the_index_shares_the_path_adjacency(data_leak_events):
     path patterns expand, before and after an append extends it."""
     events = sorted(data_leak_events, key=attrgetter("start_time",
                                                      "event_id"))
-    with DualStore(retain_events=False) as store:
+    with DualStore() as store:
         store.append_events(events)
         store.flush_appends()
         FuzzySearcher(store).search(QUERY)

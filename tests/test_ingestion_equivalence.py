@@ -1,7 +1,8 @@
-"""Equivalence tests for the batched ingestion fast path.
+"""Equivalence tests for the ingestion write path.
 
-The batched loader (streaming reduction, single build pass, chunked
-``executemany``) must store data *identical* to the row-at-a-time
+``DualStore.load_events`` (a clear, then the append path: streaming
+reduction, one build pass, multi-row inserts) must store data
+*identical* to the row-at-a-time
 reference loader kept in ``tests/reference/ingest_rowwise.py`` — same
 relational rows, same id assignment — and the bulk property-graph
 construction of ``repro.benchmark.cypher`` must build the graph its
@@ -49,9 +50,7 @@ class TestLoadStrategyEquivalence:
                         "SELECT * FROM events ORDER BY id"):
                 assert batched.execute_sql(sql) == rowwise.execute_sql(sql)
             _graphs_equal(graph_from_store(batched),
-                          graph_from_events_itemwise(rowwise.events()))
-            assert [e.event_id for e in batched.events()] == \
-                   [e.event_id for e in rowwise.events()]
+                          graph_from_events_itemwise(rowwise.stored_events))
 
     def test_reduction_stats_agree(self, noise_events):
         with DualStore() as batched, RowwiseDualStore() as rowwise:
@@ -76,21 +75,27 @@ class TestLoadStrategyEquivalence:
             assert rebuilt.out_edges == first.out_edges
             assert rebuilt.high_water == store.relational.count_events()
 
-    def test_incremental_relational_load_after_batched(self, noise_events):
-        # adopt_entity_ids must leave the relational store ready for later
-        # incremental loads: ids keep counting up, no collisions.
+    def test_new_entities_appended_after_a_load_get_dense_ids(
+            self, noise_events):
+        # The load hands its id assignment to the relational store, so
+        # a later append keeps counting up: no collision, no gap.
         collector = AuditCollector()
         proc = collector.spawn_process("/bin/late")
         collector.read_file(proc, "/tmp/late-file")
         with DualStore() as store:
             store.load_events(noise_events)
             before = store.relational.count_entities()
-            store.relational.load_events(collector.events())
-            after = store.relational.count_entities()
-            assert after > before
+            store.append_events(collector.events())
+            store.flush_appends()
+            assert store.relational.count_entities() == before + 2
             top = store.execute_sql(
                 "SELECT COUNT(*) AS n, MAX(id) AS top FROM entities")[0]
-            assert top["n"] == top["top"]  # dense, collision-free ids
+            assert top["n"] == top["top"]
+            late = store.execute_sql(
+                "SELECT id FROM entities WHERE exename = '/bin/late' "
+                "OR path = '/tmp/late-file'")
+            assert sorted(row["id"] for row in late) == [before + 1,
+                                                         before + 2]
 
 
 class TestIngestStats:
@@ -109,7 +114,6 @@ class TestIngestStats:
     def test_breakdown_fields(self, noise_events):
         with DualStore() as store:
             stats = store.load_events(noise_events)
-            assert stats.strategy == "batched"
             assert stats.input_events == len(noise_events)
             assert stats.events <= stats.input_events
             assert stats.entities == store.relational.count_entities()
@@ -119,12 +123,10 @@ class TestIngestStats:
                 sum(stats.seconds.values()))
             as_dict = stats.as_dict()
             assert as_dict["events"] == stats.events
-            assert as_dict["strategy"] == "batched"
 
     def test_rowwise_stats(self, noise_events):
         with RowwiseDualStore() as store:
             stats = store.load_events(noise_events)
-            assert stats.strategy == "rowwise"
             assert stats.entities == store.relational.count_entities()
 
 

@@ -172,20 +172,31 @@ class TestSealing:
             assert ('repro_ingest_stage_seconds_count{stage="%s"}' % stage
                     ) in scrape
 
-    def test_loaded_history_seals_what_appends_seal(self):
-        """A bulk load keeps no column buffer of its tail (a load-only
-        store never reads one); its seal reads the rows back and writes
+    def test_restored_tail_seals_what_appends_seal(self, tmp_path):
+        """A load buffers its tail's columns as an append does.  A
+        snapshot saved before its first seal restores its history as a
+        tail without that buffer; its seal reads the rows back and writes
         the payload an append-fed seal packs from buffered columns."""
         events = _events(sessions=4, seed=5)
-        with DualStore() as loaded, DualStore() as appended:
+        snap = tmp_path / "snap"
+        with DualStore() as loaded:
             loaded.load_events(events)
-            assert loaded._active_columns is None
+            assert len(loaded._active_columns) == loaded.max_event_id
+            loaded.save(snap)
+        # What a manifest written before the first seal lists: nothing.
+        shutil.rmtree(snap / SNAPSHOT_SEGMENTS_DIR)
+        manifest = json.loads((snap / SNAPSHOT_MANIFEST).read_text())
+        manifest["segments"] = []
+        (snap / SNAPSHOT_MANIFEST).write_text(json.dumps(manifest))
+        with DualStore.open(snap, read_only=False) as restored, \
+                DualStore() as appended:
+            assert restored._active_columns is None
             appended.append_events(events)
             appended.flush_appends(seal_segment=False)
             assert len(appended._active_columns) == \
                 appended.max_event_id
             infos = [store.seal_active_segment()
-                     for store in (loaded, appended)]
+                     for store in (restored, appended)]
             assert infos[0].event_count == appended.max_event_id
             first, second = (dataclasses.replace(info, name="",
                                                  directory="")
@@ -218,7 +229,7 @@ class TestSealPolicy:
         from repro.streaming import DetectionEngine
         events = _events(sessions=6, seed=21)
         step = len(events) // 6 + 1
-        store = DualStore(retain_events=False)
+        store = DualStore()
         engine = DetectionEngine(store, seal_every=0)
         for index in range(0, len(events), step):
             engine.process_batch(events[index:index + step], seal=True)
@@ -230,7 +241,7 @@ class TestSealPolicy:
         from repro.streaming import DetectionEngine
         events = _events(sessions=6, seed=21)
         step = len(events) // 6 + 1
-        store = DualStore(retain_events=False)
+        store = DualStore()
         engine = DetectionEngine(store, seal_every=2)
         for index in range(0, len(events), step):
             engine.process_batch(events[index:index + step], seal=True)

@@ -82,10 +82,6 @@ class TestRoundTrip:
         for text, rows in outcomes:
             assert rows == serial[text]
 
-    def test_events_list_not_part_of_snapshot(self, reopened_store):
-        # Raw events are not persisted — both query backends are.
-        assert reopened_store.events() == []
-
 
 class TestReadOnly:
     def test_load_events_refused(self, reopened_store, data_leak_events):
@@ -96,7 +92,7 @@ class TestReadOnly:
         with pytest.raises(StorageError, match="read-only"):
             reopened_store.relational.clear()
         with pytest.raises(StorageError, match="read-only"):
-            reopened_store.relational.insert_rows([], [(1,) * 11])
+            reopened_store.relational.append_rows([], [(1,) * 11])
 
     def test_read_only_flags(self, data_leak_store, reopened_store):
         assert reopened_store.read_only

@@ -1,12 +1,19 @@
 """Tests for the dual store and the error hierarchy."""
 
+from operator import attrgetter
+
 import pytest
 
 from repro import errors
 from repro.audit import AuditCollector, generate_benign_noise
+from repro.audit.reduction import reduce_events
 from repro.storage import DualStore
+from repro.storage.relational.schema import INDEX_NAMES
+from repro.tbql.compiler_sql import compile_pattern_sql
 from repro.tbql.executor import TBQLExecutor
+from repro.tbql.parser import parse_tbql
 from repro.tbql.paths import adjacency
+from repro.tbql.semantics import resolve_query
 
 
 @pytest.fixture()
@@ -52,10 +59,10 @@ class TestDualStore:
             tight_count = tight.load_events(small_events)
             assert tight_count <= loose_count
 
-    def test_events_accessor_returns_reduced_stream(self, small_events):
+    def test_stores_the_reduced_stream(self, small_events):
         with DualStore() as store:
             stored = store.load_events(small_events)
-            assert len(store.events()) == stored
+            assert stored == len(reduce_events(small_events)[0])
 
     def test_both_query_interfaces_agree(self, small_events):
         with DualStore() as store:
@@ -120,3 +127,54 @@ class TestErrorHierarchy:
         from repro.tbql.parser import parse_tbql
         with pytest.raises(errors.ReproError):
             parse_tbql("proc p @@@")
+
+
+#: Every way rows reach the relational store.  A batch into an empty
+#: ``events`` table defers the index build to its end; none may leave
+#: the store without an index (answers stay right, only slow).
+_WRITE_SHAPES = ["load_fresh", "load_over_populated", "first_append",
+                 "later_append", "reopen_then_append"]
+
+
+def _written(shape, first, second, tmp_path) -> DualStore:
+    """A store written as ``shape`` says, from ``first`` (and ``second``)."""
+    def appended(store, *batches):
+        for batch in batches:
+            store.append_events(batch)
+            store.flush_appends()
+        return store
+
+    if shape.startswith("load"):
+        store = DualStore()
+        for batch in ([first, second] if shape == "load_over_populated"
+                      else [first]):
+            store.load_events(batch)
+        return store
+    if shape == "reopen_then_append":
+        with appended(DualStore(), first) as saved:
+            saved.save(tmp_path / "snap")
+        return appended(DualStore.open(tmp_path / "snap", read_only=False),
+                        second)
+    return appended(DualStore(), *([first, second]
+                                   if shape == "later_append" else [first]))
+
+
+@pytest.mark.parametrize("shape", _WRITE_SHAPES)
+def test_indexes_after_every_write_shape(shape, tmp_path):
+    events = sorted(generate_benign_noise(8, seed=3),
+                    key=attrgetter("start_time", "event_id"))
+    half = len(events) // 2
+    with _written(shape, events[:half], events[half:], tmp_path) as store:
+        assert store.relational.count_events() > 0
+        names = {row["name"] for row in store.execute_sql(
+            "SELECT name FROM sqlite_master WHERE type = 'index'")}
+        assert set(INDEX_NAMES) <= names
+        resolved = resolve_query(parse_tbql(
+            "proc p read file f return p, f"))
+        subjects = [row["id"] for row in store.execute_sql(
+            "SELECT id FROM entities WHERE type = 'proc' LIMIT 3")]
+        compiled = compile_pattern_sql(resolved.patterns[0], resolved,
+                                       subject_candidates=subjects)
+        plan = " | ".join(row["detail"] for row in store.execute_sql(
+            "EXPLAIN QUERY PLAN " + compiled.sql, compiled.params))
+        assert "idx_events_subject" in plan, plan

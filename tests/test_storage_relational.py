@@ -1,29 +1,34 @@
 """Unit tests for the relational (SQLite) storage backend."""
 
+import sqlite3
+
 import pytest
 
 from repro.audit.collector import AuditCollector
-from repro.audit.entities import EntityType
 from repro.errors import StorageError
+from repro.storage import DualStore
 from repro.storage.relational import RelationalStore
+from repro.storage.relational.schema import INDEX_NAMES
 from repro.storage.relational.sqlgen import (comparison, in_list,
                                              like_escape)
 
+from .reference.fuzzy_bruteforce import joined_event_rows
 from .reference.ingest_rowwise import entity_id_for
 
 
 @pytest.fixture()
 def small_store():
+    """The relational store of an unreduced load: rows written through
+    the one write path, :meth:`RelationalStore.append_rows`."""
     collector = AuditCollector()
     tar = collector.spawn_process("/bin/tar")
     collector.read_file(tar, "/etc/passwd", burst=2)
     collector.write_file(tar, "/tmp/upload.tar", burst=1)
     curl = collector.spawn_process("/usr/bin/curl")
     collector.connect_ip(curl, "192.168.29.128")
-    store = RelationalStore()
-    store.load_events(collector.events())
-    yield store
-    store.close()
+    with DualStore(reduce=False) as store:
+        store.load_events(collector.events())
+        yield store.relational
 
 
 class TestLoading:
@@ -46,19 +51,57 @@ class TestLoading:
         assert first == second
         store.close()
 
+    def test_failed_first_batch_keeps_the_indexes(self):
+        # A batch into the empty table drops the indexes before it
+        # inserts; a row that fails must roll the drop back with it.
+        store = RelationalStore()
+        bad_host = (1, 1, 1, "read", "file", 0.0, 0.0, 0.0, 0, 0, None)
+        with pytest.raises(sqlite3.IntegrityError):
+            store.append_rows([], [bad_host])
+        names = {row["name"] for row in store.execute(
+            "SELECT name FROM sqlite_master WHERE type = 'index'")}
+        assert set(INDEX_NAMES) <= names
+        assert store.count_events() == 0
+        store.close()
+
     def test_clear_resets(self, small_store):
         small_store.clear()
         assert small_store.count_events() == 0
         assert small_store.count_entities() == 0
+
+    def test_rebuild_id_state_equals_the_written_state(self, small_store):
+        # A writable reopen rebuilds from the rows the bookkeeping the
+        # write path adopted batch by batch.
+        mapping, next_entity, next_event = small_store.id_state()
+        written = (dict(mapping), next_entity, next_event)
+        assert written[1:] == (6, 5)
+        small_store.rebuild_id_state()
+        rebuilt_mapping, *rebuilt_next = small_store.id_state()
+        assert (rebuilt_mapping, *rebuilt_next) == written
+
+    def test_save_to_and_from_snapshot_keep_rows_ids_and_indexes(
+            self, small_store, tmp_path):
+        path = tmp_path / "copy.db"
+        small_store.save_to(path)
+        with RelationalStore.from_snapshot(path) as restored:
+            for sql in ("SELECT * FROM entities ORDER BY id",
+                        "SELECT * FROM events ORDER BY id"):
+                assert restored.execute(sql) == small_store.execute(sql)
+            names = {row["name"] for row in restored.execute(
+                "SELECT name FROM sqlite_master WHERE type = 'index'")}
+            assert set(INDEX_NAMES) <= names
+            mapping, *next_ids = small_store.id_state()
+            restored_mapping, *restored_next = restored.id_state()
+            assert (restored_mapping, restored_next) == (mapping, next_ids)
 
     def test_on_disk_database(self, tmp_path):
         collector = AuditCollector()
         tar = collector.spawn_process("/bin/tar")
         collector.read_file(tar, "/etc/passwd")
         path = tmp_path / "audit.db"
-        with RelationalStore(path) as store:
+        with DualStore(relational_path=path, reduce=False) as store:
             store.load_events(collector.events())
-            assert store.count_events() == 3
+            assert store.relational.count_events() == 3
         assert path.exists()
 
 
@@ -72,42 +115,50 @@ class TestQuerying:
         with pytest.raises(StorageError):
             small_store.execute("SELECT * FROM not_a_table")
 
-    def test_query_events_joins_entities(self, small_store):
-        rows = small_store.query_events("o.name LIKE ?", ("%passwd%",))
-        assert rows
+    def test_joined_rows_inline_both_endpoints(self, small_store):
+        rows = [row for row in joined_event_rows(small_store)
+                if row["object_name"] == "/etc/passwd"]
+        assert len(rows) == 2
         assert all(row["subject_exename"] == "/bin/tar" for row in rows)
-        assert all(row["object_name"] == "/etc/passwd" for row in rows)
+        assert all(row["operation"] == "read" for row in rows)
+        connect, = [row for row in joined_event_rows(small_store)
+                    if row["operation"] == "connect"]
+        assert connect["subject_exename"] == "/usr/bin/curl"
+        assert connect["object_dstip"] == "192.168.29.128"
 
-    def test_query_events_limit(self, small_store):
-        rows = small_store.query_events(limit=1)
-        assert len(rows) == 1
-
-    def test_all_events_shape(self, small_store):
-        rows = small_store.all_events()
-        assert len(rows) == 4
+    def test_joined_rows_cover_every_event_in_time_order(self, small_store):
+        rows = joined_event_rows(small_store)
+        assert len(rows) == small_store.count_events() == 4
         expected_keys = {"event_id", "operation", "subject_exename",
                          "object_name", "object_dstip", "start_time"}
         assert expected_keys <= set(rows[0].keys())
+        order = [(row["start_time"], row["event_id"]) for row in rows]
+        assert order == sorted(order)
 
-    def test_entities_matching_by_type(self, small_store):
-        processes = small_store.entities_matching(EntityType.PROCESS)
-        assert {row["exename"] for row in processes} == {"/bin/tar",
-                                                         "/usr/bin/curl"}
+    def test_select_tuples_follow_select_order(self, small_store):
+        sql = "SELECT operation, id FROM events ORDER BY id"
+        assert small_store.select_tuples(sql) == [
+            (row["operation"], row["id"])
+            for row in small_store.execute(sql)]
 
-    def test_entities_matching_with_filter(self, small_store):
-        rows = small_store.entities_matching(
-            EntityType.NETWORK, "dstip = ?", ("192.168.29.128",))
-        assert len(rows) == 1
+    def test_entity_by_ids_hydrates_processes(self, small_store):
+        processes = small_store.execute(
+            "SELECT id FROM entities WHERE type = 'proc'")
+        rows, statements = small_store.entity_by_ids(
+            [row["id"] for row in processes] + [10_000])
+        assert statements == 1
+        assert {row["exename"] for row in rows.values()} == {
+            "/bin/tar", "/usr/bin/curl"}
 
-    def test_entity_by_id(self, small_store):
-        row = small_store.entity_by_id(1)
-        assert row is not None
-        assert small_store.entity_by_id(10_000) is None
-
-    def test_explain_returns_plan(self, small_store):
-        plan = small_store.explain(
-            "SELECT * FROM entities WHERE exename = ?", ("/bin/tar",))
-        assert plan
+    def test_segment_rows_hold_only_referenced_entities(self, small_store):
+        connect = small_store.execute(
+            "SELECT id, subject_id, object_id FROM events "
+            "WHERE operation = 'connect'")[0]
+        events, entities = small_store.segment_rows(connect["id"],
+                                                    connect["id"])
+        assert [row[0] for row in events] == [connect["id"]]
+        assert [row[0] for row in entities] == sorted(
+            {connect["subject_id"], connect["object_id"]})
 
     def test_indexes_exist(self, small_store):
         rows = small_store.execute(

@@ -18,7 +18,8 @@ from repro.tbql.semantics import resolve_query
 from .reference.fuzzy_bruteforce import (BruteForceFuzzySearcher,
                                          BruteForcePoirotSearcher,
                                          candidates_for_bruteforce,
-                                         flow_score_bruteforce)
+                                         flow_score_bruteforce,
+                                         joined_event_rows)
 
 
 class TestLevenshtein:
@@ -112,7 +113,7 @@ class TestQueryGraph:
 class TestProvenanceIndex:
     def _index(self, store):
         index = ProvenanceIndex()
-        for row in store.relational.all_events():
+        for row in joined_event_rows(store.relational):
             index.add_event(row)
         return index
 
@@ -210,7 +211,7 @@ class TestCandidatePrefilterEquivalence:
 
     def test_mutation_invalidates_name_index(self, data_leak_store):
         index = ProvenanceIndex()
-        rows = data_leak_store.relational.all_events()
+        rows = joined_event_rows(data_leak_store.relational)
         for row in rows[:-1]:
             index.add_event(row)
         query_node = QueryNode(entity_id="q", entity_type="",
@@ -275,7 +276,7 @@ class TestFlowClosureEquivalence:
 
     def test_closure_cache_invalidated_by_add_event(self, data_leak_store):
         index = ProvenanceIndex()
-        rows = data_leak_store.relational.all_events()
+        rows = joined_event_rows(data_leak_store.relational)
         for row in rows:
             index.add_event(row)
         tar_id = next(node_id for node_id, name in index.node_names.items()
@@ -331,10 +332,9 @@ class TestStrategyEquivalence:
                [self._alignment_key(a) for a in slow.alignments]
         assert len(fast.alignments) == 1
 
-    def test_indexed_sees_relational_only_loads(self):
-        # After an incremental relational-only load the backends drift; the
-        # indexed search must fall back to the relational rows so it still
-        # searches the same data as the reference.
+    def test_indexed_sees_appends_after_a_load(self):
+        # Events appended after a load reach the indexed search as they
+        # reach the reference, which reads the relational rows.
         from repro.audit import AuditCollector
         from repro.storage import DualStore
 
@@ -346,14 +346,15 @@ class TestStrategyEquivalence:
             late = AuditCollector()
             curl = late.spawn_process("/usr/bin/curl")
             late.connect_ip(curl, "192.168.29.128")
-            store.relational.load_events(late.events())
+            store.append_events(late.events())
+            store.flush_appends()
             query = ('proc p["%/usr/bin/curl%"] connect ip '
                      'i["%192.168.29.128%"] return p')
             fast = FuzzySearcher(store).search(query)
             slow = BruteForceFuzzySearcher(store).search(query)
             assert [self._alignment_key(a) for a in fast.alignments] == \
                    [self._alignment_key(a) for a in slow.alignments]
-            assert fast.alignments  # the relational-only events were seen
+            assert fast.alignments  # the appended events were seen
 
     def test_branch_and_bound_prunes_like_threshold(self, data_leak_store):
         # With an impossible threshold the bounded search must agree with
@@ -499,7 +500,7 @@ class TestFuzzyAndPoirot:
     def test_truncated_search_is_reported(self, data_leak_store):
         resolved = resolve_query(parse_tbql(self.QUERY))
         index = ProvenanceIndex()
-        for row in data_leak_store.relational.all_events():
+        for row in joined_event_rows(data_leak_store.relational):
             index.add_event(row)
         graph = QueryGraph.from_resolved(resolved)
         complete = GraphAligner(graph, index)
@@ -513,7 +514,7 @@ class TestFuzzyAndPoirot:
     def test_aligner_respects_score_threshold(self, data_leak_store):
         resolved = resolve_query(parse_tbql(self.QUERY))
         index = ProvenanceIndex()
-        for row in data_leak_store.relational.all_events():
+        for row in joined_event_rows(data_leak_store.relational):
             index.add_event(row)
         aligner = GraphAligner(QueryGraph.from_resolved(resolved), index,
                                score_threshold=1.01)

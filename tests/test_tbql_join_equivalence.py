@@ -204,27 +204,29 @@ class TestBatchedHydration:
             len(hydrations)
 
     def test_entity_by_ids_batches_and_skips_missing(self):
-        store = RelationalStore()
+        dual = DualStore()
         tar = ProcessEntity(exename="/bin/tar", pid=7)
         passwd = FileEntity(path="/etc/passwd")
-        store.load_events([SystemEvent(subject=tar, operation=Operation.READ,
-                                       obj=passwd, start_time=1.0,
-                                       end_time=1.5)])
+        dual.load_events([SystemEvent(subject=tar, operation=Operation.READ,
+                                      obj=passwd, start_time=1.0,
+                                      end_time=1.5)])
+        store = dual.relational
         rows, statements = store.entity_by_ids([1, 2, 2, 999])
         assert set(rows) == {1, 2}
         assert statements == 1
         assert rows[1]["exename"] == "/bin/tar"
         assert rows[2]["path"] == "/etc/passwd"
         assert store.entity_by_ids([]) == ({}, 0)
-        store.close()
+        dual.close()
 
     def test_entity_by_ids_chunks_large_inputs(self, monkeypatch):
-        store = RelationalStore()
+        dual = DualStore()
         tar = ProcessEntity(exename="/bin/tar", pid=7)
         passwd = FileEntity(path="/etc/passwd")
-        store.load_events([SystemEvent(subject=tar, operation=Operation.READ,
-                                       obj=passwd, start_time=1.0,
-                                       end_time=1.5)])
+        dual.load_events([SystemEvent(subject=tar, operation=Operation.READ,
+                                      obj=passwd, start_time=1.0,
+                                      end_time=1.5)])
+        store = dual.relational
         monkeypatch.setattr(RelationalStore, "BATCH_CHUNK_SIZE", 1)
         statements = []
         original = RelationalStore.execute
@@ -238,7 +240,7 @@ class TestBatchedHydration:
         assert set(rows) == {1, 2}
         assert len(statements) == 2
         assert issued == 2
-        store.close()
+        dual.close()
 
 
 class TestPathCandidatePushdown:
