@@ -9,8 +9,8 @@ tail sealed into its own segment:
 * *stats pruning* — a selective hunt for the rare operation (with a
   prefix-``LIKE`` artifact filter the dictionary path binary-searches)
   with the optimizer on vs the same hunt under ``tests/reference``'s
-  ``optimizers_disabled()`` (no statistics pruning, per-row string
-  predicates).  The
+  ``optimizers_disabled()`` (no statistics pruning, per-row filter
+  closures instead of truth tables).  The
   rare operation occurs in exactly one segment, so seal-time distinct
   sets prove every benign segment empty and the scan touches one
   segment instead of all of them.  The acceptance bar is a **>= 2x**

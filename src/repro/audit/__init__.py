@@ -14,9 +14,8 @@ from .entities import (DEFAULT_ATTRIBUTES, EntityType, EventCategory,
 from .logfmt import format_log, format_record, parse_record
 from .parser import AuditLogParser, ParseReport, parse_audit_log, \
     summarize_events
-from .reduction import (DEFAULT_MERGE_THRESHOLD, ReductionStats,
-                        StreamingReducer, mergeable, reduce_events,
-                        reduce_events_stream, sweep_thresholds)
+from .reduction import (DEFAULT_MERGE_THRESHOLD, ReductionStats, mergeable,
+                        reduce_events, sweep_thresholds)
 from .syscalls import SYSCALL_TABLE, is_monitored, lookup_syscall, syscall_for
 from .workload import (BenignWorkloadGenerator, WorkloadConfig,
                        generate_benign_noise)
@@ -45,10 +44,8 @@ __all__ = [
     "summarize_events",
     "DEFAULT_MERGE_THRESHOLD",
     "ReductionStats",
-    "StreamingReducer",
     "mergeable",
     "reduce_events",
-    "reduce_events_stream",
     "sweep_thresholds",
     "SYSCALL_TABLE",
     "is_monitored",

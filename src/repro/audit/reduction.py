@@ -10,13 +10,16 @@ the same entity pair.  ThreatRaptor merges two events ``e1`` (earlier) and
 
 The merged event keeps ``e1.start_time``, takes ``e2.end_time``, and sums the
 data amounts.  The paper chose a threshold of one second.
+
+:func:`reduce_events` is the batch pass over a whole list; the store's
+write path applies the same rule incrementally, batch by batch, and
+stores the same rows (``_BuildBatches.consume_reducing`` in
+:mod:`repro.storage.dualstore`).
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Iterator
 
 from .entities import SystemEvent
 
@@ -95,145 +98,6 @@ def reduce_events(events: list[SystemEvent],
     return reduced, stats
 
 
-class StreamingReducer:
-    """Incremental data reduction over a time-ordered event stream.
-
-    The batch :func:`reduce_events` keeps one ``open_events`` entry per
-    ``(subject, object, operation)`` key for the whole pass, so its working
-    set grows with the number of distinct keys ever seen.  The streaming
-    reducer instead *evicts* a merge-run as soon as it is closed — either
-    because a same-key event arrived that could not be merged, or because
-    time advanced past ``end_time + threshold`` so no future event can merge
-    into it — which bounds the working set by the number of runs open inside
-    one merge window.
-
-    Events must be pushed in ``(start_time, event_id)`` order (the order the
-    batch reducer sorts into); :meth:`push` raises :class:`ValueError` on
-    out-of-order input.  Closed runs are emitted in first-appearance order,
-    so the concatenated output of all ``push`` calls plus :meth:`flush` is
-    *identical* to the list :func:`reduce_events` returns for the same
-    (sorted) input — a property the equivalence tests assert.
-    """
-
-    def __init__(self, threshold: float = DEFAULT_MERGE_THRESHOLD) -> None:
-        if threshold < 0:
-            raise ValueError("merge threshold must be non-negative")
-        self.threshold = threshold
-        # Runs in first-appearance order; each cell is
-        # [first_event, end_time, data_amount, merge_count, closed] — the
-        # run state is accumulated and one merged event is materialized at
-        # eviction, instead of building an intermediate merged event per
-        # absorbed input.
-        self._runs: deque[tuple[tuple, list]] = deque()
-        # key -> the currently-open cell for that key.
-        self._open: dict[tuple, list] = {}
-        self._last_start: float | None = None
-        self.input_events = 0
-        self.output_events = 0
-        self.merged_events = 0
-
-    @property
-    def open_runs(self) -> int:
-        """Number of runs currently buffered (the streaming working set)."""
-        return len(self._runs)
-
-    @property
-    def stats(self) -> ReductionStats:
-        """Statistics for the events processed so far."""
-        return ReductionStats(input_events=self.input_events,
-                              output_events=self.output_events +
-                              len(self._runs),
-                              merged_events=self.merged_events)
-
-    @staticmethod
-    def _materialize(cell: list) -> SystemEvent:
-        """Build the output event for a run cell."""
-        first, end_time, data_amount, merge_count, _closed = cell
-        if not merge_count:
-            return first
-        return first.with_merged_span(end_time, data_amount)
-
-    def push(self, event: SystemEvent) -> Iterator[SystemEvent]:
-        """Consume one event; yield any merge-runs it closes.
-
-        This is a generator: the consume/merge side effects happen as the
-        returned iterator is drained, so every ``push`` call's result must
-        be iterated (as :func:`reduce_events_stream` does) — a bare
-        ``reducer.push(event)`` statement does nothing.
-        """
-        start = event.start_time
-        if self._last_start is not None and start < self._last_start:
-            raise ValueError(
-                "StreamingReducer requires events in start-time order "
-                f"(got {start} after {self._last_start})")
-        self._last_start = start
-        self.input_events += 1
-        threshold = self.threshold
-        key = (event.subject.unique_key, event.obj.unique_key,
-               event.operation)
-        cell = self._open.get(key)
-        # Same key and a gap in [0, threshold] merges (the mergeable()
-        # criteria; subject/object/operation equality is given by the key).
-        if cell is not None and not cell[4] and \
-                0 <= start - cell[1] <= threshold:
-            cell[1] = event.end_time
-            cell[2] += event.data_amount
-            cell[3] += 1
-            self.merged_events += 1
-        else:
-            if cell is not None:
-                cell[4] = True  # replaced: the old run can never grow again
-            new_cell = [event, event.end_time, event.data_amount, 0, False]
-            self._open[key] = new_cell
-            self._runs.append((key, new_cell))
-        # Emit every leading run that is closed, preserving first-appearance
-        # order (identical to the batch reducer's output order).
-        runs = self._runs
-        while runs:
-            head_key, head_cell = runs[0]
-            if not head_cell[4] and head_cell[1] + threshold >= start:
-                break
-            runs.popleft()
-            if self._open.get(head_key) is head_cell:
-                del self._open[head_key]
-            self.output_events += 1
-            yield self._materialize(head_cell)
-
-    def flush(self) -> Iterator[SystemEvent]:
-        """Yield the still-open runs (end of stream) and reset the buffers."""
-        runs = self._runs
-        self._runs = deque()
-        self._open.clear()
-        for _key, cell in runs:
-            self.output_events += 1
-            yield self._materialize(cell)
-
-
-def reduce_events_stream(events: Iterable[SystemEvent],
-                         threshold: float = DEFAULT_MERGE_THRESHOLD,
-                         reducer: StreamingReducer | None = None
-                         ) -> Iterator[SystemEvent]:
-    """Generator variant of :func:`reduce_events` for time-ordered streams.
-
-    Unlike the batch function this neither sorts nor materializes the input:
-    events are consumed one at a time and merged runs are emitted as soon as
-    they close.  Pass a :class:`StreamingReducer` to read
-    :attr:`StreamingReducer.stats` after the generator is exhausted; the
-    reducer's own threshold governs then, and passing a conflicting
-    ``threshold`` alongside it is rejected.
-    """
-    if reducer is None:
-        reducer = StreamingReducer(threshold)
-    elif threshold != DEFAULT_MERGE_THRESHOLD and \
-            threshold != reducer.threshold:
-        raise ValueError(
-            f"threshold {threshold} conflicts with the supplied reducer's "
-            f"threshold {reducer.threshold}")
-    for event in events:
-        yield from reducer.push(event)
-    yield from reducer.flush()
-
-
 def sweep_thresholds(events: list[SystemEvent],
                      thresholds: list[float]) -> dict[float, ReductionStats]:
     """Run the reduction for several thresholds (ablation of Section III-B)."""
@@ -244,9 +108,7 @@ def sweep_thresholds(events: list[SystemEvent],
 __all__ = [
     "DEFAULT_MERGE_THRESHOLD",
     "ReductionStats",
-    "StreamingReducer",
     "mergeable",
     "reduce_events",
-    "reduce_events_stream",
     "sweep_thresholds",
 ]

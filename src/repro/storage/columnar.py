@@ -326,17 +326,18 @@ class ColumnarSegment:
     def __init__(self, path: str | Path) -> None:
         self.path = str(path)
         try:
-            self._file = open(self.path, "rb")
+            handle = open(self.path, "rb")
         except OSError as exc:
             raise StorageError(f"cannot open columnar payload "
                                f"{self.path}: {exc}") from exc
-        try:
-            self._mm = mmap.mmap(self._file.fileno(), 0,
-                                 access=mmap.ACCESS_READ)
-        except (OSError, ValueError) as exc:
-            self._file.close()
-            raise StorageError(f"cannot map columnar payload "
-                               f"{self.path}: {exc}") from exc
+        # The mapping holds its own descriptor: the file closes now.
+        with handle:
+            try:
+                self._mm = mmap.mmap(handle.fileno(), 0,
+                                     access=mmap.ACCESS_READ)
+            except (OSError, ValueError) as exc:
+                raise StorageError(f"cannot map columnar payload "
+                                   f"{self.path}: {exc}") from exc
         try:
             self._parse_header()
         except BaseException:
@@ -540,7 +541,6 @@ class ColumnarSegment:
             self._mm.close()
         except (BufferError, ValueError):  # pragma: no cover - live views
             pass
-        self._file.close()
 
 
 __all__ = ["COLUMNAR_FORMAT_VERSION", "COLUMNAR_MAGIC", "NULL_INT",

@@ -167,7 +167,7 @@ class _BuildBatches:
 
     * *streaming reduction* — merge-run state is accumulated per
       ``(subject, object, operation)`` key and evicted as soon as a run
-      closes (the :class:`StreamingReducer` discipline, inlined);
+      closes, so the working set is the runs open inside one merge window;
     * *entity interning* — each entity resolves to its store id once, via an
       object-identity fast path backed by the unique-key map, emitting the
       relational row on first sight;
@@ -301,7 +301,7 @@ class _BuildBatches:
         """
         # Run cells: [first_event, end_time, data_amount, merge_count,
         # closed, subject_id, object_id]; evicted in first-appearance order,
-        # exactly like StreamingReducer/reduce_events.  The merge key uses
+        # the order reduce_events returns them in.  The merge key uses
         # id(operation): enum members are singletons, so identity equals
         # equality without the descriptor lookups.
         threshold = self.merge_threshold
@@ -337,7 +337,9 @@ class _BuildBatches:
                 run_queue.append((key, cell))
             while run_queue:
                 head_key, head = run_queue[0]
-                if not head[4] and head[1] + threshold >= start:
+                # The merge test's own arithmetic: ``end + threshold``
+                # can round below a start that ``start - end`` merges.
+                if not head[4] and start - head[1] <= threshold:
                     break
                 run_queue.popleft()
                 if open_runs.get(head_key) is head:

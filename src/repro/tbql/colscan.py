@@ -9,6 +9,13 @@ the other, in process.  A scan selects ascending event rows and hands
 them over as :data:`EventRow` tuples, gathered with one read per
 column; the executor merges every segment's tuples with one sort.
 
+Filters have one evaluator: a leaf is a tri-valued truth table over its
+column's distinct values (the string dictionary, or the distinct
+stored numbers), gathered through the column, and ``&&`` / ``||`` /
+``!`` are Kleene logic over those vectors.  Each top-level conjunct
+becomes one pass mask, memoised on the segment, over entity rows when
+all its leaves read entity attributes and over event rows otherwise.
+
 Equivalence contract: the evaluator reproduces the exact semantics of
 the SQL the unsealed tail runs (``compile_pattern_sql``) under SQLite's
 comparison rules — three-valued logic with only-TRUE-kept WHERE
@@ -41,7 +48,7 @@ from ..storage.relational.schema import (ENTITY_ATTRIBUTE_COLUMNS,
 from ..storage.relational.sqlgen import like_escape
 from .ast import (AttributeComparison, AttributeFilter, BareValueFilter,
                   BooleanFilter, MembershipFilter, NegatedFilter)
-from .compiler_sql import _ENTITY_TYPE_VALUE, _conjuncts
+from .compiler_sql import _ENTITY_TYPE_VALUE, _conjuncts, _reads_event
 from .semantics import ResolvedPattern, ResolvedQuery, effective_window
 
 #: Relational columns with numeric affinity (everything else is TEXT).
@@ -59,12 +66,10 @@ EventRow = tuple[float, int, Optional[str], float, int, int]
 _GATHERED = ("event.start_time", "event.id", "event.operation",
              "event.end_time", "event.subject_id", "event.object_id")
 
-#: Tri-valued predicate over (entity row index, event row index).
-_Predicate = Callable[[int, int], Optional[bool]]
-#: A spec's compiled filters: ``(masks, residuals)``, see
-#: :func:`_compile_filters`.
-_Compiled = tuple[dict[Optional[bool], list[bytes]],
-                  list[tuple[_Predicate, bool]]]
+#: A scan's pass masks against one segment, by what they index:
+#: subject entity rows (``True``), object entity rows (``False``) or
+#: event rows (``None``); see :func:`_compile_filters`.
+_Masks = dict[Optional[bool], list[bytes]]
 
 
 # ---------------------------------------------------------------------------
@@ -90,13 +95,12 @@ class PatternSpec:
     window: Optional[tuple[Optional[float], Optional[float]]]
     subject_candidates: Optional[tuple[int, ...]]
     object_candidates: Optional[tuple[int, ...]]
-    min_event_id: Optional[int] = None
 
 
 def build_pattern_spec(pattern: ResolvedPattern, query: ResolvedQuery,
                        subject_candidates: Sequence[int] | None = None,
-                       object_candidates: Sequence[int] | None = None,
-                       min_event_id: int | None = None) -> PatternSpec:
+                       object_candidates: Sequence[int] | None = None
+                       ) -> PatternSpec:
     """The columnar analogue of :func:`compile_pattern_sql`."""
     return PatternSpec(
         subject_type=_ENTITY_TYPE_VALUE[pattern.subject.entity_type],
@@ -111,7 +115,6 @@ def build_pattern_spec(pattern: ResolvedPattern, query: ResolvedQuery,
                             if subject_candidates is not None else None),
         object_candidates=(tuple(object_candidates)
                            if object_candidates is not None else None),
-        min_event_id=min_event_id,
     )
 
 
@@ -251,22 +254,6 @@ def _resolve(attribute: str) -> tuple[str, bool, bool]:
                             "column")
 
 
-def _getter(segment: ColumnarSegment, section: str,
-            numeric: bool) -> Callable[[int], Any]:
-    """Reader of one column's cells by row index, as SQL values."""
-    values = segment.column(section)
-    if not numeric:
-        strings = segment.strings
-        return lambda index: strings[values[index]]
-    if section.startswith("event."):
-        return values.__getitem__       # NOT NULL in the schema
-
-    def get_int(index: int) -> Any:
-        value = values[index]
-        return None if value == NULL_INT else value
-    return get_int
-
-
 #: Tri-valued truth as one byte in thermometer code, so that Kleene
 #: ``AND`` / ``OR`` are the bitwise operations and ``NOT`` is a
 #: byte translation.
@@ -344,133 +331,106 @@ def _bitwise(fold: Callable[[int, int], int],
                   ).to_bytes(len(vectors[0]), "little")
 
 
-def _tri_vector(segment: ColumnarSegment, filt: AttributeFilter) -> bytes:
-    """Tri-valued verdict of ``filt`` for every entity row (or every
-    event row), one byte each.
+def _number_table(values: list, filt: AttributeComparison | MembershipFilter,
+                  nullable: bool) -> bytes:
+    """Tri-valued truth table of a numeric leaf over the column's
+    distinct stored ``values``, in their order; ``NULL_INT`` is NULL
+    in a ``nullable`` (entity) column."""
+    cells = [None if nullable and value == NULL_INT else value
+             for value in values]
+    if isinstance(filt, MembershipFilter):
+        verdicts = [_eval_membership(cell, filt.values, filt.negated, True)
+                    for cell in cells]
+    else:
+        verdicts = [_eval_comparison(cell, filt.operator, filt.value, True)
+                    for cell in cells]
+    return bytes(map(_TRI.__getitem__, verdicts))
 
-    Leaves gather their code table through the attribute's code
-    column; ``&&`` / ``||`` / ``!`` are Kleene logic over whole
-    vectors.  The caller guarantees one domain (:func:`_domains`).
+
+def _leaf_vector(segment: ColumnarSegment, filt: AttributeFilter,
+                 side_rows: Any) -> bytes:
+    """Tri-valued verdict of one leaf per row: its truth table over the
+    column's distinct values, gathered through the column.  An entity
+    leaf of an event-row conjunct is gathered once more, through the
+    entity row of the conjunct's side of each event (``side_rows``)."""
+    if isinstance(filt, BareValueFilter):
+        raise TBQLSemanticError("bare value filters must be expanded before "
+                                "compilation")
+    if not isinstance(filt, (AttributeComparison, MembershipFilter)):
+        raise TBQLSemanticError(f"unknown attribute filter: {filt!r}")
+    section, numeric, on_event = _resolve(filt.attribute)
+    column = codes = segment.np_column(section)
+    if numeric:
+        # Distinct bit patterns, so -0.0 and 0.0 keep their own text.
+        distinct, codes = np.unique(column.view(np.int64),
+                                    return_inverse=True)
+        table = _number_table(distinct.view(column.dtype).tolist(), filt,
+                              nullable=not on_event)
+    else:
+        table = _code_table(segment, filt)
+    if side_rows is not None and not on_event:
+        codes = codes[side_rows]
+    return np.frombuffer(table, np.uint8)[codes].tobytes()
+
+
+def _tri_vector(segment: ColumnarSegment, filt: AttributeFilter,
+                side_rows: Any = None) -> bytes:
+    """Tri-valued verdict of ``filt`` for every entity row, or for
+    every event row when ``side_rows`` maps event rows to the entity
+    rows of the filter's side; one byte each.
+
+    Leaves are gathered truth tables (:func:`_leaf_vector`); ``&&`` /
+    ``||`` / ``!`` are Kleene logic over whole vectors.
     """
     if isinstance(filt, NegatedFilter):
-        return _tri_vector(segment, filt.operand).translate(_KLEENE_NOT)
+        return _tri_vector(segment, filt.operand,
+                           side_rows).translate(_KLEENE_NOT)
     if isinstance(filt, BooleanFilter):
         return _bitwise(
             int.__and__ if filt.operator == "&&" else int.__or__,
-            [_tri_vector(segment, operand) for operand in filt.operands])
-    section, numeric, _on_event = _resolve(filt.attribute)
-    if numeric:
-        # Entity pid or port: one closure verdict per entity row.
-        predicate = _compile_filter(filt, segment)
-        return bytes(_TRI[predicate(index, 0)]
-                     for index in range(segment.entity_count))
-    table = _code_table(segment, filt)
-    return np.frombuffer(table, np.uint8)[
-        segment.np_column(section)].tobytes()
-
-
-def _domains(filt: AttributeFilter) -> set[str]:
-    """Row domains of the filter's leaves: ``entity`` (any entity
-    attribute), ``event`` (an interned-string event column) or ``row``
-    (numeric event attributes and anything only the per-row closure
-    can judge or reject)."""
-    if isinstance(filt, (AttributeComparison, MembershipFilter)):
-        _section, numeric, on_event = _resolve(filt.attribute)
-        if not on_event:
-            return {"entity"}
-        return {"row" if numeric else "event"}
-    if isinstance(filt, NegatedFilter):
-        return _domains(filt.operand)
-    if isinstance(filt, BooleanFilter):
-        return set().union(*map(_domains, filt.operands))
-    return {"row"}
+            [_tri_vector(segment, operand, side_rows)
+             for operand in filt.operands])
+    return _leaf_vector(segment, filt, side_rows)
 
 
 def _filter_mask(segment: ColumnarSegment, conjunct: "_Conjunct"
-                 ) -> Optional[tuple[bytes, bool, Optional[bool]]]:
-    """``(pass mask, is_event_domain, was_memo_hit)`` of one conjunct,
-    or ``None`` when it needs the per-row closure.
+                 ) -> tuple[bytes, Optional[bool]]:
+    """``(pass mask, was_memo_hit)`` of one conjunct.
 
     One 0/1 byte per entity row (or event row): whether the filter is
     TRUE there — WHERE keeps TRUE only, so NULL folds to 0.  Memoised
     on the immutable segment.
     """
-    if conjunct.domain is None:
-        return None
-
     def build() -> bytes:
-        return _tri_vector(segment, conjunct.filt).translate(_ONLY_TRUE)
-    mask, hit = segment.filter_mask(conjunct.key, build)
-    return mask, conjunct.domain == "event", hit
-
-
-def _compile_filter(filt: AttributeFilter,
-                    segment: ColumnarSegment) -> _Predicate:
-    """Compile a filter into a tri-valued per-row closure (Kleene
-    logic, one string comparison per call): the only judge of numeric
-    event attributes and of filters that mix row domains, and the
-    oracle the truth tables are tested against."""
-    if isinstance(filt, (AttributeComparison, MembershipFilter)):
-        section, numeric, on_event = _resolve(filt.attribute)
-        get = _getter(segment, section, numeric)
-        if isinstance(filt, AttributeComparison):
-            operator, value = filt.operator, filt.value
-
-            def judge(cell: Any) -> Optional[bool]:
-                return _eval_comparison(cell, operator, value, numeric)
-        else:
-            values, negated = filt.values, filt.negated
-
-            def judge(cell: Any) -> Optional[bool]:
-                return _eval_membership(cell, values, negated, numeric)
-        if on_event:
-            return lambda entity_index, event_index: judge(get(event_index))
-        return lambda entity_index, event_index: judge(get(entity_index))
-    if isinstance(filt, NegatedFilter):
-        inner = _compile_filter(filt.operand, segment)
-
-        def negate(entity_index: int, event_index: int) -> Optional[bool]:
-            value = inner(entity_index, event_index)
-            return None if value is None else not value
-        return negate
-    if isinstance(filt, BooleanFilter):
-        operands = [_compile_filter(operand, segment)
-                    for operand in filt.operands]
-        decisive = filt.operator == "||"    # the verdict that settles it
-
-        def combine(entity_index: int, event_index: int) -> Optional[bool]:
-            unknown = False
-            for operand in operands:
-                value = operand(entity_index, event_index)
-                if value is decisive:
-                    return decisive
-                if value is None:
-                    unknown = True
-            return None if unknown else not decisive
-        return combine
-    if isinstance(filt, BareValueFilter):
-        raise TBQLSemanticError("bare value filters must be expanded before "
-                                "compilation")
-    raise TBQLSemanticError(f"unknown attribute filter: {filt!r}")
+        side_rows = None
+        if conjunct.on_event:
+            side_rows = segment.entity_rows()[0 if conjunct.on_subject
+                                              else 1]
+        return _tri_vector(segment, conjunct.filt,
+                           side_rows).translate(_ONLY_TRUE)
+    return segment.filter_mask(conjunct.key, build)
 
 
 class _Conjunct(NamedTuple):
-    """A top-level conjunct compiled once per step.  ``domain`` is what
-    its mask indexes (``"entity"``, ``"event"``; ``None``: per-row
-    closure only); ``key`` its memo key, repr as 1, 1.0 and True are
-    equal keys that compare differently under TEXT affinity."""
+    """A top-level conjunct compiled once per step.  Its mask indexes
+    entity rows when every leaf reads an entity attribute, else event
+    rows (``on_event``), its entity leaves then read through the rows
+    of its side.  ``key`` is its memo key: the repr, as 1, 1.0 and True
+    are equal keys that compare differently under TEXT affinity, and
+    for an event-row mask the side too."""
 
     filt: AttributeFilter
     on_subject: bool
-    domain: Optional[str]
+    on_event: bool
     key: str
 
 
 def _conjunct(filt: AttributeFilter, on_subject: bool) -> _Conjunct:
-    domains = _domains(filt)
-    if len(domains) != 1 or "row" in domains:
-        return _Conjunct(filt, on_subject, None, "")
-    return _Conjunct(filt, on_subject, domains.pop(), repr(filt))
+    on_event = _reads_event(filt)
+    key = repr(filt)
+    if on_event:
+        key = ("subject " if on_subject else "object ") + key
+    return _Conjunct(filt, on_subject, on_event, key)
 
 
 #: Per thread: its latest scan's ``(memo hits, masks built)``, for spans.
@@ -593,45 +553,33 @@ _block_index = lru_cache(maxsize=4)(_BlockIndex)
 
 
 def _compile_filters(segment: ColumnarSegment, scan: CompiledScan
-                     ) -> _Compiled:
-    """The scan's filters against one segment, as ``(masks,
-    residuals)``.
-
-    ``masks`` groups the pass masks by what they index: subject entity
-    rows (``True``), object entity rows (``False``) or event rows
-    (``None``).  Residual closures are paired with whether they judge
-    the subject.
-    """
-    masks: dict[Optional[bool], list[bytes]] = {True: [], False: [],
-                                                None: []}
-    residuals: list[tuple[_Predicate, bool]] = []
+                     ) -> _Masks:
+    """The scan's conjuncts against one segment, as pass masks grouped
+    by what they index (:data:`_Masks`)."""
+    masks: _Masks = {True: [], False: [], None: []}
     hits = built = 0
     for conjunct in scan.conjuncts:
-        compiled = _filter_mask(segment, conjunct)
-        if compiled is None:
-            residuals.append((_compile_filter(conjunct.filt, segment),
-                              conjunct.on_subject))
-            continue
-        mask, on_event, was_hit = compiled
-        masks[None if on_event else conjunct.on_subject].append(mask)
+        mask, was_hit = _filter_mask(segment, conjunct)
+        masks[None if conjunct.on_event else conjunct.on_subject].append(
+            mask)
         hits += was_hit is True
         built += was_hit is False
     _tally.last = hits, built
     scan.hits += hits
     scan.built += built
-    return masks, residuals
+    return masks
 
 
 def _pass_masks(segment: ColumnarSegment, scan: CompiledScan
-                ) -> Optional[_Compiled]:
+                ) -> Optional[_Masks]:
     """:func:`_compile_filters` plus each pushed side's candidate rows
     as one more entity-row mask of its side, or ``None`` when a pushed
-    side or any conjunctive mask passes no row: no event can match
-    then, and the scan returns before any per-event work."""
+    side or any mask passes no row: no event can match then, and the
+    scan returns before any per-event work."""
     pushed = scan.candidate_rows(segment.path) if scan.pushed else ()
     if pushed is None:
         return None
-    masks, residuals = _compile_filters(segment, scan)
+    masks = _compile_filters(segment, scan)
     for on_subject, rows in pushed:
         mask = bytearray(segment.entity_count)
         for row in rows:
@@ -639,7 +587,7 @@ def _pass_masks(segment: ColumnarSegment, scan: CompiledScan
         masks[on_subject].append(bytes(mask))
     if any(b"\1" not in mask for side in masks.values() for mask in side):
         return None
-    return masks, residuals
+    return masks
 
 
 # ---------------------------------------------------------------------------
@@ -673,13 +621,11 @@ def _select(segment: ColumnarSegment, scan: CompiledScan) -> Any:
     _tally.last = 0, 0      # a scan that compiles no filter reports none
     spec = scan.spec
     codes = _spec_codes(segment, spec)
-    compiled = None if codes is None else _pass_masks(segment, scan)
-    if compiled is None:
+    masks = None if codes is None else _pass_masks(segment, scan)
+    if masks is None:
         return np.empty(0, dtype=np.int64)
     subject_code, object_code, operation_codes = codes
     mask = np.ones(segment.event_count, dtype=bool)
-    if spec.min_event_id is not None:
-        mask &= segment.np_column("event.id") >= spec.min_event_id
     if spec.window is not None:
         earliest, latest = spec.window
         if earliest is not None:
@@ -696,7 +642,6 @@ def _select(segment: ColumnarSegment, scan: CompiledScan) -> Any:
                                      dtype=np.int64))
     subject_rows, object_rows = segment.entity_rows()
     type_codes = segment.np_column("entity.type")
-    masks, residuals = compiled
     for on_subject, type_code, entity_rows in (
             (True, subject_code, subject_rows),
             (False, object_code, object_rows)):
@@ -706,14 +651,6 @@ def _select(segment: ColumnarSegment, scan: CompiledScan) -> Any:
         mask &= entity_ok[entity_rows]
     for passing in masks[None]:
         mask &= np.frombuffer(passing, dtype=bool)
-    for residual, on_subject in residuals:
-        survivors = np.nonzero(mask)[0]
-        if survivors.size == 0:
-            break
-        entity_rows = subject_rows if on_subject else object_rows
-        rejected = [residual(int(entity_rows[row]), int(row)) is not True
-                    for row in survivors]
-        mask[survivors[np.asarray(rejected, dtype=bool)]] = False
     return np.nonzero(mask)[0]
 
 

@@ -13,8 +13,9 @@ Everything here is **conservative** by construction:
   always scanned;
 * only constraints that provably exclude every row prune — a distinct
   set is consulted by running the *same* tri-valued comparison the
-  columnar evaluator applies per row (:func:`~repro.tbql.colscan`'s
-  ``_eval_comparison`` / ``_eval_membership``), so equality, ``IN``,
+  columnar evaluator's numeric truth tables run once per distinct
+  value (:func:`~repro.tbql.colscan`'s ``_eval_comparison`` /
+  ``_eval_membership``), so equality, ``IN``,
   general ``LIKE`` and prefix-``LIKE`` all prune through one rule: *no
   distinct value evaluates to TRUE*.  WHERE keeps only TRUE rows, so a
   column whose every occurring value fails the predicate cannot yield a

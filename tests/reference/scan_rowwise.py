@@ -4,12 +4,12 @@
 selection and gather replaced by plain Python loops over the mapped
 ``memoryview`` columns: each event's entity rows are looked up in a
 dict of the block's ids, each row is tested against the window, the
-operations, both entity types, the pass masks and the residual
-closures in turn, and each selected row's columns are read one cell at
-a time.  It shares only the per-segment filter compilation
-(``colscan._pass_masks``) with the shipped scan, so it checks the
-numpy selection, ``ColumnarSegment.entity_rows`` and ``gather_rows``
-together.  Test-only — nothing under ``src/`` imports this module.
+operations, both entity types and the pass masks in turn, and each
+selected row's columns are read one cell at a time.  It shares only
+the per-segment filter compilation (``colscan._pass_masks``) with the
+shipped scan, so it checks the numpy selection,
+``ColumnarSegment.entity_rows`` and ``gather_rows`` together.
+Test-only — nothing under ``src/`` imports this module.
 """
 
 from __future__ import annotations
@@ -35,28 +35,23 @@ def select_rowwise(segment: ColumnarSegment,
     """The matching event rows, ascending, one row at a time."""
     spec = scan.spec
     codes = colscan._spec_codes(segment, spec)
-    compiled = None if codes is None else colscan._pass_masks(segment, scan)
-    if compiled is None:
+    masks = None if codes is None else colscan._pass_masks(segment, scan)
+    if masks is None:
         return []
     subject_code, object_code, operation_codes = codes
     type_codes = segment.column("entity.type")
-    masks, residuals = compiled
     subject_ok, object_ok, event_ok = (
         colscan._bitwise(int.__and__, masks[side]) if masks[side] else None
         for side in (True, False, None))
-    ids = segment.column("event.id")
     operations = segment.column("event.operation")
     starts = segment.column("event.start_time")
     ends = segment.column("event.end_time")
     earliest = latest = None
     if spec.window is not None:
         earliest, latest = spec.window
-    min_id = spec.min_event_id
     subject_rows, object_rows = entity_rows_by_dict(segment)
     selected: list[int] = []
     for row in range(segment.event_count):
-        if min_id is not None and ids[row] < min_id:
-            continue
         if operation_codes is not None and \
                 operations[row] not in operation_codes:
             continue
@@ -74,11 +69,6 @@ def select_rowwise(segment: ColumnarSegment,
         if object_ok is not None and not object_ok[object_index]:
             continue
         if event_ok is not None and not event_ok[row]:
-            continue
-        if residuals and any(
-                residual(subject_index if on_subject else object_index,
-                         row) is not True
-                for residual, on_subject in residuals):
             continue
         selected.append(row)
     return selected

@@ -7,9 +7,9 @@ from hypothesis import strategies as st
 from repro.audit.collector import AuditCollector, CollectorConfig
 from repro.audit.entities import (FileEntity, Operation, ProcessEntity,
                                   SystemEvent)
-from repro.audit.reduction import (DEFAULT_MERGE_THRESHOLD, StreamingReducer,
-                                   mergeable, reduce_events,
-                                   reduce_events_stream, sweep_thresholds)
+from repro.audit.reduction import (DEFAULT_MERGE_THRESHOLD, mergeable,
+                                   reduce_events, sweep_thresholds)
+from repro.storage import DualStore
 
 
 def _event(start, end, operation=Operation.READ, pid=1, path="/tmp/a",
@@ -98,57 +98,6 @@ class TestReduceEvents:
         assert DEFAULT_MERGE_THRESHOLD == 1.0
 
 
-class TestStreamingReducer:
-    def _sorted(self, events):
-        return sorted(events, key=lambda e: (e.start_time, e.event_id))
-
-    def test_burst_collapses_like_batch(self):
-        burst = [_event(i * 0.1, i * 0.1 + 0.05) for i in range(10)]
-        streamed = list(reduce_events_stream(self._sorted(burst)))
-        assert len(streamed) == 1
-        assert streamed[0].data_amount == 100
-
-    def test_closed_runs_are_evicted_early(self):
-        # Ten far-apart runs on distinct keys: every push past the merge
-        # window must evict, keeping the working set at one open run.
-        reducer = StreamingReducer()
-        emitted = []
-        for i in range(10):
-            emitted += list(reducer.push(_event(i * 100.0, i * 100.0 + 0.1,
-                                                path=f"/tmp/{i}")))
-            assert reducer.open_runs == 1
-        emitted += list(reducer.flush())
-        assert len(emitted) == 10
-        assert reducer.open_runs == 0
-
-    def test_out_of_order_input_rejected(self):
-        reducer = StreamingReducer()
-        list(reducer.push(_event(5.0, 5.1)))
-        with pytest.raises(ValueError):
-            list(reducer.push(_event(1.0, 1.1)))
-
-    def test_negative_threshold_rejected(self):
-        with pytest.raises(ValueError):
-            StreamingReducer(threshold=-0.5)
-
-    def test_conflicting_threshold_with_reducer_rejected(self):
-        with pytest.raises(ValueError):
-            list(reduce_events_stream([], threshold=5.0,
-                                      reducer=StreamingReducer()))
-
-    def test_stats_match_batch(self):
-        events = [_event(i * 0.3, i * 0.3 + 0.1, path=f"/tmp/{i % 3}")
-                  for i in range(20)]
-        _reduced, batch_stats = reduce_events(events)
-        reducer = StreamingReducer()
-        streamed = list(reduce_events_stream(self._sorted(events),
-                                             reducer=reducer))
-        assert reducer.stats.input_events == batch_stats.input_events
-        assert reducer.stats.output_events == batch_stats.output_events
-        assert reducer.stats.merged_events == batch_stats.merged_events
-        assert len(streamed) == batch_stats.output_events
-
-
 # ---------------------------------------------------------------------------
 # property-based tests
 # ---------------------------------------------------------------------------
@@ -195,27 +144,56 @@ class TestReductionProperties:
         assert original_pairs == reduced_pairs
 
     @given(st.lists(event_strategy, max_size=40),
-           st.floats(min_value=0.0, max_value=5.0, allow_nan=False))
+           st.floats(min_value=0.0, max_value=5.0, allow_nan=False),
+           st.lists(st.integers(min_value=0, max_value=40), max_size=6))
     @settings(max_examples=80, deadline=None)
-    def test_streaming_equals_batch(self, events, threshold):
-        """The streaming reducer's output is *identical* to the batch pass.
+    def test_streaming_equals_batch(self, events, threshold, cuts):
+        """The store's batch-by-batch reduction stores what the batch
+        pass returns.
 
-        Randomized interleaved streams across several entity pairs, merged
-        at a random threshold: same events, same order, same statistics.
+        Randomized interleaved streams across several entity pairs,
+        sorted, cut at random batch boundaries and merged at a random
+        threshold: same events, same order, same statistics.
         """
         batch, batch_stats = reduce_events(events, threshold)
         ordered = sorted(events, key=lambda e: (e.start_time, e.event_id))
-        reducer = StreamingReducer(threshold)
-        streamed = list(reduce_events_stream(ordered, reducer=reducer))
-        assert [(e.subject.unique_key, e.obj.unique_key, e.operation,
-                 e.start_time, e.end_time, e.data_amount)
-                for e in streamed] == \
-               [(e.subject.unique_key, e.obj.unique_key, e.operation,
-                 e.start_time, e.end_time, e.data_amount)
-                for e in batch]
-        assert reducer.stats.input_events == batch_stats.input_events
-        assert reducer.stats.output_events == batch_stats.output_events
-        assert reducer.stats.merged_events == batch_stats.merged_events
+        bounds = [0, *sorted(min(cut, len(ordered)) for cut in cuts),
+                  len(ordered)]
+        store = DualStore(merge_threshold=threshold)
+        try:
+            for start, end in zip(bounds, bounds[1:]):
+                store.append_events(ordered[start:end])
+            store.flush_appends(seal_segment=False)
+            stored = [tuple(row.values()) for row in store.execute_sql(
+                "SELECT s.pid, o.path, e.operation, e.start_time, "
+                "e.end_time, e.data_amount FROM events e JOIN entities s "
+                "ON s.id = e.subject_id JOIN entities o ON o.id = "
+                "e.object_id ORDER BY e.id")]
+            reduction = store.last_reduction
+        finally:
+            store.close()
+        assert stored == [(e.subject.pid, e.obj.path, e.operation.value,
+                           e.start_time, e.end_time, e.data_amount)
+                          for e in batch]
+        assert reduction == batch_stats
+
+    def test_store_keeps_a_run_open_while_its_gap_merges(self):
+        """A run closes when the merge test fails, not when
+        ``end + threshold`` rounds below the next start: here it does,
+        yet ``start - end`` equals the threshold and merges."""
+        end, threshold, start = (0.9204938554384978, 4.406169294610777,
+                                 5.326663150049275)
+        assert end + threshold < start and start - end <= threshold
+        events = [_event(0.5, end), _event(start, start + 0.1, pid=2),
+                  _event(start, start + 0.1)]
+        _batch, batch_stats = reduce_events(events, threshold)
+        assert batch_stats.merged_events == 1
+        store = DualStore(merge_threshold=threshold)
+        try:
+            store.load_events(events)
+            assert store.last_reduction == batch_stats
+        finally:
+            store.close()
 
     @given(st.lists(event_strategy, max_size=30))
     @settings(max_examples=40, deadline=None)

@@ -415,8 +415,9 @@ def test_empty_selection_gathers_no_row(layered):
         for text in ('proc p["%no-such-binary%"] read file f return p',
                      'proc p read file f["%/etc/passwd%"] '
                      'return p, f'):
+            # No event starts at 2 or later and ends by 1.
             spec = dataclasses.replace(_spec(text, None, None),
-                                       min_event_id=1 << 40)
+                                       window=(2.0, 1.0))
             assert scan_columnar(segment, spec) == []
     finally:
         segment.close()
@@ -506,7 +507,7 @@ def test_setup_is_paid_once_per_step(monkeypatch):
     seg = _data_leak_store()
     searches, builds, domains, reprs = [], [], [], []
     search, build = colscan._BlockIndex.search, colscan._BlockIndex.__init__
-    domains_of = colscan._domains
+    reads_event = colscan._reads_event
     comparison_repr = AttributeComparison.__repr__
 
     def spy_search(index, candidates):
@@ -517,16 +518,16 @@ def test_setup_is_paid_once_per_step(monkeypatch):
         builds.append(len(blocks))
         build(index, blocks)
 
-    def spy_domains(filt):
+    def spy_reads_event(filt):
         domains.append(filt)
-        return domains_of(filt)
+        return reads_event(filt)
 
     def spy_repr(filt):
         reprs.append(filt)
         return comparison_repr(filt)
     monkeypatch.setattr(colscan._BlockIndex, "search", spy_search)
     monkeypatch.setattr(colscan._BlockIndex, "__init__", spy_build)
-    monkeypatch.setattr(colscan, "_domains", spy_domains)
+    monkeypatch.setattr(colscan, "_reads_event", spy_reads_event)
     monkeypatch.setattr(AttributeComparison, "__repr__", spy_repr)
     registered = []
     register = MetricsRegistry._register

@@ -11,12 +11,14 @@ v2 without payloads, v3 with files a segment no longer owns).
 from __future__ import annotations
 
 import dataclasses
+import gc
 import json
 import os
 import shutil
 import sqlite3
 import sys
 import threading
+import warnings
 from operator import attrgetter
 from pathlib import Path
 
@@ -367,7 +369,7 @@ _PARITY_SPECS = [
                 pattern_filter=AttributeComparison("data_amount", ">=",
                                                    64),
                 window=None, subject_candidates=(1, 4),
-                object_candidates=None, min_event_id=2),
+                object_candidates=None),
 ]
 
 
@@ -430,6 +432,10 @@ def _name(operator, value):
     return AttributeComparison("name", operator, value)
 
 
+def _pid(operator, value):
+    return AttributeComparison("pid", operator, value)
+
+
 _NULLABLE = AttributeComparison("user", "=", "root")
 
 #: ``(subject_filter, object_filter, pattern_filter)`` triples.
@@ -464,6 +470,40 @@ _TABLE_FILTERS = [(None, filt, None) for filt in (
                           _name("=", "%t%")))),
     (None, None, BooleanFilter("||", (
         AttributeComparison("host", "=", "H1"), _name("=", "%école%")))),
+] + [(None, filt, None) for filt in (
+    # Numeric entity leaves: file pids are 0..18, proc pids NULL.
+    _pid("=", "%1%"), _pid("!=", "%1%"), _pid(">=", "10"), _pid("<", "abc"),
+    _pid("=", 3.0), _pid("<=", True), _pid(">", " 7 "),
+    MembershipFilter("pid", (1, "2", 3.0, "abc", "%4%"), False),
+    MembershipFilter("pid", (1, "2"), True),
+    NegatedFilter(_pid("<", 5)),
+)] + [(None, None, filt) for filt in (
+    # Numeric event leaves: start_time = row, data_amount = row,
+    # duration 0.5, failure_code 0.
+    AttributeComparison("data_amount", "=", "%1%"),
+    AttributeComparison("data_amount", "<", "1e1"),
+    AttributeComparison("start_time", "=", "%.0"),
+    AttributeComparison("start_time", ">", "12.5"),
+    AttributeComparison("start_time", "<", "x"),
+    AttributeComparison("duration", "=", 0.5),
+    AttributeComparison("duration", "!=", "0.5"),
+    AttributeComparison("failure_code", "!=", 0),
+    MembershipFilter("data_amount", (3, "4", 5.0, "x"), False),
+    MembershipFilter("start_time", (3, "4.0"), True),
+    # Trees mixing entity and event leaves under || and !.
+    BooleanFilter("||", (_pid("<", 3),
+                         AttributeComparison("data_amount", ">", 15))),
+    NegatedFilter(BooleanFilter("&&", (
+        _NULLABLE, AttributeComparison("start_time", ">=", 6)))),
+    BooleanFilter("||", (_name("=", "%tmp%"), NegatedFilter(
+        MembershipFilter("host", ("h0",), False)))),
+)] + [
+    (BooleanFilter("||", (_NULLABLE,
+                          AttributeComparison("data_amount", ">", 12))),
+     None, None),
+    (NegatedFilter(BooleanFilter("||", (
+        _pid("=", 1), AttributeComparison("host", "=", "other")))),
+     _name("=", "%a%"), None),
 ]
 
 
@@ -547,7 +587,9 @@ def test_filter_tables_match_sqlite(table_payload, filters):
         before = len(segment._filter_memo)
         assert _selection(segment, filters) == cold      # memo hit
         assert len(segment._filter_memo) == before
-        # The per-row closures are the tables' reference and never
+        # The test-only per-row closures
+        # (``tests/reference/scan_unoptimized.py``) are the tables'
+        # second reference, on entity and event rows alike, and never
         # touch the memo.
         segment._filter_memo.clear()
         with dictionary_disabled():
@@ -587,6 +629,26 @@ def test_memo_keeps_equal_but_differently_typed_literals_apart(
         # them "10", "10.0" and "1".
         assert _selection(segment, (None, _name("=", 10), None)) == [8]
         assert _selection(segment, (None, _name("=", 10.0), None)) == [9]
+        assert len(segment._filter_memo) == 2
+    finally:
+        segment.close()
+
+
+def test_mixed_filter_keeps_one_memo_entry_per_side(table_payload):
+    """A conjunct mixing entity and event leaves masks event rows
+    through its side's entity rows: the same filter on the subject and
+    on the object is two masks, each as SQLite judges it."""
+    path, connection = table_payload
+    mixed = BooleanFilter("||", (
+        _pid("<", 3), AttributeComparison("data_amount", ">", 12)))
+    segment = ColumnarSegment(path)
+    try:
+        for filters in ((mixed, None, None), (None, mixed, None)):
+            assert _selection(segment, filters) == \
+                _sqlite_selection(connection, filters)
+        assert len(segment._filter_memo) == 2
+        assert _selection(segment, (mixed, None, None)) != \
+            _selection(segment, (None, mixed, None))
         assert len(segment._filter_memo) == 2
     finally:
         segment.close()
@@ -682,6 +744,21 @@ def test_segment_cache_evicts_least_recently_used(tmp_path, monkeypatch):
         for segment in (first, second, third,
                         *colscan._SEGMENT_CACHE.values()):
             segment.close()
+
+
+def test_a_dropped_reader_leaves_no_file_open(tmp_path):
+    """The segment cache evicts readers without closing them (a scan
+    may still read the mapping): dropping one must not leak the
+    payload's file, which the mapping does not need."""
+    path = _sample_payload(tmp_path)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        segment = ColumnarSegment(path)
+        assert scan_columnar(segment, _PARITY_SPECS[0])
+        del segment
+        gc.collect()
+    assert not [warning for warning in caught
+                if issubclass(warning.category, ResourceWarning)]
 
 
 def test_like_pattern_cache_keeps_caching_past_its_bound():

@@ -21,7 +21,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.audit import AuditCollector, CollectorConfig, \
+from repro.audit import AuditCollector, CollectorConfig, EntityType, \
     generate_benign_noise
 from repro.obs.metrics import MetricsRegistry, get_registry, set_registry
 from repro.storage import DualStore
@@ -29,11 +29,14 @@ from repro.storage.columnar import ColumnarSegment, ascii_lower
 from repro.storage.segments import (STATS_DISTINCT_COLUMNS,
                                     STATS_NUMERIC_COLUMNS, SegmentStats)
 from repro.tbql.ast import (AttributeComparison, BooleanFilter,
-                            MembershipFilter)
-from repro.tbql.colscan import CompiledScan, PatternSpec, scan_columnar
+                            MembershipFilter, NegatedFilter)
+from repro.tbql.colscan import (CompiledScan, PatternSpec,
+                                build_pattern_spec, scan_columnar)
+from repro.tbql.compiler_sql import compile_pattern_sql
 from repro.tbql.executor import TBQLExecutor
 from repro.tbql.pruning import prune_by_stats, segment_may_match
-from repro.tbql.semantics import resolve_query
+from repro.tbql.semantics import (ResolvedEntity, ResolvedPattern,
+                                  ResolvedQuery, resolve_query)
 from repro.tbql.parser import parse_tbql
 
 from .conftest import record_data_leak_attack, snapshot_files
@@ -203,8 +206,7 @@ _spec = st.builds(
     pattern_filter=_pattern_filter,
     window=st.none(),
     subject_candidates=st.none(),
-    object_candidates=st.none(),
-    min_event_id=st.none())
+    object_candidates=st.none())
 
 
 class TestConservativePruning:
@@ -312,6 +314,108 @@ class TestDictionaryPredicates:
                     assert got.rows == want.rows, (dict_enabled, text)
                     assert got.matched_events == want.matched_events, \
                         (dict_enabled, text)
+
+
+# ---------------------------------------------------------------------------
+# generated filter trees against SQLite
+# ---------------------------------------------------------------------------
+
+#: Literals for numeric columns: stored values of the corpus (pids
+#: 1236-1379, ports 443/514 and ephemeral, data amounts in 4096
+#: steps, start times from 1523400000), text that converts, text that
+#: does not, and ``%`` patterns that make the comparison a LIKE.
+_NUMBER_LITERALS = (0, 443, 1300, 4096, 0.5, True, 1523400045,
+                    1523400045.5, "443", "4096.0", " 1300 ", "abc", "",
+                    "%4%", "%.5%", "1523%", "%0", "12_")
+_number = st.one_of(st.sampled_from(_NUMBER_LITERALS),
+                    st.integers(min_value=-1, max_value=60_000),
+                    st.floats(min_value=0.0, max_value=2e9,
+                              allow_nan=False))
+#: Entity columns with NULL cells on some entity types (pid on files
+#: and ips, ports on processes and files), then event columns.
+_NUMBER_ATTRIBUTES = ("pid", "srcport", "dstport", "data_amount",
+                      "duration", "failure_code", "start_time")
+_TEXT_ATTRIBUTES = ("exename", "name", "path", "user", "dstip", "host",
+                    "operation")
+_text = st.sampled_from(("%bin%", "/bin/tar", "%TAR%", "root", "%e%",
+                         "/etc/passwd", "%/tmp/%", "read", "write",
+                         "host-%", "host-0", "", "443", 443, "%4%"))
+
+
+def _leaves(attributes, values):
+    return st.one_of(
+        st.builds(AttributeComparison, st.sampled_from(attributes),
+                  st.sampled_from(_COMPARISON_OPERATORS), values),
+        st.builds(MembershipFilter, st.sampled_from(attributes),
+                  st.lists(values, min_size=1, max_size=3).map(tuple),
+                  st.booleans()))
+
+
+_tree = st.recursive(
+    st.one_of(_leaves(_NUMBER_ATTRIBUTES, _number),
+              _leaves(_TEXT_ATTRIBUTES, _text)),
+    lambda children: st.one_of(
+        st.builds(NegatedFilter, children),
+        st.builds(BooleanFilter, st.sampled_from(("&&", "||")),
+                  st.lists(children, min_size=2, max_size=3).map(tuple))),
+    max_leaves=6)
+_maybe_tree = st.one_of(st.none(), _tree)
+
+
+class TestGeneratedFilterTrees:
+    def test_scans_equal_the_tail_sql_of_the_never_sealed_twin(
+            self, store_pair):
+        """``&&`` / ``||`` / ``!`` trees over string and numeric leaves,
+        on the subject, the object and the pattern, each alone and all
+        three together: every sealed segment's scan selects the rows
+        the SQL of the never-sealed twin selects in that segment's id
+        range."""
+        unsealed, seg = store_pair
+        sealed = seg.segment_view().sealed
+        segments = [ColumnarSegment(info.columnar_path) for info in sealed]
+
+        def assert_scans_equal_sql(object_type, subject_filter,
+                                   object_filter, pattern_filter):
+            pattern = ResolvedPattern(
+                index=0, pattern_id="evt1",
+                subject=ResolvedEntity("p", EntityType.PROCESS,
+                                       subject_filter),
+                obj=ResolvedEntity("o", object_type, object_filter),
+                operations=None, pattern_filter=pattern_filter)
+            query = ResolvedQuery(patterns=[pattern], temporal_relations=[],
+                                  attribute_relations=[],
+                                  return_items=[("p", "exename")],
+                                  distinct=False)
+            sql = compile_pattern_sql(pattern, query)
+            expected = [tuple(row.values()) for row
+                        in unsealed.execute_sql(sql.sql, sql.params)]
+            spec = build_pattern_spec(pattern, query)
+            found = 0
+            for info, segment in zip(sealed, segments):
+                rows = sorted(scan_columnar(segment, spec))
+                assert rows == [
+                    row for row in expected
+                    if info.first_event_id <= row[1] <= info.last_event_id]
+                found += len(rows)
+            assert found == len(expected)
+
+        @settings(max_examples=150, deadline=None,
+                  suppress_health_check=[HealthCheck.too_slow])
+        @given(object_type=st.sampled_from(list(EntityType)),
+               filters=st.tuples(_maybe_tree, _maybe_tree, _maybe_tree))
+        def check(object_type, filters):
+            for position, filt in enumerate(filters):
+                if filt is not None:
+                    alone = [None, None, None]
+                    alone[position] = filt
+                    assert_scans_equal_sql(object_type, *alone)
+            assert_scans_equal_sql(object_type, *filters)
+
+        try:
+            check()
+        finally:
+            for segment in segments:
+                segment.close()
 
 
 # ---------------------------------------------------------------------------
